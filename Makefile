@@ -28,14 +28,16 @@ test: vet check
 	$(GO) test ./...
 
 # race-checks the packages with concurrency: the parallel evaluation
-# engine, the model family it drives, the generation-backend layer, the
+# engine, the model family it drives, the n-gram sampler (whose frozen
+# tables share a temperature-weight memo across workers), the
+# generation-backend layer, the
 # sweep coordinator (whose fault-injection suite exercises every
 # supervision path), the remote transport (whose fault-matrix suite
 # exercises every recovery path), the result store (shared by parallel
 # sweep workers through its cached source), and the analyzer driver
 # (loads packages from many golden trees).
 race:
-	$(GO) test -race ./internal/eval/... ./internal/model/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
+	$(GO) test -race ./internal/eval/... ./internal/model/... ./internal/ngram/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
 
 # -json emits the test2json stream (one JSON object per line) including
 # every Benchmark output line, so the file is grep- and jq-friendly.
@@ -45,7 +47,7 @@ race:
 # process lifetime, and the GC mark cost of that retained graph would
 # otherwise tax every allocating component bench sharing the process.
 # A new Benchmark must be added to exactly one of these two lists.
-MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup)$$
+MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkSampleRand|BenchmarkMathRandSeed|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup)$$
 MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkEvaluateColdCompile|BenchmarkEvaluateWarmCompile|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
 
 # GOGC is pinned for recordings: the bounded caches keep the suite's

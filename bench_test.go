@@ -300,6 +300,26 @@ func benchSampler(b *testing.B, freeze bool) {
 func BenchmarkFrozenSample(b *testing.B) { benchSampler(b, true) }
 func BenchmarkMapSample(b *testing.B)    { benchSampler(b, false) }
 
+// BenchmarkSampleRand vs BenchmarkMathRandSeed is the per-sample seeding
+// cost (DESIGN.md Section 8.1): constructing one sample's generator from
+// its SampleSeed and drawing the first value, through model.SampleRand
+// and through the rand.New(rand.NewSource(...)) it reproduces.
+func BenchmarkSampleRand(b *testing.B) {
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += model.SampleRand(model.SampleSeed(1, i)).Float64()
+	}
+	_ = sink
+}
+
+func BenchmarkMathRandSeed(b *testing.B) {
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += rand.New(rand.NewSource(model.SampleSeed(1, i))).Float64()
+	}
+	_ = sink
+}
+
 func BenchmarkBPETrainVocab512(b *testing.B) {
 	docs := []string{}
 	rng := rand.New(rand.NewSource(4))

@@ -8,8 +8,11 @@
 //
 //	vgen-benchcmp [old.json new.json]
 //
-// With no arguments it picks the two most recently modified BENCH_*.json
-// files in the working directory (older = baseline).
+// With no arguments it picks the two latest BENCH_*.json files in the
+// working directory (older = baseline), ordered by the date and same-day
+// suffix `make bench` puts in each name: BENCH_20260808.json, then
+// BENCH_20260808.2.json, then BENCH_20260809.json. File modification
+// times are not used; a checkout rewrites them all.
 package main
 
 import (
@@ -22,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // hotPathBenches are the pinned generation/evaluation hot paths: a >10%
@@ -168,26 +170,59 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
+// benchNameRe matches the names `make bench` writes: BENCH_<yyyymmdd>.json
+// for a day's first recording, BENCH_<yyyymmdd>.<n>.json (n >= 2) for
+// the same day's later ones.
+var benchNameRe = regexp.MustCompile(`^BENCH_(\d{8})(?:\.(\d+))?\.json$`)
+
+// benchOrder sorts bench file names oldest first by (date, same-day
+// suffix), a name without a suffix counting as suffix 1. Names `make
+// bench` cannot have written are dropped.
+func benchOrder(names []string) []string {
+	type benchFile struct {
+		name string
+		date string
+		seq  int
+	}
+	var files []benchFile
+	for _, name := range names {
+		m := benchNameRe.FindStringSubmatch(filepath.Base(name))
+		if m == nil {
+			continue
+		}
+		seq := 1
+		if m[2] != "" {
+			n, err := strconv.Atoi(m[2])
+			if err != nil {
+				continue
+			}
+			seq = n
+		}
+		files = append(files, benchFile{name: name, date: m[1], seq: seq})
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].date != files[j].date {
+			return files[i].date < files[j].date
+		}
+		return files[i].seq < files[j].seq
+	})
+	out := make([]string, len(files))
+	for i, f := range files {
+		out[i] = f.name
+	}
+	return out
+}
+
 func latestTwo() (string, string, error) {
 	names, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
 		return "", "", err
 	}
-	type benchFile struct {
-		name string
-		mod  time.Time
-	}
-	var files []benchFile
-	for _, name := range names {
-		if fi, err := os.Stat(name); err == nil {
-			files = append(files, benchFile{name: name, mod: fi.ModTime()})
-		}
-	}
+	files := benchOrder(names)
 	if len(files) < 2 {
-		return "", "", fmt.Errorf("need two BENCH_*.json files to compare, found %d", len(files))
+		return "", "", fmt.Errorf("need two BENCH_<date>[.<n>].json files to compare, found %d", len(files))
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	return files[len(files)-2].name, files[len(files)-1].name, nil
+	return files[len(files)-2], files[len(files)-1], nil
 }
 
 func pct(old, new float64) string {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vgen-eval [-seed N] [-n N] [-quick] [-workers N] [-map-sampler]
+//	vgen-eval [-seed N] [-n N] [-quick] [-workers N]
 //	          [-plan-cache BYTES] [-unshared-plans] [-cache-stats]
 //	          [-backend NAME] [-record FILE] [-replay FILE]
 //	          [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
@@ -117,7 +117,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
 	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
 	workers := flag.Int("workers", 0, "evaluation worker pool width (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	mapSampler := flag.Bool("map-sampler", false, "sample from the map-backed n-gram baseline instead of the frozen tables (identical output, slower)")
 	planCache := flag.Int64("plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
 	unsharedPlans := flag.Bool("unshared-plans", false, "compile every sample fresh instead of sharing plans and designs across evaluations (identical output, slower)")
 	cacheStats := flag.Bool("cache-stats", false, "print shared plan/design cache and outcome cache counters to stderr after the run")
@@ -350,8 +349,7 @@ func main() {
 	}
 
 	fw, err := core.New(core.Config{
-		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep,
-		Workers: *workers, MapSampler: *mapSampler,
+		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep, Workers: *workers,
 		PlanCacheBytes: *planCache, UnsharedPlans: *unsharedPlans,
 		Backend: *backend, Record: *record, Replay: *replay,
 		Remote: gen.RemoteOptions{

@@ -32,8 +32,7 @@ type Config struct {
 	CorpusFiles int              // synthetic GitHub corpus size; 0 = default
 	Corpus      model.CorpusKind // fine-tuning corpus (ablation handle)
 	Sweep       eval.SweepOptions
-	Workers     int  // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
-	MapSampler  bool // keep n-gram LMs on the map-backed baseline sampler
+	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
 
 	// PlanCacheBytes bounds each shared compiled-artifact cache (the
 	// compiled-plan cache and the per-candidate design cache) by accounted
@@ -44,8 +43,8 @@ type Config struct {
 	// UnsharedPlans routes every evaluation through the legacy
 	// fresh-everything pipeline (parse, elaborate, and compile per sample,
 	// nothing shared) instead of the shared design/plan caches. It is the
-	// differential baseline for the shared pipeline, the role MapSampler
-	// plays for the sampler.
+	// differential baseline for the shared pipeline, the role
+	// model.Config.MapSampler plays for the sampler.
 	UnsharedPlans bool
 
 	// Backend selects the generation backend by registered name (see
@@ -131,7 +130,6 @@ func New(cfg Config) (*Framework, error) {
 			Seed:        cfg.Seed,
 			CorpusFiles: cfg.CorpusFiles,
 			Corpus:      cfg.Corpus,
-			MapSampler:  cfg.MapSampler,
 		},
 		ReplayPath: cfg.Replay,
 		Remote:     remote,

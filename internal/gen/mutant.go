@@ -1,8 +1,6 @@
 package gen
 
 import (
-	"math/rand"
-
 	"repro/internal/model"
 	"repro/internal/mutate"
 	"repro/internal/problems"
@@ -33,10 +31,11 @@ func NewMutant() *Mutant { return &Mutant{} }
 
 // Complete draws one adversarial completion. Purely a function of
 // (problem, baseSeed, sampleIdx): the rng stream is the engine's own
-// splitmix derivation, so the backend honors the cross-worker determinism
-// contract by construction.
+// splitmix derivation through model.SampleRand, the same per-sample
+// constructor the family backend uses, so the backend honors the
+// cross-worker determinism contract by construction.
 func (m *Mutant) Complete(key Key, p *problems.Problem, level problems.Level, temperature float64, sampleIdx int, baseSeed int64) (Sample, bool) {
-	rng := rand.New(rand.NewSource(model.SampleSeed(baseSeed, sampleIdx)))
+	rng := model.SampleRand(model.SampleSeed(baseSeed, sampleIdx))
 	lat := 0.5 * (0.9 + 0.2*rng.Float64())
 	u := rng.Float64()
 	if u < 0.10 {

@@ -144,8 +144,7 @@ type Options struct {
 	CorpusFiles int // synthetic corpus scale; 0 = family default
 	Sweep       eval.SweepOptions
 	Corpus      model.CorpusKind
-	Workers     int  // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
-	MapSampler  bool // keep n-gram LMs on the map-backed baseline sampler
+	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
 
 	// Backend selects the generation backend by registered name; "" means
 	// "family", the simulated line-up. Replay names the JSONL recording
@@ -168,7 +167,6 @@ func New(o Options) (*Harness, error) {
 			Seed:        o.Seed,
 			CorpusFiles: o.CorpusFiles,
 			Corpus:      o.Corpus,
-			MapSampler:  o.MapSampler,
 		},
 		ReplayPath: o.Replay,
 	})

@@ -40,9 +40,9 @@ type Config struct {
 	TempDecayCompile    float64 // 0 = 1.0
 
 	// MapSampler keeps the n-gram LMs on the mutable map-backed sampling
-	// path instead of freezing them into packed samplers after training —
-	// the differential baseline, mirroring sim.Options.Interpret. Output
-	// is byte-identical either way; only the allocation profile differs.
+	// path instead of freezing them into packed samplers after training.
+	// It is the differential tests' oracle, not a production knob: output
+	// is byte-identical either way, and only the cost differs.
 	MapSampler bool
 }
 
@@ -297,8 +297,7 @@ func SampleSeed(base int64, idx int) int64 {
 // CompleteAt produces sample idx of the query identified by baseSeed. The
 // draw depends only on (baseSeed, idx), never on the other samples.
 func (g *Generator) CompleteAt(p *problems.Problem, level problems.Level, temperature float64, idx int, baseSeed int64) Sample {
-	rng := rand.New(rand.NewSource(SampleSeed(baseSeed, idx)))
-	return g.Complete(p, level, temperature, rng)
+	return g.Complete(p, level, temperature, SampleRand(SampleSeed(baseSeed, idx)))
 }
 
 // CompleteN produces n completions (the paper's completions-per-prompt).

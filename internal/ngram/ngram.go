@@ -10,9 +10,12 @@
 // compiles that store into a packed immutable sampler (open-addressed
 // context tables keyed by uint64 hashes, per-context sorted next-token
 // arrays with cumulative counts) so the per-step sampling path allocates
-// nothing. The map store stays intact as the differential baseline; both
-// paths draw from shared selection code and are byte-identical for every
-// temperature and RNG stream.
+// nothing. The frozen sampler also memoizes each distribution's
+// temperature weights, so a sampled token at a temperature other than 1
+// costs a search instead of a log and an exp per candidate token. The map
+// store stays intact as the differential baseline, recomputing weights
+// per draw; both paths draw from shared selection code and are
+// byte-identical for every temperature and RNG stream.
 package ngram
 
 import (
@@ -162,8 +165,8 @@ func (d sortedDist) count(i int) int64 {
 // smallest token id); temperature 1 is a binary search over the integer
 // cumulative counts (one rng draw, no float weight construction); other
 // temperatures build softmax-over-log-count cumulative weights in scratch
-// and binary-search those. Exactly one rng.Float64 is consumed per draw
-// for every temperature > 0.
+// and search those. Exactly one rng.Float64 is consumed per draw for
+// every temperature > 0.
 func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64) int {
 	n := len(d.toks)
 	if temperature <= 0 {
@@ -183,9 +186,17 @@ func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64
 		}
 		return int(d.toks[i])
 	}
-	w := (*scratch)[:0]
+	*scratch = d.weights(temperature, (*scratch)[:0])
+	return d.search(*scratch, rng)
+}
+
+// weights appends to w the softmax-over-log-count cumulative weights at
+// the given temperature: w[i] is the mass of tokens 0..i, so the last
+// element is the total. The result depends on nothing but the counts and
+// the temperature, which is what lets the frozen sampler memoize it.
+func (d sortedDist) weights(temperature float64, w []float64) []float64 {
 	maxLog := math.Inf(-1)
-	for i := 0; i < n; i++ {
+	for i := range d.toks {
 		l := math.Log(float64(d.count(i))) / temperature
 		if l > maxLog {
 			maxLog = l
@@ -197,8 +208,14 @@ func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64
 		total += math.Exp(w[i] - maxLog)
 		w[i] = total
 	}
-	*scratch = w
-	r := rng.Float64() * total
+	return w
+}
+
+// search draws one token from cumulative weights w (as built by weights)
+// with exactly one rng.Float64.
+func (d sortedDist) search(w []float64, rng *rand.Rand) int {
+	n := len(w)
+	r := rng.Float64() * w[n-1]
 	i := sort.Search(n, func(i int) bool { return w[i] > r })
 	if i >= n {
 		i = n - 1
@@ -238,8 +255,22 @@ var scratchPool = sync.Pool{New: func() any {
 // suffix to a uint64 (full token width; no truncation) and verify the
 // stored context ids, so hash collisions cost a probe, never a wrong
 // distribution.
+//
+// weights memoizes the cumulative softmax weights of the temperatures
+// other than 0 and 1, keyed by weightKey: they are a pure function of the
+// immutable tables, so an entry never goes stale and is computed by the
+// same code pick runs (bit-identical floats). Its size is bounded by the
+// distributions actually reached times the distinct temperatures sampled
+// at, and it lives exactly as long as the frozen tables; it needs no
+// eviction.
 type frozenModel struct {
-	levels []frozenLevel
+	levels  []frozenLevel
+	weights sync.Map // weightKey -> []float64
+}
+
+type weightKey struct {
+	level, entry int32
+	temp         uint64 // math.Float64bits of the temperature
 }
 
 type frozenLevel struct {
@@ -345,9 +376,24 @@ func (fz *frozenModel) sample(history []int, temperature float64, rng *rand.Rand
 			toks: lvl.toks[lvl.distOff[e]:lvl.distOff[e+1]],
 			cum:  lvl.cum[lvl.distOff[e]:lvl.distOff[e+1]],
 		}
-		return d.pick(temperature, rng, scratch), true
+		if temperature <= 0 || temperature == 1 {
+			return d.pick(temperature, rng, scratch), true
+		}
+		return d.search(fz.cumWeights(n, e, temperature, d), rng), true
 	}
 	return 0, false
+}
+
+// cumWeights returns d's memoized cumulative weights at temperature,
+// computing them on first use. Concurrent first uses may both compute;
+// LoadOrStore keeps one, and both results are identical anyway.
+func (fz *frozenModel) cumWeights(level, entry int, temperature float64, d sortedDist) []float64 {
+	key := weightKey{level: int32(level), entry: int32(entry), temp: math.Float64bits(temperature)}
+	if w, ok := fz.weights.Load(key); ok {
+		return w.([]float64)
+	}
+	w, _ := fz.weights.LoadOrStore(key, d.weights(temperature, make([]float64, 0, len(d.toks))))
+	return w.([]float64)
 }
 
 // ---- sampling entry points ---------------------------------------------------

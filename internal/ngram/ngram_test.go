@@ -1,8 +1,11 @@
 package ngram
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -293,5 +296,74 @@ func TestFreezeLayoutIndependent(t *testing.T) {
 	p2 := backward.Perplexity(chunks[0])
 	if p1 != p2 {
 		t.Fatalf("perplexity diverged: %v vs %v", p1, p2)
+	}
+}
+
+// TestWeightMemoConcurrentMatchesMap is the equivalence contract of the
+// frozen sampler's temperature-weight memo under concurrency: 8
+// goroutines generate repeatedly from one frozen model at the paper's
+// temperatures, so first uses race on the memo's LoadOrStore and later
+// draws read entries other goroutines stored. Every stream must equal
+// the map-backed oracle's, which recomputes its weights per draw.
+func TestWeightMemoConcurrentMatchesMap(t *testing.T) {
+	// a small skewed vocabulary, so every context has several
+	// continuations with unequal counts and temperature changes the draw
+	rng := rand.New(rand.NewSource(43))
+	data := make([]int, 6000)
+	for i := range data {
+		data[i] = rng.Intn(1 + rng.Intn(10))
+	}
+	oracle, frozen := New(4), New(4)
+	oracle.Train(data)
+	frozen.Train(data)
+	frozen.Freeze()
+
+	temps := []float64{0.1, 0.3, 0.5, 0.7, 1.0}
+	const seeds = 12
+	want := make([][][]int, len(temps))
+	for ti, temp := range temps {
+		for seed := int64(0); seed < seeds; seed++ {
+			prompt := data[seed*11 : seed*11+3]
+			want[ti] = append(want[ti], oracle.Generate(prompt, 120, temp, rand.New(rand.NewSource(seed))))
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := 0; k < len(temps)*seeds; k++ {
+					// each goroutine walks the cells in its own order
+					ti, seed := (k+g)%len(temps), int64((k/len(temps)+g*5)%seeds)
+					prompt := data[seed*11 : seed*11+3]
+					got := frozen.Generate(prompt, 120, temps[ti], rand.New(rand.NewSource(seed)))
+					if !slices.Equal(got, want[ti][seed]) {
+						errs <- fmt.Sprintf("goroutine %d round %d t=%.1f seed %d diverged from the map oracle", g, round, temps[ti], seed)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestWeightMemoHitAllocatesNothing pins the memo-hit path: once a
+// context's weights are memoized, sampling it again allocates nothing.
+func TestWeightMemoHitAllocatesNothing(t *testing.T) {
+	m := New(3)
+	m.Train(seq(1, 2, 3, 1, 2, 4, 1, 2, 5, 1, 2, 3))
+	m.Freeze()
+	rng := rand.New(rand.NewSource(1))
+	m.Sample(seq(1, 2), 0.7, rng)
+	if allocs := testing.AllocsPerRun(100, func() { m.Sample(seq(1, 2), 0.7, rng) }); allocs != 0 {
+		t.Fatalf("memoized sample allocates %.1f times, want 0", allocs)
 	}
 }
