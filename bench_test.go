@@ -212,6 +212,18 @@ func benchVnumAdd(b *testing.B, width int) {
 	}
 }
 
+// BenchmarkVnumHexString times %h rendering of a 32-bit value with one
+// mixed-unknown nibble, the shape of a $display of a partly driven bus.
+func BenchmarkVnumHexString(b *testing.B) {
+	v := vnum.FromBitString("1010_0101_1x01_0011_1111_0000_1100_0110")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(v.HexString()) != 8 {
+			b.Fatal("wrong digit count")
+		}
+	}
+}
+
 func BenchmarkVnumMul64(b *testing.B) {
 	x := vnum.FromUint64(64, 0xDEADBEEF)
 	y := vnum.FromUint64(64, 0x1234567)
@@ -377,6 +389,33 @@ func BenchmarkSchedulerRegions(b *testing.B) {
 		}
 		if !problems.PassVerdict(res.Output) {
 			b.Fatal("reference failed")
+		}
+	}
+}
+
+// BenchmarkProcessHandoff times the scheduler-process switch: two
+// initial blocks trade #1 delays for 10,000 events in total, so nearly
+// all the work is suspending and resuming processes.
+func BenchmarkProcessHandoff(b *testing.B) {
+	f, err := vlog.Parse(`module m;
+  initial repeat (5000) #1;
+  initial repeat (5000) #1;
+endmodule`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := elab.Elaborate(f, "m", elab.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.New(d, sim.Options{}).Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Time != 5000 {
+			b.Fatalf("ended at time %d, want 5000", res.Time)
 		}
 	}
 }

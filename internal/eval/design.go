@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -303,7 +304,11 @@ func evaluateShared(p *problems.Problem, level problems.Level, completion string
 	}
 	s := sl.getSim(sim.Options{Plans: sharedPlanCache()})
 	res, err := s.Run()
-	sl.pool.Put(s)
+	// a simulator that panicked internally may hold torn state; drop it
+	var ie *sim.InternalError
+	if !errors.As(err, &ie) {
+		sl.pool.Put(s)
+	}
 	if err != nil {
 		return Outcome{Compiles: true, Simulated: true}, res
 	}

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
+	"strconv"
 	"strings"
 
 	"repro/internal/vlog"
@@ -10,102 +13,94 @@ import (
 )
 
 // process is one behavioural process (always or initial block) running as
-// a coroutine goroutine under a strict handshake: the scheduler resumes it
-// and then blocks until the process yields (by blocking on a delay/event,
-// finishing, or executing $finish).
+// a coroutine under iter.Pull. The scheduler resumes it with next, which
+// switches straight to the process's stack; the process hands control back
+// by calling yield when it blocks on a delay or event, or by returning when
+// its body ends. Exactly one side runs at a time, so simulation is fully
+// deterministic, and no switch goes through the goroutine scheduler.
 type process struct {
-	sim    *Simulator
-	proc   *elab.Proc
-	resume chan bool // scheduler -> process; false = terminate
-	yield  chan yieldInfo
-	done   bool
-	begun  bool
+	sim  *Simulator
+	proc *elab.Proc
+	next func() (struct{}, bool) // resumes the body; false once it returned
+	stop func()                  // unwinds a suspended body (yield returns false)
+	// yield suspends the body; it reports false when the process is killed
+	yield func(struct{}) bool
+	done  bool
+	// finish and err record how the body returned, for stepOnce to act
+	// on: by $finish, or with a fatal error
+	finish bool
+	err    error
 	// blockCount counts suspensions, for always-block livelock detection
 	blockCount int
 }
 
-type yieldKind int
-
-const (
-	yBlocked yieldKind = iota // waiting on event/delay, already registered
-	yDone                     // process finished (initial completed or error)
-	yFinish                   // $finish executed
-)
-
-type yieldInfo struct {
-	kind yieldKind
-	err  error
-}
-
-// errKill unwinds a process goroutine during shutdown.
+// errKill unwinds a process body during shutdown.
 type errKill struct{}
 
 // errFinishSim unwinds a process after $finish.
 type errFinishSim struct{}
 
 func newProcess(s *Simulator, p *elab.Proc) *process {
-	return &process{sim: s, proc: p, resume: make(chan bool), yield: make(chan yieldInfo)}
+	return &process{sim: s, proc: p}
 }
 
-// stepOnce resumes the process until its next yield, handling the yield in
-// scheduler context.
+// stepOnce resumes the process until it blocks or its body returns,
+// handling a return in scheduler context.
 func (p *process) stepOnce() {
 	if p.done {
 		return
 	}
-	if !p.begun {
-		p.begun = true
-		go p.run()
-	} else {
-		p.resume <- true
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.body)
 	}
-	info := <-p.yield
-	switch info.kind {
-	case yDone:
-		p.done = true
-		if info.err != nil {
-			panic(simAbort{err: info.err})
-		}
-	case yFinish:
-		p.done = true
+	if _, ok := p.next(); ok {
+		return // blocked, already registered on its delay or event
+	}
+	p.done = true
+	if p.err != nil {
+		panic(simAbort{err: p.err})
+	}
+	if p.finish {
 		p.sim.finished = true
 	}
 }
 
-// kill terminates a blocked process goroutine.
+// kill unwinds a blocked process. A process that never started or
+// already returned has nothing to unwind.
 func (p *process) kill() {
-	if p.done || !p.begun {
-		p.done = true
+	if p.done {
 		return
 	}
 	p.done = true
-	p.resume <- false
-	<-p.yield
+	if p.stop != nil {
+		p.stop()
+	}
 }
 
-// run is the goroutine body.
-func (p *process) run() {
-	var yerr error
-	kind := yDone
+// body is the coroutine: it runs the process to its end and records how
+// the end came. Every panic stops here, so the coroutine always returns
+// normally; one that is not part of the simulator's own control flow
+// becomes an InternalError carrying this stack.
+func (p *process) body(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
-			switch r.(type) {
-			case errKill:
-				kind = yDone
+			switch r := r.(type) {
+			case errKill: // killed while blocked: nothing to report
 			case errFinishSim:
-				kind = yFinish
+				p.finish = true
+			case simAbort:
+				p.err = r.err
 			default:
-				if ab, ok := r.(simAbort); ok {
-					kind = yDone
-					yerr = ab.err
-				} else {
-					panic(r)
-				}
+				p.err = &InternalError{Value: r, Stack: debug.Stack()}
 			}
 		}
-		p.yield <- yieldInfo{kind: kind, err: yerr}
 	}()
+	p.run()
+}
 
+// run executes the process body.
+func (p *process) run() {
 	if p.proc.Kind == elab.ProcInitial {
 		p.exec(p.proc.Body)
 		return
@@ -126,8 +121,7 @@ func (p *process) run() {
 
 // block suspends the process until the scheduler resumes it.
 func (p *process) block() {
-	p.yield <- yieldInfo{kind: yBlocked}
-	if !<-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(errKill{})
 	}
 }
@@ -482,7 +476,7 @@ func (s *Simulator) formatString(sb *strings.Builder, format string, args []vlog
 			}
 		case 'o', 'O':
 			if v, ok := nextVal(); ok {
-				sb.WriteString(fmt.Sprintf("%o", mustU64(v)))
+				sb.WriteString(strconv.FormatUint(mustU64(v), 8))
 			}
 		case 't', 'T':
 			if v, ok := nextVal(); ok {

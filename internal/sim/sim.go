@@ -2,7 +2,8 @@
 // elaborated Verilog designs. It follows the IEEE 1364 stratified event
 // queue: an active region, an inactive (#0) region, a nonblocking-update
 // region, and a time wheel for future events. Behavioural processes run as
-// coroutine goroutines under a strict one-at-a-time handshake, so
+// iter.Pull coroutines: the scheduler switches directly into a process and
+// the process switches back when it blocks, one side running at a time, so
 // simulation is fully deterministic.
 //
 // In the reproduction pipeline this package plays the role Icarus Verilog
@@ -15,6 +16,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -43,6 +45,17 @@ type RuntimeError struct {
 }
 
 func (e *RuntimeError) Error() string { return fmt.Sprintf("%s: runtime error: %s", e.Pos, e.Msg) }
+
+// InternalError is a panic inside the simulator that is not part of its
+// own control flow: a bug, not a property of the design. Run returns it
+// instead of crashing the caller; the simulator that raised it should not
+// be reused.
+type InternalError struct {
+	Value any    // the recovered panic value
+	Stack []byte // the stack where it was recovered
+}
+
+func (e *InternalError) Error() string { return fmt.Sprintf("sim: internal error: %v", e.Value) }
 
 // Options configure a simulation run.
 type Options struct {
@@ -432,17 +445,19 @@ func (s *Simulator) write(text string) {
 
 // Run executes the simulation to completion ($finish, event starvation, or
 // a limit). The Result is valid even when err is non-nil: it reflects the
-// state at the point the limit fired.
+// state at the point the limit fired. A panic that is not part of the
+// simulator's control flow, in a process or in the scheduler, comes back
+// as an *InternalError instead of crashing the caller.
 func (s *Simulator) Run() (res Result, err error) {
 	defer s.killAll()
 	defer func() {
 		if r := recover(); r != nil {
+			res = s.result()
 			if ab, ok := r.(simAbort); ok {
-				res = s.result()
 				err = ab.err
-				return
+			} else {
+				err = &InternalError{Value: r, Stack: debug.Stack()}
 			}
-			panic(r)
 		}
 	}()
 

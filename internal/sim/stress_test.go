@@ -9,9 +9,10 @@ import (
 	"repro/internal/vlog/elab"
 )
 
-// TestManyProcessesStress runs 100 concurrent always blocks plus a clock
-// generator through thousands of events, checking the coroutine handshake
-// and wakeup machinery under load (and that no goroutines deadlock).
+// TestManyProcessesStress runs 100 always blocks plus a clock generator
+// through thousands of events, checking the coroutine handoff (the
+// scheduler resumes each process with next, the process hands back with
+// yield when it blocks) and the wakeup machinery under load.
 func TestManyProcessesStress(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("module m;\n  reg clk;\n  integer total;\n")

@@ -64,7 +64,7 @@ func addCore(xr, yr Value, w int, s bool) Value {
 	}
 	out := newVal(w)
 	out.signed = s
-	if out.as == nil {
+	if out.wide == nil {
 		out.a0 = xr.a0 + yr.a0
 	} else {
 		var carry uint64
@@ -100,7 +100,7 @@ func subCore(xr, yr Value, w int, s bool) Value {
 	}
 	out := newVal(w)
 	out.signed = s
-	if out.as == nil {
+	if out.wide == nil {
 		out.a0 = xr.a0 - yr.a0
 	} else {
 		var borrow uint64
@@ -143,7 +143,7 @@ func mulCore(xr, yr Value, w int, s bool) Value {
 	}
 	out := newVal(w)
 	out.signed = s
-	if out.as == nil {
+	if out.wide == nil {
 		out.a0 = xr.a0 * yr.a0
 		out.normalize()
 		return out

@@ -9,13 +9,13 @@
 // Values up to 64 bits wide — the overwhelming majority in the simulator's
 // inner loop — store their planes inline in two uint64 fields, so
 // constructing and operating on them performs no heap allocation. Wider
-// values spill to slices.
+// values spill to one heap-allocated backing array behind a pointer.
 package vnum
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 )
 
 // Bit is the state of a single vector bit.
@@ -50,13 +50,30 @@ func (b Bit) IsKnown() bool { return b == B0 || b == B1 }
 // one-bit unknown (x); use the constructors for anything else.
 //
 // Representation: widths <= 64 keep the aval/bval planes in the inline
-// a0/b0 words (as/bs stay nil); wider values use the as/bs slices (LSB
+// a0/b0 words (wide stays nil); wider values keep them behind wide (LSB
 // word first). Tail bits past the width are always masked to zero.
+//
+// A Value is 40 bytes with a single pointer word. Values pass and return
+// by value through every operator and every compiled plan closure, so the
+// struct's size is a per-operation copy cost: keeping the slice headers
+// out of line halves it.
 type Value struct {
 	width  int
 	signed bool
-	a0, b0 uint64   // inline planes when width <= 64
-	as, bs []uint64 // slice planes when width > 64
+	a0, b0 uint64  // inline planes when width <= 64
+	wide   *planes // out-of-line planes when width > 64
+}
+
+// planes holds a wide value's aval/bval planes, both sliced from one
+// backing array.
+type planes struct {
+	as, bs []uint64
+}
+
+// newPlanes returns zeroed planes of n words each.
+func newPlanes(n int) *planes {
+	buf := make([]uint64, 2*n)
+	return &planes{as: buf[:n:n], bs: buf[n:]}
 }
 
 func words(width int) int {
@@ -74,8 +91,7 @@ func newVal(width int) Value {
 	}
 	v := Value{width: width}
 	if width > 64 {
-		v.as = make([]uint64, words(width))
-		v.bs = make([]uint64, words(width))
+		v.wide = newPlanes(words(width))
 	}
 	return v
 }
@@ -85,46 +101,46 @@ func (v *Value) nwords() int { return words(v.width) }
 
 // aw reads aval plane word i.
 func (v *Value) aw(i int) uint64 {
-	if v.as == nil {
+	if v.wide == nil {
 		if i == 0 {
 			return v.a0
 		}
 		return 0
 	}
-	return v.as[i]
+	return v.wide.as[i]
 }
 
 // bw reads bval plane word i.
 func (v *Value) bw(i int) uint64 {
-	if v.bs == nil {
+	if v.wide == nil {
 		if i == 0 {
 			return v.b0
 		}
 		return 0
 	}
-	return v.bs[i]
+	return v.wide.bs[i]
 }
 
 // setaw writes aval plane word i.
 func (v *Value) setaw(i int, u uint64) {
-	if v.as == nil {
+	if v.wide == nil {
 		if i == 0 {
 			v.a0 = u
 		}
 		return
 	}
-	v.as[i] = u
+	v.wide.as[i] = u
 }
 
 // setbw writes bval plane word i.
 func (v *Value) setbw(i int, u uint64) {
-	if v.bs == nil {
+	if v.wide == nil {
 		if i == 0 {
 			v.b0 = u
 		}
 		return
 	}
-	v.bs[i] = u
+	v.wide.bs[i] = u
 }
 
 // New returns a width-bit value with every bit set to fill.
@@ -224,11 +240,10 @@ func Bool(t bool) Value {
 
 func (v Value) clone() Value {
 	c := v
-	if v.as != nil {
-		c.as = make([]uint64, len(v.as))
-		c.bs = make([]uint64, len(v.bs))
-		copy(c.as, v.as)
-		copy(c.bs, v.bs)
+	if v.wide != nil {
+		c.wide = newPlanes(len(v.wide.as))
+		copy(c.wide.as, v.wide.as)
+		copy(c.wide.bs, v.wide.bs)
 	}
 	return c
 }
@@ -311,10 +326,10 @@ func (v Value) WithBit(i int, bit Bit) Value {
 
 // IsKnown reports whether every bit is 0 or 1.
 func (v Value) IsKnown() bool {
-	if v.bs == nil {
+	if v.wide == nil {
 		return v.b0 == 0
 	}
-	for _, w := range v.bs {
+	for _, w := range v.wide.bs {
 		if w != 0 {
 			return false
 		}
@@ -466,80 +481,71 @@ func (v Value) Slice(msb, lsb int) Value {
 
 // String renders the value as a sized binary literal, e.g. 4'b10x1.
 func (v Value) String() string {
-	return fmt.Sprintf("%d'b%s", v.width, v.BinString())
+	return strconv.Itoa(v.width) + "'b" + v.BinString()
 }
 
 // BinString renders the raw bit string, MSB first.
 func (v Value) BinString() string {
-	var sb strings.Builder
-	for i := v.width - 1; i >= 0; i-- {
-		sb.WriteString(v.Bit(i).String())
+	var stack [64]byte
+	buf := stack[:]
+	if v.width > len(stack) {
+		buf = make([]byte, v.width)
 	}
-	return sb.String()
+	buf = buf[:v.width]
+	for w := 0; w*64 < v.width; w++ {
+		a, b := v.aw(w), v.bw(w)
+		top := v.width - 1 - w*64
+		for j := 0; j < 64 && j <= top; j++ {
+			buf[top-j] = "01zx"[(b>>uint(j)&1)<<1|a>>uint(j)&1]
+		}
+	}
+	return string(buf)
 }
 
 // HexString renders the value in hex; nibbles containing mixed known and
 // unknown bits print as uppercase X/Z markers per common tool convention.
 func (v Value) HexString() string {
 	nibbles := (v.width + 3) / 4
-	var sb strings.Builder
+	var stack [16]byte
+	buf := stack[:0]
+	if nibbles > len(stack) {
+		buf = make([]byte, 0, nibbles)
+	}
 	for n := nibbles - 1; n >= 0; n-- {
 		lo := n * 4
-		hi := min(lo+3, v.width-1)
-		allX, allZ, anyUnknown := true, true, false
-		var d uint64
-		for i := lo; i <= hi; i++ {
-			switch v.Bit(i) {
-			case B0:
-				allX, allZ = false, false
-			case B1:
-				allX, allZ = false, false
-				d |= 1 << uint(i-lo)
-			case BX:
-				allZ = false
-				anyUnknown = true
-			case BZ:
-				allX = false
-				anyUnknown = true
-			}
-		}
+		mask := uint64(1)<<uint(min(4, v.width-lo)) - 1
+		a := v.aw(lo/64) >> uint(lo%64) & mask
+		b := v.bw(lo/64) >> uint(lo%64) & mask
 		switch {
-		case anyUnknown && allX:
-			sb.WriteByte('x')
-		case anyUnknown && allZ:
-			sb.WriteByte('z')
-		case anyUnknown:
-			sb.WriteByte('X')
+		case b == 0:
+			buf = append(buf, "0123456789abcdef"[a])
+		case a == mask && b == mask:
+			buf = append(buf, 'x')
+		case a == 0 && b == mask:
+			buf = append(buf, 'z')
 		default:
-			sb.WriteString(fmt.Sprintf("%x", d))
+			buf = append(buf, 'X')
 		}
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // DecString renders the value in decimal; if any bit is unknown the result
 // is "x" (or "z" if all bits are z), matching %d display semantics.
 func (v Value) DecString() string {
 	if !v.IsKnown() {
-		all := true
-		for i := 0; i < v.width; i++ {
-			if v.Bit(i) != BZ {
-				all = false
-				break
-			}
-		}
-		if all {
+		if v.allZ() {
 			return "z"
 		}
 		return "x"
 	}
 	if v.signed {
 		if i, ok := v.Int64(); ok {
-			return fmt.Sprintf("%d", i)
+			return strconv.FormatInt(i, 10)
 		}
 	}
 	if u, ok := v.Uint64(); ok {
-		return fmt.Sprintf("%d", u)
+		return strconv.FormatUint(u, 10)
 	}
 	// Multi-word decimal via repeated division by 10.
 	var digits []byte
@@ -567,6 +573,21 @@ func (v Value) DecString() string {
 		digits[l], digits[r] = digits[r], digits[l]
 	}
 	return string(digits)
+}
+
+// allZ reports whether every bit is z.
+func (v Value) allZ() bool {
+	n := v.nwords()
+	for i := 0; i < n; i++ {
+		mask := ^uint64(0)
+		if rem := uint(v.width % 64); i == n-1 && rem != 0 {
+			mask = uint64(1)<<rem - 1
+		}
+		if v.bw(i) != mask || v.aw(i) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func min(a, b int) int {
