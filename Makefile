@@ -28,18 +28,19 @@ test: vet check
 	$(GO) test ./...
 
 # race-checks the packages with concurrency: the parallel evaluation
-# engine, the model family it drives, the n-gram sampler (whose frozen
-# tables share a temperature-weight memo across workers), the simulator
-# and its value package (pooled simulators resume their process
-# coroutines from whichever eval worker holds them), the
-# generation-backend layer, the
+# engine, the bounded cache every memo tier is built on (shared by all
+# eval workers; its suite races Add from 16 goroutines), the model
+# family the engine drives, the n-gram sampler (whose frozen tables
+# share a temperature-weight memo across workers), the simulator and its
+# value package (pooled simulators resume their process coroutines from
+# whichever eval worker holds them), the generation-backend layer, the
 # sweep coordinator (whose fault-injection suite exercises every
 # supervision path), the remote transport (whose fault-matrix suite
 # exercises every recovery path), the result store (shared by parallel
 # sweep workers through its cached source), and the analyzer driver
 # (loads packages from many golden trees).
 race:
-	$(GO) test -race ./internal/eval/... ./internal/model/... ./internal/ngram/... ./internal/sim/... ./internal/vnum/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
+	$(GO) test -race ./internal/eval/... ./internal/bounded/... ./internal/model/... ./internal/ngram/... ./internal/sim/... ./internal/vnum/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
 
 # -json emits the test2json stream (one JSON object per line) including
 # every Benchmark output line, so the file is grep- and jq-friendly.

@@ -9,7 +9,7 @@
 //	vgen-coord -dir STATE [-backend NAME] [-seed N] [-n N] [-quick]
 //	           [-experiment all|table3|table4|fig6|fig7|headline|passk|problems]
 //	           [-shards N] [-parallel N] [-proc]
-//	           [-plan-cache BYTES] [-unshared-plans]
+//	           [-plan-cache BYTES]
 //	           [-timeout D] [-max-attempts N] [-backoff D] [-backoff-cap D]
 //	           [-steal-after D] [-unhealthy-after N]
 //	           [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
@@ -39,9 +39,8 @@
 //
 // Workers share compiled simulation artifacts within their own process
 // (DESIGN.md Section 15). -plan-cache bounds those caches in accounted
-// bytes (0 = 4 MiB each, negative = unbounded) and -unshared-plans
-// compiles every sample fresh, the differential baseline; both thread
-// through to -proc worker subprocesses. Sharing never changes results.
+// bytes (0 = 4 MiB each, negative = unbounded) and threads through to
+// -proc worker subprocesses. Sharing never changes results.
 //
 // -fault injects deterministic failures (crash, hang, truncate, corrupt;
 // "*" for every attempt of a shard) at the supervision boundary — the
@@ -97,7 +96,6 @@ func main() {
 	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
 	workers := flag.Int("workers", 0, "per-attempt evaluation pool width (0 = GOMAXPROCS)")
 	planCache := flag.Int64("plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
-	unsharedPlans := flag.Bool("unshared-plans", false, "compile every sample fresh instead of sharing plans and designs across evaluations (identical output, slower)")
 	backend := flag.String("backend", "family", "generation backend by name")
 
 	// Remote backend flags, mirroring vgen-eval. Transport retries compose
@@ -172,7 +170,7 @@ func main() {
 	coreCfg := core.Config{
 		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep,
 		Workers: *workers, Backend: *backend,
-		PlanCacheBytes: *planCache, UnsharedPlans: *unsharedPlans,
+		PlanCacheBytes: *planCache,
 		Remote: gen.RemoteOptions{
 			Endpoint: *endpoint, AuthToken: authToken,
 			Timeout: *remoteTimeout, Budget: *remoteBudget,
@@ -225,9 +223,6 @@ func main() {
 			"-workers", strconv.Itoa(*workers),
 			"-backend", *backend,
 			"-plan-cache", strconv.FormatInt(*planCache, 10),
-		}
-		if *unsharedPlans {
-			base = append(base, "-unshared-plans")
 		}
 		if *backend == "remote" {
 			// Thread the transport config through to worker subprocesses.

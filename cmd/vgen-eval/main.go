@@ -4,7 +4,7 @@
 // Usage:
 //
 //	vgen-eval [-seed N] [-n N] [-quick] [-workers N]
-//	          [-plan-cache BYTES] [-unshared-plans] [-cache-stats]
+//	          [-plan-cache BYTES] [-cache-stats]
 //	          [-backend NAME] [-record FILE] [-replay FILE]
 //	          [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
 //	          [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
@@ -65,9 +65,8 @@
 // and compiled expression plans are cached content-addressed, and
 // simulator state is pooled — identical output, far less compile work.
 // -plan-cache bounds each shared cache in accounted bytes (default 4 MiB
-// each, negative = unbounded); -unshared-plans compiles every sample
-// fresh, the differential baseline; -cache-stats prints the shared-cache
-// and outcome-cache counters to stderr after the run.
+// each, negative = unbounded); -cache-stats prints the shared-cache and
+// outcome-cache counters to stderr after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -118,7 +117,6 @@ func main() {
 	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
 	workers := flag.Int("workers", 0, "evaluation worker pool width (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
 	planCache := flag.Int64("plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
-	unsharedPlans := flag.Bool("unshared-plans", false, "compile every sample fresh instead of sharing plans and designs across evaluations (identical output, slower)")
 	cacheStats := flag.Bool("cache-stats", false, "print shared plan/design cache and outcome cache counters to stderr after the run")
 	backend := flag.String("backend", "family", "generation backend by name ('list' prints the registry)")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
@@ -350,8 +348,7 @@ func main() {
 
 	fw, err := core.New(core.Config{
 		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep, Workers: *workers,
-		PlanCacheBytes: *planCache, UnsharedPlans: *unsharedPlans,
-		Backend: *backend, Record: *record, Replay: *replay,
+		PlanCacheBytes: *planCache, Backend: *backend, Record: *record, Replay: *replay,
 		Remote: gen.RemoteOptions{
 			Endpoint: *endpoint, AuthToken: authToken,
 			Timeout: *remoteTimeout, Budget: *remoteBudget,

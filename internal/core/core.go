@@ -40,13 +40,6 @@ type Config struct {
 	// Process-wide: the caches are shared across frameworks.
 	PlanCacheBytes int64
 
-	// UnsharedPlans routes every evaluation through the legacy
-	// fresh-everything pipeline (parse, elaborate, and compile per sample,
-	// nothing shared) instead of the shared design/plan caches. It is the
-	// differential baseline for the shared pipeline, the role
-	// model.Config.MapSampler plays for the sampler.
-	UnsharedPlans bool
-
 	// Backend selects the generation backend by registered name (see
 	// gen.Names()); "" means "family", the simulated line-up.
 	Backend string
@@ -158,7 +151,6 @@ func New(cfg Config) (*Framework, error) {
 	}
 	runner := eval.NewRunner(fw.Backend, cfg.Seed)
 	runner.Workers = cfg.Workers
-	runner.UnsharedPlans = cfg.UnsharedPlans
 	runner.BatchSize = cfg.BatchSize
 	runner.BatchLinger = cfg.BatchLinger
 	fw.Runner = runner

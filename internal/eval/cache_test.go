@@ -29,8 +29,8 @@ func churnCompletions(n, width int) []string {
 }
 
 func TestOutcomeCacheBounded(t *testing.T) {
-	r := NewRunner(gen.NewMutant(), 1)
-	r.CacheBytes = numShards * 2048 // ~2 KiB per shard: a handful of entries
+	const total = numShards * 2048 // ~2 KiB per shard: a handful of entries
+	r := newRunner(gen.NewMutant(), 1, total)
 	p := problems.ByNumber(1)
 
 	for _, c := range churnCompletions(600, 300) {
@@ -39,21 +39,16 @@ func TestOutcomeCacheBounded(t *testing.T) {
 
 	cs := r.CacheStats()
 	if cs.Evicted == 0 {
-		t.Fatalf("600 distinct ~300B completions against a %dB budget evicted nothing: %+v", r.CacheBytes, cs)
+		t.Fatalf("600 distinct ~300B completions against a %dB budget evicted nothing: %+v", total, cs)
 	}
 	if cs.Entries >= 600 {
 		t.Fatalf("cache retained all %d entries despite the bound: %+v", cs.Entries, cs)
 	}
 	// Per-shard FIFO keeps each shard at or under budget except for the
 	// single just-inserted entry it always retains.
-	budget := r.shardCacheBudget()
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		over := sh.bytes > budget && len(sh.order) > 1
-		sh.mu.Unlock()
-		if over {
-			t.Fatalf("shard %d holds %d bytes over its %d budget with room to evict", i, r.shards[i].bytes, budget)
+	for i, sh := range r.shards {
+		if st := sh.Stats(); st.Bytes > total/numShards && st.Entries > 1 {
+			t.Fatalf("shard %d holds %d bytes in %d entries over its %d budget", i, st.Bytes, st.Entries, total/numShards)
 		}
 	}
 }
@@ -62,10 +57,8 @@ func TestOutcomeCacheEvictionPreservesResults(t *testing.T) {
 	p := problems.ByNumber(2)
 	cs := churnCompletions(200, 400)
 
-	bounded := NewRunner(gen.NewMutant(), 1)
-	bounded.CacheBytes = numShards * 1024
-	unbounded := NewRunner(gen.NewMutant(), 1)
-	unbounded.CacheBytes = -1
+	bounded := newRunner(gen.NewMutant(), 1, numShards*1024)
+	unbounded := newRunner(gen.NewMutant(), 1, -1)
 
 	// First pass populates (and churns) the bounded cache; the second pass
 	// re-evaluates everything, hitting recompute paths for evicted keys.
@@ -82,7 +75,7 @@ func TestOutcomeCacheEvictionPreservesResults(t *testing.T) {
 		t.Fatal("bounded runner never evicted; the test exercised nothing")
 	}
 	if unbounded.CacheStats().Evicted != 0 {
-		t.Fatal("negative CacheBytes must disable eviction")
+		t.Fatal("a negative cache budget must disable eviction")
 	}
 }
 

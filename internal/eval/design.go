@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bounded"
 	"repro/internal/problems"
 	"repro/internal/sim"
 	"repro/internal/vlog"
@@ -16,10 +17,12 @@ import (
 // construction) is cached so a sweep pays it once per distinct candidate
 // and the testbench cone is compiled once per (problem, level).
 //
-// Three shared tiers, all content-addressed and all invisible to output:
+// Three shared tiers, all content-addressed, all invisible to output, and
+// all bounded.Cache instances:
 //
-//   - skeleton tier: one elab.Skeleton per distinct testbench text, built
-//     once and spliced per candidate (skeleton.go in the elab package).
+//   - testbench tier: one entry per distinct testbench text, holding the
+//     parsed AST and, built on first shared use, the elab.Skeleton each
+//     candidate splices into (skeleton.go in the elab package).
 //   - design tier: one compiled slot per (testbench, candidate source)
 //     pair, holding the spliced Design and a pool of reusable Simulators
 //     whose bound plans and runtime objects persist across runs.
@@ -43,13 +46,12 @@ import (
 // collector scans every cycle.
 const DefaultDesignCacheBytes = 4 << 20
 
-// designSlotOverhead is a slot's insert-time cost beyond its source
-// text: the slot struct, map bookkeeping, and key strings. Candidates
-// that never reach simulation (parse or compile-check failures) retain
-// little beyond this.
+// designSlotOverhead is a slot's cost beyond its source text: the slot
+// struct, map bookkeeping, and key strings. Candidates that never reach
+// simulation (parse or compile-check failures) retain little beyond this.
 const designSlotOverhead = 512
 
-// designGraphOverhead is charged on top once a slot's candidate reaches
+// designGraphOverhead is charged on top for a candidate that reaches
 // stageSim: the elaborated design graph, compiled plans, and pooled
 // simulator state. Calibrated from live-heap deltas (~17 KB per resident
 // reference-design slot including its plan-cache share), rounded up for
@@ -65,14 +67,59 @@ const (
 	stageSim                   // design ready to simulate
 )
 
-// skelEntry is the skeleton tier's per-testbench state, built once under
-// the entry's once. A nil skel (skeleton construction failed) falls back
-// to full elaboration per candidate.
-type skelEntry struct {
-	once  sync.Once
-	tb    *vlog.SourceFile
-	tbErr error
-	skel  *elab.Skeleton
+// tbCap bounds the testbench tier by entry count. Keying by the text (not
+// the problem number) makes the tier immune to Problem copies that carry
+// a modified bench under a reused number. The cap keeps the steady state
+// (the benchmark's fixed problem set) fully cached while capping
+// worst-case retention in processes that churn through many distinct
+// benches; an evicted-and-reused bench only costs one re-parse.
+const tbCap = 128
+
+var testbenches = bounded.New[string, *testbench](tbCap)
+
+// testbench is the testbench tier's entry: the parsed AST under one once
+// and the skeleton under a second, so EvaluateUnshared pays only the
+// parse. Elaboration and simulation only read the AST, so sharing it
+// across workers is safe.
+type testbench struct {
+	text string
+
+	parseOnce sync.Once
+	file      *vlog.SourceFile
+	err       error
+
+	skelOnce sync.Once
+	skel     *elab.Skeleton // nil when construction failed: elaborate instead
+}
+
+// testbenchFor returns the tier's entry for a testbench text, adding an
+// unbuilt one on a miss.
+func testbenchFor(text string) *testbench {
+	if tb, ok := testbenches.Get(text); ok {
+		return tb
+	}
+	return testbenches.Add(text, &testbench{text: text}, 1)
+}
+
+// parsed returns the testbench AST, parsing it at most once per entry.
+func (tb *testbench) parsed() (*vlog.SourceFile, error) {
+	tb.parseOnce.Do(func() { tb.file, tb.err = vlog.Parse(tb.text) })
+	return tb.file, tb.err
+}
+
+// skeleton returns the testbench's skeleton, building it at most once per
+// entry, or nil when the bench does not parse or does not skeletonize.
+func (tb *testbench) skeleton() *elab.Skeleton {
+	tb.skelOnce.Do(func() {
+		f, err := tb.parsed()
+		if err != nil {
+			return
+		}
+		if sk, err := elab.NewSkeleton(f, "tb", elab.HoleModules(f), elab.Options{}); err == nil {
+			tb.skel = sk
+		}
+	})
+	return tb.skel
 }
 
 // designKey addresses one compiled candidate: the testbench text scopes
@@ -85,181 +132,84 @@ type designKey struct {
 
 // designSlot is one compiled candidate design plus its simulator pool.
 type designSlot struct {
-	once  sync.Once
 	stage int8
-	cost  int64 // accounted bytes; written and read under dc.mu
 	d     *elab.Design
 	pool  sync.Pool // *sim.Simulator, reset on reuse
 }
 
-// dc is the process-wide design cache. Like the testbench AST cache it
-// outlives every Runner; unlike it, entries are byte-accounted (candidate
-// sources dominate) with FIFO eviction mirroring the outcome cache's
-// CacheBytes discipline.
-var dc = struct {
-	lookups atomic.Uint64
-	misses  atomic.Uint64
-
-	mu        sync.RWMutex
-	skels     map[string]*skelEntry
-	skelOrder []string
-	designs   map[designKey]*designSlot
-	order     []designKey
-	bytes     int64
-	budget    int64 // 0 = DefaultDesignCacheBytes, <0 = unbounded
-	evicted   uint64
-}{skels: map[string]*skelEntry{}, designs: map[designKey]*designSlot{}}
-
-// plans is the process-wide shared plan cache, created lazily so a
-// SetPlanCacheBytes call before first use sizes it.
-var plans = struct {
-	mu     sync.Mutex
-	c      *sim.PlanCache
-	budget int64
-}{}
-
-func sharedPlanCache() *sim.PlanCache {
-	plans.mu.Lock()
-	defer plans.mu.Unlock()
-	if plans.c == nil {
-		plans.c = sim.NewPlanCache(plans.budget)
+// cost is the slot's stage-aware accounted size.
+func (sl *designSlot) cost(src string) int64 {
+	c := int64(len(src)) + designSlotOverhead
+	if sl.stage == stageSim {
+		c += designGraphOverhead
 	}
-	return plans.c
+	return c
 }
+
+// sharedTiers holds the process-wide design and plan tiers. Both outlive
+// every Runner; SetPlanCacheBytes replaces them together.
+type sharedTiers struct {
+	designs *bounded.Cache[designKey, *designSlot]
+	plans   *sim.PlanCache
+}
+
+var tiers atomic.Pointer[sharedTiers]
+
+func init() { SetPlanCacheBytes(0) }
 
 // SetPlanCacheBytes configures the shared compiled-artifact budgets: the
 // plan cache and the design cache are each bounded by n accounted bytes.
 // 0 restores the defaults (sim.DefaultPlanCacheBytes and
-// DefaultDesignCacheBytes), negative disables the bounds. The plan cache
-// is rebuilt empty so the new budget applies from scratch; simulators
-// already bound to the old cache finish against it harmlessly.
+// DefaultDesignCacheBytes), negative disables the bounds. Both tiers are
+// rebuilt empty so the new budget applies from scratch; simulators and
+// slots already taken from the old tiers finish against them harmlessly.
 func SetPlanCacheBytes(n int64) {
-	plans.mu.Lock()
-	plans.budget = n
-	plans.c = nil
-	plans.mu.Unlock()
-	dc.mu.Lock()
-	dc.budget = n
-	evictDesignsLocked()
-	dc.mu.Unlock()
-}
-
-func designBudget() int64 {
-	if dc.budget == 0 {
-		return DefaultDesignCacheBytes
+	designBudget := n
+	if designBudget == 0 {
+		designBudget = DefaultDesignCacheBytes
 	}
-	return dc.budget
-}
-
-// evictDesignsLocked drops design slots oldest-first until the budget
-// holds, never the newest entry. Callers hold dc.mu.
-func evictDesignsLocked() {
-	budget := designBudget()
-	if budget < 0 {
-		return
-	}
-	for dc.bytes > budget && len(dc.order) > 1 {
-		old := dc.order[0]
-		dc.order = dc.order[1:]
-		dc.bytes -= dc.designs[old].cost
-		delete(dc.designs, old)
-		dc.evicted++
-	}
-}
-
-// skelFor returns the skeleton entry for the problem's testbench,
-// building it at most once. The skeleton map is FIFO-capped like the
-// testbench AST cache: steady-state problem sets stay resident, unbounded
-// bench churn cannot leak.
-func skelFor(p *problems.Problem) *skelEntry {
-	dc.mu.RLock()
-	e := dc.skels[p.Testbench]
-	dc.mu.RUnlock()
-	if e == nil {
-		dc.mu.Lock()
-		if e = dc.skels[p.Testbench]; e == nil {
-			e = &skelEntry{}
-			dc.skels[p.Testbench] = e
-			dc.skelOrder = append(dc.skelOrder, p.Testbench)
-			if len(dc.skelOrder) > tbCacheCap {
-				delete(dc.skels, dc.skelOrder[0])
-				dc.skelOrder = dc.skelOrder[1:]
-			}
-		}
-		dc.mu.Unlock()
-	}
-	e.once.Do(func() {
-		e.tb, e.tbErr = testbenchAST(p)
-		if e.tbErr != nil {
-			return
-		}
-		sk, err := elab.NewSkeleton(e.tb, "tb", elab.HoleModules(e.tb), elab.Options{})
-		if err == nil {
-			e.skel = sk
-		}
+	tiers.Store(&sharedTiers{
+		designs: bounded.New[designKey, *designSlot](designBudget),
+		plans:   sim.NewPlanCache(n),
 	})
-	return e
 }
 
-// slotFor returns the design slot for (testbench, candidate source),
-// inserting and accounting a fresh slot on miss.
-func slotFor(p *problems.Problem, src string) *designSlot {
-	dc.lookups.Add(1)
-	k := designKey{tb: p.Testbench, src: src}
-	dc.mu.RLock()
-	sl := dc.designs[k]
-	dc.mu.RUnlock()
-	if sl != nil {
-		return sl
-	}
-	dc.misses.Add(1)
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	if sl = dc.designs[k]; sl != nil {
-		return sl
-	}
-	sl = &designSlot{cost: int64(len(k.src)) + designSlotOverhead}
-	dc.designs[k] = sl
-	dc.order = append(dc.order, k)
-	dc.bytes += sl.cost
-	evictDesignsLocked()
-	return sl
-}
-
-// build runs the compile pipeline once for this slot. Splice failures of
-// any kind fall back to full elaboration, so the stage (and on success
-// the design's observable behaviour) is identical to the legacy
-// per-sample pipeline by construction.
-func (sl *designSlot) build(se *skelEntry, src string) {
+// buildSlot runs the compile pipeline for one candidate source. Splice
+// failures of any kind fall back to full elaboration, so the stage (and
+// on success the design's observable behaviour) is identical to the
+// legacy per-sample pipeline by construction.
+func buildSlot(p *problems.Problem, src string) *designSlot {
+	sl := &designSlot{}
 	f, err := vlog.Parse(src)
 	if err != nil {
 		sl.stage = stageNoParse
-		return
+		return sl
 	}
 	if elab.CompileCheck(f) != nil {
 		sl.stage = stageNoCompile
-		return
+		return sl
 	}
-	if se.tbErr != nil {
+	tb := testbenchFor(p.Testbench)
+	tbf, err := tb.parsed()
+	if err != nil {
 		sl.stage = stageNoSim
-		return
+		return sl
 	}
-	var d *elab.Design
-	if se.skel != nil {
-		if sd, serr := se.skel.Splice(f); serr == nil {
-			d = sd
+	if sk := tb.skeleton(); sk != nil {
+		if sd, serr := sk.Splice(f); serr == nil {
+			sl.d = sd
 		}
 	}
-	if d == nil {
-		fd, ferr := elab.Elaborate(vlog.Compose(f, se.tb), "tb", elab.Options{})
+	if sl.d == nil {
+		fd, ferr := elab.Elaborate(vlog.Compose(f, tbf), "tb", elab.Options{})
 		if ferr != nil {
 			sl.stage = stageNoSim
-			return
+			return sl
 		}
-		d = fd
+		sl.d = fd
 	}
-	sl.d = d
 	sl.stage = stageSim
+	return sl
 }
 
 // getSim returns a pooled simulator reset for a fresh run, or a new one.
@@ -274,35 +224,26 @@ func (sl *designSlot) getSim(opts sim.Options) *sim.Simulator {
 
 // evaluateShared is the shared-artifact pipeline behind Evaluate: same
 // verdict and simulation bytes as evaluateSim with default options, with
-// the compile work amortized across samples.
+// the compile work amortized across samples. A slot is built outside any
+// lock and added at its final cost; when two workers miss on the same
+// candidate, the first Add wins and both use its slot.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, sim.Result) {
 	completion = Truncate(completion)
 	src := p.CompleteWith(level, completion)
-	se := skelFor(p)
-	sl := slotFor(p, src)
-	sl.once.Do(func() {
-		sl.build(se, src)
-		if sl.stage != stageSim {
-			return
-		}
-		// The candidate reached simulation, so the slot now retains the
-		// elaborated graph: charge the stage-aware surcharge. Skip slots
-		// evicted mid-build — their insert cost is already refunded.
-		dc.mu.Lock()
-		if dc.designs[designKey{tb: p.Testbench, src: src}] == sl {
-			sl.cost += designGraphOverhead
-			dc.bytes += designGraphOverhead
-			evictDesignsLocked()
-		}
-		dc.mu.Unlock()
-	})
+	t := tiers.Load()
+	k := designKey{tb: p.Testbench, src: src}
+	sl, ok := t.designs.Get(k)
+	if !ok {
+		sl = buildSlot(p, src)
+		sl = t.designs.Add(k, sl, sl.cost(src))
+	}
 	switch sl.stage {
 	case stageNoParse, stageNoCompile:
 		return Outcome{}, sim.Result{}
 	case stageNoSim:
 		return Outcome{Compiles: true}, sim.Result{}
 	}
-	s := sl.getSim(sim.Options{Plans: sharedPlanCache()})
+	s := sl.getSim(sim.Options{Plans: t.plans})
 	res, err := s.Run()
 	// a simulator that panicked internally may hold torn state; drop it
 	var ie *sim.InternalError
@@ -329,21 +270,18 @@ type SharedCacheStats struct {
 }
 
 // SharedStats reports hit/miss/eviction/occupancy counters for the shared
-// caches, the -cache-stats diagnostic surface.
+// caches, the -cache-stats diagnostic surface. Skeletons counts resident
+// testbench-tier entries.
 func SharedStats() SharedCacheStats {
-	st := SharedCacheStats{
-		Plans: sharedPlanCache().Stats(),
+	t := tiers.Load()
+	ds := t.designs.Stats()
+	return SharedCacheStats{
+		Designs:       ds.Entries,
+		DesignHits:    ds.Hits,
+		DesignMisses:  ds.Misses,
+		DesignBytes:   ds.Bytes,
+		DesignEvicted: ds.Evicted,
+		Skeletons:     testbenches.Stats().Entries,
+		Plans:         t.plans.Stats(),
 	}
-	lookups := dc.lookups.Load()
-	st.DesignMisses = dc.misses.Load()
-	if lookups > st.DesignMisses {
-		st.DesignHits = lookups - st.DesignMisses
-	}
-	dc.mu.RLock()
-	st.Designs = len(dc.designs)
-	st.DesignBytes = dc.bytes
-	st.DesignEvicted = dc.evicted
-	st.Skeletons = len(dc.skels)
-	dc.mu.RUnlock()
-	return st
 }

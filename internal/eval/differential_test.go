@@ -58,25 +58,20 @@ func TestCompiledPlansMatchInterpreterOnFailures(t *testing.T) {
 	}
 }
 
-// TestTbCacheBounded pins the testbench AST cache bound: inserting more
-// distinct bench texts than the cap must not grow the cache past it.
-func TestTbCacheBounded(t *testing.T) {
+// TestTestbenchTierBounded pins the testbench tier's bound: inserting
+// more distinct bench texts than the cap must not grow the tier past it.
+func TestTestbenchTierBounded(t *testing.T) {
 	base := problems.ByNumber(1)
-	for i := 0; i < tbCacheCap+32; i++ {
-		p := *base
-		p.Testbench = fmt.Sprintf("module tb_%d; endmodule\n", i)
-		if _, err := testbenchAST(&p); err != nil {
+	for i := 0; i < tbCap+32; i++ {
+		if _, err := testbenchFor(fmt.Sprintf("module tb_%d; endmodule\n", i)).parsed(); err != nil {
 			t.Fatalf("bench %d: %v", i, err)
 		}
 	}
-	tbCache.mu.RLock()
-	n, ord := len(tbCache.m), len(tbCache.order)
-	tbCache.mu.RUnlock()
-	if n > tbCacheCap || ord > tbCacheCap {
-		t.Fatalf("cache grew past the cap: %d entries, %d order slots (cap %d)", n, ord, tbCacheCap)
+	if st := testbenches.Stats(); st.Entries > tbCap || st.Bytes > tbCap {
+		t.Fatalf("tier grew past the cap: %+v (cap %d)", st, tbCap)
 	}
 	// an evicted bench re-parses transparently
-	if _, err := testbenchAST(base); err != nil {
+	if _, err := testbenchFor(base.Testbench).parsed(); err != nil {
 		t.Fatalf("re-parse after eviction: %v", err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bounded"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
@@ -92,57 +93,6 @@ type Outcome struct {
 	Passes    bool
 }
 
-// tbCache holds one parsed testbench AST per distinct testbench text.
-// Keying by the text (not the problem number) makes the cache immune to
-// Problem copies that carry a modified bench under a reused number; a
-// single parse still serves every sample of every sweep, so the
-// completion is the only text parsed per evaluation. Elaboration and
-// simulation only read the AST, so sharing it across workers is safe.
-//
-// The cache is bounded: it outlives every Runner, and an unbounded map
-// (the previous sync.Map) leaks parsed ASTs forever in long-lived
-// processes that churn through many distinct benches. FIFO eviction at
-// tbCacheCap keeps the steady state (the benchmark's fixed problem set)
-// fully cached while capping worst-case retention; an evicted-and-reused
-// bench only costs one re-parse.
-const tbCacheCap = 128
-
-var tbCache = struct {
-	mu    sync.RWMutex
-	m     map[string]*tbEntry
-	order []string // insertion order, for eviction
-}{m: map[string]*tbEntry{}}
-
-type tbEntry struct {
-	once sync.Once
-	file *vlog.SourceFile
-	err  error
-}
-
-// testbenchAST returns the problem's testbench parsed exactly once while
-// cached. The RLock fast path keeps steady-state hits contention-light;
-// parsing runs under the entry's once, never under the cache lock.
-func testbenchAST(p *problems.Problem) (*vlog.SourceFile, error) {
-	tbCache.mu.RLock()
-	e := tbCache.m[p.Testbench]
-	tbCache.mu.RUnlock()
-	if e == nil {
-		tbCache.mu.Lock()
-		if e = tbCache.m[p.Testbench]; e == nil {
-			e = &tbEntry{}
-			tbCache.m[p.Testbench] = e
-			tbCache.order = append(tbCache.order, p.Testbench)
-			if len(tbCache.order) > tbCacheCap {
-				delete(tbCache.m, tbCache.order[0])
-				tbCache.order = tbCache.order[1:]
-			}
-		}
-		tbCache.mu.Unlock()
-	}
-	e.once.Do(func() { e.file, e.err = vlog.Parse(p.Testbench) })
-	return e.file, e.err
-}
-
 // Evaluate runs the full pipeline on one completion for (problem, level)
 // through the shared compiled-design tiers (see design.go): the testbench
 // skeleton is elaborated once per problem, the candidate is spliced and
@@ -187,7 +137,7 @@ func evaluateSim(p *problems.Problem, level problems.Level, completion string, s
 	}
 	// The candidate compiles standalone; everything past this point can
 	// only downgrade the verdict from Passes, never from Compiles.
-	tb, err := testbenchAST(p)
+	tb, err := testbenchFor(p.Testbench).parsed()
 	if err != nil {
 		return Outcome{Compiles: true}, sim.Result{}
 	}
@@ -206,28 +156,17 @@ func evaluateSim(p *problems.Problem, level problems.Level, completion string, s
 // rarely collide on one lock, cheap enough to sit in every Runner.
 const numShards = 64
 
-type cacheKey struct {
-	// backend is the Runner's Backend.Describe() tag. Within one Runner it
-	// is constant — the tag is forward-looking, keeping entries unambiguous
-	// if the shards ever outlive a single Runner (shared outcome caches are
-	// where the ROADMAP's sharded-runner work lands).
-	backend    string
+// outcomeKey addresses one outcome. It carries no backend tag: the
+// shards live in one Runner, whose backend is fixed.
+type outcomeKey struct {
 	problem    int
 	level      problems.Level
 	completion string
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	m       map[cacheKey]*outcomeSlot
-	order   []cacheKey // insertion order, for FIFO eviction
-	bytes   int64      // accounted size of resident entries
-	evicted int64
-}
-
 // outcomeSlot dedups in-flight evaluations: concurrent workers missing on
 // the same key run the expensive compile+simulate exactly once, under the
-// slot's once, never under the shard lock.
+// slot's once, never under a shard lock.
 type outcomeSlot struct {
 	once sync.Once
 	o    Outcome
@@ -254,9 +193,8 @@ func fnvUint(h, u uint64) uint64 {
 	return h
 }
 
-func (k *cacheKey) shard() uint64 {
-	h := fnvString(fnvOffset, k.backend)
-	h = fnvUint(h, uint64(k.problem))
+func (k *outcomeKey) shard() uint64 {
+	h := fnvUint(fnvOffset, uint64(k.problem))
 	h = fnvUint(h, uint64(k.level))
 	h = fnvString(h, k.completion)
 	return h % numShards
@@ -287,46 +225,35 @@ type Runner struct {
 	BatchSize   int
 	BatchLinger time.Duration
 
-	// CacheBytes bounds the sharded outcome cache's accounted size: 0
-	// means DefaultCacheBytes, negative disables the bound. The cache is
-	// the same leak class the testbench AST cache fixed — an unbounded map
-	// grows without limit in long-lived store-backed server processes that
-	// churn through many distinct completions. Eviction is FIFO per shard
-	// and determinism-free: outcomes are pure functions of their key, so
-	// an evicted-and-revisited completion recomputes to identical bytes.
-	CacheBytes int64
-
 	// CellMemoCap bounds the whole-cell memo by entry count: 0 means
 	// DefaultCellMemoCap, negative disables the memo (every query then
 	// exercises generation and the outcome cache — what the per-backend
 	// throughput benches measure). Stats are identical either way; cells
-	// are pure functions of their coordinates.
+	// are pure functions of their coordinates. Read once, on first use.
 	CellMemoCap int
 
 	// UnsharedPlans evaluates through EvaluateUnshared — fresh parse,
 	// full elaboration, and an unpooled simulator per sample — instead of
 	// the shared compiled-design tiers. Output is byte-identical either
-	// way; the unshared path exists as the differential baseline, the
-	// role sim.Options.Interpret and model.Config.MapSampler play in
-	// their layers.
+	// way; the unshared path exists as the differential baseline and the
+	// benchmarks' ablation, the role sim.Options.Interpret and
+	// model.Config.MapSampler play in their layers. No command sets it.
 	UnsharedPlans bool
 
-	tag    string // Backend.Describe(), captured once for cache keys
-	shards [numShards]cacheShard
+	shards [numShards]*bounded.Cache[outcomeKey, *outcomeSlot]
 
-	// cellMemo caches whole computed cells keyed by Query. A cell is a
+	// cells memoizes whole computed cells keyed by Query. A cell is a
 	// pure function of (runner seed, backend, query) — the premise the
 	// persistent store already rests on — so re-querying a cell the
 	// runner has computed (tables and figures share best-temp cells,
 	// ComputeHeadline re-walks the table sweep) skips both generation and
 	// evaluation and returns bit-identical stats. Only fully successful
 	// cells are memoized: a cell that degraded to a produced-failure
-	// recomputes on the next query, preserving retry semantics. FIFO
-	// bounded by entry count; entries are a few words each.
-	cellMu    sync.Mutex
-	cellMemo  map[Query]CellStats
-	cellOrder []Query
-	cellHits  uint64
+	// recomputes on the next query, preserving retry semantics. Bounded
+	// by entry count (cost 1 each); entries are a few words each. Built
+	// on first use from CellMemoCap, nil when the memo is disabled.
+	cellsOnce sync.Once
+	cells     *bounded.Cache[Query, CellStats]
 
 	failMu       sync.Mutex
 	lastFailures []CellFailure // from the most recent EvaluateBatch* call
@@ -336,9 +263,24 @@ type Runner struct {
 
 // NewRunner wraps a generation backend for evaluation.
 func NewRunner(b gen.Backend, seed int64) *Runner {
-	r := &Runner{Backend: b, Seed: seed, tag: b.Describe()}
+	return newRunner(b, seed, DefaultCacheBytes)
+}
+
+// newRunner is NewRunner with the outcome cache bounded by cacheBytes
+// accounted bytes in total (negative = unbounded): the cache is the same
+// leak class the testbench tier bounds — an unbounded map grows without
+// limit in long-lived processes that churn through many distinct
+// completions. Eviction is FIFO per shard and invisible in results:
+// outcomes are pure functions of their key, so an evicted-and-revisited
+// completion recomputes to identical bytes.
+func newRunner(b gen.Backend, seed, cacheBytes int64) *Runner {
+	r := &Runner{Backend: b, Seed: seed}
+	budget := cacheBytes
+	if budget > 0 {
+		budget = max(budget/numShards, 1)
+	}
 	for i := range r.shards {
-		r.shards[i].m = map[cacheKey]*outcomeSlot{}
+		r.shards[i] = bounded.New[outcomeKey, *outcomeSlot](budget)
 	}
 	return r
 }
@@ -356,9 +298,9 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultCacheBytes is the outcome cache's accounted-size bound when
-// Runner.CacheBytes is unset — generous enough that a paper-scale sweep
-// never evicts, small enough that a server process has a hard ceiling.
+// DefaultCacheBytes is the outcome cache's accounted-size bound —
+// generous enough that a paper-scale sweep never evicts, small enough
+// that a server process has a hard ceiling.
 const DefaultCacheBytes = 64 << 20
 
 // DefaultCellMemoCap bounds the whole-cell memo by entry count when
@@ -367,67 +309,32 @@ const DefaultCacheBytes = 64 << 20
 // a full table run in under a megabyte.
 const DefaultCellMemoCap = 8192
 
-// cellMemoCap resolves Runner.CellMemoCap: 0 for disabled.
-func (r *Runner) cellMemoCap() int {
-	switch {
-	case r.CellMemoCap > 0:
-		return r.CellMemoCap
-	case r.CellMemoCap < 0:
-		return 0
-	}
-	return DefaultCellMemoCap
+// cellMemo returns the whole-cell memo, built on first use, or nil when
+// CellMemoCap disables it.
+func (r *Runner) cellMemo() *bounded.Cache[Query, CellStats] {
+	r.cellsOnce.Do(func() {
+		switch {
+		case r.CellMemoCap > 0:
+			r.cells = bounded.New[Query, CellStats](int64(r.CellMemoCap))
+		case r.CellMemoCap == 0:
+			r.cells = bounded.New[Query, CellStats](DefaultCellMemoCap)
+		}
+	})
+	return r.cells
 }
 
 // outcomeEntryOverhead approximates one cache entry's fixed cost beyond
-// its key strings: map bucket share, slot, outcome, and the order-slice
+// its completion text: map bucket share, slot, outcome, and the FIFO
 // element. Accounting is a bound, not a profile — close is good enough.
 const outcomeEntryOverhead = 256
 
-func entryCost(k cacheKey) int64 {
-	return int64(len(k.backend)) + int64(len(k.completion)) + outcomeEntryOverhead
-}
-
-// shardCacheBudget is the per-shard share of the cache bound, or 0 for
-// unbounded.
-func (r *Runner) shardCacheBudget() int64 {
-	total := r.CacheBytes
-	if total == 0 {
-		total = DefaultCacheBytes
-	}
-	if total < 0 {
-		return 0
-	}
-	b := total / numShards
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
-	key := cacheKey{backend: r.tag, problem: p.Number, level: level, completion: completion}
-	sh := &r.shards[key.shard()]
-	sh.mu.Lock()
-	s, ok := sh.m[key]
+	k := outcomeKey{problem: p.Number, level: level, completion: completion}
+	sh := r.shards[k.shard()]
+	s, ok := sh.Get(k)
 	if !ok {
-		s = &outcomeSlot{}
-		sh.m[key] = s
-		sh.order = append(sh.order, key)
-		sh.bytes += entryCost(key)
-		// FIFO eviction, never the entry just inserted: a concurrent worker
-		// still holding an evicted slot finishes its once harmlessly — the
-		// outcome is pure, so a later recompute is byte-identical.
-		if budget := r.shardCacheBudget(); budget > 0 {
-			for sh.bytes > budget && len(sh.order) > 1 {
-				old := sh.order[0]
-				sh.order = sh.order[1:]
-				delete(sh.m, old)
-				sh.bytes -= entryCost(old)
-				sh.evicted++
-			}
-		}
+		s = sh.Add(k, &outcomeSlot{}, int64(len(completion))+outcomeEntryOverhead)
 	}
-	sh.mu.Unlock()
 	s.once.Do(func() {
 		if r.UnsharedPlans {
 			s.o = EvaluateUnshared(p, level, completion)
@@ -455,18 +362,16 @@ type CacheStats struct {
 // memo's occupancy and hit count.
 func (r *Runner) CacheStats() CacheStats {
 	var cs CacheStats
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		cs.Entries += len(sh.m)
-		cs.Bytes += sh.bytes
-		cs.Evicted += sh.evicted
-		sh.mu.Unlock()
+	for _, sh := range r.shards {
+		st := sh.Stats()
+		cs.Entries += st.Entries
+		cs.Bytes += st.Bytes
+		cs.Evicted += int64(st.Evicted)
 	}
-	r.cellMu.Lock()
-	cs.Cells = len(r.cellMemo)
-	cs.CellHits = r.cellHits
-	r.cellMu.Unlock()
+	if m := r.cellMemo(); m != nil {
+		st := m.Stats()
+		cs.Cells, cs.CellHits = st.Entries, st.Hits
+	}
 	return cs
 }
 
@@ -597,22 +502,19 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 	// the backend — bit-identical by the same purity argument the
 	// persistent store rests on. Remaining queries run as usual.
 	out := make([]CellStats, len(qs))
-	memoCap := r.cellMemoCap()
+	memo := r.cellMemo()
 	var memoized []bool // nil when the memo is disabled
 	pending := len(qs)
-	if memoCap > 0 {
+	if memo != nil {
 		memoized = make([]bool, len(qs))
 		pending = 0
-		r.cellMu.Lock()
 		for qi, q := range qs {
-			if st, ok := r.cellMemo[q]; ok {
+			if st, ok := memo.Get(q); ok {
 				out[qi], memoized[qi] = st, true
-				r.cellHits++
 			} else {
 				pending++
 			}
 		}
-		r.cellMu.Unlock()
 	}
 	if pending == 0 {
 		r.failMu.Lock()
@@ -664,10 +566,6 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 	// stats zero out and the failure is reported via Failures, which is
 	// what lets a plan run record the cell as explicitly missing.
 	var fails []CellFailure
-	var done []int
-	if memoCap > 0 {
-		done = make([]int, 0, pending)
-	}
 	for qi := range qs {
 		if memoized != nil && memoized[qi] {
 			continue
@@ -688,31 +586,9 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 				out[qi].Add(sr.stats())
 			}
 		}
-		if memoCap > 0 {
-			done = append(done, qi)
+		if memo != nil {
+			memo.Add(qs[qi], out[qi], 1)
 		}
-	}
-	if memoCap > 0 {
-		r.cellMu.Lock()
-		if r.cellMemo == nil {
-			r.cellMemo = map[Query]CellStats{}
-		}
-		for _, qi := range done {
-			q := qs[qi]
-			if _, ok := r.cellMemo[q]; ok {
-				continue // a concurrent batch computed it first; keep its entry
-			}
-			r.cellMemo[q] = out[qi]
-			r.cellOrder = append(r.cellOrder, q)
-			// FIFO bound, never the entry just inserted: entries are pure,
-			// so an evicted-and-revisited query recomputes to identical
-			// stats.
-			for len(r.cellOrder) > memoCap && len(r.cellOrder) > 1 {
-				delete(r.cellMemo, r.cellOrder[0])
-				r.cellOrder = r.cellOrder[1:]
-			}
-		}
-		r.cellMu.Unlock()
 	}
 	r.failMu.Lock()
 	r.lastFailures = fails
@@ -809,7 +685,7 @@ func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, qs []Query
 		}
 		res := bb.CompleteBatch(ctx, reqs)
 		if len(res) != len(reqs) {
-			err := fmt.Errorf("eval: backend %s returned %d results for a %d-request batch", r.tag, len(res), len(reqs))
+			err := fmt.Errorf("eval: backend %s returned %d results for a %d-request batch", r.Backend.Describe(), len(res), len(reqs))
 			for _, it := range bt {
 				results[it.qi][it.si] = sampleResult{err: err}
 			}

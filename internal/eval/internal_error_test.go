@@ -26,9 +26,14 @@ func TestInternalSimErrorIsARunError(t *testing.T) {
 		t.Fatal("hand-built design ran clean")
 	}
 
-	sl := slotFor(p, src)
-	sl.once.Do(func() { sl.d, sl.stage = d, stageSim })
-	if sl.d != d {
+	// The seeded slot shares its key with the reference body's (Truncate
+	// drops the probe comment): start from empty tiers, and empty them
+	// afterwards or later tests would evaluate the reference against the
+	// broken design.
+	SetPlanCacheBytes(0)
+	t.Cleanup(func() { SetPlanCacheBytes(0) })
+	sl := &designSlot{stage: stageSim, d: d}
+	if got := tiers.Load().designs.Add(designKey{tb: p.Testbench, src: src}, sl, sl.cost(src)); got != sl {
 		t.Fatal("slot was already built")
 	}
 	for i := 0; i < 3; i++ {

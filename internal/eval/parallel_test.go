@@ -199,8 +199,9 @@ func TestEvaluateBatchCtxSerialPreCanceled(t *testing.T) {
 // EvaluateUnshared keeps the legacy one-parse-per-call contract.
 func TestSingleParsePerEvaluation(t *testing.T) {
 	p := problems.ByNumber(6)
-	Evaluate(p, problems.LevelLow, p.RefBody)  // warm the design caches
-	if _, err := testbenchAST(p); err != nil { // re-warm the testbench AST (bounded cache; earlier tests churn it)
+	Evaluate(p, problems.LevelLow, p.RefBody) // warm the design caches
+	// re-warm the testbench AST (bounded tier; earlier tests churn it)
+	if _, err := testbenchFor(p.Testbench).parsed(); err != nil {
 		t.Fatal(err)
 	}
 	before := vlog.ParseCalls()

@@ -64,8 +64,8 @@ func TestSharedMatchesFreshAndInterpreter(t *testing.T) {
 
 // TestSharedSweepMatchesUnsharedAtAnyWidth pins the Runner-level contract
 // the check scripts rely on: cell statistics are identical whether plans
-// are shared (default) or compiled fresh per sample (-unshared-plans),
-// at one worker or eight.
+// are shared (default) or compiled fresh per sample (UnsharedPlans), at
+// one worker or eight.
 func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
 	f := model.NewFamily(model.Config{Seed: 29, CorpusFiles: 60, VocabSize: 300})
 	mk := func(unshared bool, workers int) *Runner {
@@ -119,6 +119,24 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 	}
 	if after.Plans.Evictions == 0 {
 		t.Errorf("plan cache evicted nothing under a 1-byte budget: %+v", after.Plans)
+	}
+}
+
+// TestSetPlanCacheBytesEmptiesTiers: resizing the shared budgets rebuilds
+// the design and plan tiers empty, so a reset before a measured run
+// leaves nothing resident from earlier evaluations.
+func TestSetPlanCacheBytesEmptiesTiers(t *testing.T) {
+	defer SetPlanCacheBytes(0)
+	p := problems.ByNumber(4)
+	for _, n := range []int64{1, 0} {
+		Evaluate(p, problems.LevelHigh, p.RefBody)
+		if st := SharedStats(); st.Designs == 0 || st.Plans.Entries == 0 {
+			t.Fatalf("evaluation left nothing resident: %+v", st)
+		}
+		SetPlanCacheBytes(n)
+		if st := SharedStats(); st.Designs != 0 || st.DesignBytes != 0 || st.Plans.Entries != 0 {
+			t.Errorf("SetPlanCacheBytes(%d) left tiers resident: %+v", n, st)
+		}
 	}
 }
 

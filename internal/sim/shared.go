@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"repro/internal/bounded"
 	"repro/internal/vlog"
 	"repro/internal/vlog/elab"
 )
@@ -19,31 +17,25 @@ import (
 // from a fresh CompileExpr call. Byte-identity of simulation output is
 // therefore structural, not incidental.
 //
-// The cache is bounded by accounted bytes with FIFO eviction, mirroring
-// the outcome cache's CacheBytes discipline: the budget is a bound, not a
-// profile. Evicting an entry another simulator still uses is harmless
-// (plans are immutable; a later miss recompiles an equivalent plan), so
-// eviction never affects output.
+// Plans and synthesized @* sensitivity lists share one bounded.Cache
+// under one byte budget: the budget is a bound, not a profile. Evicting
+// an entry another simulator still uses is harmless (plans are immutable;
+// a later miss recompiles an equivalent plan), so eviction never affects
+// output.
 type PlanCache struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-
-	mu      sync.RWMutex
-	budget  int64 // <0 = unbounded
-	plans   map[planKey]*elab.Plan
-	stars   map[*vlog.EventCtrl][]*vlog.Ident
-	order   []sharedEntry // FIFO insertion order; order[head:] is live
-	head    int
-	bytes   int64
-	evicted uint64
+	c *bounded.Cache[sharedKey, sharedVal]
 }
 
-// sharedEntry is one FIFO accounting record: a plan entry, or (when star
-// is non-nil) a synthesized @* sensitivity list.
-type sharedEntry struct {
+// sharedKey addresses a plan entry, or (when star is non-nil) a
+// synthesized @* sensitivity list.
+type sharedKey struct {
 	pk   planKey
 	star *vlog.EventCtrl
-	cost int64
+}
+
+type sharedVal struct {
+	plan *elab.Plan
+	ids  []*vlog.Ident
 }
 
 // DefaultPlanCacheBytes is the default shared plan cache budget. Plan
@@ -65,11 +57,7 @@ func NewPlanCache(budget int64) *PlanCache {
 	if budget == 0 {
 		budget = DefaultPlanCacheBytes
 	}
-	return &PlanCache{
-		budget: budget,
-		plans:  map[planKey]*elab.Plan{},
-		stars:  map[*vlog.EventCtrl][]*vlog.Ident{},
-	}
+	return &PlanCache{c: bounded.New[sharedKey, sharedVal](budget)}
 }
 
 // PlanCacheStats is a point-in-time snapshot of cache effectiveness.
@@ -83,95 +71,32 @@ type PlanCacheStats struct {
 
 // Stats snapshots the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return PlanCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evicted,
-		Bytes:     c.bytes,
-		Entries:   len(c.plans) + len(c.stars),
-	}
+	st := c.c.Stats()
+	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evicted, Bytes: st.Bytes, Entries: st.Entries}
 }
 
 // plan returns the shared compiled plan for k, compiling it outside the
 // lock on a miss. The first inserted plan wins so all simulators bind the
 // same tree.
 func (c *PlanCache) plan(k planKey, compile func() *elab.Plan) *elab.Plan {
-	c.mu.RLock()
-	p, ok := c.plans[k]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return p
+	sk := sharedKey{pk: k}
+	if v, ok := c.c.Get(sk); ok {
+		return v.plan
 	}
-	p = compile()
-	c.misses.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q, ok := c.plans[k]; ok {
-		return q
-	}
-	cost := planCost(p)
-	c.plans[k] = p
-	c.order = append(c.order, sharedEntry{pk: k, cost: cost})
-	c.bytes += cost
-	c.evictLocked()
-	return p
+	p := compile()
+	return c.c.Add(sk, sharedVal{plan: p}, planCost(p)).plan
 }
 
 // starIdents returns the shared synthesized @* sensitivity idents for an
 // event control. Sharing the Ident nodes keeps their plan keys stable
 // across simulators, so the per-ident plans also share.
 func (c *PlanCache) starIdents(n *vlog.EventCtrl, build func() []*vlog.Ident) []*vlog.Ident {
-	c.mu.RLock()
-	ids, ok := c.stars[n]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return ids
+	sk := sharedKey{star: n}
+	if v, ok := c.c.Get(sk); ok {
+		return v.ids
 	}
-	ids = build()
-	c.misses.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q, ok := c.stars[n]; ok {
-		return q
-	}
-	cost := int64(len(ids))*64 + 64
-	c.stars[n] = ids
-	c.order = append(c.order, sharedEntry{star: n, cost: cost})
-	c.bytes += cost
-	c.evictLocked()
-	return ids
-}
-
-// evictLocked drops entries oldest-first until the budget holds. Callers
-// hold mu. Eviction is invisible to correctness: a re-miss recompiles an
-// equivalent immutable plan.
-func (c *PlanCache) evictLocked() {
-	if c.budget < 0 {
-		return
-	}
-	for c.bytes > c.budget && c.head < len(c.order) {
-		e := c.order[c.head]
-		c.head++
-		if e.star != nil {
-			delete(c.stars, e.star)
-		} else {
-			delete(c.plans, e.pk)
-		}
-		c.bytes -= e.cost
-		c.evicted++
-	}
-	switch {
-	case c.head == len(c.order):
-		c.order = c.order[:0]
-		c.head = 0
-	case c.head > 4096 && c.head*2 > len(c.order):
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
-	}
+	ids := build()
+	return c.c.Add(sk, sharedVal{ids: ids}, int64(len(ids))*64+64).ids
 }
 
 // planCost estimates the accounted bytes of one plan tree.
