@@ -99,7 +99,7 @@ func BenchmarkTableIII(b *testing.B) {
 	}
 	_ = out
 	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
-	got := h.Runner.TableIIICell(mv, problems.Basic, h.Opts)
+	got := eval.TableIIICell(h.Runner, mv, problems.Basic, h.Opts)
 	b.ReportMetric(got, "16BFT-basic-compile")
 	b.ReportMetric(0.942, "paper-value")
 }
@@ -113,7 +113,7 @@ func BenchmarkTableIV(b *testing.B) {
 	}
 	_ = out
 	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
-	got := h.Runner.TableIVCell(mv, problems.Basic, problems.LevelLow, h.Opts)
+	got := eval.TableIVCell(h.Runner, mv, problems.Basic, problems.LevelLow, h.Opts)
 	b.ReportMetric(got, "16BFT-basicL-pass")
 	b.ReportMetric(0.745, "paper-value")
 }
@@ -143,7 +143,7 @@ func BenchmarkHeadline(b *testing.B) {
 	b.ResetTimer()
 	var hl eval.Headline
 	for i := 0; i < b.N; i++ {
-		hl = h.Runner.ComputeHeadline(h.Opts)
+		hl = eval.ComputeHeadline(h.Runner, h.Opts)
 	}
 	b.ReportMetric(hl.FunctionalFT, "FT-functional")
 	b.ReportMetric(model.HeadlineFunctionalFT, "paper-value")
@@ -155,8 +155,8 @@ func BenchmarkAblation(b *testing.B) {
 	b.ResetTimer()
 	var gh, books float64
 	for i := 0; i < b.N; i++ {
-		gh = h.Runner.Aggregate(mv, h.Opts).PassRate()
-		books = benchAlt.Runner.Aggregate(mv, h.Opts).PassRate()
+		gh = eval.Aggregate(h.Runner, mv, h.Opts).PassRate()
+		books = eval.Aggregate(benchAlt.Runner, mv, h.Opts).PassRate()
 	}
 	if gh > 0 {
 		b.ReportMetric(books/gh-1, "books-gain")
@@ -602,14 +602,11 @@ func pinSharedBudget(b *testing.B) {
 // shared runner (warm outcome cache after the first iteration, like a
 // long-lived server): what remains is per-backend completion cost plus
 // engine overhead, the per-backend rows bench-compare tracks so backend
-// and shard/merge regressions are gated like hot-path ns/op. The
-// whole-cell memo is disabled so repeat iterations keep exercising the
-// backend instead of collapsing into memo lookups.
+// and shard/merge regressions are gated like hot-path ns/op.
 func benchSweepBackend(b *testing.B, backend gen.Backend) {
 	pinSharedBudget(b)
 	r := eval.NewRunner(backend, 123)
 	r.Workers = 8
-	r.CellMemoCap = -1
 	qs := sweepQueries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -749,7 +746,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			r := eval.NewRunner(rb, 123)
 			r.Workers = 8
 			r.BatchSize = batch
-			r.CellMemoCap = -1 // keep iterations on the wire, not the memo
 			qs := sweepQueries()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

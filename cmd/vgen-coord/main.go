@@ -195,7 +195,10 @@ func main() {
 	if *dir == "" {
 		fail("-dir is required: the durable state directory is what makes a coordinator resumable")
 	}
-	rejectNonCell(*experiment)
+	if _, err := harness.Select(*experiment, true); err != nil {
+		fmt.Fprintf(os.Stderr, "-experiment: %v\n", err)
+		os.Exit(2)
+	}
 	faults, err := coord.ParseFaultPlan(*faultSpec)
 	if err != nil {
 		fail("%v", err)
@@ -278,7 +281,10 @@ func main() {
 		fail("%v", err)
 	}
 	fmt.Fprint(os.Stderr, res.Report())
-	renderExperiments(harness.FromResults(res.Set, sweep), *experiment)
+	if err := harness.Print(os.Stdout, *experiment, harness.FromResults(res.Set, sweep), nil); err != nil {
+		fw.Close()
+		fail("%v", err)
+	}
 	if err := fw.Close(); err != nil {
 		fail("%v", err)
 	}
@@ -321,35 +327,5 @@ func streamEvent(e coord.Event) {
 		fmt.Fprintf(os.Stderr, "coord: slot %d quarantined: %s\n", e.Slot, e.Err)
 	default:
 		fmt.Fprintf(os.Stderr, "coord: %s %+v\n", e.Kind, e)
-	}
-}
-
-// rejectNonCell exits 2 unless the experiment is cell-based ("all"
-// expands to every cell-based artifact) — only those shard.
-func rejectNonCell(experiment string) {
-	if experiment == "all" {
-		return
-	}
-	for _, e := range harness.CellExperiments() {
-		if e == experiment {
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "vgen-coord sweeps cell-based artifacts %v, not %q\n",
-		harness.CellExperiments(), experiment)
-	os.Exit(2)
-}
-
-// renderExperiments prints the selected cell-based artifacts in the
-// registry's fixed order, matching vgen-eval -merge output byte for byte.
-func renderExperiments(h *harness.Harness, experiment string) {
-	for _, r := range harness.Renderers() {
-		if !r.Cell {
-			continue
-		}
-		if experiment != "all" && experiment != r.Name {
-			continue
-		}
-		fmt.Println(r.Render(h))
 	}
 }

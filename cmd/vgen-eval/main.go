@@ -18,6 +18,12 @@
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //	          [-experiment all|table1|table2|table3|table4|fig6|fig7|headline|ablation|corpus|gallery|passk|problems|lint|list]
 //
+// A plain run takes the same cell path as every sharded one: it plans
+// every cell the selected artifacts consume, runs that plan once, and
+// renders the tables and figures from the results. Only the artifacts
+// that are not built from cells (table1, table2, ablation, corpus,
+// gallery, lint) render live.
+//
 // -quick restricts the sweep to t=0.1 and small n, which preserves the
 // best-temperature table values (best is t=0.1 by construction and in the
 // paper) while running in seconds.
@@ -65,8 +71,9 @@
 // and compiled expression plans are cached content-addressed, and
 // simulator state is pooled — identical output, far less compile work.
 // -plan-cache bounds each shared cache in accounted bytes (default 4 MiB
-// each, negative = unbounded); -cache-stats prints the shared-cache and
-// outcome-cache counters to stderr after the run.
+// each, negative = unbounded); -cache-stats prints the plan-cache,
+// design-cache and per-runner outcome-cache counters to stderr after the
+// run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -223,8 +230,8 @@ func main() {
 		return
 	}
 
-	if *experiment != "all" && !knownExperiment(*experiment) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -experiment list)\n", *experiment)
+	if _, err := harness.Select(*experiment, false); err != nil {
+		fmt.Fprintf(os.Stderr, "%v (try -experiment list)\n", err)
 		os.Exit(2)
 	}
 
@@ -263,13 +270,13 @@ func main() {
 	if sharded && *fromPlan == "" {
 		// Fail the non-cell case here, in milliseconds, not after core.New
 		// has built the corpus and trained the model family.
-		rejectNonCellShard(*experiment)
+		rejectNonCell(*experiment, "-emit/-emit-plan")
 	}
 
 	// Merge mode: combine shard results and render. No backend, corpus, or
 	// model is constructed — the tables regenerate from serialized stats.
 	if *merge != "" {
-		rejectNonCellMerge(*experiment) // before any file work
+		rejectNonCell(*experiment, "-merge") // before any file work
 		paths := strings.Split(*merge, ",")
 		shardFiles, err := core.ReadShardFiles(paths)
 		if err != nil {
@@ -287,7 +294,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "merged %d of %d shards (backend %q, seed %d): %d cells\n",
 			m.Shards-len(missingShards), m.Shards, m.Backend, m.Seed, rs.Len())
 		mergeShardSummary(shardFiles, m, *storeDir)
-		renderExperiments(h, *experiment, true)
+		if err := harness.Print(os.Stdout, *experiment, h, nil); err != nil {
+			fail("%v", err)
+		}
 		missing := rs.Missing()
 		if len(missingShards) > 0 {
 			// Deterministic partial report: which shards are absent and
@@ -364,28 +373,28 @@ func main() {
 		fail("%v", err)
 	}
 
-	if sharded {
-		// SIGINT/SIGTERM cancel the evaluation pool promptly — in-flight
-		// work stops and no partial result file appears, so a supervising
-		// coordinator (or an impatient operator) can kill a worker without
-		// leaving state a later merge could trip over.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		exps := []string{*experiment}
-		switch {
-		case *fromPlan != "":
-			err = fw.RunPlanFileCtx(ctx, *fromPlan, *emit)
-		case *emitPlan != "":
-			err = fw.WriteShardPlan(*emitPlan, exps, *shard, *shards)
-		default:
-			err = fw.WriteShardCtx(ctx, *emit, exps, *shard, *shards)
-		}
-		stop()
-		if err != nil {
-			stopCPU()
-			fail("%v", err)
-		}
-	} else {
-		renderExperiments(fw.Harness, *experiment, false)
+	// SIGINT/SIGTERM cancel the evaluation pool promptly — in-flight work
+	// stops and no partial result file appears, so a supervising
+	// coordinator (or an impatient operator) can kill a worker without
+	// leaving state a later merge could trip over.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	exps := []string{*experiment}
+	switch {
+	case *fromPlan != "":
+		err = fw.RunPlanFileCtx(ctx, *fromPlan, *emit)
+	case *emitPlan != "":
+		err = fw.WriteShardPlan(*emitPlan, exps, *shard, *shards)
+	case *emit != "":
+		err = fw.WriteShardCtx(ctx, *emit, exps, *shard, *shards)
+	default:
+		// A plain run plans, runs, then renders, like every other path.
+		_, err = fw.Render(ctx, os.Stdout, *experiment)
+	}
+	stop()
+	if err != nil {
+		stopCPU()
+		fw.Close()
+		fail("%v", err)
 	}
 
 	// Finish the CPU profile before anything that can exit, so a
@@ -443,7 +452,6 @@ func main() {
 	}
 }
 
-// knownExperiment reports whether the harness has a renderer by name.
 // printCacheStats reports the shared compiled-artifact caches (DESIGN.md
 // Section 15) next to the per-runner outcome cache, all to stderr: a warm
 // sweep shows plan/design hits dominating misses, a -plan-cache squeeze
@@ -457,50 +465,15 @@ func printCacheStats(r *eval.Runner) {
 	oc := r.CacheStats()
 	fmt.Fprintf(os.Stderr, "outcome cache: %d entries, %d bytes, %d evicted\n",
 		oc.Entries, oc.Bytes, oc.Evicted)
-	fmt.Fprintf(os.Stderr, "cell memo: %d cells, %d hits\n", oc.Cells, oc.CellHits)
-}
-
-func knownExperiment(name string) bool {
-	for _, r := range harness.Renderers() {
-		if r.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // rejectNonCell exits 2 when -experiment selects an artifact the sharded
-// paths cannot handle: "all" means every cell-based artifact, anything
-// else must itself be cell-based.
+// and merged paths cannot compute: "all" means every cell-based artifact,
+// anything else must itself be cell-based.
 func rejectNonCell(experiment, what string) {
-	if experiment == "all" {
-		return
-	}
-	for _, e := range harness.CellExperiments() {
-		if e == experiment {
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%s only handles cell-based artifacts %v, not %q\n",
-		what, harness.CellExperiments(), experiment)
-	os.Exit(2)
-}
-
-func rejectNonCellMerge(experiment string) { rejectNonCell(experiment, "-merge") }
-func rejectNonCellShard(experiment string) { rejectNonCell(experiment, "-emit/-emit-plan") }
-
-// renderExperiments prints the selected artifacts in the harness
-// registry's fixed order; cellOnly restricts to cell-based artifacts
-// (the merged-results path, where nothing else is computable).
-func renderExperiments(h *harness.Harness, experiment string, cellOnly bool) {
-	for _, r := range harness.Renderers() {
-		if experiment != "all" && experiment != r.Name {
-			continue
-		}
-		if cellOnly && !r.Cell {
-			continue
-		}
-		fmt.Println(r.Render(h))
+	if _, err := harness.Select(experiment, true); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+		os.Exit(2)
 	}
 }
 

@@ -29,7 +29,7 @@ func main() {
 		{Model: model.CodeGen2B, Variant: model.FineTuned},
 		{Model: model.Codex, Variant: model.Pretrained},
 	} {
-		series := fw.Runner.TemperatureSeries(mv, eval.SweepOptions{N: 6})
+		series := eval.TemperatureSeries(fw.Runner, mv, eval.SweepOptions{N: 6})
 		fmt.Printf("%-18s %s ", mv.Model, mv.Variant)
 		for i, t := range eval.Temperatures {
 			fmt.Printf(" t=%.1f:%.3f", t, series[i])

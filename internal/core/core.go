@@ -8,7 +8,9 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -165,11 +167,41 @@ func New(cfg Config) (*Framework, error) {
 		fw.Store = st
 		fw.StoreSource = store.Cached(runner, st, fw.SweepIdentity())
 		fw.source = fw.StoreSource
-		// Renderers read through the cached source too, so a direct
-		// (unsharded) render run warms and is warmed by the store.
-		fw.Harness.Source = fw.StoreSource
 	}
 	return fw, nil
+}
+
+// Render writes the artifacts experiment selects ("all" = every
+// artifact) to w in registry order: the plain, unsharded run. Cell-based
+// artifacts take the path every sharded, coordinated and stored run
+// takes — the harness plans every cell they consume, the plan runs once
+// through the framework's cell source (the store over the Runner when
+// one is attached), and they render from the ResultSet. The other
+// artifacts render live from f.Harness.
+//
+// A cell the backend failed to produce renders as zeros. It is listed
+// both by Runner.Failures and by the returned set's Missing, so the
+// caller can fail loudly after the output exists.
+func (f *Framework) Render(ctx context.Context, w io.Writer, experiment string) (*eval.ResultSet, error) {
+	sel, err := harness.Select(experiment, false)
+	if err != nil {
+		return nil, err
+	}
+	var cells []string
+	for _, r := range sel {
+		if r.Cell {
+			cells = append(cells, r.Name)
+		}
+	}
+	plan, err := f.Harness.PlanFor(cells)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := f.source.RunPlanCtx(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	return rs, harness.Print(w, experiment, harness.FromResults(rs, f.Harness.Opts), f.Harness)
 }
 
 // SweepIdentity is the identity this framework's cells persist under: the

@@ -225,13 +225,6 @@ type Runner struct {
 	BatchSize   int
 	BatchLinger time.Duration
 
-	// CellMemoCap bounds the whole-cell memo by entry count: 0 means
-	// DefaultCellMemoCap, negative disables the memo (every query then
-	// exercises generation and the outcome cache — what the per-backend
-	// throughput benches measure). Stats are identical either way; cells
-	// are pure functions of their coordinates. Read once, on first use.
-	CellMemoCap int
-
 	// UnsharedPlans evaluates through EvaluateUnshared — fresh parse,
 	// full elaboration, and an unpooled simulator per sample — instead of
 	// the shared compiled-design tiers. Output is byte-identical either
@@ -241,19 +234,6 @@ type Runner struct {
 	UnsharedPlans bool
 
 	shards [numShards]*bounded.Cache[outcomeKey, *outcomeSlot]
-
-	// cells memoizes whole computed cells keyed by Query. A cell is a
-	// pure function of (runner seed, backend, query) — the premise the
-	// persistent store already rests on — so re-querying a cell the
-	// runner has computed (tables and figures share best-temp cells,
-	// ComputeHeadline re-walks the table sweep) skips both generation and
-	// evaluation and returns bit-identical stats. Only fully successful
-	// cells are memoized: a cell that degraded to a produced-failure
-	// recomputes on the next query, preserving retry semantics. Bounded
-	// by entry count (cost 1 each); entries are a few words each. Built
-	// on first use from CellMemoCap, nil when the memo is disabled.
-	cellsOnce sync.Once
-	cells     *bounded.Cache[Query, CellStats]
 
 	failMu       sync.Mutex
 	lastFailures []CellFailure // from the most recent EvaluateBatch* call
@@ -303,26 +283,6 @@ func (r *Runner) workers() int {
 // that a server process has a hard ceiling.
 const DefaultCacheBytes = 64 << 20
 
-// DefaultCellMemoCap bounds the whole-cell memo by entry count when
-// Runner.CellMemoCap is unset. A paper-scale sweep touches a few thousand
-// distinct cells; entries are ~100 bytes, so the cap holds every cell of
-// a full table run in under a megabyte.
-const DefaultCellMemoCap = 8192
-
-// cellMemo returns the whole-cell memo, built on first use, or nil when
-// CellMemoCap disables it.
-func (r *Runner) cellMemo() *bounded.Cache[Query, CellStats] {
-	r.cellsOnce.Do(func() {
-		switch {
-		case r.CellMemoCap > 0:
-			r.cells = bounded.New[Query, CellStats](int64(r.CellMemoCap))
-		case r.CellMemoCap == 0:
-			r.cells = bounded.New[Query, CellStats](DefaultCellMemoCap)
-		}
-	})
-	return r.cells
-}
-
 // outcomeEntryOverhead approximates one cache entry's fixed cost beyond
 // its completion text: map bucket share, slot, outcome, and the FIFO
 // element. Accounting is a bound, not a profile — close is good enough.
@@ -350,16 +310,10 @@ type CacheStats struct {
 	Entries int
 	Bytes   int64
 	Evicted int64
-
-	// Cells and CellHits report the whole-cell memo: resident entries and
-	// lifetime queries answered without re-running generation.
-	Cells    int
-	CellHits uint64
 }
 
 // CacheStats reports the outcome cache's current accounted size and
-// lifetime eviction count, aggregated across shards, plus the cell
-// memo's occupancy and hit count.
+// lifetime eviction count, aggregated across shards.
 func (r *Runner) CacheStats() CacheStats {
 	var cs CacheStats
 	for _, sh := range r.shards {
@@ -367,10 +321,6 @@ func (r *Runner) CacheStats() CacheStats {
 		cs.Entries += st.Entries
 		cs.Bytes += st.Bytes
 		cs.Evicted += int64(st.Evicted)
-	}
-	if m := r.cellMemo(); m != nil {
-		st := m.Stats()
-		cs.Cells, cs.CellHits = st.Entries, st.Hits
 	}
 	return cs
 }
@@ -497,40 +447,12 @@ func (r *Runner) EvaluateBatch(qs []Query) []CellStats {
 // what lets a coordinator shutdown (or SIGINT) reap an in-flight shard
 // without leaking its pool.
 func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats, error) {
-	// Whole-cell memo first: queries the runner has already computed to a
-	// fully successful cell are answered from the memo without touching
-	// the backend — bit-identical by the same purity argument the
-	// persistent store rests on. Remaining queries run as usual.
-	out := make([]CellStats, len(qs))
-	memo := r.cellMemo()
-	var memoized []bool // nil when the memo is disabled
-	pending := len(qs)
-	if memo != nil {
-		memoized = make([]bool, len(qs))
-		pending = 0
-		for qi, q := range qs {
-			if st, ok := memo.Get(q); ok {
-				out[qi], memoized[qi] = st, true
-			} else {
-				pending++
-			}
-		}
-	}
-	if pending == 0 {
-		r.failMu.Lock()
-		r.lastFailures = nil
-		r.failMu.Unlock()
-		return out, nil
-	}
-
 	keys := make([]gen.Key, len(qs))
 	bases := make([]int64, len(qs))
 	results := make([][]sampleResult, len(qs))
 	total := 0
-	for qi, q := range qs {
-		if memoized == nil || !memoized[qi] {
-			total += q.N
-		}
+	for _, q := range qs {
+		total += q.N
 	}
 	// Pre-sized item list: this path runs once per sweep batch, and its
 	// allocations are the warm-cache sweep's main garbage. The per-query
@@ -539,9 +461,6 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 	// array would put them on shared cache lines.
 	items := make([]workItem, 0, total)
 	for qi, q := range qs {
-		if memoized != nil && memoized[qi] {
-			continue
-		}
 		keys[qi] = gen.Key{Model: string(q.Model), Variant: q.Variant.String()}
 		bases[qi] = r.querySeed(q)
 		results[qi] = make([]sampleResult, q.N)
@@ -565,11 +484,9 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 	// names the error, so the failure list is deterministic too) — its
 	// stats zero out and the failure is reported via Failures, which is
 	// what lets a plan run record the cell as explicitly missing.
+	out := make([]CellStats, len(qs))
 	var fails []CellFailure
 	for qi := range qs {
-		if memoized != nil && memoized[qi] {
-			continue
-		}
 		var cellErr error
 		for _, sr := range results[qi] {
 			if sr.err != nil {
@@ -585,9 +502,6 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 			if sr.ok {
 				out[qi].Add(sr.stats())
 			}
-		}
-		if memo != nil {
-			memo.Add(qs[qi], out[qi], 1)
 		}
 	}
 	r.failMu.Lock()

@@ -118,13 +118,13 @@ func TestTableCellsTrackPriors(t *testing.T) {
 	opts := SweepOptions{N: 10, Temperatures: []float64{0.1}}
 	mv := ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
 
-	got := r.TableIVCell(mv, problems.Basic, problems.LevelLow, opts)
+	got := TableIVCell(r, mv, problems.Basic, problems.LevelLow, opts)
 	want := model.FunctionalPrior(model.CodeGen16B, model.FineTuned, problems.Basic, problems.LevelLow)
 	if math.Abs(got-want) > 0.15 {
 		t.Errorf("Table IV basic/L: got %f, prior %f", got, want)
 	}
 
-	gotC := r.TableIIICell(mv, problems.Basic, opts)
+	gotC := TableIIICell(r, mv, problems.Basic, opts)
 	wantC := model.CompilePrior(model.CodeGen16B, model.FineTuned, problems.Basic)
 	if math.Abs(gotC-wantC) > 0.15 {
 		t.Errorf("Table III basic: got %f, prior %f", gotC, wantC)
@@ -132,7 +132,7 @@ func TestTableCellsTrackPriors(t *testing.T) {
 
 	// zero-prior row stays (near) zero
 	mvPT := ModelVariant{Model: model.Megatron355M, Variant: model.Pretrained}
-	if got := r.TableIVCell(mvPT, problems.Advanced, problems.LevelHigh, opts); got > 0.02 {
+	if got := TableIVCell(r, mvPT, problems.Advanced, problems.LevelHigh, opts); got > 0.02 {
 		t.Errorf("Megatron PT advanced = %f, want about 0", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestTableCellsTrackPriors(t *testing.T) {
 func TestTemperatureSeriesDecays(t *testing.T) {
 	r := testRunner(t)
 	mv := ModelVariant{Model: model.CodeGen6B, Variant: model.FineTuned}
-	series := r.TemperatureSeries(mv, SweepOptions{N: 6})
+	series := TemperatureSeries(r, mv, SweepOptions{N: 6})
 	if len(series) != len(Temperatures) {
 		t.Fatalf("series length = %d", len(series))
 	}
@@ -154,7 +154,7 @@ func TestDifficultySeriesDecreases(t *testing.T) {
 	mv := ModelVariant{Model: model.Codex, Variant: model.Pretrained}
 	// n=10 keeps the sampled trend clear of per-sample noise (the hashed
 	// RNG streams make each sample independent, so tiny n is high-variance)
-	s := r.DifficultySeries(mv, SweepOptions{N: 10, Temperatures: []float64{0.1}})
+	s := DifficultySeries(r, mv, SweepOptions{N: 10, Temperatures: []float64{0.1}})
 	if len(s) != 3 {
 		t.Fatalf("series = %v", s)
 	}
@@ -166,7 +166,7 @@ func TestDifficultySeriesDecreases(t *testing.T) {
 func TestLevelSeriesLength(t *testing.T) {
 	r := testRunner(t)
 	mv := ModelVariant{Model: model.CodeGen2B, Variant: model.FineTuned}
-	s := r.LevelSeries(mv, SweepOptions{N: 4, Temperatures: []float64{0.1}})
+	s := LevelSeries(r, mv, SweepOptions{N: 4, Temperatures: []float64{0.1}})
 	if len(s) != 3 {
 		t.Fatalf("series = %v", s)
 	}
@@ -175,8 +175,8 @@ func TestLevelSeriesLength(t *testing.T) {
 func TestFineTuningBeatsPretrained(t *testing.T) {
 	r := testRunner(t)
 	opts := SweepOptions{N: 8, Temperatures: []float64{0.1}}
-	ft := r.Aggregate(ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}, opts)
-	pt := r.Aggregate(ModelVariant{Model: model.CodeGen16B, Variant: model.Pretrained}, opts)
+	ft := Aggregate(r, ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}, opts)
+	pt := Aggregate(r, ModelVariant{Model: model.CodeGen16B, Variant: model.Pretrained}, opts)
 	if !(ft.PassRate() > pt.PassRate()) {
 		t.Fatalf("FT %f should beat PT %f", ft.PassRate(), pt.PassRate())
 	}
@@ -184,7 +184,7 @@ func TestFineTuningBeatsPretrained(t *testing.T) {
 
 func TestHeadlineShape(t *testing.T) {
 	r := testRunner(t)
-	h := r.ComputeHeadline(SweepOptions{N: 4, Temperatures: []float64{0.1}})
+	h := ComputeHeadline(r, SweepOptions{N: 4, Temperatures: []float64{0.1}})
 	if !(h.CompileFT > h.CompilePT) {
 		t.Errorf("compile FT %f should beat PT %f", h.CompileFT, h.CompilePT)
 	}

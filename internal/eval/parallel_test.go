@@ -30,11 +30,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	mv := ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
 
 	for _, d := range problems.Difficulties {
-		if a, b := serial.TableIIICell(mv, d, opts), parallel.TableIIICell(mv, d, opts); a != b {
+		if a, b := TableIIICell(serial, mv, d, opts), TableIIICell(parallel, mv, d, opts); a != b {
 			t.Errorf("Table III %s: serial %v != parallel %v", d, a, b)
 		}
 		for _, l := range problems.Levels {
-			if a, b := serial.TableIVCell(mv, d, l, opts), parallel.TableIVCell(mv, d, l, opts); a != b {
+			if a, b := TableIVCell(serial, mv, d, l, opts), TableIVCell(parallel, mv, d, l, opts); a != b {
 				t.Errorf("Table IV %s/%s: serial %v != parallel %v", d, l, a, b)
 			}
 		}

@@ -13,8 +13,7 @@ import (
 // Every sweep is a pure function of per-query CellStats, so each is
 // written over a CellSource: a live Runner computes the cells in-process,
 // a ResultSet replays merged shard results, and PlanSource enumerates the
-// cells without evaluating anything. The Runner methods below are thin
-// delegates kept for the common attached case.
+// cells without evaluating anything.
 
 // SweepOptions bound the sweep cost.
 type SweepOptions struct {
@@ -235,63 +234,4 @@ func ComputeHeadline(src CellSource, opts SweepOptions) Headline {
 		h.FunctionalFT /= float64(nFT)
 	}
 	return h
-}
-
-// ---- Runner delegates: the attached-source common case ---------------------
-
-// BestOverTemps returns the best-scoring pooled stats across the sweep
-// temperatures.
-func (r *Runner) BestOverTemps(mv ModelVariant, ps []*problems.Problem, levels []problems.Level, opts SweepOptions, score func(CellStats) float64) (CellStats, float64) {
-	return BestOverTemps(r, mv, ps, levels, opts, score)
-}
-
-// TableIIICell computes one Table III entry over this runner.
-func (r *Runner) TableIIICell(mv ModelVariant, d problems.Difficulty, opts SweepOptions) float64 {
-	return TableIIICell(r, mv, d, opts)
-}
-
-// TableIVCell computes one Table IV entry over this runner.
-func (r *Runner) TableIVCell(mv ModelVariant, d problems.Difficulty, l problems.Level, opts SweepOptions) float64 {
-	return TableIVCell(r, mv, d, l, opts)
-}
-
-// InferenceTime reports the pooled mean simulated latency for a variant.
-func (r *Runner) InferenceTime(mv ModelVariant, opts SweepOptions) float64 {
-	return InferenceTime(r, mv, opts)
-}
-
-// TemperatureSeries is Fig. 6 (left) over this runner.
-func (r *Runner) TemperatureSeries(mv ModelVariant, opts SweepOptions) []float64 {
-	return TemperatureSeries(r, mv, opts)
-}
-
-// NSeries is Fig. 6 (right) over this runner.
-func (r *Runner) NSeries(mv ModelVariant, counts []int, opts SweepOptions) []float64 {
-	return NSeries(r, mv, counts, opts)
-}
-
-// DifficultySeries is Fig. 7 (right) over this runner.
-func (r *Runner) DifficultySeries(mv ModelVariant, opts SweepOptions) []float64 {
-	return DifficultySeries(r, mv, opts)
-}
-
-// LevelSeries is Fig. 7 (left) over this runner.
-func (r *Runner) LevelSeries(mv ModelVariant, opts SweepOptions) []float64 {
-	return LevelSeries(r, mv, opts)
-}
-
-// Aggregate pools best-temperature stats over every difficulty and level.
-func (r *Runner) Aggregate(mv ModelVariant, opts SweepOptions) CellStats {
-	return Aggregate(r, mv, opts)
-}
-
-// AggregateCompile pools best-temperature compile stats over difficulties.
-func (r *Runner) AggregateCompile(mv ModelVariant, opts SweepOptions) CellStats {
-	return AggregateCompile(r, mv, opts)
-}
-
-// ComputeHeadline reproduces the Sections VI-VII aggregates over this
-// runner.
-func (r *Runner) ComputeHeadline(opts SweepOptions) Headline {
-	return ComputeHeadline(r, opts)
 }

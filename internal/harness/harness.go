@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -70,9 +71,9 @@ type Renderer struct {
 }
 
 // renderers is the single registry of artifact renderers, in render
-// order. CellExperiments, PlanFor, ExperimentIndex, and vgen-eval's
-// dispatch all derive from it, so the list, the planner, and the CLI
-// cannot drift.
+// order. CellExperiments, Select, Print, PlanFor, and ExperimentIndex
+// all derive from it, so the list, the planner, and the CLIs cannot
+// drift.
 var renderers = []Renderer{
 	{"table1", false, "baseline LLM architectures", (*Harness).TableI},
 	{"table2", false, "problem set", (*Harness).TableII},
@@ -103,33 +104,67 @@ func CellExperiments() []string {
 	return out
 }
 
+// Select returns the renderers experiment names, in registry order: one
+// artifact by name, or "all" for every artifact. cellOnly restricts the
+// selection to cell-based artifacts, the only ones merged results can
+// compute: "all" then means every cell-based artifact, and a non-cell
+// name is an error. An unknown name is always an error.
+func Select(experiment string, cellOnly bool) ([]Renderer, error) {
+	var out []Renderer
+	for _, r := range renderers {
+		if experiment != "all" && experiment != r.Name {
+			continue
+		}
+		if cellOnly && !r.Cell {
+			if experiment == "all" {
+				continue
+			}
+			return nil, fmt.Errorf("harness: %q is not a cell-based artifact (have %v)", experiment, CellExperiments())
+		}
+		out = append(out, r)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("harness: unknown experiment %q", experiment)
+	}
+	return out, nil
+}
+
+// Print writes the artifacts experiment selects to w, each followed by a
+// blank line: cell-based artifacts render from cells, the others from
+// live. A nil live means only cells exist, as after a merge, and
+// restricts the selection to cell-based artifacts (see Select).
+func Print(w io.Writer, experiment string, cells, live *Harness) error {
+	sel, err := Select(experiment, live == nil)
+	if err != nil {
+		return err
+	}
+	for _, r := range sel {
+		h := cells
+		if !r.Cell {
+			h = live
+		}
+		if _, err := fmt.Fprintln(w, r.Render(h)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // PlanFor enumerates every evaluation cell the named cell-based artifacts
 // consume, by running their renderers against a recording source. The
 // plan therefore can never drift from the render path: whatever cells a
 // renderer asks for are exactly the cells planned. "all" expands to every
 // cell-based artifact.
 func (h *Harness) PlanFor(experiments []string) (*eval.Plan, error) {
-	var names []string
-	for _, e := range experiments {
-		if e == "all" {
-			names = append(names, CellExperiments()...)
-		} else {
-			names = append(names, e)
-		}
-	}
 	plan := eval.NewPlan()
 	shadow := &Harness{Source: eval.PlanSource(plan), Opts: h.Opts, Seed: h.Seed}
-	for _, e := range names {
-		found := false
-		for _, r := range renderers {
-			if r.Cell && r.Name == e {
-				_ = r.Render(shadow)
-				found = true
-				break
-			}
+	for _, e := range experiments {
+		sel, err := Select(e, true)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("harness: %q is not a cell-based artifact (have %v)", e, CellExperiments())
+		for _, r := range sel {
+			_ = r.Render(shadow)
 		}
 	}
 	if err := plan.Err(); err != nil {
@@ -420,8 +455,8 @@ func (h *Harness) Ablation() string {
 		return fmt.Sprintf("Corpus ablation unavailable: %v\n", err)
 	}
 	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
-	a := ghOnly.Runner.Aggregate(mv, h.Opts).PassRate()
-	b := withBooks.Runner.Aggregate(mv, h.Opts).PassRate()
+	a := eval.Aggregate(ghOnly.Runner, mv, h.Opts).PassRate()
+	b := eval.Aggregate(withBooks.Runner, mv, h.Opts).PassRate()
 	rel := 0.0
 	if a > 0 {
 		rel = b/a - 1
