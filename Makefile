@@ -29,7 +29,8 @@ test: vet check
 
 # race-checks the packages with concurrency: the parallel evaluation
 # engine, the bounded cache every memo tier is built on (shared by all
-# eval workers; its suite races Add from 16 goroutines), the model
+# eval workers; its suite races Add from 16 goroutines), the parser
+# (every eval worker copies a shared prompt's tokens), the model
 # family the engine drives, the n-gram sampler (whose frozen tables
 # share a temperature-weight memo across workers), the simulator and its
 # value package (pooled simulators resume their process coroutines from
@@ -40,7 +41,7 @@ test: vet check
 # sweep workers through its cached source), and the analyzer driver
 # (loads packages from many golden trees).
 race:
-	$(GO) test -race ./internal/eval/... ./internal/bounded/... ./internal/model/... ./internal/ngram/... ./internal/sim/... ./internal/vnum/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
+	$(GO) test -race ./internal/eval/... ./internal/bounded/... ./internal/vlog/... ./internal/model/... ./internal/ngram/... ./internal/sim/... ./internal/vnum/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
 
 # -json emits the test2json stream (one JSON object per line) including
 # every Benchmark output line, so the file is grep- and jq-friendly.
@@ -50,7 +51,7 @@ race:
 # process lifetime, and the GC mark cost of that retained graph would
 # otherwise tax every allocating component bench sharing the process.
 # A new Benchmark must be added to exactly one of these two lists.
-MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkVnumHexString|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkSampleRand|BenchmarkMathRandSeed|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkProcessHandoff|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup)$$
+MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkVnumHexString|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkSampleRand|BenchmarkMathRandSeed|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkParsePrefixed|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkProcessHandoff|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup)$$
 MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkEvaluateColdCompile|BenchmarkEvaluateWarmCompile|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
 
 # GOGC is pinned for recordings: the bounded caches keep the suite's

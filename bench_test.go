@@ -354,6 +354,20 @@ func BenchmarkParseReference(b *testing.B) {
 	}
 }
 
+// BenchmarkParsePrefixed times the evaluation path's parse of the same
+// source as BenchmarkParseReference: the prompt's tokens come from a
+// LexPrefix made once, and only the completion is lexed.
+func BenchmarkParsePrefixed(b *testing.B) {
+	p := problems.ByNumber(17)
+	pre := vlog.LexPrefix(p.Prompt(problems.LevelLow))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vlog.ParsePrefixed(pre, p.RefBody); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCompileCheck(b *testing.B) {
 	src := problems.ByNumber(17).ReferenceSource()
 	b.ResetTimer()

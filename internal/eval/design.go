@@ -17,15 +17,18 @@ import (
 // construction) is cached so a sweep pays it once per distinct candidate
 // and the testbench cone is compiled once per (problem, level).
 //
-// Three shared tiers, all content-addressed, all invisible to output, and
+// Four shared tiers, all content-addressed, all invisible to output, and
 // all bounded.Cache instances:
 //
 //   - testbench tier: one entry per distinct testbench text, holding the
 //     parsed AST and, built on first shared use, the elab.Skeleton each
 //     candidate splices into (skeleton.go in the elab package).
+//   - prefix tier: one vlog.Prefix per prompt text, so a candidate's
+//     parse lexes only its completion.
 //   - design tier: one compiled slot per (testbench, candidate source)
-//     pair, holding the spliced Design and a pool of reusable Simulators
-//     whose bound plans and runtime objects persist across runs.
+//     pair that reached simulation, holding the spliced Design and a pool
+//     of reusable Simulators whose bound plans and runtime objects
+//     persist across runs.
 //   - plan tier: a sim.PlanCache sharing immutable compiled expression
 //     plans across all simulators (including first-time candidates, whose
 //     testbench cone was already compiled by earlier candidates).
@@ -37,35 +40,22 @@ import (
 // same role sim.Options.Interpret plays one layer down.
 
 // DefaultDesignCacheBytes bounds the design tier when no budget is
-// configured. Entries are accounted stage-aware (see designSlotOverhead
-// and designGraphOverhead), so the accounted budget tracks real
-// retention. The default is deliberately modest: a resident compiled
-// design only pays off for candidates that recur, and an oversized cache
-// taxes the whole process through GC mark cost — retained pointer-dense
-// graphs (AST nodes, plan trees, simulator state) are exactly what the
-// collector scans every cycle.
+// configured. Entries are accounted at designSlotCost plus their source
+// text, so the accounted budget tracks real retention. The default is
+// deliberately modest: a resident compiled design only pays off for
+// candidates that recur, and an oversized cache taxes the whole process
+// through GC mark cost — retained pointer-dense graphs (AST nodes, plan
+// trees, simulator state) are exactly what the collector scans every
+// cycle.
 const DefaultDesignCacheBytes = 4 << 20
 
-// designSlotOverhead is a slot's cost beyond its source text: the slot
-// struct, map bookkeeping, and key strings. Candidates that never reach
-// simulation (parse or compile-check failures) retain little beyond this.
-const designSlotOverhead = 512
-
-// designGraphOverhead is charged on top for a candidate that reaches
-// stageSim: the elaborated design graph, compiled plans, and pooled
-// simulator state. Calibrated from live-heap deltas (~17 KB per resident
-// reference-design slot including its plan-cache share), rounded up for
-// larger candidates and pool churn.
-const designGraphOverhead = 24 << 10
-
-// stage records how far a candidate's compile pipeline got; the verdict
-// for every non-simulating stage is fully determined by the stage.
-const (
-	stageNoParse   int8 = iota // candidate failed to parse
-	stageNoCompile             // candidate failed standalone CompileCheck
-	stageNoSim                 // compiles, but testbench or elaboration failed
-	stageSim                   // design ready to simulate
-)
+// designSlotCost is a slot's cost beyond its source text: the slot
+// struct, map bookkeeping and key strings (512 bytes), plus the
+// elaborated design graph, compiled plans and pooled simulator state.
+// Calibrated from live-heap deltas (~17 KB per resident reference-design
+// slot including its plan-cache share), rounded up for larger candidates
+// and pool churn.
+const designSlotCost = 512 + 24<<10
 
 // tbCap bounds the testbench tier by entry count. Keying by the text (not
 // the problem number) makes the tier immune to Problem copies that carry
@@ -76,6 +66,18 @@ const (
 const tbCap = 128
 
 var testbenches = bounded.New[string, *testbench](tbCap)
+
+// prefixes is the prefix tier. Each (problem, level) has its own
+// prompt, hence three entries per testbench.
+var prefixes = bounded.New[string, *vlog.Prefix](3 * tbCap)
+
+// prefixFor returns the lexed prefix of a prompt, lexing it on a miss.
+func prefixFor(prompt string) *vlog.Prefix {
+	if pre, ok := prefixes.Get(prompt); ok {
+		return pre
+	}
+	return prefixes.Add(prompt, vlog.LexPrefix(prompt), 1)
+}
 
 // testbench is the testbench tier's entry: the parsed AST under one once
 // and the skeleton under a second, so EvaluateUnshared pays only the
@@ -132,18 +134,8 @@ type designKey struct {
 
 // designSlot is one compiled candidate design plus its simulator pool.
 type designSlot struct {
-	stage int8
-	d     *elab.Design
-	pool  sync.Pool // *sim.Simulator, reset on reuse
-}
-
-// cost is the slot's stage-aware accounted size.
-func (sl *designSlot) cost(src string) int64 {
-	c := int64(len(src)) + designSlotOverhead
-	if sl.stage == stageSim {
-		c += designGraphOverhead
-	}
-	return c
+	d    *elab.Design
+	pool sync.Pool // *sim.Simulator, reset on reuse
 }
 
 // sharedTiers holds the process-wide design and plan tiers. Both outlive
@@ -174,42 +166,33 @@ func SetPlanCacheBytes(n int64) {
 	})
 }
 
-// buildSlot runs the compile pipeline for one candidate source. Splice
-// failures of any kind fall back to full elaboration, so the stage (and
-// on success the design's observable behaviour) is identical to the
-// legacy per-sample pipeline by construction.
-func buildSlot(p *problems.Problem, src string) *designSlot {
-	sl := &designSlot{}
-	f, err := vlog.Parse(src)
-	if err != nil {
-		sl.stage = stageNoParse
-		return sl
+// buildSlot runs the compile pipeline for prompt+completion. A nil slot
+// means the candidate does not reach simulation, and the Outcome is then
+// its verdict. Splice failures of any kind fall back to full
+// elaboration, so the verdict (and on success the design's observable
+// behaviour) is identical to the legacy per-sample pipeline by
+// construction.
+func buildSlot(p *problems.Problem, prompt, completion string) (Outcome, *designSlot) {
+	f, err := vlog.ParsePrefixed(prefixFor(prompt), completion)
+	if err != nil || elab.CompileCheck(f) != nil {
+		return Outcome{}, nil
 	}
-	if elab.CompileCheck(f) != nil {
-		sl.stage = stageNoCompile
-		return sl
-	}
+	compiles := Outcome{Compiles: true}
 	tb := testbenchFor(p.Testbench)
 	tbf, err := tb.parsed()
 	if err != nil {
-		sl.stage = stageNoSim
-		return sl
+		return compiles, nil
 	}
 	if sk := tb.skeleton(); sk != nil {
-		if sd, serr := sk.Splice(f); serr == nil {
-			sl.d = sd
+		if d, err := sk.Splice(f); err == nil {
+			return compiles, &designSlot{d: d}
 		}
 	}
-	if sl.d == nil {
-		fd, ferr := elab.Elaborate(vlog.Compose(f, tbf), "tb", elab.Options{})
-		if ferr != nil {
-			sl.stage = stageNoSim
-			return sl
-		}
-		sl.d = fd
+	d, err := elab.Elaborate(vlog.Compose(f, tbf), "tb", elab.Options{})
+	if err != nil {
+		return compiles, nil
 	}
-	sl.stage = stageSim
-	return sl
+	return compiles, &designSlot{d: d}
 }
 
 // getSim returns a pooled simulator reset for a fresh run, or a new one.
@@ -224,24 +207,25 @@ func (sl *designSlot) getSim(opts sim.Options) *sim.Simulator {
 
 // evaluateShared is the shared-artifact pipeline behind Evaluate: same
 // verdict and simulation bytes as evaluateSim with default options, with
-// the compile work amortized across samples. A slot is built outside any
-// lock and added at its final cost; when two workers miss on the same
-// candidate, the first Add wins and both use its slot.
+// the compile work amortized across samples. Only candidates that reach
+// simulation are stored: a failure's verdict is returned directly, so
+// the common LLM failure (a parse error) never evicts a compiled design,
+// and a repeated failure parses again. A slot is built outside any lock;
+// when two workers miss on the same candidate, the first Add wins and
+// both use its slot.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, sim.Result) {
 	completion = Truncate(completion)
-	src := p.CompleteWith(level, completion)
+	prompt := p.Prompt(level)
+	src := prompt + completion
 	t := tiers.Load()
 	k := designKey{tb: p.Testbench, src: src}
 	sl, ok := t.designs.Get(k)
 	if !ok {
-		sl = buildSlot(p, src)
-		sl = t.designs.Add(k, sl, sl.cost(src))
-	}
-	switch sl.stage {
-	case stageNoParse, stageNoCompile:
-		return Outcome{}, sim.Result{}
-	case stageNoSim:
-		return Outcome{Compiles: true}, sim.Result{}
+		var o Outcome
+		if o, sl = buildSlot(p, prompt, completion); sl == nil {
+			return o, sim.Result{}
+		}
+		sl = t.designs.Add(k, sl, int64(len(src))+designSlotCost)
 	}
 	s := sl.getSim(sim.Options{Plans: t.plans})
 	res, err := s.Run()

@@ -32,8 +32,8 @@ func TestInternalSimErrorIsARunError(t *testing.T) {
 	// broken design.
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
-	sl := &designSlot{stage: stageSim, d: d}
-	if got := tiers.Load().designs.Add(designKey{tb: p.Testbench, src: src}, sl, sl.cost(src)); got != sl {
+	sl := &designSlot{d: d}
+	if got := tiers.Load().designs.Add(designKey{tb: p.Testbench, src: src}, sl, int64(len(src))+designSlotCost); got != sl {
 		t.Fatal("slot was already built")
 	}
 	for i := 0; i < 3; i++ {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/problems"
 	"repro/internal/sim"
+	"repro/internal/vlog"
 )
 
 // sharedDiffCompletions samples a realistic completion mix for the
@@ -119,6 +120,48 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 	}
 	if after.Plans.Evictions == 0 {
 		t.Errorf("plan cache evicted nothing under a 1-byte budget: %+v", after.Plans)
+	}
+}
+
+// TestDesignTierAdmitsOnlySimulatedCandidates pins the design tier's
+// admission rule and its accepted cost. Of a parse failure, a compile
+// failure, a candidate whose bench does not elaborate and the reference,
+// only the reference is stored. A repeated parse failure therefore parses
+// again: failures are memoized per Runner, by the outcome cache.
+func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
+	SetPlanCacheBytes(0)
+	t.Cleanup(func() { SetPlanCacheBytes(0) })
+	p := problems.ByNumber(6)
+	badBench := *p
+	badBench.Testbench = "module tb;\n  reg clk;\n  counter dut(.clk(clk), .no_such_port(clk));\nendmodule\n"
+	garbage := "  design-tier garbage tokens\n"
+	cases := []struct {
+		name       string
+		p          *problems.Problem
+		completion string
+		want       Outcome
+		stored     int
+	}{
+		{"parse failure", p, garbage, Outcome{}, 0},
+		{"compile failure", p, "  assign design_tier_undeclared = 1;\nendmodule\n", Outcome{}, 0},
+		{"bench does not elaborate", &badBench, p.RefBody, Outcome{Compiles: true}, 0},
+		{"reference", p, p.RefBody, Outcome{Compiles: true, Simulated: true, Passes: true}, 1},
+	}
+	for _, c := range cases {
+		before := SharedStats().Designs
+		if got := Evaluate(c.p, problems.LevelLow, c.completion); got != c.want {
+			t.Errorf("%s: outcome %+v, want %+v", c.name, got, c.want)
+		}
+		if n := SharedStats().Designs - before; n != c.stored {
+			t.Errorf("%s: design tier grew by %d, want %d", c.name, n, c.stored)
+		}
+	}
+	before := vlog.ParseCalls()
+	if got := Evaluate(p, problems.LevelLow, garbage); got != (Outcome{}) {
+		t.Errorf("repeated parse failure: outcome %+v", got)
+	}
+	if n := vlog.ParseCalls() - before; n != 1 {
+		t.Errorf("repeated parse failure parsed %d texts, want 1", n)
 	}
 }
 

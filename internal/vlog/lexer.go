@@ -438,10 +438,9 @@ func estimateTokens(src string) int {
 	return n
 }
 
-// lexInto appends all tokens of src onto toks (the pooled-buffer path the
-// parser uses).
-func lexInto(toks []Token, src string) ([]Token, error) {
-	lx := NewLexer(src)
+// lexInto appends every remaining token of lx onto toks (the
+// pooled-buffer path the parser uses).
+func lexInto(toks []Token, lx *Lexer) ([]Token, error) {
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -458,7 +457,7 @@ func lexInto(toks []Token, src string) ([]Token, error) {
 // A pre-count pass sizes the result so the fill pass performs exactly one
 // slice allocation.
 func LexAll(src string) ([]Token, error) {
-	toks, err := lexInto(make([]Token, 0, estimateTokens(src)), src)
+	toks, err := lexInto(make([]Token, 0, estimateTokens(src)), NewLexer(src))
 	if err != nil {
 		return nil, err
 	}

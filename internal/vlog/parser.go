@@ -9,12 +9,13 @@ import (
 	"repro/internal/vnum"
 )
 
-// parseCalls counts Parse invocations; the evaluation pipeline's
-// single-parse guarantee is asserted against it in tests.
+// parseCalls counts Parse and ParsePrefixed invocations; the evaluation
+// pipeline's single-parse guarantee is asserted against it in tests.
 var parseCalls atomic.Uint64
 
-// ParseCalls returns the number of Parse invocations so far (monotonic,
-// process-wide). Intended for tests and perf accounting, not control flow.
+// ParseCalls returns the number of Parse and ParsePrefixed invocations so
+// far (monotonic, process-wide). Intended for tests and perf accounting,
+// not control flow.
 func ParseCalls() uint64 { return parseCalls.Load() }
 
 // ParseError is a syntax error with a source position.
@@ -52,10 +53,15 @@ func Parse(src string) (*SourceFile, error) {
 	parseCalls.Add(1)
 	p := parserPool.Get().(*Parser)
 	defer p.release()
-	toks, err := lexInto(p.toks[:0], src)
+	return p.parseFile(lexInto(p.toks[:0], NewLexer(src)))
+}
+
+// parseFile adopts toks as the parser's buffer and parses it as a
+// sequence of modules; lexErr, the error that ended lexing, wins.
+func (p *Parser) parseFile(toks []Token, lexErr error) (*SourceFile, error) {
 	p.toks, p.pos = toks, 0
-	if err != nil {
-		return nil, err
+	if lexErr != nil {
+		return nil, lexErr
 	}
 	file := &SourceFile{}
 	for !p.atEOF() {
@@ -76,7 +82,7 @@ func Parse(src string) (*SourceFile, error) {
 func ParseExprString(src string) (Expr, error) {
 	p := parserPool.Get().(*Parser)
 	defer p.release()
-	toks, err := lexInto(p.toks[:0], src)
+	toks, err := lexInto(p.toks[:0], NewLexer(src))
 	p.toks, p.pos = toks, 0
 	if err != nil {
 		return nil, err
