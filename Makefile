@@ -31,8 +31,9 @@ test: vet check
 # engine, the bounded cache every memo tier is built on (shared by all
 # eval workers; its suite races Add from 16 goroutines), the parser
 # (every eval worker copies a shared prompt's tokens), the model
-# family the engine drives, the n-gram sampler (whose frozen tables
-# share a temperature-weight memo across workers), the simulator and its
+# family the engine drives (whose prepare tasks build LMs and variant
+# banks on every pool worker), the n-gram sampler (whose frozen tables
+# share per-temperature weight tables across workers), the simulator and its
 # value package (pooled simulators resume their process coroutines from
 # whichever eval worker holds them), the generation-backend layer, the
 # sweep coordinator (whose fault-injection suite exercises every
@@ -72,7 +73,8 @@ bench-compare:
 
 # shard-check proves distributed sweeps: a 4-way sharded, serialized,
 # merged sweep must be byte-identical to the single-process run at all
-# five paper temperatures, for the family and replay backends.
+# five paper temperatures, for the family and replay backends, and so
+# must the family backend at -workers 1 and 4 and under -record.
 shard-check:
 	GO=$(GO) ./scripts/shard-check.sh
 

@@ -1,6 +1,6 @@
 // Bring-your-own-backend: plug an arbitrary completion source into the
 // evaluation stack as a gen.Backend. This is the downstream-adoption
-// path: implement three methods, register under a name, and the full
+// path: implement four methods, register under a name, and the full
 // engine — worker pool, outcome cache, sweeps, pass@k — runs your model
 // exactly as it runs the paper's line-up. The demo also records one
 // backend's samples to JSONL and replays them, showing the transcript
@@ -20,11 +20,14 @@ import (
 
 // templateBackend is a toy "model": it answers every problem with a
 // continuous-assignment template, so it solves wires and gates but
-// nothing sequential. One struct, three methods — that is the whole
+// nothing sequential. One struct, four methods — that is the whole
 // integration surface.
 type templateBackend struct{}
 
 func (templateBackend) Describe() string { return "assign-template-v0" }
+
+// Prepare returns nil: the template has no model to train up front.
+func (templateBackend) Prepare([]gen.Key, []*problems.Problem) []func() { return nil }
 
 func (templateBackend) Variants() []gen.Key {
 	return []gen.Key{{Model: "assign-template", Variant: gen.VariantPT}}
@@ -63,7 +66,8 @@ func (templateBackend) Complete(key gen.Key, p *problems.Problem, level problems
 // oracleBackend answers with the reference solution: an upper bound.
 type oracleBackend struct{}
 
-func (oracleBackend) Describe() string { return "oracle" }
+func (oracleBackend) Describe() string                                { return "oracle" }
+func (oracleBackend) Prepare([]gen.Key, []*problems.Problem) []func() { return nil }
 func (oracleBackend) Variants() []gen.Key {
 	return []gen.Key{{Model: "oracle", Variant: gen.VariantPT}}
 }

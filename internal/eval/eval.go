@@ -15,8 +15,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bounded"
@@ -441,15 +443,24 @@ func (r *Runner) EvaluateBatch(qs []Query) []CellStats {
 }
 
 // EvaluateBatchCtx is EvaluateBatch under a context: cancellation stops
-// the pool promptly at work-item granularity — the feeder hands out no
-// further items, every worker goroutine exits, and the call returns
-// ctx.Err() with nil stats rather than a partially reduced batch. This is
-// what lets a coordinator shutdown (or SIGINT) reap an in-flight shard
-// without leaking its pool.
+// the pool promptly at work-item granularity — every worker checks ctx
+// before claiming its next item, so none is started after cancellation is
+// seen, every worker goroutine exits, and the call returns ctx.Err() with
+// nil stats rather than a partially reduced batch. This is what lets a
+// coordinator shutdown (or SIGINT) reap an in-flight shard without
+// leaking its pool.
+//
+// Before taking samples, the workers drain the backend's Prepare tasks
+// for the batch's distinct keys and problems (in plan order) through the
+// same claim index, so set-up such as training a model runs spread across
+// the pool instead of lazily inside one worker's Complete while the
+// others wait on it.
 func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats, error) {
 	keys := make([]gen.Key, len(qs))
 	bases := make([]int64, len(qs))
 	results := make([][]sampleResult, len(qs))
+	var lines []gen.Key
+	var probs []*problems.Problem
 	total := 0
 	for _, q := range qs {
 		total += q.N
@@ -462,6 +473,12 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 	items := make([]workItem, 0, total)
 	for qi, q := range qs {
 		keys[qi] = gen.Key{Model: string(q.Model), Variant: q.Variant.String()}
+		if !slices.Contains(lines, keys[qi]) {
+			lines = append(lines, keys[qi])
+		}
+		if !slices.Contains(probs, q.Problem) {
+			probs = append(probs, q.Problem)
+		}
 		bases[qi] = r.querySeed(q)
 		results[qi] = make([]sampleResult, q.N)
 		for si := 0; si < q.N; si++ {
@@ -469,10 +486,11 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 		}
 	}
 
+	tasks := r.Backend.Prepare(lines, probs)
 	if bb, ok := r.Backend.(gen.BatchBackend); ok {
-		r.runBatched(ctx, bb, qs, keys, bases, results, items)
+		r.runBatched(ctx, bb, tasks, qs, keys, bases, results, items)
 	} else {
-		r.runSingles(ctx, qs, keys, bases, results, items)
+		r.runSingles(ctx, tasks, qs, keys, bases, results, items)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -522,10 +540,48 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 // workItem addresses one (query, sample) work unit of a batch.
 type workItem struct{ qi, si int }
 
-// runSingles is the one-call-per-sample path: every work item fans across
-// the pool as its own Backend.Complete call.
-func (r *Runner) runSingles(ctx context.Context, qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
-	run := func(it workItem) {
+// claimLoop runs do(i) for every index in [0, n) it claims from next,
+// until the indices run out or ctx is canceled. ctx is checked before
+// each claim, so once cancellation is seen no worker starts another item.
+func claimLoop(ctx context.Context, next *atomic.Int64, n int, do func(int)) {
+	for ctx.Err() == nil {
+		i := int(next.Add(1) - 1)
+		if i >= n {
+			return
+		}
+		do(i)
+	}
+}
+
+// claim runs do(i) for every index in [0, n) on up to w workers, the
+// caller's goroutine among them, each claiming the next index from one
+// shared counter (claimLoop), and waits for all of them.
+func claim(ctx context.Context, w, n int, do func(int)) {
+	var next atomic.Int64
+	w = max(min(w, n), 1)
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func() {
+			defer wg.Done()
+			claimLoop(ctx, &next, n, do)
+		}()
+	}
+	claimLoop(ctx, &next, n, do)
+	wg.Wait()
+}
+
+// runSingles is the one-call-per-sample path: the backend's prepare tasks
+// and then every work item are claimed through one shared index by the
+// pool's workers, each item its own Backend.Complete call. One worker is
+// the serial case.
+func (r *Runner) runSingles(ctx context.Context, tasks []func(), qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
+	do := func(i int) {
+		if i < len(tasks) {
+			tasks[i]()
+			return
+		}
+		it := items[i-len(tasks)]
 		q := qs[it.qi]
 		s, ok := r.Backend.Complete(keys[it.qi], q.Problem, q.Level, q.Temperature, it.si, bases[it.qi])
 		if !ok {
@@ -534,40 +590,7 @@ func (r *Runner) runSingles(ctx context.Context, qs []Query, keys []gen.Key, bas
 		o := r.evaluate(q.Problem, q.Level, s.Completion)
 		results[it.qi][it.si] = sampleResult{outcome: o, latency: s.Latency, ok: true}
 	}
-
-	if w := r.workers(); w <= 1 || len(items) <= 1 {
-		for _, it := range items {
-			if ctx.Err() != nil {
-				return
-			}
-			run(it)
-		}
-	} else {
-		if w > len(items) {
-			w = len(items)
-		}
-		ch := make(chan workItem, w)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func() {
-				defer wg.Done()
-				for it := range ch {
-					run(it)
-				}
-			}()
-		}
-	feed:
-		for _, it := range items {
-			select {
-			case ch <- it:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(ch)
-		wg.Wait()
-	}
+	claim(ctx, r.workers(), len(tasks)+len(items), do)
 }
 
 // defaultBatchSize is the CompleteBatch coalescing width when
@@ -579,10 +602,11 @@ const defaultBatchSize = 16
 // runBatched is the batch fast path: work items are coalesced into
 // CompleteBatch calls of up to BatchSize items (a partial batch flushes
 // after BatchLinger, or when the feed drains), fanned across the worker
-// pool. Outcome evaluation stays per-sample in the workers; slot
+// pool. Each worker first claims prepare tasks from a shared index until
+// none are left. Outcome evaluation stays per-sample in the workers; slot
 // ownership and the fixed-order reduction are untouched, so results are
 // byte-identical to the single-call path at any batch composition.
-func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
+func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, tasks []func(), qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
 	bs := r.BatchSize
 	if bs <= 0 {
 		bs = defaultBatchSize
@@ -617,8 +641,12 @@ func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, qs []Query
 		}
 	}
 
+	var nextTask atomic.Int64
+	prepare := func() { claimLoop(ctx, &nextTask, len(tasks), func(i int) { tasks[i]() }) }
+
 	w := r.workers()
 	if w <= 1 || len(items) <= bs {
+		prepare()
 		for start := 0; start < len(items); start += bs {
 			if ctx.Err() != nil {
 				return
@@ -638,6 +666,7 @@ func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, qs []Query
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
+			prepare()
 			for bt := range batches {
 				run(bt)
 			}

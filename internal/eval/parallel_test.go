@@ -3,6 +3,8 @@ package eval
 import (
 	"context"
 	"errors"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,10 +116,13 @@ func TestConcurrentRunnerStress(t *testing.T) {
 
 // blockingBackend parks every Complete until released, so a test can
 // cancel a batch with a known number of items in flight and count exactly
-// how much work the pool still performed.
+// how much work the pool still performed. Each batch gets tasks prepare
+// tasks, which count their runs in prepared.
 type blockingBackend struct {
-	release chan struct{}
-	calls   atomic.Int64
+	release  chan struct{}
+	calls    atomic.Int64
+	tasks    int
+	prepared atomic.Int64
 }
 
 func (b *blockingBackend) Complete(gen.Key, *problems.Problem, problems.Level, float64, int, int64) (gen.Sample, bool) {
@@ -125,14 +130,21 @@ func (b *blockingBackend) Complete(gen.Key, *problems.Problem, problems.Level, f
 	<-b.release
 	return gen.Sample{Completion: "bogus\n", Latency: 1}, true
 }
+func (b *blockingBackend) Prepare([]gen.Key, []*problems.Problem) []func() {
+	tasks := make([]func(), b.tasks)
+	for i := range tasks {
+		tasks[i] = func() { b.prepared.Add(1) }
+	}
+	return tasks
+}
 func (b *blockingBackend) Variants() []gen.Key { return nil }
 func (b *blockingBackend) Describe() string    { return "test: blocking backend" }
 
 // TestEvaluateBatchCtxCancelStopsPool pins the shutdown contract a
 // supervising coordinator (and vgen-eval's SIGINT handler) relies on:
-// canceling the context stops the feeder, drains the worker pool without
-// leaking goroutines, and returns ctx's error — with only the handful of
-// items already in flight or buffered ever reaching the backend.
+// canceling the context stops every worker from claiming further items,
+// drains the pool without leaking goroutines, and returns ctx's error —
+// with only the items already in flight ever reaching the backend.
 func TestEvaluateBatchCtxCancelStopsPool(t *testing.T) {
 	b := &blockingBackend{release: make(chan struct{})}
 	r := NewRunner(b, 1)
@@ -164,31 +176,109 @@ func TestEvaluateBatchCtxCancelStopsPool(t *testing.T) {
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batch returned (%v, %v), want (nil, context.Canceled)", out, err)
 	}
-	// At most the w in-flight items plus the w buffered in the channel may
-	// still run; anything near the full batch means cancellation leaked.
-	if got := b.calls.Load(); got > 3*w {
+	// Workers check ctx before each claim, so only the w items in flight
+	// when cancel landed may have reached the backend; anything more means
+	// cancellation leaked.
+	if got := b.calls.Load(); got > w {
 		t.Errorf("pool ran %d of %d items after cancellation", got, items)
 	}
 }
 
-// TestEvaluateBatchCtxSerialPreCanceled: the serial path (Workers=1) must
-// honor an already-canceled context before touching the backend at all.
+// TestEvaluateBatchCtxSerialPreCanceled: at every width, the pool must
+// honor an already-canceled context before touching the backend at all —
+// no prepare task and no sample.
 func TestEvaluateBatchCtxSerialPreCanceled(t *testing.T) {
-	b := &blockingBackend{release: make(chan struct{})}
-	close(b.release)
-	r := NewRunner(b, 1)
-	r.Workers = 1
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := r.EvaluateBatchCtx(ctx, []Query{{
-		Model: model.CodeGen2B, Variant: model.FineTuned,
-		Problem: problems.ByNumber(2), Level: problems.LevelLow, Temperature: 0.1, N: 5,
-	}})
-	if out != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled batch returned (%v, %v)", out, err)
+	for _, w := range []int{1, 4} {
+		b := &blockingBackend{release: make(chan struct{}), tasks: 3}
+		close(b.release)
+		r := NewRunner(b, 1)
+		r.Workers = w
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		out, err := r.EvaluateBatchCtx(ctx, []Query{{
+			Model: model.CodeGen2B, Variant: model.FineTuned,
+			Problem: problems.ByNumber(2), Level: problems.LevelLow, Temperature: 0.1, N: 5,
+		}})
+		if out != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: pre-canceled batch returned (%v, %v)", w, out, err)
+		}
+		if got, prep := b.calls.Load(), b.prepared.Load(); got != 0 || prep != 0 {
+			t.Errorf("workers %d: pool ran %d items and %d prepare tasks under a pre-canceled context", w, got, prep)
+		}
 	}
-	if got := b.calls.Load(); got != 0 {
-		t.Errorf("serial path ran %d items under a pre-canceled context", got)
+}
+
+// prepBackend serves a fixed completion and hands every batch nTasks
+// prepare tasks, counting each task's runs and recording the keys and
+// problems each Prepare call received.
+type prepBackend struct {
+	ran []atomic.Int64
+
+	mu    sync.Mutex
+	keys  [][]gen.Key
+	probs [][]int
+}
+
+func (b *prepBackend) Complete(gen.Key, *problems.Problem, problems.Level, float64, int, int64) (gen.Sample, bool) {
+	return gen.Sample{Completion: "  prepared\n", Latency: 1}, true
+}
+func (b *prepBackend) Prepare(keys []gen.Key, ps []*problems.Problem) []func() {
+	b.mu.Lock()
+	b.keys = append(b.keys, keys)
+	var nums []int
+	for _, p := range ps {
+		nums = append(nums, p.Number)
+	}
+	b.probs = append(b.probs, nums)
+	b.mu.Unlock()
+	tasks := make([]func(), len(b.ran))
+	for i := range tasks {
+		tasks[i] = func() { b.ran[i].Add(1) }
+	}
+	return tasks
+}
+func (b *prepBackend) Variants() []gen.Key { return nil }
+func (b *prepBackend) Describe() string    { return "test: prepare backend" }
+
+// TestPrepareTasksRunOncePerBatch pins the prepare phase: every task the
+// backend returns runs exactly once per batch, at one worker and at four,
+// through the single-call path and through a gen.Recorder (a
+// BatchBackend, so the batched path), and Prepare sees the batch's
+// distinct keys and problems in plan order.
+func TestPrepareTasksRunOncePerBatch(t *testing.T) {
+	ft := gen.Key{Model: string(model.CodeGen2B), Variant: gen.VariantFT}
+	pt := gen.Key{Model: string(model.Codex), Variant: gen.VariantPT}
+	qs := []Query{
+		{Model: model.CodeGen2B, Variant: model.FineTuned, Problem: problems.ByNumber(3), Level: problems.LevelLow, Temperature: 0.1, N: 20},
+		{Model: model.Codex, Variant: model.Pretrained, Problem: problems.ByNumber(3), Level: problems.LevelHigh, Temperature: 0.5, N: 20},
+		{Model: model.CodeGen2B, Variant: model.FineTuned, Problem: problems.ByNumber(1), Level: problems.LevelLow, Temperature: 0.1, N: 20},
+	}
+	for _, w := range []int{1, 4} {
+		for _, record := range []bool{false, true} {
+			b := &prepBackend{ran: make([]atomic.Int64, 5)}
+			var backend gen.Backend = b
+			if record {
+				backend = gen.NewRecorder(b, io.Discard)
+			}
+			r := NewRunner(backend, 1)
+			r.Workers = w
+			for batch := int64(1); batch <= 2; batch++ {
+				out := r.EvaluateBatch(qs)
+				if out[0].Samples != 20 || out[2].Samples != 20 {
+					t.Fatalf("workers %d record %v: stats %+v", w, record, out)
+				}
+				for i := range b.ran {
+					if got := b.ran[i].Load(); got != batch {
+						t.Errorf("workers %d record %v: task %d ran %d times after %d batches", w, record, i, got, batch)
+					}
+				}
+			}
+			for i := range b.keys {
+				if !slices.Equal(b.keys[i], []gen.Key{ft, pt}) || !slices.Equal(b.probs[i], []int{3, 1}) {
+					t.Errorf("workers %d record %v: Prepare got keys %v problems %v", w, record, b.keys[i], b.probs[i])
+				}
+			}
+		}
 	}
 }
 

@@ -23,8 +23,9 @@ func (b *flakyBackend) Complete(key gen.Key, p *problems.Problem, level problems
 	return gen.Sample{Completion: p.RefBody, Latency: 1}, true
 }
 
-func (b *flakyBackend) Variants() []gen.Key { return nil }
-func (b *flakyBackend) Describe() string    { return "flaky test backend" }
+func (b *flakyBackend) Variants() []gen.Key                             { return nil }
+func (b *flakyBackend) Prepare([]gen.Key, []*problems.Problem) []func() { return nil }
+func (b *flakyBackend) Describe() string                                { return "flaky test backend" }
 
 func (b *flakyBackend) CompleteBatch(ctx context.Context, reqs []gen.Request) []gen.BatchResult {
 	b.mu.Lock()

@@ -34,16 +34,34 @@ func (b *FamilyBackend) Family() *model.Family { return b.fam }
 // generator. ok is false for unknown models, unknown variant strings, and
 // variants the paper does not evaluate (fine-tuned code-davinci-002).
 func (b *FamilyBackend) Complete(key Key, p *problems.Problem, level problems.Level, temperature float64, sampleIdx int, baseSeed int64) (Sample, bool) {
-	v, ok := ParseVariant(key.Variant)
-	if !ok {
-		return Sample{}, false
-	}
-	g, ok := b.fam.Generator(model.ID(key.Model), v)
+	g, ok := b.generator(key)
 	if !ok {
 		return Sample{}, false
 	}
 	s := g.CompleteAt(p, level, temperature, sampleIdx, baseSeed)
 	return Sample{Completion: s.Completion, Mechanism: s.Mechanism, Latency: s.Latency}, true
+}
+
+func (b *FamilyBackend) generator(key Key) (*model.Generator, bool) {
+	v, ok := ParseVariant(key.Variant)
+	if !ok {
+		return nil, false
+	}
+	return b.fam.Generator(model.ID(key.Model), v)
+}
+
+// Prepare returns the family's set-up tasks for keys over ps
+// (model.Family.Prepare): one per distinct babble LM, fine-tuned first,
+// and one per problem's variant-bank entry. Keys the family does not
+// serve contribute nothing.
+func (b *FamilyBackend) Prepare(keys []Key, ps []*problems.Problem) []func() {
+	var gs []*model.Generator
+	for _, k := range keys {
+		if g, ok := b.generator(k); ok {
+			gs = append(gs, g)
+		}
+	}
+	return b.fam.Prepare(gs, ps)
 }
 
 // Variants lists the paper's 11 evaluated (model, variant) rows.

@@ -63,6 +63,15 @@ type Backend interface {
 	// which case the engine scores the cell as empty.
 	Complete(key Key, p *problems.Problem, level problems.Level, temperature float64, sampleIdx int, baseSeed int64) (s Sample, ok bool)
 
+	// Prepare returns independent set-up tasks for a batch that samples
+	// keys over problems ps: work Complete would otherwise run lazily on
+	// first use, such as training a model or building a problem's pools.
+	// The engine runs each task once on its worker pool before the batch's
+	// samples, concurrently and in any order. A task must not change any
+	// sample, only when its cost is paid; Complete must stay correct
+	// without it. Backends with nothing to set up return nil.
+	Prepare(keys []Key, ps []*problems.Problem) []func()
+
 	// Variants lists the keys the backend is known to serve, for UIs and
 	// conformance checks. Backends that synthesize completions for any key
 	// (e.g. the mutant backend) list their canonical line-up.

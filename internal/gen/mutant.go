@@ -62,6 +62,9 @@ func (m *Mutant) Complete(key Key, p *problems.Problem, level problems.Level, te
 	return Sample{Completion: body[:cut], Mechanism: "truncation", Latency: lat}, true
 }
 
+// Prepare returns nil: the mutant backend has nothing to build.
+func (m *Mutant) Prepare([]Key, []*problems.Problem) []func() { return nil }
+
 // Variants lists the catalog line-up; any other key is served too.
 func (m *Mutant) Variants() []Key { return catalogKeys() }
 

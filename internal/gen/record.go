@@ -135,6 +135,12 @@ func (r *Recorder) CompleteBatch(ctx context.Context, reqs []Request) []BatchRes
 	return out
 }
 
+// Prepare forwards the wrapped backend's set-up tasks: recording changes
+// no sample, so it changes no set-up either.
+func (r *Recorder) Prepare(keys []Key, ps []*problems.Problem) []func() {
+	return r.inner.Prepare(keys, ps)
+}
+
 // Variants delegates to the wrapped backend.
 func (r *Recorder) Variants() []Key { return r.inner.Variants() }
 

@@ -121,6 +121,9 @@ func (r *Replay) Complete(key Key, p *problems.Problem, level problems.Level, te
 	return s, ok
 }
 
+// Prepare returns nil: a recording is loaded whole at construction.
+func (r *Replay) Prepare([]Key, []*problems.Problem) []func() { return nil }
+
 // Variants lists the (model, variant) lines present in the recording.
 func (r *Replay) Variants() []Key { return append([]Key(nil), r.keys...) }
 

@@ -10,19 +10,23 @@
 // compiles that store into a packed immutable sampler (open-addressed
 // context tables keyed by uint64 hashes, per-context sorted next-token
 // arrays with cumulative counts) so the per-step sampling path allocates
-// nothing. The frozen sampler also memoizes each distribution's
-// temperature weights, so a sampled token at a temperature other than 1
-// costs a search instead of a log and an exp per candidate token. The map
-// store stays intact as the differential baseline, recomputing weights
-// per draw; both paths draw from shared selection code and are
-// byte-identical for every temperature and RNG stream.
+// nothing. On a temperature's first use (other than 0 and 1) the frozen
+// sampler computes every distribution's cumulative weights into one flat
+// table per backoff level; Generate resolves that table once per call, so
+// a sampled token costs a slice index and a search instead of a log and an
+// exp per candidate token. The map store stays intact as the differential
+// baseline, recomputing weights per draw; both paths draw from shared
+// selection code and are byte-identical for every temperature and RNG
+// stream.
 package ngram
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Model is an order-k n-gram LM with stupid-backoff smoothing.
@@ -70,8 +74,10 @@ func (m *Model) TokensTrained() int { return m.total }
 // ids to 24 bits, colliding contexts that differed only in high bits.
 const wideTok = 0xFFFFFF
 
-func ctxKey(toks []int) string {
-	b := make([]byte, 0, len(toks)*3)
+func ctxKey(toks []int) string { return string(appendCtxKey(nil, toks)) }
+
+// appendCtxKey appends toks' context key to b.
+func appendCtxKey(b []byte, toks []int) []byte {
 	for _, t := range toks {
 		if t >= 0 && t < wideTok {
 			b = append(b, byte(t), byte(t>>8), byte(t>>16))
@@ -82,7 +88,7 @@ func ctxKey(toks []int) string {
 			byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
 			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 	}
-	return string(b)
+	return b
 }
 
 // ctxKeyTokens decodes a context key back to its token ids (Freeze walks
@@ -108,6 +114,7 @@ func ctxKeyTokens(key string, n int) []int {
 // packed sampler built by an earlier Freeze.
 func (m *Model) Train(tokens []int) {
 	m.frozen = nil
+	var key []byte // a lookup keyed by string(key) does not allocate
 	for i, tok := range tokens {
 		m.vocab[tok] = true
 		m.total++
@@ -115,11 +122,11 @@ func (m *Model) Train(tokens []int) {
 			if i < n {
 				break
 			}
-			key := ctxKey(tokens[i-n : i])
-			d := m.counts[n][key]
+			key = appendCtxKey(key[:0], tokens[i-n:i])
+			d := m.counts[n][string(key)]
 			if d == nil {
 				d = &dist{next: map[int]int{}}
-				m.counts[n][key] = d
+				m.counts[n][string(key)] = d
 			}
 			d.next[tok]++
 			d.total++
@@ -193,7 +200,7 @@ func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64
 // weights appends to w the softmax-over-log-count cumulative weights at
 // the given temperature: w[i] is the mass of tokens 0..i, so the last
 // element is the total. The result depends on nothing but the counts and
-// the temperature, which is what lets the frozen sampler memoize it.
+// the temperature, which is what lets the frozen sampler tabulate it.
 func (d sortedDist) weights(temperature float64, w []float64) []float64 {
 	maxLog := math.Inf(-1)
 	for i := range d.toks {
@@ -240,8 +247,8 @@ func sortedFromMap(d *dist) sortedDist {
 	return sortedDist{toks: toks, cum: cum}
 }
 
-// scratchPool holds the per-goroutine float scratch the temperature!=1
-// path accumulates weights into.
+// scratchPool holds the per-goroutine float scratch the map path
+// accumulates weights into at temperatures other than 0 and 1.
 var scratchPool = sync.Pool{New: func() any {
 	s := make([]float64, 0, 64)
 	return &s
@@ -256,21 +263,24 @@ var scratchPool = sync.Pool{New: func() any {
 // stored context ids, so hash collisions cost a probe, never a wrong
 // distribution.
 //
-// weights memoizes the cumulative softmax weights of the temperatures
-// other than 0 and 1, keyed by weightKey: they are a pure function of the
-// immutable tables, so an entry never goes stale and is computed by the
-// same code pick runs (bit-identical floats). Its size is bounded by the
-// distributions actually reached times the distinct temperatures sampled
-// at, and it lives exactly as long as the frozen tables; it needs no
-// eviction.
+// temps holds one weight table per temperature sampled at (other than 0
+// and 1) as a short copy-on-write list: readers load it without a lock,
+// and a first use builds its table under mu and publishes a longer copy.
+// A table is a pure function of the immutable counts and the temperature,
+// computed by the same code pick runs (bit-identical floats), so it never
+// goes stale and lives exactly as long as the frozen tables.
 type frozenModel struct {
-	levels  []frozenLevel
-	weights sync.Map // weightKey -> []float64
+	levels []frozenLevel
+	mu     sync.Mutex // serializes table builds
+	temps  atomic.Pointer[[]*tempTable]
 }
 
-type weightKey struct {
-	level, entry int32
-	temp         uint64 // math.Float64bits of the temperature
+// tempTable is every distribution's cumulative weights at one
+// temperature: weights[n] is parallel to levels[n].toks/cum, so entry e's
+// weights are weights[n][distOff[e]:distOff[e+1]].
+type tempTable struct {
+	temp    uint64 // math.Float64bits of the temperature
+	weights [][]float64
 }
 
 type frozenLevel struct {
@@ -362,7 +372,7 @@ func (lvl *frozenLevel) find(ctx []int) int {
 	}
 }
 
-func (fz *frozenModel) sample(history []int, temperature float64, rng *rand.Rand, scratch *[]float64) (int, bool) {
+func (fz *frozenModel) sample(history []int, temperature float64, tbl *tempTable, rng *rand.Rand) (int, bool) {
 	for n := len(fz.levels) - 1; n >= 0; n-- {
 		if len(history) < n {
 			continue
@@ -372,28 +382,66 @@ func (fz *frozenModel) sample(history []int, temperature float64, rng *rand.Rand
 		if e < 0 {
 			continue
 		}
-		d := sortedDist{
-			toks: lvl.toks[lvl.distOff[e]:lvl.distOff[e+1]],
-			cum:  lvl.cum[lvl.distOff[e]:lvl.distOff[e+1]],
+		lo, hi := lvl.distOff[e], lvl.distOff[e+1]
+		d := sortedDist{toks: lvl.toks[lo:hi], cum: lvl.cum[lo:hi]}
+		if tbl == nil {
+			return d.pick(temperature, rng, nil), true // 0 and 1 need no scratch
 		}
-		if temperature <= 0 || temperature == 1 {
-			return d.pick(temperature, rng, scratch), true
-		}
-		return d.search(fz.cumWeights(n, e, temperature, d), rng), true
+		return d.search(tbl.weights[n][lo:hi], rng), true
 	}
 	return 0, false
 }
 
-// cumWeights returns d's memoized cumulative weights at temperature,
-// computing them on first use. Concurrent first uses may both compute;
-// LoadOrStore keeps one, and both results are identical anyway.
-func (fz *frozenModel) cumWeights(level, entry int, temperature float64, d sortedDist) []float64 {
-	key := weightKey{level: int32(level), entry: int32(entry), temp: math.Float64bits(temperature)}
-	if w, ok := fz.weights.Load(key); ok {
-		return w.([]float64)
+// table returns the weight table for temperature, building it on first
+// use, or nil at temperatures 0 and 1, which pick serves from the counts.
+func (fz *frozenModel) table(temperature float64) *tempTable {
+	if temperature <= 0 || temperature == 1 {
+		return nil
 	}
-	w, _ := fz.weights.LoadOrStore(key, d.weights(temperature, make([]float64, 0, len(d.toks))))
-	return w.([]float64)
+	bits := math.Float64bits(temperature)
+	if t := fz.lookup(bits); t != nil {
+		return t
+	}
+	fz.mu.Lock()
+	defer fz.mu.Unlock()
+	if t := fz.lookup(bits); t != nil {
+		return t // another goroutine built it while this one waited
+	}
+	t := &tempTable{temp: bits, weights: make([][]float64, len(fz.levels))}
+	var scratch []float64
+	for n := range fz.levels {
+		lvl := &fz.levels[n]
+		w := make([]float64, 0, len(lvl.toks))
+		for e := 0; e+1 < len(lvl.distOff); e++ {
+			lo, hi := lvl.distOff[e], lvl.distOff[e+1]
+			d := sortedDist{toks: lvl.toks[lo:hi], cum: lvl.cum[lo:hi]}
+			// weights runs its cumulative pass over the whole slice it is
+			// given, so each distribution goes through scratch
+			scratch = d.weights(temperature, scratch[:0])
+			w = append(w, scratch...)
+		}
+		t.weights[n] = w
+	}
+	next := append(slices.Clip(fz.tables()), t) // a new array: readers keep theirs
+	fz.temps.Store(&next)
+	return t
+}
+
+// tables returns the published weight tables.
+func (fz *frozenModel) tables() []*tempTable {
+	if ts := fz.temps.Load(); ts != nil {
+		return *ts
+	}
+	return nil
+}
+
+func (fz *frozenModel) lookup(bits uint64) *tempTable {
+	for _, t := range fz.tables() {
+		if t.temp == bits {
+			return t
+		}
+	}
+	return nil
 }
 
 // ---- sampling entry points ---------------------------------------------------
@@ -402,16 +450,16 @@ func (fz *frozenModel) cumWeights(level, entry int, temperature float64, d sorte
 // Temperature 0 is greedy; higher temperatures flatten the distribution.
 // The boolean is false when the model has no distribution at all (untrained).
 func (m *Model) Sample(history []int, temperature float64, rng *rand.Rand) (int, bool) {
+	if m.frozen != nil {
+		return m.frozen.sample(history, temperature, m.frozen.table(temperature), rng)
+	}
 	scratch := scratchPool.Get().(*[]float64)
-	tok, ok := m.sample(history, temperature, rng, scratch)
+	tok, ok := m.mapSample(history, temperature, rng, scratch)
 	scratchPool.Put(scratch)
 	return tok, ok
 }
 
-func (m *Model) sample(history []int, temperature float64, rng *rand.Rand, scratch *[]float64) (int, bool) {
-	if m.frozen != nil {
-		return m.frozen.sample(history, temperature, rng, scratch)
-	}
+func (m *Model) mapSample(history []int, temperature float64, rng *rand.Rand, scratch *[]float64) (int, bool) {
 	d := m.contextDist(history)
 	if d == nil {
 		return 0, false
@@ -419,21 +467,35 @@ func (m *Model) sample(history []int, temperature float64, rng *rand.Rand, scrat
 	return sortedFromMap(d).pick(temperature, rng, scratch), true
 }
 
-// Generate produces up to maxTokens tokens continuing the prompt.
+// Generate produces up to maxTokens tokens continuing the prompt. A
+// frozen model resolves its temperature's weight table once per call.
 func (m *Model) Generate(prompt []int, maxTokens int, temperature float64, rng *rand.Rand) []int {
-	scratch := scratchPool.Get().(*[]float64)
+	fz := m.frozen
+	var tbl *tempTable
+	var scratch *[]float64
+	if fz != nil {
+		tbl = fz.table(temperature)
+	} else {
+		scratch = scratchPool.Get().(*[]float64)
+		defer scratchPool.Put(scratch)
+	}
 	history := make([]int, len(prompt), len(prompt)+maxTokens)
 	copy(history, prompt)
 	out := make([]int, 0, maxTokens)
 	for len(out) < maxTokens {
-		tok, ok := m.sample(history, temperature, rng, scratch)
+		var tok int
+		var ok bool
+		if fz != nil {
+			tok, ok = fz.sample(history, temperature, tbl, rng)
+		} else {
+			tok, ok = m.mapSample(history, temperature, rng, scratch)
+		}
 		if !ok {
 			break
 		}
 		out = append(out, tok)
 		history = append(history, tok)
 	}
-	scratchPool.Put(scratch)
 	return out
 }
 

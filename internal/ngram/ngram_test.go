@@ -300,10 +300,10 @@ func TestFreezeLayoutIndependent(t *testing.T) {
 }
 
 // TestWeightMemoConcurrentMatchesMap is the equivalence contract of the
-// frozen sampler's temperature-weight memo under concurrency: 8
+// frozen sampler's per-temperature weight tables under concurrency: 8
 // goroutines generate repeatedly from one frozen model at the paper's
-// temperatures, so first uses race on the memo's LoadOrStore and later
-// draws read entries other goroutines stored. Every stream must equal
+// temperatures, so first uses race on a table's build and later draws
+// read tables other goroutines published. Every stream must equal
 // the map-backed oracle's, which recomputes its weights per draw.
 func TestWeightMemoConcurrentMatchesMap(t *testing.T) {
 	// a small skewed vocabulary, so every context has several
@@ -355,8 +355,9 @@ func TestWeightMemoConcurrentMatchesMap(t *testing.T) {
 	}
 }
 
-// TestWeightMemoHitAllocatesNothing pins the memo-hit path: once a
-// context's weights are memoized, sampling it again allocates nothing.
+// TestWeightMemoHitAllocatesNothing pins the table-hit path: once a
+// temperature's weight table is built, sampling at it again allocates
+// nothing.
 func TestWeightMemoHitAllocatesNothing(t *testing.T) {
 	m := New(3)
 	m.Train(seq(1, 2, 3, 1, 2, 4, 1, 2, 5, 1, 2, 3))
@@ -365,5 +366,87 @@ func TestWeightMemoHitAllocatesNothing(t *testing.T) {
 	m.Sample(seq(1, 2), 0.7, rng)
 	if allocs := testing.AllocsPerRun(100, func() { m.Sample(seq(1, 2), 0.7, rng) }); allocs != 0 {
 		t.Fatalf("memoized sample allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestWeightTablesFirstUseRace starts 8 goroutines at once on a fresh
+// frozen model, each first-using the temperatures in its own order, so
+// every table's first use is contended. Both entry points must equal the
+// map-backed oracle: Generate, which resolves its table once per call,
+// and Sample, which resolves it per draw.
+func TestWeightTablesFirstUseRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	data := make([]int, 6000)
+	for i := range data {
+		data[i] = rng.Intn(1 + rng.Intn(12))
+	}
+	oracle, frozen := New(3), New(3)
+	oracle.Train(data)
+	frozen.Train(data)
+	frozen.Freeze()
+
+	temps := []float64{0.1, 0.3, 0.5, 0.7, 1.3}
+	const seeds = 6
+	prompt := func(seed int64) []int { return data[seed*13 : seed*13+2] }
+	// sampleStream draws 60 tokens through Sample, one call per token
+	sampleStream := func(m *Model, temp float64, seed int64) []int {
+		r := rand.New(rand.NewSource(seed))
+		hist := append([]int(nil), prompt(seed)...)
+		var out []int
+		for i := 0; i < 60; i++ {
+			tok, ok := m.Sample(hist, temp, r)
+			if !ok {
+				break
+			}
+			out = append(out, tok)
+			hist = append(hist, tok)
+		}
+		return out
+	}
+	wantGen := make([][][]int, len(temps))
+	wantSample := make([][][]int, len(temps))
+	for ti, temp := range temps {
+		for seed := int64(0); seed < seeds; seed++ {
+			wantGen[ti] = append(wantGen[ti], oracle.Generate(prompt(seed), 60, temp, rand.New(rand.NewSource(seed))))
+			wantSample[ti] = append(wantSample[ti], sampleStream(oracle, temp, seed))
+		}
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := range temps {
+				ti := (k + g) % len(temps)
+				for seed := int64(0); seed < seeds; seed++ {
+					var got []int
+					var want []int
+					if (g+int(seed))%2 == 0 {
+						got = frozen.Generate(prompt(seed), 60, temps[ti], rand.New(rand.NewSource(seed)))
+						want = wantGen[ti][seed]
+					} else {
+						got = sampleStream(frozen, temps[ti], seed)
+						want = wantSample[ti][seed]
+					}
+					if !slices.Equal(got, want) {
+						errs <- fmt.Sprintf("goroutine %d t=%.1f seed %d diverged from the map oracle", g, temps[ti], seed)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if built := len(frozen.frozen.tables()); built != len(temps) {
+		t.Errorf("built %d weight tables, want one per temperature (%d)", built, len(temps))
 	}
 }

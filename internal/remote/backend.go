@@ -61,6 +61,9 @@ func (b *backend) CompleteBatch(ctx context.Context, reqs []gen.Request) []gen.B
 	return b.t.CompleteBatch(ctx, reqs)
 }
 
+// Prepare returns nil: the served backend sets itself up server-side.
+func (b *backend) Prepare([]gen.Key, []*problems.Problem) []func() { return nil }
+
 // Variants lists the served backend's line-up, fetched at construction.
 func (b *backend) Variants() []gen.Key { return append([]gen.Key(nil), b.variants...) }
 

@@ -33,7 +33,8 @@ func (b *countingBackend) Complete(key gen.Key, p *problems.Problem, level probl
 	return b.inner.Complete(key, p, level, temperature, sampleIdx, baseSeed)
 }
 
-func (b *countingBackend) Variants() []gen.Key { return b.inner.Variants() }
+func (b *countingBackend) Variants() []gen.Key                             { return b.inner.Variants() }
+func (b *countingBackend) Prepare([]gen.Key, []*problems.Problem) []func() { return nil }
 
 func (b *countingBackend) Describe() string { return b.inner.Describe() }
 

@@ -2,7 +2,8 @@
 # shard-check: the differential gate for distributed sweeps. A 4-way
 # sharded, serialized, merged sweep must reproduce the single-process
 # TableIII / Figure6 / pass@k output byte-for-byte at all five paper
-# temperatures, for both the family and replay backends; the serialized
+# temperatures, for both the family and replay backends; so must the
+# family backend at -workers 1 and 4 and under -record; the serialized
 # shard-plan path (-emit-plan / -from-plan) must produce the same shard
 # result file as direct execution. Run via `make shard-check`.
 set -eu
@@ -53,13 +54,27 @@ for exp in $EXPERIMENTS; do
     check "" "$exp" family
 done
 
-# Replay backend: record the same sweeps off the family backend, then run
-# the whole differential again over the frozen recording. Recordings
-# concatenate cleanly (coordinate-addressed, later lines win).
+# Pool width and recording: the family backend's output at one worker, at
+# four, and under -record (a BatchBackend, so the batched path, with the
+# recorder forwarding the family's prepare tasks) must equal the golden
+# run byte-for-byte. The recordings feed the replay check below.
 for exp in $EXPERIMENTS; do
-    # shellcheck disable=SC2086
-    "$V" $FLAGS -experiment "$exp" -record "$tmp/rec-$exp.jsonl" > /dev/null
+    for args in "-workers 1" "-workers 4" "-record $tmp/rec-$exp.jsonl"; do
+        # shellcheck disable=SC2086
+        "$V" $FLAGS $args -experiment "$exp" > "$tmp/variant-$exp.txt"
+        if ! cmp -s "$tmp/golden-family-$exp.txt" "$tmp/variant-$exp.txt"; then
+            echo "shard-check FAIL: family/$exp: output with $args differs from the golden run" >&2
+            diff "$tmp/golden-family-$exp.txt" "$tmp/variant-$exp.txt" >&2 || true
+            exit 1
+        fi
+        case $args in -record*) args=-record ;; esac
+        echo "shard-check ok: family/$exp $args"
+    done
 done
+
+# Replay backend: run the whole differential again over the recordings
+# of the same sweeps. Recordings concatenate cleanly
+# (coordinate-addressed, later lines win).
 cat "$tmp"/rec-*.jsonl > "$tmp/recording.jsonl"
 for exp in $EXPERIMENTS; do
     check "-replay $tmp/recording.jsonl" "$exp" replay
