@@ -7,12 +7,13 @@
 // Usage:
 //
 //	vgen-coord -dir STATE [-backend NAME] [-seed N] [-n N] [-quick]
+//	           [-corpus-files N] [-workers N]
 //	           [-experiment all|table3|table4|fig6|fig7|headline|passk|problems]
 //	           [-shards N] [-parallel N] [-proc]
 //	           [-plan-cache BYTES]
 //	           [-timeout D] [-max-attempts N] [-backoff D] [-backoff-cap D]
 //	           [-steal-after D] [-unhealthy-after N]
-//	           [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
+//	           [-endpoint URL] [-auth-env VAR] [-batch N]
 //	           [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
 //	           [-remote-backoff D] [-remote-backoff-cap D] [-remote-inflight N]
 //	           [-breaker-threshold N] [-breaker-cooldown D]
@@ -50,10 +51,10 @@
 // result, which exits non-zero unless -allow-partial.
 //
 // -endpoint points every worker at a vgen-serve instance (implies
-// -backend remote; DESIGN.md Section 13). The remote knobs thread
-// through to -proc worker subprocesses on their command line — except
-// the auth token, which travels only as the inherited environment
-// variable named by -auth-env. The two retry layers compose: transport
+// -backend remote; DESIGN.md Section 13). The sweep and backend flags
+// vgen-eval shares thread through to -proc worker subprocesses on their
+// command line — except the auth token, which travels only as the
+// inherited environment variable named by -auth-env. The two retry layers compose: transport
 // retries (-remote-attempts, with backoff and circuit breaking) absorb
 // transient network faults inside a shard attempt; anything that
 // outlives them surfaces as missing cells, fails the shard's validation,
@@ -70,14 +71,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/eval"
-	"repro/internal/gen"
 	"repro/internal/harness"
 )
 
@@ -87,35 +85,14 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	// Sweep/backend flags, mirroring vgen-eval so the supervised and
-	// monolithic runs of one sweep are configured identically.
-	seed := flag.Int64("seed", 1, "determinism seed for corpus, models and sampling")
-	n := flag.Int("n", 10, "completions per prompt")
-	quick := flag.Bool("quick", false, "sweep only t=0.1 (fast; matches best-t tables)")
+	// Sweep/backend flags, shared with vgen-eval so the supervised and
+	// monolithic runs of one sweep are configured identically. Transport
+	// retries compose *under* shard retries: a remote worker first retries
+	// each request up to -remote-attempts; only when a cell still cannot be
+	// served does the shard result come up short, fail validation, and
+	// consume one of the shard's -max-attempts.
+	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which cell-based artifact(s) to sweep and render")
-	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
-	workers := flag.Int("workers", 0, "per-attempt evaluation pool width (0 = GOMAXPROCS)")
-	planCache := flag.Int64("plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
-	backend := flag.String("backend", "family", "generation backend by name")
-
-	// Remote backend flags, mirroring vgen-eval. Transport retries compose
-	// *under* shard retries: a remote worker first retries each request up
-	// to -remote-attempts; only when a cell still cannot be served does the
-	// shard result come up short, fail validation, and consume one of the
-	// shard's -max-attempts. The shard-level budget is unchanged by any
-	// remote knob.
-	endpoint := flag.String("endpoint", "", "remote backend: completion service URL (implies -backend remote)")
-	authEnv := flag.String("auth-env", "", "remote backend: environment variable holding the bearer token")
-	remoteTimeout := flag.Duration("remote-timeout", 0, "remote backend: per-attempt HTTP deadline (0 = 30s)")
-	remoteBudget := flag.Duration("remote-budget", 0, "remote backend: per-worker request deadline budget (0 = none)")
-	remoteAttempts := flag.Int("remote-attempts", 0, "remote backend: per-request attempt budget (0 = 4)")
-	remoteBackoff := flag.Duration("remote-backoff", 0, "remote backend: base retry backoff (0 = 50ms)")
-	remoteBackoffCap := flag.Duration("remote-backoff-cap", 0, "remote backend: retry backoff cap (0 = 2s)")
-	remoteInflight := flag.Int("remote-inflight", 0, "remote backend: max concurrent HTTP requests per worker (0 = 16)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "remote backend: consecutive failures that trip the circuit breaker (0 = 5)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "remote backend: open-breaker cooldown before a half-open probe (0 = 1s)")
-	batchSize := flag.Int("batch", 0, "batch-capable backends: work items coalesced per CompleteBatch call (0 = 16)")
-	batchLinger := flag.Duration("batch-linger", 0, "batch-capable backends: max wait before flushing a partial batch (0 = flush when the feed drains)")
 
 	// Supervision flags.
 	shards := flag.Int("shards", 4, "partition count of the sweep")
@@ -139,46 +116,10 @@ func main() {
 	workerOut := flag.String("worker-out", "", "worker mode: write the shard result file here")
 	flag.Parse()
 
-	sweep := eval.SweepOptions{N: *n}
-	if *quick {
-		sweep.Temperatures = []float64{0.1}
-		if *n > 6 {
-			sweep.N = 6
-		}
-	}
-
-	if *endpoint != "" {
-		switch *backend {
-		case "family": // default value: -endpoint alone implies the remote backend
-			*backend = "remote"
-		case "remote":
-		default:
-			fail("-endpoint conflicts with -backend %s (the endpoint would be ignored)", *backend)
-		}
-	}
-	if *backend == "remote" && *endpoint == "" {
-		fail("-backend remote needs -endpoint (the vgen-serve URL)")
-	}
-	var authToken string
-	if *authEnv != "" {
-		authToken = os.Getenv(*authEnv)
-		if authToken == "" {
-			fail("-auth-env: environment variable %s is empty or unset", *authEnv)
-		}
-	}
-
-	coreCfg := core.Config{
-		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep,
-		Workers: *workers, Backend: *backend,
-		PlanCacheBytes: *planCache,
-		Remote: gen.RemoteOptions{
-			Endpoint: *endpoint, AuthToken: authToken,
-			Timeout: *remoteTimeout, Budget: *remoteBudget,
-			MaxAttempts: *remoteAttempts, BackoffBase: *remoteBackoff, BackoffCap: *remoteBackoffCap,
-			MaxInFlight:      *remoteInflight,
-			BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
-		},
-		BatchSize: *batchSize, BatchLinger: *batchLinger,
+	coreCfg, err := shared.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -219,35 +160,10 @@ func main() {
 		if err != nil {
 			fail("-proc: %v", err)
 		}
-		base := []string{
-			exe,
-			"-seed", strconv.FormatInt(*seed, 10),
-			"-corpus-files", strconv.Itoa(*corpusFiles),
-			"-workers", strconv.Itoa(*workers),
-			"-backend", *backend,
-			"-plan-cache", strconv.FormatInt(*planCache, 10),
-		}
-		if *backend == "remote" {
-			// Thread the transport config through to worker subprocesses.
-			// The auth token travels by env var name — subprocesses inherit
-			// the environment, so the secret itself stays out of argv.
-			base = append(base,
-				"-endpoint", *endpoint,
-				"-remote-timeout", remoteTimeout.String(),
-				"-remote-budget", remoteBudget.String(),
-				"-remote-attempts", strconv.Itoa(*remoteAttempts),
-				"-remote-backoff", remoteBackoff.String(),
-				"-remote-backoff-cap", remoteBackoffCap.String(),
-				"-remote-inflight", strconv.Itoa(*remoteInflight),
-				"-breaker-threshold", strconv.Itoa(*breakerThreshold),
-				"-breaker-cooldown", breakerCooldown.String(),
-				"-batch", strconv.Itoa(*batchSize),
-				"-batch-linger", batchLinger.String(),
-			)
-			if *authEnv != "" {
-				base = append(base, "-auth-env", *authEnv)
-			}
-		}
+		// Every shared flag is threaded through to the worker. The auth
+		// token travels by env var name — subprocesses inherit the
+		// environment, so the secret itself stays out of argv.
+		base := append([]string{exe}, core.Args(coreCfg)...)
 		launcher = &coord.ProcLauncher{Argv: func(a coord.Attempt) []string {
 			return append(append([]string(nil), base...),
 				"-worker-plan", a.PlanPath, "-worker-out", a.OutPath)
@@ -269,7 +185,7 @@ func main() {
 		StealAfter:  *stealAfter,
 
 		UnhealthyAfter: *unhealthyAfter,
-		Seed:           *seed,
+		Seed:           coreCfg.Seed,
 	}
 	if !*quiet {
 		cfg.Events = streamEvent
@@ -281,7 +197,7 @@ func main() {
 		fail("%v", err)
 	}
 	fmt.Fprint(os.Stderr, res.Report())
-	if err := harness.Print(os.Stdout, *experiment, harness.FromResults(res.Set, sweep), nil); err != nil {
+	if err := harness.Print(os.Stdout, *experiment, harness.FromResults(res.Set, coreCfg.Sweep), nil); err != nil {
 		fw.Close()
 		fail("%v", err)
 	}

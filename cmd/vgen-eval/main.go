@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	vgen-eval [-seed N] [-n N] [-quick] [-workers N]
+//	vgen-eval [-seed N] [-n N] [-quick] [-corpus-files N] [-workers N]
 //	          [-plan-cache BYTES] [-cache-stats]
 //	          [-backend NAME] [-record FILE] [-replay FILE]
-//	          [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
+//	          [-endpoint URL] [-auth-env VAR] [-batch N]
 //	          [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
 //	          [-remote-backoff D] [-remote-backoff-cap D] [-remote-inflight N]
 //	          [-breaker-threshold N] [-breaker-cooldown D]
@@ -37,8 +37,8 @@
 //
 // -endpoint dials a vgen-serve instance and implies -backend remote
 // (DESIGN.md Section 13): completions run through the retrying,
-// circuit-broken, batch-coalescing HTTP transport, tuned by the
-// -remote-*, -breaker-*, and -batch* knobs. -remote-attempts bounds
+// circuit-broken, batching HTTP transport, tuned by the -remote-*,
+// -breaker-*, and -batch knobs. -remote-attempts bounds
 // transport retries per request, composing *under* the coordinator's
 // shard retries: a cell whose transport budget exhausts renders as an
 // explicit missing cell (non-zero exit), which a supervised run then
@@ -117,15 +117,9 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	seed := flag.Int64("seed", 1, "determinism seed for corpus, models and sampling")
-	n := flag.Int("n", 10, "completions per prompt")
-	quick := flag.Bool("quick", false, "sweep only t=0.1 (fast; matches best-t tables)")
+	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
-	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
-	workers := flag.Int("workers", 0, "evaluation worker pool width (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	planCache := flag.Int64("plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
 	cacheStats := flag.Bool("cache-stats", false, "print shared plan/design cache and outcome cache counters to stderr after the run")
-	backend := flag.String("backend", "family", "generation backend by name ('list' prints the registry)")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
 	replay := flag.String("replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
 	shards := flag.Int("shards", 1, "total shard count of a distributed sweep")
@@ -137,67 +131,30 @@ func main() {
 	allowPartial := flag.Bool("allow-partial", false, "merge whatever shards are present, report the missing shards/cells to stderr, and exit 0 (default: missing shards are an error)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	endpoint := flag.String("endpoint", "", "remote backend: completion service URL, e.g. http://127.0.0.1:8473 (implies -backend remote)")
-	authEnv := flag.String("auth-env", "", "remote backend: environment variable holding the bearer token (the token never appears in argv)")
-	remoteTimeout := flag.Duration("remote-timeout", 0, "remote backend: per-attempt HTTP deadline (0 = 30s)")
-	remoteBudget := flag.Duration("remote-budget", 0, "remote backend: sweep-level deadline shared by every request (0 = none)")
-	remoteAttempts := flag.Int("remote-attempts", 0, "remote backend: per-request attempt budget, composing under coord's shard retries (0 = 4)")
-	remoteBackoff := flag.Duration("remote-backoff", 0, "remote backend: base retry backoff, doubling per attempt (0 = 50ms)")
-	remoteBackoffCap := flag.Duration("remote-backoff-cap", 0, "remote backend: retry backoff cap (0 = 2s)")
-	remoteInflight := flag.Int("remote-inflight", 0, "remote backend: max concurrent HTTP requests (0 = 16)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "remote backend: consecutive failures that trip the circuit breaker (0 = 5)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "remote backend: open-breaker cooldown before a half-open probe (0 = 1s)")
-	batchSize := flag.Int("batch", 0, "batch-capable backends: work items coalesced per CompleteBatch call (0 = 16)")
-	batchLinger := flag.Duration("batch-linger", 0, "batch-capable backends: max wait before flushing a partial batch (0 = flush when the feed drains)")
 	storeDir := flag.String("store", "", "persistent result store directory: warm cells are served from disk, new cells persist for later runs")
 	storeStats := flag.Bool("store-stats", false, "print the store's hit/miss/persist counters to stderr after the run")
 	storeQuery := flag.String("store-query", "", "list store cells matching a key=value,... filter (backend, seed, model, variant, problem, level, temp, n; 'all' lists everything) and exit")
 	storeDiff := flag.String("store-diff", "", "compare two sweep identities in the store, 'A..B' with each side '[backend@]seed', and exit")
 	flag.Parse()
 
-	sweep := eval.SweepOptions{N: *n}
-	if *quick {
-		sweep.Temperatures = []float64{0.1}
-		if *n > 6 {
-			sweep.N = 6
-		}
+	cfg, err := shared.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	if *backend == "list" {
+	if cfg.Backend == "list" {
 		for _, info := range gen.List() {
 			fmt.Printf("%s\t%s\n", info.Name, info.Desc)
 		}
 		return
 	}
 	if *replay != "" {
-		switch *backend {
+		switch cfg.Backend {
 		case "family": // default value: -replay alone implies the replay backend
-			*backend = "replay"
+			cfg.Backend = "replay"
 		case "replay":
 		default:
-			fmt.Fprintf(os.Stderr, "-replay conflicts with -backend %s (the recording would be ignored)\n", *backend)
-			os.Exit(2)
-		}
-	}
-	if *endpoint != "" {
-		switch *backend {
-		case "family": // default value: -endpoint alone implies the remote backend
-			*backend = "remote"
-		case "remote":
-		default:
-			fmt.Fprintf(os.Stderr, "-endpoint conflicts with -backend %s (the endpoint would be ignored)\n", *backend)
-			os.Exit(2)
-		}
-	}
-	if *backend == "remote" && *endpoint == "" {
-		fmt.Fprintln(os.Stderr, "-backend remote needs -endpoint (the vgen-serve URL)")
-		os.Exit(2)
-	}
-	var authToken string
-	if *authEnv != "" {
-		authToken = os.Getenv(*authEnv)
-		if authToken == "" {
-			fmt.Fprintf(os.Stderr, "-auth-env: environment variable %s is empty or unset\n", *authEnv)
+			fmt.Fprintf(os.Stderr, "-replay conflicts with -backend %s (the recording would be ignored)\n", cfg.Backend)
 			os.Exit(2)
 		}
 	}
@@ -286,7 +243,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		h := harness.FromResults(rs, sweep)
+		h := harness.FromResults(rs, cfg.Sweep)
 		if len(missingShards) > 0 && !*allowPartial {
 			fail("shard %d of %d missing (its cells are unserved); rerun it, or pass -allow-partial to render what is here",
 				missingShards[0], m.Shards)
@@ -335,7 +292,7 @@ func main() {
 		}
 	}
 
-	if *backend == "remote" && *emitPlan == "" {
+	if cfg.Backend == "remote" && *emitPlan == "" {
 		// Every remote run auto-pairs with a recording so it is replayable
 		// offline (-replay serves it back with no server at all). An explicit
 		// -record — including -record="" to opt out — wins; the default name
@@ -355,19 +312,8 @@ func main() {
 		}
 	}
 
-	fw, err := core.New(core.Config{
-		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep, Workers: *workers,
-		PlanCacheBytes: *planCache, Backend: *backend, Record: *record, Replay: *replay,
-		Remote: gen.RemoteOptions{
-			Endpoint: *endpoint, AuthToken: authToken,
-			Timeout: *remoteTimeout, Budget: *remoteBudget,
-			MaxAttempts: *remoteAttempts, BackoffBase: *remoteBackoff, BackoffCap: *remoteBackoffCap,
-			MaxInFlight:      *remoteInflight,
-			BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
-		},
-		BatchSize: *batchSize, BatchLinger: *batchLinger,
-		StoreDir: *storeDir,
-	})
+	cfg.Record, cfg.Replay, cfg.StoreDir = *record, *replay, *storeDir
+	fw, err := core.New(cfg)
 	if err != nil {
 		stopCPU()
 		fail("%v", err)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/gen"
@@ -60,11 +59,15 @@ type Config struct {
 	// reproducible from the sweep seed alone.
 	Remote gen.RemoteOptions
 
-	// BatchSize and BatchLinger tune the evaluation engine's batch
-	// coalescing when the backend implements gen.BatchBackend; zero means
-	// the engine defaults. Batch composition never changes results.
-	BatchSize   int
-	BatchLinger time.Duration
+	// AuthEnv names the environment variable Remote.AuthToken was read
+	// from (see Flags.Resolve). Args passes the name to worker
+	// subprocesses, never the token.
+	AuthEnv string
+
+	// BatchSize is the evaluation engine's CompleteBatch width when the
+	// backend implements gen.BatchBackend; zero means the engine default.
+	// Batch composition never changes results.
+	BatchSize int
 
 	// StoreDir attaches a persistent result store rooted at this
 	// directory: evaluated cells persist there keyed by sweep identity
@@ -154,7 +157,6 @@ func New(cfg Config) (*Framework, error) {
 	runner := eval.NewRunner(fw.Backend, cfg.Seed)
 	runner.Workers = cfg.Workers
 	runner.BatchSize = cfg.BatchSize
-	runner.BatchLinger = cfg.BatchLinger
 	fw.Runner = runner
 	fw.source = runner
 	fw.Harness = &harness.Harness{Runner: runner, Opts: cfg.Sweep, Seed: cfg.Seed}

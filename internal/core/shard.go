@@ -4,10 +4,11 @@ package core
 // coordinator builds the artifact plan, partitions it, and either runs
 // one partition in-process (WriteShard) or serializes it for a remote
 // worker (WriteShardPlan → RunPlanFile elsewhere). Shard result files
-// merge back into a render-only harness (HarnessFromShards) with no
-// backend attached — the per-sample seed hashing makes the merged tables
-// byte-identical to a monolithic run. See DESIGN.md, "Sharded sweep
-// execution".
+// merge back into one ResultSet (ReadShardFiles + wire.MergePartial, or
+// MergeShardFilesPartial) that renders through harness.FromResults with
+// no backend attached — the per-sample seed hashing makes the merged
+// tables byte-identical to a monolithic run. See DESIGN.md, "Sharded
+// sweep execution".
 
 import (
 	"context"
@@ -16,7 +17,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/eval"
-	"repro/internal/harness"
 	"repro/internal/wire"
 )
 
@@ -182,49 +182,16 @@ func ReadShardFiles(paths []string) ([]wire.Shard, error) {
 	return shards, nil
 }
 
-// MergeShardFiles reads and merges shard result files, in any order,
-// enforcing the wire package's completeness and identity checks.
-func MergeShardFiles(paths []string) (*eval.ResultSet, wire.Meta, error) {
-	shards, err := ReadShardFiles(paths)
-	if err != nil {
-		return nil, wire.Meta{}, err
-	}
-	return wire.Merge(shards)
-}
-
-// MergeShardFilesPartial is MergeShardFiles for a degraded sweep: shard
-// indices with no file are reported (ascending), not refused. Identity
-// mismatches, duplicate shards, and overlapping cells remain errors.
+// MergeShardFilesPartial reads and merges shard result files, in any
+// order, for a possibly degraded sweep: shard indices with no file are
+// reported (ascending), not refused. Identity mismatches, duplicate
+// shards, and overlapping cells remain errors.
 func MergeShardFilesPartial(paths []string) (*eval.ResultSet, wire.Meta, []int, error) {
 	shards, err := ReadShardFiles(paths)
 	if err != nil {
 		return nil, wire.Meta{}, nil, err
 	}
 	return wire.MergePartial(shards)
-}
-
-// HarnessFromShards merges shard result files into a render-only harness:
-// every cell-based table and figure regenerates from the merged stats
-// with no backend, corpus, or model construction at all. The returned
-// ResultSet is the harness's cell source; check ResultSet.Missing after
-// rendering to catch shards that don't cover the requested artifacts.
-func HarnessFromShards(paths []string, sweep eval.SweepOptions) (*harness.Harness, *eval.ResultSet, wire.Meta, error) {
-	rs, m, err := MergeShardFiles(paths)
-	if err != nil {
-		return nil, nil, wire.Meta{}, err
-	}
-	return harness.FromResults(rs, sweep), rs, m, nil
-}
-
-// HarnessFromShardsPartial is HarnessFromShards over an incomplete shard
-// set: available shards merge, absent shard indices are returned, and the
-// renderers' ResultSet.Missing accounting reports the uncovered cells.
-func HarnessFromShardsPartial(paths []string, sweep eval.SweepOptions) (*harness.Harness, *eval.ResultSet, wire.Meta, []int, error) {
-	rs, m, missing, err := MergeShardFilesPartial(paths)
-	if err != nil {
-		return nil, nil, wire.Meta{}, nil, err
-	}
-	return harness.FromResults(rs, sweep), rs, m, missing, nil
 }
 
 // WriteFileAtomic writes path atomically: the payload goes to a unique temp

@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bounded"
 	"repro/internal/gen"
@@ -217,15 +216,12 @@ type Runner struct {
 	// width; see DESIGN.md, "Determinism under parallelism".
 	Workers int
 
-	// BatchSize caps how many work items are coalesced into one
+	// BatchSize is how many consecutive work items go into one
 	// CompleteBatch call when Backend implements gen.BatchBackend; 0 means
-	// 16. BatchLinger bounds how long the coalescer holds a partial batch
-	// open waiting for more items before flushing it; 0 means partial
-	// batches flush only when the feed drains. Batch composition never
-	// affects results: samples are pure functions of their coordinates, so
-	// any size/linger produces byte-identical CellStats.
-	BatchSize   int
-	BatchLinger time.Duration
+	// 16. Batch composition never affects results: samples are pure
+	// functions of their coordinates, so any size produces byte-identical
+	// CellStats.
+	BatchSize int
 
 	// UnsharedPlans evaluates through EvaluateUnshared — fresh parse,
 	// full elaboration, and an unpooled simulator per sample — instead of
@@ -593,25 +589,23 @@ func (r *Runner) runSingles(ctx context.Context, tasks []func(), qs []Query, key
 	claim(ctx, r.workers(), len(tasks)+len(items), do)
 }
 
-// defaultBatchSize is the CompleteBatch coalescing width when
-// Runner.BatchSize is unset — big enough to amortize per-call transport
-// overhead across the sweep fan-out, small enough that a lost batch
-// degrades few cells.
+// defaultBatchSize is the CompleteBatch width when Runner.BatchSize is
+// unset — big enough to amortize per-call transport overhead across the
+// sweep fan-out, small enough that a lost batch degrades few cells.
 const defaultBatchSize = 16
 
-// runBatched is the batch fast path: work items are coalesced into
-// CompleteBatch calls of up to BatchSize items (a partial batch flushes
-// after BatchLinger, or when the feed drains), fanned across the worker
-// pool. Each worker first claims prepare tasks from a shared index until
-// none are left. Outcome evaluation stays per-sample in the workers; slot
-// ownership and the fixed-order reduction are untouched, so results are
-// byte-identical to the single-call path at any batch composition.
+// runBatched is the batch fast path: the work items are cut into fixed
+// batches of BatchSize consecutive items, and the backend's prepare tasks
+// and then those batches are claimed through one shared index by the
+// pool's workers, each batch one CompleteBatch call. Outcome evaluation
+// stays per sample; slot ownership and the fixed-order reduction are
+// untouched, so results are byte-identical to the single-call path at
+// any batch size.
 func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, tasks []func(), qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
 	bs := r.BatchSize
 	if bs <= 0 {
 		bs = defaultBatchSize
 	}
-
 	run := func(bt []workItem) {
 		reqs := make([]gen.Request, len(bt))
 		for i, it := range bt {
@@ -640,95 +634,15 @@ func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, tasks []fu
 			}
 		}
 	}
-
-	var nextTask atomic.Int64
-	prepare := func() { claimLoop(ctx, &nextTask, len(tasks), func(i int) { tasks[i]() }) }
-
-	w := r.workers()
-	if w <= 1 || len(items) <= bs {
-		prepare()
-		for start := 0; start < len(items); start += bs {
-			if ctx.Err() != nil {
-				return
-			}
-			end := start + bs
-			if end > len(items) {
-				end = len(items)
-			}
-			run(items[start:end])
-		}
-		return
-	}
-
-	batches := make(chan []workItem, w)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			prepare()
-			for bt := range batches {
-				run(bt)
-			}
-		}()
-	}
-	r.coalesce(ctx, items, bs, batches)
-	close(batches)
-	wg.Wait()
-}
-
-// coalesce groups items into batches of up to size, flushing a partial
-// batch when BatchLinger elapses since its first item was buffered. With
-// every item available up front the linger rarely fires — batches fill —
-// but the same machinery serves a slow feed (a paced re-sweep, a future
-// streaming planner) without holding one item hostage indefinitely.
-func (r *Runner) coalesce(ctx context.Context, items []workItem, size int, batches chan<- []workItem) {
-	var buf []workItem
-	var timer *time.Timer
-	var lingerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, lingerC = nil, nil
-		}
-	}
-	flush := func() bool {
-		stopTimer()
-		if len(buf) == 0 {
-			return true
-		}
-		bt := buf
-		buf = nil
-		select {
-		case batches <- bt:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for _, it := range items {
-		select {
-		case <-ctx.Done():
+	do := func(i int) {
+		if i < len(tasks) {
+			tasks[i]()
 			return
-		case <-lingerC:
-			if !flush() {
-				return
-			}
-		default:
 		}
-		buf = append(buf, it)
-		if len(buf) >= size {
-			if !flush() {
-				return
-			}
-			continue
-		}
-		if r.BatchLinger > 0 && timer == nil {
-			timer = time.NewTimer(r.BatchLinger)
-			lingerC = timer.C
-		}
+		b := i - len(tasks)
+		run(items[b*bs : min((b+1)*bs, len(items))])
 	}
-	flush()
+	claim(ctx, r.workers(), len(tasks)+(len(items)+bs-1)/bs, do)
 }
 
 // CellFailure is one planned cell whose samples could not be produced —

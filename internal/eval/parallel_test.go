@@ -140,70 +140,109 @@ func (b *blockingBackend) Prepare([]gen.Key, []*problems.Problem) []func() {
 func (b *blockingBackend) Variants() []gen.Key { return nil }
 func (b *blockingBackend) Describe() string    { return "test: blocking backend" }
 
+// blockingBatchBackend is blockingBackend with the batch fast path: every
+// CompleteBatch counts as one call and parks until released.
+type blockingBatchBackend struct{ blockingBackend }
+
+func (b *blockingBatchBackend) CompleteBatch(_ context.Context, reqs []gen.Request) []gen.BatchResult {
+	b.calls.Add(1)
+	<-b.release
+	res := make([]gen.BatchResult, len(reqs))
+	for i := range res {
+		res[i] = gen.BatchResult{Sample: gen.Sample{Completion: "bogus\n", Latency: 1}, OK: true}
+	}
+	return res
+}
+
+// blockingBackends are the two pool paths under the cancellation tests:
+// one Complete call per item, and one CompleteBatch call per batch of
+// BatchSize 4. Each entry builds a fresh backend and reports its counters.
+var blockingBackends = []struct {
+	name string
+	make func(tasks int) (gen.Backend, *blockingBackend)
+}{
+	{"single", func(tasks int) (gen.Backend, *blockingBackend) {
+		b := &blockingBackend{release: make(chan struct{}), tasks: tasks}
+		return b, b
+	}},
+	{"batch", func(tasks int) (gen.Backend, *blockingBackend) {
+		b := &blockingBatchBackend{blockingBackend{release: make(chan struct{}), tasks: tasks}}
+		return b, &b.blockingBackend
+	}},
+}
+
 // TestEvaluateBatchCtxCancelStopsPool pins the shutdown contract a
 // supervising coordinator (and vgen-eval's SIGINT handler) relies on:
-// canceling the context stops every worker from claiming further items,
+// canceling the context stops every worker from claiming further work,
 // drains the pool without leaking goroutines, and returns ctx's error —
-// with only the items already in flight ever reaching the backend.
+// with only the calls already in flight (items, or batches on the batch
+// path) ever reaching the backend.
 func TestEvaluateBatchCtxCancelStopsPool(t *testing.T) {
-	b := &blockingBackend{release: make(chan struct{})}
-	r := NewRunner(b, 1)
-	const w = 4
-	r.Workers = w
-	const items = 1000
-	qs := []Query{{
-		Model: model.CodeGen2B, Variant: model.FineTuned,
-		Problem: problems.ByNumber(1), Level: problems.LevelLow, Temperature: 0.1, N: items,
-	}}
+	for _, tc := range blockingBackends {
+		t.Run(tc.name, func(t *testing.T) {
+			backend, b := tc.make(0)
+			r := NewRunner(backend, 1)
+			const w = 4
+			r.Workers = w
+			r.BatchSize = 4
+			const items = 1000
+			qs := []Query{{
+				Model: model.CodeGen2B, Variant: model.FineTuned,
+				Problem: problems.ByNumber(1), Level: problems.LevelLow, Temperature: 0.1, N: items,
+			}}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	var out []CellStats
-	var err error
-	go func() {
-		defer close(done)
-		out, err = r.EvaluateBatchCtx(ctx, qs)
-	}()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan struct{})
+			var out []CellStats
+			var err error
+			go func() {
+				defer close(done)
+				out, err = r.EvaluateBatchCtx(ctx, qs)
+			}()
 
-	for b.calls.Load() == 0 { // wait until the pool is mid-flight
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	close(b.release) // let the in-flight completions finish
-	<-done
+			for b.calls.Load() == 0 { // wait until the pool is mid-flight
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			close(b.release) // let the in-flight calls finish
+			<-done
 
-	if out != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled batch returned (%v, %v), want (nil, context.Canceled)", out, err)
-	}
-	// Workers check ctx before each claim, so only the w items in flight
-	// when cancel landed may have reached the backend; anything more means
-	// cancellation leaked.
-	if got := b.calls.Load(); got > w {
-		t.Errorf("pool ran %d of %d items after cancellation", got, items)
+			if out != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled batch returned (%v, %v), want (nil, context.Canceled)", out, err)
+			}
+			// Workers check ctx before each claim, so only the w calls in
+			// flight when cancel landed may have reached the backend;
+			// anything more means cancellation leaked.
+			if got := b.calls.Load(); got > w {
+				t.Errorf("pool made %d backend calls for %d items after cancellation, want <= %d", got, items, w)
+			}
+		})
 	}
 }
 
-// TestEvaluateBatchCtxSerialPreCanceled: at every width, the pool must
-// honor an already-canceled context before touching the backend at all —
-// no prepare task and no sample.
+// TestEvaluateBatchCtxSerialPreCanceled: at every width and on both pool
+// paths, the pool must honor an already-canceled context before touching
+// the backend at all — no prepare task and no sample.
 func TestEvaluateBatchCtxSerialPreCanceled(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		b := &blockingBackend{release: make(chan struct{}), tasks: 3}
-		close(b.release)
-		r := NewRunner(b, 1)
-		r.Workers = w
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		out, err := r.EvaluateBatchCtx(ctx, []Query{{
-			Model: model.CodeGen2B, Variant: model.FineTuned,
-			Problem: problems.ByNumber(2), Level: problems.LevelLow, Temperature: 0.1, N: 5,
-		}})
-		if out != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers %d: pre-canceled batch returned (%v, %v)", w, out, err)
-		}
-		if got, prep := b.calls.Load(), b.prepared.Load(); got != 0 || prep != 0 {
-			t.Errorf("workers %d: pool ran %d items and %d prepare tasks under a pre-canceled context", w, got, prep)
+	for _, tc := range blockingBackends {
+		for _, w := range []int{1, 4} {
+			backend, b := tc.make(3)
+			close(b.release)
+			r := NewRunner(backend, 1)
+			r.Workers = w
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			out, err := r.EvaluateBatchCtx(ctx, []Query{{
+				Model: model.CodeGen2B, Variant: model.FineTuned,
+				Problem: problems.ByNumber(2), Level: problems.LevelLow, Temperature: 0.1, N: 5,
+			}})
+			if out != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, workers %d: pre-canceled batch returned (%v, %v)", tc.name, w, out, err)
+			}
+			if got, prep := b.calls.Load(), b.prepared.Load(); got != 0 || prep != 0 {
+				t.Errorf("%s, workers %d: pool made %d backend calls and ran %d prepare tasks under a pre-canceled context", tc.name, w, got, prep)
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ package gen
 // marginal cost of one more sample in the payload; the sweep fan-out
 // (problems x levels x temps x samples) is exactly the traffic shape that
 // amortizes it. Backends that can serve many coordinates per call
-// implement BatchBackend and the evaluation engine coalesces work items
+// implement BatchBackend and the evaluation engine cuts its work items
 // into batches for them; everything else keeps the one-call-per-sample
 // Complete path, byte-identical either way because samples are pure
 // functions of their coordinates.
@@ -45,9 +45,9 @@ type BatchResult struct {
 }
 
 // BatchBackend is the optional fast path: produce samples for many
-// coordinates in one call. The evaluation engine detects it and coalesces
-// work items into batches (eval.Runner.BatchSize / BatchLinger); backends
-// without it are served sample-by-sample through Complete.
+// coordinates in one call. The evaluation engine detects it and cuts its
+// work items into batches of eval.Runner.BatchSize consecutive items;
+// backends without it are served sample-by-sample through Complete.
 //
 // The contract extends Backend's: the returned slice must have exactly
 // one BatchResult per Request, in request order; each result must be the

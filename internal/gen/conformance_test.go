@@ -380,30 +380,30 @@ func TestConformanceConcurrentCompleteBatch(t *testing.T) {
 	}
 }
 
-// TestConformanceBatchCompositionIdentity runs the probe sweep through
-// the engine at batch sizes 1, 3, and 16 (with and without a linger
-// window) and requires bit-identical CellStats: how work coalesces into
-// batches must never reach the output bytes.
+// TestConformanceBatchCompositionIdentity runs the probe sweep (24 work
+// items) through the engine at one worker and at four, at batch sizes 1,
+// 3, 7 (which leaves a short last batch) and 16, and requires
+// bit-identical CellStats: how work is cut into batches must never reach
+// the output bytes.
 func TestConformanceBatchCompositionIdentity(t *testing.T) {
 	for name, bb := range batchBackendsUnderTest(t) {
 		qs := confQueries(t, bb)
 		var base []eval.CellStats
-		for _, batch := range []int{1, 3, 16} {
-			r := eval.NewRunner(bb, confSeed)
-			r.Workers = 4
-			r.BatchSize = batch
-			if batch == 3 {
-				r.BatchLinger = time.Millisecond
-			}
-			got := r.EvaluateBatch(qs)
-			if base == nil {
-				base = got
-				continue
-			}
-			for qi := range qs {
-				if got[qi] != base[qi] {
-					t.Fatalf("%s: query %d diverges at batch size %d: %+v != %+v",
-						name, qi, batch, got[qi], base[qi])
+		for _, workers := range []int{1, 4} {
+			for _, batch := range []int{1, 3, 7, 16} {
+				r := eval.NewRunner(bb, confSeed)
+				r.Workers = workers
+				r.BatchSize = batch
+				got := r.EvaluateBatch(qs)
+				if base == nil {
+					base = got
+					continue
+				}
+				for qi := range qs {
+					if got[qi] != base[qi] {
+						t.Fatalf("%s: query %d diverges at %d workers, batch size %d: %+v != %+v",
+							name, qi, workers, batch, got[qi], base[qi])
+					}
 				}
 			}
 		}

@@ -56,7 +56,7 @@ func (b *backend) Complete(key gen.Key, p *problems.Problem, level problems.Leve
 }
 
 // CompleteBatch proxies a whole batch in one wire exchange — the fast
-// path the eval engine coalesces work items into.
+// path the eval engine cuts its work items into batches for.
 func (b *backend) CompleteBatch(ctx context.Context, reqs []gen.Request) []gen.BatchResult {
 	return b.t.CompleteBatch(ctx, reqs)
 }

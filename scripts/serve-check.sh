@@ -3,8 +3,9 @@
 # driving the whole sweep through `vgen-serve -backend family` over
 # loopback HTTP must reproduce the in-process TableIII / Figure6 /
 # pass@k output byte-for-byte, and the recording auto-paired with the
-# remote run must replay to the same bytes with no server at all. Run
-# via `make serve-check`.
+# remote run must replay to the same bytes with no server at all. A
+# supervised vgen-coord run whose -proc workers reach an auth-requiring
+# server must render the same TableIII. Run via `make serve-check`.
 set -eu
 
 GO=${GO:-go}
@@ -21,28 +22,45 @@ trap cleanup EXIT
 
 $GO build -o "$tmp/vgen-eval" ./cmd/vgen-eval
 $GO build -o "$tmp/vgen-serve" ./cmd/vgen-serve
+$GO build -o "$tmp/vgen-coord" ./cmd/vgen-coord
 V="$tmp/vgen-eval"
+C="$tmp/vgen-coord"
 
-# Serve the family backend on an ephemeral port; the atomically-written
-# url file is the readiness signal.
-"$tmp/vgen-serve" -backend family -seed 1 -addr 127.0.0.1:0 \
-    -url-file "$tmp/url.txt" 2> "$tmp/serve.log" &
-SERVER_PID=$!
-i=0
-while [ ! -s "$tmp/url.txt" ]; do
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-        echo "serve-check FAIL: vgen-serve died during startup" >&2
-        cat "$tmp/serve.log" >&2
-        exit 1
-    fi
-    i=$((i+1))
-    if [ "$i" -gt 600 ]; then
-        echo "serve-check FAIL: vgen-serve produced no url file" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-URL=$(cat "$tmp/url.txt")
+# serve LOG [ARGS...]: serve the family backend on an ephemeral port in
+# the background, with SERVER_PID and URL set once it is up; the
+# atomically-written url file is the readiness signal.
+serve() {
+    log=$1
+    shift
+    rm -f "$tmp/url.txt"
+    "$tmp/vgen-serve" -backend family -seed 1 -addr 127.0.0.1:0 \
+        -url-file "$tmp/url.txt" "$@" 2> "$log" &
+    SERVER_PID=$!
+    i=0
+    while [ ! -s "$tmp/url.txt" ]; do
+        if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+            echo "serve-check FAIL: vgen-serve died during startup" >&2
+            cat "$log" >&2
+            exit 1
+        fi
+        i=$((i+1))
+        if [ "$i" -gt 600 ]; then
+            echo "serve-check FAIL: vgen-serve produced no url file" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    URL=$(cat "$tmp/url.txt")
+}
+
+# stop_server: stop the running vgen-serve and wait for it to exit.
+stop_server() {
+    kill "$SERVER_PID" 2>/dev/null || true
+    wait "$SERVER_PID" 2>/dev/null || true
+    SERVER_PID=""
+}
+
+serve "$tmp/serve.log"
 echo "serve-check: family backend serving at $URL"
 
 for exp in $EXPERIMENTS; do
@@ -67,9 +85,7 @@ done
 # The recorder pairing: replaying the remote run's recording must render
 # the same bytes offline. Recordings concatenate cleanly
 # (coordinate-addressed, later lines win).
-kill "$SERVER_PID" 2>/dev/null || true
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 cat "$tmp"/rec-*.jsonl > "$tmp/recording.jsonl"
 for exp in $EXPERIMENTS; do
     # shellcheck disable=SC2086
@@ -83,4 +99,30 @@ for exp in $EXPERIMENTS; do
     echo "serve-check ok: $exp replayed offline"
 done
 
-echo "serve-check PASS: remote sweep and its recording are byte-identical to in-process"
+# The coordinator's worker argv: a supervised 4-shard run whose -proc
+# workers reach an auth-requiring server. Each worker sees the endpoint,
+# the non-default transport and batch settings, and the token only
+# through the argv the coordinator builds and the environment it
+# inherits; a dropped flag shows as an auth failure or a different table.
+VGEN_SERVE_CHECK_TOKEN="serve-check-$$"
+export VGEN_SERVE_CHECK_TOKEN
+serve "$tmp/serve-auth.log" -auth-env VGEN_SERVE_CHECK_TOKEN
+echo "serve-check: auth-requiring family backend serving at $URL"
+# shellcheck disable=SC2086
+if ! "$C" $FLAGS -experiment table3 -shards 4 -parallel 2 -proc -quiet \
+    -dir "$tmp/coord-state" -endpoint "$URL" -auth-env VGEN_SERVE_CHECK_TOKEN \
+    -remote-attempts 7 -batch 5 \
+    > "$tmp/coord-table3.txt" 2> "$tmp/coord-table3.err"; then
+    echo "serve-check FAIL: table3: vgen-coord -proc remote run failed" >&2
+    cat "$tmp/coord-table3.err" >&2
+    exit 1
+fi
+stop_server
+if ! cmp -s "$tmp/golden-table3.txt" "$tmp/coord-table3.txt"; then
+    echo "serve-check FAIL: table3: vgen-coord -proc remote output differs from in-process" >&2
+    diff "$tmp/golden-table3.txt" "$tmp/coord-table3.txt" >&2 || true
+    exit 1
+fi
+echo "serve-check ok: table3 via vgen-coord -proc workers and an auth-requiring server"
+
+echo "serve-check PASS: remote sweeps and the recording are byte-identical to in-process"

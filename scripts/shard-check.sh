@@ -3,7 +3,7 @@
 # sharded, serialized, merged sweep must reproduce the single-process
 # TableIII / Figure6 / pass@k output byte-for-byte at all five paper
 # temperatures, for both the family and replay backends; so must the
-# family backend at -workers 1 and 4 and under -record; the serialized
+# family backend at -workers 1 and 4, plain and under -record; the serialized
 # shard-plan path (-emit-plan / -from-plan) must produce the same shard
 # result file as direct execution. Run via `make shard-check`.
 set -eu
@@ -54,12 +54,14 @@ for exp in $EXPERIMENTS; do
     check "" "$exp" family
 done
 
-# Pool width and recording: the family backend's output at one worker, at
-# four, and under -record (a BatchBackend, so the batched path, with the
-# recorder forwarding the family's prepare tasks) must equal the golden
-# run byte-for-byte. The recordings feed the replay check below.
+# Pool width and recording: the family backend's output at one worker and
+# at four, each plain and under -record (a BatchBackend, so the batched
+# path, with the recorder forwarding the family's prepare tasks), must
+# equal the golden run byte-for-byte. The four-worker recordings feed the
+# replay check below.
 for exp in $EXPERIMENTS; do
-    for args in "-workers 1" "-workers 4" "-record $tmp/rec-$exp.jsonl"; do
+    for args in "-workers 1" "-workers 4" \
+        "-workers 1 -record $tmp/rec1-$exp.jsonl" "-workers 4 -record $tmp/rec-$exp.jsonl"; do
         # shellcheck disable=SC2086
         "$V" $FLAGS $args -experiment "$exp" > "$tmp/variant-$exp.txt"
         if ! cmp -s "$tmp/golden-family-$exp.txt" "$tmp/variant-$exp.txt"; then
@@ -67,7 +69,7 @@ for exp in $EXPERIMENTS; do
             diff "$tmp/golden-family-$exp.txt" "$tmp/variant-$exp.txt" >&2 || true
             exit 1
         fi
-        case $args in -record*) args=-record ;; esac
+        case $args in *-record*) args="${args%% -record*} -record" ;; esac
         echo "shard-check ok: family/$exp $args"
     done
 done
