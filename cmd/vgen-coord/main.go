@@ -10,7 +10,6 @@
 //	           [-corpus-files N] [-workers N]
 //	           [-experiment all|table3|table4|fig6|fig7|headline|passk|problems]
 //	           [-shards N] [-parallel N] [-proc]
-//	           [-plan-cache BYTES]
 //	           [-timeout D] [-max-attempts N] [-backoff D] [-backoff-cap D]
 //	           [-steal-after D] [-unhealthy-after N]
 //	           [-endpoint URL] [-auth-env VAR] [-batch N]
@@ -39,9 +38,8 @@
 // supervision behavior is identical either way.
 //
 // Workers share compiled simulation artifacts within their own process
-// (DESIGN.md Section 15). -plan-cache bounds those caches in accounted
-// bytes (0 = 4 MiB each, negative = unbounded) and threads through to
-// -proc worker subprocesses. Sharing never changes results.
+// (DESIGN.md Section 15); the design and plan caches hold 4 MiB of
+// accounted bytes each. Sharing never changes results.
 //
 // -fault injects deterministic failures (crash, hang, truncate, corrupt;
 // "*" for every attempt of a shard) at the supervision boundary — the

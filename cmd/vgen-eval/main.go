@@ -4,7 +4,7 @@
 // Usage:
 //
 //	vgen-eval [-seed N] [-n N] [-quick] [-corpus-files N] [-workers N]
-//	          [-plan-cache BYTES] [-cache-stats]
+//	          [-cache-stats]
 //	          [-backend NAME] [-record FILE] [-replay FILE]
 //	          [-endpoint URL] [-auth-env VAR] [-batch N]
 //	          [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
@@ -70,10 +70,9 @@
 // 15): testbenches elaborate once per (problem, level), candidate designs
 // and compiled expression plans are cached content-addressed, and
 // simulator state is pooled — identical output, far less compile work.
-// -plan-cache bounds each shared cache in accounted bytes (default 4 MiB
-// each, negative = unbounded); -cache-stats prints the plan-cache,
-// design-cache and per-runner outcome-cache counters to stderr after the
-// run.
+// The design and plan caches hold 4 MiB of accounted bytes each;
+// -cache-stats prints their counters and the per-runner outcome cache's
+// to stderr after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -400,8 +399,8 @@ func main() {
 
 // printCacheStats reports the shared compiled-artifact caches (DESIGN.md
 // Section 15) next to the per-runner outcome cache, all to stderr: a warm
-// sweep shows plan/design hits dominating misses, a -plan-cache squeeze
-// shows evictions.
+// sweep shows plan/design hits dominating misses, and a sweep that
+// outgrows a cache's budget shows evictions.
 func printCacheStats(r *eval.Runner) {
 	ss := eval.SharedStats()
 	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evicted, %d entries, %d bytes\n",

@@ -38,7 +38,7 @@ func coordFW(t *testing.T) *core.Framework {
 // supervision, no sharding.
 func monolithic(t *testing.T, fw *core.Framework) *eval.ResultSet {
 	t.Helper()
-	rs, _, err := fw.ExecuteShard(testExps, 0, 1)
+	rs, _, err := fw.ExecuteShardCtx(context.Background(), testExps, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,6 @@ type Config struct {
 	Sweep       eval.SweepOptions
 	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
 
-	// PlanCacheBytes bounds each shared compiled-artifact cache (the
-	// compiled-plan cache and the per-candidate design cache) by accounted
-	// bytes. 0 keeps the 4 MiB defaults; negative disables the bounds.
-	// Process-wide: the caches are shared across frameworks.
-	PlanCacheBytes int64
-
 	// Backend selects the generation backend by registered name (see
 	// gen.Names()); "" means "family", the simulated line-up.
 	Backend string
@@ -150,9 +144,6 @@ func New(cfg Config) (*Framework, error) {
 		fw.recBuf = bufio.NewWriterSize(f, 1<<20)
 		fw.rec = gen.NewRecorder(b, fw.recBuf)
 		fw.Backend = fw.rec
-	}
-	if cfg.PlanCacheBytes != 0 {
-		eval.SetPlanCacheBytes(cfg.PlanCacheBytes)
 	}
 	runner := eval.NewRunner(fw.Backend, cfg.Seed)
 	runner.Workers = cfg.Workers

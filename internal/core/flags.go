@@ -41,7 +41,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.quick, "quick", false, "sweep only t=0.1 with n <= 6 (fast; matches best-t tables)")
 	fs.IntVar(&c.CorpusFiles, "corpus-files", 0, "synthetic corpus size (0 = default)")
 	fs.IntVar(&c.Workers, "workers", 0, "evaluation worker pool width per process (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	fs.Int64Var(&c.PlanCacheBytes, "plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
 	fs.StringVar(&c.Backend, "backend", "family", "generation backend by registered name (vgen-eval -backend list prints the registry)")
 	fs.StringVar(&r.Endpoint, "endpoint", "", "remote backend: completion service URL, e.g. http://127.0.0.1:8473 (implies -backend remote)")
 	fs.StringVar(&c.AuthEnv, "auth-env", "", "remote backend: environment variable holding the bearer token (the token never appears in argv)")
@@ -90,7 +89,7 @@ func (f *Flags) Resolve() (Config, error) {
 
 // Args is Resolve's inverse: one -name=value argument for every shared
 // flag, so a subprocess that binds and resolves them gets back cfg's
-// seed, sweep, scale, cache bound, backend, remote transport and batch
+// seed, sweep, scale, worker width, backend, remote transport and batch
 // settings. The token travels by name only (-auth-env): the subprocess
 // inherits the environment and reads it there, so it never appears in
 // argv. cfg.Sweep is expected in a shape Resolve produces.

@@ -34,13 +34,12 @@ func parseShared(args []string) (Config, error) {
 func randomConfig(t *testing.T, rng *rand.Rand) Config {
 	dur := func() time.Duration { return time.Duration(1+rng.Intn(1e6)) * time.Microsecond }
 	cfg := Config{
-		Seed:           rng.Int63n(1<<40) - 1<<39 | 1,
-		CorpusFiles:    1 + rng.Intn(500),
-		Workers:        1 + rng.Intn(64),
-		PlanCacheBytes: rng.Int63n(1<<32) - 1<<31 | 1,
-		Backend:        "remote",
-		AuthEnv:        fmt.Sprintf("VGEN_FLAGS_TEST_TOKEN_%d", rng.Intn(1000)),
-		BatchSize:      1 + rng.Intn(64),
+		Seed:        rng.Int63n(1<<40) - 1<<39 | 1,
+		CorpusFiles: 1 + rng.Intn(500),
+		Workers:     1 + rng.Intn(64),
+		Backend:     "remote",
+		AuthEnv:     fmt.Sprintf("VGEN_FLAGS_TEST_TOKEN_%d", rng.Intn(1000)),
+		BatchSize:   1 + rng.Intn(64),
 		Remote: gen.RemoteOptions{
 			Endpoint:         fmt.Sprintf("http://127.0.0.1:%d/v%d", 1024+rng.Intn(60000), rng.Intn(9)),
 			AuthToken:        fmt.Sprintf("secret-%x", rng.Uint64()),
@@ -93,8 +92,8 @@ func TestArgsRoundTrip(t *testing.T) {
 	if got, err := parseShared(Args(cfg)); err != nil || !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("default config round trip: got %+v (%v), want %+v", got, err, cfg)
 	}
-	if n := len(Args(cfg)); n != 18 {
-		t.Errorf("Args emits %d flags, want all 18 shared ones", n)
+	if n := len(Args(cfg)); n != 17 {
+		t.Errorf("Args emits %d flags, want all 17 shared ones", n)
 	}
 }
 

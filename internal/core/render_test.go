@@ -50,7 +50,7 @@ func TestRenderMatchesShardsAndLive(t *testing.T) {
 	// Two fresh frameworks stand in for two worker processes.
 	var shards []wire.Shard
 	for i := 0; i < 2; i++ {
-		set, m, err := newRenderFW(t).ExecuteShard([]string{"all"}, i, 2)
+		set, m, err := newRenderFW(t).ExecuteShardCtx(context.Background(), []string{"all"}, i, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package core
 
 // Distributed-sweep orchestration: plan → execute-shard → merge. A
 // coordinator builds the artifact plan, partitions it, and either runs
-// one partition in-process (WriteShard) or serializes it for a remote
-// worker (WriteShardPlan → RunPlanFile elsewhere). Shard result files
+// one partition in-process (WriteShardCtx) or serializes it for a remote
+// worker (WriteShardPlan → RunPlanFileCtx elsewhere). Shard result files
 // merge back into one ResultSet (ReadShardFiles + wire.MergePartial, or
 // MergeShardFilesPartial) that renders through harness.FromResults with
 // no backend attached — the per-sample seed hashing makes the merged
@@ -80,13 +80,8 @@ func (f *Framework) ShardPlan(experiments []string, shard, shards int) (*eval.Pl
 	return sub, f.shardMeta(shard, shards), nil
 }
 
-// ExecuteShard evaluates shard i of n of the experiments' plan.
-func (f *Framework) ExecuteShard(experiments []string, shard, shards int) (*eval.ResultSet, wire.Meta, error) {
-	return f.ExecuteShardCtx(context.Background(), experiments, shard, shards)
-}
-
-// ExecuteShardCtx is ExecuteShard under a context; cancellation stops
-// the evaluation pool promptly.
+// ExecuteShardCtx evaluates shard i of n of the experiments' plan;
+// cancellation stops the evaluation pool promptly.
 func (f *Framework) ExecuteShardCtx(ctx context.Context, experiments []string, shard, shards int) (*eval.ResultSet, wire.Meta, error) {
 	plan, m, err := f.ShardPlan(experiments, shard, shards)
 	if err != nil {
@@ -99,14 +94,9 @@ func (f *Framework) ExecuteShardCtx(ctx context.Context, experiments []string, s
 	return rs, m, nil
 }
 
-// WriteShard executes one shard and writes its wire result file — the
-// worker side of a distributed sweep.
-func (f *Framework) WriteShard(path string, experiments []string, shard, shards int) error {
-	return f.WriteShardCtx(context.Background(), path, experiments, shard, shards)
-}
-
-// WriteShardCtx is WriteShard under a context: a canceled worker stops
-// promptly and leaves no result file (nor a temp) behind.
+// WriteShardCtx executes one shard and writes its wire result file — the
+// worker side of a distributed sweep. A canceled worker stops promptly
+// and leaves no result file (nor a temp) behind.
 func (f *Framework) WriteShardCtx(ctx context.Context, path string, experiments []string, shard, shards int) error {
 	rs, m, err := f.ExecuteShardCtx(ctx, experiments, shard, shards)
 	if err != nil {
@@ -116,7 +106,7 @@ func (f *Framework) WriteShardCtx(ctx context.Context, path string, experiments 
 }
 
 // WriteShardPlan serializes one shard's plan without executing it — the
-// coordinator side when workers run elsewhere (see RunPlanFile).
+// coordinator side when workers run elsewhere (see RunPlanFileCtx).
 func (f *Framework) WriteShardPlan(path string, experiments []string, shard, shards int) error {
 	plan, m, err := f.ShardPlan(experiments, shard, shards)
 	if err != nil {
@@ -125,18 +115,14 @@ func (f *Framework) WriteShardPlan(path string, experiments []string, shard, sha
 	return WriteFileAtomic(path, func(out *os.File) error { return wire.WritePlan(out, m, plan.Coords()) })
 }
 
-// RunPlanFile executes a serialized shard plan against this framework's
-// backend and writes the shard result file. The plan must address this
-// exact sweep: the backend tag and runner seed are validated so a worker
-// configured differently from the coordinator fails loudly instead of
-// producing cells that merge into a subtly wrong table.
-func (f *Framework) RunPlanFile(planPath, outPath string) error {
-	return f.RunPlanFileCtx(context.Background(), planPath, outPath)
-}
-
-// RunPlanFileCtx is RunPlanFile under a context: cancellation stops the
-// evaluation pool promptly and no result file appears — the supervised
-// worker path, where a coordinator reaps timed-out or superseded attempts.
+// RunPlanFileCtx executes a serialized shard plan against this
+// framework's backend and writes the shard result file. The plan must
+// address this exact sweep: the backend tag and runner seed are validated
+// so a worker configured differently from the coordinator fails loudly
+// instead of producing cells that merge into a subtly wrong table.
+// Cancellation stops the evaluation pool promptly and no result file
+// appears — the supervised worker path, where a coordinator reaps
+// timed-out or superseded attempts.
 func (f *Framework) RunPlanFileCtx(ctx context.Context, planPath, outPath string) error {
 	in, err := os.Open(planPath)
 	if err != nil {

@@ -53,7 +53,7 @@ const DefaultDesignCacheBytes = 4 << 20
 // struct, map bookkeeping and key strings (512 bytes), plus the
 // elaborated design graph, compiled plans and pooled simulator state.
 // Calibrated from live-heap deltas (~17 KB per resident reference-design
-// slot including its plan-cache share), rounded up for larger candidates
+// slot including its plan cache share), rounded up for larger candidates
 // and pool churn.
 const designSlotCost = 512 + 24<<10
 

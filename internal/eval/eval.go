@@ -233,10 +233,9 @@ type Runner struct {
 
 	shards [numShards]*bounded.Cache[outcomeKey, *outcomeSlot]
 
-	failMu       sync.Mutex
-	lastFailures []CellFailure // from the most recent EvaluateBatch* call
-	allFailures  []CellFailure // accumulated across calls, deduped by coord
-	failSeen     map[Coord]bool
+	failMu      sync.Mutex
+	allFailures []CellFailure // accumulated across calls, deduped by coord
+	failSeen    map[Coord]bool
 }
 
 // NewRunner wraps a generation backend for evaluation.
@@ -452,6 +451,15 @@ func (r *Runner) EvaluateBatch(qs []Query) []CellStats {
 // the pool instead of lazily inside one worker's Complete while the
 // others wait on it.
 func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats, error) {
+	out, _, err := r.evaluateBatch(ctx, qs)
+	return out, err
+}
+
+// evaluateBatch is EvaluateBatchCtx that also returns the cells this call
+// degraded. A caller that must exclude failed cells reads them here, not
+// from the Runner, so another call on the same Runner can never change
+// which of its own cells it drops.
+func (r *Runner) evaluateBatch(ctx context.Context, qs []Query) ([]CellStats, []CellFailure, error) {
 	keys := make([]gen.Key, len(qs))
 	bases := make([]int64, len(qs))
 	results := make([][]sampleResult, len(qs))
@@ -489,15 +497,16 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 		r.runSingles(ctx, tasks, qs, keys, bases, results, items)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Deterministic reduction: per-query, in sample-index order, through
 	// the same Add the cross-process shard merge uses. A cell with any
 	// produced-failure slot degrades whole (lowest failed sample index
 	// names the error, so the failure list is deterministic too) — its
-	// stats zero out and the failure is reported via Failures, which is
-	// what lets a plan run record the cell as explicitly missing.
+	// stats zero out and the failure is returned with them (and listed in
+	// Failures), which is what lets a plan run record the cell as
+	// explicitly missing.
 	out := make([]CellStats, len(qs))
 	var fails []CellFailure
 	for qi := range qs {
@@ -519,7 +528,6 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 		}
 	}
 	r.failMu.Lock()
-	r.lastFailures = fails
 	if r.failSeen == nil {
 		r.failSeen = map[Coord]bool{}
 	}
@@ -530,7 +538,7 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 		}
 	}
 	r.failMu.Unlock()
-	return out, nil
+	return out, fails, nil
 }
 
 // workItem addresses one (query, sample) work unit of a batch.
@@ -666,17 +674,6 @@ func (r *Runner) Failures() []CellFailure {
 	r.failMu.Lock()
 	defer r.failMu.Unlock()
 	return append([]CellFailure(nil), r.allFailures...)
-}
-
-// LastFailures reports only the most recent EvaluateBatch* call's
-// degraded cells. This is the caching layer's exclusion list: a cell
-// that failed in this batch must be neither persisted nor returned as a
-// result, while an earlier render's transient failure on a coordinate
-// this call served fine must not evict the fresh cell.
-func (r *Runner) LastFailures() []CellFailure {
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	return append([]CellFailure(nil), r.lastFailures...)
 }
 
 // Temperatures is the paper's sweep set.

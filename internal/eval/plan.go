@@ -244,14 +244,15 @@ func (r *Runner) RunPlanCtx(ctx context.Context, p *Plan) (*ResultSet, error) {
 		return nil, err
 	}
 	qs := p.Queries()
-	sts, err := r.EvaluateBatchCtx(ctx, qs)
+	sts, fails, err := r.evaluateBatch(ctx, qs)
 	if err != nil {
 		return nil, err
 	}
 	// Only this call's failures matter here: an earlier render's transient
-	// failure on a coordinate this run served fine must not evict the cell.
-	failed := map[Coord]bool{}
-	for _, f := range r.LastFailures() {
+	// failure on a coordinate this run served fine must not evict the cell,
+	// and another call's failures on this Runner are not this call's.
+	failed := make(map[Coord]bool, len(fails))
+	for _, f := range fails {
 		failed[f.Coord] = true
 	}
 	rs := NewResultSet()

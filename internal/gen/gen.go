@@ -77,10 +77,11 @@ type Backend interface {
 	// (e.g. the mutant backend) list their canonical line-up.
 	Variants() []Key
 
-	// Describe returns a short human-readable description. It also tags
-	// the evaluation engine's outcome-cache keys, so two backends sharing
-	// a Runner seed never alias cache entries; keep it stable for the
-	// backend's lifetime.
+	// Describe returns a short human-readable description. It is also
+	// the sweep's backend tag (core.Framework.backendTag): shard plans and
+	// results carry it in their metadata and the result store keys cells
+	// by it, so two backends sharing a seed never merge or share cells;
+	// keep it stable for the backend's lifetime.
 	Describe() string
 }
 

@@ -136,11 +136,11 @@ type FaultServer struct {
 // NewFaultServer wraps backend b (with opts) behind plan.
 func NewFaultServer(b gen.Backend, plan *FaultPlan, opts ServerOptions) *FaultServer {
 	return &FaultServer{
-		inner:    NewHandler(b, opts),
-		plan:     plan,
-		Drip:     10 * time.Millisecond,
+		inner:     NewHandler(b, opts),
+		plan:      plan,
+		Drip:      10 * time.Millisecond,
 		DripChunk: 16,
-		attempts: map[string]int{},
+		attempts:  map[string]int{},
 	}
 }
 

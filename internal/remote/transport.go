@@ -55,7 +55,7 @@ func configFrom(o gen.RemoteOptions) Config {
 		Endpoint: o.Endpoint, AuthToken: o.AuthToken,
 		Timeout: o.Timeout, Budget: o.Budget,
 		MaxAttempts: o.MaxAttempts, BackoffBase: o.BackoffBase, BackoffCap: o.BackoffCap,
-		MaxInFlight: o.MaxInFlight,
+		MaxInFlight:      o.MaxInFlight,
 		BreakerThreshold: o.BreakerThreshold, BreakerCooldown: o.BreakerCooldown,
 		Seed: o.Seed,
 	}

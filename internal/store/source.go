@@ -10,18 +10,11 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/eval"
 )
-
-// failureReporter is the slice of the Runner the caching layer needs to
-// know which cells of the delegated batch must be neither persisted nor
-// served: a failed cell's zeros are a degradation signal, not a fact
-// about the sweep, and caching one would make the failure permanent.
-type failureReporter interface {
-	LastFailures() []eval.CellFailure
-}
 
 // runChunk is how many missed cells are computed between Syncs on the
 // plan path. Chunking changes durability granularity only, never bytes:
@@ -97,25 +90,14 @@ func (s *Source) count(delta SourceStats) {
 	s.mu.Unlock()
 }
 
-// failedCoords collects the inner source's most recent exclusion list.
-func (s *Source) failedCoords() map[eval.Coord]bool {
-	fr, ok := s.inner.(failureReporter)
-	if !ok {
-		return nil
-	}
-	failed := map[eval.Coord]bool{}
-	for _, f := range fr.LastFailures() {
-		failed[f.Coord] = true
-	}
-	return failed
-}
-
-// persist appends one computed cell unless it is unservable (zero
-// samples: the backend declined the coordinate) or failed (the inner
-// runner degraded it). A rejected Put goes sticky on the source — see
-// Err — and serving continues.
-func (s *Source) persist(c eval.Coord, st eval.CellStats, failed map[eval.Coord]bool) int {
-	if st.Samples == 0 || failed[c] {
+// persist appends one computed cell unless it has zero samples. That one
+// rule covers both cells that must not outlive this run: a declined
+// coordinate, and a failed cell, which the Runner zeroes — a failure's
+// zeros are a degradation signal, not a fact about the sweep, and caching
+// them would make the failure permanent. A rejected Put goes sticky on
+// the source — see Err — and serving continues.
+func (s *Source) persist(c eval.Coord, st eval.CellStats) int {
+	if st.Samples == 0 {
 		return 0
 	}
 	if err := s.store.Put(s.id, c, st); err != nil {
@@ -127,7 +109,7 @@ func (s *Source) persist(c eval.Coord, st eval.CellStats, failed map[eval.Coord]
 
 // Cells implements eval.CellSource: hits from the store, the miss
 // residue delegated to the inner source as one batch (preserving its
-// coalescing and worker fan-out), new cells persisted and synced.
+// batching and worker fan-out), new cells persisted and synced.
 func (s *Source) Cells(qs []eval.Query) []eval.CellStats {
 	out := make([]eval.CellStats, len(qs))
 	var missQs []eval.Query
@@ -148,10 +130,9 @@ func (s *Source) Cells(qs []eval.Query) []eval.CellStats {
 	}
 	delta.Misses += len(missQs)
 	res := s.inner.Cells(missQs)
-	failed := s.failedCoords()
 	for j, i := range missIdx {
 		out[i] = res[j]
-		delta.Persisted += s.persist(missQs[j].Coord(), res[j], failed)
+		delta.Persisted += s.persist(missQs[j].Coord(), res[j])
 	}
 	s.store.Sync() // errors stick on the store; see Err
 	s.count(delta)
@@ -159,11 +140,13 @@ func (s *Source) Cells(qs []eval.Query) []eval.CellStats {
 }
 
 // RunPlanCtx implements eval.PlanRunner: store-resident cells are
-// adopted without execution, and the remaining plan runs in chunks of
-// runChunk cells with a durable Sync after each — cell-granular
-// crash-safe resume. Failed cells stay out of the returned set (and the
-// store), exactly as Runner.RunPlanCtx leaves them out, so shard
-// validation and coordinator retries behave identically warm or cold.
+// adopted without execution, and the remaining plan runs through the
+// inner source's own RunPlanCtx in chunks of runChunk cells with a
+// durable Sync after each — cell-granular crash-safe resume. The inner
+// source must be an eval.PlanRunner: its plan run leaves failed cells out
+// of the returned set, so they stay out of this one (and, having zero
+// samples, out of the store), and shard validation and coordinator
+// retries behave identically warm or cold.
 func (s *Source) RunPlanCtx(ctx context.Context, p *eval.Plan) (*eval.ResultSet, error) {
 	if err := p.Err(); err != nil {
 		return nil, err
@@ -184,51 +167,29 @@ func (s *Source) RunPlanCtx(ctx context.Context, p *eval.Plan) (*eval.ResultSet,
 	}
 	s.count(delta)
 
-	pr, isPlanRunner := s.inner.(eval.PlanRunner)
+	pr, ok := s.inner.(eval.PlanRunner)
+	if !ok && len(miss) > 0 {
+		return nil, fmt.Errorf("store: %d planned cells missed and the inner source %T cannot run a plan", len(miss), s.inner)
+	}
 	for start := 0; start < len(miss); start += runChunk {
-		end := start + runChunk
-		if end > len(miss) {
-			end = len(miss)
+		chunk := miss[start:min(start+runChunk, len(miss))]
+		cp := eval.NewPlan()
+		for _, q := range chunk {
+			if err := cp.Add(q); err != nil {
+				return nil, err
+			}
 		}
-		chunk := miss[start:end]
-		var sub *eval.ResultSet
-		if isPlanRunner {
-			cp := eval.NewPlan()
-			for _, q := range chunk {
-				if err := cp.Add(q); err != nil {
-					return nil, err
-				}
-			}
-			var err error
-			sub, err = pr.RunPlanCtx(ctx, cp)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// A bare CellSource has no failure accounting beyond
-			// failureReporter and no context path; serve and filter here.
-			sts := s.inner.Cells(chunk)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			failed := s.failedCoords()
-			sub = eval.NewResultSet()
-			for i, q := range chunk {
-				if c := q.Coord(); !failed[c] {
-					if err := sub.Put(c, sts[i]); err != nil {
-						return nil, err
-					}
-				}
-			}
+		sub, err := pr.RunPlanCtx(ctx, cp)
+		if err != nil {
+			return nil, err
 		}
 		chunkDelta := SourceStats{Misses: len(chunk)}
-		failed := s.failedCoords()
 		for _, c := range sub.Coords() {
 			st, _ := sub.Get(c)
 			if err := rs.Put(c, st); err != nil {
 				return nil, err
 			}
-			chunkDelta.Persisted += s.persist(c, st, failed)
+			chunkDelta.Persisted += s.persist(c, st)
 		}
 		if err := s.store.Sync(); err != nil {
 			// The plan path has an error channel, so durability failures

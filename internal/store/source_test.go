@@ -189,9 +189,10 @@ func TestKillAndReopenResumesByteIdentical(t *testing.T) {
 	}
 }
 
-// fakeInner is a scriptable CellSource with failure reporting: it serves
-// fixed stats, marks configured coordinates failed (serving zeros for
-// them, as the Runner does), and declines configured coordinates with
+// fakeInner is a scriptable CellSource: it serves fixed stats, marks
+// configured coordinates failed (serving zeros for them, as the Runner
+// does), and declines configured coordinates with zero samples. It
+// reports no failures, so the store can tell a failed cell only by its
 // zero samples.
 type fakeInner struct {
 	calls    int
@@ -208,14 +209,6 @@ func (f *fakeInner) Cells(qs []eval.Query) []eval.CellStats {
 			continue // zero stats
 		}
 		out[i] = eval.CellStats{Samples: c.N, Compiled: c.N, Passed: c.N / 2, SumLat: float64(c.Problem)}
-	}
-	return out
-}
-
-func (f *fakeInner) LastFailures() []eval.CellFailure {
-	var out []eval.CellFailure
-	for c := range f.failed {
-		out = append(out, eval.CellFailure{Coord: c})
 	}
 	return out
 }
@@ -278,6 +271,44 @@ func TestCachedSourceSkipsFailedAndDeclinedCells(t *testing.T) {
 	}
 }
 
+// TestRunPlanNeedsPlanRunnerForMisses: the plan path delegates misses
+// only through the inner source's own RunPlanCtx, the one call that
+// reports which of its cells failed. A bare CellSource cannot serve a
+// miss there; an all-hit plan never reaches the inner source at all.
+func TestRunPlanNeedsPlanRunnerForMisses(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	hit, missed := mkCoord(6, 0, 100, 4), mkCoord(7, 0, 100, 4)
+	if err := st.Put(testID, hit, mkStats(1)); err != nil {
+		t.Fatal(err)
+	}
+	inner := &fakeInner{}
+	src := Cached(inner, st, testID)
+	plan := func(cs ...eval.Coord) *eval.Plan {
+		p, err := eval.PlanFromCoords(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if _, err := src.RunPlanCtx(context.Background(), plan(hit, missed)); err == nil {
+		t.Fatal("plan with a miss ran over a bare CellSource")
+	}
+	if inner.calls != 0 {
+		t.Fatalf("bare CellSource served %d cells on the plan path", inner.calls)
+	}
+	rs, err := src.RunPlanCtx(context.Background(), plan(hit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rs.Get(hit); !ok || got != mkStats(1) {
+		t.Fatalf("all-hit plan served %+v (present %v)", got, ok)
+	}
+}
+
 func TestIdentityInvalidation(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -324,7 +355,7 @@ func TestPersistConflictGoesSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := Cached(&fakeInner{}, st, testID)
-	if n := src.persist(c, eval.CellStats{Samples: 4, Compiled: 4, Passed: 4, SumLat: 1}, nil); n != 0 {
+	if n := src.persist(c, eval.CellStats{Samples: 4, Compiled: 4, Passed: 4, SumLat: 1}); n != 0 {
 		t.Fatal("conflicting persist reported success")
 	}
 	if src.Err() == nil {

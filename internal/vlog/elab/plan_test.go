@@ -56,19 +56,19 @@ func TestSelfTypeResolution(t *testing.T) {
 	}{
 		{"v", 16, false},
 		{"sv", 8, true},
-		{"P", 32, true},           // parameter: 32-bit signed decimal literal
-		{"v + nib", 16, false},    // max of operand widths
-		{"sv + sv", 8, true},      // signed only when all operands are
-		{"sv + v", 16, false},     // mixed context is unsigned
-		{"v < sv", 1, false},      // comparisons are one bit
-		{"&v", 1, false},          // reductions are one bit
-		{"v << 9", 16, false},     // shift width from the left operand
-		{"sv ** sv", 8, true},     // power width from the base
-		{"{v, nib}", 20, false},   // concat sums parts
-		{"{3{nib}}", 12, false},   // replication multiplies
-		{"v[7:2]", 6, false},      // part select span
-		{"mem[2]", 8, false},      // memory word width
-		{"v[3]", 1, false},        // bit select
+		{"P", 32, true},         // parameter: 32-bit signed decimal literal
+		{"v + nib", 16, false},  // max of operand widths
+		{"sv + sv", 8, true},    // signed only when all operands are
+		{"sv + v", 16, false},   // mixed context is unsigned
+		{"v < sv", 1, false},    // comparisons are one bit
+		{"&v", 1, false},        // reductions are one bit
+		{"v << 9", 16, false},   // shift width from the left operand
+		{"sv ** sv", 8, true},   // power width from the base
+		{"{v, nib}", 20, false}, // concat sums parts
+		{"{3{nib}}", 12, false}, // replication multiplies
+		{"v[7:2]", 6, false},    // part select span
+		{"mem[2]", 8, false},    // memory word width
+		{"v[3]", 1, false},      // bit select
 		{"$time", 64, false},
 		{"$signed(nib)", 4, true}, // $signed keeps the arg width
 		{"nib ? sv : sv", 8, true},
@@ -138,4 +138,3 @@ func TestCompileExprResolvesStatically(t *testing.T) {
 		t.Errorf("string plan = %+v", p)
 	}
 }
-
