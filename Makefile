@@ -30,7 +30,7 @@ test: vet check
 # race-checks the packages with concurrency: the parallel evaluation
 # engine, the bounded cache every memo tier is built on (shared by all
 # eval workers; its suite races Add from 16 goroutines), the parser
-# (every eval worker copies a shared prompt's tokens), the model
+# (every eval worker shares a prompt's parsed header), the model
 # family the engine drives (whose prepare tasks build LMs and variant
 # banks on every pool worker), the n-gram sampler (whose frozen tables
 # share per-temperature weight tables across workers), the simulator and its

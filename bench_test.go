@@ -355,8 +355,9 @@ func BenchmarkParseReference(b *testing.B) {
 }
 
 // BenchmarkParsePrefixed times the evaluation path's parse of the same
-// source as BenchmarkParseReference: the prompt's tokens come from a
-// LexPrefix made once, and only the completion is lexed.
+// source as BenchmarkParseReference: the prompt's module header comes
+// from a LexPrefix made once, and only the completion is lexed and
+// parsed.
 func BenchmarkParsePrefixed(b *testing.B) {
 	p := problems.ByNumber(17)
 	pre := vlog.LexPrefix(p.Prompt(problems.LevelLow))

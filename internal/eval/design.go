@@ -24,7 +24,7 @@ import (
 //     parsed AST and, built on first shared use, the elab.Skeleton each
 //     candidate splices into (skeleton.go in the elab package).
 //   - prefix tier: one vlog.Prefix per prompt text, so a candidate's
-//     parse lexes only its completion.
+//     parse parses only its completion.
 //   - design tier: one compiled slot per (testbench, candidate source)
 //     pair that reached simulation, holding the spliced Design and a pool
 //     of reusable Simulators whose bound plans and runtime objects
@@ -71,7 +71,7 @@ var testbenches = bounded.New[string, *testbench](tbCap)
 // prompt, hence three entries per testbench.
 var prefixes = bounded.New[string, *vlog.Prefix](3 * tbCap)
 
-// prefixFor returns the lexed prefix of a prompt, lexing it on a miss.
+// prefixFor returns the parsed prefix of a prompt, parsing it on a miss.
 func prefixFor(prompt string) *vlog.Prefix {
 	if pre, ok := prefixes.Get(prompt); ok {
 		return pre

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/problems"
 	"repro/internal/sim"
+	"repro/internal/vlog"
 )
 
 // TestCompiledPlansMatchInterpreter is the verdict-equivalence contract of
@@ -104,5 +105,34 @@ func TestTruncateTokenBoundary(t *testing.T) {
 	o := Evaluate(p, problems.LevelLow, "  // endmodule comes later\n"+p.RefBody)
 	if !o.Passes {
 		t.Error("comment mentioning endmodule flipped a passing candidate")
+	}
+}
+
+// TestTruncateDirectiveLine pins that Truncate skips a compiler-directive
+// line to its end, as the lexer does: an endmodule in a `define is not
+// the body's terminator.
+func TestTruncateDirectiveLine(t *testing.T) {
+	for _, in := range []string{
+		"`define END endmodule\n  assign y = a;\nendmodule",
+		"`timescale 1ns/1ps // endmodule\n  assign y = a;\nendmodule",
+	} {
+		if got := Truncate(in + "\ntrailing junk"); got != in+"\n" {
+			t.Errorf("Truncate(%q) = %q, want %q", in, got, in+"\n")
+		}
+	}
+	// a directive with no trailing newline runs to the end of the text
+	if in := "  assign y = a;\n`define END endmodule"; Truncate(in) != in {
+		t.Errorf("Truncate(%q) = %q, want it unchanged", in, Truncate(in))
+	}
+	p := problems.ByNumber(13)
+	completion := "`define END endmodule\n" + p.RefBody
+	if f, err := vlog.Parse(p.Prompt(problems.LevelLow) + completion); err != nil || len(f.Modules) != 1 {
+		t.Fatalf("the whole text must parse as one module: %v", err)
+	}
+	if o := Evaluate(p, problems.LevelLow, completion); !o.Compiles || !o.Passes {
+		t.Errorf("Evaluate: %+v, want the reference to compile and pass", o)
+	}
+	if o := EvaluateUnshared(p, problems.LevelLow, completion); !o.Compiles || !o.Passes {
+		t.Errorf("EvaluateUnshared: %+v, want the reference to compile and pass", o)
 	}
 }

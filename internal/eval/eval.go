@@ -32,10 +32,10 @@ import (
 // Truncate cuts a completion after the first endmodule keyword, mirroring
 // the paper's truncation of generations at `end`/`endmodule`. Only the
 // keyword proper terminates the body: "endmodule" inside a line or block
-// comment, a string literal, or an identifier (my_endmodule, endmodule2)
-// is plain text. A naive substring search here used to chop a passing
-// candidate at a comment that merely mentioned endmodule, silently
-// flipping its verdict to non-compiling.
+// comment, a compiler-directive line, a string literal, or an identifier
+// (my_endmodule, endmodule2) is plain text. A naive substring search
+// here used to chop a passing candidate at a comment that merely
+// mentioned endmodule, silently flipping its verdict to non-compiling.
 func Truncate(completion string) string {
 	if i := endmoduleKeywordIndex(completion); i >= 0 {
 		return completion[:i+len("endmodule")] + "\n"
@@ -44,7 +44,8 @@ func Truncate(completion string) string {
 }
 
 // endmoduleKeywordIndex scans for the first endmodule at a token boundary
-// outside comments and strings, or -1.
+// outside comments, directives and strings, or -1. Like the lexer, it
+// skips from a backtick to the end of its line.
 func endmoduleKeywordIndex(s string) int {
 	isWord := func(b byte) bool {
 		return b == '_' || b == '$' ||
@@ -52,7 +53,7 @@ func endmoduleKeywordIndex(s string) int {
 	}
 	for i := 0; i < len(s); {
 		switch {
-		case s[i] == '/' && i+1 < len(s) && s[i+1] == '/':
+		case s[i] == '/' && i+1 < len(s) && s[i+1] == '/', s[i] == '`':
 			for i < len(s) && s[i] != '\n' {
 				i++
 			}

@@ -63,10 +63,17 @@ func (p *Parser) parseFile(toks []Token, lexErr error) (*SourceFile, error) {
 	if lexErr != nil {
 		return nil, lexErr
 	}
-	file := &SourceFile{}
+	return p.parseRest(&SourceFile{})
+}
+
+// parseRest appends the modules that remain in the buffer to file.
+func (p *Parser) parseRest(file *SourceFile) (*SourceFile, error) {
 	for !p.atEOF() {
-		m, err := p.parseModule()
+		m, err := p.parseHeader()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.parseBody(m); err != nil {
 			return nil, err
 		}
 		file.Modules = append(file.Modules, m)
@@ -163,7 +170,9 @@ func (p *Parser) expectIdent() (Token, error) {
 
 // ---- module ------------------------------------------------------------
 
-func (p *Parser) parseModule() (*Module, error) {
+// parseHeader parses a module header through the ';' that ends it, and
+// never looks past that ';'.
+func (p *Parser) parseHeader() (*Module, error) {
 	start := p.cur().Pos
 	if err := p.expectKeyword("module"); err != nil {
 		return nil, err
@@ -210,21 +219,25 @@ func (p *Parser) parseModule() (*Module, error) {
 	if err := p.expectPunct(";"); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
 
+// parseBody appends m's items through its endmodule.
+func (p *Parser) parseBody(m *Module) error {
 	for !p.isKeyword("endmodule") {
 		if p.atEOF() {
-			return nil, p.errorf("unexpected end of input inside module %q", m.Name)
+			return p.errorf("unexpected end of input inside module %q", m.Name)
 		}
 		item, err := p.parseItem()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if item != nil {
 			m.Items = append(m.Items, item)
 		}
 	}
 	p.next() // endmodule
-	return m, nil
+	return nil
 }
 
 // parsePortList handles both ANSI headers (with directions) and plain

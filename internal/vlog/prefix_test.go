@@ -3,6 +3,7 @@ package vlog_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -21,9 +22,9 @@ func errText(err error) string {
 
 // checkPrefixed asserts that parsing completion after LexPrefix(prompt)
 // is indistinguishable from Parse(prompt+completion): the same token
-// stream (kind, text and position of every token), the same printed AST
-// and the same error text. It reports whether the prompt's tokens were
-// reused.
+// stream (kind, text and position of every token), the same AST down to
+// the position of every node, and the same error text. It reports
+// whether the prompt's parsed head was reused.
 func checkPrefixed(t testing.TB, prompt, completion string) bool {
 	t.Helper()
 	src := prompt + completion
@@ -47,6 +48,9 @@ func checkPrefixed(t testing.TB, prompt, completion string) bool {
 		t.Errorf("AST presence differs (got %v, want %v)\nprompt: %q\ncompletion: %q", gotF != nil, wantF != nil, prompt, completion)
 	} else if gotF != nil && vlog.Print(gotF) != vlog.Print(wantF) {
 		t.Errorf("ASTs differ\nprompt: %q\ncompletion: %q\ngot:\n%s\nwant:\n%s", prompt, completion, vlog.Print(gotF), vlog.Print(wantF))
+	} else if !reflect.DeepEqual(gotF, wantF) {
+		// Print drops positions, and the head's come from the prompt
+		t.Errorf("ASTs differ in node positions\nprompt: %q\ncompletion: %q", prompt, completion)
 	}
 	return reused
 }
@@ -62,7 +66,7 @@ func TestParsePrefixedMatchesParse(t *testing.T) {
 			prompt := p.Prompt(l)
 			for i := 0; i <= len(p.RefBody); i++ {
 				if !checkPrefixed(t, prompt, p.RefBody[:i]) {
-					t.Fatalf("problem %d/%s: prompt tokens were not reused", p.Number, l)
+					t.Fatalf("problem %d/%s: the prompt's parsed head was not reused", p.Number, l)
 				}
 				cases++
 			}
@@ -108,6 +112,11 @@ func TestParsePrefixedFallback(t *testing.T) {
 		{"unterminated block comment", "module m;\n/* opened here\n", "closed here */\nendmodule\n"},
 		{"lex error", "module m;\n  wire $ w;\n", "endmodule\n"},
 		{"escaped newline in string", "module m;\n  initial $display(\"a\\\n", "b\");\nendmodule\n"},
+		{"if takes its else from the completion",
+			"module m(input clk, input a, output reg q);\n  always @(posedge clk)\n    if (a) q <= 1;\n",
+			"    else q <= 0;\nendmodule\n"},
+		{"mid-header", "module m(input a,\n", "  output b);\n  assign b = a;\nendmodule\n"},
+		{"whole module before a header", "module sub; endmodule\nmodule m(input a, output b);\n", "  assign b = a;\nendmodule\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,7 +126,7 @@ func TestParsePrefixedFallback(t *testing.T) {
 		})
 	}
 	// the texts that only their completion closes must parse
-	for _, i := range []int{2, 4} {
+	for _, i := range []int{2, 4, 5, 6, 7} {
 		c := cases[i]
 		if _, err := vlog.ParsePrefixed(vlog.LexPrefix(c.prompt), c.completion); err != nil {
 			t.Errorf("%s: %v", c.name, err)
@@ -126,11 +135,18 @@ func TestParsePrefixedFallback(t *testing.T) {
 }
 
 // TestParsePrefixedConcurrent shares one Prefix across goroutines, as
-// the evaluation workers do; under -race it pins that parsing only reads
-// the prompt's tokens.
+// the evaluation workers do, with completions that add items to the
+// prompt's module. Under -race it pins that parsing only reads the
+// shared head; afterwards the head must hold the same items it did.
 func TestParsePrefixedConcurrent(t *testing.T) {
 	p := problems.ByNumber(17)
-	pre := vlog.LexPrefix(p.Prompt(problems.LevelMedium))
+	prompt := p.Prompt(problems.LevelMedium)
+	pre := vlog.LexPrefix(prompt)
+	head := vlog.PrefixHead(pre)
+	if head == nil {
+		t.Fatal("prompt did not take the head path")
+	}
+	items, printed := len(head.Items), vlog.PrintItems(head.Items)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -138,10 +154,12 @@ func TestParsePrefixedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				completion := p.RefBody[:len(p.RefBody)*(cut+i)/(8+20)]
-				want, wantErr := vlog.Parse(p.Prompt(problems.LevelMedium) + completion)
+				if i%2 == 1 {
+					completion = p.RefBody
+				}
+				want, wantErr := vlog.Parse(prompt + completion)
 				got, gotErr := vlog.ParsePrefixed(pre, completion)
-				if errText(gotErr) != errText(wantErr) || (got == nil) != (want == nil) ||
-					got != nil && vlog.Print(got) != vlog.Print(want) {
+				if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(got, want) {
 					t.Errorf("completion %q: concurrent prefixed parse diverged", completion)
 					return
 				}
@@ -149,6 +167,21 @@ func TestParsePrefixedConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if len(head.Items) != items || vlog.PrintItems(head.Items) != printed {
+		t.Errorf("shared head changed: %d items, want %d\n%s", len(head.Items), items, vlog.PrintItems(head.Items))
+	}
+	// a result keeps its own items through a later parse of the same
+	// prompt; one added item each stays within any spare capacity
+	first, err := vlog.ParsePrefixed(pre, "  assign z = 1;\nendmodule\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vlog.ParsePrefixed(pre, "  assign z = 0;\nendmodule\n"); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := vlog.Parse(prompt + "  assign z = 1;\nendmodule\n"); !reflect.DeepEqual(first, want) {
+		t.Errorf("a later parse rewrote an earlier result's items:\n%s", vlog.Print(first))
+	}
 }
 
 // FuzzParsePrefixed asserts the differential for arbitrary splits. The
@@ -162,6 +195,10 @@ func FuzzParsePrefixed(f *testing.F) {
 	}
 	f.Add("\n", "module m; endmodule")
 	f.Add("module m;\n", "/* unterminated")
+	// a split inside a prompt declaration
+	f.Add("module m(input clk);\n  reg [7:0] mem", " [63:0];\n  always @(posedge clk) mem[0] <= 0;\nendmodule\n")
+	// a prompt if that would take its else from the completion
+	f.Add("module m(input a, output reg q);\n  always @(*)\n    if (a) q = 1;\n", "    else q = 0;\nendmodule\n")
 	f.Fuzz(func(t *testing.T, prefix, rest string) {
 		checkPrefixed(t, prefix, rest)
 	})
