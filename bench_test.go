@@ -855,3 +855,45 @@ func BenchmarkStoreLookup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreOpen times store.Open over a four-identity store holding
+// every sweepQueries coordinate at each paper temperature: the segment
+// replay a warm -store run pays before it serves its first cell.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		id := store.Identity{Backend: "family: simulated n-gram line-up (60 fine-tuning docs)", Seed: seed}
+		for _, temp := range eval.Temperatures {
+			for j, q := range sweepQueries() {
+				q.Temperature = temp
+				c := q.Coord()
+				cs := eval.CellStats{Samples: c.N, Compiled: c.N - j%2, Passed: j % 3, SumLat: 0.0625 * float64(j+1) * temp}
+				if err := st.Put(id, c, cs); err != nil {
+					b.Fatal(err)
+				}
+				cells++
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != cells {
+			b.Fatalf("reopened store holds %d cells, wrote %d", s.Len(), cells)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

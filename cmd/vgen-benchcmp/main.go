@@ -51,10 +51,12 @@ var hotPathBenches = []string{
 	"BenchmarkSweepThroughput/backend=remote/batch=32",
 	"BenchmarkRetryBookkeeping",
 	// persistent result store rows: the cold (compute + persist) and warm
-	// (disk cache hit) sweep paths plus the raw resident-cell probe — a
-	// regression here erodes exactly the speedup the store exists for
+	// (disk cache hit) sweep paths, the segment replay a warm run opens
+	// with, and the raw resident-cell probe — a regression here erodes
+	// exactly the speedup the store exists for
 	"BenchmarkSweepThroughput/store=cold",
 	"BenchmarkSweepThroughput/store=warm",
+	"BenchmarkStoreOpen",
 	"BenchmarkStoreLookup",
 	// shared compiled-artifact rows (DESIGN.md Section 15): the cold and
 	// warm per-sample compile paths and the plan-sharing sweep ablation —

@@ -41,6 +41,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -103,7 +104,9 @@ const maxSegmentBytes = 8 << 20
 
 // recordLine is the JSON payload of one record: identity + coordinate +
 // stats, with the wire package's field names so the two serializations
-// never drift apart in review.
+// never drift apart in review. decodeRecord reads exactly the bytes
+// json.Marshal writes for it, keys in this field order: a field change
+// here is a format change there.
 type recordLine struct {
 	Backend   string  `json:"backend"`
 	Seed      int64   `json:"seed"`
@@ -140,10 +143,14 @@ func encodeRecord(id Identity, c eval.Coord, st eval.CellStats) ([]byte, error) 
 	if id.Backend == "" {
 		return nil, fmt.Errorf("store: empty backend tag in identity")
 	}
-	if !utf8.ValidString(id.Backend) {
-		// JSON transport replaces invalid UTF-8 with U+FFFD, so a tag that
-		// is not valid UTF-8 would silently decode to a different identity.
-		return nil, fmt.Errorf("store: backend tag %q is not valid UTF-8", id.Backend)
+	// JSON transport replaces invalid UTF-8 with U+FFFD, so a string that
+	// is not valid UTF-8 would silently decode to a different key.
+	for _, f := range [...]struct{ name, s string }{
+		{"backend tag", id.Backend}, {"model", c.Model}, {"variant", c.Variant},
+	} {
+		if !utf8.ValidString(f.s) {
+			return nil, fmt.Errorf("store: %s %q is not valid UTF-8", f.name, f.s)
+		}
 	}
 	if _, err := c.Query(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -172,10 +179,14 @@ func encodeRecord(id Identity, c eval.Coord, st eval.CellStats) ([]byte, error) 
 }
 
 // decodeRecord parses and validates one record line (without its
-// trailing newline). Every failure mode — framing, checksum, JSON,
-// coordinate resolvability, stat consistency — is an error; the caller
-// decides whether the position makes it a torn tail or corruption.
-func decodeRecord(line []byte) (Identity, eval.Coord, eval.CellStats, error) {
+// trailing newline). A record is exactly what encodeRecord writes: the
+// framing, then the payload json.Marshal makes of a recordLine — twelve
+// keys in field order, no whitespace. Anything else is an error, as is
+// every other failure mode — checksum, coordinate resolvability, stat
+// consistency; the caller decides whether the position makes it a torn
+// tail or corruption. The backend, model and variant strings come from
+// strs, so one Open holds each distinct string once.
+func decodeRecord(line []byte, strs interner) (Identity, eval.Coord, eval.CellStats, error) {
 	var zid Identity
 	var zc eval.Coord
 	var zst eval.CellStats
@@ -194,29 +205,194 @@ func decodeRecord(line []byte) (Identity, eval.Coord, eval.CellStats, error) {
 	if crc32.ChecksumIEEE(payload) != uint32(sum) {
 		return zid, zc, zst, fmt.Errorf("store: record checksum mismatch")
 	}
-	var rl recordLine
-	if err := json.Unmarshal(payload, &rl); err != nil {
-		return zid, zc, zst, fmt.Errorf("store: record payload: %w", err)
-	}
-	if rl.Backend == "" {
-		return zid, zc, zst, fmt.Errorf("store: record has empty backend tag")
-	}
-	id := Identity{Backend: rl.Backend, Seed: rl.Seed}
+	p := payloadScanner{rest: payload, strs: strs}
+	id := Identity{Backend: p.str(`{"backend":`), Seed: p.num(`,"seed":`, 64)}
 	c := eval.Coord{
-		Model: rl.Model, Variant: rl.Variant, Problem: rl.Problem,
-		Level: rl.Level, TempMilli: rl.TempMilli, N: rl.N,
+		Model: p.str(`,"model":`), Variant: p.str(`,"variant":`),
+		Problem: p.int(`,"problem":`), Level: p.int(`,"level":`),
+		TempMilli: p.int(`,"temp_milli":`), N: p.int(`,"n":`),
+	}
+	st := eval.CellStats{
+		Samples: p.int(`,"samples":`), Compiled: p.int(`,"compiled":`),
+		Passed: p.int(`,"passed":`), SumLat: p.float(`,"sum_lat":`),
+	}
+	p.lit("}")
+	if p.err == nil && len(p.rest) > 0 {
+		p.err = errors.New("trailing bytes after the payload")
+	}
+	if p.err != nil {
+		return zid, zc, zst, fmt.Errorf("store: record payload: %w", p.err)
+	}
+	if id.Backend == "" {
+		return zid, zc, zst, fmt.Errorf("store: record has empty backend tag")
 	}
 	if _, err := c.Query(); err != nil {
 		return zid, zc, zst, fmt.Errorf("store: %w", err)
-	}
-	st := eval.CellStats{
-		Samples: rl.Samples, Compiled: rl.Compiled, Passed: rl.Passed,
-		SumLat: rl.SumLat,
 	}
 	if err := checkStats(c, st); err != nil {
 		return zid, zc, zst, err
 	}
 	return id, c, st, nil
+}
+
+// interner shares the few distinct strings a store holds (backend tags,
+// model and variant names) between every record that names them. The
+// lookup m[string(b)] does not allocate, so a replayed record allocates
+// no strings once its values have been seen.
+type interner map[string]string
+
+func (in interner) intern(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	in[s] = s
+	return s
+}
+
+// payloadScanner reads a canonical record payload left to right, one
+// literal and one value at a time. The first mismatch sets err, and
+// every later step is then a no-op.
+type payloadScanner struct {
+	rest []byte
+	strs interner
+	err  error
+}
+
+// lit consumes the literal s.
+func (p *payloadScanner) lit(s string) {
+	if p.err != nil {
+		return
+	}
+	if len(p.rest) < len(s) || string(p.rest[:len(s)]) != s {
+		p.err = fmt.Errorf("expected %s", s)
+		return
+	}
+	p.rest = p.rest[len(s):]
+}
+
+// fail records err as the scan's error, naming the field it hit.
+func (p *payloadScanner) fail(key string, err error) {
+	p.err = fmt.Errorf("%s: %w", strings.Trim(key, `{,":`), err)
+}
+
+// str consumes the literal key, then a JSON string. A string of printable
+// ASCII other than the bytes json.Marshal escapes (" \ < > &) is its own
+// bytes; any other string token is decoded by encoding/json, so escapes
+// and invalid UTF-8 read exactly as they always have.
+func (p *payloadScanner) str(key string) string {
+	p.lit(key)
+	if p.err != nil {
+		return ""
+	}
+	if len(p.rest) == 0 || p.rest[0] != '"' {
+		p.fail(key, errors.New("expected a string"))
+		return ""
+	}
+	plain := true
+	for i := 1; i < len(p.rest); i++ {
+		switch ch := p.rest[i]; {
+		case ch == '"':
+			tok := p.rest[:i+1]
+			p.rest = p.rest[i+1:]
+			if plain {
+				return p.strs.intern(tok[1:i])
+			}
+			var s string
+			if err := json.Unmarshal(tok, &s); err != nil {
+				p.fail(key, err)
+				return ""
+			}
+			return p.strs.intern([]byte(s))
+		case ch == '\\':
+			plain = false
+			i++ // the escaped byte cannot end the string
+		case ch < 0x20 || ch > 0x7e || ch == '<' || ch == '>' || ch == '&':
+			plain = false
+		}
+	}
+	p.fail(key, errors.New("unterminated string"))
+	return ""
+}
+
+// int consumes the literal key, then a JSON integer that fits in an int.
+func (p *payloadScanner) int(key string) int { return int(p.num(key, strconv.IntSize)) }
+
+// num consumes the literal key, then a JSON integer (a number with no
+// fraction or exponent, which strconv.ParseInt rejects) that fits in
+// bits bits.
+func (p *payloadScanner) num(key string, bits int) int64 {
+	tok := p.number(key)
+	if p.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(string(tok), 10, bits)
+	if err != nil {
+		p.fail(key, err)
+	}
+	return v
+}
+
+// float consumes the literal key, then a JSON number that fits in a
+// float64.
+func (p *payloadScanner) float(key string) float64 {
+	tok := p.number(key)
+	if p.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		p.fail(key, err)
+	}
+	return v
+}
+
+// number consumes the literal key, then a number in the JSON grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
+// A leading zero ends the integer part, so "05" leaves "5" to fail the
+// next literal.
+func (p *payloadScanner) number(key string) []byte {
+	p.lit(key)
+	if p.err != nil {
+		return nil
+	}
+	b, n := p.rest, 0
+	if n < len(b) && b[n] == '-' {
+		n++
+	}
+	ok := n < len(b) && b[n] >= '0' && b[n] <= '9'
+	if ok && b[n] == '0' {
+		n++
+	} else {
+		n += countDigits(b[n:])
+	}
+	if ok && n < len(b) && b[n] == '.' {
+		d := countDigits(b[n+1:])
+		ok, n = d > 0, n+1+d
+	}
+	if ok && n < len(b) && (b[n] == 'e' || b[n] == 'E') {
+		n++
+		if n < len(b) && (b[n] == '+' || b[n] == '-') {
+			n++
+		}
+		d := countDigits(b[n:])
+		ok, n = d > 0, n+d
+	}
+	if !ok {
+		p.fail(key, errors.New("expected a number"))
+		return nil
+	}
+	p.rest = b[n:]
+	return b[:n]
+}
+
+// countDigits returns the length of the run of ASCII digits b starts with.
+func countDigits(b []byte) int {
+	n := 0
+	for n < len(b) && b[n] >= '0' && b[n] <= '9' {
+		n++
+	}
+	return n
 }
 
 // Store is the open result store: an in-memory cell index over the
@@ -253,9 +429,10 @@ func Open(dir string) (*Store, error) {
 	sort.Strings(segs) // zero-padded ordinals: lexicographic == numeric
 
 	s := &Store{dir: dir, cells: map[key]eval.CellStats{}, maxSeg: maxSegmentBytes, segIdx: 1}
+	strs := interner{}
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		n, err := s.loadSegment(seg, final)
+		n, err := s.loadSegment(seg, final, strs)
 		if err != nil {
 			return nil, err
 		}
@@ -279,15 +456,19 @@ func Open(dir string) (*Store, error) {
 }
 
 // loadSegment replays one segment into the index and returns its durable
-// length. In the final segment a bad last record — torn write, whether
-// or not the newline made it to disk — is truncated away; a bad record
-// with data after it, or any bad record in an earlier segment, is
-// corruption.
-func (s *Store) loadSegment(path string, final bool) (int64, error) {
-	data, err := os.ReadFile(path)
+// length. The segment is streamed through a 64 KiB reader: a record is
+// decoded in place in the reader's buffer, and only a record longer than
+// that buffer is copied out, into one buffer reused for every such line.
+// In the final segment a bad last record — torn write, whether or not
+// the newline made it to disk — is truncated away; a bad record with data
+// after it, or any bad record in an earlier segment, is corruption.
+func (s *Store) loadSegment(path string, final bool, strs interner) (int64, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
+	defer f.Close() // read only
+	br := bufio.NewReaderSize(f, 64<<10)
 	var off int64
 	truncateTail := func() (int64, error) {
 		if err := os.Truncate(path, off); err != nil {
@@ -295,17 +476,39 @@ func (s *Store) loadSegment(path string, final bool) (int64, error) {
 		}
 		return off, nil
 	}
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		last := nl < 0 || nl == len(data)-1
-		var line []byte
-		if nl < 0 {
-			line = data
-		} else {
-			line = data[:nl]
+	var long []byte // a line that overflowed br's buffer
+	for {
+		line, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for rerr == bufio.ErrBufferFull {
+				line, rerr = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
 		}
-		id, c, st, derr := decodeRecord(line)
+		if rerr != nil && rerr != io.EOF {
+			return 0, fmt.Errorf("store: %s: %w", path, rerr)
+		}
+		if len(line) == 0 {
+			return off, nil
+		}
+		// rerr == nil exactly when the line ends in its newline.
+		rec := line
+		if rerr == nil {
+			rec = line[:len(line)-1]
+		}
+		// Decode before any Peek: a Peek may refill the buffer line is in.
+		id, c, st, derr := decodeRecord(rec, strs)
 		if derr != nil {
+			last := rerr == io.EOF
+			if !last {
+				_, perr := br.Peek(1)
+				if perr != nil && perr != io.EOF {
+					return 0, fmt.Errorf("store: %s: %w", path, perr)
+				}
+				last = perr == io.EOF
+			}
 			if final && last {
 				// The signature of a crash mid-append: a record that does not
 				// decode, as the last line of the last segment. Drop the torn
@@ -314,7 +517,7 @@ func (s *Store) loadSegment(path string, final bool) (int64, error) {
 			}
 			return 0, fmt.Errorf("store: %s: offset %d: %w", path, off, derr)
 		}
-		if nl < 0 {
+		if rerr == io.EOF {
 			// The record decodes but lost its newline: the next append would
 			// corrupt it, so drop it too — one recomputed cell, not a risk.
 			// Only the final segment may end without a newline (earlier ones
@@ -333,10 +536,8 @@ func (s *Store) loadSegment(path string, final bool) (int64, error) {
 				path, off, id, c, old, st)
 		}
 		s.cells[k] = st
-		off += int64(nl) + 1
-		data = data[nl+1:]
+		off += int64(len(line))
 	}
-	return off, nil
 }
 
 // Get returns the stats stored for one cell.

@@ -8,8 +8,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -350,12 +354,13 @@ func TestWriteToRoundTrip(t *testing.T) {
 }
 
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add("family: sweep", int64(1), 3, 1, 500, 10, 10, 8, 5, 2.5)
-	f.Add("b@x", int64(-9), 17, 2, 100, 1, 1, 1, 1, 0.0)
-	f.Add("m", int64(0), 1, 0, 0, 25, 0, 0, 0, 0.0)
-	f.Fuzz(func(t *testing.T, backend string, seed int64, problem, level, tempMilli, n, samples, compiled, passed int, sumLat float64) {
+	f.Add("family: sweep", "CodeGen-16B", int64(1), 3, 1, 500, 10, 10, 8, 5, 2.5)
+	f.Add("b@x", "<a & \"b\\c\">", int64(-9), 17, 2, 100, 1, 1, 1, 1, 0.0)
+	f.Add("m", "Jäger \u2028 \x7f\t", int64(0), 1, 0, 0, 25, 0, 0, 0, 0.0)
+	f.Add("m", "m\xff", int64(0), 1, 0, 0, 25, 0, 0, 0, 0.0)
+	f.Fuzz(func(t *testing.T, backend, model string, seed int64, problem, level, tempMilli, n, samples, compiled, passed int, sumLat float64) {
 		id := Identity{Backend: backend, Seed: seed}
-		c := eval.Coord{Model: "CodeGen-16B", Variant: "PT", Problem: problem, Level: level, TempMilli: tempMilli, N: n}
+		c := eval.Coord{Model: model, Variant: "PT", Problem: problem, Level: level, TempMilli: tempMilli, N: n}
 		st := eval.CellStats{Samples: samples, Compiled: compiled, Passed: passed, SumLat: sumLat}
 		line, err := encodeRecord(id, c, st)
 		if err != nil {
@@ -364,7 +369,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if !bytes.HasSuffix(line, []byte("\n")) {
 			t.Fatal("encoded record is not newline-terminated")
 		}
-		gid, gc, gst, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")))
+		gid, gc, gst, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), interner{})
 		if err != nil {
 			t.Fatalf("encoded record does not decode: %v\n%s", err, line)
 		}
@@ -374,22 +379,234 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
+// decodeRecordJSON is the reflective decoder the store used before the
+// canonical scanner: framing and checksum as decodeRecord, then
+// json.Unmarshal of the payload into a recordLine. It accepts every
+// spelling of a payload encoding/json reads (any key order, whitespace,
+// missing keys), so FuzzDecodeRecord holds decodeRecord to a subset of
+// it with identical results.
+func decodeRecordJSON(line []byte) (Identity, eval.Coord, eval.CellStats, error) {
+	var zid Identity
+	var zc eval.Coord
+	var zst eval.CellStats
+	rest, ok := bytes.CutPrefix(line, []byte(recordPrefix+" "))
+	if !ok {
+		return zid, zc, zst, fmt.Errorf("store: record does not start with %q", recordPrefix)
+	}
+	if len(rest) < 9 || rest[8] != ' ' {
+		return zid, zc, zst, fmt.Errorf("store: record missing checksum field")
+	}
+	sum, err := strconv.ParseUint(string(rest[:8]), 16, 32)
+	if err != nil {
+		return zid, zc, zst, fmt.Errorf("store: bad checksum field: %w", err)
+	}
+	payload := rest[9:]
+	if crc32.ChecksumIEEE(payload) != uint32(sum) {
+		return zid, zc, zst, fmt.Errorf("store: record checksum mismatch")
+	}
+	var rl recordLine
+	if err := json.Unmarshal(payload, &rl); err != nil {
+		return zid, zc, zst, fmt.Errorf("store: record payload: %w", err)
+	}
+	if rl.Backend == "" {
+		return zid, zc, zst, fmt.Errorf("store: record has empty backend tag")
+	}
+	id := Identity{Backend: rl.Backend, Seed: rl.Seed}
+	c := eval.Coord{
+		Model: rl.Model, Variant: rl.Variant, Problem: rl.Problem,
+		Level: rl.Level, TempMilli: rl.TempMilli, N: rl.N,
+	}
+	if _, err := c.Query(); err != nil {
+		return zid, zc, zst, fmt.Errorf("store: %w", err)
+	}
+	st := eval.CellStats{
+		Samples: rl.Samples, Compiled: rl.Compiled, Passed: rl.Passed,
+		SumLat: rl.SumLat,
+	}
+	if err := checkStats(c, st); err != nil {
+		return zid, zc, zst, err
+	}
+	return id, c, st, nil
+}
+
+// frame wraps a payload in the record framing with a valid checksum, so
+// a test reaches the payload decoder.
+func frame(payload string) string {
+	return fmt.Sprintf("%s %08x %s", recordPrefix, crc32.ChecksumIEEE([]byte(payload)), payload)
+}
+
+// canonicalPayload is a valid payload; nonCanonical lists spellings of
+// it that encoding/json may read but encodeRecord never writes, and a
+// sum_lat out of float64 range.
+const canonicalPayload = `{"backend":"b","seed":5,"model":"CodeGen-16B","variant":"FT","problem":2,"level":1,"temp_milli":300,"n":4,"samples":4,"compiled":3,"passed":1,"sum_lat":0.375}`
+
+var nonCanonical = []struct{ name, payload string }{
+	{"leading zero", strings.Replace(canonicalPayload, `"seed":5`, `"seed":05`, 1)},
+	{"plus sign", strings.Replace(canonicalPayload, `"seed":5`, `"seed":+5`, 1)},
+	{"fraction in an int", strings.Replace(canonicalPayload, `"problem":2`, `"problem":2.0`, 1)},
+	{"exponent in an int", strings.Replace(canonicalPayload, `"temp_milli":300`, `"temp_milli":3e2`, 1)},
+	{"int overflow", strings.Replace(canonicalPayload, `"seed":5`, `"seed":9223372036854775808`, 1)},
+	{"space after colon", strings.Replace(canonicalPayload, `"seed":5`, `"seed": 5`, 1)},
+	{"trailing space", canonicalPayload + " "},
+	{"reordered keys", strings.Replace(canonicalPayload, `"model":"CodeGen-16B","variant":"FT"`, `"variant":"FT","model":"CodeGen-16B"`, 1)},
+	{"missing key", strings.Replace(canonicalPayload, `"level":1,`, ``, 1)},
+	{"unknown key", strings.Replace(canonicalPayload, `"n":4,`, `"n":4,"k":1,`, 1)},
+	{"key case", strings.Replace(canonicalPayload, `"seed"`, `"Seed"`, 1)},
+	{"trailing comma", strings.Replace(canonicalPayload, `0.375}`, `0.375,}`, 1)},
+	{"sum_lat 1e400", strings.Replace(canonicalPayload, `0.375`, `1e400`, 1)},
+	{"sum_lat 1.", strings.Replace(canonicalPayload, `0.375`, `1.`, 1)},
+	{"null string", strings.Replace(canonicalPayload, `"b"`, `null`, 1)},
+	{"torn inside a string", canonicalPayload[:len(`{"backend":"b`)]},
+}
+
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	want := eval.CellStats{Samples: 4, Compiled: 3, Passed: 1, SumLat: 0.375}
+	if _, _, st, err := decodeRecord([]byte(frame(canonicalPayload)), interner{}); err != nil || st != want {
+		t.Fatalf("canonical payload: %+v, %v", st, err)
+	}
+	for _, tc := range nonCanonical {
+		if _, _, _, err := decodeRecord([]byte(frame(tc.payload)), interner{}); err == nil {
+			t.Errorf("%s: decoded %s", tc.name, tc.payload)
+		}
+	}
+}
+
 func FuzzDecodeRecord(f *testing.F) {
 	good, _ := encodeRecord(testID, mkCoord(2, 1, 300, 4), mkStats(3))
 	f.Add(string(good))
+	f.Add(frame(canonicalPayload))
+	f.Add(frame(strings.Replace(canonicalPayload, `"b"`, `"\u003c\u00e9\ufffd"`, 1)))
+	f.Add(frame(strings.Replace(canonicalPayload, `"b"`, "\"\xff\"", 1)))
+	f.Add(frame(strings.Replace(canonicalPayload, `0.375`, `-0.0e-2`, 1)))
+	for _, tc := range nonCanonical {
+		f.Add(frame(tc.payload))
+	}
 	f.Add("s1 00000000 {}")
 	f.Add("")
 	f.Add(strings.Repeat("s1 ", 100))
 	f.Fuzz(func(t *testing.T, line string) {
 		// Must never panic; errors are the expected outcome for junk.
-		id, c, st, err := decodeRecord([]byte(line))
-		if err == nil {
-			// Whatever decodes must re-encode decodably (idempotent format).
-			if _, rerr := encodeRecord(id, c, st); rerr != nil {
-				t.Fatalf("decoded record fails re-encode: %v", rerr)
-			}
+		id, c, st, err := decodeRecord([]byte(line), interner{})
+		if err != nil {
+			return
+		}
+		// Whatever decodes must decode identically through encoding/json...
+		jid, jc, jst, jerr := decodeRecordJSON([]byte(line))
+		if jerr != nil {
+			t.Fatalf("decodeRecord accepts what encoding/json rejects (%v):\n%q", jerr, line)
+		}
+		if jid != id || jc != c || jst != st {
+			t.Fatalf("decoders disagree on %q:\n(%+v %+v %+v)\nvs encoding/json\n(%+v %+v %+v)", line, id, c, st, jid, jc, jst)
+		}
+		// ...and re-encode decodably (idempotent format).
+		if _, rerr := encodeRecord(id, c, st); rerr != nil {
+			t.Fatalf("decoded record fails re-encode: %v", rerr)
 		}
 	})
+}
+
+// TestInvalidUTF8ModelRejected: encoding/json writes every invalid
+// UTF-8 byte as U+FFFD, so two models that differ only there would share
+// one key on reopen and refuse the store as a conflicting duplicate.
+func TestInvalidUTF8ModelRejected(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, model := range []string{"m\xff", "m\xfe"} {
+		c := mkCoord(1, 0, 100, 4)
+		c.Model = model
+		if err := s.Put(testID, c, eval.CellStats{Samples: 4, Compiled: i + 1}); err == nil {
+			t.Errorf("Put accepted model %q, which is not valid UTF-8", model)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	r.Close()
+}
+
+// longID's backend tag makes a record longer than loadSegment's 64 KiB
+// read buffer.
+var longID = Identity{Backend: strings.Repeat("long backend tag ", 100<<10/17), Seed: 3}
+
+// appendLong puts one long record after fill's cells and, if more > 0,
+// more short cells after it; it returns the long record's coordinate.
+func appendLong(t *testing.T, dir string, more int) eval.Coord {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mkCoord(9, 1, 900, 4)
+	if err := s.Put(longID, c, mkStats(4)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < more; i++ {
+		if err := s.Put(Identity{Backend: testID.Backend, Seed: 100}, mkCoord(1+i, 2, 200, 4), mkStats(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestRecordLongerThanReadBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		more int  // short records after the long one
+		tear bool // cut the long final record short
+	}{
+		{"mid-segment", 5, false},
+		{"valid final record", 0, false},
+		{"torn final record", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := buildStore(t, 12, 0)
+			seg := lastSegment(t, dir)
+			before, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := appendLong(t, dir, tc.more)
+			if tc.tear {
+				after, _ := os.Stat(seg)
+				if after.Size()-before.Size() <= 64<<10 {
+					t.Fatalf("long record is %d bytes, not past the read buffer", after.Size()-before.Size())
+				}
+				if err := os.Truncate(seg, before.Size()+70<<10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want := 12 + tc.more
+			if !tc.tear {
+				want++
+			}
+			if s.Len() != want {
+				t.Fatalf("reopened store holds %d cells, want %d", s.Len(), want)
+			}
+			if _, ok := s.Get(longID, c); ok == tc.tear {
+				t.Fatalf("long record present = %v", ok)
+			}
+			if tc.tear {
+				if fi, _ := os.Stat(seg); fi.Size() != before.Size() {
+					t.Fatalf("torn long record left %d bytes, want the %d before it", fi.Size(), before.Size())
+				}
+			}
+		})
+	}
 }
 
 func TestOpenOnMissingDirCreates(t *testing.T) {
