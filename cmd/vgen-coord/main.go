@@ -29,8 +29,10 @@
 // cells already resident under this sweep's identity are adopted before
 // shards are planned — a fully warm sweep completes without launching a
 // single worker — and validated shard results merge back into the store
-// afterward. Only the coordinator touches the store directory; workers
-// never do, preserving the one-writer-per-directory contract.
+// afterward. Only the coordinator process writes the store directory,
+// preserving the one-writer-per-directory contract: in-process attempts
+// run through the coordinator's framework and bank their cells through
+// its cached source, while -proc workers never open the store.
 //
 // By default attempts run in-process. -proc launches each attempt as a
 // worker subprocess (this same binary in a hidden worker mode), so a
@@ -103,7 +105,7 @@ func main() {
 	stealAfter := flag.Duration("steal-after", 0, "age after which an idle slot speculatively duplicates a straggler (0 = off)")
 	unhealthyAfter := flag.Int("unhealthy-after", 3, "consecutive failures that quarantine a worker slot")
 	proc := flag.Bool("proc", false, "run each attempt as a worker subprocess instead of in-process")
-	storeDir := flag.String("store", "", "persistent result store directory: resident cells are adopted before shards are planned, and validated results merge back (coordinator-only; workers never touch the store)")
+	storeDir := flag.String("store", "", "persistent result store directory: resident cells are adopted before shards are planned, and validated results merge back (coordinator process only: in-process attempts bank through it, -proc workers never open it)")
 	faultSpec := flag.String("fault", "", "inject failures: kind:shard:attempt[,...] with kind crash|hang|truncate|corrupt and '*' for every attempt")
 	allowPartial := flag.Bool("allow-partial", false, "exit 0 on a partial result (missing shards/cells are reported either way)")
 	quiet := flag.Bool("quiet", false, "suppress the per-shard event stream")

@@ -443,20 +443,9 @@ func mergeShardSummary(shardFiles []wire.Shard, m wire.Meta, storeDir string) {
 			fmt.Fprintf(os.Stderr, "shard %d: %d cell(s)\n", sh.Meta.Shard, sh.Set.Len())
 			continue
 		}
-		resident, fresh := 0, 0
-		for _, c := range sh.Set.Coords() {
-			cs, _ := sh.Set.Get(c)
-			if cs.Samples == 0 {
-				continue // unserved cell: nothing durable to bank
-			}
-			if old, ok := st.Get(id, c); ok && old == cs {
-				resident++
-				continue
-			}
-			if err := st.Put(id, c, cs); err != nil {
-				fail("%v", err)
-			}
-			fresh++
+		fresh, resident, err := st.PutSet(id, sh.Set)
+		if err != nil {
+			fail("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "shard %d: %d cell(s), %d already in store, %d newly persisted\n",
 			sh.Meta.Shard, sh.Set.Len(), resident, fresh)

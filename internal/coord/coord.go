@@ -324,9 +324,15 @@ func Run(ctx context.Context, fw *core.Framework, cfg Config, l Launcher) (*Resu
 	// altogether). Without a store this is the identity transformation —
 	// the remaining plan is the full plan — so shard partitions are
 	// unchanged.
-	adopted, remaining, err := fw.AdoptStoreCells(cfg.Experiments)
+	remaining, err := fw.Harness.PlanFor(cfg.Experiments)
 	if err != nil {
 		return nil, err
+	}
+	adopted := eval.NewResultSet()
+	if fw.Store != nil {
+		if adopted, remaining, err = fw.Store.Split(fw.SweepIdentity(), remaining); err != nil {
+			return nil, err
+		}
 	}
 	s := &supervisor{cfg: cfg, fw: fw, launcher: l, adopted: adopted, results: make(chan attemptDone)}
 	if remaining.Len() == 0 {
@@ -689,11 +695,8 @@ func (s *supervisor) finish() (*Result, error) {
 	// Adopted cells and computed cells are disjoint by construction (the
 	// shard plans are the full plan minus the adopted set), so the merge
 	// is a plain union.
-	for _, c := range s.adopted.Coords() {
-		cs, _ := s.adopted.Get(c)
-		if err := set.Put(c, cs); err != nil {
-			return nil, err
-		}
+	if err := set.Merge(s.adopted); err != nil {
+		return nil, err
 	}
 	res.Set, res.Meta = set, meta
 	if err := s.accountStore(res); err != nil {
@@ -702,8 +705,8 @@ func (s *supervisor) finish() (*Result, error) {
 	return res, nil
 }
 
-// accountStore merges the run's validated cells back into the result
-// store (Put dedups identical cells; a conflicting cell is upstream
+// accountStore banks the run's validated cells through Store.PutSet
+// (identical cells are already resident; a conflicting cell is upstream
 // nondeterminism and fails the run loudly) and fills the Result's store
 // counters. A store-less run is a no-op.
 func (s *supervisor) accountStore(res *Result) error {
@@ -713,15 +716,8 @@ func (s *supervisor) accountStore(res *Result) error {
 	}
 	res.StoreUsed = true
 	res.StoreAdopted = s.adopted.Len()
-	id := s.fw.SweepIdentity()
-	for _, c := range res.Set.Coords() {
-		cs, _ := res.Set.Get(c)
-		if cs.Samples == 0 {
-			continue // the backend declined the cell; nothing durable to say
-		}
-		if err := st.Put(id, c, cs); err != nil {
-			return err
-		}
+	if _, _, err := st.PutSet(s.fw.SweepIdentity(), res.Set); err != nil {
+		return err
 	}
 	if err := st.Sync(); err != nil {
 		return err

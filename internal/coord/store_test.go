@@ -51,6 +51,11 @@ func TestCoordStoreColdThenWarm(t *testing.T) {
 		t.Fatalf("cold run store accounting: used=%v adopted=%d new=%d (want %d new)",
 			res.StoreUsed, res.StoreAdopted, res.StoreNew, want.Len())
 	}
+	// In-process attempts bank their cells through the framework's cached
+	// source, so the coordinator's own PutSet finds every cell resident.
+	if added, resident, err := cold.Store.PutSet(cold.SweepIdentity(), res.Set); err != nil || added != 0 || resident != want.Len() {
+		t.Fatalf("re-banking the cold result: %d added, %d resident, err %v; want 0, %d", added, resident, err, want.Len())
+	}
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +145,18 @@ func TestCoordStorePartialWarm(t *testing.T) {
 	}
 	if log.count(EventStart) == 0 {
 		t.Fatal("partial-warm run dispatched no work despite missing cells")
+	}
+	// The store now holds the whole sweep: splitting its plan again leaves
+	// nothing to compute.
+	plan, err := fw.Harness.PlanFor(testExps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, rest, err := fw.Store.Split(id, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rest.Len() != 0 || held.Len() != full.Len() {
+		t.Fatalf("after the run the store holds %d of %d cells (%d still to compute)", held.Len(), full.Len(), rest.Len())
 	}
 }

@@ -32,38 +32,9 @@ func (f *Framework) shardMeta(shard, shards int) wire.Meta {
 }
 
 // ShardMeta exposes the sweep identity for shard i of n — what a
-// coordinator stamps on shard plans it builds itself (see AdoptStoreCells).
+// coordinator stamps on shard plans it builds itself.
 func (f *Framework) ShardMeta(shard, shards int) wire.Meta {
 	return f.shardMeta(shard, shards)
-}
-
-// AdoptStoreCells splits the experiments' full plan against the result
-// store: cells already resident under this sweep's identity come back as
-// an adopted ResultSet (no execution), everything else as the remaining
-// plan. Without a store the adopted set is empty and the remaining plan
-// is the full plan — callers need no special case.
-func (f *Framework) AdoptStoreCells(experiments []string) (*eval.ResultSet, *eval.Plan, error) {
-	full, err := f.Harness.PlanFor(experiments)
-	if err != nil {
-		return nil, nil, err
-	}
-	adopted := eval.NewResultSet()
-	if f.Store == nil {
-		return adopted, full, nil
-	}
-	id := f.SweepIdentity()
-	remaining := eval.NewPlan()
-	for _, q := range full.Queries() {
-		c := q.Coord()
-		if st, ok := f.Store.Get(id, c); ok {
-			if err := adopted.Put(c, st); err != nil {
-				return nil, nil, err
-			}
-		} else if err := remaining.Add(q); err != nil {
-			return nil, nil, err
-		}
-	}
-	return adopted, remaining, nil
 }
 
 // ShardPlan builds shard i of n of the query plan for the named

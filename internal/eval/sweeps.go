@@ -157,16 +157,6 @@ func Aggregate(src CellSource, mv ModelVariant, opts SweepOptions) CellStats {
 	return pooled
 }
 
-// AggregateCompile pools best-temperature compile stats over difficulties.
-func AggregateCompile(src CellSource, mv ModelVariant, opts SweepOptions) CellStats {
-	pooled := CellStats{}
-	for _, d := range problems.Difficulties {
-		st, _ := BestOverTemps(src, mv, problems.ByDifficulty(d), problems.Levels, opts, CellStats.CompileRate)
-		pooled.Add(st)
-	}
-	return pooled
-}
-
 // Headline summarizes the paper's Sections VI-VII aggregates over a runner.
 type Headline struct {
 	CompilePT    float64

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/vlog"
 	"repro/internal/vlog/elab"
@@ -84,22 +85,18 @@ func TestNoCoroutineLeak(t *testing.T) {
 		{"runtime-error", "module m;" + blocked + "initial #12;\nalways @(posedge clk) #1;\nalways n = 1;\nendmodule",
 			isRuntimeError},
 	}
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	for _, c := range cases {
 		_, err := New(elabTop(t, c.src, "m"), Options{}).Run()
 		if !c.endOK(err) {
 			t.Fatalf("%s: run ended with err = %v", c.name, err)
 		}
-		if n := runtime.NumGoroutine(); n != before {
-			t.Fatalf("%s: %d goroutines after the run, %d before", c.name, n, before)
-		}
+		waitGoroutines(t, before, c.name)
 	}
 	if _, err := New(panickingDesign(), Options{}).Run(); err == nil {
 		t.Fatal("panicking design ran clean")
 	}
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("internal error: %d goroutines after the run, %d before", n, before)
-	}
+	waitGoroutines(t, before, "internal error")
 
 	pooled := New(elabTop(t, "module m;"+blocked+"initial #52 $finish;\nendmodule", "m"), Options{})
 	for i := 0; i < 50; i++ {
@@ -108,7 +105,37 @@ func TestNoCoroutineLeak(t *testing.T) {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 	}
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("after 50 Reset/Run cycles: %d goroutines, %d before", n, before)
+	waitGoroutines(t, before, "after 50 Reset/Run cycles")
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// falling: goroutines an earlier test started may still be exiting, and
+// counting them in the baseline would make a clean run look like it lost
+// some (or hide a leak behind one that exits later).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// waitGoroutines fails the test unless the goroutine count comes back to
+// at most base within a bounded deadline. A released coroutine may take a
+// moment to exit; a leaked one never does, so the check stays strict.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%s: %d goroutines after the run, %d before", what, n, base)
 	}
 }

@@ -90,21 +90,16 @@ func (s *Source) count(delta SourceStats) {
 	s.mu.Unlock()
 }
 
-// persist appends one computed cell unless it has zero samples. That one
-// rule covers both cells that must not outlive this run: a declined
-// coordinate, and a failed cell, which the Runner zeroes — a failure's
-// zeros are a degradation signal, not a fact about the sweep, and caching
-// them would make the failure permanent. A rejected Put goes sticky on
-// the source — see Err — and serving continues.
-func (s *Source) persist(c eval.Coord, st eval.CellStats) int {
-	if st.Samples == 0 {
-		return 0
-	}
-	if err := s.store.Put(s.id, c, st); err != nil {
+// persist banks computed cells through Store.PutSet, which keeps
+// zero-sample (declined or failed) cells out, and returns how many it
+// appended. A rejected put goes sticky on the source — see Err — and
+// serving continues.
+func (s *Source) persist(rs *eval.ResultSet) int {
+	added, _, err := s.store.PutSet(s.id, rs)
+	if err != nil {
 		s.setErr(err)
-		return 0
 	}
-	return 1
+	return added
 }
 
 // Cells implements eval.CellSource: hits from the store, the miss
@@ -130,47 +125,37 @@ func (s *Source) Cells(qs []eval.Query) []eval.CellStats {
 	}
 	delta.Misses += len(missQs)
 	res := s.inner.Cells(missQs)
+	computed := eval.NewResultSet()
 	for j, i := range missIdx {
 		out[i] = res[j]
-		delta.Persisted += s.persist(missQs[j].Coord(), res[j])
+		computed.Put(missQs[j].Coord(), res[j]) // a repeated query is the same cell: keep the first
 	}
+	delta.Persisted = s.persist(computed)
 	s.store.Sync() // errors stick on the store; see Err
 	s.count(delta)
 	return out
 }
 
 // RunPlanCtx implements eval.PlanRunner: store-resident cells are
-// adopted without execution, and the remaining plan runs through the
-// inner source's own RunPlanCtx in chunks of runChunk cells with a
-// durable Sync after each — cell-granular crash-safe resume. The inner
-// source must be an eval.PlanRunner: its plan run leaves failed cells out
-// of the returned set, so they stay out of this one (and, having zero
-// samples, out of the store), and shard validation and coordinator
-// retries behave identically warm or cold.
+// adopted without execution (Store.Split), and the rest of the plan runs
+// through the inner source's own RunPlanCtx in chunks of runChunk cells,
+// each banked by Store.PutSet with a durable Sync after it — cell-granular
+// crash-safe resume. The inner source must be an eval.PlanRunner: its
+// plan run leaves failed cells out of the returned set, so they stay out
+// of this one (and out of the store), and shard validation and
+// coordinator retries behave identically warm or cold.
 func (s *Source) RunPlanCtx(ctx context.Context, p *eval.Plan) (*eval.ResultSet, error) {
-	if err := p.Err(); err != nil {
+	held, rest, err := s.store.Split(s.id, p)
+	if err != nil {
 		return nil, err
 	}
-	rs := eval.NewResultSet()
-	var miss []eval.Query
-	delta := SourceStats{}
-	for _, q := range p.Queries() {
-		c := q.Coord()
-		if st, ok := s.store.Get(s.id, c); ok {
-			if err := rs.Put(c, st); err != nil {
-				return nil, err
-			}
-			delta.Hits++
-		} else {
-			miss = append(miss, q)
-		}
-	}
-	s.count(delta)
+	s.count(SourceStats{Hits: held.Len()})
 
 	pr, ok := s.inner.(eval.PlanRunner)
-	if !ok && len(miss) > 0 {
-		return nil, fmt.Errorf("store: %d planned cells missed and the inner source %T cannot run a plan", len(miss), s.inner)
+	if !ok && rest.Len() > 0 {
+		return nil, fmt.Errorf("store: %d planned cells missed and the inner source %T cannot run a plan", rest.Len(), s.inner)
 	}
+	miss := rest.Queries()
 	for start := 0; start < len(miss); start += runChunk {
 		chunk := miss[start:min(start+runChunk, len(miss))]
 		cp := eval.NewPlan()
@@ -183,23 +168,19 @@ func (s *Source) RunPlanCtx(ctx context.Context, p *eval.Plan) (*eval.ResultSet,
 		if err != nil {
 			return nil, err
 		}
-		chunkDelta := SourceStats{Misses: len(chunk)}
-		for _, c := range sub.Coords() {
-			st, _ := sub.Get(c)
-			if err := rs.Put(c, st); err != nil {
-				return nil, err
-			}
-			chunkDelta.Persisted += s.persist(c, st)
-		}
+		persisted := s.persist(sub)
 		if err := s.store.Sync(); err != nil {
 			// The plan path has an error channel, so durability failures
 			// surface here instead of waiting for the post-render Err check.
 			return nil, err
 		}
-		s.count(chunkDelta)
+		s.count(SourceStats{Misses: len(chunk), Persisted: persisted})
 		if err := s.Err(); err != nil {
 			return nil, err // rejected cell (conflict): nondeterminism, fail loudly
 		}
+		if err := held.Merge(sub); err != nil {
+			return nil, err
+		}
 	}
-	return rs, nil
+	return held, nil
 }

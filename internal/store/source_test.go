@@ -269,6 +269,52 @@ func TestCachedSourceSkipsFailedAndDeclinedCells(t *testing.T) {
 	if _, ok := st.Get(testID, bad); !ok {
 		t.Fatal("recovered cell not persisted on retry")
 	}
+
+	// The plan path keeps the same two cells out of a fresh store: the
+	// inner plan run omits the failed cell and serves the declined one
+	// with zero samples, and only the good cell is banked.
+	fresh, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	inner.failed = map[eval.Coord]bool{bad: true}
+	psrc := Cached(planInner{inner}, fresh, testID)
+	plan, err := eval.PlanFromCoords([]eval.Coord{good, bad, declined})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := psrc.RunPlanCtx(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rs.Get(bad); ok || rs.Len() != 2 {
+		t.Fatalf("plan run returned %v: the failed cell must be left out", rs.Coords())
+	}
+	if fresh.Len() != 1 {
+		t.Fatalf("plan run banked %d cells, want only the good one", fresh.Len())
+	}
+	if s := psrc.Stats(); s.Persisted != 1 || s.Misses != 3 || s.Hits != 0 {
+		t.Fatalf("plan stats %+v", s)
+	}
+}
+
+// planInner runs a plan over a fakeInner the way the Runner does: a
+// failed cell is left out of the returned set, a declined one is served
+// with zero samples.
+type planInner struct{ *fakeInner }
+
+func (p planInner) RunPlanCtx(_ context.Context, plan *eval.Plan) (*eval.ResultSet, error) {
+	rs := eval.NewResultSet()
+	qs := plan.Queries()
+	for i, st := range p.Cells(qs) {
+		if c := qs[i].Coord(); !p.failed[c] {
+			if err := rs.Put(c, st); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rs, nil
 }
 
 // TestRunPlanNeedsPlanRunnerForMisses: the plan path delegates misses
@@ -355,7 +401,11 @@ func TestPersistConflictGoesSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := Cached(&fakeInner{}, st, testID)
-	if n := src.persist(c, eval.CellStats{Samples: 4, Compiled: 4, Passed: 4, SumLat: 1}); n != 0 {
+	conflict := eval.NewResultSet()
+	if err := conflict.Put(c, eval.CellStats{Samples: 4, Compiled: 4, Passed: 4, SumLat: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.persist(conflict); n != 0 {
 		t.Fatal("conflicting persist reported success")
 	}
 	if src.Err() == nil {

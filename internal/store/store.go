@@ -579,35 +579,95 @@ func (s *Store) Err() error {
 func (s *Store) Put(id Identity, c eval.Coord, st eval.CellStats) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	_, err := s.putLocked(id, c, st)
+	return err
+}
+
+// Split partitions a plan against the store: the cells already resident
+// under id come back as held (no execution needed), every other query as
+// rest, in plan order. This is the one place a sweep adopts stored cells.
+func (s *Store) Split(id Identity, p *eval.Plan) (held *eval.ResultSet, rest *eval.Plan, err error) {
+	if err := p.Err(); err != nil {
+		return nil, nil, err
+	}
+	held, rest = eval.NewResultSet(), eval.NewPlan()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, q := range p.Queries() {
+		c := q.Coord()
+		if st, ok := s.cells[key{id: id, c: c}]; ok {
+			err = held.Put(c, st)
+		} else {
+			err = rest.Add(q)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return held, rest, nil
+}
+
+// PutSet banks a result set under id, in canonical order, and reports how
+// many cells it appended and how many it already held identically. It is
+// the one place that decides what persists: a cell with zero samples
+// never does. That covers both cells that must not outlive their run — a
+// declined coordinate, and a failed cell, which the Runner zeroes: a
+// failure's zeros are a degradation signal, not a fact about the sweep,
+// and banking them would make the failure permanent. The first
+// conflicting cell (or write failure) stops the set with Put's error.
+func (s *Store) PutSet(id Identity, rs *eval.ResultSet) (added, resident int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range rs.Coords() {
+		st, _ := rs.Get(c)
+		if st.Samples == 0 {
+			continue
+		}
+		fresh, err := s.putLocked(id, c, st)
+		if err != nil {
+			return added, resident, err
+		}
+		if fresh {
+			added++
+		} else {
+			resident++
+		}
+	}
+	return added, resident, nil
+}
+
+// putLocked is Put with the lock held; fresh reports whether the cell was
+// appended rather than already resident.
+func (s *Store) putLocked(id Identity, c eval.Coord, st eval.CellStats) (fresh bool, err error) {
 	if s.err != nil {
-		return s.err
+		return false, s.err
 	}
 	k := key{id: id, c: c}
 	if old, ok := s.cells[k]; ok {
 		if old != st {
-			return fmt.Errorf("store: cell %s %+v already holds %+v; refusing conflicting %+v", id, c, old, st)
+			return false, fmt.Errorf("store: cell %s %+v already holds %+v; refusing conflicting %+v", id, c, old, st)
 		}
-		return nil
+		return false, nil
 	}
 	line, err := encodeRecord(id, c, st)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if s.segLen >= s.maxSeg {
 		if err := s.rotate(); err != nil {
 			s.err = err
-			return err
+			return false, err
 		}
 	}
 	if _, err := s.bw.Write(line); err != nil {
 		s.err = fmt.Errorf("store: append: %w", err)
-		return s.err
+		return false, s.err
 	}
 	s.segLen += int64(len(line))
 	s.cells[k] = st
 	s.dirty = true
 	s.added++
-	return nil
+	return true, nil
 }
 
 // rotate seals the active segment (flush + fsync + close) and opens the

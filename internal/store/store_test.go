@@ -694,3 +694,128 @@ func TestAddedCountsOnlyNewCells(t *testing.T) {
 		t.Fatalf("Added = %d, want 1", s.Added())
 	}
 }
+
+// TestSplit: a plan splits into exactly the cells resident under its
+// identity and the rest of the plan, in plan order; another identity's
+// cells are never held.
+func TestSplit(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var coords []eval.Coord
+	for i := 0; i < 8; i++ {
+		coords = append(coords, mkCoord(8-i, i%3, 100, 4)) // plan order is not canonical order
+	}
+	plan, err := eval.PlanFromCoords(coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := Identity{Backend: testID.Backend, Seed: testID.Seed + 1}
+	var wantRest []eval.Coord
+	for i, c := range coords {
+		switch i % 3 {
+		case 0:
+			if err := s.Put(testID, c, mkStats(i)); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			if err := s.Put(other, c, mkStats(i)); err != nil {
+				t.Fatal(err)
+			}
+			wantRest = append(wantRest, c)
+		default:
+			wantRest = append(wantRest, c)
+		}
+	}
+
+	held, rest, err := s.Split(testID, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Len()+rest.Len() != plan.Len() {
+		t.Fatalf("split %d cells into %d held + %d rest", plan.Len(), held.Len(), rest.Len())
+	}
+	for i, c := range coords {
+		got, ok := held.Get(c)
+		if want := i%3 == 0; ok != want {
+			t.Fatalf("cell %d held = %v, want %v", i, ok, want)
+		}
+		if ok && got != mkStats(i) {
+			t.Fatalf("cell %d held %+v, stored %+v", i, got, mkStats(i))
+		}
+	}
+	if got := rest.Coords(); fmt.Sprint(got) != fmt.Sprint(wantRest) {
+		t.Fatalf("rest = %v, want %v in plan order", got, wantRest)
+	}
+}
+
+// putSet builds a result set holding cells.
+func putSet(t *testing.T, cells map[eval.Coord]eval.CellStats) *eval.ResultSet {
+	t.Helper()
+	rs := eval.NewResultSet()
+	for c, st := range cells {
+		if err := rs.Put(c, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rs
+}
+
+// TestPutSet: zero-sample cells never persist, an identical re-put
+// counts as resident rather than added, and a conflicting cell fails
+// with Put's conflict error.
+func TestPutSet(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, b, zero := mkCoord(1, 0, 100, 4), mkCoord(2, 1, 100, 4), mkCoord(3, 2, 100, 4)
+	rs := putSet(t, map[eval.Coord]eval.CellStats{a: mkStats(1), b: mkStats(2), zero: {}})
+
+	added, resident, err := s.PutSet(testID, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 2 || resident != 0 {
+		t.Fatalf("first PutSet: %d added, %d resident; want 2, 0", added, resident)
+	}
+	if _, ok := s.Get(testID, zero); ok {
+		t.Fatal("zero-sample cell persisted")
+	}
+	added, resident, err = s.PutSet(testID, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 0 || resident != 2 || s.Added() != 2 {
+		t.Fatalf("identical re-put: %d added, %d resident, %d appended this session; want 0, 2, 2", added, resident, s.Added())
+	}
+
+	conflict := putSet(t, map[eval.Coord]eval.CellStats{b: mkStats(3)})
+	_, _, err = s.PutSet(testID, conflict)
+	if err == nil || !strings.Contains(err.Error(), "refusing conflicting") {
+		t.Fatalf("conflicting PutSet: err = %v, want the conflict error", err)
+	}
+	if got, _ := s.Get(testID, b); got != mkStats(2) {
+		t.Fatalf("conflict overwrote the resident cell: %+v", got)
+	}
+	if s.Err() != nil {
+		t.Fatal("a rejected cell must not poison the store itself")
+	}
+
+	// Only the two banked cells survive a reopen.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != 2 {
+		t.Fatalf("reopened store holds %d cells, want 2", r.Len())
+	}
+}

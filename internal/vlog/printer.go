@@ -17,13 +17,6 @@ func Print(f *SourceFile) string {
 	return sb.String()
 }
 
-// PrintModule renders one module.
-func PrintModule(m *Module) string {
-	var sb strings.Builder
-	printModule(&sb, m)
-	return sb.String()
-}
-
 // PrintExpr renders an expression.
 func PrintExpr(e Expr) string {
 	var sb strings.Builder

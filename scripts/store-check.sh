@@ -5,8 +5,9 @@
 # store directory must render the same bytes again with 100% hits — zero
 # misses means zero backend completions, the cache's whole contract. The
 # query layer must see the persisted sweep, and a second-seed sweep must
-# land under its own identity (invalidation by identity, diffable).
-# Run via `make store-check`.
+# land under its own identity (invalidation by identity, diffable). Shard
+# results merged with -merge -store must bank once and then serve a warm
+# render. Run via `make store-check`.
 set -eu
 
 GO=${GO:-go}
@@ -90,4 +91,50 @@ if ! grep -q "^diff " "$tmp/diff.txt"; then
 fi
 echo "store-check ok: $(head -1 "$tmp/diff.txt")"
 
-echo "store-check PASS: cold/warm byte-identical with 100% warm hits; query and diff see the sweep"
+# Merge banking: shard result files merged with -store into an empty
+# store must bank every cell as new; a warm render over that store must
+# serve every cell from disk, byte-identical to the store-less run; and
+# merging the same shards again must find every cell already resident.
+mstore="$tmp/merge-store"
+files=""
+for i in 0 1; do
+    # shellcheck disable=SC2086
+    "$V" $FLAGS -experiment table3 -shards 2 -shard "$i" -emit "$tmp/shard-$i.jsonl"
+    files="$files,$tmp/shard-$i.jsonl"
+done
+# merge_lines TAG WANT: merge the shards into $mstore; every per-shard
+# line of the summary must contain WANT.
+merge_lines() {
+    # shellcheck disable=SC2086
+    if ! "$V" $FLAGS -experiment table3 -merge "${files#,}" -store "$mstore" \
+        > "$tmp/merge-$1.txt" 2> "$tmp/merge-$1.err"; then
+        echo "store-check FAIL: $1 merge -store failed" >&2
+        cat "$tmp/merge-$1.err" >&2
+        exit 1
+    fi
+    lines=$(grep -c "^shard " "$tmp/merge-$1.err" || true)
+    if [ "$lines" -ne 2 ] || grep "^shard " "$tmp/merge-$1.err" | grep -qv "$2"; then
+        echo "store-check FAIL: $1 merge: want 2 shard lines reading \"$2\":" >&2
+        cat "$tmp/merge-$1.err" >&2
+        exit 1
+    fi
+    echo "store-check ok: $1 merge (every shard line reads \"$2\")"
+}
+merge_lines first ", 0 already in store,"
+# shellcheck disable=SC2086
+"$V" $FLAGS -experiment table3 -store "$mstore" -store-stats \
+    > "$tmp/merge-warm.txt" 2> "$tmp/merge-warm.err"
+if ! cmp -s "$tmp/golden-table3.txt" "$tmp/merge-warm.txt"; then
+    echo "store-check FAIL: warm render over the merged store differs from store-less run" >&2
+    diff "$tmp/golden-table3.txt" "$tmp/merge-warm.txt" >&2 || true
+    exit 1
+fi
+if ! grep -q ", 0 misses," "$tmp/merge-warm.err"; then
+    echo "store-check FAIL: warm render over the merged store hit the backend:" >&2
+    cat "$tmp/merge-warm.err" >&2
+    exit 1
+fi
+echo "store-check ok: table3 warm over the merged store (0 misses)"
+merge_lines repeat ", 0 newly persisted"
+
+echo "store-check PASS: cold/warm byte-identical with 100% warm hits; query and diff see the sweep; merged shards bank once and serve warm"
