@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/bpe"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/gen"
@@ -41,29 +42,25 @@ import (
 // shared harness: built once; the eval cache makes repeated table
 // regeneration cheap, which is also how the real tool amortizes sweeps.
 var (
-	benchOnce sync.Once
-	benchH    *harness.Harness
-	benchAlt  *harness.Harness // GitHub+books family for the ablation bench
+	benchOnce  sync.Once
+	benchH     *harness.Harness
+	benchBooks *eval.Runner // GitHub+books family for the ablation bench
 )
 
 func benchHarness() *harness.Harness {
 	benchOnce.Do(func() {
-		opts := harness.Options{
+		fw, err := core.New(core.Config{
 			Seed:        123,
 			CorpusFiles: 60,
 			Sweep:       eval.SweepOptions{N: 5, Temperatures: []float64{0.1, 0.5, 1.0}},
-		}
-		var err error
-		benchH, err = harness.New(opts)
+		})
 		if err != nil {
 			panic(err)
 		}
-		alt := opts
-		alt.Corpus = model.GitHubPlusBooks
-		benchAlt, err = harness.New(alt)
-		if err != nil {
-			panic(err)
-		}
+		benchH = fw.Harness
+		benchBooks = eval.NewFamilyRunner(model.NewFamily(model.Config{
+			Seed: 123, CorpusFiles: 60, Corpus: model.GitHubPlusBooks,
+		}), 123)
 	})
 	return benchH
 }
@@ -156,7 +153,7 @@ func BenchmarkAblation(b *testing.B) {
 	var gh, books float64
 	for i := 0; i < b.N; i++ {
 		gh = eval.Aggregate(h.Runner, mv, h.Opts).PassRate()
-		books = eval.Aggregate(benchAlt.Runner, mv, h.Opts).PassRate()
+		books = eval.Aggregate(benchBooks, mv, h.Opts).PassRate()
 	}
 	if gh > 0 {
 		b.ReportMetric(books/gh-1, "books-gain")
@@ -165,10 +162,10 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 func BenchmarkCorpusPipeline(b *testing.B) {
-	files := corpus.GenerateGitHub(corpus.DefaultGitHubOptions(5))
+	files := corpus.GenerateGitHub(corpus.GitHubOptions{Seed: 5})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kept, _ := corpus.Curate(files, corpus.FilterOptions{})
+		kept, _ := corpus.Curate(files)
 		if len(kept) == 0 {
 			b.Fatal("nothing kept")
 		}
@@ -754,7 +751,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
-			rb, err := remote.NewBackend(remote.Config{Endpoint: url, Timeout: 30 * time.Second, Seed: 123})
+			rb, err := remote.NewBackend(gen.RemoteOptions{Endpoint: url, Timeout: 30 * time.Second, Seed: 123})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -19,11 +19,8 @@ func main() {
 	showSample := flag.Bool("sample", false, "print one curated file")
 	flag.Parse()
 
-	raw := corpus.GenerateGitHub(corpus.GitHubOptions{
-		NumFiles: *files, DupRate: 0.12, NearDupRate: 0.08,
-		NoiseRate: 0.06, OversizeRate: 0.04, Seed: *seed,
-	})
-	kept, st := corpus.Curate(raw, corpus.FilterOptions{})
+	raw := corpus.GenerateGitHub(corpus.GitHubOptions{NumFiles: *files, Seed: *seed})
+	kept, st := corpus.Curate(raw)
 	fmt.Println("GitHub pipeline (synthetic snapshot):")
 	fmt.Printf("  raw files:           %d\n", st.Input)
 	fmt.Printf("  dropped no-module:   %d\n", st.DroppedNoPair)
@@ -32,7 +29,7 @@ func main() {
 	fmt.Printf("  kept:                %d files, %d bytes\n", st.Kept, st.KeptBytes)
 
 	bk := corpus.GenerateBooks(corpus.BookOptions{NumBooks: *books, Seed: *seed + 1})
-	wins := corpus.ExtractWindows(bk, corpus.WindowOptions{})
+	wins := corpus.ExtractWindows(bk)
 	fmt.Println("Textbook pipeline:")
 	fmt.Printf("  books:               %d\n", len(bk))
 	fmt.Printf("  windows kept:        %d\n", len(wins))

@@ -15,10 +15,10 @@ func main() {
 	fmt.Println("Training-corpus pipeline (Section III-A)")
 	fmt.Println("========================================")
 
-	raw := corpus.GenerateGitHub(corpus.DefaultGitHubOptions(7))
+	raw := corpus.GenerateGitHub(corpus.GitHubOptions{Seed: 7})
 	fmt.Printf("raw snapshot: %d files\n", len(raw))
 
-	kept, st := corpus.Curate(raw, corpus.FilterOptions{})
+	kept, st := corpus.Curate(raw)
 	fmt.Printf("  module/endmodule filter dropped %d\n", st.DroppedNoPair)
 	fmt.Printf("  20K size filter dropped        %d\n", st.DroppedTooBig)
 	fmt.Printf("  MinHash dedup dropped          %d\n", st.DroppedDup)
@@ -34,7 +34,7 @@ func main() {
 	fmt.Printf("similarity(file, unrelated) = %.2f\n\n", corpus.Estimate(sig(a), sig(c)))
 
 	books := corpus.GenerateBooks(corpus.BookOptions{Seed: 8})
-	wins := corpus.ExtractWindows(books, corpus.WindowOptions{})
+	wins := corpus.ExtractWindows(books)
 	fmt.Printf("textbooks: %d books -> %d sliding windows kept\n\n", len(books), len(wins))
 
 	var texts []string

@@ -30,8 +30,7 @@ import (
 // backend.
 type Config struct {
 	Seed        int64
-	CorpusFiles int              // synthetic GitHub corpus size; 0 = default
-	Corpus      model.CorpusKind // fine-tuning corpus (ablation handle)
+	CorpusFiles int // synthetic GitHub corpus size; 0 = default
 	Sweep       eval.SweepOptions
 	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
 
@@ -118,11 +117,7 @@ func New(cfg Config) (*Framework, error) {
 		remote.Seed = cfg.Seed
 	}
 	b, err := gen.New(name, gen.Options{
-		Family: model.Config{
-			Seed:        cfg.Seed,
-			CorpusFiles: cfg.CorpusFiles,
-			Corpus:      cfg.Corpus,
-		},
+		Family:     model.Config{Seed: cfg.Seed, CorpusFiles: cfg.CorpusFiles},
 		ReplayPath: cfg.Replay,
 		Remote:     remote,
 	})

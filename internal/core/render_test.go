@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,5 +138,23 @@ func TestRenderReportsFailedCell(t *testing.T) {
 	}
 	if missing := rs.Missing(); len(missing) != 1 || missing[0] != cell {
 		t.Errorf("rs.Missing() = %v, want only %+v", missing, cell)
+	}
+}
+
+// TestRenderAllGolden pins every artifact of the paper run at default
+// scale and seed 1, live ones included: the bytes `vgen-eval -experiment
+// all -seed 1` prints must hash to this digest.
+func TestRenderAllGolden(t *testing.T) {
+	const want = "98628d4f2fdbb57c303379a966b7e5911a586f7a7223faf52aaab31e716c9ac9"
+	fw, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := fw.Render(context.Background(), &buf, "all"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("sha256 of the seed-1 \"all\" render = %s, want %s", got, want)
 	}
 }

@@ -20,21 +20,16 @@ import (
 	"repro/internal/wire"
 )
 
-// shardMeta is this framework's sweep identity: the backend tag and seed
-// every shard of one distributed sweep must share. The tag is the
-// unwrapped backend's (not a Recorder's "record(...)" wrapper), so
+// ShardMeta is this framework's sweep identity for shard i of n: the
+// backend tag and seed every shard of one distributed sweep must share,
+// and what a coordinator stamps on shard plans it builds itself. The tag
+// is the unwrapped backend's (not a Recorder's "record(...)" wrapper), so
 // whether a worker also records never splits the sweep identity.
-func (f *Framework) shardMeta(shard, shards int) wire.Meta {
+func (f *Framework) ShardMeta(shard, shards int) wire.Meta {
 	return wire.Meta{
 		Backend: f.backendTag, Seed: f.cfg.Seed,
 		Shard: shard, Shards: shards,
 	}
-}
-
-// ShardMeta exposes the sweep identity for shard i of n — what a
-// coordinator stamps on shard plans it builds itself.
-func (f *Framework) ShardMeta(shard, shards int) wire.Meta {
-	return f.shardMeta(shard, shards)
 }
 
 // ShardPlan builds shard i of n of the query plan for the named
@@ -48,7 +43,7 @@ func (f *Framework) ShardPlan(experiments []string, shard, shards int) (*eval.Pl
 	if err != nil {
 		return nil, wire.Meta{}, err
 	}
-	return sub, f.shardMeta(shard, shards), nil
+	return sub, f.ShardMeta(shard, shards), nil
 }
 
 // ExecuteShardCtx evaluates shard i of n of the experiments' plan;

@@ -72,7 +72,7 @@ func TestGeneratedModulesCompile(t *testing.T) {
 }
 
 func TestGitHubGenerationShape(t *testing.T) {
-	files := GenerateGitHub(DefaultGitHubOptions(1))
+	files := GenerateGitHub(GitHubOptions{Seed: 1})
 	if len(files) != 500 {
 		t.Fatalf("file count = %d", len(files))
 	}
@@ -94,8 +94,8 @@ func TestGitHubGenerationShape(t *testing.T) {
 }
 
 func TestCuratePipeline(t *testing.T) {
-	files := GenerateGitHub(DefaultGitHubOptions(2))
-	kept, st := Curate(files, FilterOptions{})
+	files := GenerateGitHub(GitHubOptions{Seed: 2})
+	kept, st := Curate(files)
 	if st.Input != 500 {
 		t.Fatalf("input = %d", st.Input)
 	}
@@ -116,9 +116,9 @@ func TestCuratePipeline(t *testing.T) {
 }
 
 func TestCurateDeterministic(t *testing.T) {
-	files := GenerateGitHub(DefaultGitHubOptions(3))
-	k1, s1 := Curate(files, FilterOptions{})
-	k2, s2 := Curate(files, FilterOptions{})
+	files := GenerateGitHub(GitHubOptions{Seed: 3})
+	k1, s1 := Curate(files)
+	k2, s2 := Curate(files)
 	if s1 != s2 || len(k1) != len(k2) {
 		t.Fatal("pipeline not deterministic")
 	}
@@ -151,7 +151,7 @@ func TestBooksPipeline(t *testing.T) {
 		t.Fatal("index not removed")
 	}
 
-	wins := ExtractWindows(books, WindowOptions{})
+	wins := ExtractWindows(books)
 	if len(wins) == 0 {
 		t.Fatal("no windows extracted")
 	}

@@ -12,15 +12,19 @@ type File struct {
 	Content string
 }
 
+// The duplication/noise handles the paper's BigQuery pull exhibits: the
+// fraction of generated files of each kind.
+const (
+	dupShare      = 0.12 // exact duplicates of earlier files
+	nearDupShare  = 0.08 // near-duplicates (renames/comments)
+	noiseShare    = 0.06 // non-Verilog files
+	oversizeShare = 0.04 // files padded past the size filter
+)
+
 // GitHubOptions parameterize the synthetic GitHub snapshot.
 type GitHubOptions struct {
-	NumFiles     int     // total files to generate; 0 = 500
-	DupRate      float64 // fraction that are exact duplicates of earlier files
-	NearDupRate  float64 // fraction that are near-duplicates (renames/comments)
-	NoiseRate    float64 // fraction of non-Verilog files
-	OversizeRate float64 // fraction of files padded past the size filter
-	MaxFileBytes int     // the paper's 20K-character filter; 0 = 20000
-	Seed         int64
+	NumFiles int // total files to generate; 0 = 500 (1:100 scale)
+	Seed     int64
 }
 
 func (o GitHubOptions) numFiles() int {
@@ -28,26 +32,6 @@ func (o GitHubOptions) numFiles() int {
 		return 500
 	}
 	return o.NumFiles
-}
-
-func (o GitHubOptions) maxFileBytes() int {
-	if o.MaxFileBytes <= 0 {
-		return 20000
-	}
-	return o.MaxFileBytes
-}
-
-// DefaultGitHubOptions mirror the duplication/noise handles the paper's
-// BigQuery pull exhibits, at 1:100 scale by default.
-func DefaultGitHubOptions(seed int64) GitHubOptions {
-	return GitHubOptions{
-		NumFiles:     500,
-		DupRate:      0.12,
-		NearDupRate:  0.08,
-		NoiseRate:    0.06,
-		OversizeRate: 0.04,
-		Seed:         seed,
-	}
 }
 
 // GenerateGitHub produces the synthetic repository snapshot.
@@ -60,14 +44,14 @@ func GenerateGitHub(opts GitHubOptions) []File {
 		r := rng.Float64()
 		var content string
 		switch {
-		case r < opts.DupRate && len(verilogPool) > 0:
+		case r < dupShare && len(verilogPool) > 0:
 			content = verilogPool[rng.Intn(len(verilogPool))]
-		case r < opts.DupRate+opts.NearDupRate && len(verilogPool) > 0:
+		case r < dupShare+nearDupShare && len(verilogPool) > 0:
 			content = nearDuplicate(verilogPool[rng.Intn(len(verilogPool))], rng)
-		case r < opts.DupRate+opts.NearDupRate+opts.NoiseRate:
+		case r < dupShare+nearDupShare+noiseShare:
 			content = noiseFile(rng)
-		case r < opts.DupRate+opts.NearDupRate+opts.NoiseRate+opts.OversizeRate:
-			content = oversizeFile(rng, opts.maxFileBytes())
+		case r < dupShare+nearDupShare+noiseShare+oversizeShare:
+			content = oversizeFile(rng)
 		default:
 			content = GenerateModule(rng)
 			verilogPool = append(verilogPool, content)
@@ -299,12 +283,12 @@ func noiseFile(rng *rand.Rand) string {
 	}
 }
 
-func oversizeFile(rng *rand.Rand, maxBytes int) string {
+func oversizeFile(rng *rand.Rand) string {
 	var sb strings.Builder
 	sb.WriteString("// auto-generated netlist dump\n")
 	sb.WriteString("module big_netlist(input clk);\n")
 	i := 0
-	for sb.Len() <= maxBytes {
+	for sb.Len() <= maxFileBytes {
 		fmt.Fprintf(&sb, "  wire n%d; assign n%d = 1'b%d;\n", i, i, rng.Intn(2))
 		i++
 	}

@@ -5,41 +5,13 @@ import (
 	"strings"
 )
 
-// FilterOptions are the paper's file filters (Section III-A.a).
-type FilterOptions struct {
-	MaxFileBytes  int     // drop files at or above this size; 0 = 20000
-	ShingleK      int     // shingle width for dedup; 0 = 5
-	SignatureSize int     // MinHash signature size; 0 = 64
-	DupThreshold  float64 // similarity at which a file is a duplicate; 0 = 0.8
-}
-
-func (o FilterOptions) maxFileBytes() int {
-	if o.MaxFileBytes <= 0 {
-		return 20000
-	}
-	return o.MaxFileBytes
-}
-
-func (o FilterOptions) shingleK() int {
-	if o.ShingleK <= 0 {
-		return 5
-	}
-	return o.ShingleK
-}
-
-func (o FilterOptions) signatureSize() int {
-	if o.SignatureSize <= 0 {
-		return 64
-	}
-	return o.SignatureSize
-}
-
-func (o FilterOptions) dupThreshold() float64 {
-	if o.DupThreshold <= 0 {
-		return 0.8
-	}
-	return o.DupThreshold
-}
+// The paper's file filters (Section III-A.a).
+const (
+	maxFileBytes  = 20000 // drop files at or above this size: the 20K-character filter
+	shingleK      = 5     // shingle width for dedup
+	signatureSize = 64    // MinHash signature size
+	dupThreshold  = 0.8   // similarity at which a file is a duplicate
+)
 
 // Stats summarize a pipeline run for the Section III-A reporting.
 type Stats struct {
@@ -61,7 +33,7 @@ func HasModulePair(content string) bool {
 
 // Curate runs the full filter+dedup pipeline over the raw files and returns
 // the kept files and statistics.
-func Curate(files []File, opts FilterOptions) ([]File, Stats) {
+func Curate(files []File) ([]File, Stats) {
 	st := Stats{Input: len(files)}
 	var candidates []File
 	for _, f := range files {
@@ -69,7 +41,7 @@ func Curate(files []File, opts FilterOptions) ([]File, Stats) {
 			st.DroppedNoPair++
 			continue
 		}
-		if len(f.Content) >= opts.maxFileBytes() {
+		if len(f.Content) >= maxFileBytes {
 			st.DroppedTooBig++
 			continue
 		}
@@ -79,7 +51,7 @@ func Curate(files []File, opts FilterOptions) ([]File, Stats) {
 	for i, f := range candidates {
 		docs[i] = f.Content
 	}
-	kept := Dedup(docs, opts.shingleK(), opts.signatureSize(), opts.dupThreshold())
+	kept := Dedup(docs, shingleK, signatureSize, dupThreshold)
 	st.DroppedDup = len(candidates) - len(kept)
 	out := make([]File, 0, len(kept))
 	for _, idx := range kept {

@@ -12,11 +12,13 @@ import (
 // of irrelevant passages, screened for Verilog-looking snippets with
 // regular expressions, and cut into overlapping sliding windows.
 
+// chaptersPerBook is the chapter count of each synthetic textbook.
+const chaptersPerBook = 5
+
 // BookOptions parameterize the synthetic textbook generator.
 type BookOptions struct {
-	NumBooks    int // 0 = 7 (the paper used 70; default is 1:10 scale)
-	ChaptersPer int // 0 = 5
-	Seed        int64
+	NumBooks int // 0 = 7 (the paper used 70; default is 1:10 scale)
+	Seed     int64
 }
 
 func (o BookOptions) numBooks() int {
@@ -24,13 +26,6 @@ func (o BookOptions) numBooks() int {
 		return 7
 	}
 	return o.NumBooks
-}
-
-func (o BookOptions) chaptersPer() int {
-	if o.ChaptersPer <= 0 {
-		return 5
-	}
-	return o.ChaptersPer
 }
 
 var proseSnippets = []string{
@@ -54,7 +49,7 @@ func GenerateBooks(opts BookOptions) []string {
 		var sb strings.Builder
 		sb.WriteString("PREFACE\nThis book is dedicated to our students. Thanks to the reviewers.\n\n")
 		sb.WriteString("ACKNOWLEDGMENTS\nThe authors thank the funding agencies.\n\n")
-		for c := 0; c < opts.chaptersPer(); c++ {
+		for c := 0; c < chaptersPerBook; c++ {
 			fmt.Fprintf(&sb, "CHAPTER %d\n", c+1)
 			paras := 2 + rng.Intn(3)
 			for p := 0; p < paras; p++ {
@@ -119,33 +114,12 @@ func CodeDensity(text string) float64 {
 	return float64(code) / float64(lines)
 }
 
-// WindowOptions parameterize the sliding-window example cutter.
-type WindowOptions struct {
-	WindowWords int     // 0 = 120
-	StrideWords int     // 0 = 60 (50% overlap)
-	MinDensity  float64 // windows below this code density are dropped; 0 = 0.2
-}
-
-func (o WindowOptions) window() int {
-	if o.WindowWords <= 0 {
-		return 120
-	}
-	return o.WindowWords
-}
-
-func (o WindowOptions) stride() int {
-	if o.StrideWords <= 0 {
-		return 60
-	}
-	return o.StrideWords
-}
-
-func (o WindowOptions) minDensity() float64 {
-	if o.MinDensity <= 0 {
-		return 0.2
-	}
-	return o.MinDensity
-}
+// The sliding-window example cutter's shape.
+const (
+	windowWords = 120 // words per window
+	strideWords = 60  // words between window starts (50% overlap)
+	minDensity  = 0.2 // windows below this code density are dropped
+)
 
 // WordCodeDensity returns the fraction of words that look like Verilog
 // tokens; used to screen flattened sliding windows.
@@ -164,18 +138,18 @@ func WordCodeDensity(words []string) float64 {
 
 // ExtractWindows runs the textbook pipeline over raw books: clean, screen,
 // and cut overlapping windows that pass the code-density threshold.
-func ExtractWindows(books []string, opts WindowOptions) []string {
+func ExtractWindows(books []string) []string {
 	var out []string
 	for _, book := range books {
 		cleaned := CleanBook(book)
 		words := strings.Fields(cleaned)
-		for start := 0; start < len(words); start += opts.stride() {
-			end := start + opts.window()
+		for start := 0; start < len(words); start += strideWords {
+			end := start + windowWords
 			if end > len(words) {
 				end = len(words)
 			}
 			win := words[start:end]
-			if WordCodeDensity(win) >= opts.minDensity() {
+			if WordCodeDensity(win) >= minDensity {
 				out = append(out, strings.Join(win, " "))
 			}
 			if end == len(words) {

@@ -16,7 +16,7 @@ import (
 // order — and EvaluateBatch must match it bit for bit (float latency
 // sums included) at every paper temperature and at pool widths 1 and 8.
 func TestFamilyBackendMatchesDirectFamily(t *testing.T) {
-	fam := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 40, VocabSize: 300})
+	fam := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 40})
 
 	mvs := []ModelVariant{
 		{Model: model.CodeGen16B, Variant: model.FineTuned},

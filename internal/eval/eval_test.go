@@ -10,7 +10,7 @@ import (
 
 func testRunner(t *testing.T) *Runner {
 	t.Helper()
-	f := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 60, VocabSize: 300})
+	f := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 60})
 	return NewFamilyRunner(f, 99)
 }
 

@@ -22,7 +22,7 @@ import (
 // == also pins the float latency sums bit-for-bit, not just the rendered
 // digits.
 func TestParallelMatchesSerial(t *testing.T) {
-	f := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 60, VocabSize: 300})
+	f := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 60})
 	serial := NewFamilyRunner(f, 99)
 	serial.Workers = 1
 	parallel := NewFamilyRunner(f, 99)
@@ -53,7 +53,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // n-sweeps a common prefix: sample i of an n=25 query is the same draw as
 // sample i of the n=5 query at the same coordinates.
 func TestSamplePrefixProperty(t *testing.T) {
-	f := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 60, VocabSize: 300})
+	f := model.NewFamily(model.Config{Seed: 17, CorpusFiles: 60})
 	gen, ok := f.Generator(model.CodeGen2B, model.FineTuned)
 	if !ok {
 		t.Fatal("no generator")
@@ -73,7 +73,7 @@ func TestSamplePrefixProperty(t *testing.T) {
 // -race (the Makefile's race target) this validates the sharded cache,
 // the per-problem bank once-init, and the shared testbench ASTs.
 func TestConcurrentRunnerStress(t *testing.T) {
-	f := model.NewFamily(model.Config{Seed: 23, CorpusFiles: 60, VocabSize: 300})
+	f := model.NewFamily(model.Config{Seed: 23, CorpusFiles: 60})
 	r := NewFamilyRunner(f, 7)
 	r.Workers = 4
 

@@ -13,6 +13,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/gen"
@@ -78,6 +79,26 @@ func (c Coord) Query() (Query, error) {
 		Model: model.ID(c.Model), Variant: v, Problem: p,
 		Level: problems.Level(c.Level), Temperature: c.Temperature(), N: c.N,
 	}, nil
+}
+
+// CheckCell is the validity rule for one stored or transported cell: c
+// resolves to an executable query, and st is stats the evaluation engine
+// could have produced for it. The verdict pipeline only simulates
+// samples that compile, so Passed <= Compiled <= Samples <= N, and the
+// latency sum is a finite non-negative float.
+func CheckCell(c Coord, st CellStats) error {
+	if _, err := c.Query(); err != nil {
+		return err
+	}
+	if st.Samples < 0 || st.Samples > c.N ||
+		st.Compiled < 0 || st.Compiled > st.Samples ||
+		st.Passed < 0 || st.Passed > st.Compiled {
+		return fmt.Errorf("eval: cell %+v: inconsistent stats %+v", c, st)
+	}
+	if math.IsNaN(st.SumLat) || math.IsInf(st.SumLat, 0) || st.SumLat < 0 {
+		return fmt.Errorf("eval: cell %+v: bad latency sum %v", c, st.SumLat)
+	}
+	return nil
 }
 
 // Less orders coordinates canonically (model, variant, problem, level,

@@ -16,7 +16,7 @@ import (
 // temperatures (passing, near-miss, and garbage candidates all occur).
 func sharedDiffCompletions(t *testing.T, p *problems.Problem, level problems.Level) []string {
 	t.Helper()
-	f := model.NewFamily(model.Config{Seed: 41, CorpusFiles: 60, VocabSize: 300})
+	f := model.NewFamily(model.Config{Seed: 41, CorpusFiles: 60})
 	g, ok := f.Generator(model.CodeGen2B, model.FineTuned)
 	if !ok {
 		t.Fatal("no generator")
@@ -68,7 +68,7 @@ func TestSharedMatchesFreshAndInterpreter(t *testing.T) {
 // are shared (default) or compiled fresh per sample (UnsharedPlans), at
 // one worker or eight.
 func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
-	f := model.NewFamily(model.Config{Seed: 29, CorpusFiles: 60, VocabSize: 300})
+	f := model.NewFamily(model.Config{Seed: 29, CorpusFiles: 60})
 	mk := func(unshared bool, workers int) *Runner {
 		r := NewFamilyRunner(f, 53)
 		r.UnsharedPlans = unshared

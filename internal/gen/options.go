@@ -23,8 +23,9 @@ type Options struct {
 // RemoteOptions configure the remote backend's transport. The struct
 // lives here (not in internal/remote) so registry users select the
 // backend by name without importing the transport package; internal/remote
-// reads it in its factory. Zero values mean "transport default" — see
-// remote.Config for the resolved numbers.
+// reads it in its factory. Zero values mean "transport default":
+// remote.NewTransport resolves them into its own copy (see the default*
+// constants in internal/remote for the numbers).
 type RemoteOptions struct {
 	// Endpoint is the completion service base URL (http://host:port).
 	// Required: the factory fails without it.

@@ -9,7 +9,7 @@ import (
 	"repro/internal/problems"
 )
 
-var prepareCfg = model.Config{Seed: 5, CorpusFiles: 60, VocabSize: 300}
+var prepareCfg = model.Config{Seed: 5, CorpusFiles: 60}
 
 // TestFamilyPrepareTaskCount pins what the family's prepare phase covers:
 // one task per distinct babble LM (NgramOrder, Variant) — the catalog's

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/eval"
-	"repro/internal/gen"
 	"repro/internal/lint"
 	"repro/internal/model"
 	"repro/internal/mutate"
@@ -171,52 +170,6 @@ func (h *Harness) PlanFor(experiments []string) (*eval.Plan, error) {
 		return nil, err
 	}
 	return plan, nil
-}
-
-// Options configure New.
-type Options struct {
-	Seed        int64
-	CorpusFiles int // synthetic corpus scale; 0 = family default
-	Sweep       eval.SweepOptions
-	Corpus      model.CorpusKind
-	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
-
-	// Backend selects the generation backend by registered name; "" means
-	// "family", the simulated line-up. Replay names the JSONL recording
-	// for the replay backend.
-	Backend string
-	Replay  string
-}
-
-// New builds a harness, selecting the generation backend by name. Only
-// backends with external inputs can fail to construct (replay with a
-// missing or malformed recording); the default family path always
-// succeeds.
-func New(o Options) (*Harness, error) {
-	name := o.Backend
-	if name == "" {
-		name = "family"
-	}
-	b, err := gen.New(name, gen.Options{
-		Family: model.Config{
-			Seed:        o.Seed,
-			CorpusFiles: o.CorpusFiles,
-			Corpus:      o.Corpus,
-		},
-		ReplayPath: o.Replay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FromBackend(b, o), nil
-}
-
-// FromBackend builds a harness over an already-constructed backend —
-// the hook for recorded, wrapped, or third-party sources.
-func FromBackend(b gen.Backend, o Options) *Harness {
-	runner := eval.NewRunner(b, o.Seed)
-	runner.Workers = o.Workers
-	return &Harness{Runner: runner, Opts: o.Sweep, Seed: o.Seed}
 }
 
 // paperVariantOrder lists Tables III/IV rows in the paper's order.
@@ -439,24 +392,21 @@ func (h *Harness) HeadlineReport() string {
 }
 
 // Ablation reproduces the Section VI corpus ablation: 16B fine-tuned on
-// GitHub only vs GitHub plus textbooks. It always builds family backends
-// — the ablation is about the fine-tuning corpus, whatever backend the
-// enclosing harness runs.
+// GitHub only vs GitHub plus textbooks. It always builds two family
+// runners at the family's default corpus scale — the ablation is about
+// the fine-tuning corpus, whatever backend the enclosing harness runs.
 func (h *Harness) Ablation() string {
 	if h.Runner == nil {
 		return "Corpus ablation unavailable: needs a live backend, not merged shard results\n"
 	}
-	ghOnly, err := New(Options{Seed: h.Seed, Sweep: h.Opts, Corpus: model.GitHubOnly, Workers: h.Runner.Workers})
-	if err != nil {
-		return fmt.Sprintf("Corpus ablation unavailable: %v\n", err)
-	}
-	withBooks, err := New(Options{Seed: h.Seed, Sweep: h.Opts, Corpus: model.GitHubPlusBooks, Workers: h.Runner.Workers})
-	if err != nil {
-		return fmt.Sprintf("Corpus ablation unavailable: %v\n", err)
-	}
 	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
-	a := eval.Aggregate(ghOnly.Runner, mv, h.Opts).PassRate()
-	b := eval.Aggregate(withBooks.Runner, mv, h.Opts).PassRate()
+	passRate := func(c model.CorpusKind) float64 {
+		r := eval.NewFamilyRunner(model.NewFamily(model.Config{Seed: h.Seed, Corpus: c}), h.Seed)
+		r.Workers = h.Runner.Workers
+		return eval.Aggregate(r, mv, h.Opts).PassRate()
+	}
+	a := passRate(model.GitHubOnly)
+	b := passRate(model.GitHubPlusBooks)
 	rel := 0.0
 	if a > 0 {
 		rel = b/a - 1
@@ -472,10 +422,10 @@ func (h *Harness) Ablation() string {
 // CorpusStats reports the Section III-A pipeline statistics at the
 // harness's synthetic scale.
 func (h *Harness) CorpusStats() string {
-	files := corpus.GenerateGitHub(corpus.DefaultGitHubOptions(h.Seed))
-	kept, st := corpus.Curate(files, corpus.FilterOptions{})
+	files := corpus.GenerateGitHub(corpus.GitHubOptions{Seed: h.Seed})
+	kept, st := corpus.Curate(files)
 	books := corpus.GenerateBooks(corpus.BookOptions{Seed: h.Seed + 1})
-	wins := corpus.ExtractWindows(books, corpus.WindowOptions{})
+	wins := corpus.ExtractWindows(books)
 	var sb strings.Builder
 	sb.WriteString("Corpus pipeline statistics (Section III-A, synthetic 1:100 scale)\n")
 	fmt.Fprintf(&sb, "raw files:            %d\n", st.Input)
@@ -524,19 +474,7 @@ func (h *Harness) PassAtKTable() string {
 	fmt.Fprintln(w, "Model\tType\tDifficulty\tpass@1\tpass@5\tpass@10")
 	for _, mv := range figureVariants() {
 		for _, d := range problems.Difficulties {
-			var qs []eval.Query
-			for _, p := range problems.ByDifficulty(d) {
-				for _, l := range problems.Levels {
-					qs = append(qs, eval.Query{
-						Model: mv.Model, Variant: mv.Variant,
-						Problem: p, Level: l, Temperature: 0.1, N: n,
-					})
-				}
-			}
-			pooled := eval.CellStats{}
-			for _, st := range h.src().Cells(qs) {
-				pooled.Add(st)
-			}
+			pooled := eval.ScenarioStats(h.src(), mv, problems.ByDifficulty(d), problems.Levels, 0.1, n)
 			fmt.Fprintf(w, "%s\t%s\t%s", mv.Model, mv.Variant, d)
 			for _, k := range ks {
 				fmt.Fprintf(w, "\t%.3f", eval.PassAtKFromCell(pooled, k))
@@ -561,7 +499,7 @@ func (h *Harness) ProblemBreakdown() string {
 	for _, p := range problems.All() {
 		var qs []eval.Query
 		for _, l := range problems.Levels {
-			for _, t := range []float64{0.1, 0.3, 0.5, 0.7, 1.0} {
+			for _, t := range eval.Temperatures {
 				qs = append(qs, eval.Query{
 					Model: mv.Model, Variant: mv.Variant,
 					Problem: p, Level: l, Temperature: t, N: n,

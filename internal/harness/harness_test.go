@@ -5,20 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/model"
 )
+
+// familyHarness builds a live harness over a fresh 60-file simulated
+// family at seed 7.
+func familyHarness(sweep eval.SweepOptions) *Harness {
+	const seed = 7
+	fam := model.NewFamily(model.Config{Seed: seed, CorpusFiles: 60})
+	return &Harness{Runner: eval.NewFamilyRunner(fam, seed), Opts: sweep, Seed: seed}
+}
 
 // quick sweep settings keep the full-table tests fast
 func quickHarness(t *testing.T) *Harness {
 	t.Helper()
-	h, err := New(Options{
-		Seed:        7,
-		CorpusFiles: 60,
-		Sweep:       eval.SweepOptions{N: 4, Temperatures: []float64{0.1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return familyHarness(eval.SweepOptions{N: 4, Temperatures: []float64{0.1}})
 }
 
 func TestTableIStatic(t *testing.T) {
@@ -174,15 +175,8 @@ func TestDeterministicTables(t *testing.T) {
 // caches), merge, and render from the merged stats alone. Output must be
 // byte-identical to the live harness at every five-temperature artifact.
 func TestMergedShardsRenderIdentical(t *testing.T) {
-	opts := Options{
-		Seed:        7,
-		CorpusFiles: 60,
-		Sweep:       eval.SweepOptions{N: 3, Temperatures: []float64{0.1, 0.3, 0.5, 0.7, 1.0}},
-	}
-	live, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep := eval.SweepOptions{N: 3, Temperatures: []float64{0.1, 0.3, 0.5, 0.7, 1.0}}
+	live := familyHarness(sweep)
 	experiments := []string{"table3", "fig6", "passk"}
 	plan, err := live.PlanFor(experiments)
 	if err != nil {
@@ -195,10 +189,7 @@ func TestMergedShardsRenderIdentical(t *testing.T) {
 	const shards = 3
 	merged := eval.NewResultSet()
 	for i := 0; i < shards; i++ {
-		worker, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		worker := familyHarness(sweep)
 		sub, err := plan.Shard(i, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +203,7 @@ func TestMergedShardsRenderIdentical(t *testing.T) {
 		}
 	}
 
-	offline := FromResults(merged, opts.Sweep)
+	offline := FromResults(merged, sweep)
 	for _, check := range []struct {
 		name string
 		f    func(*Harness) string

@@ -28,17 +28,21 @@ func (k CorpusKind) String() string {
 	return "GitHub"
 }
 
+// vocabSize is the BPE vocabulary the family's tokenizer trains to.
+const vocabSize = 512
+
+// tempDecayFunctional and tempDecayCompile control how Pass@ degrades
+// away from the best temperature t=0.1 (Fig. 6 shows exponential decay).
+const (
+	tempDecayFunctional = 2.0
+	tempDecayCompile    = 1.0
+)
+
 // Config tunes the simulated-LLM family.
 type Config struct {
 	Seed        int64
 	Corpus      CorpusKind
 	CorpusFiles int // synthetic GitHub corpus size; 0 = 300
-	VocabSize   int // BPE vocabulary; 0 = 512
-
-	// TempDecayFunctional/Compile control how Pass@ degrades away from the
-	// best temperature t=0.1 (Fig. 6 shows exponential decay).
-	TempDecayFunctional float64 // 0 = 2.0
-	TempDecayCompile    float64 // 0 = 1.0
 
 	// MapSampler keeps the n-gram LMs on the mutable map-backed sampling
 	// path instead of freezing them into packed samplers after training.
@@ -52,27 +56,6 @@ func (c Config) corpusFiles() int {
 		return 300
 	}
 	return c.CorpusFiles
-}
-
-func (c Config) vocabSize() int {
-	if c.VocabSize <= 0 {
-		return 512
-	}
-	return c.VocabSize
-}
-
-func (c Config) tempDecayFunctional() float64 {
-	if c.TempDecayFunctional == 0 {
-		return 2.0
-	}
-	return c.TempDecayFunctional
-}
-
-func (c Config) tempDecayCompile() float64 {
-	if c.TempDecayCompile == 0 {
-		return 1.0
-	}
-	return c.TempDecayCompile
 }
 
 // Family is the full simulated model line-up sharing one tokenizer, one
@@ -109,18 +92,15 @@ type lmSlot struct {
 // NewFamily builds the shared substrate: runs the corpus pipeline, trains
 // the tokenizer, and prepares lazy per-capacity language models.
 func NewFamily(cfg Config) *Family {
-	gh := corpus.GenerateGitHub(corpus.GitHubOptions{
-		NumFiles: cfg.corpusFiles(), DupRate: 0.12, NearDupRate: 0.08,
-		NoiseRate: 0.06, OversizeRate: 0.04, Seed: cfg.Seed,
-	})
-	kept, _ := corpus.Curate(gh, corpus.FilterOptions{})
+	gh := corpus.GenerateGitHub(corpus.GitHubOptions{NumFiles: cfg.corpusFiles(), Seed: cfg.Seed})
+	kept, _ := corpus.Curate(gh)
 	var vtext []string
 	for _, f := range kept {
 		vtext = append(vtext, corpus.NormalizeForLM(f.Content))
 	}
 	if cfg.Corpus == GitHubPlusBooks {
 		books := corpus.GenerateBooks(corpus.BookOptions{Seed: cfg.Seed + 1})
-		for _, w := range corpus.ExtractWindows(books, corpus.WindowOptions{}) {
+		for _, w := range corpus.ExtractWindows(books) {
 			vtext = append(vtext, corpus.NormalizeForLM(w))
 		}
 	}
@@ -141,7 +121,7 @@ func NewFamily(cfg Config) *Family {
 		naturalText: natural,
 		lms:         map[lmKey]*lmSlot{},
 	}
-	f.tok = bpe.Train(append(append([]string{}, vtext...), natural...), cfg.vocabSize())
+	f.tok = bpe.Train(append(append([]string{}, vtext...), natural...), vocabSize)
 	return f
 }
 
@@ -274,7 +254,7 @@ func tempFactor(t, decay float64) float64 {
 func (g *Generator) successProbs(p *problems.Problem, level problems.Level, temperature float64) (pf, pc float64) {
 	pf = FunctionalPrior(g.Spec.ID, g.Variant, p.Difficulty, level)
 	pf *= problemWeight(p.Number)
-	pf *= tempFactor(temperature, g.family.cfg.tempDecayFunctional())
+	pf *= tempFactor(temperature, tempDecayFunctional)
 	if g.family.cfg.Corpus == GitHubPlusBooks && g.Variant == FineTuned {
 		pf *= 1 + HeadlineBooksGain
 	}
@@ -282,7 +262,7 @@ func (g *Generator) successProbs(p *problems.Problem, level problems.Level, temp
 		pf = 1
 	}
 	pc = CompilePrior(g.Spec.ID, g.Variant, p.Difficulty)
-	pc *= tempFactor(temperature, g.family.cfg.tempDecayCompile())
+	pc *= tempFactor(temperature, tempDecayCompile)
 	if pc < pf {
 		pc = pf
 	}

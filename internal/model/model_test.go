@@ -12,7 +12,7 @@ import (
 
 func testFamily(t *testing.T) *Family {
 	t.Helper()
-	return NewFamily(Config{Seed: 11, CorpusFiles: 80, VocabSize: 320})
+	return NewFamily(Config{Seed: 11, CorpusFiles: 80})
 }
 
 func TestCatalogShape(t *testing.T) {
@@ -186,8 +186,8 @@ func TestLatencyNearTableIV(t *testing.T) {
 }
 
 func TestDeterminismAcrossFamilies(t *testing.T) {
-	f1 := NewFamily(Config{Seed: 5, CorpusFiles: 50, VocabSize: 300})
-	f2 := NewFamily(Config{Seed: 5, CorpusFiles: 50, VocabSize: 300})
+	f1 := NewFamily(Config{Seed: 5, CorpusFiles: 50})
+	f2 := NewFamily(Config{Seed: 5, CorpusFiles: 50})
 	g1, _ := f1.Generator(CodeGen2B, FineTuned)
 	g2, _ := f2.Generator(CodeGen2B, FineTuned)
 	p := problems.ByNumber(4)
@@ -201,7 +201,7 @@ func TestDeterminismAcrossFamilies(t *testing.T) {
 }
 
 func TestBooksCorpusBoost(t *testing.T) {
-	base := Config{Seed: 3, CorpusFiles: 50, VocabSize: 300}
+	base := Config{Seed: 3, CorpusFiles: 50}
 	fg := NewFamily(base)
 	withBooks := base
 	withBooks.Corpus = GitHubPlusBooks

@@ -10,7 +10,7 @@ import (
 
 func init() {
 	gen.Register("remote", "JSON-over-HTTP proxy to a completion service (vgen-serve); retrying, circuit-broken, batch-capable", func(o gen.Options) (gen.Backend, error) {
-		return NewBackend(configFrom(o.Remote))
+		return NewBackend(o.Remote)
 	})
 }
 
@@ -27,14 +27,14 @@ type backend struct {
 }
 
 // NewBackend connects to the endpoint and returns the proxy backend.
-func NewBackend(cfg Config) (gen.Backend, error) {
-	t, err := NewTransport(cfg)
+func NewBackend(o gen.RemoteOptions) (gen.Backend, error) {
+	t, err := NewTransport(o)
 	if err != nil {
 		return nil, err
 	}
 	desc, variants, err := t.Info(context.Background())
 	if err != nil {
-		return nil, fmt.Errorf("remote: endpoint %s unusable: %w", cfg.Endpoint, err)
+		return nil, fmt.Errorf("remote: endpoint %s unusable: %w", o.Endpoint, err)
 	}
 	return &backend{t: t, desc: "remote(" + desc + ")", variants: variants}, nil
 }

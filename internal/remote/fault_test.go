@@ -83,8 +83,8 @@ func startFaultServer(t *testing.T, b gen.Backend, plan *FaultPlan, opts ServerO
 // drips resolve in tens of milliseconds) and the breaker effectively
 // disabled — breaker behavior has its own tests, and tripping it here
 // would turn a bounded-retry test into a cooldown race.
-func fastConfig(url string) Config {
-	return Config{
+func fastConfig(url string) gen.RemoteOptions {
+	return gen.RemoteOptions{
 		Endpoint:         url,
 		Timeout:          250 * time.Millisecond,
 		MaxAttempts:      4,
@@ -95,7 +95,7 @@ func fastConfig(url string) Config {
 	}
 }
 
-func remoteBackend(t *testing.T, cfg Config) gen.Backend {
+func remoteBackend(t *testing.T, cfg gen.RemoteOptions) gen.Backend {
 	t.Helper()
 	b, err := NewBackend(cfg)
 	if err != nil {

@@ -14,9 +14,9 @@ import (
 	"repro/internal/gen"
 )
 
-// Transport defaults, applied by NewTransport for zero-valued Config
-// fields. The numbers are sized for a LAN/loopback completion service;
-// CLIs expose every knob.
+// Transport defaults, applied by NewTransport for zero-valued
+// gen.RemoteOptions fields. The numbers are sized for a LAN/loopback
+// completion service; CLIs expose every knob.
 const (
 	defaultTimeout          = 30 * time.Second
 	defaultMaxAttempts      = 4
@@ -27,79 +27,47 @@ const (
 	defaultBreakerCooldown  = time.Second
 )
 
-// Config parameterizes the transport. It is gen.RemoteOptions with the
-// defaults resolved; construct one with configFrom or fill it directly in
-// tests.
-type Config struct {
-	Endpoint  string
-	AuthToken string
-
-	Timeout time.Duration // per-attempt deadline
-	Budget  time.Duration // sweep-level deadline; 0 means none
-
-	MaxAttempts int
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-
-	MaxInFlight int
-
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	Seed int64
-}
-
-// configFrom resolves registry options into a Config with defaults.
-func configFrom(o gen.RemoteOptions) Config {
-	return Config{
-		Endpoint: o.Endpoint, AuthToken: o.AuthToken,
-		Timeout: o.Timeout, Budget: o.Budget,
-		MaxAttempts: o.MaxAttempts, BackoffBase: o.BackoffBase, BackoffCap: o.BackoffCap,
-		MaxInFlight:      o.MaxInFlight,
-		BreakerThreshold: o.BreakerThreshold, BreakerCooldown: o.BreakerCooldown,
-		Seed: o.Seed,
+// withDefaults validates o's endpoint and returns a copy with every zero
+// knob resolved to its transport default.
+func withDefaults(o gen.RemoteOptions) (gen.RemoteOptions, error) {
+	if o.Endpoint == "" {
+		return o, errors.New("remote: endpoint required (-endpoint)")
 	}
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.Endpoint == "" {
-		return c, errors.New("remote: endpoint required (-endpoint)")
+	if !strings.HasPrefix(o.Endpoint, "http://") && !strings.HasPrefix(o.Endpoint, "https://") {
+		return o, fmt.Errorf("remote: endpoint %q is not an http(s) URL", o.Endpoint)
 	}
-	if !strings.HasPrefix(c.Endpoint, "http://") && !strings.HasPrefix(c.Endpoint, "https://") {
-		return c, fmt.Errorf("remote: endpoint %q is not an http(s) URL", c.Endpoint)
+	if o.Timeout <= 0 {
+		o.Timeout = defaultTimeout
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = defaultTimeout
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = defaultMaxAttempts
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = defaultMaxAttempts
+	if o.BackoffBase <= 0 {
+		o.BackoffBase = defaultBackoffBase
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = defaultBackoffBase
+	if o.BackoffCap <= 0 {
+		o.BackoffCap = defaultBackoffCap
 	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = defaultBackoffCap
+	if o.BackoffCap < o.BackoffBase {
+		o.BackoffCap = o.BackoffBase
 	}
-	if c.BackoffCap < c.BackoffBase {
-		c.BackoffCap = c.BackoffBase
+	if o.MaxInFlight <= 0 {
+		o.MaxInFlight = defaultMaxInFlight
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = defaultMaxInFlight
+	if o.BreakerThreshold <= 0 {
+		o.BreakerThreshold = defaultBreakerThreshold
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = defaultBreakerThreshold
+	if o.BreakerCooldown <= 0 {
+		o.BreakerCooldown = defaultBreakerCooldown
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = defaultBreakerCooldown
-	}
-	return c, nil
+	return o, nil
 }
 
 // Transport is the robust HTTP client for the wire protocol: retrying,
 // circuit-broken, concurrency-bounded, budget-bounded. Safe for
 // concurrent use — the eval pool calls it from every worker.
 type Transport struct {
-	cfg      Config
+	cfg      gen.RemoteOptions // defaults resolved
 	client   *http.Client
 	br       *breaker
 	sem      chan struct{} // bounds in-flight HTTP attempts
@@ -110,12 +78,13 @@ type Transport struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// NewTransport builds a transport over cfg. The sweep-level budget is
+// NewTransport builds a transport over o, with its zero knobs resolved to
+// the transport defaults. The sweep-level budget is
 // anchored here: the deadline is Budget from construction time, and every
 // request the transport ever sends shares it (per-attempt deadlines are
 // min(Timeout, remaining budget) via nested contexts).
-func NewTransport(cfg Config) (*Transport, error) {
-	cfg, err := cfg.withDefaults()
+func NewTransport(o gen.RemoteOptions) (*Transport, error) {
+	cfg, err := withDefaults(o)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -122,21 +121,6 @@ type recordLine struct {
 	SumLat    float64 `json:"sum_lat"`
 }
 
-// checkStats mirrors the wire package's cell validation: the verdict
-// pipeline only simulates samples that compile, so Passed <= Compiled <=
-// Samples <= N, and the latency sum must be a finite non-negative float.
-func checkStats(c eval.Coord, st eval.CellStats) error {
-	if st.Samples < 0 || st.Samples > c.N ||
-		st.Compiled < 0 || st.Compiled > st.Samples ||
-		st.Passed < 0 || st.Passed > st.Compiled {
-		return fmt.Errorf("store: cell %+v: inconsistent stats %+v", c, st)
-	}
-	if math.IsNaN(st.SumLat) || math.IsInf(st.SumLat, 0) || st.SumLat < 0 {
-		return fmt.Errorf("store: cell %+v: bad latency sum %v", c, st.SumLat)
-	}
-	return nil
-}
-
 // encodeRecord renders one full record line, checksum and newline
 // included.
 func encodeRecord(id Identity, c eval.Coord, st eval.CellStats) ([]byte, error) {
@@ -152,11 +136,8 @@ func encodeRecord(id Identity, c eval.Coord, st eval.CellStats) ([]byte, error) 
 			return nil, fmt.Errorf("store: %s %q is not valid UTF-8", f.name, f.s)
 		}
 	}
-	if _, err := c.Query(); err != nil {
+	if err := eval.CheckCell(c, st); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := checkStats(c, st); err != nil {
-		return nil, err
 	}
 	payload, err := json.Marshal(recordLine{
 		Backend: id.Backend, Seed: id.Seed,
@@ -226,11 +207,8 @@ func decodeRecord(line []byte, strs interner) (Identity, eval.Coord, eval.CellSt
 	if id.Backend == "" {
 		return zid, zc, zst, fmt.Errorf("store: record has empty backend tag")
 	}
-	if _, err := c.Query(); err != nil {
+	if err := eval.CheckCell(c, st); err != nil {
 		return zid, zc, zst, fmt.Errorf("store: %w", err)
-	}
-	if err := checkStats(c, st); err != nil {
-		return zid, zc, zst, err
 	}
 	return id, c, st, nil
 }

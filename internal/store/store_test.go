@@ -288,8 +288,8 @@ func TestPutSemantics(t *testing.T) {
 	if err := s.Put(testID, c, eval.CellStats{Samples: 10, Compiled: 8, Passed: 6, SumLat: 2.5}); err == nil {
 		t.Fatal("conflicting re-put must be rejected")
 	}
-	// Validation mirrors wire: inconsistent stats and bad coordinates are
-	// rejected at the writer.
+	// eval.CheckCell, the rule wire applies too: inconsistent stats and bad
+	// coordinates are rejected at the writer.
 	if err := s.Put(testID, c, eval.CellStats{Samples: 11}); err == nil {
 		t.Fatal("Samples > N must be rejected")
 	}
@@ -416,15 +416,12 @@ func decodeRecordJSON(line []byte) (Identity, eval.Coord, eval.CellStats, error)
 		Model: rl.Model, Variant: rl.Variant, Problem: rl.Problem,
 		Level: rl.Level, TempMilli: rl.TempMilli, N: rl.N,
 	}
-	if _, err := c.Query(); err != nil {
-		return zid, zc, zst, fmt.Errorf("store: %w", err)
-	}
 	st := eval.CellStats{
 		Samples: rl.Samples, Compiled: rl.Compiled, Passed: rl.Passed,
 		SumLat: rl.SumLat,
 	}
-	if err := checkStats(c, st); err != nil {
-		return zid, zc, zst, err
+	if err := eval.CheckCell(c, st); err != nil {
+		return zid, zc, zst, fmt.Errorf("store: %w", err)
 	}
 	return id, c, st, nil
 }

@@ -45,7 +45,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"repro/internal/eval"
@@ -256,8 +255,8 @@ func WriteResults(w io.Writer, m Meta, rs *eval.ResultSet) error {
 	}
 	for _, c := range rs.Coords() {
 		st, _ := rs.Get(c)
-		if err := checkStats(c, st); err != nil {
-			return err
+		if err := eval.CheckCell(c, st); err != nil {
+			return fmt.Errorf("wire: results: %w", err)
 		}
 		if err := writeLine(bw, cellLine{
 			coordLine: toCoordLine(c),
@@ -268,20 +267,6 @@ func WriteResults(w io.Writer, m Meta, rs *eval.ResultSet) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func checkStats(c eval.Coord, st eval.CellStats) error {
-	// Passed <= Compiled because the verdict pipeline only runs the test
-	// bench on samples that compile: a file claiming otherwise is corrupt.
-	if st.Samples < 0 || st.Samples > c.N ||
-		st.Compiled < 0 || st.Compiled > st.Samples ||
-		st.Passed < 0 || st.Passed > st.Compiled {
-		return fmt.Errorf("wire: cell %+v: inconsistent stats %+v", c, st)
-	}
-	if math.IsNaN(st.SumLat) || math.IsInf(st.SumLat, 0) || st.SumLat < 0 {
-		return fmt.Errorf("wire: cell %+v: bad latency sum %v", c, st.SumLat)
-	}
-	return nil
 }
 
 // Shard is one decoded shard-result file.
@@ -311,14 +296,11 @@ func ReadResults(r io.Reader) (Shard, error) {
 			return Shard{}, fmt.Errorf("wire: results line %d: %w", line, err)
 		}
 		c := cl.coord()
-		if _, err := c.Query(); err != nil {
-			return Shard{}, fmt.Errorf("wire: results line %d: %w", line, err)
-		}
 		st := eval.CellStats{
 			Samples: cl.Samples, Compiled: cl.Compiled, Passed: cl.Passed,
 			SumLat: cl.SumLat,
 		}
-		if err := checkStats(c, st); err != nil {
+		if err := eval.CheckCell(c, st); err != nil {
 			return Shard{}, fmt.Errorf("wire: results line %d: %w", line, err)
 		}
 		if err := set.Put(c, st); err != nil {

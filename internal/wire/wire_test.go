@@ -440,3 +440,24 @@ func TestWritePlanRejectsDuplicates(t *testing.T) {
 		t.Fatal("WritePlan with a duplicate cell should fail at the writer")
 	}
 }
+
+// TestWriteResultsRejectsUnresolvableCell holds the results writer to
+// the rule its reader applies (eval.CheckCell): a coordinate that names
+// no problem is refused at the writer, as WritePlan refuses it, instead
+// of producing a file ReadResults would reject.
+func TestWriteResultsRejectsUnresolvableCell(t *testing.T) {
+	c := testCoords(1)[0]
+	c.Problem = 999
+	rs := eval.NewResultSet()
+	if err := rs.Put(c, eval.CellStats{Samples: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := WriteResults(&buf, testMeta(0, 1), rs)
+	if err == nil {
+		t.Fatal("WriteResults with an unresolvable coordinate should fail at the writer")
+	}
+	if !strings.Contains(err.Error(), "no problem 999") {
+		t.Fatalf("error %q does not name the unresolvable problem", err)
+	}
+}
