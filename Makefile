@@ -34,8 +34,8 @@ test: vet check
 # family the engine drives (whose prepare tasks build LMs and variant
 # banks on every pool worker), the n-gram sampler (whose frozen tables
 # share per-temperature weight tables across workers), the simulator and its
-# value package (pooled simulators resume their process coroutines from
-# whichever eval worker holds them), the generation-backend layer, the
+# value package (eval workers run simulators side by side against one
+# shared plan cache), the generation-backend layer, the
 # sweep coordinator (whose fault-injection suite exercises every
 # supervision path), the remote transport (whose fault-matrix suite
 # exercises every recovery path), the result store (shared by parallel

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -433,20 +434,26 @@ endmodule`)
 }
 
 // BenchmarkFullPipelineEvaluation times one completion through the whole
-// compile + simulate verdict path (the per-sample cost of Tables III/IV).
+// parse + compile + simulate verdict path (the per-sample cost of Tables
+// III/IV). A unique comment before endmodule keeps every iteration's
+// source distinct, so the verdict memo never answers one.
 func BenchmarkFullPipelineEvaluation(b *testing.B) {
 	p := problems.ByNumber(15)
+	body := strings.TrimSuffix(p.RefBody, "endmodule\n")
+	if body == p.RefBody {
+		b.Fatal("reference body does not end in endmodule")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := eval.Evaluate(p, problems.LevelHigh, p.RefBody)
+		o := eval.Evaluate(p, problems.LevelHigh, fmt.Sprintf("%s  // full %d\nendmodule\n", body, i))
 		if !o.Passes {
 			b.Fatal("reference failed")
 		}
 	}
 }
 
-// BenchmarkEvaluateColdCompile times a candidate the shared design cache
-// has never seen: parse, compile-check, skeleton splice, plan
+// BenchmarkEvaluateColdCompile times a candidate the verdict memo has
+// never seen: parse, compile-check, skeleton splice, plan
 // compilation, simulator construction, and the run itself — the
 // first-sample cost of a sweep cell (DESIGN.md Section 15). A unique
 // comment line keeps every iteration's source distinct.
@@ -461,11 +468,11 @@ func BenchmarkEvaluateColdCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateWarmCompile times the steady state the shared tiers
-// buy: the same candidate re-evaluated with the spliced design, compiled
-// plans, and a pooled simulator all resident, leaving simulation itself
-// as the whole per-call cost. The cold/warm delta is the amortized
-// compile work.
+// BenchmarkEvaluateWarmCompile is the verdict-memo hit: the same
+// candidate re-evaluated once its verdict is resident, so a call costs
+// truncation, the key and one lookup, and nothing is compiled or
+// simulated. The cold/warm delta is the whole per-candidate pipeline the
+// memo saves on a repeat.
 func BenchmarkEvaluateWarmCompile(b *testing.B) {
 	p := problems.ByNumber(15)
 	if !eval.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
@@ -515,12 +522,11 @@ func BenchmarkInterpretedEval(b *testing.B) { benchSimEngine(b, true) }
 
 // ---- parallel evaluation engine benches (DESIGN.md Section 6) --------------
 
-// resetSharedState drops the process-wide shared compile tiers (design
-// cache, plan cache, pooled simulators) and runs the collector twice, so
-// a sweep-scale bench measures its own workload instead of paying GC
-// mark cost for state earlier benches retained in the same process. A
-// one-byte budget evicts everything the never-newest policy can release
-// and rebuilds the plan cache empty; zero restores the defaults.
+// resetSharedState drops the process-wide shared tiers (verdict memo and
+// plan cache) and runs the collector twice, so a sweep-scale bench
+// measures its own workload instead of paying GC mark cost for state
+// earlier benches retained in the same process. Each SetPlanCacheBytes
+// call rebuilds both tiers empty; zero restores the default budgets.
 func resetSharedState(b *testing.B) {
 	b.Helper()
 	eval.SetPlanCacheBytes(1)
@@ -597,11 +603,11 @@ func sweepQueries() []eval.Query {
 	return qs
 }
 
-// pinSharedBudget shrinks the shared compile tiers to one resident
-// entry for the bench's duration and restores the defaults on cleanup.
-// Warm-outcome-cache rows measure backend or transport cost — the
-// compile caches never serve them past the first iteration, so resident
-// compiled artifacts would only add GC mark noise to the row.
+// pinSharedBudget shrinks the shared tiers (verdict memo and plan cache)
+// to one resident entry each for the bench's duration and restores the
+// defaults on cleanup. Warm-outcome-cache rows measure backend or
+// transport cost — the shared tiers never serve them past the first
+// iteration, so resident entries would only add GC mark noise to the row.
 func pinSharedBudget(b *testing.B) {
 	b.Helper()
 	eval.SetPlanCacheBytes(1)
@@ -629,7 +635,7 @@ func benchSweepBackend(b *testing.B, backend gen.Backend) {
 }
 
 // benchSweepPlans is the plan-sharing ablation: the family sweep on a
-// cold outcome cache per iteration, with the process-wide design/plan
+// cold outcome cache per iteration, with the process-wide memo/plan
 // tiers either engaged (the default) or bypassed (UnsharedPlans, the
 // differential baseline). A warm-up sweep first fills the shared tiers so
 // plans=shared measures the steady state, not first-touch compilation.

@@ -66,13 +66,13 @@
 // cells their absence left uncovered. Supervised end-to-end runs —
 // retry, work-stealing, resume — live in the vgen-coord command.
 //
-// Evaluation shares compiled artifacts process-wide (DESIGN.md Section
-// 15): testbenches elaborate once per (problem, level), candidate designs
-// and compiled expression plans are cached content-addressed, and
-// simulator state is pooled — identical output, far less compile work.
-// The design and plan caches hold 4 MiB of accounted bytes each;
-// -cache-stats prints their counters and the per-runner outcome cache's
-// to stderr after the run.
+// Evaluation shares work process-wide (DESIGN.md Section 15):
+// testbenches elaborate once per (problem, level), compiled expression
+// plans are cached content-addressed, and each distinct candidate is
+// compiled and simulated once, its verdict kept in a memo — identical
+// output, far less work. The verdict memo and the plan cache hold 4 MiB
+// of accounted bytes each; -cache-stats prints their counters and the
+// per-runner outcome cache's to stderr after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -118,7 +118,7 @@ func fail(format string, args ...any) {
 func main() {
 	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
-	cacheStats := flag.Bool("cache-stats", false, "print shared plan/design cache and outcome cache counters to stderr after the run")
+	cacheStats := flag.Bool("cache-stats", false, "print plan cache, verdict memo and outcome cache counters to stderr after the run")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
 	replay := flag.String("replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
 	shards := flag.Int("shards", 1, "total shard count of a distributed sweep")
@@ -397,15 +397,15 @@ func main() {
 	}
 }
 
-// printCacheStats reports the shared compiled-artifact caches (DESIGN.md
-// Section 15) next to the per-runner outcome cache, all to stderr: a warm
-// sweep shows plan/design hits dominating misses, and a sweep that
-// outgrows a cache's budget shows evictions.
+// printCacheStats reports the shared plan cache and verdict memo
+// (DESIGN.md Section 15) next to the per-runner outcome cache, all to
+// stderr: memo hits are candidates that repeat a simulated source after
+// truncation, and a sweep that outgrows a tier's budget shows evictions.
 func printCacheStats(r *eval.Runner) {
 	ss := eval.SharedStats()
 	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evicted, %d entries, %d bytes\n",
 		ss.Plans.Hits, ss.Plans.Misses, ss.Plans.Evictions, ss.Plans.Entries, ss.Plans.Bytes)
-	fmt.Fprintf(os.Stderr, "design cache: %d hits, %d misses, %d evicted, %d designs (%d skeletons), %d bytes\n",
+	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d skeletons, %d bytes\n",
 		ss.DesignHits, ss.DesignMisses, ss.DesignEvicted, ss.Designs, ss.Skeletons, ss.DesignBytes)
 	oc := r.CacheStats()
 	fmt.Fprintf(os.Stderr, "outcome cache: %d entries, %d bytes, %d evicted\n",

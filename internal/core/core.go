@@ -145,7 +145,7 @@ func New(cfg Config) (*Framework, error) {
 	runner.BatchSize = cfg.BatchSize
 	fw.Runner = runner
 	fw.source = runner
-	fw.Harness = &harness.Harness{Runner: runner, Opts: cfg.Sweep, Seed: cfg.Seed}
+	fw.Harness = &harness.Harness{Runner: runner, Opts: cfg.Sweep, Seed: cfg.Seed, CorpusFiles: cfg.CorpusFiles}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -209,5 +210,31 @@ func TestRecordingDoesNotSplitShardIdentity(t *testing.T) {
 	}
 	if mPlain.Backend != mRec.Backend {
 		t.Fatalf("recording split the sweep identity: %q vs %q", mPlain.Backend, mRec.Backend)
+	}
+}
+
+// TestAblationFollowsCorpusFiles: the corpus ablation trains its families
+// at the sweep's corpus size. Its GitHub-only family is then the main
+// runner's family, so its cells equal the main runner's CodeGen-16B
+// fine-tuned aggregate over the same sweep options, and so does the pass
+// rate Ablation prints. The pass rate alone cannot tell corpus sizes
+// apart (babble never passes), but the compile count can: at seed 3 the
+// default 300-file family compiles 75 of these 102 samples, the 20-file
+// family 77.
+func TestAblationFollowsCorpusFiles(t *testing.T) {
+	opts := eval.SweepOptions{N: 2, Temperatures: []float64{0.1, 0.5}}
+	fw, err := New(Config{Seed: 3, CorpusFiles: 20, Sweep: opts, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
+	want := eval.Aggregate(fw.Runner, mv, opts)
+	if gh, _ := fw.Harness.AblationStats(); gh != want {
+		t.Errorf("ablation GitHub-only cells %+v, want the main runner's %+v", gh, want)
+	}
+	line := fmt.Sprintf("GitHub only:        %.3f\n", want.PassRate())
+	if got := fw.Harness.Ablation(); !strings.Contains(got, line) {
+		t.Errorf("ablation does not report the main runner's pass rate %q:\n%s", line, got)
 	}
 }

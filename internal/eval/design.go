@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -12,10 +11,10 @@ import (
 	"repro/internal/vlog/elab"
 )
 
-// This file is the "elaborate once, simulate many" layer: the per-sample
-// compile pipeline (parse, compile-check, elaborate, simulator
-// construction) is cached so a sweep pays it once per distinct candidate
-// and the testbench cone is compiled once per (problem, level).
+// This file is the "elaborate once, simulate once" layer: the per-sample
+// compile pipeline (parse, compile-check, elaborate, simulate) runs once
+// per distinct candidate, and the testbench cone is compiled once per
+// (problem, level).
 //
 // Four shared tiers, all content-addressed, all invisible to output, and
 // all bounded.Cache instances:
@@ -25,13 +24,13 @@ import (
 //     candidate splices into (skeleton.go in the elab package).
 //   - prefix tier: one vlog.Prefix per prompt text, so a candidate's
 //     parse parses only its completion.
-//   - design tier: one compiled slot per (testbench, candidate source)
-//     pair that reached simulation, holding the spliced Design and a pool
-//     of reusable Simulators whose bound plans and runtime objects
-//     persist across runs.
+//   - verdict memo: one Outcome per (testbench, candidate source) pair
+//     that reached simulation. The slot holds the spliced Design only
+//     until its one simulation has run, so a candidate that recurs after
+//     truncation is answered without simulating again.
 //   - plan tier: a sim.PlanCache sharing immutable compiled expression
-//     plans across all simulators (including first-time candidates, whose
-//     testbench cone was already compiled by earlier candidates).
+//     plans across all simulators (first-time candidates reuse the
+//     testbench cone earlier candidates compiled).
 //
 // Every cached artifact is a pure function of its key, so eviction and
 // recomputation are byte-identical; the differential suite pins shared vs
@@ -39,23 +38,16 @@ import (
 // keep the fresh-everything pipeline as the differential baseline, the
 // same role sim.Options.Interpret plays one layer down.
 
-// DefaultDesignCacheBytes bounds the design tier when no budget is
-// configured. Entries are accounted at designSlotCost plus their source
-// text, so the accounted budget tracks real retention. The default is
-// deliberately modest: a resident compiled design only pays off for
-// candidates that recur, and an oversized cache taxes the whole process
-// through GC mark cost — retained pointer-dense graphs (AST nodes, plan
-// trees, simulator state) are exactly what the collector scans every
-// cycle.
-const DefaultDesignCacheBytes = 4 << 20
+// DefaultMemoBytes bounds the verdict memo when no budget is
+// configured. Entries are accounted at their source text plus
+// verdictSlotCost, so the accounted budget tracks real retention.
+const DefaultMemoBytes = 4 << 20
 
-// designSlotCost is a slot's cost beyond its source text: the slot
-// struct, map bookkeeping and key strings (512 bytes), plus the
-// elaborated design graph, compiled plans and pooled simulator state.
-// Calibrated from live-heap deltas (~17 KB per resident reference-design
-// slot including its plan cache share), rounded up for larger candidates
-// and pool churn.
-const designSlotCost = 512 + 24<<10
+// verdictSlotCost is a memo entry's cost beyond its source text: the
+// slot struct, its map and FIFO bookkeeping and the key's string
+// headers. The testbench text is shared with the Problem, so it is not
+// charged.
+const verdictSlotCost = 256
 
 // tbCap bounds the testbench tier by entry count. Keying by the text (not
 // the problem number) makes the tier immune to Problem copies that carry
@@ -124,45 +116,48 @@ func (tb *testbench) skeleton() *elab.Skeleton {
 	return tb.skel
 }
 
-// designKey addresses one compiled candidate: the testbench text scopes
-// the candidate source, mirroring the legacy Compose(candidate, bench)
+// verdictKey addresses one candidate: the testbench text scopes the
+// candidate source, mirroring the legacy Compose(candidate, bench)
 // pipeline input.
-type designKey struct {
+type verdictKey struct {
 	tb  string
 	src string
 }
 
-// designSlot is one compiled candidate design plus its simulator pool.
-type designSlot struct {
-	d    *elab.Design
-	pool sync.Pool // *sim.Simulator, reset on reuse
+// verdictSlot is one memo entry: a candidate that reached simulation.
+// The design is simulated once, under once, and then dropped; only the
+// verdict stays resident.
+type verdictSlot struct {
+	once sync.Once
+	d    *elab.Design // nil once simulated
+	o    Outcome
 }
 
-// sharedTiers holds the process-wide design and plan tiers. Both outlive
-// every Runner; SetPlanCacheBytes replaces them together.
+// sharedTiers holds the process-wide verdict memo and plan tier. Both
+// outlive every Runner; SetPlanCacheBytes replaces them together.
 type sharedTiers struct {
-	designs *bounded.Cache[designKey, *designSlot]
-	plans   *sim.PlanCache
+	memo  *bounded.Cache[verdictKey, *verdictSlot]
+	plans *sim.PlanCache
 }
 
 var tiers atomic.Pointer[sharedTiers]
 
 func init() { SetPlanCacheBytes(0) }
 
-// SetPlanCacheBytes configures the shared compiled-artifact budgets: the
-// plan cache and the design cache are each bounded by n accounted bytes.
-// 0 restores the defaults (sim.DefaultPlanCacheBytes and
-// DefaultDesignCacheBytes), negative disables the bounds. Both tiers are
-// rebuilt empty so the new budget applies from scratch; simulators and
-// slots already taken from the old tiers finish against them harmlessly.
+// SetPlanCacheBytes configures the shared budgets: the plan cache and the
+// verdict memo are each bounded by n accounted bytes. 0 restores the
+// defaults (sim.DefaultPlanCacheBytes and DefaultMemoBytes),
+// negative disables the bounds. Both tiers are rebuilt empty so the new
+// budget applies from scratch; a simulation already running against the
+// old tiers finishes against them harmlessly.
 func SetPlanCacheBytes(n int64) {
-	designBudget := n
-	if designBudget == 0 {
-		designBudget = DefaultDesignCacheBytes
+	memoBudget := n
+	if memoBudget == 0 {
+		memoBudget = DefaultMemoBytes
 	}
 	tiers.Store(&sharedTiers{
-		designs: bounded.New[designKey, *designSlot](designBudget),
-		plans:   sim.NewPlanCache(n),
+		memo:  bounded.New[verdictKey, *verdictSlot](memoBudget),
+		plans: sim.NewPlanCache(n),
 	})
 }
 
@@ -172,7 +167,7 @@ func SetPlanCacheBytes(n int64) {
 // elaboration, so the verdict (and on success the design's observable
 // behaviour) is identical to the legacy per-sample pipeline by
 // construction.
-func buildSlot(p *problems.Problem, prompt, completion string) (Outcome, *designSlot) {
+func buildSlot(p *problems.Problem, prompt, completion string) (Outcome, *verdictSlot) {
 	f, err := vlog.ParsePrefixed(prefixFor(prompt), completion)
 	if err != nil || elab.CompileCheck(f) != nil {
 		return Outcome{}, nil
@@ -185,64 +180,62 @@ func buildSlot(p *problems.Problem, prompt, completion string) (Outcome, *design
 	}
 	if sk := tb.skeleton(); sk != nil {
 		if d, err := sk.Splice(f); err == nil {
-			return compiles, &designSlot{d: d}
+			return compiles, &verdictSlot{d: d}
 		}
 	}
 	d, err := elab.Elaborate(vlog.Compose(f, tbf), "tb", elab.Options{})
 	if err != nil {
 		return compiles, nil
 	}
-	return compiles, &designSlot{d: d}
+	return compiles, &verdictSlot{d: d}
 }
 
-// getSim returns a pooled simulator reset for a fresh run, or a new one.
-func (sl *designSlot) getSim(opts sim.Options) *sim.Simulator {
-	if v := sl.pool.Get(); v != nil {
-		s := v.(*sim.Simulator)
-		s.Reset(opts)
-		return s
-	}
-	return sim.New(sl.d, opts)
+// verdict returns the slot's Outcome, simulating its design on the first
+// call. The call that simulates also returns the run's Result; every
+// other call returns nil. A run error, an InternalError included, is a
+// simulated candidate that does not pass, memoized like any verdict.
+func (sl *verdictSlot) verdict(plans *sim.PlanCache) (Outcome, *sim.Result) {
+	var res *sim.Result
+	sl.once.Do(func() {
+		r, err := sim.New(sl.d, sim.Options{Plans: plans}).Run()
+		sl.d = nil
+		sl.o = Outcome{Compiles: true, Simulated: true, Passes: err == nil && problems.PassVerdict(r.Output)}
+		res = &r
+	})
+	return sl.o, res
 }
 
 // evaluateShared is the shared-artifact pipeline behind Evaluate: same
-// verdict and simulation bytes as evaluateSim with default options, with
-// the compile work amortized across samples. Only candidates that reach
+// verdict as evaluateSim with default options, with the compile and
+// simulation work paid once per distinct candidate. The Result is the
+// simulation this call ran, nil when it ran none (a memo hit, or a
+// candidate that never reaches simulation). Only candidates that reach
 // simulation are stored: a failure's verdict is returned directly, so
-// the common LLM failure (a parse error) never evicts a compiled design,
-// and a repeated failure parses again. A slot is built outside any lock;
-// when two workers miss on the same candidate, the first Add wins and
-// both use its slot.
-func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, sim.Result) {
+// the common LLM failure (a parse error) never evicts a verdict, and a
+// repeated failure parses again. A slot is built outside any lock; when
+// two workers miss on the same candidate, the first Add wins and both
+// wait on its one simulation.
+func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, *sim.Result) {
 	completion = Truncate(completion)
 	prompt := p.Prompt(level)
 	src := prompt + completion
 	t := tiers.Load()
-	k := designKey{tb: p.Testbench, src: src}
-	sl, ok := t.designs.Get(k)
+	k := verdictKey{tb: p.Testbench, src: src}
+	sl, ok := t.memo.Get(k)
 	if !ok {
 		var o Outcome
 		if o, sl = buildSlot(p, prompt, completion); sl == nil {
-			return o, sim.Result{}
+			return o, nil
 		}
-		sl = t.designs.Add(k, sl, int64(len(src))+designSlotCost)
+		sl = t.memo.Add(k, sl, int64(len(src))+verdictSlotCost)
 	}
-	s := sl.getSim(sim.Options{Plans: t.plans})
-	res, err := s.Run()
-	// a simulator that panicked internally may hold torn state; drop it
-	var ie *sim.InternalError
-	if !errors.As(err, &ie) {
-		sl.pool.Put(s)
-	}
-	if err != nil {
-		return Outcome{Compiles: true, Simulated: true}, res
-	}
-	return Outcome{Compiles: true, Simulated: true, Passes: problems.PassVerdict(res.Output)}, res
+	return sl.verdict(t.plans)
 }
 
-// SharedCacheStats snapshots the shared compiled-artifact tiers: the
-// design cache (per-candidate compiled designs and simulator pools) and
-// the plan cache (immutable compiled expression plans).
+// SharedCacheStats snapshots the shared tiers: the verdict memo, whose
+// counters keep their Design names (Designs is its resident entries,
+// DesignHits and DesignMisses count its lookups), and the plan cache
+// (immutable compiled expression plans).
 type SharedCacheStats struct {
 	Designs       int
 	DesignHits    uint64
@@ -258,7 +251,7 @@ type SharedCacheStats struct {
 // testbench-tier entries.
 func SharedStats() SharedCacheStats {
 	t := tiers.Load()
-	ds := t.designs.Stats()
+	ds := t.memo.Stats()
 	return SharedCacheStats{
 		Designs:       ds.Entries,
 		DesignHits:    ds.Hits,

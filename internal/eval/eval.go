@@ -96,12 +96,12 @@ type Outcome struct {
 }
 
 // Evaluate runs the full pipeline on one completion for (problem, level)
-// through the shared compiled-design tiers (see design.go): the testbench
-// skeleton is elaborated once per problem, the candidate is spliced and
-// compiled once per distinct source, expression plans are shared across
-// simulators, and per-run simulator state is pooled. The verdict and
-// simulation output are byte-identical to EvaluateUnshared — the caches
-// hold only pure functions of the source text.
+// through the shared tiers (see design.go): the testbench skeleton is
+// elaborated once per problem, expression plans are shared across
+// simulators, and a candidate is spliced, compiled and simulated once per
+// distinct truncated source; the verdict memo answers every repeat. The
+// verdict is identical to EvaluateUnshared's — the tiers hold only pure
+// functions of the source text.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
 	o, _ := evaluateShared(p, level, completion)
 	return o
@@ -225,10 +225,10 @@ type Runner struct {
 	BatchSize int
 
 	// UnsharedPlans evaluates through EvaluateUnshared — fresh parse,
-	// full elaboration, and an unpooled simulator per sample — instead of
-	// the shared compiled-design tiers. Output is byte-identical either
-	// way; the unshared path exists as the differential baseline and the
-	// benchmarks' ablation, the role sim.Options.Interpret and
+	// full elaboration, and a fresh simulation per sample — instead of
+	// the shared tiers and the verdict memo. Output is byte-identical
+	// either way; the unshared path exists as the differential baseline
+	// and the benchmarks' ablation, the role sim.Options.Interpret and
 	// model.Config.MapSampler play in their layers. No command sets it.
 	UnsharedPlans bool
 

@@ -11,9 +11,11 @@ import (
 
 // TestInternalSimErrorIsARunError: a simulator that panics internally
 // yields an ordinary failed-run verdict (compiles, simulated, does not
-// pass) instead of crashing the sweep, and its simulator is not pooled
-// for reuse. The slot is seeded with a hand-built design whose process
-// trips a runtime panic, since no candidate text should reach one.
+// pass) instead of crashing the sweep, and the verdict memo keeps that
+// verdict like any other, so the broken design runs once. The memo is
+// seeded with an unsimulated slot holding a hand-built design whose
+// process trips a runtime panic, since no candidate text should reach
+// one.
 func TestInternalSimErrorIsARunError(t *testing.T) {
 	p := problems.ByNumber(6)
 	completion := p.RefBody + "\n// internal-error probe\n"
@@ -28,21 +30,36 @@ func TestInternalSimErrorIsARunError(t *testing.T) {
 
 	// The seeded slot shares its key with the reference body's (Truncate
 	// drops the probe comment): start from empty tiers, and empty them
-	// afterwards or later tests would evaluate the reference against the
-	// broken design.
+	// afterwards or later tests would get the broken design's verdict for
+	// the reference.
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
-	sl := &designSlot{d: d}
-	if got := tiers.Load().designs.Add(designKey{tb: p.Testbench, src: src}, sl, int64(len(src))+designSlotCost); got != sl {
+	sl := &verdictSlot{d: d}
+	if got := tiers.Load().memo.Add(verdictKey{tb: p.Testbench, src: src}, sl, int64(len(src))+verdictSlotCost); got != sl {
 		t.Fatal("slot was already built")
 	}
+	before := SharedStats()
+	runs := 0
 	for i := 0; i < 3; i++ {
-		got := Evaluate(p, problems.LevelHigh, completion)
+		got, res := evaluateShared(p, problems.LevelHigh, completion)
 		if want := (Outcome{Compiles: true, Simulated: true}); got != want {
-			t.Fatalf("run %d: outcome %+v, want %+v", i, got, want)
+			t.Fatalf("evaluation %d: outcome %+v, want %+v", i, got, want)
 		}
-		if s := sl.pool.Get(); s != nil {
-			t.Fatalf("run %d: the simulator that panicked went back to the pool", i)
+		if res != nil {
+			runs++
 		}
+		if sl.d != nil {
+			t.Fatalf("evaluation %d: the slot still holds its design", i)
+		}
+	}
+	if runs != 1 {
+		t.Errorf("the broken design ran %d times, want 1", runs)
+	}
+	after := SharedStats()
+	if hits := after.DesignHits - before.DesignHits; hits != 3 {
+		t.Errorf("%d memo hits, want 3", hits)
+	}
+	if after.Designs != before.Designs {
+		t.Errorf("memo entries %d -> %d: the seeded slot was replaced", before.Designs, after.Designs)
 	}
 }

@@ -322,13 +322,13 @@ func TestPrepareTasksRunOncePerBatch(t *testing.T) {
 }
 
 // TestSingleParsePerEvaluation pins the parse economics of the shared
-// pipeline: a candidate source unseen by the process-wide design cache
+// pipeline: a candidate source unseen by the process-wide verdict memo
 // parses exactly one text (the candidate — the testbench AST is cached
 // separately), and a repeat of a cached candidate parses nothing at all.
 // EvaluateUnshared keeps the legacy one-parse-per-call contract.
 func TestSingleParsePerEvaluation(t *testing.T) {
 	p := problems.ByNumber(6)
-	Evaluate(p, problems.LevelLow, p.RefBody) // warm the design caches
+	Evaluate(p, problems.LevelLow, p.RefBody) // warm the verdict memo
 	// re-warm the testbench AST (bounded tier; earlier tests churn it)
 	if _, err := testbenchFor(p.Testbench).parsed(); err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestSingleParsePerEvaluation(t *testing.T) {
 	before := vlog.ParseCalls()
 	o := Evaluate(p, problems.LevelLow, p.RefBody)
 	if n := vlog.ParseCalls() - before; n != 0 {
-		t.Errorf("repeat evaluation parsed %d texts, want 0 (design-cache hit)", n)
+		t.Errorf("repeat evaluation parsed %d texts, want 0 (memo hit)", n)
 	}
 	if !o.Compiles || !o.Passes {
 		t.Fatalf("reference outcome = %+v", o)

@@ -30,36 +30,55 @@ func sharedDiffCompletions(t *testing.T, p *problems.Problem, level problems.Lev
 	return out
 }
 
-// TestSharedMatchesFreshAndInterpreter is the tentpole's byte-identity
-// contract at the evaluation layer: for every problem, level, and a mix
-// of sampled completions, the shared pipeline (skeleton splice, design
-// cache, plan cache, pooled simulators) must agree with the fresh
-// pipeline and with the AST interpreter on the verdict and on the raw
-// simulation output, bit for bit.
+// TestSharedMatchesFreshAndInterpreter is the byte-identity contract at
+// the evaluation layer: for every problem, level, and a mix of sampled
+// completions, the shared pipeline (skeleton splice, plan cache, verdict
+// memo) must agree with the fresh pipeline and with the AST interpreter.
+// On a memo miss that simulates, the raw simulation output must agree
+// bit for bit; a memo hit, which runs nothing, must give the same
+// verdict.
 func TestSharedMatchesFreshAndInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full problems x levels x temps differential sweep")
 	}
+	SetPlanCacheBytes(0)
+	t.Cleanup(func() { SetPlanCacheBytes(0) })
+	misses, hits := 0, 0
 	for _, p := range problems.All() {
 		for _, l := range problems.Levels {
 			for ci, c := range sharedDiffCompletions(t, p, l) {
-				os, rs := evaluateShared(p, l, c)
+				label := fmt.Sprintf("problem %d/%s completion %d", p.Number, l, ci)
 				of, rf := evaluateSim(p, l, c, sim.Options{})
 				oi, ri := evaluateSim(p, l, c, sim.Options{Interpret: true})
-				label := fmt.Sprintf("problem %d/%s completion %d", p.Number, l, ci)
-				if os != of || os != oi {
-					t.Errorf("%s: verdicts diverged: shared %+v, fresh %+v, interpreted %+v",
-						label, os, of, oi)
+				if of != oi || rf.Output != ri.Output {
+					t.Errorf("%s: fresh %+v/%q and interpreted %+v/%q diverged", label, of, rf.Output, oi, ri.Output)
 				}
-				if rs.Output != rf.Output || rs.Output != ri.Output {
-					t.Errorf("%s: outputs diverged:\nshared:      %q\nfresh:       %q\ninterpreted: %q",
-						label, rs.Output, rf.Output, ri.Output)
-				}
-				if rs.Time != rf.Time || rs.Steps != rf.Steps || rs.Finished != rf.Finished {
-					t.Errorf("%s: result metadata diverged: shared %+v, fresh %+v", label, rs, rf)
+				for pass := 0; pass < 2; pass++ {
+					os, rs := evaluateShared(p, l, c)
+					if os != of {
+						t.Errorf("%s pass %d: verdicts diverged: shared %+v, fresh %+v", label, pass, os, of)
+					}
+					switch {
+					case rs != nil:
+						misses++
+						if pass > 0 {
+							t.Errorf("%s: a repeat simulated again", label)
+						}
+						if rs.Output != rf.Output {
+							t.Errorf("%s: outputs diverged:\nshared: %q\nfresh:  %q", label, rs.Output, rf.Output)
+						}
+						if rs.Time != rf.Time || rs.Steps != rf.Steps || rs.Finished != rf.Finished {
+							t.Errorf("%s: result metadata diverged: shared %+v, fresh %+v", label, *rs, rf)
+						}
+					case os.Simulated:
+						hits++
+					}
 				}
 			}
 		}
+	}
+	if misses == 0 || hits == 0 {
+		t.Errorf("%d simulating misses and %d memo hits: the sweep did not exercise both", misses, hits)
 	}
 }
 
@@ -94,7 +113,7 @@ func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
 }
 
 // TestSharedEvictionRecomputesIdentically squeezes both shared tiers to
-// near-zero budget so designs and plans evict constantly, then verifies
+// near-zero budget so verdicts and plans evict constantly, then verifies
 // re-evaluation under pressure reproduces the unshared pipeline exactly
 // and that evictions actually happened.
 func TestSharedEvictionRecomputesIdentically(t *testing.T) {
@@ -107,23 +126,23 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				os, rs := evaluateShared(p, l, p.RefBody)
 				of, rf := evaluateSim(p, l, p.RefBody, sim.Options{})
-				if os != of || rs.Output != rf.Output {
-					t.Errorf("problem %d/%s: starved shared pipeline diverged: %+v/%q vs %+v/%q",
-						pn, l, os, rs.Output, of, rf.Output)
+				if os != of || (rs != nil && rs.Output != rf.Output) {
+					t.Errorf("problem %d/%s: starved shared pipeline diverged: %+v vs %+v/%q",
+						pn, l, os, of, rf.Output)
 				}
 			}
 		}
 	}
 	after := SharedStats()
 	if after.DesignEvicted <= before.DesignEvicted {
-		t.Errorf("design cache evicted nothing under a 1-byte budget: %+v", after)
+		t.Errorf("verdict memo evicted nothing under a 1-byte budget: %+v", after)
 	}
 	if after.Plans.Evictions == 0 {
 		t.Errorf("plan cache evicted nothing under a 1-byte budget: %+v", after.Plans)
 	}
 }
 
-// TestDesignTierAdmitsOnlySimulatedCandidates pins the design tier's
+// TestDesignTierAdmitsOnlySimulatedCandidates pins the verdict memo's
 // admission rule and its accepted cost. Of a parse failure, a compile
 // failure, a candidate whose bench does not elaborate and the reference,
 // only the reference is stored. A repeated parse failure therefore parses
@@ -153,7 +172,7 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 			t.Errorf("%s: outcome %+v, want %+v", c.name, got, c.want)
 		}
 		if n := SharedStats().Designs - before; n != c.stored {
-			t.Errorf("%s: design tier grew by %d, want %d", c.name, n, c.stored)
+			t.Errorf("%s: verdict memo grew by %d, want %d", c.name, n, c.stored)
 		}
 	}
 	before := vlog.ParseCalls()
@@ -166,7 +185,7 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 }
 
 // TestSetPlanCacheBytesEmptiesTiers: resizing the shared budgets rebuilds
-// the design and plan tiers empty, so a reset before a measured run
+// the verdict memo and the plan tier empty, so a reset before a measured run
 // leaves nothing resident from earlier evaluations.
 func TestSetPlanCacheBytesEmptiesTiers(t *testing.T) {
 	defer SetPlanCacheBytes(0)
@@ -185,7 +204,8 @@ func TestSetPlanCacheBytesEmptiesTiers(t *testing.T) {
 
 // TestSharedConcurrentEvaluations hammers one (problem, level) and a
 // rotating set of candidates from many goroutines; under -race this pins
-// the design-slot once, the simulator pool, and the plan cache together.
+// the verdict slot's once, the first-Add-wins race, and the plan cache
+// together.
 func TestSharedConcurrentEvaluations(t *testing.T) {
 	p := problems.ByNumber(6)
 	bodies := []string{
@@ -195,8 +215,10 @@ func TestSharedConcurrentEvaluations(t *testing.T) {
 	}
 	want := make([]Outcome, len(bodies))
 	for i, b := range bodies {
-		want[i] = Evaluate(p, problems.LevelMedium, b)
+		want[i] = EvaluateUnshared(p, problems.LevelMedium, b)
 	}
+	// empty tiers, so the goroutines race on the misses too
+	SetPlanCacheBytes(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {
 		wg.Add(1)

@@ -42,6 +42,11 @@ type Harness struct {
 
 	Opts eval.SweepOptions
 	Seed int64
+
+	// CorpusFiles is the synthetic GitHub corpus size the families
+	// Ablation builds are trained on; 0 = the family default. A
+	// framework sets it to its own sweep's size.
+	CorpusFiles int
 }
 
 // src is the cell provider renderers read through.
@@ -393,20 +398,14 @@ func (h *Harness) HeadlineReport() string {
 
 // Ablation reproduces the Section VI corpus ablation: 16B fine-tuned on
 // GitHub only vs GitHub plus textbooks. It always builds two family
-// runners at the family's default corpus scale — the ablation is about
-// the fine-tuning corpus, whatever backend the enclosing harness runs.
+// runners at the harness's CorpusFiles scale — the ablation is about the
+// fine-tuning corpus, whatever backend the enclosing harness runs.
 func (h *Harness) Ablation() string {
 	if h.Runner == nil {
 		return "Corpus ablation unavailable: needs a live backend, not merged shard results\n"
 	}
-	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
-	passRate := func(c model.CorpusKind) float64 {
-		r := eval.NewFamilyRunner(model.NewFamily(model.Config{Seed: h.Seed, Corpus: c}), h.Seed)
-		r.Workers = h.Runner.Workers
-		return eval.Aggregate(r, mv, h.Opts).PassRate()
-	}
-	a := passRate(model.GitHubOnly)
-	b := passRate(model.GitHubPlusBooks)
+	gh, books := h.AblationStats()
+	a, b := gh.PassRate(), books.PassRate()
 	rel := 0.0
 	if a > 0 {
 		rel = b/a - 1
@@ -417,6 +416,20 @@ func (h *Harness) Ablation() string {
 	fmt.Fprintf(&sb, "GitHub + textbooks: %.3f\n", b)
 	fmt.Fprintf(&sb, "relative gain:      %+.1f%% (paper: +1.4%%)\n", 100*rel)
 	return sb.String()
+}
+
+// AblationStats is the cell data behind Ablation: CodeGen-16B fine-tuned
+// aggregated over the harness's sweep options, once per fine-tuning
+// corpus, on family runners built at the harness's seed and CorpusFiles.
+// It needs a live Runner, whose pool width the family runners take.
+func (h *Harness) AblationStats() (gitHubOnly, withBooks eval.CellStats) {
+	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
+	stats := func(c model.CorpusKind) eval.CellStats {
+		r := eval.NewFamilyRunner(model.NewFamily(model.Config{Seed: h.Seed, CorpusFiles: h.CorpusFiles, Corpus: c}), h.Seed)
+		r.Workers = h.Runner.Workers
+		return eval.Aggregate(r, mv, h.Opts)
+	}
+	return stats(model.GitHubOnly), stats(model.GitHubPlusBooks)
 }
 
 // CorpusStats reports the Section III-A pipeline statistics at the

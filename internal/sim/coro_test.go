@@ -59,8 +59,7 @@ func TestSchedulerPanicBecomesInternalError(t *testing.T) {
 }
 
 // TestNoCoroutineLeak: every way a run can end releases the coroutines of
-// its processes, including always blocks still suspended on an event, and
-// a pooled simulator cycled through Reset/Run leaks none either.
+// its processes, including always blocks still suspended on an event.
 func TestNoCoroutineLeak(t *testing.T) {
 	const blocked = `
   reg clk; integer n;
@@ -97,15 +96,6 @@ func TestNoCoroutineLeak(t *testing.T) {
 		t.Fatal("panicking design ran clean")
 	}
 	waitGoroutines(t, before, "internal error")
-
-	pooled := New(elabTop(t, "module m;"+blocked+"initial #52 $finish;\nendmodule", "m"), Options{})
-	for i := 0; i < 50; i++ {
-		pooled.Reset(Options{})
-		if _, err := pooled.Run(); err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
-		}
-	}
-	waitGoroutines(t, before, "after 50 Reset/Run cycles")
 }
 
 // settledGoroutines returns the goroutine count once it has stopped
