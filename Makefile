@@ -17,10 +17,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# check runs the project analyzers (cmd/vgen-check): map-order leaks,
-# nondeterminism sources, non-durable artifact writes, severed context
-# chains, and CellStats merge bypasses. Exit is non-zero on any finding
-# or unexplained suppression.
+# check runs the six project analyzers (cmd/vgen-check): map-order
+# leaks, nondeterminism sources, non-durable artifact writes, severed
+# context chains, CellStats merge bypasses, and code or settings no
+# shipped caller reaches. Exit is non-zero on any finding or
+# unexplained suppression.
 check:
 	$(GO) run ./cmd/vgen-check ./...
 
@@ -53,7 +54,7 @@ race:
 # otherwise tax every allocating component bench sharing the process.
 # A new Benchmark must be added to exactly one of these two lists.
 MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkVnumHexString|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkSampleRand|BenchmarkMathRandSeed|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkParsePrefixed|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkProcessHandoff|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup|BenchmarkStoreOpen)$$
-MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkEvaluateColdCompile|BenchmarkEvaluateWarmCompile|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
+MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkEvaluateWarmCompile|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
 
 # GOGC is pinned for recordings: the bounded caches keep the suite's
 # live heap deliberately small, so default pacing would make ns/op track

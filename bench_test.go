@@ -213,7 +213,10 @@ func benchVnumAdd(b *testing.B, width int) {
 // BenchmarkVnumHexString times %h rendering of a 32-bit value with one
 // mixed-unknown nibble, the shape of a $display of a partly driven bus.
 func BenchmarkVnumHexString(b *testing.B) {
-	v := vnum.FromBitString("1010_0101_1x01_0011_1111_0000_1100_0110")
+	// 1010_0101_1x01_0011_1111_0000_1100_0110
+	v := vnum.Concat(vnum.FromUint64(8, 0xA5),
+		vnum.FromBits(vnum.B1, vnum.BX, vnum.B0, vnum.B1),
+		vnum.FromUint64(20, 0x3F0C6))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(v.HexString()) != 8 {
@@ -452,27 +455,13 @@ func BenchmarkFullPipelineEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateColdCompile times a candidate the verdict memo has
-// never seen: parse, compile-check, skeleton splice, plan
-// compilation, simulator construction, and the run itself — the
-// first-sample cost of a sweep cell (DESIGN.md Section 15). A unique
-// comment line keeps every iteration's source distinct.
-func BenchmarkEvaluateColdCompile(b *testing.B) {
-	p := problems.ByNumber(15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := eval.Evaluate(p, problems.LevelHigh, fmt.Sprintf("  // cold %d\n", i)+p.RefBody)
-		if !o.Passes {
-			b.Fatal("reference failed")
-		}
-	}
-}
-
 // BenchmarkEvaluateWarmCompile is the verdict-memo hit: the same
 // candidate re-evaluated once its verdict is resident, so a call costs
 // truncation, the key and one lookup, and nothing is compiled or
-// simulated. The cold/warm delta is the whole per-candidate pipeline the
-// memo saves on a repeat.
+// simulated. Its delta to BenchmarkFullPipelineEvaluation, the same
+// problem with a source the memo has never seen, is the whole
+// per-candidate pipeline the memo saves on a repeat (DESIGN.md Section
+// 15).
 func BenchmarkEvaluateWarmCompile(b *testing.B) {
 	p := problems.ByNumber(15)
 	if !eval.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
@@ -818,9 +807,9 @@ func BenchmarkShardMerge(b *testing.B) {
 			}
 			in[j] = sh
 		}
-		merged, _, err := wire.Merge(in)
-		if err != nil {
-			b.Fatal(err)
+		merged, _, missing, err := wire.MergePartial(in)
+		if err != nil || len(missing) > 0 {
+			b.Fatal(err, missing)
 		}
 		if merged.Len() != plan.Len() {
 			b.Fatal("merge dropped cells")

@@ -58,10 +58,10 @@ var hotPathBenches = []string{
 	"BenchmarkSweepThroughput/store=warm",
 	"BenchmarkStoreOpen",
 	"BenchmarkStoreLookup",
-	// shared compiled-artifact rows (DESIGN.md Section 15): the cold and
-	// warm per-sample compile paths and the plan-sharing sweep ablation —
-	// the warm rows are the speedup the shared tiers exist for
-	"BenchmarkEvaluateColdCompile",
+	// shared compiled-artifact rows (DESIGN.md Section 15): the verdict
+	// memo hit (its cold counterpart is BenchmarkFullPipelineEvaluation,
+	// pinned above) and the plan-sharing sweep ablation — the warm rows
+	// are the speedup the shared tiers exist for
 	"BenchmarkEvaluateWarmCompile",
 	"BenchmarkSweepThroughput/plans=fresh",
 	"BenchmarkSweepThroughput/plans=shared",

@@ -1,9 +1,11 @@
-// vgen-check runs the project's invariant-enforcing static analyzers
+// vgen-check runs the project's six invariant-enforcing static analyzers
 // (internal/goanalysis) over the module: map-order determinism, ambient
-// nondeterminism, durable-write discipline, context threading, and the
-// single-merge-path rule. It exits 0 only on a clean tree; findings and
-// the suppression inventory print in deterministic order so CI diffs are
-// stable.
+// nondeterminism, durable-write discipline, context threading, the
+// single-merge-path rule, and reach (every function, method and exported
+// field has a shipped use; tests do not count). It exits 0 only on a
+// clean tree; findings and the suppression inventory print in
+// deterministic order so CI diffs are stable. The whole tree is always
+// loaded, so reach sees every caller whatever packages are named.
 //
 // Usage:
 //

@@ -13,7 +13,6 @@
 package bpe
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -178,6 +177,9 @@ func Train(corpus []string, vocabSize int) *Tokenizer {
 	return t
 }
 
+// lessPair is the naive trainer's tie-break order on token pairs.
+//
+//vgencheck:oracle reference tie-break of the naive trainer TestIncrementalMatchesNaive checks Train against
 func lessPair(a, b pairKey) bool {
 	if a.left != b.left {
 		return a.left < b.left
@@ -186,8 +188,9 @@ func lessPair(a, b pairKey) bool {
 }
 
 // applyMerge rewrites a string part list under one merge rule. The
-// production paths run id-based (mergePairInPlace); this survives as the
-// reference the naive-equivalence test rebuilds training with.
+// production paths run id-based (mergePairInPlace).
+//
+//vgencheck:oracle reference merge of the naive trainer TestIncrementalMatchesNaive checks Train against
 func applyMerge(parts []string, m pairKey) []string {
 	out := parts[:0]
 	i := 0
@@ -278,11 +281,6 @@ func (t *Tokenizer) appendWord(dst []int, w string) []int {
 	return dst
 }
 
-// EncodeWord BPE-encodes a single whitespace-free word.
-func (t *Tokenizer) EncodeWord(w string) []int {
-	return t.appendWord(nil, w)
-}
-
 // Encode tokenizes text: words are BPE-encoded, and single whitespace
 // separators are preserved as byte tokens so decoding round-trips.
 func (t *Tokenizer) Encode(text string) []int {
@@ -331,25 +329,6 @@ func (t *Tokenizer) Decode(ids []int) string {
 		} else {
 			sb.WriteRune('�')
 		}
-	}
-	return sb.String()
-}
-
-// Truncate returns the prefix of text that fits within maxTokens tokens —
-// the max_tokens cut an LLM API applies to a completion.
-func (t *Tokenizer) Truncate(text string, maxTokens int) string {
-	ids := t.Encode(text)
-	if len(ids) <= maxTokens {
-		return text
-	}
-	return t.Decode(ids[:maxTokens])
-}
-
-// Dump serializes the merge table (for inspection and tests).
-func (t *Tokenizer) Dump() string {
-	var sb strings.Builder
-	for i, m := range t.merges {
-		fmt.Fprintf(&sb, "%d\t%q %q\n", i, m.left, m.right)
 	}
 	return sb.String()
 }

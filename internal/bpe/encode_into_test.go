@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// encodeWordReference is the pre-optimization string-slice EncodeWord:
+// encodeWordReference is the pre-optimization string-slice word encoder:
 // rebuild the part list per merge, one occurrence per iteration. Kept as
 // the reference the id-based in-place loop must reproduce token-for-token.
 func (t *Tokenizer) encodeWordReference(w string) []int {

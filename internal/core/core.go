@@ -222,16 +222,6 @@ func (f *Framework) Close() error {
 	return err
 }
 
-// Problems returns the benchmark problem set (Table II).
-func Problems() []*problems.Problem { return problems.All() }
-
-// Models returns the evaluated model line-up (Table I).
-func Models() []model.ID { return model.IDs }
-
-// Backends returns the registered generation-backend names; gen.List
-// additionally carries each backend's description.
-func Backends() []string { return gen.Names() }
-
 // EvaluateCompletion runs the compile + functional pipeline on an
 // arbitrary completion for one problem and prompt level. This is the
 // entry point a downstream user points their own model's output at.
@@ -241,24 +231,4 @@ func (f *Framework) EvaluateCompletion(problemNumber int, level problems.Level, 
 		return eval.Outcome{}, fmt.Errorf("core: no problem %d", problemNumber)
 	}
 	return eval.Evaluate(p, level, completion), nil
-}
-
-// SampleAndEvaluate queries the backend for n completions on one problem
-// and evaluates each, returning the pooled cell statistics.
-func (f *Framework) SampleAndEvaluate(id model.ID, v model.Variant, problemNumber int, level problems.Level, temperature float64, n int) (eval.CellStats, error) {
-	p := problems.ByNumber(problemNumber)
-	if p == nil {
-		return eval.CellStats{}, fmt.Errorf("core: no problem %d", problemNumber)
-	}
-	if n <= 0 {
-		return eval.CellStats{}, fmt.Errorf("core: n must be positive, got %d", n)
-	}
-	st := f.Runner.Run(eval.Query{
-		Model: id, Variant: v, Problem: p,
-		Level: level, Temperature: temperature, N: n,
-	})
-	if st.Samples == 0 {
-		return eval.CellStats{}, fmt.Errorf("core: backend serves no samples for %s/%s", id, v)
-	}
-	return st, nil
 }

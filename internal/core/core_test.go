@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
 )
@@ -32,9 +33,6 @@ func TestFrameworkWiring(t *testing.T) {
 	if f.Family == nil || f.Runner == nil || f.Harness == nil {
 		t.Fatal("framework incompletely wired")
 	}
-	if len(Problems()) != 17 || len(Models()) != 6 {
-		t.Fatal("catalog accessors wrong")
-	}
 }
 
 func TestEvaluateCompletionAPI(t *testing.T) {
@@ -56,26 +54,6 @@ func TestEvaluateCompletionAPI(t *testing.T) {
 	}
 }
 
-func TestSampleAndEvaluateAPI(t *testing.T) {
-	f := testFW(t)
-	st, err := f.SampleAndEvaluate(model.CodeGen16B, model.FineTuned, 2, problems.LevelLow, 0.1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Samples != 8 {
-		t.Fatalf("samples = %d", st.Samples)
-	}
-	if st.Compiled < st.Passed {
-		t.Fatal("passed cannot exceed compiled")
-	}
-	if _, err := f.SampleAndEvaluate(model.Codex, model.FineTuned, 2, problems.LevelLow, 0.1, 1); err == nil {
-		t.Fatal("codex FT accepted")
-	}
-	if _, err := f.SampleAndEvaluate(model.Codex, model.Pretrained, 0, problems.LevelLow, 0.1, 1); err == nil {
-		t.Fatal("problem 0 accepted")
-	}
-}
-
 // TestBackendSelectionAndRecordReplay exercises the facade's backend
 // plumbing: select the mutant backend by name, record its sweep, then
 // mount the recording through the replay backend and reproduce the
@@ -89,9 +67,13 @@ func TestBackendSelectionAndRecordReplay(t *testing.T) {
 	if fw.Family != nil {
 		t.Error("non-family backend should leave Family nil")
 	}
-	want, err := fw.SampleAndEvaluate(model.CodeGen16B, model.FineTuned, 6, problems.LevelMedium, 0.1, 5)
-	if err != nil {
-		t.Fatal(err)
+	q := eval.Query{
+		Model: model.CodeGen16B, Variant: model.FineTuned, Problem: problems.ByNumber(6),
+		Level: problems.LevelMedium, Temperature: 0.1, N: 5,
+	}
+	want := fw.Runner.EvaluateBatch([]eval.Query{q})[0]
+	if want.Samples != 5 {
+		t.Fatalf("recorded %d samples, want 5", want.Samples)
 	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
@@ -101,11 +83,7 @@ func TestBackendSelectionAndRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rp.SampleAndEvaluate(model.CodeGen16B, model.FineTuned, 6, problems.LevelMedium, 0.1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := rp.Runner.EvaluateBatch([]eval.Query{q})[0]; got != want {
 		t.Fatalf("replayed stats %+v != recorded %+v", got, want)
 	}
 
@@ -116,13 +94,13 @@ func TestBackendSelectionAndRecordReplay(t *testing.T) {
 		t.Error("unknown backend name should fail construction")
 	}
 	found := false
-	for _, name := range Backends() {
+	for _, name := range gen.Names() {
 		if name == "mutant" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("Backends() = %v, missing mutant", Backends())
+		t.Errorf("gen.Names() = %v, missing mutant", gen.Names())
 	}
 }
 

@@ -58,9 +58,9 @@ func TestRenderMatchesShardsAndLive(t *testing.T) {
 		}
 		shards = append(shards, wire.Shard{Meta: m, Set: set})
 	}
-	merged, _, err := wire.Merge(shards)
-	if err != nil {
-		t.Fatal(err)
+	merged, _, missing, err := wire.MergePartial(shards)
+	if err != nil || len(missing) > 0 {
+		t.Fatal(err, missing)
 	}
 
 	nonCell := map[string]string{}

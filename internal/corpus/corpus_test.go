@@ -9,17 +9,32 @@ import (
 	"repro/internal/vlog/elab"
 )
 
+// jaccard is the exact Jaccard similarity of two shingle sets: the value
+// a MinHash signature pair estimates.
+func jaccard(a, b ShingleSet) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for s := range a {
+		if b[s] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
 func TestShinglesAndJaccard(t *testing.T) {
 	a := Shingles("the quick brown fox jumps over the lazy dog", 3)
 	b := Shingles("the quick brown fox jumps over the lazy dog", 3)
-	if Jaccard(a, b) != 1 {
+	if jaccard(a, b) != 1 {
 		t.Fatal("identical docs should have Jaccard 1")
 	}
 	c := Shingles("completely different words entirely here now", 3)
-	if j := Jaccard(a, c); j != 0 {
+	if j := jaccard(a, c); j != 0 {
 		t.Fatalf("disjoint docs Jaccard = %f", j)
 	}
-	if Jaccard(ShingleSet{}, ShingleSet{}) != 1 {
+	if jaccard(ShingleSet{}, ShingleSet{}) != 1 {
 		t.Fatal("empty sets should be similar")
 	}
 }
@@ -32,7 +47,7 @@ func TestMinHashEstimatesJaccard(t *testing.T) {
 	sa := Shingles(base, 3)
 	sb := Shingles(similar, 3)
 	sc := Shingles(other, 3)
-	exactAB := Jaccard(sa, sb)
+	exactAB := jaccard(sa, sb)
 	estAB := Estimate(mh.Signature(sa), mh.Signature(sb))
 	if diff := exactAB - estAB; diff > 0.15 || diff < -0.15 {
 		t.Fatalf("estimate %f too far from exact %f", estAB, exactAB)
@@ -163,28 +178,20 @@ func TestBooksPipeline(t *testing.T) {
 }
 
 func TestCodeDensity(t *testing.T) {
-	code := "module m;\nassign y = a;\nendmodule\n"
-	prose := "This chapter reviews the history of logic design.\nIt begins long ago.\n"
-	if CodeDensity(code) <= CodeDensity(prose) {
+	code := strings.Fields("module m;\nassign y = a;\nendmodule\n")
+	prose := strings.Fields("This chapter reviews the history of logic design.\nIt begins long ago.\n")
+	if WordCodeDensity(code) <= WordCodeDensity(prose) {
 		t.Fatal("code not denser than prose")
 	}
-	if CodeDensity("") != 0 {
+	if WordCodeDensity(nil) != 0 {
 		t.Fatal("empty text density")
 	}
 }
 
-func TestTrainingText(t *testing.T) {
-	files := []File{{Path: "a.v", Content: "x"}, {Path: "b.v", Content: "y"}}
-	tt := TrainingText(files)
-	if len(tt) != 2 || tt[0] != "x" || tt[1] != "y" {
-		t.Fatalf("training text = %v", tt)
-	}
-}
-
-// TestMinHashInsertionOrderFree backs the //vgencheck:ordered waivers on
-// the Jaccard and Signature reductions: shingle sets built by inserting
-// the same shingles in opposite orders (different map layouts) must
-// produce bit-identical signatures and similarity scores.
+// TestMinHashInsertionOrderFree backs the //vgencheck:ordered waiver on
+// the Signature reduction: shingle sets built by inserting the same
+// shingles in opposite orders (different map layouts) must produce
+// bit-identical signatures.
 func TestMinHashInsertionOrderFree(t *testing.T) {
 	text := "module adder(input a, input b, output sum); assign sum = a ^ b; endmodule"
 	base := Shingles(text, 3)
@@ -206,12 +213,5 @@ func TestMinHashInsertionOrderFree(t *testing.T) {
 		if s1[i] != s2[i] {
 			t.Fatalf("signature slot %d diverged: %x vs %x", i, s1[i], s2[i])
 		}
-	}
-	other := Shingles("always @(posedge clk) q <= d;", 3)
-	if Jaccard(fwd, other) != Jaccard(rev, other) {
-		t.Fatal("Jaccard depends on shingle insertion order")
-	}
-	if Jaccard(fwd, other) != Jaccard(other, fwd) {
-		t.Fatal("Jaccard is not symmetric")
 	}
 }

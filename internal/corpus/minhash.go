@@ -43,29 +43,6 @@ func hashWords(words []string) uint64 {
 	return h.Sum64()
 }
 
-// Jaccard computes the exact Jaccard similarity of two shingle sets.
-func Jaccard(a, b ShingleSet) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	//vgencheck:ordered intersection counting; integer increments are commutative, so the count is order-free
-	for s := range small {
-		if large[s] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // MinHash computes fixed-size signatures whose per-slot agreement rate is
 // an unbiased estimate of Jaccard similarity.
 type MinHash struct {
@@ -89,9 +66,6 @@ func NewMinHash(size int) *MinHash {
 	}
 	return &MinHash{seeds: seeds}
 }
-
-// Size returns the signature length.
-func (m *MinHash) Size() int { return len(m.seeds) }
 
 // Signature computes the MinHash signature of a shingle set.
 func (m *MinHash) Signature(set ShingleSet) []uint64 {

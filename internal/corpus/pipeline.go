@@ -62,16 +62,6 @@ func Curate(files []File) ([]File, Stats) {
 	return out, st
 }
 
-// TrainingText flattens curated files into one whitespace-joined training
-// stream for the tokenizer and language model.
-func TrainingText(files []File) []string {
-	out := make([]string, len(files))
-	for i, f := range files {
-		out[i] = f.Content
-	}
-	return out
-}
-
 // Comment strippers for NormalizeForLM, compiled once: the generation
 // front-end normalizes every prompt, so per-call regexp.MustCompile here
 // used to dominate the babble path.

@@ -94,26 +94,6 @@ func CleanBook(text string) string {
 	return strings.Join(out, "\n")
 }
 
-// CodeDensity returns the fraction of non-empty lines that look like
-// Verilog (the regex syntax screen from the paper).
-func CodeDensity(text string) float64 {
-	lines := 0
-	code := 0
-	for _, line := range strings.Split(text, "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		lines++
-		if codeLineRe.MatchString(line) {
-			code++
-		}
-	}
-	if lines == 0 {
-		return 0
-	}
-	return float64(code) / float64(lines)
-}
-
 // The sliding-window example cutter's shape.
 const (
 	windowWords = 120 // words per window

@@ -230,7 +230,7 @@ type Runner struct {
 	// either way; the unshared path exists as the differential baseline
 	// and the benchmarks' ablation, the role sim.Options.Interpret and
 	// model.Config.MapSampler play in their layers. No command sets it.
-	UnsharedPlans bool
+	UnsharedPlans bool //vgencheck:oracle differential baseline the shared tiers are checked against (TestSharedSweepMatchesUnsharedAtAnyWidth)
 
 	shards [numShards]*bounded.Cache[outcomeKey, *outcomeSlot]
 
@@ -422,11 +422,6 @@ func (sr sampleResult) stats() CellStats {
 		st.Passed = 1
 	}
 	return st
-}
-
-// Run executes one query: n completions sampled and evaluated.
-func (r *Runner) Run(q Query) CellStats {
-	return r.EvaluateBatch([]Query{q})[0]
 }
 
 // EvaluateBatch executes a batch of queries, fanning every (query,

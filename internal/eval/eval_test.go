@@ -88,8 +88,8 @@ func TestRunCellReproducible(t *testing.T) {
 	r := testRunner(t)
 	q := Query{Model: model.CodeGen16B, Variant: model.FineTuned,
 		Problem: problems.ByNumber(2), Level: problems.LevelLow, Temperature: 0.1, N: 10}
-	a := r.Run(q)
-	b := r.Run(q)
+	a := r.EvaluateBatch([]Query{q})[0]
+	b := r.EvaluateBatch([]Query{q})[0]
 	if a != b {
 		t.Fatalf("cell not reproducible: %+v vs %+v", a, b)
 	}

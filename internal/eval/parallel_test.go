@@ -44,7 +44,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	q := Query{Model: mv.Model, Variant: mv.Variant,
 		Problem: problems.ByNumber(3), Level: problems.LevelMedium, Temperature: 0.3, N: 25}
-	if a, b := serial.Run(q), parallel.Run(q); a != b {
+	if a, b := serial.EvaluateBatch([]Query{q})[0], parallel.EvaluateBatch([]Query{q})[0]; a != b {
 		t.Errorf("cell stats diverge: serial %+v parallel %+v", a, b)
 	}
 }
@@ -86,7 +86,7 @@ func TestConcurrentRunnerStress(t *testing.T) {
 	for gi, mv := range mvs {
 		q := Query{Model: mv.Model, Variant: mv.Variant,
 			Problem: problems.ByNumber(gi + 1), Level: problems.LevelLow, Temperature: 0.1, N: 4}
-		want[gi] = r.Run(q)
+		want[gi] = r.EvaluateBatch([]Query{q})[0]
 	}
 
 	var wg sync.WaitGroup
@@ -99,7 +99,7 @@ func TestConcurrentRunnerStress(t *testing.T) {
 			q := Query{Model: mv.Model, Variant: mv.Variant,
 				Problem: problems.ByNumber(gi + 1), Level: problems.LevelLow, Temperature: 0.1, N: 4}
 			for i := 0; i < 3; i++ {
-				if got := r.Run(q); got != want[gi] {
+				if got := r.EvaluateBatch([]Query{q})[0]; got != want[gi] {
 					t.Errorf("goroutine %d: stats drifted: %+v != %+v", gi, got, want[gi])
 					return
 				}

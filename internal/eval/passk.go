@@ -33,8 +33,3 @@ func PassAtK(n, c, k int) float64 {
 func PassAtKFromCell(st CellStats, k int) float64 {
 	return PassAtK(st.Samples, st.Passed, k)
 }
-
-// CompileAtK is the same estimator over the compile verdict.
-func CompileAtK(st CellStats, k int) float64 {
-	return PassAtK(st.Samples, st.Compiled, k)
-}

@@ -77,7 +77,4 @@ func TestPassAtKFromCell(t *testing.T) {
 	if got := PassAtKFromCell(st, 1); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("pass@1 = %f", got)
 	}
-	if got := CompileAtK(st, 1); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("compile@1 = %f", got)
-	}
 }

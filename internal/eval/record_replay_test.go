@@ -84,7 +84,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	// completions.
 	off := Query{Model: model.CodeGen2B, Variant: model.FineTuned,
 		Problem: problems.ByNumber(11), Level: problems.LevelLow, Temperature: 0.1, N: 4}
-	if st := NewRunner(rp, 55).Run(off); st.Samples != 0 {
+	if st := NewRunner(rp, 55).EvaluateBatch([]Query{off})[0]; st.Samples != 0 {
 		t.Fatalf("unrecorded cell produced samples: %+v", st)
 	}
 }

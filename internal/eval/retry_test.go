@@ -59,7 +59,7 @@ func TestFailedCellRecomputesOnRetry(t *testing.T) {
 	r.Workers = 1
 	q := Query{Model: model.CodeGen2B, Variant: model.FineTuned,
 		Problem: problems.ByNumber(3), Level: problems.LevelMedium, Temperature: 0.5, N: 3}
-	if bad := r.Run(q); bad != (CellStats{}) {
+	if bad := r.EvaluateBatch([]Query{q})[0]; bad != (CellStats{}) {
 		t.Fatalf("degraded cell has non-zero stats: %+v", bad)
 	}
 	if fs := r.Failures(); len(fs) != 1 || fs[0].Coord != q.Coord() {

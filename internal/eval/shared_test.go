@@ -101,9 +101,9 @@ func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
 		for _, temp := range []float64{0.1, 0.3, 0.5, 0.8} {
 			q := Query{Model: mv.Model, Variant: mv.Variant,
 				Problem: problems.ByNumber(pn), Level: problems.LevelHigh, Temperature: temp, N: 5}
-			want := runners[0].Run(q)
+			want := runners[0].EvaluateBatch([]Query{q})[0]
 			for i, r := range runners[1:] {
-				if got := r.Run(q); got != want {
+				if got := r.EvaluateBatch([]Query{q})[0]; got != want {
 					t.Errorf("problem %d t=%.1f: %s diverged from %s: %+v != %+v",
 						pn, temp, names[i+1], names[0], got, want)
 				}

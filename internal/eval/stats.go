@@ -35,8 +35,3 @@ func WilsonInterval(successes, n int, z float64) (lo, hi float64) {
 func (c CellStats) PassInterval() (lo, hi float64) {
 	return WilsonInterval(c.Passed, c.Samples, 1.96)
 }
-
-// CompileInterval is the 95% Wilson interval of a cell's compile rate.
-func (c CellStats) CompileInterval() (lo, hi float64) {
-	return WilsonInterval(c.Compiled, c.Samples, 1.96)
-}

@@ -53,7 +53,7 @@ func TestWilsonNarrowsWithN(t *testing.T) {
 func TestCellIntervals(t *testing.T) {
 	c := CellStats{Samples: 10, Compiled: 9, Passed: 5}
 	plo, phi := c.PassInterval()
-	clo, chi := c.CompileInterval()
+	clo, chi := WilsonInterval(c.Compiled, c.Samples, 1.96)
 	if !(plo < 0.5 && 0.5 < phi) {
 		t.Fatalf("pass interval (%f, %f)", plo, phi)
 	}

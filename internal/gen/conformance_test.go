@@ -461,7 +461,7 @@ func TestRecorderCompleteBatch(t *testing.T) {
 
 // TestReplayDescribeDigestsContent pins the distributed-sweep identity
 // property: recordings that differ in any sample content must carry
-// different Describe() tags (the tag is what wire.Merge and plan
+// different Describe() tags (the tag is what wire.MergePartial and plan
 // validation compare), while a reordered copy of the same recording must
 // carry the same tag.
 func TestReplayDescribeDigestsContent(t *testing.T) {

@@ -71,3 +71,13 @@ func TestFloatmergeGolden(t *testing.T) {
 		t.Errorf("explained waiver not honored: %+v", s)
 	}
 }
+
+func TestReachGolden(t *testing.T) {
+	res := RunGolden(t, Reach(), "reach", "reach/cmd")
+	for _, line := range []int{55, 70} {
+		s := SuppressionAt(t, res, "reach/a.go", line)
+		if !s.Used || s.Directive != "oracle" {
+			t.Errorf("explained waiver at line %d not honored: %+v", line, s)
+		}
+	}
+}

@@ -61,7 +61,7 @@ func TestRepoAnalysisDeterministic(t *testing.T) {
 
 func TestAnalyzerRegistry(t *testing.T) {
 	as := All()
-	want := []string{"ctxflow", "durables", "floatmerge", "maporder", "nondet"}
+	want := []string{"ctxflow", "durables", "floatmerge", "maporder", "nondet", "reach"}
 	if len(as) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(as), len(want))
 	}

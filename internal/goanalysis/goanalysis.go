@@ -2,8 +2,9 @@
 // stdlib-only analyzer driver (go/parser + go/types, no golang.org/x/tools)
 // enforcing the repo-wide invariants every PR so far relies on —
 // deterministic output at any worker width, crash-safe durable artifacts,
-// and context-threaded concurrency. cmd/vgen-check is the CLI; the golden
-// harness in golden.go drives each analyzer over `// want "re"` testdata.
+// context-threaded concurrency, and code that has a shipped caller.
+// cmd/vgen-check is the CLI; the golden harness in golden_test.go drives
+// each analyzer over `// want "re"` testdata.
 //
 // A finding is suppressed by the comment
 //
@@ -43,6 +44,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	Refs      *Refs // module-wide, shared by every Pass of a run
 
 	diags []diag
 }
@@ -152,6 +154,7 @@ func analyze(m *Module, analyzers []*Analyzer, filter bool) *Result {
 		}
 	}
 
+	refs := buildRefs(m.loaded)
 	for _, pkg := range m.Pkgs {
 		for _, a := range analyzers {
 			if filter && !a.applies(pkg.Name) {
@@ -159,7 +162,7 @@ func analyze(m *Module, analyzers []*Analyzer, filter bool) *Result {
 			}
 			pass := &Pass{
 				Analyzer: a, Fset: m.Fset,
-				Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info,
+				Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, Refs: refs,
 			}
 			a.Run(pass)
 			for _, d := range pass.diags {

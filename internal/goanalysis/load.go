@@ -39,6 +39,8 @@ type Module struct {
 	Path string // module path from go.mod; "" for golden trees
 	Fset *token.FileSet
 	Pkgs []*Package // the packages matched by the load patterns, sorted by path
+
+	loaded []*Package // every package of the tree
 }
 
 // Rel renders pos with the filename relative to the module root (slash
@@ -60,11 +62,12 @@ type loader struct {
 	loading map[string]bool     // cycle detection
 }
 
-// LoadModule parses and type-checks the packages under root selected by
-// patterns ("./..." for every package; "dir/..." for a subtree; "dir" for
-// one package — all relative to root). Dependencies inside the module are
-// loaded on demand whether or not a pattern selects them; test files are
-// never loaded (the enforced invariants are about shipped code).
+// LoadModule parses and type-checks every package under root and selects
+// for analysis those matched by patterns ("./..." for every package;
+// "dir/..." for a subtree; "dir" for one package — all relative to root).
+// Unselected packages are loaded too, so the reference set the reach
+// analyzer reads sees every caller; test files are never loaded (the
+// enforced invariants are about shipped code).
 func LoadModule(root string, patterns []string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -84,23 +87,23 @@ func LoadModule(root string, patterns []string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	var selected []*Package
+	var selected, loaded []*Package
 	for _, dir := range dirs {
 		rel := l.relPath(dir)
-		if !matchPatterns(rel, patterns) {
-			continue
-		}
 		pkg, err := l.load(l.importPath(rel))
 		if err != nil {
 			return nil, err
 		}
-		selected = append(selected, pkg)
+		loaded = append(loaded, pkg)
+		if matchPatterns(rel, patterns) {
+			selected = append(selected, pkg)
+		}
 	}
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("goanalysis: no packages match %v under %s", patterns, root)
 	}
 	sort.Slice(selected, func(i, j int) bool { return selected[i].Path < selected[j].Path })
-	return &Module{Root: abs, Path: l.modPath, Fset: l.fset, Pkgs: selected}, nil
+	return &Module{Root: abs, Path: l.modPath, Fset: l.fset, Pkgs: selected, loaded: loaded}, nil
 }
 
 // readModulePath extracts the module path from a go.mod; "" if absent.

@@ -12,6 +12,7 @@ func All() []*Analyzer {
 		Durables(),
 		Ctxflow(),
 		Floatmerge(),
+		Reach(),
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as

@@ -194,14 +194,6 @@ func verdictWith(p *problems.Problem, completion string, tb *vlog.SourceFile, tb
 	return verdictFail
 }
 
-// verdictOf runs the real pipeline on prompt(L)+completion, parsing the
-// problem's testbench itself (convenience for one-off checks and tests;
-// buildEntry pre-parses the bench once instead).
-func verdictOf(p *problems.Problem, completion string) verdict {
-	tb, tbErr := vlog.Parse(p.Testbench)
-	return verdictWith(p, completion, tb, tbErr)
-}
-
 // reprintBody reparses the reference and prints its behavioural items in
 // canonical style — a formatting-only restyle.
 func reprintBody(p *problems.Problem) string {

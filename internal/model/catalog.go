@@ -36,7 +36,6 @@ var IDs = []ID{Megatron355M, J1Large7B, CodeGen2B, CodeGen6B, CodeGen16B, Codex}
 type Spec struct {
 	ID           ID
 	Params       string // human-readable parameter count
-	ParamCount   int64  // numeric, for size ordering
 	Layers       int    // 0 = not disclosed (code-davinci-002)
 	Heads        int
 	Embed        int
@@ -57,42 +56,42 @@ type Spec struct {
 
 var specs = map[ID]*Spec{
 	Megatron355M: {
-		ID: Megatron355M, Params: "355M", ParamCount: 355e6,
+		ID: Megatron355M, Params: "355M",
 		Layers: 24, Heads: 16, Embed: 64, Context: 1024,
 		PretrainData: "NL", HasFineTuned: true, MaxTokens: 300,
 		InferenceSecondsPT: 3.628, InferenceSecondsFT: 0.175,
 		NgramOrder: 2,
 	},
 	J1Large7B: {
-		ID: J1Large7B, Params: "7B", ParamCount: 7e9,
+		ID: J1Large7B, Params: "7B",
 		Layers: 32, Heads: 32, Embed: 128, Context: 4096,
 		PretrainData: "NL", HasFineTuned: true, MaxTokens: 256,
 		InferenceSecondsPT: 7.146, InferenceSecondsFT: 2.029,
 		NgramOrder: 4,
 	},
 	CodeGen2B: {
-		ID: CodeGen2B, Params: "2B", ParamCount: 2e9,
+		ID: CodeGen2B, Params: "2B",
 		Layers: 32, Heads: 32, Embed: 80, Context: 2048,
 		PretrainData: "NL, Code", HasFineTuned: true, MaxTokens: 300,
 		InferenceSecondsPT: 1.478, InferenceSecondsFT: 0.665,
 		NgramOrder: 3,
 	},
 	CodeGen6B: {
-		ID: CodeGen6B, Params: "6B", ParamCount: 6e9,
+		ID: CodeGen6B, Params: "6B",
 		Layers: 33, Heads: 16, Embed: 256, Context: 2048,
 		PretrainData: "NL, Code", HasFineTuned: true, MaxTokens: 300,
 		InferenceSecondsPT: 2.332, InferenceSecondsFT: 0.710,
 		NgramOrder: 4,
 	},
 	CodeGen16B: {
-		ID: CodeGen16B, Params: "16B", ParamCount: 16e9,
+		ID: CodeGen16B, Params: "16B",
 		Layers: 34, Heads: 24, Embed: 256, Context: 2048,
 		PretrainData: "NL, Code", HasFineTuned: true, MaxTokens: 300,
 		InferenceSecondsPT: 2.835, InferenceSecondsFT: 1.994,
 		NgramOrder: 5,
 	},
 	Codex: {
-		ID: Codex, Params: "NA", ParamCount: 175e9,
+		ID: Codex, Params: "NA",
 		Layers: 0, Heads: 0, Embed: 0, Context: 8000,
 		PretrainData: "NL, Code", HasFineTuned: false, MaxTokens: 300,
 		InferenceSecondsPT: 3.885, InferenceSecondsFT: 0,

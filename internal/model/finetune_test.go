@@ -24,7 +24,7 @@ func TestFineTuningLowersVerilogPerplexity(t *testing.T) {
 	n := 10
 	for i := 0; i < n; i++ {
 		doc := corpus.NormalizeForLM(corpus.GenerateModule(rng))
-		toks := f.Tokenizer().Encode(doc)
+		toks := f.tok.Encode(doc)
 		ftSum += ft.Perplexity(toks)
 		ptSum += pt.Perplexity(toks)
 	}
@@ -60,7 +60,7 @@ func TestBrokenPoolNeverCompiles(t *testing.T) {
 	for _, num := range []int{1, 6, 15} {
 		p := problems.ByNumber(num)
 		for i := 0; i < 5; i++ {
-			b := f.Bank().Broken(p, rng)
+			b := f.bank.Broken(p, rng)
 			if verdictOf(p, b) == verdictPass {
 				t.Fatalf("problem %d broken pool entry passes:\n%s", num, b)
 			}

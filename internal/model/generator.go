@@ -48,7 +48,7 @@ type Config struct {
 	// path instead of freezing them into packed samplers after training.
 	// It is the differential tests' oracle, not a production knob: output
 	// is byte-identical either way, and only the cost differs.
-	MapSampler bool
+	MapSampler bool //vgencheck:oracle map-backed baseline the frozen samplers are checked against (TestFrozenFamilyMatchesMapFamily)
 }
 
 func (c Config) corpusFiles() int {
@@ -124,12 +124,6 @@ func NewFamily(cfg Config) *Family {
 	f.tok = bpe.Train(append(append([]string{}, vtext...), natural...), vocabSize)
 	return f
 }
-
-// Tokenizer exposes the shared BPE tokenizer.
-func (f *Family) Tokenizer() *bpe.Tokenizer { return f.tok }
-
-// Bank exposes the shared variant bank.
-func (f *Family) Bank() *VariantBank { return f.bank }
 
 // CorpusDocs returns the number of fine-tuning documents after curation.
 func (f *Family) CorpusDocs() int { return len(f.verilogText) }

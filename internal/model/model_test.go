@@ -10,6 +10,13 @@ import (
 	"repro/internal/vlog/elab"
 )
 
+// verdictOf runs the real pipeline on prompt(L)+completion, parsing the
+// problem's testbench itself (buildEntry pre-parses the bench once).
+func verdictOf(p *problems.Problem, completion string) verdict {
+	tb, tbErr := vlog.Parse(p.Testbench)
+	return verdictWith(p, completion, tb, tbErr)
+}
+
 func testFamily(t *testing.T) *Family {
 	t.Helper()
 	return NewFamily(Config{Seed: 11, CorpusFiles: 80})
@@ -97,18 +104,18 @@ func TestBankPoolsVerified(t *testing.T) {
 	f := testFamily(t)
 	p := problems.ByNumber(6) // counter
 	rng := rand.New(rand.NewSource(1))
-	c := f.Bank().Correct(p, rng)
+	c := f.bank.Correct(p, rng)
 	if verdictOf(p, c) != verdictPass {
 		t.Fatal("correct pool entry does not pass")
 	}
-	if nm, ok := f.Bank().NearMiss(p, rng); ok {
+	if nm, ok := f.bank.NearMiss(p, rng); ok {
 		if v := verdictOf(p, nm); v != verdictFail {
 			t.Fatalf("near-miss verdict = %v", v)
 		}
 	} else {
 		t.Fatal("counter should have near-miss mutants")
 	}
-	b := f.Bank().Broken(p, rng)
+	b := f.bank.Broken(p, rng)
 	if verdictOf(p, b) == verdictPass {
 		t.Fatal("broken pool entry passes")
 	}

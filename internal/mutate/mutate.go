@@ -119,24 +119,6 @@ func Apply(src string, rng *rand.Rand) (Result, error) {
 	return Result{}, ErrNoSite
 }
 
-// ApplyNamed applies one specific operator by name.
-func ApplyNamed(src, name string, rng *rand.Rand) (Result, error) {
-	for _, op := range Operators {
-		if op.Name != name {
-			continue
-		}
-		f, err := vlog.Parse(src)
-		if err != nil {
-			return Result{}, fmt.Errorf("mutate: input does not parse: %w", err)
-		}
-		if op.apply(f.Modules[0], rng) {
-			return Result{Source: vlog.Print(f), Operator: name}, nil
-		}
-		return Result{}, ErrNoSite
-	}
-	return Result{}, fmt.Errorf("mutate: unknown operator %q", name)
-}
-
 // ---- site collection helpers ---------------------------------------------
 
 // eachStmt walks every statement in the module's always/initial bodies.

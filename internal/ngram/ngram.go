@@ -33,9 +33,7 @@ import (
 type Model struct {
 	order  int
 	counts []map[string]*dist // counts[n] holds (n-token context) -> next-token distribution
-	vocab  map[int]bool
-	total  int
-	frozen *frozenModel // packed sampler; nil until Freeze, cleared by Train
+	frozen *frozenModel       // packed sampler; nil until Freeze, cleared by Train
 }
 
 type dist struct {
@@ -49,22 +47,13 @@ func New(order int) *Model {
 	if order < 1 {
 		order = 1
 	}
-	m := &Model{order: order, vocab: map[int]bool{}}
+	m := &Model{order: order}
 	m.counts = make([]map[string]*dist, order)
 	for i := range m.counts {
 		m.counts[i] = map[string]*dist{}
 	}
 	return m
 }
-
-// Order returns the model order.
-func (m *Model) Order() int { return m.order }
-
-// VocabSeen returns how many distinct tokens the model has observed.
-func (m *Model) VocabSeen() int { return len(m.vocab) }
-
-// TokensTrained returns the total number of training tokens consumed.
-func (m *Model) TokensTrained() int { return m.total }
 
 // wideTok is the first token id that no longer fits the compact 3-byte
 // context-key encoding. Ids at or above it (and negative ids) escape to a
@@ -116,8 +105,6 @@ func (m *Model) Train(tokens []int) {
 	m.frozen = nil
 	var key []byte // a lookup keyed by string(key) does not allocate
 	for i, tok := range tokens {
-		m.vocab[tok] = true
-		m.total++
 		for n := 0; n < m.order; n++ {
 			if i < n {
 				break
@@ -345,10 +332,6 @@ func (m *Model) Freeze() {
 	m.frozen = fz
 }
 
-// Frozen reports whether the model currently samples from the packed
-// tables.
-func (m *Model) Frozen() bool { return m.frozen != nil }
-
 // find returns the entry index for the context, or -1.
 func (lvl *frozenLevel) find(ctx []int) int {
 	idx := uint32(hashTokens(ctx)) & lvl.mask
@@ -446,19 +429,6 @@ func (fz *frozenModel) lookup(bits uint64) *tempTable {
 
 // ---- sampling entry points ---------------------------------------------------
 
-// Sample draws the next token given history at the given temperature.
-// Temperature 0 is greedy; higher temperatures flatten the distribution.
-// The boolean is false when the model has no distribution at all (untrained).
-func (m *Model) Sample(history []int, temperature float64, rng *rand.Rand) (int, bool) {
-	if m.frozen != nil {
-		return m.frozen.sample(history, temperature, m.frozen.table(temperature), rng)
-	}
-	scratch := scratchPool.Get().(*[]float64)
-	tok, ok := m.mapSample(history, temperature, rng, scratch)
-	scratchPool.Put(scratch)
-	return tok, ok
-}
-
 func (m *Model) mapSample(history []int, temperature float64, rng *rand.Rand, scratch *[]float64) (int, bool) {
 	d := m.contextDist(history)
 	if d == nil {
@@ -501,9 +471,15 @@ func (m *Model) Generate(prompt []int, maxTokens int, temperature float64, rng *
 
 // Perplexity computes the per-token perplexity of a sequence under the
 // model with stupid backoff (unseen tokens cost a uniform floor over the
-// seen vocabulary).
+// seen vocabulary, the tokens of the empty-context distribution).
+//
+//vgencheck:oracle yardstick the fine-tuning tests measure the trained LMs with (TestFineTuningLowersVerilogPerplexity)
 func (m *Model) Perplexity(tokens []int) float64 {
-	if len(tokens) == 0 || len(m.vocab) == 0 {
+	vocab := 0
+	if d := m.counts[0][""]; d != nil {
+		vocab = len(d.next)
+	}
+	if len(tokens) == 0 || vocab == 0 {
 		return math.Inf(1)
 	}
 	logSum := 0.0
@@ -517,7 +493,7 @@ func (m *Model) Perplexity(tokens []int) float64 {
 			}
 		}
 		if p == 0 {
-			p = 0.5 / float64(len(m.vocab)+d0total(d))
+			p = 0.5 / float64(vocab+d0total(d))
 		}
 		logSum += math.Log(p)
 	}

@@ -11,6 +11,20 @@ import (
 
 func seq(vals ...int) []int { return vals }
 
+// Sample draws the next token given history at the given temperature: one
+// step of Generate. Temperature 0 is greedy; higher temperatures flatten
+// the distribution. The boolean is false when the model has no
+// distribution at all (untrained).
+func (m *Model) Sample(history []int, temperature float64, rng *rand.Rand) (int, bool) {
+	if m.frozen != nil {
+		return m.frozen.sample(history, temperature, m.frozen.table(temperature), rng)
+	}
+	scratch := scratchPool.Get().(*[]float64)
+	tok, ok := m.mapSample(history, temperature, rng, scratch)
+	scratchPool.Put(scratch)
+	return tok, ok
+}
+
 func TestTrainAndGreedySample(t *testing.T) {
 	m := New(3)
 	// "a b c" repeated: after [1 2] always 3
@@ -107,24 +121,28 @@ func TestPerplexityLowerOnTrainingDistribution(t *testing.T) {
 	}
 }
 
+// TestStatsAccessors checks the counts Perplexity's vocabulary floor
+// reads: the empty-context distribution holds every distinct token seen
+// and every training token.
 func TestStatsAccessors(t *testing.T) {
 	m := New(2)
-	m.Train(seq(5, 6, 7))
-	if m.Order() != 2 {
-		t.Errorf("order = %d", m.Order())
+	m.Train(seq(5, 6, 7, 5))
+	if m.order != 2 {
+		t.Errorf("order = %d", m.order)
 	}
-	if m.VocabSeen() != 3 {
-		t.Errorf("vocab = %d", m.VocabSeen())
+	d := m.counts[0][""]
+	if d == nil || len(d.next) != 3 {
+		t.Fatalf("vocab = %v", d)
 	}
-	if m.TokensTrained() != 3 {
-		t.Errorf("tokens = %d", m.TokensTrained())
+	if d.total != 4 {
+		t.Errorf("tokens = %d", d.total)
 	}
 }
 
 func TestOrderClampedToOne(t *testing.T) {
 	m := New(0)
-	if m.Order() != 1 {
-		t.Fatalf("order = %d", m.Order())
+	if m.order != 1 {
+		t.Fatalf("order = %d", m.order)
 	}
 	m.Train(seq(1, 1, 1))
 	if tok, ok := m.Sample(nil, 0, rand.New(rand.NewSource(1))); !ok || tok != 1 {
@@ -149,7 +167,7 @@ func TestFrozenMatchesMapSampler(t *testing.T) {
 		mapM.Train(data)
 		frozenM.Train(data)
 		frozenM.Freeze()
-		if !frozenM.Frozen() || mapM.Frozen() {
+		if frozenM.frozen == nil || mapM.frozen != nil {
 			t.Fatal("freeze state wrong")
 		}
 		for _, temp := range []float64{0, 0.1, 0.5, 1.0, 1.3, 2.0} {
@@ -224,7 +242,7 @@ func TestTrainInvalidatesFrozen(t *testing.T) {
 	m.Train(seq(1, 2))
 	m.Freeze()
 	m.Train(seq(1, 3, 1, 3, 1, 3))
-	if m.Frozen() {
+	if m.frozen != nil {
 		t.Fatal("Train did not invalidate the frozen sampler")
 	}
 	if tok, _ := m.Sample(seq(1), 0, rand.New(rand.NewSource(1))); tok != 3 {

@@ -87,10 +87,3 @@ func (b *breaker) Failure() {
 		}
 	}
 }
-
-// snapshot reports the current state for tests and error messages.
-func (b *breaker) snapshot() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

@@ -156,7 +156,11 @@ func TestFaultMatrixConvergence(t *testing.T) {
 			}
 			// Retries really happened: the first coordinate saw more than
 			// one exchange.
-			k := ReqKey(gen.Request{Key: rb.Variants()[0], Problem: qs[0].Problem, Level: qs[0].Level, Temperature: qs[0].Temperature, SampleIdx: 0})
+			v := rb.Variants()[0]
+			k := wireReqKey(wireRequest{
+				Model: v.Model, Variant: v.Variant, Problem: qs[0].Problem.Number,
+				Level: int(qs[0].Level), Temperature: qs[0].Temperature,
+			})
 			if fs.Attempts(k) < 2 {
 				t.Fatalf("coordinate %s saw %d exchanges; the fault was never injected", k, fs.Attempts(k))
 			}

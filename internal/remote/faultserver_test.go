@@ -59,7 +59,7 @@ const AnyCoord = "*"
 const InfoKey = "info"
 
 // FaultPlan schedules faults at exact (coordinate, attempt) points —
-// the style of coord.FaultPlan, keyed by ReqKey strings instead of shard
+// the style of coord.FaultPlan, keyed by wireReqKey strings instead of shard
 // indices. Attempts are counted server-side per coordinate (1-based), so
 // the schedule is deterministic regardless of client batching or retry
 // timing. Lookup precedence: exact (coord, attempt) over (coord, any)
@@ -80,7 +80,7 @@ func NewFaultPlan() *FaultPlan {
 	return &FaultPlan{exact: map[faultAt]FaultKind{}, any: map[string]FaultKind{}}
 }
 
-// Set schedules kind for the coordinate key (a ReqKey string, InfoKey,
+// Set schedules kind for the coordinate key (a wireReqKey string, InfoKey,
 // or AnyCoord) at the given 1-based attempt (or AnyAttempt).
 func (p *FaultPlan) Set(key string, attempt int, kind FaultKind) *FaultPlan {
 	p.mu.Lock()
@@ -246,8 +246,8 @@ func (f *FaultServer) readKeys(r *http.Request) (body []byte, keys []string, err
 	return body, keys, nil
 }
 
-// wireReqKey is ReqKey computed from the wire form — same string, so
-// fault plans built with ReqKey match requests decoded off the wire.
+// wireReqKey is the string address of one request's coordinates — the
+// unit fault plans key on.
 func wireReqKey(q wireRequest) string {
 	return fmt.Sprintf("%s/%s:p%d:l%d:t%d:s%d",
 		q.Model, q.Variant, q.Problem, q.Level, gen.TempMilli(q.Temperature), q.Sample)

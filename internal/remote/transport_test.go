@@ -60,6 +60,13 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// snapshot reports the breaker's current state.
+func (b *breaker) snapshot() breakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 // TestBreakerStateMachine walks closed -> open -> half-open -> open
 // (failed probe) -> half-open -> closed (successful probe).
 func TestBreakerStateMachine(t *testing.T) {

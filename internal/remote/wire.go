@@ -23,8 +23,8 @@
 //     via the existing partial-result path — never an aborted sweep,
 //     never a silent gap
 //
-// Fault recovery is testable the same way coord's is: FaultServer wraps
-// the real server handler with a FaultPlan (in the style of
+// Fault recovery is tested the same way coord's is: the suite's
+// FaultServer (faultserver_test.go) wraps the real server handler with a FaultPlan (in the style of
 // coord.FaultyLauncher) that injects 5xx, hangs, connection resets,
 // truncated bodies, corrupt JSON, and slow-drip responses at exact
 // (coord, attempt) points. See DESIGN.md, "The remote backend".
@@ -33,8 +33,6 @@ package remote
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/gen"
 )
 
 // Wire protocol paths. The protocol is two endpoints: a GET describing
@@ -100,16 +98,6 @@ type wireResult struct {
 // treats like a corrupt body (retryable).
 type completeResponse struct {
 	Results []wireResult `json:"results"`
-}
-
-// ReqKey is the canonical string address of one request's coordinates —
-// the unit fault plans key on and the seed of the idempotency key. The
-// temperature is keyed by its bits (not a quantization) so any two
-// requests differing in any coordinate get distinct keys.
-func ReqKey(q gen.Request) string {
-	return fmt.Sprintf("%s/%s:p%d:l%d:t%d:s%d",
-		q.Key.Model, q.Key.Variant, q.Problem.Number, int(q.Level),
-		gen.TempMilli(q.Temperature), q.SampleIdx)
 }
 
 // idemKey derives the deterministic per-request idempotency key from the

@@ -163,9 +163,12 @@ endmodule`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(d, Options{MaxOutput: 2048}).Run()
+	res, err := New(d, Options{}).Run()
 	if err != ErrOutputLimit {
 		t.Fatalf("err = %v", err)
+	}
+	if len(res.Output) > maxOutput || len(res.Output) < maxOutput-64 {
+		t.Fatalf("captured %d bytes, want just under the %d-byte limit", len(res.Output), maxOutput)
 	}
 }
 

@@ -57,11 +57,17 @@ type InternalError struct {
 
 func (e *InternalError) Error() string { return fmt.Sprintf("sim: internal error: %v", e.Value) }
 
+// Run limits: a simulation that executes more than maxSteps statements
+// and evaluations fails with ErrStepLimit, and one whose captured
+// $display output would pass maxOutput bytes fails with ErrOutputLimit.
+const (
+	maxSteps  = 2_000_000
+	maxOutput = 1 << 20
+)
+
 // Options configure a simulation run.
 type Options struct {
 	MaxTime    uint64 // simulated time horizon; 0 = 10_000_000
-	MaxSteps   int    // statement + assignment evaluation budget; 0 = 2_000_000
-	MaxOutput  int    // bytes of captured $display output; 0 = 1 << 20
 	RandomSeed int64  // seed for $random; 0 = 1
 	DumpVCD    bool   // record a waveform from time 0 ($dumpvars also enables this at runtime)
 
@@ -81,20 +87,6 @@ func (o Options) maxTime() uint64 {
 		return 10_000_000
 	}
 	return o.MaxTime
-}
-
-func (o Options) maxSteps() int {
-	if o.MaxSteps == 0 {
-		return 2_000_000
-	}
-	return o.MaxSteps
-}
-
-func (o Options) maxOutput() int {
-	if o.MaxOutput == 0 {
-		return 1 << 20
-	}
-	return o.MaxOutput
 }
 
 // Result summarizes a completed simulation.
@@ -362,7 +354,7 @@ func (s *Simulator) mem(in *elab.Inst, name string) *memState {
 // charge consumes one unit of the step budget.
 func (s *Simulator) charge() {
 	s.steps++
-	if s.steps > s.opts.maxSteps() {
+	if s.steps > maxSteps {
 		panic(simAbort{err: ErrStepLimit})
 	}
 }
@@ -374,7 +366,7 @@ type simAbort struct {
 
 // write appends display output.
 func (s *Simulator) write(text string) {
-	if s.out.Len()+len(text) > s.opts.maxOutput() {
+	if s.out.Len()+len(text) > maxOutput {
 		panic(simAbort{err: ErrOutputLimit})
 	}
 	s.out.WriteString(text)

@@ -365,9 +365,12 @@ func TestStepLimitOnRunawayLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(d, Options{MaxSteps: 1000}).Run()
+	res, err := New(d, Options{}).Run()
 	if err != ErrStepLimit {
 		t.Fatalf("err = %v", err)
+	}
+	if res.Steps != maxSteps+1 {
+		t.Fatalf("stopped after %d steps, want the %d-step budget plus the step that broke it", res.Steps, maxSteps)
 	}
 }
 
@@ -379,9 +382,12 @@ func TestCombinationalLoopHitsStepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(d, Options{MaxSteps: 500}).Run()
+	res, err := New(d, Options{}).Run()
 	if err != ErrStepLimit {
 		t.Fatalf("err = %v", err)
+	}
+	if res.Time != 0 || res.Steps != maxSteps+1 {
+		t.Fatalf("stopped at time %d after %d steps, want time 0 after %d", res.Time, res.Steps, maxSteps+1)
 	}
 }
 

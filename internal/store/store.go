@@ -720,18 +720,3 @@ func (s *Store) Close() error {
 	}
 	return err
 }
-
-// writeTo dumps every resident record to w — the segment round-trip
-// test's oracle. Deterministic order: identity, then canonical Coord.
-func (s *Store) writeTo(w io.Writer) error {
-	for _, e := range s.Query(Filter{}) {
-		line, err := encodeRecord(e.ID, e.Coord, e.Stats)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}

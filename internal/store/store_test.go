@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -320,6 +321,21 @@ func TestParseIdentity(t *testing.T) {
 	if _, err := ParseIdentity("backend@notanumber"); err == nil {
 		t.Fatal("non-integer seed must be rejected")
 	}
+}
+
+// writeTo dumps every resident record to w in Query order: identity,
+// then canonical Coord.
+func (s *Store) writeTo(w io.Writer) error {
+	for _, e := range s.Query(Filter{}) {
+		line, err := encodeRecord(e.ID, e.Coord, e.Stats)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestWriteToRoundTrip(t *testing.T) {

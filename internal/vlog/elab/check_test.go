@@ -1,6 +1,7 @@
 package elab
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,9 +9,18 @@ import (
 	"repro/internal/vnum"
 )
 
+// parseExpr parses src as the right-hand side of a continuous assignment.
+func parseExpr(src string) (vlog.Expr, error) {
+	f, err := vlog.Parse("module m; assign x = " + src + "; endmodule")
+	if err != nil {
+		return nil, err
+	}
+	return f.Modules[0].Items[0].(*vlog.ContAssign).Assigns[0].RHS, nil
+}
+
 func constOf(t *testing.T, src string, params map[string]uint64) vnum.Value {
 	t.Helper()
-	e, err := vlog.ParseExprString(src)
+	e, err := parseExpr(src)
 	if err != nil {
 		t.Fatalf("parse expr: %v", err)
 	}
@@ -76,7 +86,7 @@ func TestConstEvalOperators(t *testing.T) {
 
 func TestConstEvalErrors(t *testing.T) {
 	for _, src := range []string{"sig + 1", "{sig, 1'b0}", "{N{1'b1}}"} {
-		e, err := vlog.ParseExprString(src)
+		e, err := parseExpr(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +97,7 @@ func TestConstEvalErrors(t *testing.T) {
 }
 
 func TestConstEvalHugeReplicationRejected(t *testing.T) {
-	e, err := vlog.ParseExprString("{100000{1'b1}}")
+	e, err := parseExpr("{100000{1'b1}}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +151,34 @@ module m; wire w, v; c c0 (.o(w & v)); endmodule`, "net lvalue"},
 }
 
 func TestElabInstanceLimit(t *testing.T) {
-	src := `module leaf; endmodule
-module mid; leaf a(); leaf b(); leaf c(); leaf d(); endmodule
-module m; mid x0(); mid x1(); mid x2(); endmodule`
-	f, err := vlog.Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	// m holds mids mids of 64 leaves each: 1 + mids*65 instances, so 63
+	// mids is exactly maxInstances and 64 mids is past it.
+	design := func(mids int) *vlog.SourceFile {
+		var b strings.Builder
+		b.WriteString("module leaf; endmodule\nmodule mid;")
+		for i := 0; i < 64; i++ {
+			fmt.Fprintf(&b, " leaf l%d();", i)
+		}
+		b.WriteString(" endmodule\nmodule m;")
+		for i := 0; i < mids; i++ {
+			fmt.Fprintf(&b, " mid x%d();", i)
+		}
+		b.WriteString(" endmodule\n")
+		f, err := vlog.Parse(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	if _, err := Elaborate(f, "m", Options{MaxInstances: 5}); err == nil {
-		t.Fatal("instance limit not enforced")
+	if 1+63*65 != maxInstances {
+		t.Fatalf("fixture sized for 4096 instances, limit is %d", maxInstances)
 	}
-	if _, err := Elaborate(f, "m", Options{}); err != nil {
-		t.Fatalf("default limit should admit the design: %v", err)
+	_, err := Elaborate(design(64), "m", Options{})
+	if err == nil || !strings.Contains(err.Error(), "instance limit") {
+		t.Fatalf("instance limit not enforced: %v", err)
+	}
+	if _, err := Elaborate(design(63), "m", Options{}); err != nil {
+		t.Fatalf("a design of exactly maxInstances should elaborate: %v", err)
 	}
 }
 

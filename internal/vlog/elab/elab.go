@@ -127,35 +127,20 @@ type Design struct {
 	children map[*Inst][]*Inst
 }
 
-// Signal resolves name in this instance's scope.
-func (in *Inst) Signal(name string) (*Signal, bool) {
-	s, ok := in.Signals[name]
-	return s, ok
-}
+// Elaboration limits: a hierarchy of more than maxInstances instances,
+// or a memory deeper than maxMemWords words, is an error.
+const (
+	maxInstances = 4096
+	maxMemWords  = 1 << 20
+)
 
-// Options tune elaboration limits.
-type Options struct {
-	MaxInstances int // hierarchy size guard; 0 means default (4096)
-	MaxMemWords  int // per-memory depth guard; 0 means default (1 << 20)
-}
-
-func (o Options) maxInstances() int {
-	if o.MaxInstances <= 0 {
-		return 4096
-	}
-	return o.MaxInstances
-}
-
-func (o Options) maxMemWords() int {
-	if o.MaxMemWords <= 0 {
-		return 1 << 20
-	}
-	return o.MaxMemWords
-}
+// Options is empty: the elaboration limits are the constants above. The
+// type stays because the benchmark harness (bench/, its own module)
+// passes Options{}; deleting it waits on a change to that harness.
+type Options struct{}
 
 type elaborator struct {
 	file  *vlog.SourceFile
-	opts  Options
 	count int
 	d     *Design
 
@@ -166,12 +151,12 @@ type elaborator struct {
 }
 
 // Elaborate builds the design rooted at module top.
-func Elaborate(file *vlog.SourceFile, top string, opts Options) (*Design, error) {
+func Elaborate(file *vlog.SourceFile, top string, _ Options) (*Design, error) {
 	m := file.FindModule(top)
 	if m == nil {
 		return nil, errf(vlog.Pos{Line: 1, Col: 1}, "top module %q not found", top)
 	}
-	e := &elaborator{file: file, opts: opts, d: &Design{}}
+	e := &elaborator{file: file, d: &Design{}}
 	inst, err := e.instantiate(m, top, nil, nil, map[string]bool{})
 	if err != nil {
 		return nil, err
@@ -201,7 +186,7 @@ func (e *elaborator) instantiate(m *vlog.Module, path string, overrides map[stri
 	defer delete(active, m.Name)
 
 	e.count++
-	if e.count > e.opts.maxInstances() {
+	if e.count > maxInstances {
 		return nil, errf(m.Pos, "design exceeds instance limit")
 	}
 
@@ -338,7 +323,7 @@ func (e *elaborator) collectDecls(m *vlog.Module, inst *Inst) error {
 						return err
 					}
 					depth := ahi - alo + 1
-					if depth > e.opts.maxMemWords() {
+					if depth > maxMemWords {
 						return errf(dn.Pos, "memory %q too large (%d words)", dn.Name, depth)
 					}
 					if _, dup := inst.Mems[dn.Name]; dup {

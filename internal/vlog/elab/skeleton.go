@@ -65,7 +65,6 @@ func (e *elaborator) deferHole(n *vlog.Instance, parent *Inst, active map[string
 type Skeleton struct {
 	file  *vlog.SourceFile
 	top   string
-	opts  Options
 	d     *Design
 	count int
 	holes []deferredHole
@@ -76,7 +75,7 @@ type Skeleton struct {
 // names. Hole instantiations are deferred; everything else is fully
 // elaborated and checked. An error means the testbench cannot be
 // skeletonized (callers fall back to full elaboration).
-func NewSkeleton(file *vlog.SourceFile, top string, holes []string, opts Options) (*Skeleton, error) {
+func NewSkeleton(file *vlog.SourceFile, top string, holes []string, _ Options) (*Skeleton, error) {
 	m := file.FindModule(top)
 	if m == nil {
 		return nil, errf(vlog.Pos{Line: 1, Col: 1}, "top module %q not found", top)
@@ -87,7 +86,6 @@ func NewSkeleton(file *vlog.SourceFile, top string, holes []string, opts Options
 	}
 	e := &elaborator{
 		file:  file,
-		opts:  opts,
 		d:     &Design{},
 		holes: holeSet,
 		bound: map[string]bool{top: true},
@@ -100,16 +98,12 @@ func NewSkeleton(file *vlog.SourceFile, top string, holes []string, opts Options
 	return &Skeleton{
 		file:  file,
 		top:   top,
-		opts:  opts,
 		d:     e.d,
 		count: e.count,
 		holes: e.deferred,
 		bound: e.bound,
 	}, nil
 }
-
-// Holes reports how many deferred instantiation sites the skeleton has.
-func (sk *Skeleton) Holes() int { return len(sk.holes) }
 
 // SpliceSite records where a candidate subtree was bound into the shared
 // skeleton hierarchy: Child belongs before the Parent's Index-th skeleton
@@ -122,7 +116,7 @@ type SpliceSite struct {
 
 // Splice binds one candidate file against the skeleton and returns the
 // composed Design. The result is identical to
-// Elaborate(Compose(cand, testbench), top, opts): skeleton stream segments
+// Elaborate(Compose(cand, testbench), top, Options{}): skeleton stream segments
 // are interleaved with each hole's contributions at the exact positions
 // full elaboration would have produced them, and the instance-count limit
 // resumes from the skeleton's total so the success condition matches. Any
@@ -137,7 +131,6 @@ func (sk *Skeleton) Splice(cand *vlog.SourceFile) (*Design, error) {
 	}
 	e := &elaborator{
 		file:  vlog.Compose(cand, sk.file),
-		opts:  sk.opts,
 		count: sk.count,
 		d:     &Design{},
 	}

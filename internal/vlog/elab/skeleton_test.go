@@ -149,8 +149,8 @@ func newSkel(t *testing.T, tb *vlog.SourceFile) *Skeleton {
 func TestSpliceMatchesFullElaboration(t *testing.T) {
 	tb := parseFile(t, skelTB)
 	sk := newSkel(t, tb)
-	if sk.Holes() != 3 {
-		t.Fatalf("skeleton deferred %d holes, want 3 (u1, u2, helper.h2)", sk.Holes())
+	if len(sk.holes) != 3 {
+		t.Fatalf("skeleton deferred %d holes, want 3 (u1, u2, helper.h2)", len(sk.holes))
 	}
 	for i, src := range skelCands {
 		cand := parseFile(t, src)

@@ -453,9 +453,10 @@ func lexInto(toks []Token, lx *Lexer) ([]Token, error) {
 	}
 }
 
-// LexAll tokenizes the whole input, for tests and the tokenizer pipeline.
-// A pre-count pass sizes the result so the fill pass performs exactly one
-// slice allocation.
+// LexAll tokenizes the whole input. A pre-count pass sizes the result so
+// the fill pass performs exactly one slice allocation.
+//
+//vgencheck:oracle whole-input token stream the lexer and ParsePrefixed's spliced lexing are checked against (TestParsePrefixedMatchesParse)
 func LexAll(src string) ([]Token, error) {
 	toks, err := lexInto(make([]Token, 0, estimateTokens(src)), NewLexer(src))
 	if err != nil {

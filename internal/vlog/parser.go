@@ -16,6 +16,8 @@ var parseCalls atomic.Uint64
 // ParseCalls returns the number of Parse and ParsePrefixed invocations so
 // far (monotonic, process-wide). Intended for tests and perf accounting,
 // not control flow.
+//
+//vgencheck:oracle parse counter the eval pipeline's single-parse guarantee is checked against (TestSingleParsePerEvaluation)
 func ParseCalls() uint64 { return parseCalls.Load() }
 
 // ParseError is a syntax error with a source position.
@@ -82,26 +84,6 @@ func (p *Parser) parseRest(file *SourceFile) (*SourceFile, error) {
 		return nil, &ParseError{Msg: "no module declaration found"}
 	}
 	return file, nil
-}
-
-// ParseExprString parses a standalone expression (used by tests and the
-// mutation engine).
-func ParseExprString(src string) (Expr, error) {
-	p := parserPool.Get().(*Parser)
-	defer p.release()
-	toks, err := lexInto(p.toks[:0], NewLexer(src))
-	p.toks, p.pos = toks, 0
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errorf("trailing input after expression")
-	}
-	return e, nil
 }
 
 func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }

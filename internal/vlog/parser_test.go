@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+// ParseExprString parses a standalone expression.
+func ParseExprString(src string) (Expr, error) {
+	p := parserPool.Get().(*Parser)
+	defer p.release()
+	toks, err := lexInto(p.toks[:0], NewLexer(src))
+	p.toks, p.pos = toks, 0
+	if err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.atEOF() {
+		return nil, p.errorf("trailing input after expression")
+	}
+	return e, nil
+}
+
 func mustParse(t *testing.T, src string) *SourceFile {
 	t.Helper()
 	f, err := Parse(src)

@@ -18,6 +18,8 @@ func Print(f *SourceFile) string {
 }
 
 // PrintExpr renders an expression.
+//
+//vgencheck:oracle canonical rendering TestSpliceMatchesFullElaboration compares spliced and fully elaborated designs by
 func PrintExpr(e Expr) string {
 	var sb strings.Builder
 	printExpr(&sb, e)
@@ -25,6 +27,8 @@ func PrintExpr(e Expr) string {
 }
 
 // PrintStmt renders a statement at indent level 0.
+//
+//vgencheck:oracle canonical rendering TestSpliceMatchesFullElaboration compares spliced and fully elaborated designs by
 func PrintStmt(s Stmt) string {
 	var sb strings.Builder
 	printStmt(&sb, s, 1)

@@ -651,26 +651,3 @@ func TernaryMerge(a, b Value, w int) Value {
 	}
 	return out
 }
-
-// Merge resolves two simultaneous drivers bit-by-bit: z yields to the other
-// driver, agreement keeps the value, disagreement or any x yields x. Used
-// for multiply-driven nets.
-func Merge(x, y Value) Value {
-	w := ctxWidth(x, y)
-	xr, yr := x.Resize(w), y.Resize(w)
-	out := Zero(w)
-	for i := 0; i < w; i++ {
-		p, q := xr.Bit(i), yr.Bit(i)
-		switch {
-		case p == BZ:
-			out.setBit(i, q)
-		case q == BZ:
-			out.setBit(i, p)
-		case p == q:
-			out.setBit(i, p)
-		default:
-			out.setBit(i, BX)
-		}
-	}
-	return out
-}

@@ -372,20 +372,6 @@ func TestPresizedOpsMatchGeneral(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := FromBitString("1z0z")
-	b := FromBitString("z10z")
-	got := Merge(a, b)
-	if s := got.BinString(); s != "110z" {
-		t.Errorf("merge = %s", s)
-	}
-	c := FromBitString("11")
-	d := FromBitString("10")
-	if s := Merge(c, d).BinString(); s != "1x" {
-		t.Errorf("conflict merge = %s", s)
-	}
-}
-
 // Property tests against Go's native 64-bit arithmetic.
 
 func TestQuickArithMatchesUint64(t *testing.T) {

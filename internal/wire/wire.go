@@ -1,8 +1,8 @@
 // Package wire is the serialization layer of distributed sweep
 // execution: a versioned, deterministic JSON-lines format for shard
 // plans (which cells one worker should evaluate) and shard results (the
-// per-cell CellStats it produced), plus the cross-process Merge that
-// reassembles a monolithic sweep from its shards.
+// per-cell CellStats it produced), plus the cross-process MergePartial
+// that reassembles a monolithic sweep from its shards.
 //
 // A file is one header line followed by one line per cell:
 //
@@ -31,10 +31,10 @@
 //     must resolve to a real (problem, level, variant, n) query, stats
 //     must be internally consistent, and a malformed or duplicate line is
 //     an error — never a silent drop.
-//   - Merge is order-independent and total: shards must agree on
-//     (version, backend tag, seed, shard count), indices must cover
-//     0..shards-1 exactly once (a missing shard means missing cells), and
-//     no cell may appear twice. Each cell arrives whole from exactly one
+//   - MergePartial is order-independent: shards must agree on
+//     (version, backend tag, seed, shard count), no index may appear
+//     twice (a missing one is reported: its cells are missing), and no
+//     cell may appear twice. Each cell arrives whole from exactly one
 //     shard, so merging is pure map union — no float addition spans
 //     processes, which is what keeps a merged sweep byte-identical to the
 //     monolithic run.
@@ -316,29 +316,15 @@ func ReadResults(r io.Reader) (Shard, error) {
 	return Shard{Meta: m, Set: set}, nil
 }
 
-// Merge reassembles a sweep from its shards, in any order. All shards
-// must carry the same backend tag, seed, and shard count; the indices
-// must cover 0..shards-1 exactly once, so both an overlapping and a
-// missing shard are refused; and no cell may appear in two shards. The
-// returned Meta is the common sweep identity with Shard = -1 (the merged
-// whole is no single shard).
-func Merge(shards []Shard) (*eval.ResultSet, Meta, error) {
-	rs, m, missing, err := MergePartial(shards)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if len(missing) > 0 {
-		return nil, Meta{}, fmt.Errorf("wire: merge: shard %d of %d missing (its cells are unserved)", missing[0], m.Shards)
-	}
-	return rs, m, nil
-}
-
-// MergePartial is Merge for a degraded sweep: shard indices absent from
-// the input are reported (ascending) instead of refused, so a coordinator
-// that exhausted its retries can still assemble every cell that did
-// complete. Everything else — identity agreement, duplicate shards,
-// overlapping cells — stays an error: a partial merge must be an exact
-// subset of the full one, never a differently wrong one.
+// MergePartial reassembles a sweep from its shards, in any order. All
+// shards must carry the same backend tag, seed, and shard count; no shard
+// index may appear twice; and no cell may appear in two shards. Shard
+// indices absent from the input are reported (ascending) instead of
+// refused, so a coordinator that exhausted its retries can still assemble
+// every cell that did complete: a partial merge is an exact subset of the
+// full one, never a differently wrong one. The returned Meta is the
+// common sweep identity with Shard = -1 (the merged whole is no single
+// shard).
 func MergePartial(shards []Shard) (*eval.ResultSet, Meta, []int, error) {
 	if len(shards) == 0 {
 		return nil, Meta{}, nil, fmt.Errorf("wire: merge of zero shards")

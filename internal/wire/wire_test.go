@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,13 +167,13 @@ func TestMergeOrderIndependent(t *testing.T) {
 	shards := encodeShards(t, full, 4)
 
 	shuffled := []Shard{shards[2], shards[0], shards[3], shards[1]}
-	a, am, err := Merge(shards)
-	if err != nil {
-		t.Fatal(err)
+	a, am, missing, err := MergePartial(shards)
+	if err != nil || len(missing) > 0 {
+		t.Fatal(err, missing)
 	}
-	b, bm, err := Merge(shuffled)
-	if err != nil {
-		t.Fatal(err)
+	b, bm, missing, err := MergePartial(shuffled)
+	if err != nil || len(missing) > 0 {
+		t.Fatal(err, missing)
 	}
 	if am != bm {
 		t.Fatalf("merge meta differs: %+v vs %+v", am, bm)
@@ -200,30 +201,30 @@ func TestMergeRejections(t *testing.T) {
 	full := testSet(t, testCoords(8))
 	shards := encodeShards(t, full, 3)
 
-	if _, _, err := Merge(nil); err == nil {
+	if _, _, _, err := MergePartial(nil); err == nil {
 		t.Error("merge of zero shards should fail")
 	}
-	if _, _, err := Merge(shards[:2]); err == nil {
-		t.Error("merge with a missing shard should fail")
+	if _, _, missing, err := MergePartial(shards[:2]); err != nil || !slices.Equal(missing, []int{2}) {
+		t.Errorf("merge with a missing shard: missing %v, err %v; want [2] reported, no error", missing, err)
 	}
-	if _, _, err := Merge([]Shard{shards[0], shards[1], shards[1]}); err == nil {
+	if _, _, _, err := MergePartial([]Shard{shards[0], shards[1], shards[1]}); err == nil {
 		t.Error("merge with a duplicate shard index should fail")
 	}
 
 	other := shards[2]
 	other.Seed++
-	if _, _, err := Merge([]Shard{shards[0], shards[1], other}); err == nil {
+	if _, _, _, err := MergePartial([]Shard{shards[0], shards[1], other}); err == nil {
 		t.Error("merge across seeds should fail")
 	}
 	other = shards[2]
 	other.Backend = "some other backend"
-	if _, _, err := Merge([]Shard{shards[0], shards[1], other}); err == nil {
+	if _, _, _, err := MergePartial([]Shard{shards[0], shards[1], other}); err == nil {
 		t.Error("merge across backend tags should fail")
 	}
 
 	// Overlap: re-index shard 0's cells as shard 2.
 	overlap := Shard{Meta: testMeta(2, 3), Set: shards[0].Set}
-	if _, _, err := Merge([]Shard{shards[0], shards[1], overlap}); err == nil {
+	if _, _, _, err := MergePartial([]Shard{shards[0], shards[1], overlap}); err == nil {
 		t.Error("merge with overlapping cells should fail")
 	}
 
@@ -233,13 +234,13 @@ func TestMergeRejections(t *testing.T) {
 		{Meta: Meta{Backend: "b", Seed: 1, Shard: 5, Shards: 4}, Set: eval.NewResultSet()},
 		{Meta: Meta{Backend: "b", Seed: 1, Shard: 6, Shards: 4}, Set: eval.NewResultSet()},
 	}
-	if _, _, err := Merge(rogue); err == nil {
+	if _, _, _, err := MergePartial(rogue); err == nil {
 		t.Error("merge with out-of-range shard indices should fail")
 	}
 	negative := []Shard{
 		{Meta: Meta{Backend: "b", Seed: 1, Shard: 0, Shards: -1}, Set: eval.NewResultSet()},
 	}
-	if _, _, err := Merge(negative); err == nil {
+	if _, _, _, err := MergePartial(negative); err == nil {
 		t.Error("merge with a negative shard count should fail, not panic")
 	}
 }
@@ -346,7 +347,7 @@ func TestDecodeRejectionErrors(t *testing.T) {
 }
 
 // TestMergePartial exercises the degraded-sweep merge: missing shards are
-// reported, not refused; everything else stays as strict as Merge.
+// reported, not refused; everything else stays strict.
 func TestMergePartial(t *testing.T) {
 	coords := testCoords(8)
 	shard := func(i, n int, cs []eval.Coord) Shard {
@@ -364,7 +365,7 @@ func TestMergePartial(t *testing.T) {
 		t.Fatalf("merged %d cells, meta %+v", rs.Len(), m)
 	}
 
-	// Complete input: no missing shards, same result as Merge.
+	// Complete input: no missing shards.
 	_, _, missing, err = MergePartial([]Shard{shard(0, 2, coords[:3]), shard(1, 2, coords[3:6])})
 	if err != nil || len(missing) != 0 {
 		t.Fatalf("complete merge: missing %v, err %v", missing, err)
