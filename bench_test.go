@@ -746,7 +746,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
-			rb, err := remote.NewBackend(gen.RemoteOptions{Endpoint: url, Timeout: 30 * time.Second, Seed: 123})
+			rb, err := remote.NewBackend(remote.Options{Endpoint: url, Timeout: 30 * time.Second, Seed: 123})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -40,7 +40,9 @@
 // supervision behavior is identical either way.
 //
 // Workers share compiled simulation artifacts within their own process
-// (DESIGN.md Section 15); the design and plan caches hold 4 MiB of
+// (DESIGN.md Section 15): each distinct candidate is compiled and
+// simulated once, its verdict kept in a memo, and compiled expression
+// plans are cached; the verdict memo and the plan cache hold 4 MiB of
 // accounted bytes each. Sharing never changes results.
 //
 // -fault injects deterministic failures (crash, hang, truncate, corrupt;

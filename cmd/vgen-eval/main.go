@@ -28,9 +28,9 @@
 // best-temperature table values (best is t=0.1 by construction and in the
 // paper) while running in seconds.
 //
-// -backend selects the generation backend by registered name (family,
-// mutant, remote, replay — `-backend list` prints names with
-// descriptions). -record captures every produced sample to a JSONL file;
+// -backend selects the generation backend by its name in core's backend
+// table (family, mutant, remote, replay — `-backend list` prints names
+// with descriptions). -record captures every produced sample to a JSONL file;
 // -replay serves a recording back through the replay backend,
 // reproducing the recorded sweep's statistics exactly (giving -replay
 // alone implies -backend replay).
@@ -142,9 +142,7 @@ func main() {
 		os.Exit(2)
 	}
 	if cfg.Backend == "list" {
-		for _, info := range gen.List() {
-			fmt.Printf("%s\t%s\n", info.Name, info.Desc)
-		}
+		core.ListBackends(os.Stdout)
 		return
 	}
 	if *replay != "" {

@@ -1,7 +1,7 @@
-// Command vgen-serve exposes any registered generation backend over the
-// wire protocol (internal/remote), so a `vgen-eval -backend remote` on
-// another machine — or the same one — draws its samples from this
-// process. Samples are pure functions of their coordinates, so a remote
+// Command vgen-serve exposes any generation backend of core's backend
+// table but remote over the wire protocol (internal/remote), so a
+// `vgen-eval -backend remote` on another machine — or the same one —
+// draws its samples from this process. Samples are pure functions of their coordinates, so a remote
 // sweep against vgen-serve reproduces the in-process run byte for byte
 // (`make serve-check` proves it end to end).
 //
@@ -27,8 +27,6 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/model"
 	"repro/internal/remote"
 )
 
@@ -38,7 +36,7 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	backend := flag.String("backend", "family", "generation backend to serve, by registered name ('list' prints the registry)")
+	backend := flag.String("backend", "family", "generation backend to serve, by name in the backend table ('list' prints the table)")
 	seed := flag.Int64("seed", 1, "determinism seed for corpus, models and sampling")
 	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
 	replay := flag.String("replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
@@ -48,9 +46,7 @@ func main() {
 	flag.Parse()
 
 	if *backend == "list" {
-		for _, info := range gen.List() {
-			fmt.Printf("%s\t%s\n", info.Name, info.Desc)
-		}
+		core.ListBackends(os.Stdout)
 		return
 	}
 	if *replay != "" && *backend == "family" {
@@ -69,13 +65,11 @@ func main() {
 		}
 	}
 
-	b, err := gen.New(*backend, gen.Options{
-		Family:     model.Config{Seed: *seed, CorpusFiles: *corpusFiles},
-		ReplayPath: *replay,
-	})
+	fw, err := core.New(core.Config{Seed: *seed, CorpusFiles: *corpusFiles, Backend: *backend, Replay: *replay})
 	if err != nil {
 		fail("%v", err)
 	}
+	b := fw.Backend
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,8 +1,8 @@
 // Bring-your-own-backend: plug an arbitrary completion source into the
 // evaluation stack as a gen.Backend. This is the downstream-adoption
-// path: implement four methods, register under a name, and the full
-// engine — worker pool, outcome cache, sweeps, pass@k — runs your model
-// exactly as it runs the paper's line-up. The demo also records one
+// path: implement four methods, hand the value to eval.NewRunner, and the
+// full engine — worker pool, outcome cache, sweeps, pass@k — runs your
+// model exactly as it runs the paper's line-up. The demo also records one
 // backend's samples to JSONL and replays them, showing the transcript
 // path real LLM evaluations use.
 package main
@@ -75,15 +75,6 @@ func (oracleBackend) Complete(key gen.Key, p *problems.Problem, level problems.L
 	return gen.Sample{Completion: p.RefBody, Mechanism: "reference"}, true
 }
 
-func init() {
-	// Registration makes the backends reachable by name — e.g. a tool's
-	// -backend flag — without the tool importing this package's types.
-	gen.Register("assign-template", "heuristic assign-statement template baseline",
-		func(gen.Options) (gen.Backend, error) { return templateBackend{}, nil })
-	gen.Register("oracle", "answers with the reference solution (upper bound)",
-		func(gen.Options) (gen.Backend, error) { return oracleBackend{}, nil })
-}
-
 // score sweeps one backend over the whole benchmark through the real
 // parallel evaluation engine and prints its scorecard.
 func score(b gen.Backend) {
@@ -117,22 +108,14 @@ func score(b gen.Backend) {
 func main() {
 	fmt.Println("Custom generation backends on the VGen benchmark")
 	fmt.Println("================================================")
-	fmt.Println("registered backends:", gen.Names())
-
-	for _, name := range []string{"assign-template", "oracle"} {
-		b, err := gen.New(name, gen.Options{})
-		if err != nil {
-			panic(err)
-		}
-		score(b)
-	}
+	score(templateBackend{})
+	score(oracleBackend{})
 
 	// Record the oracle's sweep to JSONL, then replay the transcript as a
 	// backend of its own — the same mechanism that lets the harness score
 	// completions captured from a real LLM.
 	var buf bytes.Buffer
-	oracle, _ := gen.New("oracle", gen.Options{})
-	rec := gen.NewRecorder(oracle, &buf)
+	rec := gen.NewRecorder(oracleBackend{}, &buf)
 	score(rec)
 	replayed, err := gen.NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {

@@ -18,12 +18,8 @@ import (
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/problems"
+	"repro/internal/remote"
 	"repro/internal/store"
-
-	// Register the remote backend (it lives outside gen to keep the
-	// transport stack out of the interface package). The facade is where
-	// backend selection happens, so this is where the registry fills up.
-	_ "repro/internal/remote"
 )
 
 // Config selects the framework scale, determinism seed, and generation
@@ -34,8 +30,9 @@ type Config struct {
 	Sweep       eval.SweepOptions
 	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
 
-	// Backend selects the generation backend by registered name (see
-	// gen.Names()); "" means "family", the simulated line-up.
+	// Backend selects the generation backend by its name in the backend
+	// table (family, mutant, remote, replay; see BackendNames); "" means
+	// "family", the simulated line-up.
 	Backend string
 
 	// Record captures every produced sample to this JSONL file; the
@@ -43,14 +40,15 @@ type Config struct {
 	// framework to flush it.
 	Record string
 
-	// Replay is the JSONL recording served by the replay backend.
+	// Replay is the JSONL recording served by the replay backend; read
+	// when Backend is "replay".
 	Replay string
 
 	// Remote configures the remote backend's HTTP transport (endpoint,
 	// auth, timeout/retry/breaker knobs); read when Backend is "remote".
 	// A zero Remote.Seed inherits Seed, so transport retry jitter is
 	// reproducible from the sweep seed alone.
-	Remote gen.RemoteOptions
+	Remote remote.Options
 
 	// AuthEnv names the environment variable Remote.AuthToken was read
 	// from (see Flags.Resolve). Args passes the name to worker
@@ -103,31 +101,17 @@ type Framework struct {
 	backendTag string
 }
 
-// New builds the framework: constructs the selected backend (for the
-// family backend that means running the corpus pipeline and training the
-// tokenizer), optionally wraps it in a recorder, and wires the runner and
-// harness around it.
+// New builds the framework: constructs the backend cfg.Backend names in
+// the backend table (for the family backend that means running the corpus
+// pipeline and training the tokenizer), optionally wraps it in a
+// recorder, and wires the runner and harness around it.
 func New(cfg Config) (*Framework, error) {
-	name := cfg.Backend
-	if name == "" {
-		name = "family"
-	}
-	remote := cfg.Remote
-	if remote.Seed == 0 {
-		remote.Seed = cfg.Seed
-	}
-	b, err := gen.New(name, gen.Options{
-		Family:     model.Config{Seed: cfg.Seed, CorpusFiles: cfg.CorpusFiles},
-		ReplayPath: cfg.Replay,
-		Remote:     remote,
-	})
+	fw := &Framework{cfg: cfg}
+	b, err := fw.buildBackend()
 	if err != nil {
 		return nil, err
 	}
-	fw := &Framework{Backend: b, cfg: cfg, backendTag: b.Describe()}
-	if fb, ok := b.(*gen.FamilyBackend); ok {
-		fw.Family = fb.Family()
-	}
+	fw.Backend, fw.backendTag = b, b.Describe()
 	if cfg.Record != "" {
 		f, err := os.Create(cfg.Record)
 		if err != nil {

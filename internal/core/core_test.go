@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
 )
@@ -90,17 +90,36 @@ func TestBackendSelectionAndRecordReplay(t *testing.T) {
 	if _, err := New(Config{Backend: "replay"}); err == nil {
 		t.Error("replay without a recording should fail construction")
 	}
-	if _, err := New(Config{Backend: "no-such"}); err == nil {
-		t.Error("unknown backend name should fail construction")
+}
+
+// TestBackendList pins the backend table as `-backend list` prints it:
+// the four backends, sorted, with their descriptions.
+func TestBackendList(t *testing.T) {
+	var buf strings.Builder
+	ListBackends(&buf)
+	want := "family\tsimulated n-gram model line-up (the paper's Table I rows)\n" +
+		"mutant\tAST near-miss / truncation generator (verdict-pipeline probe)\n" +
+		"remote\tJSON-over-HTTP proxy to a completion service (vgen-serve); retrying, circuit-broken, batch-capable\n" +
+		"replay\tserves completions from a JSONL recording (-replay FILE)\n"
+	if buf.String() != want {
+		t.Errorf("ListBackends wrote\n%s\nwant\n%s", buf.String(), want)
 	}
-	found := false
-	for _, name := range gen.Names() {
-		if name == "mutant" {
-			found = true
+	if got := BackendNames(); !slices.Equal(got, []string{"family", "mutant", "remote", "replay"}) {
+		t.Errorf("BackendNames() = %v", got)
+	}
+}
+
+// TestUnknownBackend pins that a name outside the table fails
+// construction with an error naming every backend the table has.
+func TestUnknownBackend(t *testing.T) {
+	_, err := New(Config{Backend: "no-such"})
+	if err == nil {
+		t.Fatal("unknown backend name should fail construction")
+	}
+	for _, name := range []string{"no-such", "family", "mutant", "remote", "replay"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
 		}
-	}
-	if !found {
-		t.Errorf("gen.Names() = %v, missing mutant", gen.Names())
 	}
 }
 

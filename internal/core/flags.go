@@ -41,7 +41,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.quick, "quick", false, "sweep only t=0.1 with n <= 6 (fast; matches best-t tables)")
 	fs.IntVar(&c.CorpusFiles, "corpus-files", 0, "synthetic corpus size (0 = default)")
 	fs.IntVar(&c.Workers, "workers", 0, "evaluation worker pool width per process (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	fs.StringVar(&c.Backend, "backend", "family", "generation backend by registered name (vgen-eval -backend list prints the registry)")
+	fs.StringVar(&c.Backend, "backend", "family", "generation backend by name in core's backend table: family, mutant, remote or replay (vgen-eval -backend list prints the table)")
 	fs.StringVar(&r.Endpoint, "endpoint", "", "remote backend: completion service URL, e.g. http://127.0.0.1:8473 (implies -backend remote)")
 	fs.StringVar(&c.AuthEnv, "auth-env", "", "remote backend: environment variable holding the bearer token (the token never appears in argv)")
 	fs.DurationVar(&r.Timeout, "remote-timeout", 0, "remote backend: per-attempt HTTP deadline (0 = 30s)")

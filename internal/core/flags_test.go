@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
-	"repro/internal/gen"
+	"repro/internal/remote"
 )
 
 // parseShared binds the shared flags on a fresh flag set, parses args and
@@ -40,7 +40,7 @@ func randomConfig(t *testing.T, rng *rand.Rand) Config {
 		Backend:     "remote",
 		AuthEnv:     fmt.Sprintf("VGEN_FLAGS_TEST_TOKEN_%d", rng.Intn(1000)),
 		BatchSize:   1 + rng.Intn(64),
-		Remote: gen.RemoteOptions{
+		Remote: remote.Options{
 			Endpoint:         fmt.Sprintf("http://127.0.0.1:%d/v%d", 1024+rng.Intn(60000), rng.Intn(9)),
 			AuthToken:        fmt.Sprintf("secret-%x", rng.Uint64()),
 			Timeout:          dur(),

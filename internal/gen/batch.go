@@ -61,3 +61,23 @@ type BatchBackend interface {
 	Backend
 	CompleteBatch(ctx context.Context, reqs []Request) []BatchResult
 }
+
+// ServeBatch answers reqs through b: in one CompleteBatch call when b is
+// a BatchBackend, otherwise one Complete per request, checking ctx before
+// each so a cancelled batch stops drawing samples. It is how a wrapper
+// or a server passes a batch on to a backend of either kind.
+func ServeBatch(ctx context.Context, b Backend, reqs []Request) []BatchResult {
+	if bb, ok := b.(BatchBackend); ok {
+		return bb.CompleteBatch(ctx, reqs)
+	}
+	out := make([]BatchResult, len(reqs))
+	for i, q := range reqs {
+		if err := ctx.Err(); err != nil {
+			out[i] = BatchResult{Err: err}
+			continue
+		}
+		s, ok := b.Complete(q.Key, q.Problem, q.Level, q.Temperature, q.SampleIdx, q.BaseSeed)
+		out[i] = BatchResult{Sample: s, OK: ok}
+	}
+	return out
+}

@@ -1,7 +1,7 @@
 package gen_test
 
-// The backend conformance suite: every backend in the registry must
-// honor the layer's contract — samples are pure functions of their
+// The backend conformance suite: every backend in core's backend table
+// must honor the layer's contract — samples are pure functions of their
 // coordinates, sweeps are byte-identical at any worker-pool width, and
 // Complete is safe to call from every worker at once (the concurrency
 // test is meaningful under `go test -race`, which the Makefile race
@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -63,10 +64,7 @@ func recordForReplay(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := gen.New("mutant", gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := gen.NewMutant()
 	rec := gen.NewRecorder(src, f)
 	r := eval.NewRunner(rec, confSeed)
 	r.Workers = 4
@@ -85,11 +83,7 @@ func recordForReplay(t *testing.T) string {
 // The server is closed when the test finishes.
 func startRemoteEndpoint(t *testing.T) string {
 	t.Helper()
-	inner, err := gen.New("mutant", gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := remote.NewServer(remote.NewHandler(inner, remote.ServerOptions{}))
+	srv := remote.NewServer(remote.NewHandler(gen.NewMutant(), remote.ServerOptions{}))
 	url, err := srv.Start(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,62 +96,41 @@ func startRemoteEndpoint(t *testing.T) string {
 	return url
 }
 
-// backendsUnderTest constructs every registered backend. A backend this
-// helper does not know how to parameterize fails the suite loudly rather
-// than being skipped silently. The remote backend is dialed against an
-// in-process wire server over the mutant backend, so the whole transport
-// stack rides through every conformance test.
+// backendsUnderTest builds every row of core's backend table through
+// core.New, each with a configuration this helper names explicitly. A
+// row it has no configuration for fails the suite loudly, so a new
+// backend cannot skip conformance. The remote backend is dialed against
+// an in-process wire server over the mutant backend, so the whole
+// transport stack rides through every conformance test.
 func backendsUnderTest(t *testing.T) map[string]gen.Backend {
 	t.Helper()
 	out := map[string]gen.Backend{}
-	for _, name := range gen.Names() {
-		opts := gen.Options{Family: model.Config{Seed: 11, CorpusFiles: 25}}
+	for _, name := range core.BackendNames() {
+		cfg := core.Config{Backend: name, Seed: 11}
 		switch name {
+		case "family":
+			cfg.CorpusFiles = 25
+		case "mutant":
 		case "replay":
-			opts.ReplayPath = recordForReplay(t)
+			cfg.Replay = recordForReplay(t)
 		case "remote":
-			opts.Remote = gen.RemoteOptions{
+			cfg.Remote = remote.Options{
 				Endpoint:    startRemoteEndpoint(t),
 				Timeout:     5 * time.Second,
 				BackoffBase: time.Millisecond,
 				BackoffCap:  4 * time.Millisecond,
 				Seed:        confSeed,
 			}
+		default:
+			t.Fatalf("backend %q has no conformance configuration; add a case for it", name)
 		}
-		b, err := gen.New(name, opts)
+		fw, err := core.New(cfg)
 		if err != nil {
 			t.Fatalf("backend %q failed to construct: %v", name, err)
 		}
-		out[name] = b
+		out[name] = fw.Backend
 	}
 	return out
-}
-
-func TestRegistryNames(t *testing.T) {
-	names := gen.Names()
-	want := map[string]bool{"family": false, "mutant": false, "replay": false, "remote": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("registry missing backend %q (have %v)", n, names)
-		}
-	}
-	if _, err := gen.New("no-such-backend", gen.Options{}); err == nil {
-		t.Error("unknown backend name should error")
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register should panic")
-		}
-	}()
-	gen.Register("family", "dup", func(gen.Options) (gen.Backend, error) { return nil, nil })
 }
 
 func TestConformanceVariantsNonEmpty(t *testing.T) {
@@ -173,7 +146,7 @@ func TestConformanceVariantsNonEmpty(t *testing.T) {
 
 // TestConformanceDeterministicSamples pins the purity contract: Complete
 // at fixed coordinates returns the identical Sample every time, for every
-// registered backend.
+// backend in the table.
 func TestConformanceDeterministicSamples(t *testing.T) {
 	for name, b := range backendsUnderTest(t) {
 		key := b.Variants()[0]
@@ -285,7 +258,7 @@ func confRequests(b gen.Backend, n int) []gen.Request {
 	return reqs
 }
 
-// batchBackendsUnderTest filters the registry for backends implementing
+// batchBackendsUnderTest filters the backend table for backends implementing
 // the optional batch interface. At least the remote backend must — if
 // the filter comes back empty the batch conformance tests are passing
 // vacuously, which is itself a failure.
@@ -298,7 +271,7 @@ func batchBackendsUnderTest(t *testing.T) map[string]gen.BatchBackend {
 		}
 	}
 	if len(out) == 0 {
-		t.Fatal("no registered backend implements gen.BatchBackend; batch conformance is vacuous")
+		t.Fatal("no backend in the table implements gen.BatchBackend; batch conformance is vacuous")
 	}
 	return out
 }
@@ -414,10 +387,7 @@ func TestConformanceBatchCompositionIdentity(t *testing.T) {
 // single-call backend, CompleteBatch must fall back to per-request
 // Complete calls and still record every served sample for replay.
 func TestRecorderCompleteBatch(t *testing.T) {
-	src, err := gen.New("mutant", gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := gen.NewMutant()
 	path := filepath.Join(t.TempDir(), "batch.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
@@ -455,6 +425,28 @@ func TestRecorderCompleteBatch(t *testing.T) {
 		s, ok := replay.Complete(q.Key, q.Problem, q.Level, q.Temperature, q.SampleIdx, q.BaseSeed)
 		if !ok || s != res[i].Sample {
 			t.Fatalf("batch-recorded sample %d does not replay: %+v ok=%v", i, s, ok)
+		}
+	}
+}
+
+// TestServeBatch pins the one batch-serving rule for a single-call
+// backend: each slot is what Complete returns at its coordinates, and a
+// cancelled context fails every slot without drawing a sample.
+func TestServeBatch(t *testing.T) {
+	src := gen.NewMutant()
+	reqs := confRequests(src, 6)
+	for i, res := range gen.ServeBatch(context.Background(), src, reqs) {
+		q := reqs[i]
+		s, ok := src.Complete(q.Key, q.Problem, q.Level, q.Temperature, q.SampleIdx, q.BaseSeed)
+		if res.Err != nil || res.OK != ok || res.Sample != s {
+			t.Fatalf("slot %d = %+v, want the Complete sample %+v ok=%v", i, res, s, ok)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, res := range gen.ServeBatch(ctx, src, reqs) {
+		if res.Err == nil || res.OK {
+			t.Fatalf("slot %d served under a cancelled context: %+v", i, res)
 		}
 	}
 }

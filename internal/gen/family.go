@@ -7,13 +7,6 @@ import (
 	"repro/internal/problems"
 )
 
-func init() {
-	Register("family", "simulated n-gram model line-up (the paper's Table I rows)",
-		func(o Options) (Backend, error) {
-			return NewFamilyBackend(model.NewFamily(o.Family)), nil
-		})
-}
-
 // FamilyBackend adapts the simulated n-gram model line-up (model.Family)
 // to the Backend interface. It is a thin shim: sampling goes through the
 // exact Generator.CompleteAt path the pre-backend evaluation engine
@@ -25,10 +18,6 @@ type FamilyBackend struct {
 
 // NewFamilyBackend wraps an existing family.
 func NewFamilyBackend(f *model.Family) *FamilyBackend { return &FamilyBackend{fam: f} }
-
-// Family exposes the wrapped family for callers that need the substrate
-// (tokenizer, variant bank, corpus statistics).
-func (b *FamilyBackend) Family() *model.Family { return b.fam }
 
 // Complete samples one completion from the keyed (model, variant)
 // generator. ok is false for unknown models, unknown variant strings, and

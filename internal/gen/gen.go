@@ -13,18 +13,12 @@
 // pure function of its coordinates, so any worker may produce any sample
 // in any order and the sweep output is byte-identical.
 //
-// Backends register under a short name (Register/New/Names), which is
-// how the harness, core.Framework, and vgen-eval's -backend flag select
-// them.
+// This package holds the contract and the backends themselves; the
+// table that names them for vgen-eval's and vgen-serve's -backend flag,
+// and builds the one a caller selects, is core's.
 package gen
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"repro/internal/problems"
-)
+import "repro/internal/problems"
 
 // Key names one generation line — (model, variant) — within a backend.
 // The fields are plain strings so third-party backends need no dependency
@@ -83,80 +77,4 @@ type Backend interface {
 	// by it, so two backends sharing a seed never merge or share cells;
 	// keep it stable for the backend's lifetime.
 	Describe() string
-}
-
-// Factory builds a backend from construction options. Each backend reads
-// only the fields it needs and must return an error (not panic) on
-// unusable options.
-type Factory func(o Options) (Backend, error)
-
-type registration struct {
-	factory Factory
-	desc    string
-}
-
-var registry = struct {
-	sync.RWMutex
-	m map[string]registration
-}{m: map[string]registration{}}
-
-// Register adds a backend factory under a name, with a short static
-// description shown by registry listings (`vgen-eval -backend list`). The
-// description stands in for Describe() before any instance exists — a
-// replay backend, say, cannot be constructed just to be listed.
-// Registering an empty name or a duplicate panics: registration happens
-// in init functions, where a collision is a programming error.
-func Register(name, desc string, f Factory) {
-	if name == "" || f == nil {
-		panic("gen: Register with empty name or nil factory")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		panic(fmt.Sprintf("gen: backend %q registered twice", name))
-	}
-	registry.m[name] = registration{factory: f, desc: desc}
-}
-
-// New constructs the backend registered under name.
-func New(name string, o Options) (Backend, error) {
-	registry.RLock()
-	r, ok := registry.m[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("gen: unknown backend %q (have %v)", name, Names())
-	}
-	return r.factory(o)
-}
-
-// Names lists the registered backend names, sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Info describes one registered backend for listings.
-type Info struct {
-	Name string
-	Desc string
-}
-
-// List returns every registered backend with its description, sorted by
-// name — the deterministic feed for `-backend list` style UIs (map
-// iteration order never leaks through).
-func List() []Info {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Info, 0, len(registry.m))
-	for n, r := range registry.m {
-		out = append(out, Info{Name: n, Desc: r.desc})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -4,13 +4,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/mutate"
 	"repro/internal/problems"
-	"repro/internal/vlog"
 )
-
-func init() {
-	Register("mutant", "AST near-miss / truncation generator (verdict-pipeline probe)",
-		func(o Options) (Backend, error) { return NewMutant(), nil })
-}
 
 // Mutant generates controlled adversarial completions straight from the
 // mutation engine: mostly AST near-misses of the reference solution (the
@@ -43,7 +37,7 @@ func (m *Mutant) Complete(key Key, p *problems.Problem, level problems.Level, te
 	}
 	if u < 0.80 {
 		if res, err := mutate.Apply(p.ReferenceSource(), rng); err == nil {
-			if body, ok := completionTail(res.Source); ok {
+			if body, ok := model.BehaviouralTail(res.Source); ok {
 				return Sample{Completion: body, Mechanism: "mutant:" + res.Operator, Latency: lat}, true
 			}
 		}
@@ -70,25 +64,3 @@ func (m *Mutant) Variants() []Key { return catalogKeys() }
 
 // Describe identifies the backend.
 func (m *Mutant) Describe() string { return "mutant: AST near-miss / truncation generator" }
-
-// completionTail extracts the behavioural items (always/initial/assign)
-// of a mutated module's printed form as a completion: the prompt already
-// carries the header and declarations, so the completion is the tail plus
-// the closing endmodule.
-func completionTail(src string) (string, bool) {
-	f, err := vlog.Parse(src)
-	if err != nil || len(f.Modules) == 0 {
-		return "", false
-	}
-	var items []vlog.Item
-	for _, it := range f.Modules[0].Items {
-		switch it.(type) {
-		case *vlog.AlwaysBlock, *vlog.InitialBlock, *vlog.ContAssign:
-			items = append(items, it)
-		}
-	}
-	if len(items) == 0 {
-		return "", false
-	}
-	return vlog.PrintItems(items) + "endmodule\n", true
-}

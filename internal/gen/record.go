@@ -105,26 +105,13 @@ func (r *Recorder) record(key Key, p *problems.Problem, level problems.Level, te
 	r.mu.Unlock()
 }
 
-// CompleteBatch preserves the wrapped backend's batch fast path: if inner
-// is a BatchBackend the whole batch goes through in one call, otherwise
-// each request is served via Complete (which already records). Successful
-// results are captured exactly like Complete's; failed or declined slots
-// produce no line, so a recording only ever holds real samples.
+// CompleteBatch serves the batch through the wrapped backend
+// (ServeBatch: its own batch fast path when it has one, else one Complete
+// per request) and captures successful results exactly like Complete's;
+// failed or declined slots produce no line, so a recording only ever
+// holds real samples.
 func (r *Recorder) CompleteBatch(ctx context.Context, reqs []Request) []BatchResult {
-	bb, ok := r.inner.(BatchBackend)
-	if !ok {
-		out := make([]BatchResult, len(reqs))
-		for i, q := range reqs {
-			if err := ctx.Err(); err != nil {
-				out[i] = BatchResult{Err: err}
-				continue
-			}
-			s, got := r.Complete(q.Key, q.Problem, q.Level, q.Temperature, q.SampleIdx, q.BaseSeed)
-			out[i] = BatchResult{Sample: s, OK: got}
-		}
-		return out
-	}
-	out := bb.CompleteBatch(ctx, reqs)
+	out := ServeBatch(ctx, r.inner, reqs)
 	for i, res := range out {
 		if i >= len(reqs) || res.Err != nil || !res.OK {
 			continue

@@ -3,34 +3,14 @@ package gen
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
-	"os"
 	"sort"
 
 	"repro/internal/problems"
 )
-
-func init() {
-	Register("replay", "serves completions from a JSONL recording (-replay FILE)", func(o Options) (Backend, error) {
-		if o.ReplayPath == "" {
-			return nil, errors.New("gen: replay backend needs a recording (set ReplayPath / -replay)")
-		}
-		f, err := os.Open(o.ReplayPath)
-		if err != nil {
-			return nil, fmt.Errorf("gen: replay: %w", err)
-		}
-		defer f.Close()
-		r, err := NewReplay(f)
-		if err != nil {
-			return nil, fmt.Errorf("gen: replay %s: %w", o.ReplayPath, err)
-		}
-		return r, nil
-	})
-}
 
 // Replay serves completions from a JSONL recording (see Record). This is
 // the path that lets the harness score *real* LLM transcripts: capture a

@@ -30,11 +30,7 @@ func TestNondetGolden(t *testing.T) {
 func TestNondetSeamIsNarrow(t *testing.T) {
 	// Without the custom seam entry, the seam() fixture must fire: the
 	// allow-list admits exactly the configured functions, nothing else.
-	m, err := LoadModule("testdata/src", []string{"nondet"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := analyze(m, []*Analyzer{Nondet(map[string]string{})}, false)
+	res := analyze(goldenModule(t, "nondet"), []*Analyzer{Nondet(map[string]string{})}, false)
 	found := false
 	for _, f := range res.Findings {
 		if f.File == "nondet/a.go" && f.Line == 68 {

@@ -7,6 +7,7 @@ package goanalysis
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -20,8 +21,27 @@ func loadRepo(t *testing.T) *Module {
 	return m
 }
 
+var repo struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+// sharedRepo is the real module loaded once per test binary, for the
+// tests that only read it: a whole-repo load type-checks the standard
+// library from source and costs seconds, and analysis never mutates a
+// Module.
+func sharedRepo(t *testing.T) *Module {
+	t.Helper()
+	repo.once.Do(func() { repo.m, repo.err = LoadModule("../..", []string{"./..."}) })
+	if repo.err != nil {
+		t.Fatalf("load module: %v", repo.err)
+	}
+	return repo.m
+}
+
 func TestRepoIsClean(t *testing.T) {
-	res := Analyze(loadRepo(t), All())
+	res := Analyze(sharedRepo(t), All())
 	for _, f := range res.Findings {
 		t.Errorf("finding on the shipped tree: %s", f)
 	}
@@ -38,9 +58,12 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestRepoAnalysisDeterministic compares the reports of two independent
+// loads: the shared one and a fresh one, so nothing a load memoizes can
+// make them agree.
 func TestRepoAnalysisDeterministic(t *testing.T) {
-	render := func() ([]byte, []byte) {
-		res := Analyze(loadRepo(t), All())
+	render := func(m *Module) ([]byte, []byte) {
+		res := Analyze(m, All())
 		var text bytes.Buffer
 		res.Format(&text)
 		js, err := json.MarshalIndent(res, "", "  ")
@@ -49,8 +72,8 @@ func TestRepoAnalysisDeterministic(t *testing.T) {
 		}
 		return text.Bytes(), js
 	}
-	t1, j1 := render()
-	t2, j2 := render()
+	t1, j1 := render(sharedRepo(t))
+	t2, j2 := render(loadRepo(t))
 	if !bytes.Equal(t1, t2) {
 		t.Errorf("text report differs between two runs:\n--- run 1\n%s\n--- run 2\n%s", t1, t2)
 	}

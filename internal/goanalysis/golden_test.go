@@ -13,23 +13,50 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var wantRe = regexp.MustCompile("// want ((?:(?:\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)\\s*)+)")
 var wantChunkRe = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-// RunGolden loads testdata/src and checks the analyzer's diagnostics for
-// the named packages against their // want comments. The analyzer's
+var golden struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+// goldenModule is the testdata/src tree, loaded once per test binary,
+// with the named packages selected for analysis. LoadModule loads every
+// package of a tree whatever it selects, so a selection over the shared
+// load is the module LoadModule(root, pkgs) would return.
+func goldenModule(t *testing.T, pkgs ...string) *Module {
+	t.Helper()
+	golden.once.Do(func() { golden.m, golden.err = LoadModule("testdata/src", []string{"./..."}) })
+	if golden.err != nil {
+		t.Fatalf("load golden tree: %v", golden.err)
+	}
+	m := *golden.m
+	m.Pkgs = nil
+	for _, pkg := range golden.m.Pkgs {
+		if matchPatterns(pkg.Path, pkgs) {
+			m.Pkgs = append(m.Pkgs, pkg)
+		}
+	}
+	if len(m.Pkgs) == 0 {
+		t.Fatalf("no golden package matches %v", pkgs)
+	}
+	return &m
+}
+
+// RunGolden checks the analyzer's diagnostics for the named packages of
+// testdata/src against their // want comments. The analyzer's
 // package filter is bypassed: golden packages are named after the case,
 // not after the production package. The full Result is returned so tests
 // can additionally assert the suppression inventory.
 func RunGolden(t *testing.T, a *Analyzer, pkgs ...string) *Result {
 	t.Helper()
-	m, err := LoadModule("testdata/src", pkgs)
-	if err != nil {
-		t.Fatalf("load golden tree: %v", err)
-	}
+	m := goldenModule(t, pkgs...)
 	res := analyze(m, []*Analyzer{a}, false)
 
 	type key struct {

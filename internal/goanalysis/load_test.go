@@ -1,6 +1,10 @@
 package goanalysis
 
-import "testing"
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestMatchPatterns(t *testing.T) {
 	cases := []struct {
@@ -29,11 +33,22 @@ func TestLoadModuleBuildConstraints(t *testing.T) {
 	// coord carries proc_unix.go/proc_other.go behind mutually exclusive
 	// build tags; loading must pick exactly the platform's file or the
 	// package would double-declare and fail the type check.
-	m, err := LoadModule("../..", []string{"./internal/coord"})
-	if err != nil {
-		t.Fatalf("load coord: %v", err)
+	var coord *Package
+	for _, pkg := range sharedRepo(t).Pkgs {
+		if pkg.Path == "repro/internal/coord" {
+			coord = pkg
+		}
 	}
-	if len(m.Pkgs) != 1 || m.Pkgs[0].Name != "coord" {
-		t.Fatalf("loaded %+v, want exactly the coord package", m.Pkgs)
+	if coord == nil || coord.Name != "coord" {
+		t.Fatalf("the module load has no coord package: %+v", coord)
+	}
+	var procs []string
+	for _, f := range coord.Files {
+		if name := filepath.Base(sharedRepo(t).Fset.File(f.Pos()).Name()); strings.HasPrefix(name, "proc_") {
+			procs = append(procs, name)
+		}
+	}
+	if len(procs) != 1 {
+		t.Errorf("coord loaded with %v, want exactly one of proc_unix.go/proc_other.go", procs)
 	}
 }

@@ -121,7 +121,7 @@ func buildEntry(p *problems.Problem, seed int64) *bankEntry {
 		if err != nil {
 			break
 		}
-		body, ok := behaviouralTail(res.Source)
+		body, ok := BehaviouralTail(res.Source)
 		if !ok {
 			continue
 		}
@@ -197,18 +197,21 @@ func verdictWith(p *problems.Problem, completion string, tb *vlog.SourceFile, tb
 // reprintBody reparses the reference and prints its behavioural items in
 // canonical style — a formatting-only restyle.
 func reprintBody(p *problems.Problem) string {
-	body, ok := behaviouralTail(p.ReferenceSource())
+	body, ok := BehaviouralTail(p.ReferenceSource())
 	if !ok {
 		return ""
 	}
 	return body
 }
 
-// behaviouralTail extracts the always/initial/assign items of a module's
-// printed form as a completion (decls live in the prompt).
-func behaviouralTail(src string) (string, bool) {
+// BehaviouralTail extracts the behavioural items (always/initial/assign)
+// of a module's printed form as a completion: the prompt already carries
+// the header and declarations, so the completion is the tail plus the
+// closing endmodule. ok is false for text that does not parse, holds no
+// module, or has no behavioural item.
+func BehaviouralTail(src string) (string, bool) {
 	f, err := vlog.Parse(src)
-	if err != nil {
+	if err != nil || len(f.Modules) == 0 {
 		return "", false
 	}
 	var items []vlog.Item

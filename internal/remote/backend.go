@@ -8,12 +8,6 @@ import (
 	"repro/internal/problems"
 )
 
-func init() {
-	gen.Register("remote", "JSON-over-HTTP proxy to a completion service (vgen-serve); retrying, circuit-broken, batch-capable", func(o gen.Options) (gen.Backend, error) {
-		return NewBackend(o.Remote)
-	})
-}
-
 // backend proxies gen.Backend (and the BatchBackend fast path) over the
 // wire protocol. Construction dials /v1/info so a bad endpoint fails
 // fast at setup instead of degrading every cell of the sweep; the
@@ -27,7 +21,7 @@ type backend struct {
 }
 
 // NewBackend connects to the endpoint and returns the proxy backend.
-func NewBackend(o gen.RemoteOptions) (gen.Backend, error) {
+func NewBackend(o Options) (gen.Backend, error) {
 	t, err := NewTransport(o)
 	if err != nil {
 		return nil, err

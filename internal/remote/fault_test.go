@@ -29,11 +29,7 @@ const testSeed = 55
 // the ISSUE's byte-identity criterion is stated against.
 func familyBackend(t *testing.T) gen.Backend {
 	t.Helper()
-	b, err := gen.New("family", gen.Options{Family: model.Config{Seed: 11, CorpusFiles: 25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return gen.NewFamilyBackend(model.NewFamily(model.Config{Seed: 11, CorpusFiles: 25}))
 }
 
 // probeQueries is the sweep the suite compares across transports: two
@@ -83,8 +79,8 @@ func startFaultServer(t *testing.T, b gen.Backend, plan *FaultPlan, opts ServerO
 // drips resolve in tens of milliseconds) and the breaker effectively
 // disabled — breaker behavior has its own tests, and tripping it here
 // would turn a bounded-retry test into a cooldown race.
-func fastConfig(url string) gen.RemoteOptions {
-	return gen.RemoteOptions{
+func fastConfig(url string) Options {
+	return Options{
 		Endpoint:         url,
 		Timeout:          250 * time.Millisecond,
 		MaxAttempts:      4,
@@ -95,7 +91,7 @@ func fastConfig(url string) gen.RemoteOptions {
 	}
 }
 
-func remoteBackend(t *testing.T, cfg gen.RemoteOptions) gen.Backend {
+func remoteBackend(t *testing.T, cfg Options) gen.Backend {
 	t.Helper()
 	b, err := NewBackend(cfg)
 	if err != nil {

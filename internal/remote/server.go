@@ -21,8 +21,8 @@ type ServerOptions struct {
 	AuthToken string
 }
 
-// NewHandler serves backend b over the wire protocol. Any registered
-// backend works: vgen-serve puts family or replay behind it, tests put
+// NewHandler serves backend b over the wire protocol. Any backend
+// works: vgen-serve puts family or replay behind it, tests put
 // mutants behind it. The handler resolves problem numbers against the
 // local catalog and answers every request in the batch independently, so
 // one bad request degrades only its own entry.
@@ -73,8 +73,9 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 }
 
 // complete answers one batch. Requests that resolve (known problem,
-// level in range) go to the backend — through its own batch fast path
-// when it has one; requests that don't get per-entry errors.
+// level in range) go to the backend through gen.ServeBatch — its own
+// batch fast path when it has one; requests that don't get per-entry
+// errors.
 func complete(ctx context.Context, b gen.Backend, req completeRequest) completeResponse {
 	results := make([]wireResult, len(req.Requests))
 	var reqs []gen.Request
@@ -102,24 +103,12 @@ func complete(ctx context.Context, b gen.Backend, req completeRequest) completeR
 	if len(reqs) == 0 {
 		return completeResponse{Results: results}
 	}
-	if bb, ok := b.(gen.BatchBackend); ok {
-		for j, res := range bb.CompleteBatch(ctx, reqs) {
-			switch {
-			case res.Err != nil:
-				results[idx[j]] = wireResult{Error: res.Err.Error()}
-			case res.OK:
-				results[idx[j]] = wireResult{OK: true, Completion: res.Sample.Completion, Mechanism: res.Sample.Mechanism, Latency: res.Sample.Latency}
-			}
-		}
-		return completeResponse{Results: results}
-	}
-	for j, q := range reqs {
-		if err := ctx.Err(); err != nil {
-			results[idx[j]] = wireResult{Error: err.Error()}
-			continue
-		}
-		if s, ok := b.Complete(q.Key, q.Problem, q.Level, q.Temperature, q.SampleIdx, q.BaseSeed); ok {
-			results[idx[j]] = wireResult{OK: true, Completion: s.Completion, Mechanism: s.Mechanism, Latency: s.Latency}
+	for j, res := range gen.ServeBatch(ctx, b, reqs) {
+		switch {
+		case res.Err != nil:
+			results[idx[j]] = wireResult{Error: res.Err.Error()}
+		case res.OK:
+			results[idx[j]] = wireResult{OK: true, Completion: res.Sample.Completion, Mechanism: res.Sample.Mechanism, Latency: res.Sample.Latency}
 		}
 	}
 	return completeResponse{Results: results}

@@ -14,8 +14,47 @@ import (
 	"repro/internal/gen"
 )
 
-// Transport defaults, applied by NewTransport for zero-valued
-// gen.RemoteOptions fields. The numbers are sized for a LAN/loopback
+// Options configure the remote backend's transport. Zero values mean
+// "transport default": NewTransport resolves them into its own copy (see
+// the default* constants below for the numbers).
+type Options struct {
+	// Endpoint is the completion service base URL (http://host:port).
+	// Required: NewTransport fails without it.
+	Endpoint string
+
+	// AuthToken, when non-empty, is sent as a bearer token and must match
+	// the server's configured token. CLIs read it from an env var
+	// (-auth-env) so tokens never land in argv or shell history.
+	AuthToken string
+
+	// Timeout bounds one HTTP attempt; Budget bounds the whole sweep
+	// (every request shares the budget deadline; a request past it fails
+	// without retrying).
+	Timeout time.Duration
+	Budget  time.Duration
+
+	// MaxAttempts is the per-request attempt budget; BackoffBase doubles
+	// per attempt up to BackoffCap, deterministically jittered from
+	// (Seed, request coordinates, attempt).
+	MaxAttempts int
+	BackoffBase time.Duration
+	BackoffCap  time.Duration
+
+	// MaxInFlight bounds concurrent HTTP requests across the whole
+	// transport, independent of the evaluation pool width.
+	MaxInFlight int
+
+	// BreakerThreshold consecutive transport failures trip the endpoint's
+	// circuit breaker; after BreakerCooldown it half-opens for one probe.
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
+
+	// Seed feeds the deterministic backoff jitter; use the sweep seed.
+	Seed int64
+}
+
+// Transport defaults, applied by NewTransport for zero-valued Options
+// fields. The numbers are sized for a LAN/loopback
 // completion service; CLIs expose every knob.
 const (
 	defaultTimeout          = 30 * time.Second
@@ -29,7 +68,7 @@ const (
 
 // withDefaults validates o's endpoint and returns a copy with every zero
 // knob resolved to its transport default.
-func withDefaults(o gen.RemoteOptions) (gen.RemoteOptions, error) {
+func withDefaults(o Options) (Options, error) {
 	if o.Endpoint == "" {
 		return o, errors.New("remote: endpoint required (-endpoint)")
 	}
@@ -67,7 +106,7 @@ func withDefaults(o gen.RemoteOptions) (gen.RemoteOptions, error) {
 // circuit-broken, concurrency-bounded, budget-bounded. Safe for
 // concurrent use — the eval pool calls it from every worker.
 type Transport struct {
-	cfg      gen.RemoteOptions // defaults resolved
+	cfg      Options // defaults resolved
 	client   *http.Client
 	br       *breaker
 	sem      chan struct{} // bounds in-flight HTTP attempts
@@ -83,7 +122,7 @@ type Transport struct {
 // anchored here: the deadline is Budget from construction time, and every
 // request the transport ever sends shares it (per-attempt deadlines are
 // min(Timeout, remaining budget) via nested contexts).
-func NewTransport(o gen.RemoteOptions) (*Transport, error) {
+func NewTransport(o Options) (*Transport, error) {
 	cfg, err := withDefaults(o)
 	if err != nil {
 		return nil, err

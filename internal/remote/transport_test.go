@@ -5,13 +5,11 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"repro/internal/gen"
 )
 
 func testTransport(t *testing.T, seed int64) *Transport {
 	t.Helper()
-	tr, err := NewTransport(gen.RemoteOptions{
+	tr, err := NewTransport(Options{
 		Endpoint:    "http://127.0.0.1:1", // never dialed by these tests
 		BackoffBase: 50 * time.Millisecond,
 		BackoffCap:  2 * time.Second,
@@ -185,7 +183,7 @@ func TestRetryBookkeepingZeroAlloc(t *testing.T) {
 // BenchmarkRetryBookkeeping measures the fixed per-attempt overhead the
 // transport adds on top of the HTTP exchange itself.
 func BenchmarkRetryBookkeeping(b *testing.B) {
-	tr, err := NewTransport(gen.RemoteOptions{Endpoint: "http://127.0.0.1:1", Seed: 7})
+	tr, err := NewTransport(Options{Endpoint: "http://127.0.0.1:1", Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package remote is the network-proxied generation backend: an HTTP
 // client transport (and the matching server) that lets any
 // completion source behind a JSON-over-HTTP endpoint plug into the
-// frozen eval/coord machinery as a registered gen.Backend.
+// frozen eval/coord machinery as a gen.Backend (core's backend table
+// names it "remote").
 //
 // The robustness stack mirrors the coordinator's supervision discipline
 // one layer down — where coord survives crashing workers, this package
