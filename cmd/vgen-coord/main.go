@@ -6,18 +6,17 @@
 //
 // Usage:
 //
-//	vgen-coord -dir STATE [-backend NAME] [-seed N] [-n N] [-quick]
-//	           [-corpus-files N] [-workers N]
+//	vgen-coord -dir STATE [-backend NAME] [-replay FILE] [-seed N] [-n N]
+//	           [-quick] [-corpus-files N] [-workers N]
 //	           [-experiment all|table3|table4|fig6|fig7|headline|passk|problems]
 //	           [-shards N] [-parallel N] [-proc]
 //	           [-timeout D] [-max-attempts N] [-backoff D] [-backoff-cap D]
 //	           [-steal-after D] [-unhealthy-after N]
 //	           [-endpoint URL] [-auth-env VAR] [-batch N]
-//	           [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
-//	           [-remote-backoff D] [-remote-backoff-cap D] [-remote-inflight N]
-//	           [-breaker-threshold N] [-breaker-cooldown D]
+//	           [-remote-timeout D] [-remote-budget D]
 //	           [-fault kind:shard:attempt,...] [-allow-partial] [-quiet]
 //	           [-store DIR]
+//	vgen-coord -backend list
 //
 // -dir is the durable state directory: shard plans, validated shard
 // results, and in-progress attempt files live there. Rerunning on the
@@ -52,16 +51,16 @@
 // that exhausts its budget degrades the run to an explicit partial
 // result, which exits non-zero unless -allow-partial.
 //
-// -endpoint points every worker at a vgen-serve instance (implies
-// -backend remote; DESIGN.md Section 13). The sweep and backend flags
-// vgen-eval shares thread through to -proc worker subprocesses on their
-// command line — except the auth token, which travels only as the
-// inherited environment variable named by -auth-env. The two retry layers compose: transport
-// retries (-remote-attempts, with backoff and circuit breaking) absorb
-// transient network faults inside a shard attempt; anything that
-// outlives them surfaces as missing cells, fails the shard's validation,
-// and spends one shard-level retry (-max-attempts) — the shard budget is
-// never consumed by a fault the transport already healed.
+// The sweep and backend flags are vgen-eval's (core.BindFlags), resolved
+// by the same rules (-replay implies -backend replay, -endpoint -backend
+// remote; DESIGN.md Section 13; errors exit 2), and reach -proc workers
+// on their command line — except the auth token, which travels only as
+// the inherited environment variable named by -auth-env. The two retry
+// layers compose: transport retries absorb transient network faults
+// inside a shard attempt; anything that outlives them surfaces as
+// missing cells, fails the shard's validation, and spends one
+// shard-level retry (-max-attempts) — the shard budget is never consumed
+// by a fault the transport already healed.
 //
 // The per-shard event stream (plan/resume/start/steal/retry/quarantine/
 // done) goes to stderr as it happens; tables go to stdout at the end.
@@ -90,9 +89,9 @@ func main() {
 	// Sweep/backend flags, shared with vgen-eval so the supervised and
 	// monolithic runs of one sweep are configured identically. Transport
 	// retries compose *under* shard retries: a remote worker first retries
-	// each request up to -remote-attempts; only when a cell still cannot be
-	// served does the shard result come up short, fail validation, and
-	// consume one of the shard's -max-attempts.
+	// each request on the transport's fixed schedule; only when a cell
+	// still cannot be served does the shard result come up short, fail
+	// validation, and consume one of the shard's -max-attempts.
 	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which cell-based artifact(s) to sweep and render")
 
@@ -122,6 +121,10 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if coreCfg.Backend == "list" {
+		core.ListBackends(os.Stdout)
+		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

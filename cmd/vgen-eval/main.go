@@ -7,9 +7,7 @@
 //	          [-cache-stats]
 //	          [-backend NAME] [-record FILE] [-replay FILE]
 //	          [-endpoint URL] [-auth-env VAR] [-batch N]
-//	          [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
-//	          [-remote-backoff D] [-remote-backoff-cap D] [-remote-inflight N]
-//	          [-breaker-threshold N] [-breaker-cooldown D]
+//	          [-remote-timeout D] [-remote-budget D]
 //	          [-shards N -shard I -emit out.jsonl]
 //	          [-emit-plan plan.jsonl] [-from-plan plan.jsonl -emit out.jsonl]
 //	          [-merge a.jsonl,b.jsonl,... [-allow-partial]]
@@ -33,19 +31,23 @@
 // with descriptions). -record captures every produced sample to a JSONL file;
 // -replay serves a recording back through the replay backend,
 // reproducing the recorded sweep's statistics exactly (giving -replay
-// alone implies -backend replay).
+// alone implies -backend replay; next to another -backend it is a usage
+// error). The backend and sweep flags are core's (core.BindFlags), shared
+// with vgen-coord; every error resolving them, an unknown -backend
+// included, exits 2 before any backend is built.
 //
 // -endpoint dials a vgen-serve instance and implies -backend remote
 // (DESIGN.md Section 13): completions run through the retrying,
-// circuit-broken, batching HTTP transport, tuned by the -remote-*,
-// -breaker-*, and -batch knobs. -remote-attempts bounds
-// transport retries per request, composing *under* the coordinator's
+// circuit-broken, batching HTTP transport, with a per-attempt deadline
+// (-remote-timeout), a whole-sweep deadline (-remote-budget) and a
+// batch width (-batch); the retry schedule and breaker are fixed. A
+// request gets 4 transport attempts, composing *under* the coordinator's
 // shard retries: a cell whose transport budget exhausts renders as an
 // explicit missing cell (non-zero exit), which a supervised run then
 // retries at shard granularity. -auth-env names the environment variable
 // holding the bearer token (the secret never appears on a command line).
 // Remote runs auto-record to remote-record.jsonl (or <emit>.rec.jsonl
-// when sharded) so they replay offline; -record=” disables.
+// when sharded) so they replay offline; -record="" disables.
 //
 // Distributed sweeps (see DESIGN.md, "Sharded sweep execution"): -shards
 // N -shard I -emit runs the I-th of N partitions of the selected
@@ -115,12 +117,17 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
+// usage reports a command-line error and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
+
 func main() {
 	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
 	cacheStats := flag.Bool("cache-stats", false, "print plan cache, verdict memo and outcome cache counters to stderr after the run")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
-	replay := flag.String("replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
 	shards := flag.Int("shards", 1, "total shard count of a distributed sweep")
 	shard := flag.Int("shard", 0, "this worker's shard index (0-based)")
 	emit := flag.String("emit", "", "run one shard and write its wire result file here (requires cell-based -experiment)")
@@ -138,22 +145,11 @@ func main() {
 
 	cfg, err := shared.Resolve()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage("%v", err)
 	}
 	if cfg.Backend == "list" {
 		core.ListBackends(os.Stdout)
 		return
-	}
-	if *replay != "" {
-		switch cfg.Backend {
-		case "family": // default value: -replay alone implies the replay backend
-			cfg.Backend = "replay"
-		case "replay":
-		default:
-			fmt.Fprintf(os.Stderr, "-replay conflicts with -backend %s (the recording would be ignored)\n", cfg.Backend)
-			os.Exit(2)
-		}
 	}
 
 	if *experiment == "list" {
@@ -167,8 +163,7 @@ func main() {
 	// framework (backend, corpus, models) construction at all.
 	if *storeQuery != "" || *storeDiff != "" {
 		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "-store-query/-store-diff need -store DIR (the store to inspect)")
-			os.Exit(2)
+			usage("-store-query/-store-diff need -store DIR (the store to inspect)")
 		}
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -185,22 +180,18 @@ func main() {
 	}
 
 	if _, err := harness.Select(*experiment, false); err != nil {
-		fmt.Fprintf(os.Stderr, "%v (try -experiment list)\n", err)
-		os.Exit(2)
+		usage("%v (try -experiment list)", err)
 	}
 
 	sharded := *emit != "" || *emitPlan != "" || *fromPlan != ""
 	if sharded && *merge != "" {
-		fmt.Fprintln(os.Stderr, "-merge runs coordinator-side; it conflicts with -emit/-emit-plan/-from-plan")
-		os.Exit(2)
+		usage("-merge runs coordinator-side; it conflicts with -emit/-emit-plan/-from-plan")
 	}
 	if *fromPlan != "" && *emit == "" {
-		fmt.Fprintln(os.Stderr, "-from-plan needs -emit for the shard's result file")
-		os.Exit(2)
+		usage("-from-plan needs -emit for the shard's result file")
 	}
 	if *emitPlan != "" && *emit != "" {
-		fmt.Fprintln(os.Stderr, "-emit-plan writes the plan without executing it; it conflicts with -emit (run the plan later with -from-plan)")
-		os.Exit(2)
+		usage("-emit-plan writes the plan without executing it; it conflicts with -emit (run the plan later with -from-plan)")
 	}
 	if *fromPlan != "" {
 		// The plan file's header defines the cell set and shard identity; a
@@ -210,16 +201,14 @@ func main() {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "shard", "shards", "experiment":
-				fmt.Fprintf(os.Stderr, "-%s is defined by the plan file's header; drop it when using -from-plan\n", f.Name)
-				os.Exit(2)
+				usage("-%s is defined by the plan file's header; drop it when using -from-plan", f.Name)
 			}
 		})
 	}
 	if (*shards != 1 || *shard != 0) && !sharded {
 		// Silently running the full sweep would make N workers each do N
 		// times the intended work with no error.
-		fmt.Fprintln(os.Stderr, "-shards/-shard select a partition to run; add -emit out.jsonl (or -emit-plan) to execute it")
-		os.Exit(2)
+		usage("-shards/-shard select a partition to run; add -emit out.jsonl (or -emit-plan) to execute it")
 	}
 	if sharded && *fromPlan == "" {
 		// Fail the non-cell case here, in milliseconds, not after core.New
@@ -309,7 +298,7 @@ func main() {
 		}
 	}
 
-	cfg.Record, cfg.Replay, cfg.StoreDir = *record, *replay, *storeDir
+	cfg.Record, cfg.StoreDir = *record, *storeDir
 	fw, err := core.New(cfg)
 	if err != nil {
 		stopCPU()
@@ -415,8 +404,7 @@ func printCacheStats(r *eval.Runner) {
 // anything else must itself be cell-based.
 func rejectNonCell(experiment, what string) {
 	if _, err := harness.Select(experiment, true); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
-		os.Exit(2)
+		usage("%s: %v", what, err)
 	}
 }
 

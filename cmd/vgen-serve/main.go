@@ -9,6 +9,13 @@
 //
 //	vgen-serve [-backend family] [-seed N] [-corpus-files N] [-replay FILE]
 //	           [-addr 127.0.0.1:0] [-auth-env NAME] [-url-file PATH]
+//	vgen-serve -backend list
+//
+// -backend, -seed, -corpus-files and -replay are core's backend selection
+// (core.BindBackendFlags), resolved by the rules vgen-eval and vgen-coord
+// apply: -replay implies -backend replay, a -replay next to another
+// -backend, an unknown -backend and -backend remote (a proxy of a proxy)
+// are usage errors (exit 2).
 //
 // -addr defaults to an ephemeral loopback port; -url-file writes the
 // bound URL (durably, via the atomic write path) once the listener is
@@ -36,25 +43,20 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	backend := flag.String("backend", "family", "generation backend to serve, by name in the backend table ('list' prints the table)")
-	seed := flag.Int64("seed", 1, "determinism seed for corpus, models and sampling")
-	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
-	replay := flag.String("replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
+	shared := core.BindBackendFlags(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:0", "listen address; port 0 picks an ephemeral port")
 	authEnv := flag.String("auth-env", "", "environment variable holding the bearer token clients must present")
 	urlFile := flag.String("url-file", "", "write the bound URL to this file once listening")
 	flag.Parse()
 
-	if *backend == "list" {
+	cfg, err := shared.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if cfg.Backend == "list" {
 		core.ListBackends(os.Stdout)
 		return
-	}
-	if *replay != "" && *backend == "family" {
-		*backend = "replay"
-	}
-	if *backend == "remote" {
-		// Proxying a proxy only adds a hop of failure modes.
-		fail("-backend remote would chain the proxy onto itself; serve the real backend instead")
 	}
 
 	var token string
@@ -65,7 +67,7 @@ func main() {
 		}
 	}
 
-	fw, err := core.New(core.Config{Seed: *seed, CorpusFiles: *corpusFiles, Backend: *backend, Replay: *replay})
+	fw, err := core.New(cfg)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -89,7 +91,7 @@ func main() {
 			fail("url-file: %v", err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "vgen-serve: serving %s (%s) at %s\n", *backend, b.Describe(), url)
+	fmt.Fprintf(os.Stderr, "vgen-serve: serving %s (%s) at %s\n", cfg.Backend, b.Describe(), url)
 
 	<-ctx.Done()
 	if err := srv.Close(); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -74,9 +73,6 @@ func (fw *Framework) buildBackend() (gen.Backend, error) {
 
 // openReplay loads the recording the replay backend serves.
 func openReplay(path string) (gen.Backend, error) {
-	if path == "" {
-		return nil, errors.New("core: the replay backend needs a recording (-replay FILE)")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: replay: %w", err)

@@ -45,7 +45,7 @@ type Config struct {
 	Replay string
 
 	// Remote configures the remote backend's HTTP transport (endpoint,
-	// auth, timeout/retry/breaker knobs); read when Backend is "remote".
+	// auth, per-attempt timeout, sweep budget); read when Backend is "remote".
 	// A zero Remote.Seed inherits Seed, so transport retry jitter is
 	// reproducible from the sweep seed alone.
 	Remote remote.Options

@@ -1,11 +1,10 @@
 package core
 
-// The sweep and backend flags vgen-eval and vgen-coord share, declared
-// once. BindFlags puts them on a command's flag set, Resolve turns the
-// parsed values into a Config, and Args is the inverse: the argv that
-// makes a worker subprocess resolve the same Config. Mode flags
-// (-experiment, -shards, -record, supervision knobs, ...) stay in their
-// commands.
+// The backend and sweep flags vgen-eval, vgen-coord and vgen-serve share,
+// declared once. Resolve turns the parsed values into a Config, and Args
+// is the inverse: the argv that makes a worker subprocess resolve the
+// same Config. Mode flags (-experiment, -record, -addr, ...) stay in
+// their commands.
 
 import (
 	"errors"
@@ -29,54 +28,69 @@ type Flags struct {
 	cfg   Config
 	n     int
 	quick bool
+	sweep bool // BindFlags bound the sweep flags, -endpoint among them
 }
 
-// BindFlags declares the shared sweep and backend flags on fs. Call
-// Resolve after fs.Parse.
-func BindFlags(fs *flag.FlagSet) *Flags {
+// BindBackendFlags declares the backend selection every command that
+// builds a backend takes: -seed, -corpus-files, -backend and -replay.
+// Call Resolve after fs.Parse.
+func BindBackendFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	c, r := &f.cfg, &f.cfg.Remote
+	c := &f.cfg
 	fs.Int64Var(&c.Seed, "seed", 1, "determinism seed for corpus, models and sampling")
+	fs.IntVar(&c.CorpusFiles, "corpus-files", 0, "synthetic corpus size (0 = default)")
+	fs.StringVar(&c.Backend, "backend", "family", "generation backend by name in core's backend table: family, mutant, remote or replay (-backend list prints the table)")
+	fs.StringVar(&c.Replay, "replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
+	return f
+}
+
+// BindFlags declares the backend selection plus the sweep flags
+// vgen-eval and vgen-coord share. Call Resolve after fs.Parse.
+func BindFlags(fs *flag.FlagSet) *Flags {
+	f := BindBackendFlags(fs)
+	f.sweep = true
+	c, r := &f.cfg, &f.cfg.Remote
 	fs.IntVar(&f.n, "n", 10, "completions per prompt")
 	fs.BoolVar(&f.quick, "quick", false, "sweep only t=0.1 with n <= 6 (fast; matches best-t tables)")
-	fs.IntVar(&c.CorpusFiles, "corpus-files", 0, "synthetic corpus size (0 = default)")
 	fs.IntVar(&c.Workers, "workers", 0, "evaluation worker pool width per process (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	fs.StringVar(&c.Backend, "backend", "family", "generation backend by name in core's backend table: family, mutant, remote or replay (vgen-eval -backend list prints the table)")
 	fs.StringVar(&r.Endpoint, "endpoint", "", "remote backend: completion service URL, e.g. http://127.0.0.1:8473 (implies -backend remote)")
 	fs.StringVar(&c.AuthEnv, "auth-env", "", "remote backend: environment variable holding the bearer token (the token never appears in argv)")
 	fs.DurationVar(&r.Timeout, "remote-timeout", 0, "remote backend: per-attempt HTTP deadline (0 = 30s)")
 	fs.DurationVar(&r.Budget, "remote-budget", 0, "remote backend: deadline shared by every request of one process's sweep (0 = none)")
-	fs.IntVar(&r.MaxAttempts, "remote-attempts", 0, "remote backend: per-request attempt budget, composing under coord's shard retries (0 = 4)")
-	fs.DurationVar(&r.BackoffBase, "remote-backoff", 0, "remote backend: base retry backoff, doubling per attempt (0 = 50ms)")
-	fs.DurationVar(&r.BackoffCap, "remote-backoff-cap", 0, "remote backend: retry backoff cap (0 = 2s)")
-	fs.IntVar(&r.MaxInFlight, "remote-inflight", 0, "remote backend: max concurrent HTTP requests per process (0 = 16)")
-	fs.IntVar(&r.BreakerThreshold, "breaker-threshold", 0, "remote backend: consecutive failures that trip the circuit breaker (0 = 5)")
-	fs.DurationVar(&r.BreakerCooldown, "breaker-cooldown", 0, "remote backend: open-breaker cooldown before a half-open probe (0 = 1s)")
 	fs.IntVar(&c.BatchSize, "batch", 0, "batch-capable backends: work items per CompleteBatch call (0 = 16)")
 	return f
 }
 
 // Resolve builds the Config the parsed flags describe: -quick narrows the
-// sweep, -endpoint implies -backend remote, a remote backend needs an
-// endpoint, and -auth-env is looked up in the environment. Every error is
-// a usage error.
+// sweep, the backend must be a row of the backend table (or "list"),
+// -replay implies -backend replay and -endpoint -backend remote, each of
+// those backends needs its flag, and -auth-env is looked up in the
+// environment. Every error is a usage error.
 func (f *Flags) Resolve() (Config, error) {
 	cfg := f.cfg
 	cfg.Sweep = eval.SweepOptions{N: f.n}
 	if f.quick {
 		cfg.Sweep = eval.SweepOptions{N: min(f.n, quickMaxN), Temperatures: slices.Clone(quickTemperatures)}
 	}
-	if cfg.Remote.Endpoint != "" {
-		switch cfg.Backend {
-		case "family": // default value: -endpoint alone implies the remote backend
-			cfg.Backend = "remote"
-		case "remote":
-		default:
-			return Config{}, fmt.Errorf("-endpoint conflicts with -backend %s (the endpoint would be ignored)", cfg.Backend)
-		}
+	switch {
+	case cfg.Backend != "list" && !slices.Contains(BackendNames(), cfg.Backend):
+		return Config{}, fmt.Errorf("unknown backend %q (have %v)", cfg.Backend, BackendNames())
+	case cfg.Backend == "remote" && !f.sweep:
+		return Config{}, errors.New("-backend remote would chain the proxy onto itself; serve the real backend instead")
 	}
-	if cfg.Backend == "remote" && cfg.Remote.Endpoint == "" {
-		return Config{}, errors.New("-backend remote needs -endpoint (the vgen-serve URL)")
+	for _, imp := range []struct{ flag, value, backend string }{
+		{"-replay", cfg.Replay, "replay"},
+		{"-endpoint", cfg.Remote.Endpoint, "remote"},
+	} {
+		switch {
+		case imp.value == "" && cfg.Backend == imp.backend:
+			return Config{}, fmt.Errorf("-backend %s needs %s", imp.backend, imp.flag)
+		case imp.value == "" || cfg.Backend == imp.backend:
+		case cfg.Backend == "family": // default value: the flag alone implies its backend
+			cfg.Backend = imp.backend
+		default:
+			return Config{}, fmt.Errorf("%s conflicts with -backend %s (it would be ignored)", imp.flag, cfg.Backend)
+		}
 	}
 	if cfg.AuthEnv != "" {
 		cfg.Remote.AuthToken = os.Getenv(cfg.AuthEnv)
@@ -87,12 +101,13 @@ func (f *Flags) Resolve() (Config, error) {
 	return cfg, nil
 }
 
-// Args is Resolve's inverse: one -name=value argument for every shared
-// flag, so a subprocess that binds and resolves them gets back cfg's
-// seed, sweep, scale, worker width, backend, remote transport and batch
-// settings. The token travels by name only (-auth-env): the subprocess
-// inherits the environment and reads it there, so it never appears in
-// argv. cfg.Sweep is expected in a shape Resolve produces.
+// Args is Resolve's inverse: one -name=value argument for every flag
+// BindFlags declares, so a subprocess that binds and resolves them gets
+// back cfg's seed, sweep, scale, worker width, backend, recording, remote
+// transport and batch settings. The token travels by name only
+// (-auth-env): the subprocess inherits the environment and reads it
+// there, so it never appears in argv. cfg.Sweep is expected in a shape
+// Resolve produces.
 func Args(cfg Config) []string {
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
 	f := BindFlags(fs)

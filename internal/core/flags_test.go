@@ -28,9 +28,9 @@ func parseShared(args []string) (Config, error) {
 
 // randomConfig draws a Config with a non-zero value in every field the
 // shared flags bind, in a shape Resolve produces: a remote backend (it is
-// the one that reads every remote field) and a sweep that is either plain
-// or -quick. The token lives in the environment variable cfg.AuthEnv
-// names.
+// the one that reads every remote field) or a replay backend (the one
+// that reads the recording), and a sweep that is either plain or -quick.
+// The token lives in the environment variable cfg.AuthEnv names.
 func randomConfig(t *testing.T, rng *rand.Rand) Config {
 	dur := func() time.Duration { return time.Duration(1+rng.Intn(1e6)) * time.Microsecond }
 	cfg := Config{
@@ -41,18 +41,17 @@ func randomConfig(t *testing.T, rng *rand.Rand) Config {
 		AuthEnv:     fmt.Sprintf("VGEN_FLAGS_TEST_TOKEN_%d", rng.Intn(1000)),
 		BatchSize:   1 + rng.Intn(64),
 		Remote: remote.Options{
-			Endpoint:         fmt.Sprintf("http://127.0.0.1:%d/v%d", 1024+rng.Intn(60000), rng.Intn(9)),
-			AuthToken:        fmt.Sprintf("secret-%x", rng.Uint64()),
-			Timeout:          dur(),
-			Budget:           dur(),
-			MaxAttempts:      1 + rng.Intn(20),
-			BackoffBase:      dur(),
-			BackoffCap:       dur(),
-			MaxInFlight:      1 + rng.Intn(64),
-			BreakerThreshold: 1 + rng.Intn(20),
-			BreakerCooldown:  dur(),
+			Endpoint:  fmt.Sprintf("http://127.0.0.1:%d/v%d", 1024+rng.Intn(60000), rng.Intn(9)),
+			AuthToken: fmt.Sprintf("secret-%x", rng.Uint64()),
+			Timeout:   dur(),
+			Budget:    dur(),
 		},
 		Sweep: eval.SweepOptions{N: 1 + rng.Intn(30)},
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Backend = "replay"
+		cfg.Replay = fmt.Sprintf("rec/%x.jsonl", rng.Uint64())
+		cfg.Remote.Endpoint = ""
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Sweep = eval.SweepOptions{N: 1 + rng.Intn(quickMaxN), Temperatures: []float64{0.1}}
@@ -92,8 +91,8 @@ func TestArgsRoundTrip(t *testing.T) {
 	if got, err := parseShared(Args(cfg)); err != nil || !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("default config round trip: got %+v (%v), want %+v", got, err, cfg)
 	}
-	if n := len(Args(cfg)); n != 17 {
-		t.Errorf("Args emits %d flags, want all 17 shared ones", n)
+	if n := len(Args(cfg)); n != 12 {
+		t.Errorf("Args emits %d flags, want all 12 shared ones", n)
 	}
 }
 
@@ -115,6 +114,13 @@ func TestResolve(t *testing.T) {
 		{args: []string{"-backend", "remote", "-endpoint", "http://h", "-auth-env", "VGEN_FLAGS_TEST_SET"}, backend: "remote", sweep: eval.SweepOptions{N: 10}},
 		{args: []string{"-backend", "mutant", "-endpoint", "http://h"}, err: "-endpoint conflicts with -backend mutant"},
 		{args: []string{"-backend", "remote"}, err: "-backend remote needs -endpoint"},
+		{args: []string{"-replay", "r.jsonl"}, backend: "replay", sweep: eval.SweepOptions{N: 10}},
+		{args: []string{"-backend", "replay", "-replay", "r.jsonl"}, backend: "replay", sweep: eval.SweepOptions{N: 10}},
+		{args: []string{"-backend", "mutant", "-replay", "r.jsonl"}, err: "-replay conflicts with -backend mutant"},
+		{args: []string{"-backend", "replay"}, err: "-backend replay needs -replay"},
+		{args: []string{"-replay", "r.jsonl", "-endpoint", "http://h"}, err: "-endpoint conflicts with -backend replay"},
+		{args: []string{"-backend", "list"}, backend: "list", sweep: eval.SweepOptions{N: 10}},
+		{args: []string{"-backend", "bogus"}, err: `unknown backend "bogus" (have [family mutant remote replay])`},
 		{args: []string{"-endpoint", "http://h", "-auth-env", "VGEN_FLAGS_TEST_EMPTY"}, err: "environment variable VGEN_FLAGS_TEST_EMPTY is empty or unset"},
 		{args: []string{"-endpoint", "http://h", "-auth-env", "VGEN_FLAGS_TEST_UNSET"}, err: "environment variable VGEN_FLAGS_TEST_UNSET is empty or unset"},
 	} {
@@ -134,6 +140,44 @@ func TestResolve(t *testing.T) {
 		}
 		if cfg.AuthEnv != "" && cfg.Remote.AuthToken != "tok" {
 			t.Errorf("%q: token %q not read from the environment", tc.args, cfg.Remote.AuthToken)
+		}
+	}
+}
+
+// TestResolveBackendFlags pins the backend-only flag set vgen-serve
+// binds: the four selection flags and nothing of the sweep's, under the
+// same implication and conflict rules as the full set.
+func TestResolveBackendFlags(t *testing.T) {
+	var names []string
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	BindBackendFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := []string{"backend", "corpus-files", "replay", "seed"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("BindBackendFlags declares %q, want %q", names, want)
+	}
+	for _, tc := range []struct {
+		args         []string
+		backend, err string
+	}{
+		{args: []string{"-replay", "r.jsonl"}, backend: "replay"},
+		{args: []string{"-backend", "list"}, backend: "list"},
+		{args: []string{"-backend", "mutant", "-replay", "r.jsonl"}, err: "-replay conflicts with -backend mutant"},
+		{args: []string{"-backend", "bogus"}, err: `unknown backend "bogus"`},
+		{args: []string{"-backend", "remote"}, err: "-backend remote would chain the proxy onto itself"},
+	} {
+		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+		f := BindBackendFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.Resolve()
+		switch {
+		case tc.err != "":
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%q: error %v, want one containing %q", tc.args, err, tc.err)
+			}
+		case err != nil || cfg.Backend != tc.backend:
+			t.Errorf("%q: backend %q (%v), want %q", tc.args, cfg.Backend, err, tc.backend)
 		}
 	}
 }

@@ -115,11 +115,9 @@ func backendsUnderTest(t *testing.T) map[string]gen.Backend {
 			cfg.Replay = recordForReplay(t)
 		case "remote":
 			cfg.Remote = remote.Options{
-				Endpoint:    startRemoteEndpoint(t),
-				Timeout:     5 * time.Second,
-				BackoffBase: time.Millisecond,
-				BackoffCap:  4 * time.Millisecond,
-				Seed:        confSeed,
+				Endpoint: startRemoteEndpoint(t),
+				Timeout:  5 * time.Second,
+				Seed:     confSeed,
 			}
 		default:
 			t.Fatalf("backend %q has no conformance configuration; add a case for it", name)

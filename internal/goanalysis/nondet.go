@@ -26,7 +26,7 @@ var DefaultNondetSeams = map[string]string{
 	"coord.supervisor.handle":   "retry backoff deadline stamping",
 	"remote.breaker.Allow":      "circuit-breaker cooldown expiry check",
 	"remote.breaker.Failure":    "circuit-breaker trip timestamping",
-	"remote.NewTransport":       "sweep-budget deadline anchoring at construction",
+	"remote.newTransport":       "sweep-budget deadline anchoring at construction",
 }
 
 // Nondet flags ambient nondeterminism (time.Now/Since/Until, global

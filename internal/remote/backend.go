@@ -21,8 +21,10 @@ type backend struct {
 }
 
 // NewBackend connects to the endpoint and returns the proxy backend.
-func NewBackend(o Options) (gen.Backend, error) {
-	t, err := NewTransport(o)
+func NewBackend(o Options) (gen.Backend, error) { return newBackend(o, shippedPolicy) }
+
+func newBackend(o Options, policy retryPolicy) (gen.Backend, error) {
+	t, err := newTransport(o, policy)
 	if err != nil {
 		return nil, err
 	}

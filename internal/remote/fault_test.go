@@ -76,24 +76,19 @@ func startFaultServer(t *testing.T, b gen.Backend, plan *FaultPlan, opts ServerO
 }
 
 // fastConfig is a test transport config with tight timeouts (hangs and
-// drips resolve in tens of milliseconds) and the breaker effectively
-// disabled — breaker behavior has its own tests, and tripping it here
-// would turn a bounded-retry test into a cooldown race.
+// drips resolve in tens of milliseconds).
 func fastConfig(url string) Options {
-	return Options{
-		Endpoint:         url,
-		Timeout:          250 * time.Millisecond,
-		MaxAttempts:      4,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       4 * time.Millisecond,
-		BreakerThreshold: 1 << 20,
-		Seed:             testSeed,
-	}
+	return Options{Endpoint: url, Timeout: 250 * time.Millisecond, Seed: testSeed}
 }
 
-func remoteBackend(t *testing.T, cfg Options) gen.Backend {
+// fastPolicy retries on a millisecond schedule with the breaker
+// effectively disabled — breaker behavior has its own tests, and tripping
+// it here would turn a bounded-retry test into a cooldown race.
+var fastPolicy = retryPolicy{attempts: 4, backoffBase: time.Millisecond, backoffCap: 4 * time.Millisecond, breakerThreshold: 1 << 20}
+
+func remoteBackend(t *testing.T, cfg Options, policy retryPolicy) gen.Backend {
 	t.Helper()
-	b, err := NewBackend(cfg)
+	b, err := newBackend(cfg, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +130,7 @@ func TestFaultMatrixConvergence(t *testing.T) {
 			before := runtime.NumGoroutine()
 			plan := NewFaultPlan().Set(AnyCoord, 1, kind)
 			url, fs, srv := startFaultServer(t, fam, plan, ServerOptions{})
-			rb := remoteBackend(t, fastConfig(url))
+			rb := remoteBackend(t, fastConfig(url), fastPolicy)
 
 			r := eval.NewRunner(rb, testSeed)
 			r.Workers = 4
@@ -183,9 +178,9 @@ func TestPersistentFaultDegradesToMissing(t *testing.T) {
 	// Info must survive construction, so exempt it from the blanket fault.
 	plan.Set(InfoKey, AnyAttempt, FaultNone)
 	url, _, srv := startFaultServer(t, fam, plan, ServerOptions{})
-	cfg := fastConfig(url)
-	cfg.MaxAttempts = 2
-	rb := remoteBackend(t, cfg)
+	twoAttempts := fastPolicy
+	twoAttempts.attempts = 2
+	rb := remoteBackend(t, fastConfig(url), twoAttempts)
 
 	r := eval.NewRunner(rb, testSeed)
 	r.Workers = 4
@@ -225,7 +220,7 @@ func TestPersistentFaultDegradesToMissing(t *testing.T) {
 func TestPartialBatchFailureIsolation(t *testing.T) {
 	fam := familyBackend(t)
 	url, _, _ := startFaultServer(t, fam, NewFaultPlan(), ServerOptions{})
-	rb := remoteBackend(t, fastConfig(url))
+	rb := remoteBackend(t, fastConfig(url), fastPolicy)
 
 	k := rb.Variants()[0]
 	good := problems.ByNumber(1)
@@ -260,7 +255,7 @@ func TestRemoteRecordReplay(t *testing.T) {
 	qs := probeQueries(t, fam)
 	plan := NewFaultPlan().Set(AnyCoord, 1, Fault5xx) // record through retries, too
 	url, _, _ := startFaultServer(t, fam, plan, ServerOptions{})
-	rb := remoteBackend(t, fastConfig(url))
+	rb := remoteBackend(t, fastConfig(url), fastPolicy)
 
 	var buf bytes.Buffer
 	rec := gen.NewRecorder(rb, &buf)
@@ -298,14 +293,14 @@ func TestAuthRequired(t *testing.T) {
 
 	cfg := fastConfig(url)
 	cfg.AuthToken = "sesame"
-	rb := remoteBackend(t, cfg)
+	rb := remoteBackend(t, cfg, fastPolicy)
 	if len(rb.Variants()) == 0 {
 		t.Fatal("authorized client should see the variant line-up")
 	}
 
 	bad := fastConfig(url)
 	attemptsBefore := fs.Attempts(InfoKey)
-	if _, err := NewBackend(bad); err == nil {
+	if _, err := newBackend(bad, fastPolicy); err == nil {
 		t.Fatal("tokenless client should be rejected")
 	} else if !strings.Contains(err.Error(), "401") {
 		t.Fatalf("rejection should carry the 401, got: %v", err)
@@ -322,12 +317,12 @@ func TestBudgetExhaustion(t *testing.T) {
 	fam := familyBackend(t)
 	url, _, _ := startFaultServer(t, fam, NewFaultPlan(), ServerOptions{})
 	cfg := fastConfig(url)
-	rb := remoteBackend(t, cfg) // construct (info dial) before the budget transport
+	rb := remoteBackend(t, cfg, fastPolicy) // construct (info dial) before the budget transport
 
 	// A second transport with a 1ms budget: by the time a request runs,
 	// the budget is gone.
 	cfg.Budget = time.Millisecond
-	tr, err := NewTransport(cfg)
+	tr, err := newTransport(cfg, fastPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +343,7 @@ func TestBudgetExhaustion(t *testing.T) {
 func TestConcurrentCompleteBatch(t *testing.T) {
 	fam := familyBackend(t)
 	url, _, _ := startFaultServer(t, fam, NewFaultPlan(), ServerOptions{})
-	rb := remoteBackend(t, fastConfig(url)).(gen.BatchBackend)
+	rb := remoteBackend(t, fastConfig(url), fastPolicy).(gen.BatchBackend)
 
 	k := rb.Variants()[0]
 	p := problems.ByNumber(6)

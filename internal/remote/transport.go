@@ -14,12 +14,12 @@ import (
 	"repro/internal/gen"
 )
 
-// Options configure the remote backend's transport. Zero values mean
-// "transport default": NewTransport resolves them into its own copy (see
-// the default* constants below for the numbers).
+// Options configure the remote backend's transport: the deployment
+// settings a caller chooses. The retry schedule, in-flight bound and
+// circuit breaker are the package constants below.
 type Options struct {
 	// Endpoint is the completion service base URL (http://host:port).
-	// Required: NewTransport fails without it.
+	// Required: NewBackend fails without it.
 	Endpoint string
 
 	// AuthToken, when non-empty, is sent as a bearer token and must match
@@ -27,77 +27,52 @@ type Options struct {
 	// (-auth-env) so tokens never land in argv or shell history.
 	AuthToken string
 
-	// Timeout bounds one HTTP attempt; Budget bounds the whole sweep
-	// (every request shares the budget deadline; a request past it fails
-	// without retrying).
+	// Timeout bounds one HTTP attempt (zero means defaultTimeout); Budget
+	// bounds the whole sweep (every request shares the budget deadline; a
+	// request past it fails without retrying; zero means none).
 	Timeout time.Duration
 	Budget  time.Duration
-
-	// MaxAttempts is the per-request attempt budget; BackoffBase doubles
-	// per attempt up to BackoffCap, deterministically jittered from
-	// (Seed, request coordinates, attempt).
-	MaxAttempts int
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-
-	// MaxInFlight bounds concurrent HTTP requests across the whole
-	// transport, independent of the evaluation pool width.
-	MaxInFlight int
-
-	// BreakerThreshold consecutive transport failures trip the endpoint's
-	// circuit breaker; after BreakerCooldown it half-opens for one probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// Seed feeds the deterministic backoff jitter; use the sweep seed.
 	Seed int64
 }
 
-// Transport defaults, applied by NewTransport for zero-valued Options
-// fields. The numbers are sized for a LAN/loopback
-// completion service; CLIs expose every knob.
+// The transport's fixed settings, sized for a LAN/loopback completion
+// service. A request gets maxAttempts attempts; the delay before each
+// retry doubles from backoffBase up to backoffCap, deterministically
+// jittered from (Seed, request coordinates, attempt). At most maxInFlight
+// HTTP requests run at once, independent of the evaluation pool width.
+// breakerThreshold consecutive transport failures trip the endpoint's
+// circuit breaker; after breakerCooldown it half-opens for one probe.
 const (
-	defaultTimeout          = 30 * time.Second
-	defaultMaxAttempts      = 4
-	defaultBackoffBase      = 50 * time.Millisecond
-	defaultBackoffCap       = 2 * time.Second
-	defaultMaxInFlight      = 16
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = time.Second
+	defaultTimeout   = 30 * time.Second
+	maxAttempts      = 4
+	backoffBase      = 50 * time.Millisecond
+	backoffCap       = 2 * time.Second
+	maxInFlight      = 16
+	breakerThreshold = 5
+	breakerCooldown  = time.Second
 )
 
-// withDefaults validates o's endpoint and returns a copy with every zero
-// knob resolved to its transport default.
+// retryPolicy is the part of the fixed settings the package's fault tests
+// tighten (a millisecond schedule, a breaker that never trips) through
+// newBackend; every shipped transport runs shippedPolicy.
+type retryPolicy struct {
+	attempts                int
+	backoffBase, backoffCap time.Duration
+	breakerThreshold        int
+}
+
+var shippedPolicy = retryPolicy{maxAttempts, backoffBase, backoffCap, breakerThreshold}
+
+// withDefaults validates o's endpoint and returns a copy with a zero
+// Timeout resolved to defaultTimeout.
 func withDefaults(o Options) (Options, error) {
-	if o.Endpoint == "" {
-		return o, errors.New("remote: endpoint required (-endpoint)")
-	}
 	if !strings.HasPrefix(o.Endpoint, "http://") && !strings.HasPrefix(o.Endpoint, "https://") {
 		return o, fmt.Errorf("remote: endpoint %q is not an http(s) URL", o.Endpoint)
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = defaultTimeout
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = defaultMaxAttempts
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = defaultBackoffBase
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = defaultBackoffCap
-	}
-	if o.BackoffCap < o.BackoffBase {
-		o.BackoffCap = o.BackoffBase
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = defaultMaxInFlight
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = defaultBreakerThreshold
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = defaultBreakerCooldown
 	}
 	return o, nil
 }
@@ -107,6 +82,7 @@ func withDefaults(o Options) (Options, error) {
 // concurrent use — the eval pool calls it from every worker.
 type Transport struct {
 	cfg      Options // defaults resolved
+	policy   retryPolicy
 	client   *http.Client
 	br       *breaker
 	sem      chan struct{} // bounds in-flight HTTP attempts
@@ -117,28 +93,29 @@ type Transport struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// NewTransport builds a transport over o, with its zero knobs resolved to
-// the transport defaults. The sweep-level budget is
-// anchored here: the deadline is Budget from construction time, and every
-// request the transport ever sends shares it (per-attempt deadlines are
+// newTransport builds a transport over o, with a zero Timeout resolved to
+// defaultTimeout, retrying on policy. The sweep-level budget is anchored
+// here: the deadline is Budget from construction time, and every request
+// the transport ever sends shares it (per-attempt deadlines are
 // min(Timeout, remaining budget) via nested contexts).
-func NewTransport(o Options) (*Transport, error) {
+func newTransport(o Options, policy retryPolicy) (*Transport, error) {
 	cfg, err := withDefaults(o)
 	if err != nil {
 		return nil, err
 	}
 	t := &Transport{
-		cfg: cfg,
+		cfg:    cfg,
+		policy: policy,
 		client: &http.Client{
 			// No client-level timeout: per-attempt contexts own the clock,
 			// and a fixed client timeout would silently cap the budget math.
 			Transport: &http.Transport{
-				MaxIdleConns:        cfg.MaxInFlight,
-				MaxIdleConnsPerHost: cfg.MaxInFlight, // pool one conn per in-flight slot
+				MaxIdleConns:        maxInFlight,
+				MaxIdleConnsPerHost: maxInFlight, // pool one conn per in-flight slot
 			},
 		},
-		br:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		sem:   make(chan struct{}, cfg.MaxInFlight),
+		br:    newBreaker(policy.breakerThreshold, breakerCooldown),
+		sem:   make(chan struct{}, maxInFlight),
 		sleep: sleepCtx,
 	}
 	if cfg.Budget > 0 {
@@ -180,17 +157,17 @@ func retryable(err error) bool {
 }
 
 // backoff is the delay before the next attempt: exponential from
-// BackoffBase, capped at BackoffCap, with deterministic jitter in
+// backoffBase, capped at backoffCap, with deterministic jitter in
 // [d/2, d) hashed from (seed, coord, attempt) — the coordinator
 // supervisor's formula, keyed by request coordinates instead of shard
 // index, so transport retry storms decorrelate reproducibly.
 func (t *Transport) backoff(coordHash uint64, attempt int) time.Duration {
-	d := t.cfg.BackoffBase
-	for i := 1; i < attempt && d < t.cfg.BackoffCap; i++ {
+	d := t.policy.backoffBase
+	for i := 1; i < attempt && d < t.policy.backoffCap; i++ {
 		d *= 2
 	}
-	if d > t.cfg.BackoffCap {
-		d = t.cfg.BackoffCap
+	if d > t.policy.backoffCap {
+		d = t.policy.backoffCap
 	}
 	h := splitmix64(uint64(t.cfg.Seed) ^ splitmix64(coordHash) ^ uint64(attempt)<<20)
 	half := d / 2
@@ -216,7 +193,7 @@ func (t *Transport) do(ctx context.Context, path string, body []byte, idem strin
 		defer cancel()
 	}
 	var lastErr error
-	for attempt := 1; attempt <= t.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= t.policy.attempts; attempt++ {
 		if attempt > 1 {
 			if err := t.sleep(ctx, t.backoff(coordHash, attempt-1)); err != nil {
 				break // budget or caller context exhausted mid-backoff
@@ -253,7 +230,7 @@ func (t *Transport) do(ctx context.Context, path string, body []byte, idem strin
 		}
 		return fmt.Errorf("remote: %s: %s: last error: %w", path, reason, lastErr)
 	}
-	return fmt.Errorf("remote: %s: %d attempts failed: last error: %w", path, t.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("remote: %s: %d attempts failed: last error: %w", path, t.policy.attempts, lastErr)
 }
 
 // attempt runs one HTTP exchange under the per-attempt deadline and the

@@ -9,12 +9,10 @@ import (
 
 func testTransport(t *testing.T, seed int64) *Transport {
 	t.Helper()
-	tr, err := NewTransport(Options{
-		Endpoint:    "http://127.0.0.1:1", // never dialed by these tests
-		BackoffBase: 50 * time.Millisecond,
-		BackoffCap:  2 * time.Second,
-		Seed:        seed,
-	})
+	tr, err := newTransport(Options{
+		Endpoint: "http://127.0.0.1:1", // never dialed by these tests
+		Seed:     seed,
+	}, shippedPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +28,6 @@ func TestBackoffDeterministic(t *testing.T) {
 	b := testTransport(t, 42)
 	other := testTransport(t, 43)
 
-	base := a.cfg.BackoffBase
 	distinct := false
 	for _, coord := range []uint64{0, 1, 0xdeadbeef} {
 		for attempt := 1; attempt <= 8; attempt++ {
@@ -38,12 +35,12 @@ func TestBackoffDeterministic(t *testing.T) {
 			if d2 := b.backoff(coord, attempt); d1 != d2 {
 				t.Fatalf("same (seed,coord,attempt) gave %v then %v", d1, d2)
 			}
-			want := base
-			for i := 1; i < attempt && want < a.cfg.BackoffCap; i++ {
+			want := backoffBase
+			for i := 1; i < attempt && want < backoffCap; i++ {
 				want *= 2
 			}
-			if want > a.cfg.BackoffCap {
-				want = a.cfg.BackoffCap
+			if want > backoffCap {
+				want = backoffCap
 			}
 			if d1 < want/2 || d1 >= want {
 				t.Fatalf("coord %#x attempt %d: delay %v outside [%v, %v)", coord, attempt, d1, want/2, want)
@@ -183,7 +180,7 @@ func TestRetryBookkeepingZeroAlloc(t *testing.T) {
 // BenchmarkRetryBookkeeping measures the fixed per-attempt overhead the
 // transport adds on top of the HTTP exchange itself.
 func BenchmarkRetryBookkeeping(b *testing.B) {
-	tr, err := NewTransport(Options{Endpoint: "http://127.0.0.1:1", Seed: 7})
+	tr, err := newTransport(Options{Endpoint: "http://127.0.0.1:1", Seed: 7}, shippedPolicy)
 	if err != nil {
 		b.Fatal(err)
 	}

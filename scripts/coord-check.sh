@@ -116,4 +116,39 @@ if ! grep -q 'missing shard(s) \[2\]' "$tmp/allow.err"; then
 fi
 echo "coord-check ok: coordinator shards interoperate with vgen-eval -merge/-allow-partial"
 
+# Replay through the coordinator: -proc workers receive -replay on the
+# argv the coordinator builds and must render the same bytes as a
+# monolithic replay of the same recording.
+RFLAGS="-seed 1 -quick -n 4"
+# shellcheck disable=SC2086
+"$V" $FLAGS -experiment table3 -record "$tmp/rec.jsonl" > /dev/null
+# shellcheck disable=SC2086
+"$V" $RFLAGS -experiment table3 -replay "$tmp/rec.jsonl" > "$tmp/replay-eval.txt"
+# shellcheck disable=SC2086
+if ! "$C" $RFLAGS -experiment table3 -replay "$tmp/rec.jsonl" -shards "$SHARDS" \
+    -parallel 2 -proc -quiet -dir "$tmp/state-replay" \
+    > "$tmp/replay-coord.txt" 2> "$tmp/replay-coord.err"; then
+    echo "coord-check FAIL: vgen-coord -proc -replay run failed" >&2
+    cat "$tmp/replay-coord.err" >&2
+    exit 1
+fi
+if ! cmp -s "$tmp/replay-eval.txt" "$tmp/replay-coord.txt"; then
+    echo "coord-check FAIL: vgen-coord -proc -replay differs from vgen-eval -replay" >&2
+    diff "$tmp/replay-eval.txt" "$tmp/replay-coord.txt" >&2 || true
+    exit 1
+fi
+echo "coord-check ok: table3 replayed through -proc workers == vgen-eval -replay"
+
+# An unknown backend is a usage error (exit 2) in both commands.
+for bin in "$V" "$C"; do
+    status=0
+    "$bin" -backend bogus 2> "$tmp/bogus.err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q 'unknown backend "bogus"' "$tmp/bogus.err"; then
+        echo "coord-check FAIL: $(basename "$bin") -backend bogus exited $status, want usage error 2" >&2
+        cat "$tmp/bogus.err" >&2
+        exit 1
+    fi
+done
+echo "coord-check ok: -backend bogus is a usage error"
+
 echo "coord-check PASS: supervised sweeps with injected faults are byte-identical and degrade explicitly"

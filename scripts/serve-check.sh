@@ -60,6 +60,17 @@ stop_server() {
     SERVER_PID=""
 }
 
+# vgen-serve resolves its backend through the shared flag rules: a
+# recording next to a backend that would ignore it is a usage error.
+status=0
+"$tmp/vgen-serve" -backend mutant -replay "$tmp/none.jsonl" 2> "$tmp/usage.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q -- '-replay conflicts with -backend mutant' "$tmp/usage.err"; then
+    echo "serve-check FAIL: vgen-serve -backend mutant -replay exited $status, want usage error 2" >&2
+    cat "$tmp/usage.err" >&2
+    exit 1
+fi
+echo "serve-check ok: vgen-serve rejects -replay with -backend mutant"
+
 serve "$tmp/serve.log"
 echo "serve-check: family backend serving at $URL"
 
@@ -101,7 +112,7 @@ done
 
 # The coordinator's worker argv: a supervised 4-shard run whose -proc
 # workers reach an auth-requiring server. Each worker sees the endpoint,
-# the non-default transport and batch settings, and the token only
+# a non-default transport timeout and batch size, and the token only
 # through the argv the coordinator builds and the environment it
 # inherits; a dropped flag shows as an auth failure or a different table.
 VGEN_SERVE_CHECK_TOKEN="serve-check-$$"
@@ -111,7 +122,7 @@ echo "serve-check: auth-requiring family backend serving at $URL"
 # shellcheck disable=SC2086
 if ! "$C" $FLAGS -experiment table3 -shards 4 -parallel 2 -proc -quiet \
     -dir "$tmp/coord-state" -endpoint "$URL" -auth-env VGEN_SERVE_CHECK_TOKEN \
-    -remote-attempts 7 -batch 5 \
+    -remote-timeout 20s -batch 5 \
     > "$tmp/coord-table3.txt" 2> "$tmp/coord-table3.err"; then
     echo "serve-check FAIL: table3: vgen-coord -proc remote run failed" >&2
     cat "$tmp/coord-table3.err" >&2
