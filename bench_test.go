@@ -248,8 +248,9 @@ func benchNgram(b *testing.B, order int) {
 	m.Freeze() // the production sampler; BenchmarkMapSample covers the baseline
 	b.ResetTimer()
 	srng := rand.New(rand.NewSource(3))
+	var out []int
 	for i := 0; i < b.N; i++ {
-		m.Generate(data[:4], 50, 0.5, srng)
+		out = m.Generate(out[:0], data[:4], 50, 0.5, srng)
 	}
 }
 
@@ -287,7 +288,9 @@ func BenchmarkEncodeInto(b *testing.B) {
 // ablation (DESIGN.md Section 8): the same babble-shaped generation load
 // — order-4 LM over BPE-encoded normalized modules, 120 tokens per
 // completion at a mid sweep temperature — through the packed immutable
-// sampler and through the map-of-maps baseline.
+// sampler and through the map-of-maps baseline. The output buffer is
+// reused, as babble reuses its stack array, so allocs/op counts what
+// generation itself allocates.
 func benchSampler(b *testing.B, freeze bool) {
 	tok, docs := benchEncodeDocs()
 	m := ngram.New(4)
@@ -303,10 +306,12 @@ func benchSampler(b *testing.B, freeze bool) {
 	if len(prompt) > 64 {
 		prompt = prompt[len(prompt)-64:]
 	}
+	out := make([]int, 0, 120)
+	b.ReportAllocs()
 	b.ResetTimer()
 	srng := rand.New(rand.NewSource(10))
 	for i := 0; i < b.N; i++ {
-		m.Generate(prompt, 120, 0.7, srng)
+		out = m.Generate(out[:0], prompt, 120, 0.7, srng)
 	}
 }
 
@@ -657,8 +662,11 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	b.Run("backend=replay", func(b *testing.B) {
 		// record the family sweep in memory, then serve it back frozen
 		var buf bytes.Buffer
-		rec := eval.NewRunner(gen.NewRecorder(fam, &buf), 123)
-		rec.EvaluateBatch(sweepQueries())
+		rec := gen.NewRecorder(fam, &buf)
+		eval.NewRunner(rec, 123).EvaluateBatch(sweepQueries())
+		if err := rec.Flush(); err != nil {
+			b.Fatal(err)
+		}
 		rp, err := gen.NewReplay(&buf)
 		if err != nil {
 			b.Fatal(err)

@@ -21,7 +21,9 @@
 // bound URL (durably, via the atomic write path) once the listener is
 // up, which is how scripts learn the port without racing the log line.
 // -auth-env names an environment variable holding a bearer token that
-// every client must present — the token itself never appears in argv.
+// every client must present — the token itself never appears in argv. An
+// empty or unset variable is a usage error (exit 2), as it is for
+// vgen-eval's -auth-env.
 // The server runs until SIGINT/SIGTERM.
 package main
 
@@ -63,7 +65,8 @@ func main() {
 	if *authEnv != "" {
 		token = os.Getenv(*authEnv)
 		if token == "" {
-			fail("auth: environment variable %s is empty or unset", *authEnv)
+			fmt.Fprintf(os.Stderr, "vgen-serve: -auth-env: environment variable %s is empty or unset\n", *authEnv)
+			os.Exit(2)
 		}
 	}
 

@@ -117,6 +117,9 @@ func main() {
 	var buf bytes.Buffer
 	rec := gen.NewRecorder(oracleBackend{}, &buf)
 	score(rec)
+	if err := rec.Flush(); err != nil {
+		panic(err)
+	}
 	replayed, err := gen.NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		panic(err)

@@ -311,9 +311,10 @@ func (t *Tokenizer) EncodeInto(dst []int, text string) []int {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// Decode reconstructs text from token ids; unknown ids render as U+FFFD.
-func (t *Tokenizer) Decode(ids []int) string {
-	size := 0
+// Decode returns prefix, then the text of token ids, then suffix, as one
+// string built in one allocation; unknown ids render as U+FFFD.
+func (t *Tokenizer) Decode(prefix string, ids []int, suffix string) string {
+	size := len(prefix) + len(suffix)
 	for _, id := range ids {
 		if id >= 0 && id < len(t.tokens) {
 			size += len(t.tokens[id])
@@ -323,6 +324,7 @@ func (t *Tokenizer) Decode(ids []int) string {
 	}
 	var sb strings.Builder
 	sb.Grow(size)
+	sb.WriteString(prefix)
 	for _, id := range ids {
 		if tok, ok := t.Token(id); ok {
 			sb.WriteString(tok)
@@ -330,5 +332,6 @@ func (t *Tokenizer) Decode(ids []int) string {
 			sb.WriteRune('�')
 		}
 	}
+	sb.WriteString(suffix)
 	return sb.String()
 }

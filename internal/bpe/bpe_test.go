@@ -31,13 +31,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tok := Train(tinyCorpus, 320)
 	for _, doc := range tinyCorpus {
 		ids := tok.Encode(doc)
-		if got := tok.Decode(ids); got != doc {
+		if got := tok.Decode("", ids, ""); got != doc {
 			t.Errorf("round trip failed:\n in=%q\nout=%q", doc, got)
 		}
 	}
 	// text with unseen words still round-trips (byte fallback)
 	s := "module never_seen_before (input weird);"
-	if got := tok.Decode(tok.Encode(s)); got != s {
+	if got := tok.Decode("", tok.Encode(s), ""); got != s {
 		t.Errorf("fallback round trip failed: %q", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestDeterministicTraining(t *testing.T) {
 func TestEncodeWordGreedyOrder(t *testing.T) {
 	tok := Train([]string{"aaab aaab aaab ab ab"}, 260)
 	ids := tok.Encode("aaab")
-	if got := tok.Decode(ids); got != "aaab" {
+	if got := tok.Decode("", ids, ""); got != "aaab" {
 		t.Fatalf("decode = %q", got)
 	}
 	// merged tokens should reduce the id count below byte length

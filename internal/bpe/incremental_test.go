@@ -101,7 +101,7 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 		}
 		for _, doc := range corpus[:2] {
 			ids := tok.Encode(doc)
-			if tok.Decode(ids) != doc {
+			if tok.Decode("", ids, "") != doc {
 				t.Fatalf("trial %d: round-trip broken", trial)
 			}
 		}

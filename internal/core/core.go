@@ -118,8 +118,8 @@ func New(cfg Config) (*Framework, error) {
 			return nil, fmt.Errorf("core: record: %w", err)
 		}
 		fw.recFile = f
-		// buffer the sink: the recorder writes one JSONL line per sample
-		// under its mutex, on the worker pool's hot path
+		// buffer the sink: Close flushes the recorder one JSONL line at a
+		// time
 		fw.recBuf = bufio.NewWriterSize(f, 1<<20)
 		fw.rec = gen.NewRecorder(b, fw.recBuf)
 		fw.Backend = fw.rec
@@ -188,7 +188,7 @@ func (f *Framework) SweepIdentity() store.Identity {
 func (f *Framework) Close() error {
 	var err error
 	if f.recFile != nil {
-		err = f.rec.Err()
+		err = f.rec.Flush()
 		if ferr := f.recBuf.Flush(); err == nil {
 			err = ferr
 		}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -233,5 +235,60 @@ func TestAblationFollowsCorpusFiles(t *testing.T) {
 	line := fmt.Sprintf("GitHub only:        %.3f\n", want.PassRate())
 	if got := fw.Harness.Ablation(); !strings.Contains(got, line) {
 		t.Errorf("ablation does not report the main runner's pass rate %q:\n%s", line, got)
+	}
+}
+
+// TestRecordingByteReproducible pins the recording as an artifact: the
+// same -quick table3 sweep recorded at worker widths 1 and 8 must write
+// byte-identical files, whatever order the workers finish in, and
+// replaying the recording must render the same table.
+func TestRecordingByteReproducible(t *testing.T) {
+	dir := t.TempDir()
+	var recs, tables []string
+	for _, w := range []string{"1", "8"} {
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		f := BindFlags(fs)
+		if err := fs.Parse([]string{"-quick", "-n", "4", "-corpus-files", "60", "-workers", w}); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Record = filepath.Join(dir, "w"+w+".jsonl")
+		fw, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := fw.Render(context.Background(), &buf, "table3"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.Record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, tables = append(recs, string(data)), append(tables, buf.String())
+		if w == "8" {
+			cfg.Record, cfg.Backend, cfg.Replay = "", "replay", filepath.Join(dir, "w1.jsonl")
+			rp, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Reset()
+			if _, err := rp.Render(context.Background(), &buf, "table3"); err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, buf.String())
+		}
+	}
+	if strings.Count(recs[0], "\n") == 0 || recs[0] != recs[1] {
+		t.Fatalf("recordings at widths 1 and 8 differ (%d and %d bytes)", len(recs[0]), len(recs[1]))
+	}
+	if tables[0] != tables[1] || tables[0] != tables[2] {
+		t.Fatalf("table3 differs between width 1, width 8 and the replay:\n%s\n%s\n%s", tables[0], tables[1], tables[2])
 	}
 }

@@ -91,3 +91,15 @@ func NormalizeForLM(content string) string {
 	}
 	return strings.Join(strings.Fields(sb.String()), " ")
 }
+
+// PretrainingText returns the generic pre-training stream the simulated
+// models learn before any Verilog: prose plus C-like code, no Verilog.
+func PretrainingText() []string {
+	return []string{
+		"the quick brown fox jumps over the lazy dog and keeps running",
+		"int main ( void ) { int i ; for ( i = 0 ; i < 10 ; i ++ ) printf ( \"%d\" , i ) ; return 0 ; }",
+		"def fib ( n ) : return n if n < 2 else fib ( n - 1 ) + fib ( n - 2 )",
+		"in this chapter we review the architecture of modern processors and their memory hierarchies",
+		"while ( ptr != NULL ) { ptr = ptr -> next ; count ++ ; }",
+	}
+}

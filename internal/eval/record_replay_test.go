@@ -47,7 +47,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 	qs := recordReplayQueries()
 	want := r.EvaluateBatch(qs)
-	if err := rec.Err(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -58,6 +58,9 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	// pass hits only already-seen coordinates.
 	lines := strings.Count(buf.String(), "\n")
 	r.EvaluateBatch(qs)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if again := strings.Count(buf.String(), "\n"); again != lines {
 		t.Fatalf("re-sweep grew the recording: %d -> %d lines", lines, again)
 	}

@@ -69,7 +69,7 @@ func recordForReplay(t *testing.T) string {
 	r := eval.NewRunner(rec, confSeed)
 	r.Workers = 4
 	r.EvaluateBatch(confQueries(t, src))
-	if err := rec.Err(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -400,7 +400,7 @@ func TestRecorderCompleteBatch(t *testing.T) {
 			t.Fatalf("recorder batch slot %d diverges from inner backend: %+v", i, res[i])
 		}
 	}
-	if err := rec.Err(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

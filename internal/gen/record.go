@@ -1,10 +1,13 @@
 package gen
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/problems"
@@ -54,23 +57,25 @@ const TempScale = 1000
 // that round trip (see wire's coordinate validation).
 func TempMilli(t float64) int { return int(math.Round(t * TempScale)) }
 
-// Recorder wraps any backend and captures every sample it produces as
-// JSONL, one line per distinct coordinate (repeat requests — re-sweeps,
-// cache-warm table regenerations — are deduplicated). Line order follows
-// worker completion order and is therefore not deterministic; the replay
-// backend indexes by coordinates, so order never matters.
+// Recorder wraps any backend and captures every sample it produces, one
+// per distinct coordinate (repeat requests — re-sweeps, cache-warm table
+// regenerations — keep the first capture). Flush writes the captured
+// samples as JSONL sorted by coordinate (model, variant, problem, level,
+// temp_milli, sample), so a recording is a pure function of what was
+// sampled: the same sweep records the same bytes at any worker width or
+// completion order. The replay backend indexes by coordinates and needs no
+// order; the sort is for reproducible artifacts.
 type Recorder struct {
 	inner Backend
 
 	mu   sync.Mutex
-	enc  *json.Encoder
-	seen map[recKey]bool
-	err  error // first write error, sticky
+	w    io.Writer
+	seen map[recKey]*Record // nil once flushed; the key still deduplicates
 }
 
-// NewRecorder wraps inner, writing captured samples to w.
+// NewRecorder wraps inner; Flush writes the captured samples to w.
 func NewRecorder(inner Backend, w io.Writer) *Recorder {
-	return &Recorder{inner: inner, enc: json.NewEncoder(w), seen: map[recKey]bool{}}
+	return &Recorder{inner: inner, w: w, seen: map[recKey]*Record{}}
 }
 
 // Complete delegates to the wrapped backend and captures the sample.
@@ -91,18 +96,42 @@ func (r *Recorder) record(key Key, p *problems.Problem, level problems.Level, te
 		sample: sampleIdx,
 	}
 	r.mu.Lock()
-	if !r.seen[k] {
-		r.seen[k] = true
-		if err := r.enc.Encode(Record{
+	if _, dup := r.seen[k]; !dup {
+		r.seen[k] = &Record{
 			Model: key.Model, Variant: key.Variant,
 			Problem: p.Number, Level: int(level), TempMilli: k.tempMilli,
 			Sample: sampleIdx, BaseSeed: baseSeed,
 			Completion: s.Completion, Mechanism: s.Mechanism, Latency: s.Latency,
-		}); err != nil && r.err == nil {
-			r.err = err
 		}
 	}
 	r.mu.Unlock()
+}
+
+// Flush writes every sample captured since the last Flush, one JSONL line
+// each in coordinate order, and reports the first write error. Call it
+// after the sweep: capturing never fails the evaluation over a sick sink.
+func (r *Recorder) Flush() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var recs []*Record
+	for k, rec := range r.seen {
+		if rec != nil {
+			recs = append(recs, rec)
+			r.seen[k] = nil
+		}
+	}
+	slices.SortFunc(recs, func(a, b *Record) int {
+		return cmp.Or(strings.Compare(a.Model, b.Model), strings.Compare(a.Variant, b.Variant),
+			cmp.Compare(a.Problem, b.Problem), cmp.Compare(a.Level, b.Level),
+			cmp.Compare(a.TempMilli, b.TempMilli), cmp.Compare(a.Sample, b.Sample))
+	})
+	enc := json.NewEncoder(r.w)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CompleteBatch serves the batch through the wrapped backend
@@ -134,11 +163,3 @@ func (r *Recorder) Variants() []Key { return r.inner.Variants() }
 // Describe tags the wrapped description so recorded and unrecorded
 // runners never alias outcome-cache entries.
 func (r *Recorder) Describe() string { return "record(" + r.inner.Describe() + ")" }
-
-// Err reports the first write error, if any. Check it after the sweep:
-// Complete never fails the evaluation over a sick sink.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}

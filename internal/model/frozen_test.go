@@ -40,3 +40,23 @@ func TestFrozenFamilyMatchesMapFamily(t *testing.T) {
 		}
 	}
 }
+
+// TestBabbleAllocatesOnlyItsString pins the babble path's garbage: with
+// the LM trained, the prompt encoded and the temperature's weight table
+// built, one babble draw allocates exactly one object, its completion
+// string. The token buffer lives on the stack and the decode writes the
+// indent, text and newline in one allocation.
+func TestBabbleAllocatesOnlyItsString(t *testing.T) {
+	f := NewFamily(Config{Seed: 1, CorpusFiles: 25})
+	g, _ := f.Generator(Megatron355M, FineTuned)
+	p := problems.All()[5]
+	for _, temp := range []float64{0.1, 0.5, 1.0} {
+		rng := SampleRand(7)
+		if s := g.babble(p, problems.LevelMedium, temp, rng); len(s) < 4 || s[:2] != "  " || s[len(s)-1] != '\n' {
+			t.Fatalf("t=%v: babble %q is not an indented line", temp, s)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { g.babble(p, problems.LevelMedium, temp, rng) }); allocs != 1 {
+			t.Fatalf("t=%v: a babble draw allocates %.1f objects, want 1", temp, allocs)
+		}
+	}
+}

@@ -105,14 +105,7 @@ func NewFamily(cfg Config) *Family {
 		}
 	}
 
-	// generic pre-training text: prose plus C-like code, no Verilog
-	natural := []string{
-		"the quick brown fox jumps over the lazy dog and keeps running",
-		"int main ( void ) { int i ; for ( i = 0 ; i < 10 ; i ++ ) printf ( \"%d\" , i ) ; return 0 ; }",
-		"def fib ( n ) : return n if n < 2 else fib ( n - 1 ) + fib ( n - 2 )",
-		"in this chapter we review the architecture of modern processors and their memory hierarchies",
-		"while ( ptr != NULL ) { ptr = ptr -> next ; count ++ ; }",
-	}
+	natural := corpus.PretrainingText()
 
 	f := &Family{
 		cfg:         cfg,
@@ -333,9 +326,9 @@ func (g *Generator) babble(p *problems.Problem, level problems.Level, temperatur
 	if st <= 0 {
 		st = 0.1
 	}
-	ids := lm.Generate(promptIDs, maxTok, st, rng)
-	text := g.family.tok.Decode(ids)
-	return "  " + text + "\n"
+	var buf [120]int // the token budget above; Generate appends in place
+	ids := lm.Generate(buf[:0], promptIDs, maxTok, st, rng)
+	return g.family.tok.Decode("  ", ids, "\n")
 }
 
 // latency draws a simulated inference time around the Table IV column.

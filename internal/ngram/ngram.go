@@ -7,15 +7,18 @@
 // near-miss solution.
 //
 // Training mutates a map-of-maps count store. After training, Freeze
-// compiles that store into a packed immutable sampler (open-addressed
+// compiles that store into a packed immutable sampler: open-addressed
 // context tables keyed by uint64 hashes, per-context sorted next-token
-// arrays with cumulative counts) so the per-step sampling path allocates
-// nothing. On a temperature's first use (other than 0 and 1) the frozen
-// sampler computes every distribution's cumulative weights into one flat
-// table per backoff level; Generate resolves that table once per call, so
-// a sampled token costs a slice index and a search instead of a log and an
-// exp per candidate token. The map store stays intact as the differential
-// baseline, recomputing weights per draw; both paths draw from shared
+// arrays with cumulative counts, and for every next token the successor
+// context the history matches once that token is drawn. Generate looks
+// the prompt's context up once and then walks successors, so a sampled
+// token costs one search and one slice index: no hashing, no probe and no
+// history, and a Generate into a large enough buffer allocates nothing. On
+// a temperature's first use (other than 0 and 1) the frozen sampler
+// computes every distribution's cumulative weights into one flat table per
+// backoff level, so a draw needs no log or exp per candidate token. The
+// map store stays intact as the differential baseline, rehashing the
+// history and recomputing weights per draw; both paths draw from shared
 // selection code and are byte-identical for every temperature and RNG
 // stream.
 package ngram
@@ -155,12 +158,12 @@ func (d sortedDist) count(i int) int64 {
 	return d.cum[i] - d.cum[i-1]
 }
 
-// pick draws one token. Temperature 0 is greedy (ties break to the
-// smallest token id); temperature 1 is a binary search over the integer
-// cumulative counts (one rng draw, no float weight construction); other
-// temperatures build softmax-over-log-count cumulative weights in scratch
-// and search those. Exactly one rng.Float64 is consumed per draw for
-// every temperature > 0.
+// pick draws the index of one token. Temperature 0 is greedy (ties break
+// to the smallest token id); temperature 1 is a binary search over the
+// integer cumulative counts (one rng draw, no float weight construction);
+// other temperatures build softmax-over-log-count cumulative weights in
+// scratch and search those. Exactly one rng.Float64 is consumed per draw
+// for every temperature > 0.
 func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64) int {
 	n := len(d.toks)
 	if temperature <= 0 {
@@ -170,18 +173,13 @@ func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64
 				best, bestCount = i, c
 			}
 		}
-		return int(d.toks[best])
+		return best
 	}
 	if temperature == 1 {
-		r := rng.Float64() * float64(d.cum[n-1])
-		i := sort.Search(n, func(i int) bool { return float64(d.cum[i]) > r })
-		if i >= n {
-			i = n - 1
-		}
-		return int(d.toks[i])
+		return above(d.cum, rng.Float64()*float64(d.cum[n-1]))
 	}
 	*scratch = d.weights(temperature, (*scratch)[:0])
-	return d.search(*scratch, rng)
+	return search(*scratch, rng)
 }
 
 // weights appends to w the softmax-over-log-count cumulative weights at
@@ -205,16 +203,29 @@ func (d sortedDist) weights(temperature float64, w []float64) []float64 {
 	return w
 }
 
-// search draws one token from cumulative weights w (as built by weights)
-// with exactly one rng.Float64.
-func (d sortedDist) search(w []float64, rng *rand.Rand) int {
-	n := len(w)
-	r := rng.Float64() * w[n-1]
-	i := sort.Search(n, func(i int) bool { return w[i] > r })
-	if i >= n {
-		i = n - 1
+// search draws the index of one token from cumulative weights w (as built
+// by weights) with exactly one rng.Float64.
+func search(w []float64, rng *rand.Rand) int {
+	return above(w, rng.Float64()*w[len(w)-1])
+}
+
+// above returns the first i with w[i] > r, clamped to len(w)-1: the index
+// sort.Search(len(w), func(i int) bool { return float64(w[i]) > r }) finds,
+// by the same halving, without a closure call per probe.
+func above[T int64 | float64](w []T, r float64) int {
+	lo, hi := 0, len(w)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if float64(w[h]) > r {
+			hi = h
+		} else {
+			lo = h + 1
+		}
 	}
-	return int(d.toks[i])
+	if lo == len(w) {
+		lo--
+	}
+	return lo
 }
 
 // sortedFromMap builds the selection view of a map-backed distribution
@@ -248,7 +259,8 @@ var scratchPool = sync.Pool{New: func() any {
 // shared sorted-token/cumulative-count arrays. Lookups hash the history
 // suffix to a uint64 (full token width; no truncation) and verify the
 // stored context ids, so hash collisions cost a probe, never a wrong
-// distribution.
+// distribution. Only a prompt is looked up: every later context is the
+// successor stored with the token drawn.
 //
 // temps holds one weight table per temperature sampled at (other than 0
 // and 1) as a short copy-on-write list: readers load it without a lock,
@@ -278,7 +290,13 @@ type frozenLevel struct {
 	distOff []int32 // entry i's dist is toks/cum[distOff[i]:distOff[i+1]]
 	toks    []int64
 	cum     []int64
+	succ    []state // parallel to toks: the longest context once toks[p] is drawn
 }
+
+// state is where a history stands in the frozen tables: the entry of its
+// longest matching context, at level n. e < 0 means no context matches,
+// which happens only in an untrained model.
+type state struct{ n, e int32 }
 
 // mix64 is the splitmix64 finalizer, applied per context token.
 func mix64(z uint64) uint64 {
@@ -299,6 +317,13 @@ func hashTokens(ctx []int) uint64 {
 // store is left untouched (Perplexity and the differential baseline keep
 // reading it); sampling switches to the packed tables until the next
 // Train. Token ids are carried full-width; no id range is corrupted.
+//
+// Every distribution position p of entry e at level n also gets succ[p],
+// the longest context of (context e, toks[p]), found by the same lookup a
+// prompt gets. That is the exact next context of any history whose longest
+// context is e: a longer match, at level n+2 or above, would end with a
+// level-(n+1) suffix of the history before toks[p] that Train counted
+// (toks[p] followed it), so the step that matched e would have matched it.
 func (m *Model) Freeze() {
 	fz := &frozenModel{levels: make([]frozenLevel, m.order)}
 	for n := 0; n < m.order; n++ {
@@ -329,6 +354,20 @@ func (m *Model) Freeze() {
 			lvl.table[idx] = entry + 1
 		}
 	}
+	next := make([]int, 0, m.order) // a context (n < order ids) and one token
+	for n := range fz.levels {
+		lvl := &fz.levels[n]
+		lvl.succ = make([]state, len(lvl.toks))
+		for e := 0; e+1 < len(lvl.distOff); e++ {
+			next = next[:0]
+			for _, t := range lvl.ctxToks[e*n : (e+1)*n] {
+				next = append(next, int(t))
+			}
+			for p := lvl.distOff[e]; p < lvl.distOff[e+1]; p++ {
+				lvl.succ[p] = fz.longest(append(next, int(lvl.toks[p])))
+			}
+		}
+	}
 	m.frozen = fz
 }
 
@@ -355,24 +394,31 @@ func (lvl *frozenLevel) find(ctx []int) int {
 	}
 }
 
-func (fz *frozenModel) sample(history []int, temperature float64, tbl *tempTable, rng *rand.Rand) (int, bool) {
-	for n := len(fz.levels) - 1; n >= 0; n-- {
-		if len(history) < n {
-			continue
+// longest returns the state of history: its longest suffix that is a
+// trained context (stupid backoff).
+func (fz *frozenModel) longest(history []int) state {
+	for n := min(len(history), len(fz.levels)-1); n >= 0; n-- {
+		if e := fz.levels[n].find(history[len(history)-n:]); e >= 0 {
+			return state{n: int32(n), e: int32(e)}
 		}
-		lvl := &fz.levels[n]
-		e := lvl.find(history[len(history)-n:])
-		if e < 0 {
-			continue
-		}
-		lo, hi := lvl.distOff[e], lvl.distOff[e+1]
-		d := sortedDist{toks: lvl.toks[lo:hi], cum: lvl.cum[lo:hi]}
-		if tbl == nil {
-			return d.pick(temperature, rng, nil), true // 0 and 1 need no scratch
-		}
-		return d.search(tbl.weights[n][lo:hi], rng), true
 	}
-	return 0, false
+	return state{e: -1}
+}
+
+// step draws one token from state s (which must match a context) and
+// returns it with the state of the history extended by it. tbl is
+// temperature's weight table, nil at 0 and 1.
+func (fz *frozenModel) step(s state, temperature float64, tbl *tempTable, rng *rand.Rand) (int, state) {
+	lvl := &fz.levels[s.n]
+	lo, hi := lvl.distOff[s.e], lvl.distOff[s.e+1]
+	var i int
+	if tbl == nil {
+		i = sortedDist{toks: lvl.toks[lo:hi], cum: lvl.cum[lo:hi]}.pick(temperature, rng, nil) // 0 and 1 need no scratch
+	} else {
+		i = search(tbl.weights[s.n][lo:hi], rng)
+	}
+	p := int(lo) + i
+	return int(lvl.toks[p]), lvl.succ[p]
 }
 
 // table returns the weight table for temperature, building it on first
@@ -434,39 +480,39 @@ func (m *Model) mapSample(history []int, temperature float64, rng *rand.Rand, sc
 	if d == nil {
 		return 0, false
 	}
-	return sortedFromMap(d).pick(temperature, rng, scratch), true
+	sd := sortedFromMap(d)
+	return int(sd.toks[sd.pick(temperature, rng, scratch)]), true
 }
 
-// Generate produces up to maxTokens tokens continuing the prompt. A
-// frozen model resolves its temperature's weight table once per call.
-func (m *Model) Generate(prompt []int, maxTokens int, temperature float64, rng *rand.Rand) []int {
-	fz := m.frozen
-	var tbl *tempTable
-	var scratch *[]float64
-	if fz != nil {
-		tbl = fz.table(temperature)
-	} else {
-		scratch = scratchPool.Get().(*[]float64)
-		defer scratchPool.Put(scratch)
+// Generate appends up to maxTokens tokens continuing the prompt to dst and
+// returns the extended slice. A frozen model resolves its temperature's
+// weight table and the prompt's context once per call, then walks
+// successors; into a dst with room for maxTokens more it allocates
+// nothing.
+func (m *Model) Generate(dst, prompt []int, maxTokens int, temperature float64, rng *rand.Rand) []int {
+	if fz := m.frozen; fz != nil {
+		tbl := fz.table(temperature)
+		s := fz.longest(prompt)
+		for i := 0; i < maxTokens && s.e >= 0; i++ {
+			var tok int
+			tok, s = fz.step(s, temperature, tbl, rng)
+			dst = append(dst, tok)
+		}
+		return dst
 	}
+	scratch := scratchPool.Get().(*[]float64)
+	defer scratchPool.Put(scratch)
 	history := make([]int, len(prompt), len(prompt)+maxTokens)
 	copy(history, prompt)
-	out := make([]int, 0, maxTokens)
-	for len(out) < maxTokens {
-		var tok int
-		var ok bool
-		if fz != nil {
-			tok, ok = fz.sample(history, temperature, tbl, rng)
-		} else {
-			tok, ok = m.mapSample(history, temperature, rng, scratch)
-		}
+	for i := 0; i < maxTokens; i++ {
+		tok, ok := m.mapSample(history, temperature, rng, scratch)
 		if !ok {
 			break
 		}
-		out = append(out, tok)
+		dst = append(dst, tok)
 		history = append(history, tok)
 	}
-	return out
+	return dst
 }
 
 // Perplexity computes the per-token perplexity of a sequence under the

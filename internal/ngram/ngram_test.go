@@ -12,12 +12,18 @@ import (
 func seq(vals ...int) []int { return vals }
 
 // Sample draws the next token given history at the given temperature: one
-// step of Generate. Temperature 0 is greedy; higher temperatures flatten
-// the distribution. The boolean is false when the model has no
-// distribution at all (untrained).
+// step of Generate, through the same longest-match lookup and step a
+// frozen Generate starts with. Temperature 0 is greedy; higher
+// temperatures flatten the distribution. The boolean is false when the
+// model has no distribution at all (untrained).
 func (m *Model) Sample(history []int, temperature float64, rng *rand.Rand) (int, bool) {
-	if m.frozen != nil {
-		return m.frozen.sample(history, temperature, m.frozen.table(temperature), rng)
+	if fz := m.frozen; fz != nil {
+		s := fz.longest(history)
+		if s.e < 0 {
+			return 0, false
+		}
+		tok, _ := fz.step(s, temperature, fz.table(temperature), rng)
+		return tok, true
 	}
 	scratch := scratchPool.Get().(*[]float64)
 	tok, ok := m.mapSample(history, temperature, rng, scratch)
@@ -62,8 +68,8 @@ func TestGenerateLengthAndDeterminism(t *testing.T) {
 		data[i] = r.Intn(20)
 	}
 	m.Train(data)
-	g1 := m.Generate(seq(1, 2), 50, 0.8, rand.New(rand.NewSource(7)))
-	g2 := m.Generate(seq(1, 2), 50, 0.8, rand.New(rand.NewSource(7)))
+	g1 := m.Generate(nil, seq(1, 2), 50, 0.8, rand.New(rand.NewSource(7)))
+	g2 := m.Generate(nil, seq(1, 2), 50, 0.8, rand.New(rand.NewSource(7)))
 	if len(g1) != 50 {
 		t.Fatalf("generated %d tokens", len(g1))
 	}
@@ -173,8 +179,8 @@ func TestFrozenMatchesMapSampler(t *testing.T) {
 		for _, temp := range []float64{0, 0.1, 0.5, 1.0, 1.3, 2.0} {
 			for seed := int64(0); seed < 20; seed++ {
 				prompt := data[int(seed)*7 : int(seed)*7+3]
-				g1 := mapM.Generate(prompt, 80, temp, rand.New(rand.NewSource(seed)))
-				g2 := frozenM.Generate(prompt, 80, temp, rand.New(rand.NewSource(seed)))
+				g1 := mapM.Generate(nil, prompt, 80, temp, rand.New(rand.NewSource(seed)))
+				g2 := frozenM.Generate(nil, prompt, 80, temp, rand.New(rand.NewSource(seed)))
 				if len(g1) != len(g2) {
 					t.Fatalf("order %d t=%.1f seed %d: lengths %d vs %d", order, temp, seed, len(g1), len(g2))
 				}
@@ -298,8 +304,8 @@ func TestFreezeLayoutIndependent(t *testing.T) {
 	for _, temp := range []float64{0, 0.7, 1.0, 1.6} {
 		for seed := int64(0); seed < 16; seed++ {
 			prompt := chunks[seed][:2]
-			g1 := forward.Generate(prompt, 120, temp, rand.New(rand.NewSource(seed)))
-			g2 := backward.Generate(prompt, 120, temp, rand.New(rand.NewSource(seed)))
+			g1 := forward.Generate(nil, prompt, 120, temp, rand.New(rand.NewSource(seed)))
+			g2 := backward.Generate(nil, prompt, 120, temp, rand.New(rand.NewSource(seed)))
 			if len(g1) != len(g2) {
 				t.Fatalf("t=%.1f seed %d: lengths %d vs %d", temp, seed, len(g1), len(g2))
 			}
@@ -342,7 +348,7 @@ func TestWeightMemoConcurrentMatchesMap(t *testing.T) {
 	for ti, temp := range temps {
 		for seed := int64(0); seed < seeds; seed++ {
 			prompt := data[seed*11 : seed*11+3]
-			want[ti] = append(want[ti], oracle.Generate(prompt, 120, temp, rand.New(rand.NewSource(seed))))
+			want[ti] = append(want[ti], oracle.Generate(nil, prompt, 120, temp, rand.New(rand.NewSource(seed))))
 		}
 	}
 
@@ -357,7 +363,7 @@ func TestWeightMemoConcurrentMatchesMap(t *testing.T) {
 					// each goroutine walks the cells in its own order
 					ti, seed := (k+g)%len(temps), int64((k/len(temps)+g*5)%seeds)
 					prompt := data[seed*11 : seed*11+3]
-					got := frozen.Generate(prompt, 120, temps[ti], rand.New(rand.NewSource(seed)))
+					got := frozen.Generate(nil, prompt, 120, temps[ti], rand.New(rand.NewSource(seed)))
 					if !slices.Equal(got, want[ti][seed]) {
 						errs <- fmt.Sprintf("goroutine %d round %d t=%.1f seed %d diverged from the map oracle", g, round, temps[ti], seed)
 						return
@@ -425,7 +431,7 @@ func TestWeightTablesFirstUseRace(t *testing.T) {
 	wantSample := make([][][]int, len(temps))
 	for ti, temp := range temps {
 		for seed := int64(0); seed < seeds; seed++ {
-			wantGen[ti] = append(wantGen[ti], oracle.Generate(prompt(seed), 60, temp, rand.New(rand.NewSource(seed))))
+			wantGen[ti] = append(wantGen[ti], oracle.Generate(nil, prompt(seed), 60, temp, rand.New(rand.NewSource(seed))))
 			wantSample[ti] = append(wantSample[ti], sampleStream(oracle, temp, seed))
 		}
 	}
@@ -444,7 +450,7 @@ func TestWeightTablesFirstUseRace(t *testing.T) {
 					var got []int
 					var want []int
 					if (g+int(seed))%2 == 0 {
-						got = frozen.Generate(prompt(seed), 60, temps[ti], rand.New(rand.NewSource(seed)))
+						got = frozen.Generate(nil, prompt(seed), 60, temps[ti], rand.New(rand.NewSource(seed)))
 						want = wantGen[ti][seed]
 					} else {
 						got = sampleStream(frozen, temps[ti], seed)

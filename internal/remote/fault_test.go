@@ -263,7 +263,7 @@ func TestRemoteRecordReplay(t *testing.T) {
 	r.Workers = 4
 	r.BatchSize = 4
 	want := r.EvaluateBatch(qs)
-	if err := rec.Err(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Failures()) != 0 {

@@ -5,7 +5,9 @@
 # pass@k output byte-for-byte, and the recording auto-paired with the
 # remote run must replay to the same bytes with no server at all. A
 # supervised vgen-coord run whose -proc workers reach an auth-requiring
-# server must render the same TableIII. Run via `make serve-check`.
+# server must render the same TableIII. Usage errors come first: a
+# -replay next to another -backend, and an unset -auth-env variable on
+# either vgen-serve or vgen-eval, must exit 2. Run via `make serve-check`.
 set -eu
 
 GO=${GO:-go}
@@ -70,6 +72,25 @@ if [ "$status" -ne 2 ] || ! grep -q -- '-replay conflicts with -backend mutant' 
     exit 1
 fi
 echo "serve-check ok: vgen-serve rejects -replay with -backend mutant"
+
+# An empty or unset -auth-env variable is a usage error on both sides of
+# the wire: the server would otherwise refuse every client, and the
+# client would send no token.
+unset VGEN_SERVE_CHECK_UNSET
+for bin in vgen-serve vgen-eval; do
+    status=0
+    if [ "$bin" = vgen-serve ]; then
+        "$tmp/vgen-serve" -auth-env VGEN_SERVE_CHECK_UNSET 2> "$tmp/usage.err" || status=$?
+    else
+        "$V" -endpoint http://127.0.0.1:1 -auth-env VGEN_SERVE_CHECK_UNSET 2> "$tmp/usage.err" || status=$?
+    fi
+    if [ "$status" -ne 2 ] || ! grep -q -- 'VGEN_SERVE_CHECK_UNSET is empty or unset' "$tmp/usage.err"; then
+        echo "serve-check FAIL: $bin -auth-env with an unset variable exited $status, want usage error 2" >&2
+        cat "$tmp/usage.err" >&2
+        exit 1
+    fi
+done
+echo "serve-check ok: vgen-serve and vgen-eval reject an unset -auth-env variable"
 
 serve "$tmp/serve.log"
 echo "serve-check: family backend serving at $URL"
