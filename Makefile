@@ -29,8 +29,11 @@ test: vet check
 	$(GO) test ./...
 
 # race-checks the packages with concurrency: the parallel evaluation
-# engine, the bounded cache every memo tier is built on (shared by all
-# eval workers; its suite races Add from 16 goroutines), the parser
+# engine, the verdict pipeline (its shared tiers and verdict memo are
+# hit by every eval worker and every bank build; its suite races
+# evaluations of one candidate from 12 goroutines), the bounded cache
+# every memo tier is built on (shared by all eval workers; its suite
+# races Add from 16 goroutines), the parser
 # (every eval worker shares a prompt's parsed header), the model
 # family the engine drives (whose prepare tasks build LMs and variant
 # banks on every pool worker), the n-gram sampler (whose frozen tables
@@ -43,7 +46,7 @@ test: vet check
 # sweep workers through its cached source), and the analyzer driver
 # (loads packages from many golden trees).
 race:
-	$(GO) test -race ./internal/eval/... ./internal/bounded/... ./internal/vlog/... ./internal/model/... ./internal/ngram/... ./internal/sim/... ./internal/vnum/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
+	$(GO) test -race ./internal/eval/... ./internal/verdict/... ./internal/bounded/... ./internal/vlog/... ./internal/model/... ./internal/ngram/... ./internal/sim/... ./internal/vnum/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
 
 # -json emits the test2json stream (one JSON object per line) including
 # every Benchmark output line, so the file is grep- and jq-friendly.

@@ -34,6 +34,7 @@ import (
 	"repro/internal/remote"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/verdict"
 	"repro/internal/vlog"
 	"repro/internal/vlog/elab"
 	"repro/internal/vnum"
@@ -453,7 +454,7 @@ func BenchmarkFullPipelineEvaluation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := eval.Evaluate(p, problems.LevelHigh, fmt.Sprintf("%s  // full %d\nendmodule\n", body, i))
+		o := verdict.Evaluate(p, problems.LevelHigh, fmt.Sprintf("%s  // full %d\nendmodule\n", body, i))
 		if !o.Passes {
 			b.Fatal("reference failed")
 		}
@@ -469,12 +470,12 @@ func BenchmarkFullPipelineEvaluation(b *testing.B) {
 // 15).
 func BenchmarkEvaluateWarmCompile(b *testing.B) {
 	p := problems.ByNumber(15)
-	if !eval.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
+	if !verdict.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
 		b.Fatal("reference failed")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !eval.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
+		if !verdict.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
 			b.Fatal("reference failed")
 		}
 	}
@@ -523,8 +524,8 @@ func BenchmarkInterpretedEval(b *testing.B) { benchSimEngine(b, true) }
 // call rebuilds both tiers empty; zero restores the default budgets.
 func resetSharedState(b *testing.B) {
 	b.Helper()
-	eval.SetPlanCacheBytes(1)
-	eval.SetPlanCacheBytes(0)
+	verdict.SetPlanCacheBytes(1)
+	verdict.SetPlanCacheBytes(0)
 	runtime.GC()
 	runtime.GC()
 }
@@ -604,8 +605,8 @@ func sweepQueries() []eval.Query {
 // iteration, so resident entries would only add GC mark noise to the row.
 func pinSharedBudget(b *testing.B) {
 	b.Helper()
-	eval.SetPlanCacheBytes(1)
-	b.Cleanup(func() { eval.SetPlanCacheBytes(0) })
+	verdict.SetPlanCacheBytes(1)
+	b.Cleanup(func() { verdict.SetPlanCacheBytes(0) })
 	runtime.GC()
 	runtime.GC()
 }

@@ -109,6 +109,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/store"
+	"repro/internal/verdict"
 	"repro/internal/wire"
 )
 
@@ -389,7 +390,7 @@ func main() {
 // stderr: memo hits are candidates that repeat a simulated source after
 // truncation, and a sweep that outgrows a tier's budget shows evictions.
 func printCacheStats(r *eval.Runner) {
-	ss := eval.SharedStats()
+	ss := verdict.SharedStats()
 	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evicted, %d entries, %d bytes\n",
 		ss.Plans.Hits, ss.Plans.Misses, ss.Plans.Evictions, ss.Plans.Entries, ss.Plans.Bytes)
 	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d skeletons, %d bytes\n",

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/eval"
 	"repro/internal/problems"
+	"repro/internal/verdict"
 )
 
 func main() {
@@ -22,7 +22,7 @@ func main() {
 	if *check {
 		failed := 0
 		for _, p := range problems.All() {
-			o := eval.Evaluate(p, problems.LevelLow, p.RefBody)
+			o := verdict.Evaluate(p, problems.LevelLow, p.RefBody)
 			status := "PASS"
 			if !o.Passes {
 				status = "FAIL"

@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/eval"
 	"repro/internal/problems"
+	"repro/internal/verdict"
 )
 
 func main() {
@@ -51,6 +51,6 @@ func main() {
 }
 
 func report(p *problems.Problem, name, completion string) {
-	o := eval.Evaluate(p, problems.LevelHigh, completion)
+	o := verdict.Evaluate(p, problems.LevelHigh, completion)
 	fmt.Printf("%-22s compiles=%-5v passes=%v\n", name+":", o.Compiles, o.Passes)
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/problems"
 	"repro/internal/remote"
 	"repro/internal/store"
+	"repro/internal/verdict"
 )
 
 // Config selects the framework scale, determinism seed, and generation
@@ -209,10 +210,10 @@ func (f *Framework) Close() error {
 // EvaluateCompletion runs the compile + functional pipeline on an
 // arbitrary completion for one problem and prompt level. This is the
 // entry point a downstream user points their own model's output at.
-func (f *Framework) EvaluateCompletion(problemNumber int, level problems.Level, completion string) (eval.Outcome, error) {
+func (f *Framework) EvaluateCompletion(problemNumber int, level problems.Level, completion string) (verdict.Outcome, error) {
 	p := problems.ByNumber(problemNumber)
 	if p == nil {
-		return eval.Outcome{}, fmt.Errorf("core: no problem %d", problemNumber)
+		return verdict.Outcome{}, fmt.Errorf("core: no problem %d", problemNumber)
 	}
-	return eval.Evaluate(p, level, completion), nil
+	return verdict.Evaluate(p, level, completion), nil
 }

@@ -1,11 +1,10 @@
-// Package eval implements the paper's evaluation pipeline (Sections IV-V):
-// completions are truncated at the endmodule keyword, checked for
-// compilation (parse + elaborate, the Icarus Verilog role), simulated
-// against the problem's test bench for functional correctness, and
-// aggregated into Pass@(scenario·n) values with best-temperature
-// selection.
+// Package eval implements the paper's evaluation sweeps (Sections IV-V):
+// it samples completions from a generation backend, has each one judged
+// by internal/verdict (truncate at endmodule, compile, simulate against
+// the problem's test bench), and aggregates the verdicts into
+// Pass@(scenario·n) values with best-temperature selection.
 //
-// The pipeline is a parallel engine: Runner fans (problem, level,
+// The sweep is a parallel engine: Runner fans (problem, level,
 // temperature, sample-index) work items across a worker pool, with
 // per-sample hashed RNG streams so parallel and serial runs produce
 // byte-identical tables. See DESIGN.md, "The parallel evaluation engine".
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -24,135 +22,37 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
-	"repro/internal/sim"
-	"repro/internal/vlog"
-	"repro/internal/vlog/elab"
+	"repro/internal/verdict"
 )
 
-// Truncate cuts a completion after the first endmodule keyword, mirroring
-// the paper's truncation of generations at `end`/`endmodule`. Only the
-// keyword proper terminates the body: "endmodule" inside a line or block
-// comment, a compiler-directive line, a string literal, or an identifier
-// (my_endmodule, endmodule2) is plain text. A naive substring search
-// here used to chop a passing candidate at a comment that merely
-// mentioned endmodule, silently flipping its verdict to non-compiling.
-func Truncate(completion string) string {
-	if i := endmoduleKeywordIndex(completion); i >= 0 {
-		return completion[:i+len("endmodule")] + "\n"
-	}
-	return completion
-}
+// The forwarders below keep the verdict package's API under the names
+// the benchmark module (bench/) compiles against; code in this module
+// calls internal/verdict directly.
 
-// endmoduleKeywordIndex scans for the first endmodule at a token boundary
-// outside comments, directives and strings, or -1. Like the lexer, it
-// skips from a backtick to the end of its line.
-func endmoduleKeywordIndex(s string) int {
-	isWord := func(b byte) bool {
-		return b == '_' || b == '$' ||
-			(b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
-	}
-	for i := 0; i < len(s); {
-		switch {
-		case s[i] == '/' && i+1 < len(s) && s[i+1] == '/', s[i] == '`':
-			for i < len(s) && s[i] != '\n' {
-				i++
-			}
-		case s[i] == '/' && i+1 < len(s) && s[i+1] == '*':
-			i += 2
-			for i+1 < len(s) && !(s[i] == '*' && s[i+1] == '/') {
-				i++
-			}
-			i += 2 // past the closer (or the end on an unterminated comment)
-		case s[i] == '"':
-			i++
-			for i < len(s) && s[i] != '"' {
-				if s[i] == '\\' {
-					i++
-				}
-				i++
-			}
-			i++
-		case strings.HasPrefix(s[i:], "endmodule") &&
-			(i == 0 || !isWord(s[i-1])) &&
-			(i+len("endmodule") >= len(s) || !isWord(s[i+len("endmodule")])):
-			return i
-		default:
-			i++
-		}
-	}
-	return -1
-}
+// Outcome is verdict.Outcome, kept for bench/.
+type Outcome = verdict.Outcome
 
-// Outcome is the verdict for one completion. Simulated distinguishes
-// "never simulated" (the candidate failed to parse, compile, or
-// elaborate, so the simulator never ran) from "simulated and failed"
-// (the simulator ran but the run errored or the output failed the
-// verdict) — the distinction a verdict-as-a-service caller needs to
-// report meaningfully. Passes implies Simulated implies Compiles.
-type Outcome struct {
-	Compiles  bool
-	Simulated bool
-	Passes    bool
-}
+// SharedCacheStats is verdict.SharedCacheStats, kept for bench/.
+type SharedCacheStats = verdict.SharedCacheStats
 
-// Evaluate runs the full pipeline on one completion for (problem, level)
-// through the shared tiers (see design.go): the testbench skeleton is
-// elaborated once per problem, expression plans are shared across
-// simulators, and a candidate is spliced, compiled and simulated once per
-// distinct truncated source; the verdict memo answers every repeat. The
-// verdict is identical to EvaluateUnshared's — the tiers hold only pure
-// functions of the source text.
+// Truncate is verdict.Truncate, kept for bench/.
+func Truncate(completion string) string { return verdict.Truncate(completion) }
+
+// Evaluate is verdict.Evaluate, kept for bench/.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
-	o, _ := evaluateShared(p, level, completion)
-	return o
+	return verdict.Evaluate(p, level, completion)
 }
 
-// EvaluateUnshared runs the same pipeline with nothing shared: fresh
-// parse, full elaboration, and a fresh simulator per call. It is the
-// differential baseline for the shared tiers, the role Options.Interpret
-// plays one layer down in sim.
+// EvaluateUnshared is verdict.EvaluateUnshared, kept for bench/.
 func EvaluateUnshared(p *problems.Problem, level problems.Level, completion string) Outcome {
-	o, _ := evaluateSim(p, level, completion, sim.Options{})
-	return o
+	return verdict.EvaluateUnshared(p, level, completion)
 }
 
-// evaluateSim is EvaluateUnshared with the simulator options exposed and
-// the raw simulation result returned: the interpreter-vs-compiled-plan
-// differential test runs the pipeline under both engines and compares
-// Result.Output byte for byte.
-//
-// Return normalization: paths that never construct a simulator return a
-// zero sim.Result with Outcome.Simulated false; once sim.Run is entered,
-// Simulated is true and the Result is the run's actual state — on a limit
-// error that is the partial output at the point the limit fired, never a
-// fabricated zero value. Callers can therefore trust (Simulated, Result)
-// to agree.
-func evaluateSim(p *problems.Problem, level problems.Level, completion string, simOpts sim.Options) (Outcome, sim.Result) {
-	completion = Truncate(completion)
-	src := p.CompleteWith(level, completion)
-	f, err := vlog.Parse(src)
-	if err != nil {
-		return Outcome{}, sim.Result{}
-	}
-	if elab.CompileCheck(f) != nil {
-		return Outcome{}, sim.Result{}
-	}
-	// The candidate compiles standalone; everything past this point can
-	// only downgrade the verdict from Passes, never from Compiles.
-	tb, err := testbenchFor(p.Testbench).parsed()
-	if err != nil {
-		return Outcome{Compiles: true}, sim.Result{}
-	}
-	d, err := elab.Elaborate(vlog.Compose(f, tb), "tb", elab.Options{})
-	if err != nil {
-		return Outcome{Compiles: true}, sim.Result{}
-	}
-	res, err := sim.New(d, simOpts).Run()
-	if err != nil {
-		return Outcome{Compiles: true, Simulated: true}, res
-	}
-	return Outcome{Compiles: true, Simulated: true, Passes: problems.PassVerdict(res.Output)}, res
-}
+// SetPlanCacheBytes is verdict.SetPlanCacheBytes, kept for bench/.
+func SetPlanCacheBytes(n int64) { verdict.SetPlanCacheBytes(n) }
+
+// SharedStats is verdict.SharedStats, kept for bench/.
+func SharedStats() SharedCacheStats { return verdict.SharedStats() }
 
 // numShards sizes the outcome cache: enough shards that GOMAXPROCS workers
 // rarely collide on one lock, cheap enough to sit in every Runner.
@@ -171,7 +71,7 @@ type outcomeKey struct {
 // slot's once, never under a shard lock.
 type outcomeSlot struct {
 	once sync.Once
-	o    Outcome
+	o    verdict.Outcome
 }
 
 // FNV-1a constants for cache-key and query-seed hashing.
@@ -224,12 +124,14 @@ type Runner struct {
 	// CellStats.
 	BatchSize int
 
-	// UnsharedPlans evaluates through EvaluateUnshared — fresh parse,
-	// full elaboration, and a fresh simulation per sample — instead of
-	// the shared tiers and the verdict memo. Output is byte-identical
-	// either way; the unshared path exists as the differential baseline
-	// and the benchmarks' ablation, the role sim.Options.Interpret and
-	// model.Config.MapSampler play in their layers. No command sets it.
+	// UnsharedPlans evaluates the sweep's samples through
+	// verdict.EvaluateUnshared — fresh parse, full elaboration, and a
+	// fresh simulation per sample — instead of the shared tiers and the
+	// verdict memo. The variant bank verifies its pools through the
+	// shared tiers either way. Output is byte-identical; the unshared
+	// path exists as the differential baseline and the benchmarks'
+	// ablation, the role sim.Options.Interpret and model.Config.MapSampler
+	// play in their layers. No command sets it.
 	UnsharedPlans bool //vgencheck:oracle differential baseline the shared tiers are checked against (TestSharedSweepMatchesUnsharedAtAnyWidth)
 
 	shards [numShards]*bounded.Cache[outcomeKey, *outcomeSlot]
@@ -286,7 +188,7 @@ const DefaultCacheBytes = 64 << 20
 // element. Accounting is a bound, not a profile — close is good enough.
 const outcomeEntryOverhead = 256
 
-func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
+func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion string) verdict.Outcome {
 	k := outcomeKey{problem: p.Number, level: level, completion: completion}
 	sh := r.shards[k.shard()]
 	s, ok := sh.Get(k)
@@ -295,9 +197,9 @@ func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion 
 	}
 	s.once.Do(func() {
 		if r.UnsharedPlans {
-			s.o = EvaluateUnshared(p, level, completion)
+			s.o = verdict.EvaluateUnshared(p, level, completion)
 		} else {
-			s.o = Evaluate(p, level, completion)
+			s.o = verdict.Evaluate(p, level, completion)
 		}
 	})
 	return s.o
@@ -403,7 +305,7 @@ func (c *CellStats) Add(o CellStats) {
 // samples than planned would be a silent gap, so the reduction degrades
 // it to an explicit CellFailure instead.
 type sampleResult struct {
-	outcome Outcome
+	outcome verdict.Outcome
 	latency float64
 	ok      bool
 	err     error

@@ -14,18 +14,6 @@ func testRunner(t *testing.T) *Runner {
 	return NewFamilyRunner(f, 99)
 }
 
-func TestTruncate(t *testing.T) {
-	in := "  assign y = a;\nendmodule\nmodule junk; endmodule"
-	got := Truncate(in)
-	want := "  assign y = a;\nendmodule\n"
-	if got != want {
-		t.Fatalf("truncate = %q", got)
-	}
-	if Truncate("no terminator") != "no terminator" {
-		t.Fatal("missing endmodule should pass through")
-	}
-}
-
 func TestEvaluateReference(t *testing.T) {
 	p := problems.ByNumber(6)
 	o := Evaluate(p, problems.LevelLow, p.RefBody)

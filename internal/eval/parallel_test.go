@@ -13,7 +13,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
-	"repro/internal/vlog"
 )
 
 // TestParallelMatchesSerial is the determinism contract of the parallel
@@ -321,73 +320,32 @@ func TestPrepareTasksRunOncePerBatch(t *testing.T) {
 	}
 }
 
-// TestSingleParsePerEvaluation pins the parse economics of the shared
-// pipeline: a candidate source unseen by the process-wide verdict memo
-// parses exactly one text (the candidate — the testbench AST is cached
-// separately), and a repeat of a cached candidate parses nothing at all.
-// EvaluateUnshared keeps the legacy one-parse-per-call contract.
-func TestSingleParsePerEvaluation(t *testing.T) {
-	p := problems.ByNumber(6)
-	Evaluate(p, problems.LevelLow, p.RefBody) // warm the verdict memo
-	// re-warm the testbench AST (bounded tier; earlier tests churn it)
-	if _, err := testbenchFor(p.Testbench).parsed(); err != nil {
-		t.Fatal(err)
+// TestSharedSweepMatchesUnsharedAtAnyWidth pins the Runner-level contract
+// the check scripts rely on: cell statistics are identical whether plans
+// are shared (default) or compiled fresh per sample (UnsharedPlans), at
+// one worker or eight.
+func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
+	f := model.NewFamily(model.Config{Seed: 29, CorpusFiles: 60})
+	mk := func(unshared bool, workers int) *Runner {
+		r := NewFamilyRunner(f, 53)
+		r.UnsharedPlans = unshared
+		r.Workers = workers
+		return r
 	}
-	before := vlog.ParseCalls()
-	o := Evaluate(p, problems.LevelLow, p.RefBody)
-	if n := vlog.ParseCalls() - before; n != 0 {
-		t.Errorf("repeat evaluation parsed %d texts, want 0 (memo hit)", n)
-	}
-	if !o.Compiles || !o.Passes {
-		t.Fatalf("reference outcome = %+v", o)
-	}
-
-	// unseen compiles-but-fails candidate: exactly one parse
-	before = vlog.ParseCalls()
-	o = Evaluate(p, problems.LevelMedium, "  always @(posedge clk) q <= q; // single-parse near-miss\nendmodule\n")
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("near-miss evaluation parsed %d texts, want 1", n)
-	}
-	if !o.Compiles || o.Passes {
-		t.Fatalf("near-miss outcome = %+v", o)
-	}
-
-	// unseen non-compiling candidate: one parse, then reject
-	before = vlog.ParseCalls()
-	o = Evaluate(p, problems.LevelLow, "  single-parse garbage tokens\n")
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("broken evaluation parsed %d texts, want 1", n)
-	}
-	if o.Compiles {
-		t.Fatalf("broken outcome = %+v", o)
-	}
-
-	// the unshared baseline parses the candidate on every call
-	before = vlog.ParseCalls()
-	o = EvaluateUnshared(p, problems.LevelLow, p.RefBody)
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("unshared evaluation parsed %d texts, want 1", n)
-	}
-	if !o.Compiles || !o.Passes {
-		t.Fatalf("unshared reference outcome = %+v", o)
-	}
-}
-
-// TestCompileVerdictWithoutTestbench pins the fallback semantics: when the
-// testbench cannot be used, the Compiles verdict must still be derived
-// from the already-parsed DUT source, never from a second full parse.
-func TestCompileVerdictWithoutTestbench(t *testing.T) {
-	// A copy of problem 6 with a corrupted bench exercises the path
-	// directly; the testbench-text cache key keeps the corrupt AST from
-	// leaking into real problem 6 evaluations despite the shared Number.
-	base := problems.ByNumber(6)
-	broken := *base
-	broken.Testbench = "module tb; this does not parse"
-	o := Evaluate(&broken, problems.LevelLow, base.RefBody)
-	if !o.Compiles {
-		t.Error("DUT that compiles must keep Compiles=true when the bench is unusable")
-	}
-	if o.Passes {
-		t.Error("no simulation ran, Passes must be false")
+	runners := []*Runner{mk(true, 1), mk(false, 1), mk(false, 8)}
+	names := []string{"unshared/w1", "shared/w1", "shared/w8"}
+	mv := ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
+	for _, pn := range []int{2, 6, 11} {
+		for _, temp := range []float64{0.1, 0.3, 0.5, 0.8} {
+			q := Query{Model: mv.Model, Variant: mv.Variant,
+				Problem: problems.ByNumber(pn), Level: problems.LevelHigh, Temperature: temp, N: 5}
+			want := runners[0].EvaluateBatch([]Query{q})[0]
+			for i, r := range runners[1:] {
+				if got := r.EvaluateBatch([]Query{q})[0]; got != want {
+					t.Errorf("problem %d t=%.1f: %s diverged from %s: %+v != %+v",
+						pn, temp, names[i+1], names[0], got, want)
+				}
+			}
+		}
 	}
 }

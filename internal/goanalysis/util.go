@@ -19,9 +19,12 @@ import (
 // flow straight into CellStats — its transport clock lives behind the
 // allow-listed seam; store joins because its segments replay into
 // rendered tables, so a durability or ordering bug there resurfaces as
-// a shifted artifact on the next warm run.
+// a shifted artifact on the next warm run; verdict joins because every
+// Compiled and Passed count in a table is one of its verdicts, and its
+// process-wide memo must answer a repeat exactly as the first
+// evaluation did.
 var outputBearing = []string{
-	"wire", "eval", "harness", "core", "coord", "gen", "model", "ngram", "bpe", "remote", "store",
+	"wire", "eval", "verdict", "harness", "core", "coord", "gen", "model", "ngram", "bpe", "remote", "store",
 }
 
 // calleeFunc resolves the called function or method, nil for indirect

@@ -7,9 +7,8 @@ import (
 
 	"repro/internal/mutate"
 	"repro/internal/problems"
-	"repro/internal/sim"
+	"repro/internal/verdict"
 	"repro/internal/vlog"
-	"repro/internal/vlog/elab"
 )
 
 // VariantBank holds, per problem, pools of verified completions:
@@ -84,28 +83,25 @@ func (b *VariantBank) Broken(p *problems.Problem, rng *rand.Rand) string {
 	return e.broken[rng.Intn(len(e.broken))]
 }
 
-// buildEntry constructs and verifies the pools for one problem. The
-// problem's testbench is parsed once up front and composed with each
-// candidate's AST, mirroring eval's single-parse pipeline.
+// buildEntry constructs and verifies the pools for one problem. Each
+// candidate is judged at LevelLow by verdict.Evaluate, the pipeline every
+// sweep verdict runs through, so its verdicts land in the shared verdict
+// memo.
 func buildEntry(p *problems.Problem, seed int64) *bankEntry {
 	rng := rand.New(rand.NewSource(seed + int64(p.Number)*7919))
-	tb, tbErr := vlog.Parse(p.Testbench)
-	check := func(completion string) verdict {
-		return verdictWith(p, completion, tb, tbErr)
+	check := func(completion string) verdict.Outcome {
+		return verdict.Evaluate(p, problems.LevelLow, completion)
 	}
 	e := &bankEntry{}
 
-	// --- correct pool: reference body restyles, verified to pass
-	candidates := []string{
-		p.RefBody,
-		"  // implementation\n" + p.RefBody,
-		reprintBody(p),
+	// --- correct pool: reference body restyles (the last reprinted in
+	// canonical style), verified to pass
+	candidates := []string{p.RefBody, "  // implementation\n" + p.RefBody}
+	if body, ok := BehaviouralTail(p.ReferenceSource()); ok {
+		candidates = append(candidates, body)
 	}
 	for _, c := range candidates {
-		if c == "" {
-			continue
-		}
-		if check(c) == verdictPass {
+		if check(c).Passes {
 			e.correct = append(e.correct, c)
 		}
 	}
@@ -125,8 +121,7 @@ func buildEntry(p *problems.Problem, seed int64) *bankEntry {
 		if !ok {
 			continue
 		}
-		switch check(body) {
-		case verdictFail:
+		if o := check(body); o.Simulated && !o.Passes {
 			e.nearMiss = append(e.nearMiss, body)
 		}
 	}
@@ -139,69 +134,22 @@ func buildEntry(p *problems.Problem, seed int64) *bankEntry {
 			continue
 		}
 		body := base[:cut]
-		if check(body) == verdictNoCompile {
+		if !check(body).Simulated {
 			e.broken = append(e.broken, body)
 		}
 	}
 	corrupted := strings.Replace(base, "endmodule", "endmodul", 1)
-	if check(corrupted) == verdictNoCompile {
+	if !check(corrupted).Simulated {
 		e.broken = append(e.broken, corrupted)
 	}
 	undeclared := "  assign undeclared_net_xyz = some_other_net + 1;\nendmodule\n"
-	if check(undeclared) == verdictNoCompile {
+	if !check(undeclared).Simulated {
 		e.broken = append(e.broken, undeclared)
 	}
 	if len(e.broken) == 0 {
 		e.broken = append(e.broken, "  begin begin begin\n")
 	}
 	return e
-}
-
-type verdict int
-
-const (
-	verdictNoCompile verdict = iota
-	verdictFail
-	verdictPass
-)
-
-// verdictWith runs the real pipeline on prompt(L)+completion, composing
-// the candidate's AST with the pre-parsed testbench so the bench text is
-// parsed once per problem, not once per candidate.
-func verdictWith(p *problems.Problem, completion string, tb *vlog.SourceFile, tbErr error) verdict {
-	src := p.CompleteWith(problems.LevelLow, completion)
-	f, err := vlog.Parse(src)
-	if err != nil {
-		return verdictNoCompile
-	}
-	if elab.CompileCheck(f) != nil {
-		return verdictNoCompile
-	}
-	if tbErr != nil {
-		return verdictNoCompile
-	}
-	d, err := elab.Elaborate(vlog.Compose(f, tb), "tb", elab.Options{})
-	if err != nil {
-		return verdictNoCompile
-	}
-	res, err := sim.New(d, sim.Options{}).Run()
-	if err != nil {
-		return verdictFail
-	}
-	if problems.PassVerdict(res.Output) {
-		return verdictPass
-	}
-	return verdictFail
-}
-
-// reprintBody reparses the reference and prints its behavioural items in
-// canonical style — a formatting-only restyle.
-func reprintBody(p *problems.Problem) string {
-	body, ok := BehaviouralTail(p.ReferenceSource())
-	if !ok {
-		return ""
-	}
-	return body
 }
 
 // BehaviouralTail extracts the behavioural items (always/initial/assign)

@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/problems"
+	"repro/internal/verdict"
 	"repro/internal/vlog"
 	"repro/internal/vlog/elab"
 )
 
-// verdictOf runs the real pipeline on prompt(L)+completion, parsing the
-// problem's testbench itself (buildEntry pre-parses the bench once).
-func verdictOf(p *problems.Problem, completion string) verdict {
-	tb, tbErr := vlog.Parse(p.Testbench)
-	return verdictWith(p, completion, tb, tbErr)
+// unshared judges a completion at LevelLow through the fresh-everything
+// oracle pipeline, not the shared tiers the bank verified it through.
+func unshared(p *problems.Problem, completion string) verdict.Outcome {
+	return verdict.EvaluateUnshared(p, problems.LevelLow, completion)
 }
 
 func testFamily(t *testing.T) *Family {
@@ -105,18 +105,18 @@ func TestBankPoolsVerified(t *testing.T) {
 	p := problems.ByNumber(6) // counter
 	rng := rand.New(rand.NewSource(1))
 	c := f.bank.Correct(p, rng)
-	if verdictOf(p, c) != verdictPass {
+	if !unshared(p, c).Passes {
 		t.Fatal("correct pool entry does not pass")
 	}
 	if nm, ok := f.bank.NearMiss(p, rng); ok {
-		if v := verdictOf(p, nm); v != verdictFail {
-			t.Fatalf("near-miss verdict = %v", v)
+		if o := unshared(p, nm); !o.Simulated || o.Passes {
+			t.Fatalf("near-miss verdict = %+v", o)
 		}
 	} else {
 		t.Fatal("counter should have near-miss mutants")
 	}
 	b := f.bank.Broken(p, rng)
-	if verdictOf(p, b) == verdictPass {
+	if unshared(p, b).Passes {
 		t.Fatal("broken pool entry passes")
 	}
 }

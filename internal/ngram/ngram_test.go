@@ -161,33 +161,72 @@ func TestOrderClampedToOne(t *testing.T) {
 // cumulative-count search, and the general softmax path) a frozen model
 // must generate the exact token stream the map-backed baseline does on
 // the same RNG stream.
+//
+// The uniform corpus has almost one successor per top-level context, so
+// from a trained prompt generation replays it at the top level. The
+// backoff corpus exercises the successor walk below the top: five
+// skewed symbols in short documents give every context several
+// successors, leave some contexts untrained, and end each document in a
+// token (7) that no context follows, so drawing it falls back to the
+// empty context and generation has to climb again. Its prompts end in
+// trained contexts, untrained ones, the document-final token, and an id
+// (99) no document holds.
 func TestFrozenMatchesMapSampler(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := make([]int, 4000)
 	for i := range data {
 		data[i] = rng.Intn(90)
 	}
-	for _, order := range []int{1, 2, 4} {
-		mapM := New(order)
-		frozenM := New(order)
-		mapM.Train(data)
-		frozenM.Train(data)
-		frozenM.Freeze()
-		if frozenM.frozen == nil || mapM.frozen != nil {
-			t.Fatal("freeze state wrong")
+	var prompts [][]int
+	for seed := 0; seed < 20; seed++ {
+		prompts = append(prompts, data[seed*7:seed*7+3])
+	}
+	var docs [][]int
+	for d := 0; d < 12; d++ {
+		doc := make([]int, 10+rng.Intn(30))
+		for i := range doc {
+			doc[i] = []int{0, 0, 0, 1, 1, 2, 2, 3, 4}[rng.Intn(9)]
 		}
-		for _, temp := range []float64{0, 0.1, 0.5, 1.0, 1.3, 2.0} {
-			for seed := int64(0); seed < 20; seed++ {
-				prompt := data[int(seed)*7 : int(seed)*7+3]
-				g1 := mapM.Generate(nil, prompt, 80, temp, rand.New(rand.NewSource(seed)))
-				g2 := frozenM.Generate(nil, prompt, 80, temp, rand.New(rand.NewSource(seed)))
-				if len(g1) != len(g2) {
-					t.Fatalf("order %d t=%.1f seed %d: lengths %d vs %d", order, temp, seed, len(g1), len(g2))
-				}
-				for i := range g1 {
-					if g1[i] != g2[i] {
-						t.Fatalf("order %d t=%.1f seed %d: token %d diverged: map %d frozen %d",
-							order, temp, seed, i, g1[i], g2[i])
+		docs = append(docs, append(doc, 7))
+	}
+	backoffPrompts := [][]int{
+		nil, {7}, {99}, {1, 99}, {99, 3}, {99, 4, 4}, {4, 4, 4}, {3, 4, 3, 4}, {2, 7},
+	}
+	for _, doc := range docs[:6] {
+		backoffPrompts = append(backoffPrompts, doc[:3], doc[len(doc)-4:len(doc)-1])
+	}
+	corpora := []struct {
+		name    string
+		docs    [][]int
+		prompts [][]int
+	}{
+		{"uniform", [][]int{data}, prompts},
+		{"backoff", docs, backoffPrompts},
+	}
+	for _, c := range corpora {
+		for _, order := range []int{1, 2, 4} {
+			mapM := New(order)
+			frozenM := New(order)
+			for _, doc := range c.docs {
+				mapM.Train(doc)
+				frozenM.Train(doc)
+			}
+			frozenM.Freeze()
+			if frozenM.frozen == nil || mapM.frozen != nil {
+				t.Fatal("freeze state wrong")
+			}
+			for _, temp := range []float64{0, 0.1, 0.5, 1.0, 1.3, 2.0} {
+				for seed, prompt := range c.prompts {
+					g1 := mapM.Generate(nil, prompt, 80, temp, rand.New(rand.NewSource(int64(seed))))
+					g2 := frozenM.Generate(nil, prompt, 80, temp, rand.New(rand.NewSource(int64(seed))))
+					if len(g1) != len(g2) {
+						t.Fatalf("%s order %d t=%.1f prompt %v: lengths %d vs %d", c.name, order, temp, prompt, len(g1), len(g2))
+					}
+					for i := range g1 {
+						if g1[i] != g2[i] {
+							t.Fatalf("%s order %d t=%.1f prompt %v: token %d diverged: map %d frozen %d",
+								c.name, order, temp, prompt, i, g1[i], g2[i])
+						}
 					}
 				}
 			}

@@ -1,4 +1,4 @@
-package eval
+package verdict
 
 import (
 	"fmt"
@@ -74,6 +74,18 @@ func TestTestbenchTierBounded(t *testing.T) {
 	// an evicted bench re-parses transparently
 	if _, err := testbenchFor(base.Testbench).parsed(); err != nil {
 		t.Fatalf("re-parse after eviction: %v", err)
+	}
+}
+
+func TestTruncate(t *testing.T) {
+	in := "  assign y = a;\nendmodule\nmodule junk; endmodule"
+	got := Truncate(in)
+	want := "  assign y = a;\nendmodule\n"
+	if got != want {
+		t.Fatalf("truncate = %q", got)
+	}
+	if Truncate("no terminator") != "no terminator" {
+		t.Fatal("missing endmodule should pass through")
 	}
 }
 

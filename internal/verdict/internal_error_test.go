@@ -1,4 +1,4 @@
-package eval
+package verdict
 
 import (
 	"testing"

@@ -1,4 +1,4 @@
-package eval
+package verdict
 
 import (
 	"sync"
@@ -11,10 +11,12 @@ import (
 	"repro/internal/vlog/elab"
 )
 
-// This file is the "elaborate once, simulate once" layer: the per-sample
-// compile pipeline (parse, compile-check, elaborate, simulate) runs once
-// per distinct candidate, and the testbench cone is compiled once per
-// (problem, level).
+// This file is the "elaborate once, simulate once" layer behind
+// Evaluate: the per-candidate pipeline (parse, compile-check, splice or
+// elaborate, simulate) runs once per distinct candidate, and the
+// testbench cone is compiled once per (problem, level). The sweep engine
+// and the variant bank share it, so a candidate the bank verified is a
+// memo hit when a sweep samples it at the same level.
 //
 // Four shared tiers, all content-addressed, all invisible to output, and
 // all bounded.Cache instances:
@@ -34,9 +36,9 @@ import (
 //
 // Every cached artifact is a pure function of its key, so eviction and
 // recomputation are byte-identical; the differential suite pins shared vs
-// fresh vs interpreted output. EvaluateUnshared (and Runner.UnsharedPlans)
-// keep the fresh-everything pipeline as the differential baseline, the
-// same role sim.Options.Interpret plays one layer down.
+// fresh vs interpreted output. EvaluateUnshared keeps the
+// fresh-everything pipeline as the differential baseline, the same role
+// sim.Options.Interpret plays one layer down.
 
 // DefaultMemoBytes bounds the verdict memo when no budget is
 // configured. Entries are accounted at their source text plus
@@ -134,7 +136,8 @@ type verdictSlot struct {
 }
 
 // sharedTiers holds the process-wide verdict memo and plan tier. Both
-// outlive every Runner; SetPlanCacheBytes replaces them together.
+// outlive every sweep and every bank; SetPlanCacheBytes replaces them
+// together.
 type sharedTiers struct {
 	memo  *bounded.Cache[verdictKey, *verdictSlot]
 	plans *sim.PlanCache

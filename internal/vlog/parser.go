@@ -17,7 +17,7 @@ var parseCalls atomic.Uint64
 // far (monotonic, process-wide). Intended for tests and perf accounting,
 // not control flow.
 //
-//vgencheck:oracle parse counter the eval pipeline's single-parse guarantee is checked against (TestSingleParsePerEvaluation)
+//vgencheck:oracle parse counter the verdict pipeline's single-parse guarantee is checked against (verdict.TestSingleParsePerEvaluation)
 func ParseCalls() uint64 { return parseCalls.Load() }
 
 // ParseError is a syntax error with a source position.
