@@ -23,12 +23,35 @@ type Stats struct {
 	KeptBytes     int
 }
 
-var modulePairRe = regexp.MustCompile(`(?s)\bmodule\b.*\bendmodule\b`)
-
 // HasModulePair reports whether the file contains at least one
-// module...endmodule pair (the paper's keep rule).
+// module...endmodule pair (the paper's keep rule): a whole-word module
+// and, after it, a whole-word endmodule. It is the regular expression
+// (?s)\bmodule\b.*\bendmodule\b as a scan: the first module leaves
+// the most room for an endmodule after it.
 func HasModulePair(content string) bool {
-	return modulePairRe.MatchString(content)
+	i := wordIndex(content, "module", 0)
+	return i >= 0 && wordIndex(content, "endmodule", i+len("module")) >= 0
+}
+
+// wordIndex returns the first index at or after from where w occurs as
+// a whole word, bounded as RE2's \b bounds it: no word byte
+// ([0-9A-Za-z_]) directly before or after, or -1.
+func wordIndex(s, w string, from int) int {
+	isWord := func(b byte) bool {
+		return b == '_' || (b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
+	}
+	for from < len(s) {
+		n := strings.Index(s[from:], w)
+		if n < 0 {
+			return -1
+		}
+		i, end := from+n, from+n+len(w)
+		if (i == 0 || !isWord(s[i-1])) && (end == len(s) || !isWord(s[end])) {
+			return i
+		}
+		from = i + 1
+	}
+	return -1
 }
 
 // Curate runs the full filter+dedup pipeline over the raw files and returns

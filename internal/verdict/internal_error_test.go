@@ -19,7 +19,6 @@ import (
 func TestInternalSimErrorIsARunError(t *testing.T) {
 	p := problems.ByNumber(6)
 	completion := p.RefBody + "\n// internal-error probe\n"
-	src := p.CompleteWith(problems.LevelHigh, Truncate(completion))
 
 	top := &elab.Inst{Path: "tb"}
 	body := &vlog.If{Cond: (*vlog.Ident)(nil), Then: &vlog.Null{}}
@@ -35,7 +34,8 @@ func TestInternalSimErrorIsARunError(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
 	sl := &verdictSlot{d: d}
-	if got := tiers.Load().memo.Add(verdictKey{tb: p.Testbench, src: src}, sl, int64(len(src))+verdictSlotCost); got != sl {
+	k := verdictKey{tb: p.Testbench, prompt: p.Prompt(problems.LevelHigh), completion: Truncate(completion)}
+	if got := tiers.Load().memo.Add(k, sl, k.cost()); got != sl {
 		t.Fatal("slot was already built")
 	}
 	before := SharedStats()

@@ -1,6 +1,7 @@
 package verdict
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,13 +43,14 @@ import (
 
 // DefaultMemoBytes bounds the verdict memo when no budget is
 // configured. Entries are accounted at their source text plus
-// verdictSlotCost, so the accounted budget tracks real retention.
+// verdictSlotCost, so the accounted budget bounds real retention.
 const DefaultMemoBytes = 4 << 20
 
 // verdictSlotCost is a memo entry's cost beyond its source text: the
 // slot struct, its map and FIFO bookkeeping and the key's string
 // headers. The testbench text is shared with the Problem, so it is not
-// charged.
+// charged. The prompt is shared too, but charged, so an entry costs its
+// whole source text.
 const verdictSlotCost = 256
 
 // tbCap bounds the testbench tier by entry count. Keying by the text (not
@@ -119,11 +121,17 @@ func (tb *testbench) skeleton() *elab.Skeleton {
 }
 
 // verdictKey addresses one candidate: the testbench text scopes the
-// candidate source, mirroring the legacy Compose(candidate, bench)
-// pipeline input.
+// candidate source, prompt followed by completion, mirroring the legacy
+// Compose(candidate, bench) pipeline input. The source stays in its two
+// parts, so a lookup builds no string.
 type verdictKey struct {
-	tb  string
-	src string
+	tb, prompt, completion string
+}
+
+// cost is the memo's charge for a key's entry: its source text, as if
+// prompt and completion were one string, and verdictSlotCost.
+func (k verdictKey) cost() int64 {
+	return int64(len(k.prompt)+len(k.completion)) + verdictSlotCost
 }
 
 // verdictSlot is one memo entry: a candidate that reached simulation.
@@ -219,18 +227,18 @@ func (sl *verdictSlot) verdict(plans *sim.PlanCache) (Outcome, *sim.Result) {
 // two workers miss on the same candidate, the first Add wins and both
 // wait on its one simulation.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, *sim.Result) {
-	completion = Truncate(completion)
-	prompt := p.Prompt(level)
-	src := prompt + completion
+	k := verdictKey{tb: p.Testbench, prompt: p.Prompt(level), completion: Truncate(completion)}
 	t := tiers.Load()
-	k := verdictKey{tb: p.Testbench, src: src}
 	sl, ok := t.memo.Get(k)
 	if !ok {
 		var o Outcome
-		if o, sl = buildSlot(p, prompt, completion); sl == nil {
+		if o, sl = buildSlot(p, k.prompt, k.completion); sl == nil {
 			return o, nil
 		}
-		sl = t.memo.Add(k, sl, int64(len(src))+verdictSlotCost)
+		// Truncate may return a slice of the caller's completion; a copy
+		// keeps the memo from pinning the caller's whole text
+		k.completion = strings.Clone(k.completion)
+		sl = t.memo.Add(k, sl, k.cost())
 	}
 	return sl.verdict(t.plans)
 }

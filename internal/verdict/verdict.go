@@ -30,50 +30,64 @@ import (
 // here used to chop a passing candidate at a comment that merely
 // mentioned endmodule, silently flipping its verdict to non-compiling.
 func Truncate(completion string) string {
-	if i := endmoduleKeywordIndex(completion); i >= 0 {
-		return completion[:i+len("endmodule")] + "\n"
+	i := endmoduleKeywordIndex(completion)
+	switch end := i + len("endmodule"); {
+	case i < 0:
+		return completion
+	case end < len(completion) && completion[end] == '\n':
+		return completion[:end+1] // already the text Truncate would build
+	default:
+		return completion[:end] + "\n"
 	}
-	return completion
 }
+
+// scanStops marks the bytes at which endmoduleKeywordIndex's state can
+// change: the openers of comments, directives and strings, and the
+// keyword's first letter. Every other byte costs one table lookup.
+var scanStops = [256]bool{'/': true, '`': true, '"': true, 'e': true}
 
 // endmoduleKeywordIndex scans for the first endmodule at a token boundary
 // outside comments, directives and strings, or -1. Like the lexer, it
-// skips from a backtick to the end of its line.
+// skips from a backtick to the end of its line. Each byte is read at
+// most once: the scan jumps from one scanStops byte to the next, and
+// across a comment or directive to its end.
 func endmoduleKeywordIndex(s string) int {
 	isWord := func(b byte) bool {
 		return b == '_' || b == '$' ||
 			(b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 	}
-	for i := 0; i < len(s); {
-		switch {
-		case s[i] == '/' && i+1 < len(s) && s[i+1] == '/', s[i] == '`':
-			for i < len(s) && s[i] != '\n' {
-				i++
-			}
-		case s[i] == '/' && i+1 < len(s) && s[i+1] == '*':
-			i += 2
-			for i+1 < len(s) && !(s[i] == '*' && s[i+1] == '/') {
-				i++
-			}
-			i += 2 // past the closer (or the end on an unterminated comment)
-		case s[i] == '"':
+	for i := 0; ; i++ {
+		for i < len(s) && !scanStops[s[i]] {
 			i++
-			for i < len(s) && s[i] != '"' {
+		}
+		if i >= len(s) {
+			return -1
+		}
+		switch c := s[i]; {
+		case c == '`' || c == '/' && i+1 < len(s) && s[i+1] == '/':
+			n := strings.IndexByte(s[i:], '\n')
+			if n < 0 {
+				return -1
+			}
+			i += n
+		case c == '/' && i+1 < len(s) && s[i+1] == '*':
+			n := strings.Index(s[i+2:], "*/")
+			if n < 0 {
+				return -1 // an unterminated comment runs to the end
+			}
+			i += 2 + n + 1
+		case c == '"':
+			for i++; i < len(s) && s[i] != '"'; i++ {
 				if s[i] == '\\' {
 					i++
 				}
-				i++
 			}
-			i++
-		case strings.HasPrefix(s[i:], "endmodule") &&
+		case c == 'e' && strings.HasPrefix(s[i:], "endmodule") &&
 			(i == 0 || !isWord(s[i-1])) &&
 			(i+len("endmodule") >= len(s) || !isWord(s[i+len("endmodule")])):
 			return i
-		default:
-			i++
 		}
 	}
-	return -1
 }
 
 // Outcome is the verdict for one completion. Simulated distinguishes

@@ -12,11 +12,12 @@ func PrefixTokens(pre *Prefix, completion string) ([]Token, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	toks, err = lexInto(toks, pre.completionLexer(completion))
+	lx := pre.completionLexer(completion)
+	rest, err := lexRest(&lx)
 	if err != nil {
 		return nil, true, err
 	}
-	return toks, true, nil
+	return append(toks, rest...), true, nil
 }
 
 // PrefixHead returns pre's parsed head, or nil when ParsePrefixed falls

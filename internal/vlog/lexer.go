@@ -389,78 +389,24 @@ func (lx *Lexer) lexNumber(p Pos) (Token, error) {
 	return Token{Kind: TokNumber, Text: lx.src[start:lx.off], Pos: p}, nil
 }
 
-// estimateTokens pre-counts the tokens in src with a lightweight scan (no
-// position tracking, no token construction) so lexing can fill one
-// backing slice sized up front. Multi-byte operators and based literals
-// may count as several tokens — the estimate only has to be a capacity,
-// never short by much and never wrong.
-func estimateTokens(src string) int {
-	n := 0
-	for i := 0; i < len(src); {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			i++
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '*':
-			i += 2
-			for i+1 < len(src) && !(src[i] == '*' && src[i+1] == '/') {
-				i++
-			}
-			i += 2
-		case c == '`':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case c == '"':
-			n++
-			i++
-			for i < len(src) && src[i] != '"' {
-				if src[i] == '\\' {
-					i++
-				}
-				i++
-			}
-			i++
-		case isIdentChar(c):
-			n++
-			for i < len(src) && isIdentChar(src[i]) {
-				i++
-			}
-		default:
-			n++
-			i++
-		}
-	}
-	return n
+// LexAll tokenizes the whole input.
+//
+//vgencheck:oracle whole-input token stream the parser's on-demand lexing is checked against (TestParsePrefixedMatchesParse, FuzzParse)
+func LexAll(src string) ([]Token, error) {
+	return lexRest(NewLexer(src))
 }
 
-// lexInto appends every remaining token of lx onto toks (the
-// pooled-buffer path the parser uses).
-func lexInto(toks []Token, lx *Lexer) ([]Token, error) {
+// lexRest returns every remaining token of lx.
+func lexRest(lx *Lexer) ([]Token, error) {
+	var toks []Token
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return toks, err
+			return nil, err
 		}
 		if t.Kind == TokEOF {
 			return toks, nil
 		}
 		toks = append(toks, t)
 	}
-}
-
-// LexAll tokenizes the whole input. A pre-count pass sizes the result so
-// the fill pass performs exactly one slice allocation.
-//
-//vgencheck:oracle whole-input token stream the lexer and ParsePrefixed's spliced lexing are checked against (TestParsePrefixedMatchesParse)
-func LexAll(src string) ([]Token, error) {
-	toks, err := lexInto(make([]Token, 0, estimateTokens(src)), NewLexer(src))
-	if err != nil {
-		return nil, err
-	}
-	return toks, nil
 }

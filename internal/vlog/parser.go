@@ -3,7 +3,6 @@ package vlog
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/vnum"
@@ -20,55 +19,101 @@ var parseCalls atomic.Uint64
 //vgencheck:oracle parse counter the verdict pipeline's single-parse guarantee is checked against (verdict.TestSingleParsePerEvaluation)
 func ParseCalls() uint64 { return parseCalls.Load() }
 
-// ParseError is a syntax error with a source position.
+// ParseError is a syntax error with a source position. Its message is
+// formatted only when Error is called: a verdict only needs to know that
+// the text failed to parse, and most candidates an LLM emits do.
 type ParseError struct {
 	Pos Pos
-	Msg string
+	// format is a constant message with at most one %q, filled from
+	// quoted, followed by at most one %s, filled from found. A literal
+	// the number parser rejects has its cause's message instead.
+	format string
+	quoted string
+	found  Token
+	cause  error
 }
 
-func (e *ParseError) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Pos, e.Msg) }
+// message returns the error text without its position.
+func (e *ParseError) message() string {
+	if e.cause != nil {
+		return e.cause.Error()
+	}
+	var args []any
+	if strings.Contains(e.format, "%q") {
+		args = append(args, e.quoted)
+	}
+	if strings.Contains(e.format, "%s") {
+		args = append(args, e.found)
+	}
+	if len(args) == 0 {
+		return e.format
+	}
+	return fmt.Sprintf(e.format, args...)
+}
 
-// Parser is a recursive-descent parser over the supported Verilog subset.
+func (e *ParseError) Error() string { return e.Pos.String() + ": syntax error: " + e.message() }
+
+// Parser is an LL(1) recursive-descent parser over the supported Verilog
+// subset. It pulls each token from its lexer when it moves onto it, so
+// it reads a text only as far as its first error: a syntax error before
+// a lexical one is the error reported, and the bytes after it are never
+// lexed. A lexical error ends the token stream; once the parse stops,
+// that error is the one reported.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  Lexer
+	tok Token // the current token; at the end, EOF at the last token's position
+	err error // the lexical error that ended the token stream
 }
 
-// parserPool recycles parsers between Parse calls: the token buffer is the
-// parser's only real scratch, and reusing its backing array means
-// steady-state parsing lexes into one long-lived slice instead of growing
-// a fresh one per source text. The AST only retains Text strings (slices
-// of src), never Token values, so releasing the buffer is safe.
-var parserPool = sync.Pool{New: func() any { return &Parser{} }}
+// newParser returns a parser over lx's tokens. The EOF of an empty
+// stream is reported at last.
+func newParser(lx Lexer, last Pos) Parser {
+	p := Parser{lx: lx}
+	p.fill(last)
+	return p
+}
 
-// release clears the token buffer (dropping the src references it pins)
-// and returns the parser to the pool.
-func (p *Parser) release() {
-	clear(p.toks)
-	p.toks = p.toks[:0]
-	p.pos = 0
-	parserPool.Put(p)
+// fill lexes the next token into p.tok; an EOF or a lexical error makes
+// it an EOF at last, the position of the token before it.
+func (p *Parser) fill(last Pos) {
+	t, err := p.lx.Next()
+	if err != nil {
+		p.err = err
+	}
+	if err != nil || t.Kind == TokEOF {
+		t = Token{Kind: TokEOF, Pos: last}
+	}
+	p.tok = t
+}
+
+// advance moves past the current token; at the end it stays there.
+func (p *Parser) advance() {
+	if p.tok.Kind != TokEOF {
+		p.fill(p.tok.Pos)
+	}
+}
+
+// finish returns a parse's result, or the lexical error that ended its
+// token stream: a syntax error found after it was found on the EOF that
+// stands in for the rest of the text.
+func (p *Parser) finish(f *SourceFile, err error) (*SourceFile, error) {
+	if p.err != nil {
+		err = p.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Parse parses a complete source text into a SourceFile.
 func Parse(src string) (*SourceFile, error) {
 	parseCalls.Add(1)
-	p := parserPool.Get().(*Parser)
-	defer p.release()
-	return p.parseFile(lexInto(p.toks[:0], NewLexer(src)))
+	p := newParser(Lexer{src: src, line: 1, col: 1}, Pos{Line: 1, Col: 1})
+	return p.finish(p.parseRest(&SourceFile{}))
 }
 
-// parseFile adopts toks as the parser's buffer and parses it as a
-// sequence of modules; lexErr, the error that ended lexing, wins.
-func (p *Parser) parseFile(toks []Token, lexErr error) (*SourceFile, error) {
-	p.toks, p.pos = toks, 0
-	if lexErr != nil {
-		return nil, lexErr
-	}
-	return p.parseRest(&SourceFile{})
-}
-
-// parseRest appends the modules that remain in the buffer to file.
+// parseRest appends the modules that remain in the stream to file.
 func (p *Parser) parseRest(file *SourceFile) (*SourceFile, error) {
 	for !p.atEOF() {
 		m, err := p.parseHeader()
@@ -81,47 +126,38 @@ func (p *Parser) parseRest(file *SourceFile) (*SourceFile, error) {
 		file.Modules = append(file.Modules, m)
 	}
 	if len(file.Modules) == 0 {
-		return nil, &ParseError{Msg: "no module declaration found"}
+		return nil, &ParseError{format: "no module declaration found"}
 	}
 	return file, nil
 }
 
-func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
+func (p *Parser) atEOF() bool { return p.tok.Kind == TokEOF }
 
-func (p *Parser) cur() Token {
-	if p.atEOF() {
-		last := Pos{Line: 1, Col: 1}
-		if len(p.toks) > 0 {
-			last = p.toks[len(p.toks)-1].Pos
-		}
-		return Token{Kind: TokEOF, Pos: last}
-	}
-	return p.toks[p.pos]
-}
+func (p *Parser) cur() Token { return p.tok }
 
 func (p *Parser) next() Token {
-	t := p.cur()
-	p.pos++
+	t := p.tok
+	p.advance()
 	return t
 }
 
-func (p *Parser) errorf(format string, args ...any) error {
-	return &ParseError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+// errorf returns a syntax error at the current token; format follows
+// ParseError's rule for its verbs.
+func (p *Parser) errorf(format, quoted string, found Token) error {
+	return &ParseError{Pos: p.tok.Pos, format: format, quoted: quoted, found: found}
 }
 
 func (p *Parser) isPunct(s string) bool {
-	t := p.cur()
-	return t.Kind == TokPunct && t.Text == s
+	return p.tok.Kind == TokPunct && p.tok.Text == s
 }
 
 func (p *Parser) isKeyword(s string) bool {
-	t := p.cur()
-	return t.Kind == TokKeyword && t.Text == s
+	return p.tok.Kind == TokKeyword && p.tok.Text == s
 }
 
 func (p *Parser) accept(s string) bool {
 	if p.isPunct(s) || p.isKeyword(s) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -129,24 +165,24 @@ func (p *Parser) accept(s string) bool {
 
 func (p *Parser) expectPunct(s string) error {
 	if !p.accept(s) {
-		return p.errorf("expected %q, found %s", s, p.cur())
+		return p.errorf("expected %q, found %s", s, p.tok)
 	}
 	return nil
 }
 
 func (p *Parser) expectKeyword(s string) error {
 	if !p.accept(s) {
-		return p.errorf("expected %q, found %s", s, p.cur())
+		return p.errorf("expected %q, found %s", s, p.tok)
 	}
 	return nil
 }
 
 func (p *Parser) expectIdent() (Token, error) {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != TokIdent {
-		return Token{}, p.errorf("expected identifier, found %s", t)
+		return Token{}, p.errorf("expected identifier, found %s", "", t)
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -208,7 +244,7 @@ func (p *Parser) parseHeader() (*Module, error) {
 func (p *Parser) parseBody(m *Module) error {
 	for !p.isKeyword("endmodule") {
 		if p.atEOF() {
-			return p.errorf("unexpected end of input inside module %q", m.Name)
+			return p.errorf("unexpected end of input inside module %q", m.Name, Token{})
 		}
 		item, err := p.parseItem()
 		if err != nil {
@@ -269,7 +305,7 @@ func (p *Parser) parsePortList(m *Module) error {
 			m.Items = append(m.Items, cur)
 		}
 		if cur == nil {
-			return p.errorf("expected port direction, found %s", p.cur())
+			return p.errorf("expected port direction, found %s", "", p.cur())
 		}
 		t, err := p.expectIdent()
 		if err != nil {
@@ -352,9 +388,9 @@ func (p *Parser) parseItem() (Item, error) {
 		case "function", "task", "generate", "fork", "real", "time",
 			"supply0", "supply1", "and", "or", "not", "nand", "nor",
 			"xor", "xnor", "buf":
-			return nil, p.errorf("unsupported construct %q", t.Text)
+			return nil, p.errorf("unsupported construct %q", t.Text, Token{})
 		default:
-			return nil, p.errorf("unexpected keyword %q", t.Text)
+			return nil, p.errorf("unexpected keyword %q", t.Text, Token{})
 		}
 	case t.Kind == TokIdent:
 		// module instantiation: Type [#(...)] name ( ... ) ;
@@ -363,7 +399,7 @@ func (p *Parser) parseItem() (Item, error) {
 		p.next()
 		return nil, nil
 	default:
-		return nil, p.errorf("unexpected token %s at module level", t)
+		return nil, p.errorf("unexpected token %s at module level", "", t)
 	}
 }
 
@@ -648,7 +684,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			}
 			return &Wait{Pos: t.Pos, Cond: cond, Stmt: body}, nil
 		default:
-			return nil, p.errorf("unexpected keyword %q in statement", t.Text)
+			return nil, p.errorf("unexpected keyword %q in statement", t.Text, Token{})
 		}
 	case t.Kind == TokPunct && t.Text == "#":
 		p.next()
@@ -724,7 +760,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case t.Kind == TokIdent || (t.Kind == TokPunct && t.Text == "{"):
 		return p.parseAssignStmt()
 	default:
-		return nil, p.errorf("unexpected token %s in statement", t)
+		return nil, p.errorf("unexpected token %s in statement", "", t)
 	}
 }
 
@@ -757,7 +793,7 @@ func (p *Parser) parseDelayAmount() (Expr, error) {
 		}
 		return e, nil
 	default:
-		return nil, p.errorf("expected delay amount, found %s", t)
+		return nil, p.errorf("expected delay amount, found %s", "", t)
 	}
 }
 
@@ -789,7 +825,7 @@ func (p *Parser) parseBlock() (Stmt, error) {
 	}
 	for !p.isKeyword("end") {
 		if p.atEOF() {
-			return nil, p.errorf("unexpected end of input in begin/end block")
+			return nil, p.errorf("unexpected end of input in begin/end block", "", Token{})
 		}
 		s, err := p.parseStmt()
 		if err != nil {
@@ -850,7 +886,7 @@ func (p *Parser) parseCase() (Stmt, error) {
 	node := &Case{Pos: t.Pos, Kind: kind, Expr: sel}
 	for !p.isKeyword("endcase") {
 		if p.atEOF() {
-			return nil, p.errorf("unexpected end of input in case statement")
+			return nil, p.errorf("unexpected end of input in case statement", "", Token{})
 		}
 		item := CaseItem{Pos: p.cur().Pos}
 		if p.accept("default") {
@@ -961,7 +997,7 @@ func (p *Parser) parseAssignStmt() (Stmt, error) {
 	case p.accept("<="):
 		nb = true
 	default:
-		return nil, p.errorf("expected '=' or '<=', found %s", p.cur())
+		return nil, p.errorf("expected '=' or '<=', found %s", "", p.cur())
 	}
 	// optional intra-assignment delay: a = #5 expr;
 	var delay Expr
@@ -1010,7 +1046,7 @@ func (p *Parser) parseLValue() (Expr, error) {
 		return c, nil
 	}
 	if t.Kind != TokIdent {
-		return nil, p.errorf("expected lvalue, found %s", t)
+		return nil, p.errorf("expected lvalue, found %s", "", t)
 	}
 	p.next()
 	var e Expr = &Ident{Pos: t.Pos, Name: t.Text}
@@ -1139,17 +1175,23 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokNumber:
-		p.next()
 		text := t.Text
-		// glue "4" + "'b1010" written with a space
-		if !strings.ContainsRune(text, '\'') && p.cur().Kind == TokNumber &&
-			strings.HasPrefix(p.cur().Text, "'") {
-			text += p.next().Text
+		if !strings.ContainsRune(text, '\'') {
+			// glue "4" + "'b1010" written with a space
+			p.next()
+			if p.cur().Kind != TokNumber || !strings.HasPrefix(p.cur().Text, "'") {
+				v, _ := vnum.ParseLiteral(text) // a plain decimal always parses
+				return &Number{Pos: t.Pos, Text: text, Value: v}, nil
+			}
+			text += p.cur().Text
 		}
+		// the literal is checked before the parser moves past its last
+		// token, so no lexical error after it can preempt its error
 		v, err := vnum.ParseLiteral(text)
 		if err != nil {
-			return nil, &ParseError{Pos: t.Pos, Msg: err.Error()}
+			return nil, &ParseError{Pos: t.Pos, cause: err}
 		}
+		p.next()
 		return &Number{Pos: t.Pos, Text: text, Value: v}, nil
 
 	case t.Kind == TokString:
@@ -1229,6 +1271,6 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return c, nil
 
 	default:
-		return nil, p.errorf("unexpected token %s in expression", t)
+		return nil, p.errorf("unexpected token %s in expression", "", t)
 	}
 }

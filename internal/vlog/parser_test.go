@@ -7,19 +7,13 @@ import (
 
 // ParseExprString parses a standalone expression.
 func ParseExprString(src string) (Expr, error) {
-	p := parserPool.Get().(*Parser)
-	defer p.release()
-	toks, err := lexInto(p.toks[:0], NewLexer(src))
-	p.toks, p.pos = toks, 0
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(*NewLexer(src), Pos{Line: 1, Col: 1})
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.atEOF() {
+		err = p.errorf("trailing input after expression", "", Token{})
 	}
-	if !p.atEOF() {
-		return nil, p.errorf("trailing input after expression")
+	if _, err := p.finish(nil, err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }

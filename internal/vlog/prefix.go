@@ -10,10 +10,11 @@ import "strings"
 type Prefix struct {
 	prompt string
 	// head is the prompt's module header and declarations, last the
-	// prompt's final token and line the line the completion starts on.
-	// head is nil when the prompt cannot be split from what follows it.
+	// position of the prompt's final token and line the line the
+	// completion starts on. head is nil when the prompt cannot be split
+	// from what follows it.
 	head *Module
-	last Token
+	last Pos
 	line int
 }
 
@@ -32,16 +33,10 @@ func LexPrefix(prompt string) *Prefix {
 	if !strings.HasSuffix(prompt, "\n") {
 		return pre
 	}
-	p := parserPool.Get().(*Parser)
-	defer p.release()
-	lx := NewLexer(prompt)
-	toks, err := lexInto(p.toks[:0], lx)
-	p.toks, p.pos = toks, 0
-	if err != nil {
-		return pre
-	}
-	if head, err := p.parsePrompt(); err == nil {
-		pre.head, pre.last, pre.line = head, toks[len(toks)-1], lx.line
+	p := newParser(Lexer{src: prompt, line: 1, col: 1}, Pos{Line: 1, Col: 1})
+	if head, err := p.parsePrompt(); err == nil && p.err == nil {
+		// at the end of the prompt, p.tok is an EOF at its last token
+		pre.head, pre.last, pre.line = head, p.tok.Pos, p.lx.line
 	}
 	return pre
 }
@@ -64,7 +59,7 @@ func (p *Parser) parsePrompt() (*Module, error) {
 	}
 	for !p.atEOF() {
 		if t := p.cur(); t.Kind != TokKeyword || !promptDecls[t.Text] {
-			return nil, p.errorf("prompt continues past its declarations")
+			return nil, p.errorf("prompt continues past its declarations", "", Token{})
 		}
 		item, err := p.parseItem()
 		if err != nil {
@@ -77,8 +72,8 @@ func (p *Parser) parsePrompt() (*Module, error) {
 
 // completionLexer lexes completion as the continuation of pre's prompt.
 // It requires pre.head != nil.
-func (pre *Prefix) completionLexer(completion string) *Lexer {
-	return &Lexer{src: completion, line: pre.line, col: 1}
+func (pre *Prefix) completionLexer(completion string) Lexer {
+	return Lexer{src: completion, line: pre.line, col: 1}
 }
 
 // ParsePrefixed parses pre's prompt followed by completion. Its result,
@@ -95,20 +90,14 @@ func ParsePrefixed(pre *Prefix, completion string) (*SourceFile, error) {
 		return Parse(pre.prompt + completion)
 	}
 	parseCalls.Add(1)
-	p := parserPool.Get().(*Parser)
-	defer p.release()
-	// the prompt's last token stays in the buffer so that an error at the
-	// end of input reports the position a whole-text parse would
-	toks, err := lexInto(append(p.toks[:0], pre.last), pre.completionLexer(completion))
-	p.toks, p.pos = toks, 1
-	if err != nil {
-		return nil, err
-	}
+	// an empty completion's EOF is at the prompt's last token, where a
+	// whole-text parse reports it
+	p := newParser(pre.completionLexer(completion), pre.last)
 	m := *pre.head
 	m.Items = m.Items[:len(m.Items):len(m.Items)]
 	m.PortNames = m.PortNames[:len(m.PortNames):len(m.PortNames)]
 	if err := p.parseBody(&m); err != nil {
-		return nil, err
+		return p.finish(nil, err)
 	}
-	return p.parseRest(&SourceFile{Modules: []*Module{&m}})
+	return p.finish(p.parseRest(&SourceFile{Modules: []*Module{&m}}))
 }

@@ -3,6 +3,12 @@
 // covers synthesizable RTL plus the behavioural constructs used by test
 // benches (initial blocks, delays, event controls, system tasks), which is
 // the language surface exercised by the paper's 17-problem evaluation.
+//
+// The parser lexes on demand and stops at its first error, so a text
+// with several errors reports the first in source order: a syntax error
+// before a lexical one is a *ParseError, and a lexical error before any
+// syntax error is a *LexError, even when the parse would also have
+// failed after it.
 package vlog
 
 import "fmt"
