@@ -13,49 +13,18 @@ import (
 // an unsigned expression signed operands are treated as unsigned.
 //
 // Two engines share these semantics. The default engine executes compiled
-// expression plans (plan.go): context derivation happens once per
-// (expression, instance) at plan-construction time. Options.Interpret
-// selects the AST-walking interpreter below, which re-derives context
-// (elab.SelfWidth / elab.SelfSigned) on every evaluation; it is the
-// bit-for-bit reference the differential tests compare the plans against.
-
-// eval evaluates an expression with assignment-context width ctx (0 for a
-// self-determined position).
-func (s *Simulator) eval(e vlog.Expr, in *elab.Inst, ctx int) vnum.Value {
-	if s.opts.Interpret {
-		return s.evalInterp(e, in, ctx)
-	}
-	return s.planFor(e, in, ctx)()
-}
-
-// evalSized evaluates e at width w with expression-level signedness sg
-// (case labels force sg false).
-func (s *Simulator) evalSized(e vlog.Expr, in *elab.Inst, w int, sg bool) vnum.Value {
-	if s.opts.Interpret {
-		return s.evalSizedInterp(e, in, w, sg)
-	}
-	return s.planSized(e, in, w, sg)()
-}
-
-// constBounds resolves part-select bounds; they were verified constant at
-// elaboration. In compiled mode the resolution is memoized per
-// (select, instance) — it cannot change at runtime.
-func (s *Simulator) constBounds(n *vlog.RangeSel, in *elab.Inst) (msb, lsb int, ok bool) {
-	if s.opts.Interpret {
-		return elab.PartSelBounds(n, in)
-	}
-	k := exprScope{e: n, in: in}
-	if b, hit := s.boundsMemo[k]; hit {
-		return b.msb, b.lsb, b.ok
-	}
-	msb, lsb, ok = elab.PartSelBounds(n, in)
-	s.boundsMemo[k] = boundsRes{msb: msb, lsb: lsb, ok: ok}
-	return msb, lsb, ok
-}
+// expression plans (plan.go), bound once per statement when the statement
+// binds (stmt.go): context derivation happens at plan-construction time.
+// Options.Interpret selects the AST-walking interpreter below, which
+// re-derives context (elab.SelfWidth / elab.SelfSigned) on every
+// evaluation; it is the bit-for-bit reference the differential tests
+// compare the plans against.
 
 // ---- the AST-walking interpreter -----------------------------------------
 
-// evalInterp evaluates by AST interpretation, re-deriving the context.
+// evalInterp evaluates e with assignment-context width ctx (0 for a
+// self-determined position) by AST interpretation, re-deriving the
+// context.
 func (s *Simulator) evalInterp(e vlog.Expr, in *elab.Inst, ctx int) vnum.Value {
 	w := elab.SelfWidth(e, in)
 	if ctx > w {
@@ -217,7 +186,7 @@ func (s *Simulator) evalIndex(n *vlog.Index, in *elab.Inst) vnum.Value {
 }
 
 func (s *Simulator) evalRangeSel(n *vlog.RangeSel, in *elab.Inst) vnum.Value {
-	msb, lsb, ok := s.constBounds(n, in)
+	msb, lsb, ok := elab.PartSelBounds(n, in)
 	if !ok {
 		return vnum.AllX(1)
 	}

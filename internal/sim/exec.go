@@ -5,7 +5,6 @@ import (
 	"iter"
 	"runtime/debug"
 	"strconv"
-	"strings"
 
 	"repro/internal/vlog"
 	"repro/internal/vlog/elab"
@@ -32,6 +31,8 @@ type process struct {
 	err    error
 	// blockCount counts suspensions, for always-block livelock detection
 	blockCount int
+	// root is the body's statement slot in the compiled engine (stmt.go)
+	root stmtSlot
 }
 
 // errKill unwinds a process body during shutdown.
@@ -41,7 +42,7 @@ type errKill struct{}
 type errFinishSim struct{}
 
 func newProcess(s *Simulator, p *elab.Proc) *process {
-	return &process{sim: s, proc: p}
+	return &process{sim: s, proc: p, root: stmtSlot{st: p.Body}}
 }
 
 // stepOnce resumes the process until it blocks or its body returns,
@@ -102,14 +103,14 @@ func (p *process) body(yield func(struct{}) bool) {
 // run executes the process body.
 func (p *process) run() {
 	if p.proc.Kind == elab.ProcInitial {
-		p.exec(p.proc.Body)
+		p.runBody()
 		return
 	}
 	// always block: loop forever; each iteration must block at least once,
 	// otherwise the process would livelock the scheduler
 	for {
 		blocked := p.blockCount
-		p.exec(p.proc.Body)
+		p.runBody()
 		if p.blockCount == blocked {
 			panic(simAbort{err: &RuntimeError{
 				Pos: p.proc.Body.NodePos(),
@@ -119,6 +120,16 @@ func (p *process) run() {
 	}
 }
 
+// runBody executes the body once under the selected engine: its bound
+// statement tree, or the AST interpreter.
+func (p *process) runBody() {
+	if p.sim.opts.Interpret {
+		p.exec(p.proc.Body)
+		return
+	}
+	p.execBound(&p.root)
+}
+
 // block suspends the process until the scheduler resumes it.
 func (p *process) block() {
 	if !p.yield(struct{}{}) {
@@ -126,7 +137,11 @@ func (p *process) block() {
 	}
 }
 
-// exec interprets one statement.
+// ---- the statement interpreter --------------------------------------------
+
+// exec interprets one statement by walking the AST. It is the reference
+// the compiled engine (stmt.go) is differential-tested against, and the
+// engine Options.Interpret selects.
 func (p *process) exec(st vlog.Stmt) {
 	s := p.sim
 	in := p.proc.Scope
@@ -138,27 +153,15 @@ func (p *process) exec(st vlog.Stmt) {
 			p.exec(sub)
 		}
 	case *vlog.Assign:
-		if s.opts.Interpret {
-			w := s.lvalueWidth(n.LHS, in)
-			v := s.eval(n.RHS, in, w)
-			if n.NonBlocking {
-				s.scheduleNBA(n.LHS, in, v)
-			} else {
-				s.writeLValue(n.LHS, in, v, true)
-			}
-			break
-		}
-		ap := s.assignPlanFor(n, in)
-		v := ap.rhs()
+		w := s.lvalueWidth(n.LHS, in)
+		v := s.evalInterp(n.RHS, in, w)
 		if n.NonBlocking {
-			// like scheduleNBA, index expressions of the target evaluate at
-			// NBA-apply time (inside ap.write)
-			s.nba = append(s.nba, nbaUpdate{apply: func() { ap.write(v) }})
+			s.scheduleNBA(n.LHS, in, v)
 		} else {
-			ap.write(v)
+			s.writeLValue(n.LHS, in, v, true)
 		}
 	case *vlog.If:
-		if s.eval(n.Cond, in, 0).IsTrue() {
+		if s.evalInterp(n.Cond, in, 0).IsTrue() {
 			p.exec(n.Then)
 		} else if n.Else != nil {
 			p.exec(n.Else)
@@ -167,16 +170,16 @@ func (p *process) exec(st vlog.Stmt) {
 		p.execCase(n)
 	case *vlog.For:
 		p.exec(n.Init)
-		for s.eval(n.Cond, in, 0).IsTrue() {
+		for s.evalInterp(n.Cond, in, 0).IsTrue() {
 			p.exec(n.Body)
 			p.exec(n.Step)
 		}
 	case *vlog.While:
-		for s.eval(n.Cond, in, 0).IsTrue() {
+		for s.evalInterp(n.Cond, in, 0).IsTrue() {
 			p.exec(n.Body)
 		}
 	case *vlog.Repeat:
-		cnt, ok := s.eval(n.Count, in, 0).Uint64()
+		cnt, ok := s.evalInterp(n.Count, in, 0).Uint64()
 		if !ok {
 			cnt = 0
 		}
@@ -188,7 +191,7 @@ func (p *process) exec(st vlog.Stmt) {
 			p.exec(n.Body)
 		}
 	case *vlog.Delay:
-		amt, ok := s.eval(n.Amount, in, 0).Uint64()
+		amt, ok := s.evalInterp(n.Amount, in, 0).Uint64()
 		if !ok {
 			amt = 0
 		}
@@ -210,7 +213,7 @@ func (p *process) exec(st vlog.Stmt) {
 func (p *process) execCase(n *vlog.Case) {
 	s := p.sim
 	in := p.proc.Scope
-	sel := s.eval(n.Expr, in, 0)
+	sel := s.evalInterp(n.Expr, in, 0)
 	var deflt vlog.Stmt
 	for _, item := range n.Items {
 		if item.Exprs == nil {
@@ -219,10 +222,10 @@ func (p *process) execCase(n *vlog.Case) {
 		}
 		for _, e := range item.Exprs {
 			w := sel.Width()
-			if lw := s.labelWidth(e, in); lw > w {
+			if lw := elab.SelfWidth(e, in); lw > w {
 				w = lw
 			}
-			label := s.evalSized(e, in, w, false)
+			label := s.evalSizedInterp(e, in, w, false)
 			selw := sel.AsUnsigned().Resize(w)
 			if caseMatch(n.Kind, selw, label) {
 				p.exec(item.Body)
@@ -277,26 +280,6 @@ func (p *process) waitEvent(n *vlog.EventCtrl) {
 	in := p.proc.Scope
 	p.noteBlock()
 
-	if !s.opts.Interpret {
-		// compiled mode: the item templates, bound plans, and dependency
-		// signals are static per site; each block copies the template into
-		// a fresh registration, so wake order matches the interpreter's
-		ws := s.waitSiteFor(n, in)
-		if len(ws.deps) == 0 {
-			panic(simAbort{err: &RuntimeError{Pos: n.Pos, Msg: "event control watches no signals"}})
-		}
-		wr := &waitReg{proc: p, scope: in, active: true,
-			items: append([]waitItem(nil), ws.items...)}
-		for i := range wr.items {
-			wr.items[i].last = wr.items[i].plan()
-		}
-		for _, st := range ws.deps {
-			st.waits = append(st.waits, wr)
-		}
-		p.block()
-		return
-	}
-
 	wr := &waitReg{proc: p, scope: in, active: true}
 
 	var depNames []string
@@ -314,7 +297,7 @@ func (p *process) waitEvent(n *vlog.EventCtrl) {
 	}
 	// sample current values
 	for i := range wr.items {
-		wr.items[i].last = s.eval(wr.items[i].expr, in, 0)
+		wr.items[i].last = s.evalInterp(wr.items[i].expr, in, 0)
 	}
 	registered := false
 	for _, name := range depNames {
@@ -332,25 +315,7 @@ func (p *process) waitEvent(n *vlog.EventCtrl) {
 func (p *process) waitLevel(cond vlog.Expr) {
 	s := p.sim
 	in := p.proc.Scope
-
-	if !s.opts.Interpret {
-		ls := s.levelSiteFor(cond, in)
-		if ls.cond().IsTrue() {
-			return
-		}
-		p.noteBlock()
-		if len(ls.deps) == 0 {
-			panic(simAbort{err: &RuntimeError{Pos: cond.NodePos(), Msg: "wait condition watches no signals"}})
-		}
-		wr := &waitReg{proc: p, scope: in, active: true, level: cond, levelPlan: ls.cond}
-		for _, st := range ls.deps {
-			st.waits = append(st.waits, wr)
-		}
-		p.block()
-		return
-	}
-
-	if s.eval(cond, in, 0).IsTrue() {
+	if s.evalInterp(cond, in, 0).IsTrue() {
 		return
 	}
 	p.noteBlock()
@@ -387,11 +352,20 @@ func (p *process) execSysCall(n *vlog.SysCall) {
 	in := p.proc.Scope
 	switch n.Name {
 	case "$display", "$strobe", "$error":
-		s.write(s.formatArgs(n.Args, in) + "\n")
+		s.line = append(s.appendArgs(s.line[:0], n.Args, in), '\n')
+		s.emit(s.line)
 	case "$monitor":
-		s.monitor = &monitorState{args: n.Args, scope: in, fresh: true}
+		m := &monitorState{fresh: true}
+		for _, a := range n.Args {
+			if monitorTrigger(a) {
+				m.trig = append(m.trig, func() vnum.Value { return s.evalInterp(a, in, 0) })
+			}
+		}
+		m.line = func(b []byte) []byte { return s.appendArgs(b, n.Args, in) }
+		s.monitor = m
 	case "$write":
-		s.write(s.formatArgs(n.Args, in))
+		s.line = s.appendArgs(s.line[:0], n.Args, in)
+		s.emit(s.line)
 	case "$finish", "$fatal":
 		panic(errFinishSim{})
 	case "$stop":
@@ -407,36 +381,35 @@ func (p *process) execSysCall(n *vlog.SysCall) {
 	}
 }
 
-// formatArgs implements $display-style formatting.
-func (s *Simulator) formatArgs(args []vlog.Expr, in *elab.Inst) string {
+// appendArgs implements $display-style formatting, appending the line to
+// b.
+func (s *Simulator) appendArgs(b []byte, args []vlog.Expr, in *elab.Inst) []byte {
 	if len(args) == 0 {
-		return ""
+		return b
 	}
-	var sb strings.Builder
 	if fmtStr, ok := args[0].(*vlog.Str); ok {
-		s.formatString(&sb, fmtStr.Text, args[1:], in)
-		return sb.String()
+		return s.appendFormat(b, fmtStr.Text, args[1:], in)
 	}
 	for i, a := range args {
 		if i > 0 {
-			sb.WriteString(" ")
+			b = append(b, ' ')
 		}
 		if str, ok := a.(*vlog.Str); ok {
-			sb.WriteString(str.Text)
+			b = append(b, str.Text...)
 			continue
 		}
-		sb.WriteString(s.eval(a, in, 0).DecString())
+		b = append(b, s.evalInterp(a, in, 0).DecString()...)
 	}
-	return sb.String()
+	return b
 }
 
-func (s *Simulator) formatString(sb *strings.Builder, format string, args []vlog.Expr, in *elab.Inst) {
+func (s *Simulator) appendFormat(b []byte, format string, args []vlog.Expr, in *elab.Inst) []byte {
 	argi := 0
 	nextVal := func() (vnum.Value, bool) {
 		if argi >= len(args) {
 			return vnum.Value{}, false
 		}
-		v := s.eval(args[argi], in, 0)
+		v := s.evalInterp(args[argi], in, 0)
 		argi++
 		return v, true
 	}
@@ -444,7 +417,7 @@ func (s *Simulator) formatString(sb *strings.Builder, format string, args []vlog
 	for i < len(format) {
 		c := format[i]
 		if c != '%' {
-			sb.WriteByte(c)
+			b = append(b, c)
 			i++
 			continue
 		}
@@ -454,56 +427,56 @@ func (s *Simulator) formatString(sb *strings.Builder, format string, args []vlog
 			i++
 		}
 		if i >= len(format) {
-			sb.WriteByte('%')
+			b = append(b, '%')
 			break
 		}
 		spec := format[i]
 		i++
 		switch spec {
 		case '%':
-			sb.WriteByte('%')
+			b = append(b, '%')
 		case 'd', 'D':
 			if v, ok := nextVal(); ok {
-				sb.WriteString(v.DecString())
+				b = append(b, v.DecString()...)
 			}
 		case 'b', 'B':
 			if v, ok := nextVal(); ok {
-				sb.WriteString(v.BinString())
+				b = append(b, v.BinString()...)
 			}
 		case 'h', 'H', 'x', 'X':
 			if v, ok := nextVal(); ok {
-				sb.WriteString(v.HexString())
+				b = append(b, v.HexString()...)
 			}
 		case 'o', 'O':
 			if v, ok := nextVal(); ok {
-				sb.WriteString(strconv.FormatUint(mustU64(v), 8))
+				b = strconv.AppendUint(b, mustU64(v), 8)
 			}
 		case 't', 'T':
 			if v, ok := nextVal(); ok {
-				sb.WriteString(v.DecString())
+				b = append(b, v.DecString()...)
 			}
 		case 'c':
 			if v, ok := nextVal(); ok {
-				sb.WriteByte(byte(mustU64(v)))
+				b = append(b, byte(mustU64(v)))
 			}
 		case 's':
 			if argi < len(args) {
 				if str, ok := args[argi].(*vlog.Str); ok {
-					sb.WriteString(str.Text)
+					b = append(b, str.Text...)
 					argi++
 					break
 				}
 			}
 			if v, ok := nextVal(); ok {
-				sb.WriteString(v.DecString())
+				b = append(b, v.DecString()...)
 			}
 		case 'm':
-			sb.WriteString(in.Path)
+			b = append(b, in.Path...)
 		default:
-			sb.WriteByte('%')
-			sb.WriteByte(spec)
+			b = append(b, '%', spec)
 		}
 	}
+	return b
 }
 
 func mustU64(v vnum.Value) uint64 {
@@ -513,23 +486,10 @@ func mustU64(v vnum.Value) uint64 {
 
 // ---- lvalue writes --------------------------------------------------------
 
-// lvalueWidth returns the width of an assignment target (for RHS context),
-// memoized in compiled mode — declaration widths and part-select bounds
-// are static per instance.
+// lvalueWidth returns the width of an assignment target (for RHS
+// context). The compiled engine calls it once per target, when the
+// statement binds; the interpreter on every execution.
 func (s *Simulator) lvalueWidth(lhs vlog.Expr, in *elab.Inst) int {
-	if s.opts.Interpret {
-		return s.lvalueWidthUncached(lhs, in)
-	}
-	k := exprScope{e: lhs, in: in}
-	if w, ok := s.lvwMemo[k]; ok {
-		return w
-	}
-	w := s.lvalueWidthUncached(lhs, in)
-	s.lvwMemo[k] = w
-	return w
-}
-
-func (s *Simulator) lvalueWidthUncached(lhs vlog.Expr, in *elab.Inst) int {
 	switch n := lhs.(type) {
 	case *vlog.Ident:
 		if st := s.sig(in, n.Name); st != nil {
@@ -544,7 +504,7 @@ func (s *Simulator) lvalueWidthUncached(lhs vlog.Expr, in *elab.Inst) int {
 		}
 		return 1
 	case *vlog.RangeSel:
-		msb, lsb, ok := s.constBounds(n, in)
+		msb, lsb, ok := elab.PartSelBounds(n, in)
 		if !ok {
 			return 1
 		}
@@ -575,7 +535,7 @@ func (s *Simulator) writeLValue(lhs vlog.Expr, in *elab.Inst, v vnum.Value, proc
 	case *vlog.Index:
 		if id, ok := n.X.(*vlog.Ident); ok {
 			if ms := s.mem(in, id.Name); ms != nil {
-				iv := s.eval(n.I, in, 0)
+				iv := s.evalInterp(n.I, in, 0)
 				addr, ok := iv.AsUnsigned().Uint64()
 				if !iv.IsKnown() || !ok {
 					return // write to unknown address is discarded
@@ -586,7 +546,7 @@ func (s *Simulator) writeLValue(lhs vlog.Expr, in *elab.Inst, v vnum.Value, proc
 				return
 			}
 			if st := s.sig(in, id.Name); st != nil {
-				iv := s.eval(n.I, in, 0)
+				iv := s.evalInterp(n.I, in, 0)
 				bi, ok := iv.AsUnsigned().Uint64()
 				if !iv.IsKnown() || !ok {
 					return
@@ -607,7 +567,7 @@ func (s *Simulator) writeLValue(lhs vlog.Expr, in *elab.Inst, v vnum.Value, proc
 		if st == nil {
 			return
 		}
-		msb, lsb, okc := s.constBounds(n, in)
+		msb, lsb, okc := elab.PartSelBounds(n, in)
 		if !okc {
 			return
 		}
@@ -637,10 +597,10 @@ func (s *Simulator) writeLValue(lhs vlog.Expr, in *elab.Inst, v vnum.Value, proc
 	}
 }
 
-// scheduleNBA captures the target location now and applies the update in
-// the NBA region.
+// scheduleNBA queues the update for the NBA region, where the target's
+// index expressions evaluate and the value is written.
 func (s *Simulator) scheduleNBA(lhs vlog.Expr, in *elab.Inst, v vnum.Value) {
-	s.nba = append(s.nba, nbaUpdate{apply: func() {
+	s.nba = append(s.nba, nbaUpdate{v: v, write: func(v vnum.Value) {
 		s.writeLValue(lhs, in, v, true)
 	}})
 }

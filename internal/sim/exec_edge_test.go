@@ -9,9 +9,32 @@ import (
 )
 
 // Edge-case coverage for the behavioural interpreter and system tasks.
+// Each test's source is a constant so that the statement differential
+// test (TestCompiledMatchesInterpreterStatements) runs every one of them
+// through both engines.
 
-func TestMonitorPrintsOnChange(t *testing.T) {
-	res := runTop(t, `module m;
+// edgeSources lists every source in this file with its top module.
+var edgeSources = []struct{ name, top, src string }{
+	{"MonitorPrintsOnChange", "m", edgeMonitorPrintsOnChange},
+	{"MonitorRearmsReplacesOld", "m", edgeMonitorRearmsReplacesOld},
+	{"CasexWildcards", "m", edgeCasexWildcards},
+	{"RepeatWithUnknownCountRunsZero", "m", edgeRepeatWithUnknownCountRunsZero},
+	{"DelayWithIdentifierAmount", "m", edgeDelayWithIdentifierAmount},
+	{"OutOfBoundsWritesAreDiscarded", "m", edgeOutOfBoundsWritesAreDiscarded},
+	{"OutOfBoundsReadsAreX", "m", edgeOutOfBoundsReadsAreX},
+	{"UnknownIndexReadAndWrite", "m", edgeUnknownIndexReadAndWrite},
+	{"StopActsLikeFinish", "m", edgeStopActsLikeFinish},
+	{"OutputLimit", "m", edgeOutputLimit},
+	{"ConcatLValueNonblocking", "m", edgeConcatLValueNonblocking},
+	{"WhileLoopAndBlockingSemantics", "m", edgeWhileLoopAndBlockingSemantics},
+	{"NamedBlock", "m", edgeNamedBlock},
+	{"SignedDisplayOfInteger", "m", edgeSignedDisplayOfInteger},
+	{"DisplayWithoutFormatString", "m", edgeDisplayWithoutFormatString},
+	{"IntraAssignmentDelay", "m", edgeIntraAssignmentDelay},
+	{"HierarchicalTwoLevels", "tb", edgeHierarchicalTwoLevels},
+}
+
+const edgeMonitorPrintsOnChange = `module m;
   reg [3:0] v;
   initial $monitor("t=%t v=%d", $time, v);
   initial begin
@@ -21,15 +44,17 @@ func TestMonitorPrintsOnChange(t *testing.T) {
     #5 v = 7;
     #1 $finish;
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestMonitorPrintsOnChange(t *testing.T) {
+	res := runTop(t, edgeMonitorPrintsOnChange, "m", Options{})
 	want := "t=0 v=1\nt=5 v=2\nt=15 v=7\n"
 	if res.Output != want {
 		t.Fatalf("monitor output = %q, want %q", res.Output, want)
 	}
 }
 
-func TestMonitorRearmsReplacesOld(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeMonitorRearmsReplacesOld = `module m;
   reg a, b;
   initial begin
     a = 0; b = 0;
@@ -39,7 +64,10 @@ func TestMonitorRearmsReplacesOld(t *testing.T) {
     #2 b = 1;
     #1 $finish;
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestMonitorRearmsReplacesOld(t *testing.T) {
+	res := runTop(t, edgeMonitorRearmsReplacesOld, "m", Options{})
 	if strings.Contains(res.Output, "A=1") {
 		t.Fatalf("old monitor fired after re-arm: %q", res.Output)
 	}
@@ -48,8 +76,7 @@ endmodule`, "m", Options{})
 	}
 }
 
-func TestCasexWildcards(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeCasexWildcards = `module m;
   reg [3:0] v;
   reg [1:0] r;
   initial begin
@@ -60,14 +87,16 @@ func TestCasexWildcards(t *testing.T) {
     endcase
     $display("r=%d", r);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestCasexWildcards(t *testing.T) {
+	res := runTop(t, edgeCasexWildcards, "m", Options{})
 	if res.Output != "r=1\n" {
 		t.Fatalf("casex output = %q", res.Output)
 	}
 }
 
-func TestRepeatWithUnknownCountRunsZero(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeRepeatWithUnknownCountRunsZero = `module m;
   reg [3:0] n;
   integer i;
   initial begin
@@ -75,26 +104,30 @@ func TestRepeatWithUnknownCountRunsZero(t *testing.T) {
     repeat (n) i = i + 1; // n is x: repeat count is 0
     $display("i=%d", i);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestRepeatWithUnknownCountRunsZero(t *testing.T) {
+	res := runTop(t, edgeRepeatWithUnknownCountRunsZero, "m", Options{})
 	if res.Output != "i=0\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestDelayWithIdentifierAmount(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeDelayWithIdentifierAmount = `module m;
   parameter STEP = 7;
   initial begin
     #STEP $display("t=%t", $time);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestDelayWithIdentifierAmount(t *testing.T) {
+	res := runTop(t, edgeDelayWithIdentifierAmount, "m", Options{})
 	if res.Output != "t=7\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestOutOfBoundsWritesAreDiscarded(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeOutOfBoundsWritesAreDiscarded = `module m;
   reg [3:0] v;
   reg [7:0] mem [3:0];
   integer i;
@@ -105,28 +138,32 @@ func TestOutOfBoundsWritesAreDiscarded(t *testing.T) {
     mem[i] = 8'hFF;    // address 9 of a 4-word memory: discarded
     $display("v=%b m0=%h", v, mem[0]);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestOutOfBoundsWritesAreDiscarded(t *testing.T) {
+	res := runTop(t, edgeOutOfBoundsWritesAreDiscarded, "m", Options{})
 	if res.Output != "v=0000 m0=xx\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestOutOfBoundsReadsAreX(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeOutOfBoundsReadsAreX = `module m;
   reg [3:0] v;
   reg [7:0] mem [3:0];
   initial begin
     v = 4'b1111;
     $display("b=%b w=%h", v[9], mem[9]);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestOutOfBoundsReadsAreX(t *testing.T) {
+	res := runTop(t, edgeOutOfBoundsReadsAreX, "m", Options{})
 	if res.Output != "b=x w=xx\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestUnknownIndexReadAndWrite(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeUnknownIndexReadAndWrite = `module m;
   reg [3:0] sel;
   reg [7:0] v;
   initial begin
@@ -135,30 +172,37 @@ func TestUnknownIndexReadAndWrite(t *testing.T) {
     v[sel] = 1'b0;              // discarded
     $display("v=%h", v);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestUnknownIndexReadAndWrite(t *testing.T) {
+	res := runTop(t, edgeUnknownIndexReadAndWrite, "m", Options{})
 	if res.Output != "bit=x\nv=aa\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestStopActsLikeFinish(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeStopActsLikeFinish = `module m;
   initial begin
     $display("before");
     $stop;
     $display("after");
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestStopActsLikeFinish(t *testing.T) {
+	res := runTop(t, edgeStopActsLikeFinish, "m", Options{})
 	if res.Output != "before\n" || !res.Finished {
 		t.Fatalf("output=%q finished=%v", res.Output, res.Finished)
 	}
 }
 
-func TestOutputLimit(t *testing.T) {
-	f, _ := vlog.Parse(`module m;
+const edgeOutputLimit = `module m;
   integer i;
   initial for (i = 0; i < 100000; i = i + 1) $display("spam line %d", i);
-endmodule`)
+endmodule`
+
+func TestOutputLimit(t *testing.T) {
+	f, _ := vlog.Parse(edgeOutputLimit)
 	d, err := elab.Elaborate(f, "m", elab.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +216,7 @@ endmodule`)
 	}
 }
 
-func TestConcatLValueNonblocking(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeConcatLValueNonblocking = `module m;
   reg clk;
   reg c;
   reg [3:0] s;
@@ -183,14 +226,16 @@ func TestConcatLValueNonblocking(t *testing.T) {
     #1 $display("c=%b s=%d", c, s);
   end
   always @(posedge clk) {c, s} <= 5'd17;
-endmodule`, "m", Options{})
+endmodule`
+
+func TestConcatLValueNonblocking(t *testing.T) {
+	res := runTop(t, edgeConcatLValueNonblocking, "m", Options{})
 	if res.Output != "c=1 s=1\n" { // 17 = 1_0001
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestWhileLoopAndBlockingSemantics(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeWhileLoopAndBlockingSemantics = `module m;
   integer i, total;
   initial begin
     i = 0; total = 0;
@@ -200,64 +245,74 @@ func TestWhileLoopAndBlockingSemantics(t *testing.T) {
     end
     $display("total=%d", total);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestWhileLoopAndBlockingSemantics(t *testing.T) {
+	res := runTop(t, edgeWhileLoopAndBlockingSemantics, "m", Options{})
 	if res.Output != "total=10\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestNamedBlock(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeNamedBlock = `module m;
   initial begin : main_blk
     $display("named ok");
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestNamedBlock(t *testing.T) {
+	res := runTop(t, edgeNamedBlock, "m", Options{})
 	if res.Output != "named ok\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestSignedDisplayOfInteger(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeSignedDisplayOfInteger = `module m;
   integer i;
   initial begin
     i = 0 - 5;
     $display("i=%d", i);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestSignedDisplayOfInteger(t *testing.T) {
+	res := runTop(t, edgeSignedDisplayOfInteger, "m", Options{})
 	if res.Output != "i=-5\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestDisplayWithoutFormatString(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeDisplayWithoutFormatString = `module m;
   reg [3:0] a;
   initial begin
     a = 4'd7;
     $display(a, "and", a + 4'd1);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestDisplayWithoutFormatString(t *testing.T) {
+	res := runTop(t, edgeDisplayWithoutFormatString, "m", Options{})
 	if res.Output != "7 and 8\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestIntraAssignmentDelay(t *testing.T) {
-	res := runTop(t, `module m;
+const edgeIntraAssignmentDelay = `module m;
   reg [3:0] v;
   initial begin
     v = #4 4'd9;
     $display("t=%t v=%d", $time, v);
   end
-endmodule`, "m", Options{})
+endmodule`
+
+func TestIntraAssignmentDelay(t *testing.T) {
+	res := runTop(t, edgeIntraAssignmentDelay, "m", Options{})
 	if res.Output != "t=4 v=9\n" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestHierarchicalTwoLevels(t *testing.T) {
-	src := `module leaf(input [3:0] a, output [3:0] y);
+const edgeHierarchicalTwoLevels = `module leaf(input [3:0] a, output [3:0] y);
   assign y = a + 1;
 endmodule
 module mid(input [3:0] a, output [3:0] y);
@@ -274,6 +329,9 @@ module tb;
     #1 $display("y=%d", y);
   end
 endmodule`
+
+func TestHierarchicalTwoLevels(t *testing.T) {
+	src := edgeHierarchicalTwoLevels
 	res := runTop(t, src, "tb", Options{})
 	if res.Output != "y=5\n" {
 		t.Fatalf("output = %q", res.Output)

@@ -10,10 +10,10 @@ import (
 // executable closures over this simulator's runtime state. A bound plan
 // reads signal values through captured *sigState pointers and runs
 // pre-resolved vnum operations; nothing in the closure tree re-derives
-// widths, looks up names, or type-switches over the AST. Binding happens
-// once per (expression, instance, context) and is cached on the
-// Simulator, so steady-state evaluation is one map hit plus straight-line
-// closure calls.
+// widths, looks up names, or type-switches over the AST. A plan binds
+// when the statement, continuous assignment or event control that
+// evaluates it binds (stmt.go), and that owner holds the closure, so
+// steady-state evaluation is straight-line closure calls with no lookup.
 //
 // Bound plans are bit-for-bit equivalent to the interpreter in eval.go,
 // including sub-expression evaluation order (observable through $random)
@@ -31,8 +31,9 @@ const (
 	planFixedS
 )
 
-// planKey identifies one compiled plan: AST nodes are unique per syntactic
-// position, so (expr, instance, width, mode) pins the evaluation context.
+// planKey identifies one compiled plan in the shared PlanCache: AST nodes
+// are unique per syntactic position, so (expr, instance, width, mode) pins
+// the evaluation context.
 type planKey struct {
 	e    vlog.Expr
 	in   *elab.Inst
@@ -40,58 +41,31 @@ type planKey struct {
 	mode uint8
 }
 
-// exprScope keys the static memos (case-label widths, part-select bounds,
-// lvalue widths).
-type exprScope struct {
-	e  vlog.Expr
-	in *elab.Inst
-}
-
-type boundsRes struct {
-	msb, lsb int
-	ok       bool
-}
-
-// planFor returns the compiled plan for evaluating e with assignment
-// context ctx, building and caching it on first use. With a shared
-// PlanCache, the immutable compile step is fetched from (or published to)
-// the cache and only the binding to this simulator's state runs locally.
-func (s *Simulator) planFor(e vlog.Expr, in *elab.Inst, ctx int) compiledExpr {
+// compile returns the bound plan for evaluating e with assignment context
+// ctx. With a shared PlanCache, the immutable compile step is fetched from
+// (or published to) the cache and only the binding to this simulator's
+// state runs locally. Nothing is memoized here: every caller binds once
+// and keeps the closure.
+func (s *Simulator) compile(e vlog.Expr, in *elab.Inst, ctx int) compiledExpr {
+	if s.opts.Plans == nil {
+		return s.bind(elab.CompileExpr(e, in, ctx))
+	}
 	k := planKey{e: e, in: in, w: ctx, mode: planCtx}
-	if c, ok := s.plans[k]; ok {
-		return c
-	}
-	var p *elab.Plan
-	if s.opts.Plans != nil {
-		p = s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExpr(e, in, ctx) })
-	} else {
-		p = elab.CompileExpr(e, in, ctx)
-	}
-	c := s.bind(p)
-	s.plans[k] = c
-	return c
+	return s.bind(s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExpr(e, in, ctx) }))
 }
 
-// planSized returns the compiled plan for evaluating e at a fixed width
+// compileSized returns the bound plan for evaluating e at a fixed width
 // and signedness (case labels).
-func (s *Simulator) planSized(e vlog.Expr, in *elab.Inst, w int, sg bool) compiledExpr {
+func (s *Simulator) compileSized(e vlog.Expr, in *elab.Inst, w int, sg bool) compiledExpr {
+	if s.opts.Plans == nil {
+		return s.bind(elab.CompileExprSized(e, in, w, sg))
+	}
 	mode := planFixedU
 	if sg {
 		mode = planFixedS
 	}
 	k := planKey{e: e, in: in, w: w, mode: mode}
-	if c, ok := s.plans[k]; ok {
-		return c
-	}
-	var p *elab.Plan
-	if s.opts.Plans != nil {
-		p = s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExprSized(e, in, w, sg) })
-	} else {
-		p = elab.CompileExprSized(e, in, w, sg)
-	}
-	c := s.bind(p)
-	s.plans[k] = c
-	return c
+	return s.bind(s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExprSized(e, in, w, sg) }))
 }
 
 // bind turns one plan node into a closure over runtime state. Every
@@ -398,38 +372,10 @@ func (s *Simulator) bind(p *elab.Plan) compiledExpr {
 	}
 }
 
-// ---- compiled lvalue writers and statement plans --------------------------
+// ---- compiled lvalue writers -----------------------------------------------
 
 // compiledWrite stores a value into a pre-resolved assignment target.
 type compiledWrite func(v vnum.Value)
-
-// stmtKey identifies per-statement compiled state (assignment plans, wait
-// sites) in one instance.
-type stmtKey struct {
-	st vlog.Stmt
-	in *elab.Inst
-}
-
-// assignPlan is the compiled form of one procedural or continuous
-// assignment: the RHS plan at the target's context width plus a writer
-// bound to the target's storage.
-type assignPlan struct {
-	rhs   compiledExpr
-	write compiledWrite
-}
-
-// assignPlanFor compiles (once) the RHS plan and lvalue writer of a
-// procedural assignment.
-func (s *Simulator) assignPlanFor(n *vlog.Assign, in *elab.Inst) *assignPlan {
-	k := stmtKey{st: n, in: in}
-	if ap, ok := s.assigns[k]; ok {
-		return ap
-	}
-	w := s.lvalueWidth(n.LHS, in)
-	ap := &assignPlan{rhs: s.planFor(n.RHS, in, w), write: s.bindLValue(n.LHS, in)}
-	s.assigns[k] = ap
-	return ap
-}
 
 // bindLValue compiles an assignment target into a writer closure: name
 // resolution, part-select bounds, and storage offsets happen here, index
@@ -450,7 +396,7 @@ func (s *Simulator) bindLValue(lhs vlog.Expr, in *elab.Inst) compiledWrite {
 			return noop
 		}
 		if ms := s.mem(in, id.Name); ms != nil {
-			idx := s.planFor(n.I, in, 0)
+			idx := s.compile(n.I, in, 0)
 			return func(v vnum.Value) {
 				iv := idx()
 				addr, ok := iv.Uint64()
@@ -463,7 +409,7 @@ func (s *Simulator) bindLValue(lhs vlog.Expr, in *elab.Inst) compiledWrite {
 			}
 		}
 		if st := s.sig(in, id.Name); st != nil {
-			idx := s.planFor(n.I, in, 0)
+			idx := s.compile(n.I, in, 0)
 			return func(v vnum.Value) {
 				iv := idx()
 				bi, ok := iv.Uint64()
@@ -487,7 +433,7 @@ func (s *Simulator) bindLValue(lhs vlog.Expr, in *elab.Inst) compiledWrite {
 		if st == nil {
 			return noop
 		}
-		msb, lsb, okc := s.constBounds(n, in)
+		msb, lsb, okc := elab.PartSelBounds(n, in)
 		if !okc {
 			return noop
 		}
@@ -528,51 +474,13 @@ func (s *Simulator) bindLValue(lhs vlog.Expr, in *elab.Inst) compiledWrite {
 	}
 }
 
-// ---- compiled wait sites --------------------------------------------------
-
-// waitSite is the static part of one event control: the item templates
-// (edge, expression, bound plan) and the signals to register on. Computed
-// once per (event control, instance); each block of the process copies the
-// template into a fresh waitReg, so registration order — and therefore
-// wake order — is identical to the interpreter's.
-type waitSite struct {
-	star  bool
-	items []waitItem
-	deps  []*sigState
-}
-
-// waitSiteFor builds (once) the wait site for an event control.
-func (s *Simulator) waitSiteFor(n *vlog.EventCtrl, in *elab.Inst) *waitSite {
-	k := stmtKey{st: n, in: in}
-	if ws, ok := s.waitSites[k]; ok {
-		return ws
-	}
-	ws := &waitSite{star: n.Star}
-	var depNames []string
-	if n.Star {
-		for _, id := range s.starIdents(n) {
-			ws.items = append(ws.items, waitItem{edge: vlog.EdgeAny, expr: id, plan: s.planFor(id, in, 0)})
-			depNames = append(depNames, id.Name)
-		}
-	} else {
-		for _, ev := range n.Events {
-			ws.items = append(ws.items, waitItem{edge: ev.Edge, expr: ev.X, plan: s.planFor(ev.X, in, 0)})
-			depNames = append(depNames, collectIdents(ev.X, nil)...)
-		}
-		depNames = dedup(depNames)
-	}
-	for _, name := range depNames {
-		if st := s.sig(in, name); st != nil {
-			ws.deps = append(ws.deps, st)
-		}
-	}
-	s.waitSites[k] = ws
-	return ws
-}
+// ---- @* sensitivity ------------------------------------------------------
 
 // starIdents returns the synthesized @* sensitivity idents for an event
 // control, stable per simulator via starCache and — with a shared
 // PlanCache — stable across simulators, so the per-ident plan keys share.
+// The compiled engine asks once per binding of the control; the
+// interpreter on every block.
 func (s *Simulator) starIdents(n *vlog.EventCtrl) []*vlog.Ident {
 	if ids, ok := s.starCache[n]; ok {
 		return ids
@@ -595,41 +503,4 @@ func synthStarIdents(n *vlog.EventCtrl) []*vlog.Ident {
 		idents[i] = &vlog.Ident{Name: name}
 	}
 	return idents
-}
-
-// levelSite is the static part of one wait(cond): the condition plan and
-// the watched signals.
-type levelSite struct {
-	cond compiledExpr
-	deps []*sigState
-}
-
-func (s *Simulator) levelSiteFor(cond vlog.Expr, in *elab.Inst) *levelSite {
-	k := exprScope{e: cond, in: in}
-	if ls, ok := s.levelSites[k]; ok {
-		return ls
-	}
-	ls := &levelSite{cond: s.planFor(cond, in, 0)}
-	for _, name := range dedup(collectIdents(cond, nil)) {
-		if st := s.sig(in, name); st != nil {
-			ls.deps = append(ls.deps, st)
-		}
-	}
-	s.levelSites[k] = ls
-	return ls
-}
-
-// labelWidth returns the self-determined width of a case label, memoized
-// in compiled mode (it is static per instance).
-func (s *Simulator) labelWidth(e vlog.Expr, in *elab.Inst) int {
-	if s.opts.Interpret {
-		return elab.SelfWidth(e, in)
-	}
-	k := exprScope{e: e, in: in}
-	if lw, ok := s.widthMemo[k]; ok {
-		return lw
-	}
-	lw := elab.SelfWidth(e, in)
-	s.widthMemo[k] = lw
-	return lw
 }

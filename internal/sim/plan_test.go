@@ -147,10 +147,48 @@ endmodule`
 	}
 }
 
+// stmtPositions counts the statement slots a bound tree can hold for st:
+// one per statement, including the empty positions (a bare "#5;", an
+// "if" without a then-statement) the engines still execute and charge.
+func stmtPositions(st vlog.Stmt) int {
+	n := 1
+	switch x := st.(type) {
+	case *vlog.Block:
+		for _, sub := range x.Stmts {
+			n += stmtPositions(sub)
+		}
+	case *vlog.If:
+		n += stmtPositions(x.Then)
+		if x.Else != nil {
+			n += stmtPositions(x.Else)
+		}
+	case *vlog.Case:
+		for _, item := range x.Items {
+			n += stmtPositions(item.Body)
+		}
+	case *vlog.For:
+		n += stmtPositions(x.Init) + stmtPositions(x.Step) + stmtPositions(x.Body)
+	case *vlog.While:
+		n += stmtPositions(x.Body)
+	case *vlog.Repeat:
+		n += stmtPositions(x.Body)
+	case *vlog.Forever:
+		n += stmtPositions(x.Body)
+	case *vlog.Delay:
+		n += stmtPositions(x.Stmt)
+	case *vlog.EventCtrl:
+		n += stmtPositions(x.Stmt)
+	case *vlog.Wait:
+		n += stmtPositions(x.Stmt)
+	}
+	return n
+}
+
 // TestPlanCacheBounded runs a long clocked simulation and checks that the
-// per-simulator plan caches stay proportional to the static expression
-// count, not to the event count — including the @* sensitivity idents that
-// used to be synthesized fresh on every block.
+// bound statement trees stay within the design's static statement count
+// and the plans they bind within its static expression count, not growing
+// with the event count — including the @* sensitivity idents, which are
+// synthesized once per site.
 func TestPlanCacheBounded(t *testing.T) {
 	src := `module tb;
   reg clk, reset;
@@ -177,7 +215,8 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(d, Options{})
+	plans := NewPlanCache(0)
+	s := New(d, Options{Plans: plans})
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -185,18 +224,21 @@ endmodule`
 	if res.Steps < 1000 {
 		t.Fatalf("expected a long run, got %d steps", res.Steps)
 	}
-	total := len(s.plans) + len(s.assigns) + len(s.waitSites) + len(s.levelSites)
-	if total > 64 {
-		t.Errorf("plan caches grew with events: %d entries after %d steps", total, res.Steps)
+	static := 0
+	for _, p := range d.Procs {
+		static += stmtPositions(p.Body)
 	}
-	if len(s.plans) == 0 || len(s.assigns) == 0 || len(s.waitSites) == 0 {
-		t.Errorf("compiled mode unused: plans=%d assigns=%d waitSites=%d",
-			len(s.plans), len(s.assigns), len(s.waitSites))
+	if s.binds == 0 || s.binds > static {
+		t.Errorf("bound %d statements after %d steps, want 1..%d (the static statement count)", s.binds, res.Steps, static)
+	}
+	st := plans.Stats()
+	if lookups := st.Hits + st.Misses; lookups == 0 || lookups > 64 {
+		t.Errorf("plan lookups grew with events: %d after %d steps", lookups, res.Steps)
 	}
 }
 
 // TestInterpretModeUsesNoPlans pins the ablation baseline: under
-// Options.Interpret nothing must be compiled.
+// Options.Interpret no statement binds and no plan is compiled.
 func TestInterpretModeUsesNoPlans(t *testing.T) {
 	src := `module tb;
   reg [7:0] a;
@@ -210,11 +252,79 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(d, Options{Interpret: true})
+	plans := NewPlanCache(0)
+	s := New(d, Options{Interpret: true, Plans: plans})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.plans)+len(s.assigns)+len(s.waitSites)+len(s.levelSites) != 0 {
-		t.Error("interpreter mode compiled plans")
+	if st := plans.Stats(); s.binds != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("interpreter mode bound %d statements and looked up %d plans", s.binds, st.Hits+st.Misses)
+	}
+}
+
+// TestUnreachedStatementsNeverBind pins lazy binding: a branch no run
+// takes compiles nothing, so a design with dead if (1'b0) arms (a block
+// and a lone assignment) records exactly the plan misses and statement
+// binds of the same design with empty arms.
+func TestUnreachedStatementsNeverBind(t *testing.T) {
+	const tmpl = `module tb;
+  reg [7:0] a, b, y;
+  reg [7:0] m [0:3];
+  initial begin
+    a = 8'd3; b = 8'd4; y = 8'd0;
+    if (1'b0) %s
+    if (1'b0) %s
+    #1 $display("y=%%d", y);
+  end
+endmodule`
+	run := func(block, assign string) (Result, PlanCacheStats, int) {
+		t.Helper()
+		plans := NewPlanCache(0)
+		s := New(elabTop(t, fmt.Sprintf(tmpl, block, assign), "tb"), Options{Plans: plans})
+		return mustRun(t, s), plans.Stats(), s.binds
+	}
+	dead, deadStats, deadBinds := run(`begin
+      y = {4{a[1:0]}} + b * 8'd3;
+      m[a[1:0]] <= y ^ b;
+      case (y) 8'd1: y = 8'd2; default: $display("%b %h", a, {b, y}); endcase
+      @(posedge a) wait (b) y = 8'd9;
+    end`, "y = a * b + 8'd7;")
+	empty, emptyStats, emptyBinds := run(";", ";")
+	sameResult(t, "dead arm", dead, empty)
+	if deadStats.Misses != emptyStats.Misses || deadStats.Hits != emptyStats.Hits {
+		t.Errorf("dead arm compiled plans: %d misses, %d hits; empty arm: %d, %d",
+			deadStats.Misses, deadStats.Hits, emptyStats.Misses, emptyStats.Hits)
+	}
+	if deadBinds != emptyBinds {
+		t.Errorf("dead arm bound %d statements, empty arm %d", deadBinds, emptyBinds)
+	}
+}
+
+// TestClockedCycleAllocations pins the compiled engine's steady state: on
+// a clocked counter, one more cycle allocates only the clocked process's
+// wait registration. Scheduling a delay, queueing the NBA, evaluating
+// bound plans and switching between the scheduler and a process allocate
+// nothing.
+func TestClockedCycleAllocations(t *testing.T) {
+	const tmpl = `module tb;
+  reg clk;
+  reg [15:0] q;
+  always #5 clk = ~clk;
+  always @(posedge clk) q <= q + 16'd1;
+  initial begin clk = 0; q = 0; #%d $finish; end
+endmodule`
+	const short, long = 100, 1100 // cycles
+	allocs := func(cycles int) float64 {
+		d := elabTop(t, fmt.Sprintf(tmpl, cycles*10+1), "tb")
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(d, Options{}).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perCycle := (allocs(long) - allocs(short)) / (long - short)
+	t.Logf("%.3f allocations per clock cycle", perCycle)
+	if perCycle > 1 {
+		t.Errorf("%.2f allocations per clock cycle, want at most 1 (the wait registration)", perCycle)
 	}
 }

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -71,9 +70,10 @@ type Options struct {
 	RandomSeed int64  // seed for $random; 0 = 1
 	DumpVCD    bool   // record a waveform from time 0 ($dumpvars also enables this at runtime)
 
-	// Interpret evaluates expressions by AST interpretation instead of
-	// compiled plans. The two engines are bit-for-bit equivalent; the
-	// interpreter exists as the differential baseline and for debugging.
+	// Interpret executes statements and expressions by AST
+	// interpretation instead of bound statement closures and compiled
+	// plans. The two engines are bit-for-bit equivalent; the interpreter
+	// exists as the differential baseline and for debugging.
 	Interpret bool
 
 	// Plans, when non-nil, shares immutable compiled expression plans
@@ -128,13 +128,13 @@ type waitReg struct {
 	proc      *process
 	items     []waitItem
 	level     vlog.Expr    // non-nil for wait(cond)
-	levelPlan compiledExpr // compiled level condition, nil under Interpret
+	levelPlan compiledExpr // bound level condition, nil under Interpret
 	scope     *elab.Inst
 	active    bool
 }
 
 // waitItem is one event-control term with its last sampled value. plan is
-// the bound expression plan (nil under Interpret).
+// the bound expression plan (nil under Interpret, which evaluates expr).
 type waitItem struct {
 	edge vlog.EdgeKind
 	expr vlog.Expr
@@ -160,6 +160,7 @@ type Simulator struct {
 	future     futureQueue
 
 	out       strings.Builder
+	line      []byte // one display line being formatted, reused across lines
 	steps     int
 	finished  bool
 	rng       uint64
@@ -172,21 +173,13 @@ type Simulator struct {
 	monitor *monitorState
 
 	// starCache holds the @* sensitivity list per event control, as stable
-	// synthesized Ident nodes so their compiled plans cache across
-	// re-registrations of the same block.
+	// synthesized Ident nodes, so the interpreter does not rebuild it on
+	// every block.
 	starCache map[*vlog.EventCtrl][]*vlog.Ident
 
-	// compiled-plan state: bound plans plus memos for the static facts the
-	// inner loop would otherwise re-derive (case-label widths, part-select
-	// bounds, lvalue widths, assignment and wait-site bindings). Unused
-	// under Options.Interpret.
-	plans      map[planKey]compiledExpr
-	widthMemo  map[exprScope]int
-	boundsMemo map[exprScope]boundsRes
-	lvwMemo    map[exprScope]int
-	assigns    map[stmtKey]*assignPlan
-	waitSites  map[stmtKey]*waitSite
-	levelSites map[exprScope]*levelSite
+	// binds counts process statements lowered to bound closures (see
+	// stmt.go); it stays 0 under Options.Interpret.
+	binds int
 }
 
 // activation is one schedulable work item in the active region.
@@ -195,38 +188,38 @@ type activation struct {
 	proc *process
 }
 
-// nbaUpdate applies one nonblocking assignment.
+// nbaUpdate is one queued nonblocking assignment: the value, computed
+// when the assignment executed, and the target's writer, which evaluates
+// any index expressions when the update is applied.
 type nbaUpdate struct {
-	apply func()
+	write compiledWrite
+	v     vnum.Value
 }
 
 // monitorState implements $monitor: at the end of every time step in
 // which any monitored value changed, the format line prints again
 // (postponed region of the stratified queue).
 type monitorState struct {
-	args  []vlog.Expr
-	scope *elab.Inst
-	last  []vnum.Value
-	fresh bool
+	// trig evaluates the arguments that take part in change detection:
+	// every argument except string literals and $time/$stime (the time
+	// advancing does not by itself re-trigger a monitor)
+	trig []compiledExpr
+	// line appends the formatted line, without its newline
+	line      func([]byte) []byte
+	last, cur []vnum.Value
+	fresh     bool
 }
 
-// triggerValues evaluates the arguments that participate in change
-// detection: everything except string literals and $time/$stime (the time
-// advancing does not by itself re-trigger a monitor).
-func (s *Simulator) triggerValues(m *monitorState) []vnum.Value {
-	var vals []vnum.Value
-	for _, a := range m.args {
-		switch n := a.(type) {
-		case *vlog.Str:
-			continue
-		case *vlog.SysCallExpr:
-			if n.Name == "$time" || n.Name == "$stime" {
-				continue
-			}
-		}
-		vals = append(vals, s.eval(a, m.scope, 0))
+// monitorTrigger reports whether a $monitor argument takes part in change
+// detection (see monitorState.trig).
+func monitorTrigger(a vlog.Expr) bool {
+	switch n := a.(type) {
+	case *vlog.Str:
+		return false
+	case *vlog.SysCallExpr:
+		return n.Name != "$time" && n.Name != "$stime"
 	}
-	return vals
+	return true
 }
 
 // futureEntry is a time-wheel slot.
@@ -236,41 +229,65 @@ type futureEntry struct {
 	act  activation
 }
 
-type futureQueue []*futureEntry
+// futureQueue is the time wheel: a binary min-heap of entries by (time,
+// seq), held by value so scheduling allocates nothing once the backing
+// array has grown. seq is unique, so the pop order is total.
+type futureQueue []futureEntry
 
-func (q futureQueue) Len() int { return len(q) }
-func (q futureQueue) Less(i, j int) bool {
+func (q futureQueue) less(i, j int) bool {
 	if q[i].time != q[j].time {
 		return q[i].time < q[j].time
 	}
 	return q[i].seq < q[j].seq
 }
-func (q futureQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *futureQueue) Push(x any)   { *q = append(*q, x.(*futureEntry)) }
-func (q *futureQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *futureQueue) push(e futureEntry) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *futureQueue) pop() futureEntry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = futureEntry{}
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
 }
 
 // New prepares a simulator for the design.
 func New(d *elab.Design, opts Options) *Simulator {
 	s := &Simulator{
-		design:     d,
-		opts:       opts,
-		signals:    map[*elab.Inst]map[string]*sigState{},
-		mems:       map[*elab.Inst]map[string]*memState{},
-		rng:        uint64(opts.RandomSeed),
-		starCache:  map[*vlog.EventCtrl][]*vlog.Ident{},
-		plans:      map[planKey]compiledExpr{},
-		widthMemo:  map[exprScope]int{},
-		boundsMemo: map[exprScope]boundsRes{},
-		lvwMemo:    map[exprScope]int{},
-		assigns:    map[stmtKey]*assignPlan{},
-		waitSites:  map[stmtKey]*waitSite{},
-		levelSites: map[exprScope]*levelSite{},
+		design:    d,
+		opts:      opts,
+		signals:   map[*elab.Inst]map[string]*sigState{},
+		mems:      map[*elab.Inst]map[string]*memState{},
+		rng:       uint64(opts.RandomSeed),
+		starCache: map[*vlog.EventCtrl][]*vlog.Ident{},
 	}
 	if s.rng == 0 {
 		s.rng = 1
@@ -364,12 +381,14 @@ type simAbort struct {
 	err error
 }
 
-// write appends display output.
-func (s *Simulator) write(text string) {
+// emit appends one formatted display line to the output. A line that
+// would pass maxOutput fails the run with ErrOutputLimit and writes
+// nothing.
+func (s *Simulator) emit(text []byte) {
 	if s.out.Len()+len(text) > maxOutput {
 		panic(simAbort{err: ErrOutputLimit})
 	}
-	s.out.WriteString(text)
+	s.out.Write(text)
 }
 
 // Run executes the simulation to completion ($finish, event starvation, or
@@ -399,7 +418,11 @@ func (s *Simulator) Run() (res Result, err error) {
 		v, cerr := elab.ConstEval(ri.Value, ri.Scope)
 		if cerr != nil {
 			// non-constant initializers evaluate against initial state
-			v = s.eval(ri.Value, ri.Scope, 0)
+			if s.opts.Interpret {
+				v = s.evalInterp(ri.Value, ri.Scope, 0)
+			} else {
+				v = s.compile(ri.Value, ri.Scope, 0)()
+			}
 		}
 		st := s.sig(ri.Scope, ri.Name)
 		s.setSignal(st, v)
@@ -429,23 +452,25 @@ func (s *Simulator) Run() (res Result, err error) {
 			s.active = append(s.active, s.inactive...)
 			s.inactive = s.inactive[:0]
 		case len(s.nba) > 0:
-			updates := s.nba
-			s.nba = nil
-			for _, u := range updates {
-				u.apply()
+			// applying an update only wakes processes and continuous
+			// assignments; nothing queues another NBA until the active
+			// region runs again, so the slice is reused in place
+			for i, u := range s.nba {
+				u.write(u.v)
+				s.nba[i] = nbaUpdate{}
 			}
-		case s.future.Len() > 0:
+			s.nba = s.nba[:0]
+		case len(s.future) > 0:
 			s.runMonitor() // postponed region: end of the current instant
-			e := heap.Pop(&s.future).(*futureEntry)
+			e := s.future.pop()
 			if e.time > s.opts.maxTime() {
 				return s.result(), ErrTimeLimit
 			}
 			s.time = e.time
 			s.active = append(s.active, e.act)
 			// pull everything else scheduled for the same instant
-			for s.future.Len() > 0 && s.future[0].time == e.time {
-				e2 := heap.Pop(&s.future).(*futureEntry)
-				s.active = append(s.active, e2.act)
+			for len(s.future) > 0 && s.future[0].time == e.time {
+				s.active = append(s.active, s.future.pop().act)
 			}
 		default:
 			s.runMonitor()
@@ -462,19 +487,22 @@ func (s *Simulator) runMonitor() {
 	if m == nil {
 		return
 	}
-	vals := s.triggerValues(m)
-	changed := m.fresh || len(vals) != len(m.last)
-	if !changed {
-		for i := range vals {
-			if !vals[i].Equal(m.last[i]) {
-				changed = true
-				break
-			}
+	// every trigger argument evaluates each instant, changed or not: an
+	// argument may draw $random
+	changed := m.fresh
+	cur := m.cur[:0]
+	for i, f := range m.trig {
+		v := f()
+		cur = append(cur, v)
+		if !changed && !v.Equal(m.last[i]) {
+			changed = true
 		}
 	}
+	m.cur = cur
 	if changed {
-		s.write(s.formatArgs(m.args, m.scope) + "\n")
-		m.last = vals
+		s.line = append(m.line(s.line[:0]), '\n')
+		s.emit(s.line)
+		m.last, m.cur = m.cur, m.last
 		m.fresh = false
 	}
 }
@@ -560,7 +588,7 @@ func (s *Simulator) scheduleFuture(delay uint64, act activation) {
 		return
 	}
 	s.futureSeq++
-	heap.Push(&s.future, &futureEntry{time: s.time + delay, seq: s.futureSeq, act: act})
+	s.future.push(futureEntry{time: s.time + delay, seq: s.futureSeq, act: act})
 }
 
 // evalCA re-evaluates one continuous assignment and drives its target. In
@@ -570,13 +598,13 @@ func (s *Simulator) evalCA(ca *caState) {
 	s.charge()
 	if s.opts.Interpret {
 		w := s.lvalueWidth(ca.ca.LHS, ca.ca.LScope)
-		v := s.eval(ca.ca.RHS, ca.ca.RScope, w)
+		v := s.evalInterp(ca.ca.RHS, ca.ca.RScope, w)
 		s.writeLValue(ca.ca.LHS, ca.ca.LScope, v, false)
 		return
 	}
 	if ca.rhs == nil {
 		w := s.lvalueWidth(ca.ca.LHS, ca.ca.LScope)
-		ca.rhs = s.planFor(ca.ca.RHS, ca.ca.RScope, w)
+		ca.rhs = s.compile(ca.ca.RHS, ca.ca.RScope, w)
 		ca.write = s.bindLValue(ca.ca.LHS, ca.ca.LScope)
 	}
 	ca.write(ca.rhs())
@@ -637,7 +665,7 @@ func (s *Simulator) checkWait(wr *waitReg) {
 		if wr.levelPlan != nil {
 			t = wr.levelPlan().IsTrue()
 		} else {
-			t = s.eval(wr.level, wr.scope, 0).IsTrue()
+			t = s.evalInterp(wr.level, wr.scope, 0).IsTrue()
 		}
 		if t {
 			s.wake(wr)
@@ -650,7 +678,7 @@ func (s *Simulator) checkWait(wr *waitReg) {
 		if it.plan != nil {
 			now = it.plan()
 		} else {
-			now = s.eval(it.expr, wr.scope, 0)
+			now = s.evalInterp(it.expr, wr.scope, 0)
 		}
 		old := it.last
 		it.last = now
