@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"strconv"
 
 	"repro/internal/vlog"
 	"repro/internal/vlog/elab"
@@ -350,21 +349,26 @@ func dedup(names []string) []string {
 func (p *process) execSysCall(n *vlog.SysCall) {
 	s := p.sim
 	in := p.proc.Scope
+	// lines go through the shared format scanner; each argument is
+	// evaluated when its conversion is reached, as the line is written
+	interp := func(i int) compiledExpr {
+		return func() vnum.Value { return s.evalInterp(n.Args[i], in, 0) }
+	}
 	switch n.Name {
 	case "$display", "$strobe", "$error":
-		s.line = append(s.appendArgs(s.line[:0], n.Args, in), '\n')
+		s.line = append(lowerLine(n.Args, in, interp).appendTo(s.line[:0]), '\n')
 		s.emit(s.line)
 	case "$monitor":
 		m := &monitorState{fresh: true}
-		for _, a := range n.Args {
+		for i, a := range n.Args {
 			if monitorTrigger(a) {
-				m.trig = append(m.trig, func() vnum.Value { return s.evalInterp(a, in, 0) })
+				m.trig = append(m.trig, interp(i))
 			}
 		}
-		m.line = func(b []byte) []byte { return s.appendArgs(b, n.Args, in) }
+		m.line = lowerLine(n.Args, in, interp).appendTo
 		s.monitor = m
 	case "$write":
-		s.line = s.appendArgs(s.line[:0], n.Args, in)
+		s.line = lowerLine(n.Args, in, interp).appendTo(s.line[:0])
 		s.emit(s.line)
 	case "$finish", "$fatal":
 		panic(errFinishSim{})
@@ -379,104 +383,6 @@ func (p *process) execSysCall(n *vlog.SysCall) {
 	default:
 		panic(simAbort{err: &RuntimeError{Pos: n.Pos, Msg: fmt.Sprintf("unsupported system task %s", n.Name)}})
 	}
-}
-
-// appendArgs implements $display-style formatting, appending the line to
-// b.
-func (s *Simulator) appendArgs(b []byte, args []vlog.Expr, in *elab.Inst) []byte {
-	if len(args) == 0 {
-		return b
-	}
-	if fmtStr, ok := args[0].(*vlog.Str); ok {
-		return s.appendFormat(b, fmtStr.Text, args[1:], in)
-	}
-	for i, a := range args {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if str, ok := a.(*vlog.Str); ok {
-			b = append(b, str.Text...)
-			continue
-		}
-		b = append(b, s.evalInterp(a, in, 0).DecString()...)
-	}
-	return b
-}
-
-func (s *Simulator) appendFormat(b []byte, format string, args []vlog.Expr, in *elab.Inst) []byte {
-	argi := 0
-	nextVal := func() (vnum.Value, bool) {
-		if argi >= len(args) {
-			return vnum.Value{}, false
-		}
-		v := s.evalInterp(args[argi], in, 0)
-		argi++
-		return v, true
-	}
-	i := 0
-	for i < len(format) {
-		c := format[i]
-		if c != '%' {
-			b = append(b, c)
-			i++
-			continue
-		}
-		i++
-		// skip width/zero flags: %0d, %2b etc.
-		for i < len(format) && (format[i] >= '0' && format[i] <= '9') {
-			i++
-		}
-		if i >= len(format) {
-			b = append(b, '%')
-			break
-		}
-		spec := format[i]
-		i++
-		switch spec {
-		case '%':
-			b = append(b, '%')
-		case 'd', 'D':
-			if v, ok := nextVal(); ok {
-				b = append(b, v.DecString()...)
-			}
-		case 'b', 'B':
-			if v, ok := nextVal(); ok {
-				b = append(b, v.BinString()...)
-			}
-		case 'h', 'H', 'x', 'X':
-			if v, ok := nextVal(); ok {
-				b = append(b, v.HexString()...)
-			}
-		case 'o', 'O':
-			if v, ok := nextVal(); ok {
-				b = strconv.AppendUint(b, mustU64(v), 8)
-			}
-		case 't', 'T':
-			if v, ok := nextVal(); ok {
-				b = append(b, v.DecString()...)
-			}
-		case 'c':
-			if v, ok := nextVal(); ok {
-				b = append(b, byte(mustU64(v)))
-			}
-		case 's':
-			if argi < len(args) {
-				if str, ok := args[argi].(*vlog.Str); ok {
-					b = append(b, str.Text...)
-					argi++
-					break
-				}
-			}
-			if v, ok := nextVal(); ok {
-				b = append(b, v.DecString()...)
-			}
-		case 'm':
-			b = append(b, in.Path...)
-		default:
-			b = append(b, '%', spec)
-		}
-	}
-	return b
 }
 
 func mustU64(v vnum.Value) uint64 {

@@ -47,11 +47,17 @@ type planKey struct {
 // state runs locally. Nothing is memoized here: every caller binds once
 // and keeps the closure.
 func (s *Simulator) compile(e vlog.Expr, in *elab.Inst, ctx int) compiledExpr {
+	return s.bind(s.planOf(e, in, ctx))
+}
+
+// planOf returns the unbound plan compile binds, for a caller that also
+// needs its static width.
+func (s *Simulator) planOf(e vlog.Expr, in *elab.Inst, ctx int) *elab.Plan {
 	if s.opts.Plans == nil {
-		return s.bind(elab.CompileExpr(e, in, ctx))
+		return elab.CompileExpr(e, in, ctx)
 	}
 	k := planKey{e: e, in: in, w: ctx, mode: planCtx}
-	return s.bind(s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExpr(e, in, ctx) }))
+	return s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExpr(e, in, ctx) })
 }
 
 // compileSized returns the bound plan for evaluating e at a fixed width

@@ -18,7 +18,8 @@ import (
 // (closure compilation, Feeley and Lapalme 1987).
 //
 // The interpreter (exec in exec.go) is the reference: the two engines
-// share no statement code, and TestCompiledMatchesInterpreterStatements
+// share no statement execution code (only caseMatch and the display
+// format scanner, lowerLine), and TestCompiledMatchesInterpreterStatements
 // holds them to the same output, time, step count and error.
 
 // boundStmt is one statement lowered to a closure over the process's
@@ -161,19 +162,19 @@ type caseArm struct {
 }
 
 // caseLabel is one label expression. Its plan binds the first time the
-// label is compared, at the comparison width: the wider of the selector
-// and the label's own width, both static, so it binds once.
+// label is compared, at the comparison width w: the wider of the
+// selector's static width and the label's own.
 type caseLabel struct {
 	e    vlog.Expr
-	lw   int // the label's self-determined width, once plan is bound
-	w    int // the width plan was bound at
+	w    int
 	plan compiledExpr
 }
 
 func (p *process) bindCase(n *vlog.Case) boundStmt {
 	s := p.sim
 	in := p.proc.Scope
-	sel := s.compile(n.Expr, in, 0)
+	selPlan := s.planOf(n.Expr, in, 0)
+	sel, selW := s.bind(selPlan), selPlan.Width
 	var arms []caseArm
 	var deflt *stmtSlot
 	for _, item := range n.Items {
@@ -194,17 +195,11 @@ func (p *process) bindCase(n *vlog.Case) boundStmt {
 			arm := &arms[ai]
 			for li := range arm.labels {
 				l := &arm.labels[li]
-				w := v.Width()
 				if l.plan == nil {
-					l.lw = elab.SelfWidth(l.e, in)
+					l.w = max(selW, elab.SelfWidth(l.e, in))
+					l.plan = s.compileSized(l.e, in, l.w, false)
 				}
-				if l.lw > w {
-					w = l.lw
-				}
-				if l.plan == nil || l.w != w {
-					l.plan, l.w = s.compileSized(l.e, in, w, false), w
-				}
-				if caseMatch(kind, v.AsUnsigned().Resize(w), l.plan()) {
+				if caseMatch(kind, v.AsUnsigned().Resize(l.w), l.plan()) {
 					p.execBound(&arm.body)
 					return
 				}
@@ -357,10 +352,11 @@ type fmtSeg struct {
 	arg  compiledExpr
 }
 
-// lowerLine lowers args the way appendArgs formats them at runtime. Which
-// argument each conversion consumes depends only on the format text, so it
-// is fixed here; plan(i) binds args[i], and only consumed arguments are
-// bound.
+// lowerLine is the one scanner of the $display format grammar; both
+// engines format through it. Which argument each conversion consumes
+// depends only on the format text, so it is fixed here; plan(i) supplies
+// the evaluator of args[i] (a bound plan in the compiled engine, a lazy
+// interpreter call in the oracle), and only consumed arguments get one.
 func lowerLine(args []vlog.Expr, in *elab.Inst, plan func(i int) compiledExpr) lineFormat {
 	var f lineFormat
 	lit := func(text string) {
@@ -441,7 +437,7 @@ func lowerLine(args []vlog.Expr, in *elab.Inst, plan func(i int) compiledExpr) l
 		case 'm':
 			lit(in.Path)
 		default:
-			lit(format[i-2 : i]) // '%' and the unknown verb, as written
+			lit("%" + format[i-1:i]) // an unknown verb is written back, width dropped
 		}
 	}
 	return f

@@ -208,6 +208,13 @@ endmodule`, check: wantOutput("v=10100100 m1=x m2=9 hi=10\n")},
     $error("error %d", a);
   end
 endmodule`},
+	{name: "display widths before unknown verbs", top: "m", src: `module m;
+  reg [7:0] a;
+  initial begin
+    a = 8'd65;
+    $display("%0q|%5.2f|%3%|%2h", a);
+  end
+endmodule`, check: wantOutput("%q|%.2f|%|41\n")},
 	{name: "monitor re-arm and stop", top: "m", src: `module m;
   reg [3:0] a, b;
   initial begin
