@@ -56,7 +56,7 @@ race:
 # process lifetime, and the GC mark cost of that retained graph would
 # otherwise tax every allocating component bench sharing the process.
 # A new Benchmark must be added to exactly one of these two lists.
-MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkVnumHexString|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkSampleRand|BenchmarkMathRandSeed|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkParsePrefixed|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkProcessHandoff|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup|BenchmarkStoreOpen)$$
+MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkVnumHexString|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkFamilyLMs|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkSampleRand|BenchmarkMathRandSeed|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkParsePrefixed|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkProcessHandoff|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup|BenchmarkStoreOpen)$$
 MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkEvaluateWarmCompile|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
 
 # GOGC is pinned for recordings: the bounded caches keep the suite's

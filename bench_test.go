@@ -255,6 +255,23 @@ func benchNgram(b *testing.B, order int) {
 	}
 }
 
+// BenchmarkFamilyLMs times the babble LMs of a fresh seed-1 family at the
+// default corpus size: the family's prepare tasks for the catalog's eleven
+// lines and no problems, run in turn on one goroutine, train each
+// variant's counts and freeze all eight (order, variant) LMs. Building the
+// family (corpus curation and BPE training) is outside the timer.
+func BenchmarkFamilyLMs(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		be := gen.NewFamilyBackend(model.NewFamily(model.Config{Seed: 1}))
+		b.StartTimer()
+		for _, task := range be.Prepare(be.Variants(), nil) {
+			task()
+		}
+	}
+}
+
 // BenchmarkEncode vs BenchmarkEncodeInto is the tokenizer-front-end
 // ablation: the allocating convenience entry point against the
 // reusable-buffer path the generation hot loops use.

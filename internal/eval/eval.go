@@ -56,7 +56,10 @@ func SharedStats() SharedCacheStats { return verdict.SharedStats() }
 
 // numShards sizes the outcome cache: enough shards that GOMAXPROCS workers
 // rarely collide on one lock, cheap enough to sit in every Runner.
-const numShards = 64
+const (
+	shardBits = 6
+	numShards = 1 << shardBits
+)
 
 // outcomeKey addresses one outcome. It carries no backend tag: the
 // shards live in one Runner, whose backend is fixed.
@@ -74,7 +77,7 @@ type outcomeSlot struct {
 	o    verdict.Outcome
 }
 
-// FNV-1a constants for cache-key and query-seed hashing.
+// FNV-1a constants for query-seed hashing.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -95,11 +98,27 @@ func fnvUint(h, u uint64) uint64 {
 	return h
 }
 
+// golden is 2^64 divided by the golden ratio, the multiplier of Knuth's
+// Fibonacci hashing.
+const golden = 0x9e3779b97f4a7c15
+
+// shard picks the key's shard. The completion is mixed eight bytes per
+// multiply, and the shard is the top bits of a final multiply, which
+// every bit of the state reaches. The hash only spreads keys over locks:
+// any deterministic function would give the same outcomes.
 func (k *outcomeKey) shard() uint64 {
-	h := fnvUint(fnvOffset, uint64(k.problem))
-	h = fnvUint(h, uint64(k.level))
-	h = fnvString(h, k.completion)
-	return h % numShards
+	h := (uint64(k.problem)<<8 ^ uint64(k.level)) * golden
+	s := k.completion
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = (h ^ w) * golden
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	return ((h ^ tail) * golden) >> (64 - shardBits)
 }
 
 // Runner executes queries against a generation backend with a sharded
@@ -237,7 +256,8 @@ type Query struct {
 
 // querySeed hashes the query coordinates (not N) into the base seed that
 // sample indices are derived from. Excluding N gives the streams a prefix
-// property: sample i is the same draw in an n=1, n=10, or n=25 sweep.
+// property: sample i is the same draw in an n=1, n=10, or n=25 sweep, so
+// evaluateBatch takes it once for every cell of a batch that needs it.
 //
 // The truncating int64(t*1000) below is load-bearing and deliberately NOT
 // gen.TempMilli (which rounds): "fixing" it would change every seed
@@ -327,9 +347,10 @@ func (sr sampleResult) stats() CellStats {
 }
 
 // EvaluateBatch executes a batch of queries, fanning every (query,
-// sample-index) work item across the worker pool. Per-sample hashed RNGs
-// plus fixed-order reduction make the returned stats byte-identical to a
-// serial run, including float latency sums.
+// sample-index) work item across the worker pool; queries that differ
+// only in N take each sample once, from shared slots. Per-sample hashed
+// RNGs plus fixed-order reduction make the returned stats byte-identical
+// to a serial run, including float latency sums.
 func (r *Runner) EvaluateBatch(qs []Query) []CellStats {
 	out, _ := r.EvaluateBatchCtx(context.Background(), qs)
 	return out // a Background context never cancels, so out is never nil
@@ -358,44 +379,52 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 // from the Runner, so another call on the same Runner can never change
 // which of its own cells it drops.
 func (r *Runner) evaluateBatch(ctx context.Context, qs []Query) ([]CellStats, []CellFailure, error) {
-	keys := make([]gen.Key, len(qs))
-	bases := make([]int64, len(qs))
-	results := make([][]sampleResult, len(qs))
+	// Queries that differ only in N draw the same samples (querySeed leaves
+	// N out), so they share one draw: its slots are sized to the largest N
+	// among them, and each query's results are a prefix of its draw's.
+	draws, drawOf := distinctDraws(qs)
+	keys := make([]gen.Key, len(draws))
+	bases := make([]int64, len(draws))
+	slots := make([][]sampleResult, len(draws))
 	var lines []gen.Key
 	var probs []*problems.Problem
 	total := 0
-	for _, q := range qs {
-		total += q.N
+	for _, d := range draws {
+		total += d.N
 	}
 	// Pre-sized item list: this path runs once per sweep batch, and its
-	// allocations are the warm-cache sweep's main garbage. The per-query
+	// allocations are the warm-cache sweep's main garbage. The per-draw
 	// result slices stay separate allocations on purpose — workers write
-	// neighbouring queries' slots concurrently, and one flat backing
+	// neighbouring draws' slots concurrently, and one flat backing
 	// array would put them on shared cache lines.
 	items := make([]workItem, 0, total)
-	for qi, q := range qs {
-		keys[qi] = gen.Key{Model: string(q.Model), Variant: q.Variant.String()}
-		if !slices.Contains(lines, keys[qi]) {
-			lines = append(lines, keys[qi])
+	for di, d := range draws {
+		keys[di] = gen.Key{Model: string(d.Model), Variant: d.Variant.String()}
+		if !slices.Contains(lines, keys[di]) {
+			lines = append(lines, keys[di])
 		}
-		if !slices.Contains(probs, q.Problem) {
-			probs = append(probs, q.Problem)
+		if !slices.Contains(probs, d.Problem) {
+			probs = append(probs, d.Problem)
 		}
-		bases[qi] = r.querySeed(q)
-		results[qi] = make([]sampleResult, q.N)
-		for si := 0; si < q.N; si++ {
-			items = append(items, workItem{qi: qi, si: si})
+		bases[di] = r.querySeed(d)
+		slots[di] = make([]sampleResult, d.N)
+		for si := 0; si < d.N; si++ {
+			items = append(items, workItem{qi: di, si: si})
 		}
 	}
 
 	tasks := r.Backend.Prepare(lines, probs)
 	if bb, ok := r.Backend.(gen.BatchBackend); ok {
-		r.runBatched(ctx, bb, tasks, qs, keys, bases, results, items)
+		r.runBatched(ctx, bb, tasks, draws, keys, bases, slots, items)
 	} else {
-		r.runSingles(ctx, tasks, qs, keys, bases, results, items)
+		r.runSingles(ctx, tasks, draws, keys, bases, slots, items)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
+	}
+	results := make([][]sampleResult, len(qs))
+	for qi, q := range qs {
+		results[qi] = slots[drawOf[qi]][:q.N]
 	}
 
 	// Deterministic reduction: per-query, in sample-index order, through
@@ -439,7 +468,29 @@ func (r *Runner) evaluateBatch(ctx context.Context, qs []Query) ([]CellStats, []
 	return out, fails, nil
 }
 
-// workItem addresses one (query, sample) work unit of a batch.
+// distinctDraws returns the batch's distinct draws, in first-appearance
+// order, and the index of each query's draw. A draw is a query with its N
+// left out; its N is the largest among the queries that share it.
+func distinctDraws(qs []Query) (draws []Query, drawOf []int) {
+	drawOf = make([]int, len(qs))
+	index := make(map[Query]int, len(qs))
+	for qi, q := range qs {
+		id := q
+		id.N = 0
+		di, ok := index[id]
+		if !ok {
+			di = len(draws)
+			index[id] = di
+			draws = append(draws, q)
+		}
+		draws[di].N = max(draws[di].N, q.N)
+		drawOf[qi] = di
+	}
+	return draws, drawOf
+}
+
+// workItem addresses one (draw, sample) work unit of a batch: qi indexes
+// the distinct draws the runners are handed.
 type workItem struct{ qi, si int }
 
 // claimLoop runs do(i) for every index in [0, n) it claims from next,

@@ -40,8 +40,8 @@ func (b *FamilyBackend) generator(key Key) (*model.Generator, bool) {
 }
 
 // Prepare returns the family's set-up tasks for keys over ps
-// (model.Family.Prepare): one per distinct babble LM, fine-tuned first,
-// and one per problem's variant-bank entry. Keys the family does not
+// (model.Family.Prepare): one per distinct babble LM, highest order
+// first, and one per problem's variant-bank entry. Keys the family does not
 // serve contribute nothing.
 func (b *FamilyBackend) Prepare(keys []Key, ps []*problems.Problem) []func() {
 	var gs []*model.Generator

@@ -99,6 +99,16 @@ var specs = map[ID]*Spec{
 	},
 }
 
+// maxNgramOrder is the highest NgramOrder in the catalog: the order each
+// variant's count store trains at.
+var maxNgramOrder = func() int {
+	n := 1
+	for _, id := range IDs {
+		n = max(n, specs[id].NgramOrder)
+	}
+	return n
+}()
+
 // Lookup returns the spec for a model id.
 func Lookup(id ID) *Spec { return specs[id] }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -71,7 +72,14 @@ type Family struct {
 	lmMu sync.Mutex        // guards the slot map only
 	lms  map[lmKey]*lmSlot // per-key training runs under the slot's once
 
+	gens map[genKey]*Generator // the catalog's evaluated (model, variant) pairs
+
 	prompts sync.Map // promptKey -> []int: normalized+encoded prompt ids (read-only after store)
+}
+
+type genKey struct {
+	id ID
+	v  Variant
 }
 
 type promptKey struct {
@@ -79,6 +87,8 @@ type promptKey struct {
 	level   problems.Level
 }
 
+// lmKey names one babble LM. Order 0 names the variant's count store,
+// which every LM of the variant views.
 type lmKey struct {
 	order int
 	v     Variant
@@ -113,25 +123,41 @@ func NewFamily(cfg Config) *Family {
 		verilogText: vtext,
 		naturalText: natural,
 		lms:         map[lmKey]*lmSlot{},
+		gens:        map[genKey]*Generator{},
 	}
 	f.tok = bpe.Train(append(append([]string{}, vtext...), natural...), vocabSize)
+	for _, id := range IDs {
+		spec := Lookup(id)
+		f.gens[genKey{id, Pretrained}] = &Generator{Spec: spec, Variant: Pretrained, family: f}
+		if spec.HasFineTuned {
+			f.gens[genKey{id, FineTuned}] = &Generator{Spec: spec, Variant: FineTuned, family: f}
+		}
+	}
 	return f
 }
 
 // CorpusDocs returns the number of fine-tuning documents after curation.
 func (f *Family) CorpusDocs() int { return len(f.verilogText) }
 
+// lm returns the order-k babble LM of variant v: a view of the variant's
+// count store, frozen on its own unless the family keeps map samplers.
 func (f *Family) lm(order int, v Variant) *ngram.Model {
-	key := lmKey{order: order, v: v}
-	f.lmMu.Lock()
-	s, ok := f.lms[key]
-	if !ok {
-		s = &lmSlot{}
-		f.lms[key] = s
-	}
-	f.lmMu.Unlock()
-	s.once.Do(func() {
-		m := ngram.New(order)
+	return f.slot(lmKey{order: order, v: v}, func() *ngram.Model {
+		m := f.counts(v).View(order)
+		if !f.cfg.MapSampler {
+			m.Freeze()
+		}
+		return m
+	})
+}
+
+// counts returns variant v's count store: an n-gram model of the catalog's
+// highest NgramOrder trained on the variant's text. It is trained once and
+// never sampled; an order-k model's counts are its first k levels, so
+// every babble LM of the variant is a view of it.
+func (f *Family) counts(v Variant) *ngram.Model {
+	return f.slot(lmKey{v: v}, func() *ngram.Model {
+		m := ngram.New(maxNgramOrder)
 		texts := f.naturalText
 		if v == FineTuned {
 			texts = f.verilogText
@@ -141,11 +167,20 @@ func (f *Family) lm(order int, v Variant) *ngram.Model {
 			buf = f.tok.EncodeInto(buf[:0], t)
 			m.Train(buf)
 		}
-		if !f.cfg.MapSampler {
-			m.Freeze()
-		}
-		s.m = m
+		return m
 	})
+}
+
+// slot returns the model under key, building it with build once.
+func (f *Family) slot(key lmKey, build func() *ngram.Model) *ngram.Model {
+	f.lmMu.Lock()
+	s, ok := f.lms[key]
+	if !ok {
+		s = &lmSlot{}
+		f.lms[key] = s
+	}
+	f.lmMu.Unlock()
+	s.once.Do(func() { s.m = build() })
 	return s.m
 }
 
@@ -154,9 +189,11 @@ func (f *Family) lm(order int, v Variant) *ngram.Model {
 // (NgramOrder, Variant), deduplicated across models, then one per
 // problem's variant-bank entry. The tasks are independent and may run
 // concurrently, in any order; each takes the same sync.Once its lazy path
-// would, so preparing changes no sample. LMs come longest first:
-// fine-tuned ones train on the Verilog corpus (3.5-14 ms each, against
-// under 1 ms pre-trained), and a higher order trains longer.
+// would, so preparing changes no sample. A variant's first LM task trains
+// its count store (fine-tuned on the Verilog corpus, 3.5-14 ms, against
+// under 1 ms pre-trained) and every task freezes its own view, so LMs come
+// highest order first, fine-tuned before pre-trained at each order: the
+// two count stores train concurrently, and the views freeze after them.
 func (f *Family) Prepare(gs []*Generator, ps []*problems.Problem) []func() {
 	var lms []lmKey
 	for _, g := range gs {
@@ -164,15 +201,13 @@ func (f *Family) Prepare(gs []*Generator, ps []*problems.Problem) []func() {
 			lms = append(lms, k)
 		}
 	}
-	slices.SortStableFunc(lms, func(a, b lmKey) int {
-		if a.v != b.v {
-			if a.v == FineTuned {
-				return -1
-			}
-			return 1
+	pt := func(k lmKey) int {
+		if k.v == FineTuned {
+			return 0
 		}
-		return b.order - a.order
-	})
+		return 1
+	}
+	slices.SortStableFunc(lms, func(a, b lmKey) int { return cmp.Or(b.order-a.order, pt(a)-pt(b)) })
 	tasks := make([]func(), 0, len(lms)+len(ps))
 	for _, k := range lms {
 		tasks = append(tasks, func() { f.lm(k.order, k.v) })
@@ -210,14 +245,8 @@ type Generator struct {
 // Generator returns the sampler for a model/variant pair; ok is false for
 // variants the paper does not evaluate (fine-tuned code-davinci-002).
 func (f *Family) Generator(id ID, v Variant) (*Generator, bool) {
-	spec := Lookup(id)
-	if spec == nil {
-		return nil, false
-	}
-	if v == FineTuned && !spec.HasFineTuned {
-		return nil, false
-	}
-	return &Generator{Spec: spec, Variant: v, family: f}, true
+	g, ok := f.gens[genKey{id, v}]
+	return g, ok
 }
 
 // Sample is one produced completion with its simulated latency.

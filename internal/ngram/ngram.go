@@ -6,7 +6,9 @@
 // compile/functional pipeline when a model emits neither a correct nor a
 // near-miss solution.
 //
-// Training mutates a map-of-maps count store. After training, Freeze
+// Training mutates a map-of-maps count store, whose first k levels are
+// exactly an order-k model's counts, so View serves every lower order from
+// one trained store. After training, Freeze
 // compiles that store into a packed immutable sampler: open-addressed
 // context tables keyed by uint64 hashes, per-context sorted next-token
 // arrays with cumulative counts, and for every next token the successor
@@ -32,11 +34,12 @@ import (
 	"sync/atomic"
 )
 
-// Model is an order-k n-gram LM with stupid-backoff smoothing.
+// Model is an order-k n-gram LM with stupid-backoff smoothing. Its order
+// is the number of count levels it reads.
 type Model struct {
-	order  int
 	counts []map[string]*dist // counts[n] holds (n-token context) -> next-token distribution
 	frozen *frozenModel       // packed sampler; nil until Freeze, cleared by Train
+	view   bool               // counts belong to another model (View); Train panics
 }
 
 type dist struct {
@@ -50,12 +53,24 @@ func New(order int) *Model {
 	if order < 1 {
 		order = 1
 	}
-	m := &Model{order: order}
-	m.counts = make([]map[string]*dist, order)
+	m := &Model{counts: make([]map[string]*dist, order)}
 	for i := range m.counts {
 		m.counts[i] = map[string]*dist{}
 	}
 	return m
+}
+
+func (m *Model) order() int { return len(m.counts) }
+
+// View returns a read-only order-k model over m's counts: an order-k model
+// counts exactly the first k levels an order-m model counts on the same
+// text, so the view samples, freezes and measures perplexity as an order-k
+// model trained on that text would. order is clamped to [1, m's order].
+// The view shares m's count maps, so m must not be trained once views of
+// it are in use; training the view itself panics.
+func (m *Model) View(order int) *Model {
+	order = min(max(order, 1), m.order())
+	return &Model{counts: m.counts[:order:order], view: true}
 }
 
 // wideTok is the first token id that no longer fits the compact 3-byte
@@ -105,10 +120,13 @@ func ctxKeyTokens(key string, n int) []int {
 // Train consumes one token sequence (a document). Training invalidates any
 // packed sampler built by an earlier Freeze.
 func (m *Model) Train(tokens []int) {
+	if m.view {
+		panic("ngram: Train on a read-only view")
+	}
 	m.frozen = nil
 	var key []byte // a lookup keyed by string(key) does not allocate
 	for i, tok := range tokens {
-		for n := 0; n < m.order; n++ {
+		for n := range m.counts {
 			if i < n {
 				break
 			}
@@ -127,7 +145,7 @@ func (m *Model) Train(tokens []int) {
 // contextDist finds the longest-context distribution for the given history
 // (stupid backoff).
 func (m *Model) contextDist(history []int) *dist {
-	for n := m.order - 1; n >= 0; n-- {
+	for n := m.order() - 1; n >= 0; n-- {
 		if len(history) < n {
 			continue
 		}
@@ -325,8 +343,8 @@ func hashTokens(ctx []int) uint64 {
 // level-(n+1) suffix of the history before toks[p] that Train counted
 // (toks[p] followed it), so the step that matched e would have matched it.
 func (m *Model) Freeze() {
-	fz := &frozenModel{levels: make([]frozenLevel, m.order)}
-	for n := 0; n < m.order; n++ {
+	fz := &frozenModel{levels: make([]frozenLevel, m.order())}
+	for n := range m.counts {
 		lvl := &fz.levels[n]
 		lvl.n = n
 		size := 4
@@ -354,7 +372,7 @@ func (m *Model) Freeze() {
 			lvl.table[idx] = entry + 1
 		}
 	}
-	next := make([]int, 0, m.order) // a context (n < order ids) and one token
+	next := make([]int, 0, m.order()) // a context (n < order ids) and one token
 	for n := range fz.levels {
 		lvl := &fz.levels[n]
 		lvl.succ = make([]state, len(lvl.toks))

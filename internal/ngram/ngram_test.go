@@ -133,8 +133,8 @@ func TestPerplexityLowerOnTrainingDistribution(t *testing.T) {
 func TestStatsAccessors(t *testing.T) {
 	m := New(2)
 	m.Train(seq(5, 6, 7, 5))
-	if m.order != 2 {
-		t.Errorf("order = %d", m.order)
+	if m.order() != 2 {
+		t.Errorf("order = %d", m.order())
 	}
 	d := m.counts[0][""]
 	if d == nil || len(d.next) != 3 {
@@ -147,8 +147,8 @@ func TestStatsAccessors(t *testing.T) {
 
 func TestOrderClampedToOne(t *testing.T) {
 	m := New(0)
-	if m.order != 1 {
-		t.Fatalf("order = %d", m.order)
+	if m.order() != 1 {
+		t.Fatalf("order = %d", m.order())
 	}
 	m.Train(seq(1, 1, 1))
 	if tok, ok := m.Sample(nil, 0, rand.New(rand.NewSource(1))); !ok || tok != 1 {

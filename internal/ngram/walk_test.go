@@ -19,10 +19,11 @@ import (
 // the copy.
 var paperTemps = []float64{0.1, 0.3, 0.5, 0.7, 1.0}
 
-// familyLMs trains the eight LMs a seed-1 model.Family samples babble
-// from: orders 2 to 5, on the generic pre-training text and on the
-// normalized Verilog corpus (the family's default 300 files), each
-// encoded with the family's 512-token BPE vocabulary, and frozen.
+// familyLMs builds the eight LMs a seed-1 model.Family samples babble
+// from: one order-5 count store on the generic pre-training text and one
+// on the normalized Verilog corpus (the family's default 300 files), each
+// encoded with the family's 512-token BPE vocabulary, and the frozen
+// views of orders 2 to 5 of each.
 var familyLMs = sync.OnceValue(func() []*Model {
 	var vtext []string
 	kept, _ := corpus.Curate(corpus.GenerateGitHub(corpus.GitHubOptions{NumFiles: 300, Seed: 1}))
@@ -34,12 +35,13 @@ var familyLMs = sync.OnceValue(func() []*Model {
 	var lms []*Model
 	var buf []int
 	for _, texts := range [][]string{natural, vtext} {
+		store := New(5)
+		for _, t := range texts {
+			buf = tok.EncodeInto(buf[:0], t)
+			store.Train(buf)
+		}
 		for order := 2; order <= 5; order++ {
-			m := New(order)
-			for _, t := range texts {
-				buf = tok.EncodeInto(buf[:0], t)
-				m.Train(buf)
-			}
+			m := store.View(order)
 			m.Freeze()
 			lms = append(lms, m)
 		}
@@ -77,7 +79,7 @@ func testLMs() []*Model { return append(slices.Clip(familyLMs()), backoffLMs()..
 // mapLongest is the map store's longest context of history (the level
 // contextDist stops at), or -1.
 func mapLongest(m *Model, history []int) int {
-	for n := min(len(history), m.order-1); n >= 0; n-- {
+	for n := min(len(history), m.order()-1); n >= 0; n-- {
 		if d, ok := m.counts[n][ctxKey(history[len(history)-n:])]; ok && d.total > 0 {
 			return n
 		}
@@ -128,7 +130,7 @@ func TestSuccessorMatchesLongestFind(t *testing.T) {
 				}
 				for p := lvl.distOff[e]; p < lvl.distOff[e+1]; p++ {
 					if err := checkState(m, append(next, int(lvl.toks[p])), lvl.succ[p]); err != nil {
-						t.Fatalf("model %d (order %d) level %d entry %d token %d: %v", mi, m.order, n, e, lvl.toks[p], err)
+						t.Fatalf("model %d (order %d) level %d entry %d token %d: %v", mi, m.order(), n, e, lvl.toks[p], err)
 					}
 					positions++
 				}
@@ -141,9 +143,9 @@ func TestSuccessorMatchesLongestFind(t *testing.T) {
 		// empty, one token (shorter than the order), unseen ids, a trained
 		// top-level context, and that context run on past the order
 		prompts := [][]int{nil, {int(fz.levels[0].toks[0])}, {1 << 50, -3}}
-		if top := &fz.levels[m.order-1]; len(top.distOff) > 1 {
-			ctx := make([]int, m.order-1)
-			for i, t := range top.ctxToks[:m.order-1] {
+		if top := &fz.levels[m.order()-1]; len(top.distOff) > 1 {
+			ctx := make([]int, m.order()-1)
+			for i, t := range top.ctxToks[:m.order()-1] {
 				ctx[i] = int(t)
 			}
 			prompts = append(prompts, ctx, append(slices.Clone(ctx), shapeVocab[:3]...))
@@ -159,7 +161,7 @@ func TestSuccessorMatchesLongestFind(t *testing.T) {
 					tok, s = fz.step(s, temp, tbl, rng)
 					history = append(history, tok)
 					if err := checkState(m, history, s); err != nil {
-						t.Fatalf("model %d (order %d) prompt %v t=%v token %d: %v", mi, m.order, prompt, temp, i, err)
+						t.Fatalf("model %d (order %d) prompt %v t=%v token %d: %v", mi, m.order(), prompt, temp, i, err)
 					}
 				}
 			}
@@ -301,7 +303,7 @@ func FuzzFrozenMatchesMap(f *testing.F) {
 		want := mapM.Generate(nil, p, 64, tp, rand.New(rand.NewSource(seed)))
 		got := frozenM.Generate(nil, p, 64, tp, rand.New(rand.NewSource(seed)))
 		if !slices.Equal(got, want) {
-			t.Fatalf("order %d t=%v prompt %v: frozen %v, map %v", mapM.order, tp, p, got, want)
+			t.Fatalf("order %d t=%v prompt %v: frozen %v, map %v", mapM.order(), tp, p, got, want)
 		}
 	})
 }

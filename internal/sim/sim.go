@@ -18,6 +18,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/vcd"
 	"repro/internal/vlog"
@@ -159,8 +160,8 @@ type Simulator struct {
 	nba        []nbaUpdate
 	future     futureQueue
 
-	out       strings.Builder
-	line      []byte // one display line being formatted, reused across lines
+	out       *[]byte // captured output, from outBufs on the first line; nil after Run
+	line      []byte  // one display line being formatted, reused across lines
 	steps     int
 	finished  bool
 	rng       uint64
@@ -381,14 +382,38 @@ type simAbort struct {
 	err error
 }
 
+// outBufs recycles output buffers across simulations: a run emits into a
+// pooled buffer and copies it once into Result.Output, so the captured
+// text is not allocated again at every growth of its buffer.
+var outBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledOut caps the capacity of a buffer returned to outBufs, so a
+// run that printed close to maxOutput does not keep a megabyte pooled.
+const maxPooledOut = 64 << 10
+
 // emit appends one formatted display line to the output. A line that
 // would pass maxOutput fails the run with ErrOutputLimit and writes
 // nothing.
 func (s *Simulator) emit(text []byte) {
-	if s.out.Len()+len(text) > maxOutput {
+	if s.out == nil {
+		s.out = outBufs.Get().(*[]byte)
+	}
+	if len(*s.out)+len(text) > maxOutput {
 		panic(simAbort{err: ErrOutputLimit})
 	}
-	s.out.Write(text)
+	*s.out = append(*s.out, text...)
+}
+
+// releaseOut returns the output buffer to outBufs once Run has copied it.
+func (s *Simulator) releaseOut() {
+	if s.out == nil {
+		return
+	}
+	if cap(*s.out) <= maxPooledOut {
+		*s.out = (*s.out)[:0]
+		outBufs.Put(s.out)
+	}
+	s.out = nil
 }
 
 // Run executes the simulation to completion ($finish, event starvation, or
@@ -397,6 +422,7 @@ func (s *Simulator) emit(text []byte) {
 // simulator's control flow, in a process or in the scheduler, comes back
 // as an *InternalError instead of crashing the caller.
 func (s *Simulator) Run() (res Result, err error) {
+	defer s.releaseOut()
 	defer s.killAll()
 	defer func() {
 		if r := recover(); r != nil {
@@ -508,7 +534,10 @@ func (s *Simulator) runMonitor() {
 }
 
 func (s *Simulator) result() Result {
-	r := Result{Output: s.out.String(), Time: s.time, Finished: s.finished, Steps: s.steps}
+	r := Result{Time: s.time, Finished: s.finished, Steps: s.steps}
+	if s.out != nil {
+		r.Output = string(*s.out)
+	}
 	if s.wave != nil {
 		r.VCD = s.wave.String()
 	}
