@@ -387,8 +387,8 @@ func BenchmarkParsePrefixed(b *testing.B) {
 	pre := vlog.LexPrefix(p.Prompt(problems.LevelLow))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vlog.ParsePrefixed(pre, p.RefBody); err != nil {
-			b.Fatal(err)
+		if _, ok := vlog.ParsePrefixed(pre, p.RefBody); !ok {
+			b.Fatal("the reference did not parse")
 		}
 	}
 }
@@ -534,11 +534,11 @@ func BenchmarkInterpretedEval(b *testing.B) { benchSimEngine(b, true) }
 
 // ---- parallel evaluation engine benches (DESIGN.md Section 6) --------------
 
-// resetSharedState drops the process-wide shared tiers (verdict memo and
-// plan cache) and runs the collector twice, so a sweep-scale bench
-// measures its own workload instead of paying GC mark cost for state
-// earlier benches retained in the same process. Each SetPlanCacheBytes
-// call rebuilds both tiers empty; zero restores the default budgets.
+// resetSharedState drops the process-wide verdict memo and runs the
+// collector twice, so a sweep-scale bench measures its own workload
+// instead of paying GC mark cost for state earlier benches retained in
+// the same process. Each SetPlanCacheBytes call rebuilds the memo empty;
+// zero restores the default budget.
 func resetSharedState(b *testing.B) {
 	b.Helper()
 	verdict.SetPlanCacheBytes(1)
@@ -615,11 +615,11 @@ func sweepQueries() []eval.Query {
 	return qs
 }
 
-// pinSharedBudget shrinks the shared tiers (verdict memo and plan cache)
-// to one resident entry each for the bench's duration and restores the
-// defaults on cleanup. Warm-outcome-cache rows measure backend or
-// transport cost — the shared tiers never serve them past the first
-// iteration, so resident entries would only add GC mark noise to the row.
+// pinSharedBudget shrinks the verdict memo to one resident entry for the
+// bench's duration and restores the default on cleanup.
+// Warm-outcome-cache rows measure backend or transport cost — the memo
+// never serves them past the first iteration, so resident entries would
+// only add GC mark noise to the row.
 func pinSharedBudget(b *testing.B) {
 	b.Helper()
 	verdict.SetPlanCacheBytes(1)
@@ -646,11 +646,11 @@ func benchSweepBackend(b *testing.B, backend gen.Backend) {
 	}
 }
 
-// benchSweepPlans is the plan-sharing ablation: the family sweep on a
-// cold outcome cache per iteration, with the process-wide memo/plan
-// tiers either engaged (the default) or bypassed (UnsharedPlans, the
-// differential baseline). A warm-up sweep first fills the shared tiers so
-// plans=shared measures the steady state, not first-touch compilation.
+// benchSweepPlans is the sharing ablation: the family sweep on a cold
+// outcome cache per iteration, with the process-wide shared tiers either
+// engaged (the default) or bypassed (UnsharedPlans, the differential
+// baseline). A warm-up sweep first fills the verdict memo so
+// plans=shared measures the steady state, not first-touch simulation.
 func benchSweepPlans(b *testing.B, backend gen.Backend, unshared bool) {
 	resetSharedState(b)
 	qs := sweepQueries()
@@ -672,8 +672,8 @@ func benchSweepPlans(b *testing.B, backend gen.Backend, unshared bool) {
 func BenchmarkSweepThroughput(b *testing.B) {
 	fam := benchHarness().Runner.Backend
 	b.Run("backend=family", func(b *testing.B) { benchSweepBackend(b, fam) })
-	// plan-sharing rows (DESIGN.md Section 15): byte-identical sweeps,
-	// fresh-compile-per-sample vs shared compiled artifacts.
+	// sharing rows (DESIGN.md Section 15): byte-identical sweeps,
+	// fresh-compile-per-sample vs shared verdicts.
 	b.Run("plans=fresh", func(b *testing.B) { benchSweepPlans(b, fam, true) })
 	b.Run("plans=shared", func(b *testing.B) { benchSweepPlans(b, fam, false) })
 	b.Run("backend=mutant", func(b *testing.B) { benchSweepBackend(b, gen.NewMutant()) })

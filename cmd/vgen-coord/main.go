@@ -38,11 +38,10 @@
 // worker crash, OOM kill, or hang is isolated from the coordinator; the
 // supervision behavior is identical either way.
 //
-// Workers share compiled simulation artifacts within their own process
-// (DESIGN.md Section 15): each distinct candidate is compiled and
-// simulated once, its verdict kept in a memo, and compiled expression
-// plans are cached; the verdict memo and the plan cache hold 4 MiB of
-// accounted bytes each. Sharing never changes results.
+// Workers share verdicts within their own process (DESIGN.md Section
+// 15): each distinct candidate is compiled and simulated once, its
+// verdict kept in a memo of 4 MiB accounted bytes. Sharing never changes
+// results.
 //
 // -fault injects deterministic failures (crash, hang, truncate, corrupt;
 // "*" for every attempt of a shard) at the supervision boundary — the

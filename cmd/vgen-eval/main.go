@@ -68,13 +68,12 @@
 // cells their absence left uncovered. Supervised end-to-end runs —
 // retry, work-stealing, resume — live in the vgen-coord command.
 //
-// Evaluation shares work process-wide (DESIGN.md Section 15):
-// testbenches elaborate once per (problem, level), compiled expression
-// plans are cached content-addressed, and each distinct candidate is
+// Evaluation shares work process-wide (DESIGN.md Section 15): prompts
+// and testbenches are parsed once, and each distinct candidate is
 // compiled and simulated once, its verdict kept in a memo — identical
-// output, far less work. The verdict memo and the plan cache hold 4 MiB
-// of accounted bytes each; -cache-stats prints their counters and the
-// per-runner outcome cache's to stderr after the run.
+// output, far less work. The verdict memo holds 4 MiB of accounted
+// bytes; -cache-stats prints its counters and the per-runner outcome
+// cache's to stderr after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -127,7 +126,7 @@ func usage(format string, args ...any) {
 func main() {
 	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
-	cacheStats := flag.Bool("cache-stats", false, "print plan cache, verdict memo and outcome cache counters to stderr after the run")
+	cacheStats := flag.Bool("cache-stats", false, "print verdict memo and outcome cache counters to stderr after the run")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
 	shards := flag.Int("shards", 1, "total shard count of a distributed sweep")
 	shard := flag.Int("shard", 0, "this worker's shard index (0-based)")
@@ -385,15 +384,13 @@ func main() {
 	}
 }
 
-// printCacheStats reports the shared plan cache and verdict memo
-// (DESIGN.md Section 15) next to the per-runner outcome cache, all to
-// stderr: memo hits are candidates that repeat a simulated source after
-// truncation, and a sweep that outgrows a tier's budget shows evictions.
+// printCacheStats reports the shared verdict memo (DESIGN.md Section 15)
+// next to the per-runner outcome cache, both to stderr: memo hits are
+// candidates that repeat a simulated source after truncation, and a
+// sweep that outgrows a tier's budget shows evictions.
 func printCacheStats(r *eval.Runner) {
 	ss := verdict.SharedStats()
-	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evicted, %d entries, %d bytes\n",
-		ss.Plans.Hits, ss.Plans.Misses, ss.Plans.Evictions, ss.Plans.Entries, ss.Plans.Bytes)
-	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d skeletons, %d bytes\n",
+	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d testbenches, %d bytes\n",
 		ss.DesignHits, ss.DesignMisses, ss.DesignEvicted, ss.Designs, ss.Skeletons, ss.DesignBytes)
 	oc := r.CacheStats()
 	fmt.Fprintf(os.Stderr, "outcome cache: %d entries, %d bytes, %d evicted\n",

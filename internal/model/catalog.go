@@ -228,31 +228,16 @@ var functionalPriors = map[ID]map[Variant]diffLevel{
 	},
 }
 
-// CompilePrior returns Table III's value for (model, variant, difficulty).
+// CompilePrior returns Table III's value for (model, variant, difficulty):
+// 0 for a pair the paper does not evaluate.
 func CompilePrior(id ID, v Variant, d problems.Difficulty) float64 {
-	byVar, ok := compilePriors[id]
-	if !ok {
-		return 0
-	}
-	t, ok := byVar[v]
-	if !ok {
-		return 0
-	}
-	return t[int(d)]
+	return compilePriors[id][v][d]
 }
 
 // FunctionalPrior returns Table IV's value for (model, variant, difficulty,
-// level).
+// level): 0 for a pair the paper does not evaluate.
 func FunctionalPrior(id ID, v Variant, d problems.Difficulty, l problems.Level) float64 {
-	byVar, ok := functionalPriors[id]
-	if !ok {
-		return 0
-	}
-	t, ok := byVar[v]
-	if !ok {
-		return 0
-	}
-	return t[int(d)][int(l)]
+	return functionalPriors[id][v][d][l]
 }
 
 // problemWeight reweights the functional prior across problems inside a

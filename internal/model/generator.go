@@ -128,9 +128,9 @@ func NewFamily(cfg Config) *Family {
 	f.tok = bpe.Train(append(append([]string{}, vtext...), natural...), vocabSize)
 	for _, id := range IDs {
 		spec := Lookup(id)
-		f.gens[genKey{id, Pretrained}] = &Generator{Spec: spec, Variant: Pretrained, family: f}
+		f.gens[genKey{id, Pretrained}] = f.newGenerator(spec, Pretrained)
 		if spec.HasFineTuned {
-			f.gens[genKey{id, FineTuned}] = &Generator{Spec: spec, Variant: FineTuned, family: f}
+			f.gens[genKey{id, FineTuned}] = f.newGenerator(spec, FineTuned)
 		}
 	}
 	return f
@@ -240,6 +240,16 @@ type Generator struct {
 	Spec    *Spec
 	Variant Variant
 	family  *Family
+
+	// the pair's priors: its Table III row and Table IV matrix
+	compile    diffTriple
+	functional diffLevel
+}
+
+// newGenerator returns the generator for (spec, v), holding its priors.
+func (f *Family) newGenerator(spec *Spec, v Variant) *Generator {
+	return &Generator{Spec: spec, Variant: v, family: f,
+		compile: compilePriors[spec.ID][v], functional: functionalPriors[spec.ID][v]}
 }
 
 // Generator returns the sampler for a model/variant pair; ok is false for
@@ -268,7 +278,7 @@ func tempFactor(t, decay float64) float64 {
 // successProbs returns the effective functional and compile probabilities
 // for one query.
 func (g *Generator) successProbs(p *problems.Problem, level problems.Level, temperature float64) (pf, pc float64) {
-	pf = FunctionalPrior(g.Spec.ID, g.Variant, p.Difficulty, level)
+	pf = g.functional[p.Difficulty][level]
 	pf *= problemWeight(p.Number)
 	pf *= tempFactor(temperature, tempDecayFunctional)
 	if g.family.cfg.Corpus == GitHubPlusBooks && g.Variant == FineTuned {
@@ -277,7 +287,7 @@ func (g *Generator) successProbs(p *problems.Problem, level problems.Level, temp
 	if pf > 1 {
 		pf = 1
 	}
-	pc = CompilePrior(g.Spec.ID, g.Variant, p.Difficulty)
+	pc = g.compile[p.Difficulty]
 	pc *= tempFactor(temperature, tempDecayCompile)
 	if pc < pf {
 		pc = pf

@@ -23,7 +23,7 @@ const (
 var seedPow = func() (p [seedSteps + 1]uint64) {
 	p[0] = 1
 	for k := 1; k < len(p); k++ {
-		p[k] = p[k-1] * seedMul % int32max
+		p[k] = mulMod(p[k-1], seedMul)
 	}
 	return p
 }()
@@ -120,10 +120,23 @@ func (r *register) next() uint64 {
 // seedrand values 21+3i, 22+3i and 23+3i.
 func (s *jumpSource) word(i int) int64 {
 	k := 21 + 3*i
-	u := int64(s.x0*seedPow[k]%int32max) << 40
-	u ^= int64(s.x0*seedPow[k+1]%int32max) << 20
-	u ^= int64(s.x0 * seedPow[k+2] % int32max)
+	u := int64(mulMod(s.x0, seedPow[k])) << 40
+	u ^= int64(mulMod(s.x0, seedPow[k+1])) << 20
+	u ^= int64(mulMod(s.x0, seedPow[k+2]))
 	return u ^ rngCooked[i]
+}
+
+// mulMod returns a·b mod (2³¹−1) for a, b < 2³¹−1 without a division.
+// The product is below 2⁶², and 2³¹ ≡ 1, so adding its high 31 bits to
+// its low 31 leaves a value below 2·(2³¹−1), one conditional subtract
+// from the residue.
+func mulMod(a, b uint64) uint64 {
+	x := a * b
+	x = x&int32max + x>>31
+	if x >= int32max {
+		x -= int32max
+	}
+	return x
 }
 
 // build materializes the register after the lazy draws: the seeded words,

@@ -7,7 +7,10 @@ import (
 )
 
 // PlanCache shares immutable compiled expression plans (elab.Plan trees)
-// across Simulators. Plans are pure functions of (expression node,
+// across Simulators. The verdict path does not use it: each of its
+// simulators compiles its own plans. It stays, with Options.Plans, only
+// for bench/trace.go's stage replay, until the next change to the
+// benchmark drops it. Plans are pure functions of (expression node,
 // instance, width, mode); AST nodes and skeleton-shared Inst objects are
 // pointer-stable across evaluations of the same testbench, so worker N's
 // simulation reuses the plan worker M compiled. Only the compile step is
@@ -58,21 +61,6 @@ func NewPlanCache(budget int64) *PlanCache {
 		budget = DefaultPlanCacheBytes
 	}
 	return &PlanCache{c: bounded.New[sharedKey, sharedVal](budget)}
-}
-
-// PlanCacheStats is a point-in-time snapshot of cache effectiveness.
-type PlanCacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Bytes     int64
-	Entries   int
-}
-
-// Stats snapshots the cache counters.
-func (c *PlanCache) Stats() PlanCacheStats {
-	st := c.c.Stats()
-	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evicted, Bytes: st.Bytes, Entries: st.Entries}
 }
 
 // plan returns the shared compiled plan for k, compiling it outside the

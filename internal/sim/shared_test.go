@@ -8,6 +8,21 @@ import (
 	"repro/internal/vlog/elab"
 )
 
+// PlanCacheStats is a point-in-time snapshot of cache effectiveness.
+type PlanCacheStats struct {
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Bytes     int64
+	Entries   int
+}
+
+// Stats snapshots the cache counters.
+func (c *PlanCache) Stats() PlanCacheStats {
+	st := c.c.Stats()
+	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evicted, Bytes: st.Bytes, Entries: st.Entries}
+}
+
 // sharedSrc exercises the runtime surfaces the plan cache must leave
 // untouched: reg initializers, clocked and @* processes, a memory, signed
 // arithmetic, $random (rng state), and hierarchical children.

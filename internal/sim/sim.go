@@ -80,6 +80,8 @@ type Options struct {
 	// Plans, when non-nil, shares immutable compiled expression plans
 	// across simulators (see PlanCache). Binding to runtime state stays
 	// per-simulator, so output is byte-identical with or without sharing.
+	// The verdict path leaves it nil; only bench/trace.go's stage replay
+	// sets it, until the next change to the benchmark drops it.
 	Plans *PlanCache
 }
 

@@ -32,8 +32,8 @@ func sharedDiffCompletions(t *testing.T, g *model.Generator, p *problems.Problem
 
 // TestSharedMatchesFreshAndInterpreter is the byte-identity contract at
 // the evaluation layer: for every problem, level, and a mix of sampled
-// completions, the shared pipeline (skeleton splice, plan cache, verdict
-// memo) must agree with the fresh pipeline and with the AST interpreter.
+// completions, the shared pipeline (prefixed parse, verdict memo) must
+// agree with the fresh pipeline and with the AST interpreter.
 // On a memo miss that simulates, the raw simulation output must agree
 // bit for bit; a memo hit, which runs nothing, must give the same
 // verdict.

@@ -34,8 +34,8 @@ func TestInternalSimErrorIsARunError(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
 	sl := &verdictSlot{d: d}
-	k := verdictKey{tb: p.Testbench, prompt: p.Prompt(problems.LevelHigh), completion: Truncate(completion)}
-	if got := tiers.Load().memo.Add(k, sl, k.cost()); got != sl {
+	k := verdictKey{p: p, level: problems.LevelHigh, completion: Truncate(completion)}
+	if got := memo.Load().Add(k, sl, k.cost()); got != sl {
 		t.Fatal("slot was already built")
 	}
 	before := SharedStats()

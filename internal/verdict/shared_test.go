@@ -9,8 +9,8 @@ import (
 	"repro/internal/vlog"
 )
 
-// TestSharedEvictionRecomputesIdentically squeezes both shared tiers to
-// near-zero budget so verdicts and plans evict constantly, then verifies
+// TestSharedEvictionRecomputesIdentically squeezes the verdict memo to a
+// near-zero budget so verdicts evict constantly, then verifies
 // re-evaluation under pressure reproduces the unshared pipeline exactly
 // and that evictions actually happened.
 func TestSharedEvictionRecomputesIdentically(t *testing.T) {
@@ -34,16 +34,14 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 	if after.DesignEvicted <= before.DesignEvicted {
 		t.Errorf("verdict memo evicted nothing under a 1-byte budget: %+v", after)
 	}
-	if after.Plans.Evictions == 0 {
-		t.Errorf("plan cache evicted nothing under a 1-byte budget: %+v", after.Plans)
-	}
 }
 
 // TestDesignTierAdmitsOnlySimulatedCandidates pins the verdict memo's
 // admission rule and its accepted cost. Of a parse failure, a compile
 // failure, a candidate whose bench does not elaborate and the reference,
-// only the reference is stored. A repeated parse failure therefore parses
-// again: failures are memoized per Runner, by the outcome cache.
+// only the reference is stored, charged its truncated completion and
+// verdictSlotCost. A repeated parse failure therefore parses again:
+// failures are memoized per Runner, by the outcome cache.
 func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
@@ -64,12 +62,17 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 		{"reference", p, p.RefBody, Outcome{Compiles: true, Simulated: true, Passes: true}, 1},
 	}
 	for _, c := range cases {
-		before := SharedStats().Designs
+		before := SharedStats()
 		if got := Evaluate(c.p, problems.LevelLow, c.completion); got != c.want {
 			t.Errorf("%s: outcome %+v, want %+v", c.name, got, c.want)
 		}
-		if n := SharedStats().Designs - before; n != c.stored {
+		after := SharedStats()
+		if n := after.Designs - before.Designs; n != c.stored {
 			t.Errorf("%s: verdict memo grew by %d, want %d", c.name, n, c.stored)
+		}
+		want := int64(c.stored) * (int64(len(Truncate(c.completion))) + verdictSlotCost)
+		if n := after.DesignBytes - before.DesignBytes; n != want {
+			t.Errorf("%s: verdict memo charged %d bytes, want %d", c.name, n, want)
 		}
 	}
 	before := vlog.ParseCalls()
@@ -81,19 +84,19 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 	}
 }
 
-// TestSetPlanCacheBytesEmptiesTiers: resizing the shared budgets rebuilds
-// the verdict memo and the plan tier empty, so a reset before a measured run
-// leaves nothing resident from earlier evaluations.
+// TestSetPlanCacheBytesEmptiesTiers: resizing the shared budget rebuilds
+// the verdict memo empty, so a reset before a measured run leaves nothing
+// resident from earlier evaluations.
 func TestSetPlanCacheBytesEmptiesTiers(t *testing.T) {
 	defer SetPlanCacheBytes(0)
 	p := problems.ByNumber(4)
 	for _, n := range []int64{1, 0} {
 		Evaluate(p, problems.LevelHigh, p.RefBody)
-		if st := SharedStats(); st.Designs == 0 || st.Plans.Entries == 0 {
+		if st := SharedStats(); st.Designs == 0 {
 			t.Fatalf("evaluation left nothing resident: %+v", st)
 		}
 		SetPlanCacheBytes(n)
-		if st := SharedStats(); st.Designs != 0 || st.DesignBytes != 0 || st.Plans.Entries != 0 {
+		if st := SharedStats(); st.Designs != 0 || st.DesignBytes != 0 {
 			t.Errorf("SetPlanCacheBytes(%d) left tiers resident: %+v", n, st)
 		}
 	}
@@ -101,8 +104,7 @@ func TestSetPlanCacheBytesEmptiesTiers(t *testing.T) {
 
 // TestSharedConcurrentEvaluations hammers one (problem, level) and a
 // rotating set of candidates from many goroutines; under -race this pins
-// the verdict slot's once, the first-Add-wins race, and the plan cache
-// together.
+// the verdict slot's once and the first-Add-wins race together.
 func TestSharedConcurrentEvaluations(t *testing.T) {
 	p := problems.ByNumber(6)
 	bodies := []string{

@@ -12,45 +12,39 @@ import (
 	"repro/internal/vlog/elab"
 )
 
-// This file is the "elaborate once, simulate once" layer behind
-// Evaluate: the per-candidate pipeline (parse, compile-check, splice or
-// elaborate, simulate) runs once per distinct candidate, and the
-// testbench cone is compiled once per (problem, level). The sweep engine
-// and the variant bank share it, so a candidate the bank verified is a
-// memo hit when a sweep samples it at the same level.
+// This file is the "simulate once" layer behind Evaluate: the
+// per-candidate pipeline (parse, compile-check, elaborate, simulate)
+// runs once per distinct candidate that reaches simulation. The sweep
+// engine and the variant bank share it, so a candidate the bank verified
+// is a memo hit when a sweep samples it at the same level.
 //
-// Four shared tiers, all content-addressed, all invisible to output, and
-// all bounded.Cache instances:
+// Three shared tiers, all invisible to output, and all bounded.Cache
+// instances:
 //
-//   - testbench tier: one entry per distinct testbench text, holding the
-//     parsed AST and, built on first shared use, the elab.Skeleton each
-//     candidate splices into (skeleton.go in the elab package).
+//   - testbench tier: one parsed AST per distinct testbench text.
 //   - prefix tier: one vlog.Prefix per prompt text, so a candidate's
 //     parse parses only its completion.
-//   - verdict memo: one Outcome per (testbench, candidate source) pair
-//     that reached simulation. The slot holds the spliced Design only
-//     until its one simulation has run, so a candidate that recurs after
-//     truncation is answered without simulating again.
-//   - plan tier: a sim.PlanCache sharing immutable compiled expression
-//     plans across all simulators (first-time candidates reuse the
-//     testbench cone earlier candidates compiled).
+//   - verdict memo: one Outcome per (problem, level, truncated
+//     completion) that reached simulation. The slot holds the elaborated
+//     Design only until its one simulation has run, so a candidate that
+//     recurs after truncation is answered without simulating again.
 //
-// Every cached artifact is a pure function of its key, so eviction and
-// recomputation are byte-identical; the differential suite pins shared vs
-// fresh vs interpreted output. EvaluateUnshared keeps the
-// fresh-everything pipeline as the differential baseline, the same role
-// sim.Options.Interpret plays one layer down.
+// Only verdicts are shared across candidates: each candidate is
+// elaborated in full and its simulator compiles its own plans, exactly
+// as in EvaluateUnshared, the fresh-everything differential baseline
+// (the role sim.Options.Interpret plays one layer down). Every cached
+// artifact is a pure function of its key, so eviction and recomputation
+// are byte-identical; the differential suite pins shared vs fresh vs
+// interpreted output.
 
 // DefaultMemoBytes bounds the verdict memo when no budget is
-// configured. Entries are accounted at their source text plus
+// configured. Entries are accounted at their completion plus
 // verdictSlotCost, so the accounted budget bounds real retention.
 const DefaultMemoBytes = 4 << 20
 
-// verdictSlotCost is a memo entry's cost beyond its source text: the
-// slot struct, its map and FIFO bookkeeping and the key's string
-// headers. The testbench text is shared with the Problem, so it is not
-// charged. The prompt is shared too, but charged, so an entry costs its
-// whole source text.
+// verdictSlotCost is a memo entry's cost beyond its completion: the
+// slot struct, its map and FIFO bookkeeping and the key. The problem and
+// its prompt are shared with the Problem, so they are not charged.
 const verdictSlotCost = 256
 
 // tbCap bounds the testbench tier by entry count. Keying by the text (not
@@ -75,19 +69,14 @@ func prefixFor(prompt string) *vlog.Prefix {
 	return prefixes.Add(prompt, vlog.LexPrefix(prompt), 1)
 }
 
-// testbench is the testbench tier's entry: the parsed AST under one once
-// and the skeleton under a second, so EvaluateUnshared pays only the
-// parse. Elaboration and simulation only read the AST, so sharing it
-// across workers is safe.
+// testbench is the testbench tier's entry: the parsed AST under a once.
+// Elaboration only reads the AST, so sharing it across workers is safe.
 type testbench struct {
 	text string
 
 	parseOnce sync.Once
 	file      *vlog.SourceFile
 	err       error
-
-	skelOnce sync.Once
-	skel     *elab.Skeleton // nil when construction failed: elaborate instead
 }
 
 // testbenchFor returns the tier's entry for a testbench text, adding an
@@ -105,33 +94,21 @@ func (tb *testbench) parsed() (*vlog.SourceFile, error) {
 	return tb.file, tb.err
 }
 
-// skeleton returns the testbench's skeleton, building it at most once per
-// entry, or nil when the bench does not parse or does not skeletonize.
-func (tb *testbench) skeleton() *elab.Skeleton {
-	tb.skelOnce.Do(func() {
-		f, err := tb.parsed()
-		if err != nil {
-			return
-		}
-		if sk, err := elab.NewSkeleton(f, "tb", elab.HoleModules(f), elab.Options{}); err == nil {
-			tb.skel = sk
-		}
-	})
-	return tb.skel
-}
-
-// verdictKey addresses one candidate: the testbench text scopes the
-// candidate source, prompt followed by completion, mirroring the legacy
-// Compose(candidate, bench) pipeline input. The source stays in its two
-// parts, so a lookup builds no string.
+// verdictKey addresses one candidate: its problem, which fixes the
+// testbench and each level's prompt, the level, and the truncated
+// completion. Problems are immutable once built, and a copy of one is
+// another pointer, so a copy carrying a modified bench gets its own
+// entries. A lookup hashes the completion alone, never the bench text.
 type verdictKey struct {
-	tb, prompt, completion string
+	p          *problems.Problem
+	level      problems.Level
+	completion string
 }
 
-// cost is the memo's charge for a key's entry: its source text, as if
-// prompt and completion were one string, and verdictSlotCost.
+// cost is the memo's charge for a key's entry: its completion and
+// verdictSlotCost.
 func (k verdictKey) cost() int64 {
-	return int64(len(k.prompt)+len(k.completion)) + verdictSlotCost
+	return int64(len(k.completion)) + verdictSlotCost
 }
 
 // verdictSlot is one memo entry: a candidate that reached simulation.
@@ -143,110 +120,73 @@ type verdictSlot struct {
 	o    Outcome
 }
 
-// sharedTiers holds the process-wide verdict memo and plan tier. Both
-// outlive every sweep and every bank; SetPlanCacheBytes replaces them
-// together.
-type sharedTiers struct {
-	memo  *bounded.Cache[verdictKey, *verdictSlot]
-	plans *sim.PlanCache
-}
-
-var tiers atomic.Pointer[sharedTiers]
+// memo is the process-wide verdict memo. It outlives every sweep and
+// every bank; SetPlanCacheBytes replaces it.
+var memo atomic.Pointer[bounded.Cache[verdictKey, *verdictSlot]]
 
 func init() { SetPlanCacheBytes(0) }
 
-// SetPlanCacheBytes configures the shared budgets: the plan cache and the
-// verdict memo are each bounded by n accounted bytes. 0 restores the
-// defaults (sim.DefaultPlanCacheBytes and DefaultMemoBytes),
-// negative disables the bounds. Both tiers are rebuilt empty so the new
-// budget applies from scratch; a simulation already running against the
-// old tiers finishes against them harmlessly.
+// SetPlanCacheBytes bounds the verdict memo by n accounted bytes: 0
+// restores DefaultMemoBytes, negative disables the bound. The memo is
+// rebuilt empty so the new budget applies from scratch; a simulation
+// already running against the old one finishes against it harmlessly.
+// The verdict path shares no plans; the name stays for bench/child.go,
+// which empties the memo through it, until the next change to the
+// benchmark drops it.
 func SetPlanCacheBytes(n int64) {
-	memoBudget := n
-	if memoBudget == 0 {
-		memoBudget = DefaultMemoBytes
+	if n == 0 {
+		n = DefaultMemoBytes
 	}
-	tiers.Store(&sharedTiers{
-		memo:  bounded.New[verdictKey, *verdictSlot](memoBudget),
-		plans: sim.NewPlanCache(n),
-	})
-}
-
-// buildSlot runs the compile pipeline for prompt+completion. A nil slot
-// means the candidate does not reach simulation, and the Outcome is then
-// its verdict. Splice failures of any kind fall back to full
-// elaboration, so the verdict (and on success the design's observable
-// behaviour) is identical to the legacy per-sample pipeline by
-// construction.
-func buildSlot(p *problems.Problem, prompt, completion string) (Outcome, *verdictSlot) {
-	f, err := vlog.ParsePrefixed(prefixFor(prompt), completion)
-	if err != nil || elab.CompileCheck(f) != nil {
-		return Outcome{}, nil
-	}
-	compiles := Outcome{Compiles: true}
-	tb := testbenchFor(p.Testbench)
-	tbf, err := tb.parsed()
-	if err != nil {
-		return compiles, nil
-	}
-	if sk := tb.skeleton(); sk != nil {
-		if d, err := sk.Splice(f); err == nil {
-			return compiles, &verdictSlot{d: d}
-		}
-	}
-	d, err := elab.Elaborate(vlog.Compose(f, tbf), "tb", elab.Options{})
-	if err != nil {
-		return compiles, nil
-	}
-	return compiles, &verdictSlot{d: d}
+	memo.Store(bounded.New[verdictKey, *verdictSlot](n))
 }
 
 // verdict returns the slot's Outcome, simulating its design on the first
 // call. The call that simulates also returns the run's Result; every
 // other call returns nil. A run error, an InternalError included, is a
 // simulated candidate that does not pass, memoized like any verdict.
-func (sl *verdictSlot) verdict(plans *sim.PlanCache) (Outcome, *sim.Result) {
+func (sl *verdictSlot) verdict() (Outcome, *sim.Result) {
 	var res *sim.Result
 	sl.once.Do(func() {
-		r, err := sim.New(sl.d, sim.Options{Plans: plans}).Run()
-		sl.d = nil
-		sl.o = Outcome{Compiles: true, Simulated: true, Passes: err == nil && problems.PassVerdict(r.Output)}
-		res = &r
+		o, r := simulate(sl.d, sim.Options{})
+		sl.d, sl.o, res = nil, o, &r
 	})
 	return sl.o, res
 }
 
-// evaluateShared is the shared-artifact pipeline behind Evaluate: same
-// verdict as evaluateSim with default options, with the compile and
-// simulation work paid once per distinct candidate. The Result is the
-// simulation this call ran, nil when it ran none (a memo hit, or a
-// candidate that never reaches simulation). Only candidates that reach
-// simulation are stored: a failure's verdict is returned directly, so
-// the common LLM failure (a parse error) never evicts a verdict, and a
-// repeated failure parses again. A slot is built outside any lock; when
-// two workers miss on the same candidate, the first Add wins and both
-// wait on its one simulation.
+// evaluateShared is the pipeline behind Evaluate: same verdict as
+// evaluateSim with default options, with the compile and simulation work
+// paid once per distinct candidate. The Result is the simulation this
+// call ran, nil when it ran none (a memo hit, or a candidate that never
+// reaches simulation). Only candidates that reach simulation are stored:
+// a failure's verdict is returned directly, so the common LLM failure (a
+// parse error) never evicts a verdict, and a repeated failure parses
+// again. A slot is built outside any lock; when two workers miss on the
+// same candidate, the first Add wins and both wait on its one
+// simulation.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, *sim.Result) {
-	k := verdictKey{tb: p.Testbench, prompt: p.Prompt(level), completion: Truncate(completion)}
-	t := tiers.Load()
-	sl, ok := t.memo.Get(k)
-	if !ok {
-		var o Outcome
-		if o, sl = buildSlot(p, k.prompt, k.completion); sl == nil {
-			return o, nil
-		}
-		// Truncate may return a slice of the caller's completion; a copy
-		// keeps the memo from pinning the caller's whole text
-		k.completion = strings.Clone(k.completion)
-		sl = t.memo.Add(k, sl, k.cost())
+	k := verdictKey{p: p, level: level, completion: Truncate(completion)}
+	m := memo.Load()
+	if sl, ok := m.Get(k); ok {
+		return sl.verdict()
 	}
-	return sl.verdict(t.plans)
+	f, ok := vlog.ParsePrefixed(prefixFor(p.Prompt(level)), k.completion)
+	if !ok {
+		return Outcome{}, nil
+	}
+	o, d := elaborate(p, f)
+	if d == nil {
+		return o, nil
+	}
+	// Truncate may return a slice of the caller's completion; a copy
+	// keeps the memo from pinning the caller's whole text
+	k.completion = strings.Clone(k.completion)
+	return m.Add(k, &verdictSlot{d: d}, k.cost()).verdict()
 }
 
-// SharedCacheStats snapshots the shared tiers: the verdict memo, whose
-// counters keep their Design names (Designs is its resident entries,
-// DesignHits and DesignMisses count its lookups), and the plan cache
-// (immutable compiled expression plans).
+// SharedCacheStats snapshots the shared tiers. The verdict memo's
+// counters keep their Design names: Designs is its resident entries,
+// DesignHits and DesignMisses count its lookups. Skeletons counts
+// resident testbench-tier entries.
 type SharedCacheStats struct {
 	Designs       int
 	DesignHits    uint64
@@ -254,15 +194,20 @@ type SharedCacheStats struct {
 	DesignBytes   int64
 	DesignEvicted uint64
 	Skeletons     int
-	Plans         sim.PlanCacheStats
+	// Plans reads zero: the verdict path shares no plans. It stays for
+	// bench/child.go, which reads it, until the next change to the
+	// benchmark drops it.
+	Plans planStats
 }
 
+// planStats is the type of SharedCacheStats.Plans: the two counters
+// bench/child.go reads.
+type planStats struct{ Hits, Misses uint64 }
+
 // SharedStats reports hit/miss/eviction/occupancy counters for the shared
-// caches, the -cache-stats diagnostic surface. Skeletons counts resident
-// testbench-tier entries.
+// tiers, the -cache-stats diagnostic surface.
 func SharedStats() SharedCacheStats {
-	t := tiers.Load()
-	ds := t.memo.Stats()
+	ds := memo.Load().Stats()
 	return SharedCacheStats{
 		Designs:       ds.Entries,
 		DesignHits:    ds.Hits,
@@ -270,6 +215,6 @@ func SharedStats() SharedCacheStats {
 		DesignBytes:   ds.Bytes,
 		DesignEvicted: ds.Evicted,
 		Skeletons:     testbenches.Stats().Entries,
-		Plans:         t.plans.Stats(),
+		Plans:         planStats{}, // no plans are shared
 	}
 }

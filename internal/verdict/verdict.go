@@ -1,12 +1,11 @@
 // Package verdict judges one completion for a (problem, level): the
 // paper's evaluation framework (Section IV) in one pipeline. A completion
 // is truncated at the endmodule keyword, parsed behind the problem's
-// prompt, compile-checked (the Icarus Verilog role), spliced into the
-// testbench skeleton or elaborated with the bench, simulated, and judged
-// by the bench's self-check output.
+// prompt, compile-checked (the Icarus Verilog role), elaborated with the
+// testbench, simulated, and judged by the bench's self-check output.
 //
 // Evaluate runs that pipeline through process-wide shared tiers (see
-// tiers.go), so each distinct candidate is compiled and simulated once.
+// tiers.go), so each distinct candidate is simulated once.
 // EvaluateUnshared runs it with nothing shared; it is the differential
 // oracle the tiers are checked against. Every caller that verdicts a
 // candidate — the sweep engine in eval and the variant bank in model —
@@ -103,12 +102,11 @@ type Outcome struct {
 }
 
 // Evaluate runs the full pipeline on one completion for (problem, level)
-// through the shared tiers (see tiers.go): the testbench skeleton is
-// elaborated once per problem, expression plans are shared across
-// simulators, and a candidate is spliced, compiled and simulated once per
-// distinct truncated source; the verdict memo answers every repeat. The
-// verdict is identical to EvaluateUnshared's — the tiers hold only pure
-// functions of the source text.
+// through the shared tiers (see tiers.go): the prompt and the testbench
+// are parsed once, and a candidate is compiled, elaborated and simulated
+// once per distinct truncated completion; the verdict memo answers every
+// repeat. The verdict is identical to EvaluateUnshared's — the tiers
+// hold only pure functions of their keys.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
 	o, _ := evaluateShared(p, level, completion)
 	return o
@@ -135,28 +133,39 @@ func EvaluateUnshared(p *problems.Problem, level problems.Level, completion stri
 // fabricated zero value. Callers can therefore trust (Simulated, Result)
 // to agree.
 func evaluateSim(p *problems.Problem, level problems.Level, completion string, simOpts sim.Options) (Outcome, sim.Result) {
-	completion = Truncate(completion)
-	src := p.CompleteWith(level, completion)
-	f, err := vlog.Parse(src)
+	f, err := vlog.Parse(p.CompleteWith(level, Truncate(completion)))
 	if err != nil {
 		return Outcome{}, sim.Result{}
 	}
+	o, d := elaborate(p, f)
+	if d == nil {
+		return o, sim.Result{}
+	}
+	return simulate(d, simOpts)
+}
+
+// elaborate compile-checks a parsed candidate and elaborates it with its
+// problem's testbench. A nil design means the candidate does not reach
+// simulation, and the Outcome is then its verdict.
+func elaborate(p *problems.Problem, f *vlog.SourceFile) (Outcome, *elab.Design) {
 	if elab.CompileCheck(f) != nil {
-		return Outcome{}, sim.Result{}
+		return Outcome{}, nil
 	}
 	// The candidate compiles standalone; everything past this point can
 	// only downgrade the verdict from Passes, never from Compiles.
 	tb, err := testbenchFor(p.Testbench).parsed()
 	if err != nil {
-		return Outcome{Compiles: true}, sim.Result{}
+		return Outcome{Compiles: true}, nil
 	}
 	d, err := elab.Elaborate(vlog.Compose(f, tb), "tb", elab.Options{})
 	if err != nil {
-		return Outcome{Compiles: true}, sim.Result{}
+		return Outcome{Compiles: true}, nil
 	}
-	res, err := sim.New(d, simOpts).Run()
-	if err != nil {
-		return Outcome{Compiles: true, Simulated: true}, res
-	}
-	return Outcome{Compiles: true, Simulated: true, Passes: problems.PassVerdict(res.Output)}, res
+	return Outcome{Compiles: true}, d
+}
+
+// simulate runs an elaborated candidate and judges its output.
+func simulate(d *elab.Design, opts sim.Options) (Outcome, sim.Result) {
+	res, err := sim.New(d, opts).Run()
+	return Outcome{Compiles: true, Simulated: true, Passes: err == nil && problems.PassVerdict(res.Output)}, res
 }

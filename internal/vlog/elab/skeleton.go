@@ -6,12 +6,16 @@ import (
 	"repro/internal/vlog"
 )
 
-// This file implements the elaborate-once/splice-many split used by the
-// evaluation pipeline. A testbench is elaborated into a Skeleton exactly
-// once per (problem, level): every module defined by the testbench file is
-// fully bound, parameters folded, and port shapes resolved, while
-// instantiations of "hole" modules (the candidate's modules, absent from
-// the testbench file) are deferred with enough bookkeeping to replay them
+// This file implements the elaborate-once/splice-many split. The verdict
+// path elaborates every candidate in full; NewSkeleton, Splice and
+// HoleModules stay only for bench/trace.go's stage replay, until the
+// next change to the benchmark drops them.
+//
+// A testbench is elaborated into a Skeleton exactly once per (problem,
+// level): every module defined by the testbench file is fully bound,
+// parameters folded, and port shapes resolved, while instantiations of
+// "hole" modules (the candidate's modules, absent from the testbench
+// file) are deferred with enough bookkeeping to replay them
 // later. Splice then binds one candidate file against the skeleton,
 // re-running only the deferred instantiations, and produces a Design that
 // is structurally identical — same stream order of Assigns/Procs/RegInits,
@@ -74,7 +78,8 @@ type Skeleton struct {
 // NewSkeleton elaborates the testbench file down to the given hole module
 // names. Hole instantiations are deferred; everything else is fully
 // elaborated and checked. An error means the testbench cannot be
-// skeletonized (callers fall back to full elaboration).
+// skeletonized (callers fall back to full elaboration). Its one shipped
+// caller is bench/trace.go's stage replay.
 func NewSkeleton(file *vlog.SourceFile, top string, holes []string, _ Options) (*Skeleton, error) {
 	m := file.FindModule(top)
 	if m == nil {
@@ -122,7 +127,8 @@ type SpliceSite struct {
 // resumes from the skeleton's total so the success condition matches. Any
 // error (including a candidate module shadowing a name the skeleton
 // already bound, which full elaboration would have resolved differently)
-// means the caller must fall back to full elaboration.
+// means the caller must fall back to full elaboration. Its one shipped
+// caller is bench/trace.go's stage replay.
 func (sk *Skeleton) Splice(cand *vlog.SourceFile) (*Design, error) {
 	for _, m := range cand.Modules {
 		if sk.bound[m.Name] {
@@ -215,7 +221,8 @@ func (d *Design) ChildrenOf(in *Inst) []*Inst {
 
 // HoleModules returns, in first-reference order, the module names the
 // file instantiates but does not define — the holes a candidate file is
-// expected to fill.
+// expected to fill. Its one shipped caller is bench/trace.go's stage
+// replay.
 func HoleModules(file *vlog.SourceFile) []string {
 	var holes []string
 	seen := map[string]bool{}

@@ -23,3 +23,11 @@ func PrefixTokens(pre *Prefix, completion string) ([]Token, bool, error) {
 // PrefixHead returns pre's parsed head, or nil when ParsePrefixed falls
 // back to parsing the whole text.
 func PrefixHead(pre *Prefix) *Module { return pre.head }
+
+// ParsePrefixedErr is ParsePrefixed returning the error Parse would
+// return for the whole text, which the shipped entry does not build: the
+// differential tests compare the two parses down to the error text.
+func ParsePrefixedErr(pre *Prefix, completion string) (*SourceFile, error) {
+	var p Parser
+	return p.finish(pre.parse(&p, completion))
+}

@@ -1,6 +1,7 @@
 package vlog
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -19,9 +20,10 @@ var parseCalls atomic.Uint64
 //vgencheck:oracle parse counter the verdict pipeline's single-parse guarantee is checked against (verdict.TestSingleParsePerEvaluation)
 func ParseCalls() uint64 { return parseCalls.Load() }
 
-// ParseError is a syntax error with a source position. Its message is
-// formatted only when Error is called: a verdict only needs to know that
-// the text failed to parse, and most candidates an LLM emits do.
+// ParseError is a syntax error with a source position. A parse builds
+// one only for a caller that reads it, and its message is formatted only
+// when Error is called: a verdict only needs to know that the text failed
+// to parse, and most candidates an LLM emits do.
 type ParseError struct {
 	Pos Pos
 	// format is a constant message with at most one %q, filled from
@@ -61,9 +63,15 @@ func (e *ParseError) Error() string { return e.Pos.String() + ": syntax error: "
 // that error is the one reported.
 type Parser struct {
 	lx  Lexer
-	tok Token // the current token; at the end, EOF at the last token's position
-	err error // the lexical error that ended the token stream
+	tok Token      // the current token; at the end, EOF at the last token's position
+	err error      // the lexical error that ended the token stream
+	syn ParseError // the syntax error behind the last errSyntax returned
 }
+
+// errSyntax is the error every parse method returns for a syntax error,
+// whose details the Parser records in syn: a failed parse allocates no
+// error, and finish builds the *ParseError for the callers that read it.
+var errSyntax = errors.New("vlog: syntax error")
 
 // newParser returns a parser over lx's tokens. The EOF of an empty
 // stream is reported at last.
@@ -93,15 +101,17 @@ func (p *Parser) advance() {
 	}
 }
 
-// finish returns a parse's result, or the lexical error that ended its
-// token stream: a syntax error found after it was found on the EOF that
-// stands in for the rest of the text.
+// finish returns a parse's result, or the error that ended it: the
+// lexical error that ended its token stream, since a syntax error found
+// after it was found on the EOF that stands in for the rest of the text,
+// and otherwise the recorded syntax error.
 func (p *Parser) finish(f *SourceFile, err error) (*SourceFile, error) {
-	if p.err != nil {
-		err = p.err
-	}
-	if err != nil {
-		return nil, err
+	switch {
+	case p.err != nil:
+		return nil, p.err
+	case err != nil:
+		e := p.syn
+		return nil, &e
 	}
 	return f, nil
 }
@@ -109,8 +119,14 @@ func (p *Parser) finish(f *SourceFile, err error) (*SourceFile, error) {
 // Parse parses a complete source text into a SourceFile.
 func Parse(src string) (*SourceFile, error) {
 	parseCalls.Add(1)
-	p := newParser(Lexer{src: src, line: 1, col: 1}, Pos{Line: 1, Col: 1})
-	return p.finish(p.parseRest(&SourceFile{}))
+	var p Parser
+	return p.finish(p.parseText(src))
+}
+
+// parseText parses a whole source text in p.
+func (p *Parser) parseText(src string) (*SourceFile, error) {
+	*p = newParser(Lexer{src: src, line: 1, col: 1}, Pos{Line: 1, Col: 1})
+	return p.parseRest(&SourceFile{})
 }
 
 // parseRest appends the modules that remain in the stream to file.
@@ -126,7 +142,7 @@ func (p *Parser) parseRest(file *SourceFile) (*SourceFile, error) {
 		file.Modules = append(file.Modules, m)
 	}
 	if len(file.Modules) == 0 {
-		return nil, &ParseError{format: "no module declaration found"}
+		return nil, p.fail(ParseError{format: "no module declaration found"})
 	}
 	return file, nil
 }
@@ -141,10 +157,16 @@ func (p *Parser) next() Token {
 	return t
 }
 
-// errorf returns a syntax error at the current token; format follows
-// ParseError's rule for its verbs.
+// errorf records a syntax error at the current token and returns
+// errSyntax; format follows ParseError's rule for its verbs.
 func (p *Parser) errorf(format, quoted string, found Token) error {
-	return &ParseError{Pos: p.tok.Pos, format: format, quoted: quoted, found: found}
+	return p.fail(ParseError{Pos: p.tok.Pos, format: format, quoted: quoted, found: found})
+}
+
+// fail records e as the parse's syntax error and returns errSyntax.
+func (p *Parser) fail(e ParseError) error {
+	p.syn = e
+	return errSyntax
 }
 
 func (p *Parser) isPunct(s string) bool {
@@ -1189,7 +1211,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		// token, so no lexical error after it can preempt its error
 		v, err := vnum.ParseLiteral(text)
 		if err != nil {
-			return nil, &ParseError{Pos: t.Pos, cause: err}
+			return nil, p.fail(ParseError{Pos: t.Pos, cause: err})
 		}
 		p.next()
 		return &Number{Pos: t.Pos, Text: text, Value: v}, nil

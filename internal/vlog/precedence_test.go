@@ -9,7 +9,8 @@ import (
 
 // TestFirstErrorWins pins the error a text with both a syntax error and
 // a lexical error reports: the one that comes first in the text, through
-// Parse and through ParsePrefixed behind a prompt they share.
+// Parse and through the prefixed parse (ParsePrefixedErr) behind a
+// prompt they share.
 func TestFirstErrorWins(t *testing.T) {
 	const prompt = "module m;\n"
 	cases := []struct {
@@ -31,9 +32,9 @@ func TestFirstErrorWins(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, err := vlog.Parse(prompt + c.completion)
-		_, perr := vlog.ParsePrefixed(pre, c.completion)
+		_, perr := vlog.ParsePrefixedErr(pre, c.completion)
 		for i, err := range []error{err, perr} {
-			via := []string{"Parse", "ParsePrefixed"}[i]
+			via := []string{"Parse", "ParsePrefixedErr"}[i]
 			var le *vlog.LexError
 			var pe *vlog.ParseError
 			switch {

@@ -77,27 +77,40 @@ func (pre *Prefix) completionLexer(completion string) Lexer {
 }
 
 // ParsePrefixed parses pre's prompt followed by completion. Its result,
-// down to error text, error positions and the position of every node,
-// is exactly that of Parse(prompt+completion), and it counts in
-// ParseCalls as Parse does.
+// down to the position of every node, is exactly that of
+// Parse(prompt+completion), and it counts in ParseCalls as Parse does.
+// A text that does not parse yields ok false and builds no error: the
+// verdict path reads only whether a candidate parses. Parse reports the
+// error.
 //
 // The first module's header and prompt declarations are pre's own
 // nodes, shared by every result parsed from pre, so a result must be
 // treated as read-only, as Compose's is. That module's Items and
 // PortNames are its own slices: appending to them never writes into pre.
-func ParsePrefixed(pre *Prefix, completion string) (*SourceFile, error) {
-	if pre.head == nil {
-		return Parse(pre.prompt + completion)
+func ParsePrefixed(pre *Prefix, completion string) (f *SourceFile, ok bool) {
+	var p Parser
+	f, err := pre.parse(&p, completion)
+	if err != nil || p.err != nil { // p.err: a lexical error ended the stream
+		return nil, false
 	}
+	return f, true
+}
+
+// parse parses pre's prompt followed by completion in p. A failure is
+// recorded in p, whose finish builds the error Parse would return.
+func (pre *Prefix) parse(p *Parser, completion string) (*SourceFile, error) {
 	parseCalls.Add(1)
+	if pre.head == nil {
+		return p.parseText(pre.prompt + completion)
+	}
 	// an empty completion's EOF is at the prompt's last token, where a
 	// whole-text parse reports it
-	p := newParser(pre.completionLexer(completion), pre.last)
+	*p = newParser(pre.completionLexer(completion), pre.last)
 	m := *pre.head
 	m.Items = m.Items[:len(m.Items):len(m.Items)]
 	m.PortNames = m.PortNames[:len(m.PortNames):len(m.PortNames)]
 	if err := p.parseBody(&m); err != nil {
-		return p.finish(nil, err)
+		return nil, err
 	}
-	return p.finish(p.parseRest(&SourceFile{Modules: []*Module{&m}}))
+	return p.parseRest(&SourceFile{Modules: []*Module{&m}})
 }

@@ -23,8 +23,11 @@ func errText(err error) string {
 // checkPrefixed asserts that parsing completion after LexPrefix(prompt)
 // is indistinguishable from Parse(prompt+completion): the same token
 // stream (kind, text and position of every token), the same AST down to
-// the position of every node, and the same error text. It reports
-// whether the prompt's parsed head was reused.
+// the position of every node, and the same error text. ParsePrefixed
+// builds no error, so the error text is compared through
+// ParsePrefixedErr, and ParsePrefixed must fail exactly where Parse does
+// and return the same AST. It reports whether the prompt's parsed head
+// was reused.
 func checkPrefixed(t testing.TB, prompt, completion string) bool {
 	t.Helper()
 	src := prompt + completion
@@ -40,9 +43,13 @@ func checkPrefixed(t testing.TB, prompt, completion string) bool {
 	}
 
 	wantF, wantErr := vlog.Parse(src)
-	gotF, gotErr := vlog.ParsePrefixed(pre, completion)
+	gotF, gotErr := vlog.ParsePrefixedErr(pre, completion)
 	if errText(gotErr) != errText(wantErr) {
 		t.Errorf("parse error %q, want %q\nprompt: %q\ncompletion: %q", errText(gotErr), errText(wantErr), prompt, completion)
+	}
+	if shipF, ok := vlog.ParsePrefixed(pre, completion); ok != (wantErr == nil) || !reflect.DeepEqual(shipF, gotF) {
+		t.Errorf("ParsePrefixed: ok %v and its AST differ from ParsePrefixedErr's (error %q)\nprompt: %q\ncompletion: %q",
+			ok, errText(gotErr), prompt, completion)
 	}
 	if (gotF == nil) != (wantF == nil) {
 		t.Errorf("AST presence differs (got %v, want %v)\nprompt: %q\ncompletion: %q", gotF != nil, wantF != nil, prompt, completion)
@@ -102,6 +109,44 @@ func TestParsePrefixedNearMisses(t *testing.T) {
 	}
 }
 
+// TestParsePrefixedSyntaxErrorAllocatesNothing pins that a syntax error
+// adds no allocation to ParsePrefixed, the verdict's parse: a completion
+// that fails on its first token allocates only the copy of the prompt's
+// module, and on every syntax error the *ParseError that
+// ParsePrefixedErr builds is the one allocation between the two entries.
+func TestParsePrefixedSyntaxErrorAllocatesNothing(t *testing.T) {
+	p := problems.ByNumber(6)
+	pre := vlog.LexPrefix(p.Prompt(problems.LevelLow))
+	if vlog.PrefixHead(pre) == nil {
+		t.Fatal("the prompt did not take the head path")
+	}
+	for _, c := range []struct {
+		completion string
+		allocs     float64 // ParsePrefixed's; -1 when only the difference is pinned
+	}{
+		{"  )\n", 1},
+		{"", 1},
+		{"  garbage tokens\n", -1},
+		{"  assign q = ;\nendmodule\n", -1},
+		{"  always @(posedge clk) q <= q\nendmodule\n", -1},
+	} {
+		if _, err := vlog.ParsePrefixedErr(pre, c.completion); err == nil {
+			t.Fatalf("%q parsed", c.completion)
+		} else if _, ok := err.(*vlog.ParseError); !ok {
+			t.Fatalf("%q: %T, want a syntax error", c.completion, err)
+		}
+		shipped := testing.AllocsPerRun(50, func() { vlog.ParsePrefixed(pre, c.completion) })
+		withErr := testing.AllocsPerRun(50, func() { vlog.ParsePrefixedErr(pre, c.completion) })
+		if withErr-shipped != 1 {
+			t.Errorf("%q: ParsePrefixed allocated %.0f times, ParsePrefixedErr %.0f; want the error as the one difference",
+				c.completion, shipped, withErr)
+		}
+		if c.allocs >= 0 && shipped != c.allocs {
+			t.Errorf("%q: ParsePrefixed allocated %.0f times, want %.0f", c.completion, shipped, c.allocs)
+		}
+	}
+}
+
 // TestParsePrefixedFallback covers prompts that cannot be split from
 // their completion: each must take the whole-text path and still match
 // Parse, including where only the completion makes the text well-formed.
@@ -128,7 +173,7 @@ func TestParsePrefixedFallback(t *testing.T) {
 	// the texts that only their completion closes must parse
 	for _, i := range []int{2, 4, 5, 6, 7} {
 		c := cases[i]
-		if _, err := vlog.ParsePrefixed(vlog.LexPrefix(c.prompt), c.completion); err != nil {
+		if _, err := vlog.ParsePrefixedErr(vlog.LexPrefix(c.prompt), c.completion); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
 	}
@@ -158,8 +203,8 @@ func TestParsePrefixedConcurrent(t *testing.T) {
 					completion = p.RefBody
 				}
 				want, wantErr := vlog.Parse(prompt + completion)
-				got, gotErr := vlog.ParsePrefixed(pre, completion)
-				if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(got, want) {
+				got, ok := vlog.ParsePrefixed(pre, completion)
+				if ok != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 					t.Errorf("completion %q: concurrent prefixed parse diverged", completion)
 					return
 				}
@@ -172,12 +217,12 @@ func TestParsePrefixedConcurrent(t *testing.T) {
 	}
 	// a result keeps its own items through a later parse of the same
 	// prompt; one added item each stays within any spare capacity
-	first, err := vlog.ParsePrefixed(pre, "  assign z = 1;\nendmodule\n")
-	if err != nil {
-		t.Fatal(err)
+	first, ok := vlog.ParsePrefixed(pre, "  assign z = 1;\nendmodule\n")
+	if !ok {
+		t.Fatal("the first completion did not parse")
 	}
-	if _, err := vlog.ParsePrefixed(pre, "  assign z = 0;\nendmodule\n"); err != nil {
-		t.Fatal(err)
+	if _, ok := vlog.ParsePrefixed(pre, "  assign z = 0;\nendmodule\n"); !ok {
+		t.Fatal("the second completion did not parse")
 	}
 	if want, _ := vlog.Parse(prompt + "  assign z = 1;\nendmodule\n"); !reflect.DeepEqual(first, want) {
 		t.Errorf("a later parse rewrote an earlier result's items:\n%s", vlog.Print(first))
@@ -206,7 +251,11 @@ func FuzzParsePrefixed(f *testing.F) {
 
 func ExampleParsePrefixed() {
 	pre := vlog.LexPrefix("module inv(input a, output y);\n")
-	_, err := vlog.ParsePrefixed(pre, "  assign y = ~a\nendmodule\n")
-	fmt.Println(err)
-	// Output: 3:1: syntax error: expected ";", found "endmodule"
+	for _, body := range []string{"  assign y = ~a;\nendmodule\n", "  assign y = ~a\nendmodule\n"} {
+		f, ok := vlog.ParsePrefixed(pre, body)
+		fmt.Println(ok, f != nil)
+	}
+	// Output:
+	// true true
+	// false false
 }
