@@ -70,10 +70,11 @@
 //
 // Evaluation shares work process-wide (DESIGN.md Section 15): prompts
 // and testbenches are parsed once, and each distinct candidate is
-// compiled and simulated once, its verdict kept in a memo — identical
-// output, far less work. The verdict memo holds 4 MiB of accounted
-// bytes; -cache-stats prints its counters and the per-runner outcome
-// cache's to stderr after the run.
+// compiled and simulated once for all prompt levels whose prompts have
+// the same tokens, its verdict kept in a memo — identical output, far
+// less work. The verdict memo holds 4 MiB of accounted bytes;
+// -cache-stats prints its counters and the per-runner outcome cache's
+// to stderr after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -390,8 +391,8 @@ func main() {
 // sweep that outgrows a tier's budget shows evictions.
 func printCacheStats(r *eval.Runner) {
 	ss := verdict.SharedStats()
-	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d testbenches, %d bytes\n",
-		ss.DesignHits, ss.DesignMisses, ss.DesignEvicted, ss.Designs, ss.Skeletons, ss.DesignBytes)
+	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d testbenches, %d prompt classes for %d prompts, %d bytes\n",
+		ss.DesignHits, ss.DesignMisses, ss.DesignEvicted, ss.Designs, ss.Skeletons, ss.PromptClasses, ss.Prompts, ss.DesignBytes)
 	oc := r.CacheStats()
 	fmt.Fprintf(os.Stderr, "outcome cache: %d entries, %d bytes, %d evicted\n",
 		oc.Entries, oc.Bytes, oc.Evicted)

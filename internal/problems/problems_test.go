@@ -42,8 +42,12 @@ func TestByNumber(t *testing.T) {
 	}
 }
 
+// TestPromptLevelsAreMonotone: higher levels add detail, and only
+// detail. Each prompt is longer than the one below it and has the same
+// tokens: what a level adds is comment text. The verdict memo shares a
+// completion's verdict across the levels of one token signature, so a
+// prompt that changed a token would cost that sharing.
 func TestPromptLevelsAreMonotone(t *testing.T) {
-	// higher levels add detail: strictly more comment text, same tail
 	for _, p := range All() {
 		l := p.Prompt(LevelLow)
 		m := p.Prompt(LevelMedium)
@@ -55,6 +59,17 @@ func TestPromptLevelsAreMonotone(t *testing.T) {
 		for _, pr := range []string{l, m, h} {
 			if !strings.Contains(pr, "module "+p.ModuleName) {
 				t.Errorf("problem %d prompt missing module header", p.Number)
+			}
+		}
+		want := vlog.LexPrefix(l).Signature()
+		if want == "" {
+			t.Errorf("problem %d: the L prompt cannot be split from its completion", p.Number)
+			continue
+		}
+		for _, lvl := range []Level{LevelMedium, LevelHigh} {
+			if vlog.LexPrefix(p.Prompt(lvl)).Signature() != want {
+				t.Errorf("problem %d: the %s prompt's tokens differ from the L prompt's, so the two fall in different prompt classes; a level may add only comments",
+					p.Number, lvl)
 			}
 		}
 	}

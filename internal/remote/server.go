@@ -58,8 +58,13 @@ func NewHandler(b gen.Backend, opts ServerOptions) http.Handler {
 			return
 		}
 		var req completeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad request: "+err.Error(), code)
 			return
 		}
 		writeJSON(w, complete(r.Context(), b, req))

@@ -144,16 +144,20 @@ func (e *statusError) Error() string { return fmt.Sprintf("http status %d", e.co
 // breaker — no bytes hit the wire.
 var errBreakerOpen = errors.New("circuit breaker open")
 
+// errResponseTooLarge is a response body over maxResponseBytes.
+var errResponseTooLarge = fmt.Errorf("response body over %d bytes", maxResponseBytes)
+
 // retryable classifies attempt errors. Network faults, timeouts, body
 // truncation, corrupt JSON, 5xx/429/408 statuses, and breaker rejections
-// are transient; other 4xx (auth, malformed request) are deterministic
-// and retrying them only burns budget.
+// are transient; other 4xx (auth, malformed or oversized request) and an
+// oversized response are deterministic — a batch's samples are pure
+// functions of its coordinates — and retrying them only burns budget.
 func retryable(err error) bool {
 	var se *statusError
 	if errors.As(err, &se) {
 		return se.code >= 500 || se.code == http.StatusTooManyRequests || se.code == http.StatusRequestTimeout
 	}
-	return true
+	return err != errResponseTooLarge
 }
 
 // backoff is the delay before the next attempt: exponential from
@@ -277,9 +281,12 @@ func (t *Transport) attempt(ctx context.Context, path string, body []byte, idem 
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) // drain so the conn is reusable
 		return nil, &statusError{code: resp.StatusCode}
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, err // truncation, reset, slow-drip timeout mid-body
+	}
+	if len(data) > maxResponseBytes {
+		return nil, errResponseTooLarge
 	}
 	return data, nil
 }

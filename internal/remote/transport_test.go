@@ -125,7 +125,9 @@ func TestRetryableClassification(t *testing.T) {
 		{&statusError{code: http.StatusUnauthorized}, false},
 		{&statusError{code: http.StatusBadRequest}, false},
 		{&statusError{code: http.StatusNotFound}, false},
+		{&statusError{code: http.StatusRequestEntityTooLarge}, false},
 		{errBreakerOpen, true},
+		{errResponseTooLarge, false},
 	}
 	for _, c := range cases {
 		if got := retryable(c.err); got != c.want {

@@ -77,6 +77,17 @@ type wireRequest struct {
 	BaseSeed    int64   `json:"base_seed"`
 }
 
+// Body caps. The transport reads at most maxResponseBytes of a response
+// and the server decodes at most maxRequestBytes of a request; a body
+// over its cap fails its batch with an explicit error. A batch of the
+// engine's default 16 completions is a few kilobytes each way, so the
+// caps only stop a faulty peer from making the other side buffer
+// without bound.
+const (
+	maxResponseBytes = 16 << 20
+	maxRequestBytes  = 4 << 20
+)
+
 // completeRequest is the POST body: a batch of requests.
 type completeRequest struct {
 	Requests []wireRequest `json:"requests"`

@@ -2,12 +2,15 @@ package verdict_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/mutate"
 	"repro/internal/problems"
 	"repro/internal/sim"
 	"repro/internal/verdict"
+	"repro/internal/vlog"
 )
 
 // These tests draw their candidates from a model family, and model
@@ -101,9 +104,12 @@ func TestSharedMatchesFreshAndInterpreter(t *testing.T) {
 // TestVerdictMemoAudit takes every distinct candidate of a small family
 // sweep (two variants, every problem and level, three temperatures, five
 // samples each) and checks the memo against the unshared pipeline: the
-// first evaluation of a new truncated source simulates, a truncation
-// repeat and every second evaluation are hits that simulate nothing, and
-// all of them give EvaluateUnshared's verdict.
+// first evaluation of a new (problem, prompt class, truncated
+// completion) simulates; a truncation repeat, the same completion at
+// another level of the class and every second evaluation are hits that
+// simulate nothing; and all of them give EvaluateUnshared's verdict. A
+// prompt class is the prompt's token signature, so the audit's key is
+// computed independently of the memo's interned handles.
 func TestVerdictMemoAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("family sweep of every problem and level")
@@ -143,37 +149,90 @@ func TestVerdictMemoAudit(t *testing.T) {
 	t.Cleanup(func() { verdict.SetPlanCacheBytes(0) })
 	type memoKey struct {
 		p     *problems.Problem
-		level problems.Level
+		class string
 		src   string
 	}
-	simulated := map[memoKey]bool{}
-	var misses, repeats int
+	class := func(p *problems.Problem, l problems.Level) string {
+		sig := vlog.LexPrefix(p.Prompt(l)).Signature()
+		if sig == "" {
+			t.Fatalf("problem %d/%s: the prompt cannot be split, so it has no class to share", p.Number, l)
+		}
+		return sig
+	}
+	simulatedAt := map[memoKey]problems.Level{} // the level that simulated
+	var misses, repeats, crossLevel int
 	for i, c := range cands {
 		want := verdict.EvaluateUnshared(c.p, c.level, c.completion)
-		k := memoKey{c.p, c.level, verdict.Truncate(c.completion)}
+		k := memoKey{c.p, class(c.p, c.level), verdict.Truncate(c.completion)}
+		at, simulated := simulatedAt[k]
 		for pass := 0; pass < 2; pass++ {
 			got, res := verdict.EvaluateShared(c.p, c.level, c.completion)
 			if got != want {
 				t.Errorf("candidate %d (problem %d/%s) pass %d: memo %+v, unshared %+v",
 					i, c.p.Number, c.level, pass, got, want)
 			}
-			if ran, miss := res != nil, want.Simulated && pass == 0 && !simulated[k]; ran != miss {
+			if ran, miss := res != nil, want.Simulated && pass == 0 && !simulated; ran != miss {
 				t.Errorf("candidate %d (problem %d/%s) pass %d: simulated %t, want %t",
 					i, c.p.Number, c.level, pass, ran, miss)
 			}
 		}
-		if want.Simulated {
-			if simulated[k] {
-				repeats++
-			} else {
-				misses++
-			}
-			simulated[k] = true
+		switch {
+		case !want.Simulated:
+		case !simulated:
+			misses++
+			simulatedAt[k] = c.level
+		case at == c.level:
+			repeats++
+		default:
+			crossLevel++
 		}
 	}
-	if misses == 0 || repeats == 0 {
-		t.Errorf("%d candidates: %d simulated misses and %d truncation repeats; the audit exercised too little",
-			len(cands), misses, repeats)
+	if misses == 0 || repeats == 0 || crossLevel == 0 {
+		t.Errorf("%d candidates: %d simulated misses, %d truncation repeats and %d cross-level hits; the audit exercised too little",
+			len(cands), misses, repeats, crossLevel)
 	}
-	t.Logf("%d distinct candidates: %d simulated once, %d truncation repeats", len(cands), misses, repeats)
+	t.Logf("%d distinct candidates: %d simulated once, %d truncation repeats, %d cross-level hits",
+		len(cands), misses, repeats, crossLevel)
+}
+
+// FuzzVerdictAcrossLevels: a completion's verdict does not depend on
+// the prompt level. The paper's three prompts of a problem differ only
+// in comments, so EvaluateUnshared must agree at L, M and H, and
+// Evaluate, whose memo shares a verdict across the levels of a prompt
+// token class, must give that verdict at every level. The seeds are
+// each problem's reference, draws from its variant bank's pools and
+// mutants of its reference.
+func FuzzVerdictAcrossLevels(f *testing.F) {
+	bank := model.NewVariantBank(1)
+	for i, p := range problems.All() {
+		rng := rand.New(rand.NewSource(int64(p.Number)))
+		f.Add(uint8(i), p.RefBody)
+		f.Add(uint8(i), bank.Correct(p, rng))
+		f.Add(uint8(i), bank.Broken(p, rng))
+		if body, ok := bank.NearMiss(p, rng); ok {
+			f.Add(uint8(i), body)
+		}
+		for n := 0; n < 2; n++ {
+			res, err := mutate.Apply(p.ReferenceSource(), rng)
+			if err != nil {
+				continue
+			}
+			if body, ok := model.BehaviouralTail(res.Source); ok {
+				f.Add(uint8(i), body)
+			}
+		}
+	}
+	all := problems.All()
+	f.Fuzz(func(t *testing.T, n uint8, completion string) {
+		p := all[int(n)%len(all)]
+		want := verdict.EvaluateUnshared(p, problems.LevelLow, completion)
+		for _, l := range problems.Levels {
+			if got := verdict.EvaluateUnshared(p, l, completion); got != want {
+				t.Fatalf("problem %d: unshared verdict %+v at %s, %+v at L\ncompletion: %q", p.Number, got, l, want, completion)
+			}
+			if got := verdict.Evaluate(p, l, completion); got != want {
+				t.Fatalf("problem %d: shared verdict %+v at %s, unshared %+v\ncompletion: %q", p.Number, got, l, want, completion)
+			}
+		}
+	})
 }

@@ -12,10 +12,10 @@ import (
 // TestInternalSimErrorIsARunError: a simulator that panics internally
 // yields an ordinary failed-run verdict (compiles, simulated, does not
 // pass) instead of crashing the sweep, and the verdict memo keeps that
-// verdict like any other, so the broken design runs once. The memo is
-// seeded with an unsimulated slot holding a hand-built design whose
-// process trips a runtime panic, since no candidate text should reach
-// one.
+// verdict like any other, so the broken design runs once across every
+// level of its prompt class. The memo is seeded with an unsimulated slot
+// holding a hand-built design whose process trips a runtime panic, since
+// no candidate text should reach one.
 func TestInternalSimErrorIsARunError(t *testing.T) {
 	p := problems.ByNumber(6)
 	completion := p.RefBody + "\n// internal-error probe\n"
@@ -34,22 +34,22 @@ func TestInternalSimErrorIsARunError(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
 	sl := &verdictSlot{d: d}
-	k := verdictKey{p: p, level: problems.LevelHigh, completion: Truncate(completion)}
+	k := verdictKey{p: p, class: promptFor(p, problems.LevelHigh).class, completion: Truncate(completion)}
 	if got := memo.Load().Add(k, sl, k.cost()); got != sl {
 		t.Fatal("slot was already built")
 	}
 	before := SharedStats()
 	runs := 0
-	for i := 0; i < 3; i++ {
-		got, res := evaluateShared(p, problems.LevelHigh, completion)
+	for i, l := range []problems.Level{problems.LevelHigh, problems.LevelLow, problems.LevelMedium} {
+		got, res := evaluateShared(p, l, completion)
 		if want := (Outcome{Compiles: true, Simulated: true}); got != want {
-			t.Fatalf("evaluation %d: outcome %+v, want %+v", i, got, want)
+			t.Fatalf("evaluation %d (%s): outcome %+v, want %+v", i, l, got, want)
 		}
 		if res != nil {
 			runs++
 		}
 		if sl.d != nil {
-			t.Fatalf("evaluation %d: the slot still holds its design", i)
+			t.Fatalf("evaluation %d (%s): the slot still holds its design", i, l)
 		}
 	}
 	if runs != 1 {

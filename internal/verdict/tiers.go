@@ -16,18 +16,24 @@ import (
 // per-candidate pipeline (parse, compile-check, elaborate, simulate)
 // runs once per distinct candidate that reaches simulation. The sweep
 // engine and the variant bank share it, so a candidate the bank verified
-// is a memo hit when a sweep samples it at the same level.
+// at LevelLow is a memo hit when a sweep samples it at any level whose
+// prompt has the same tokens.
 //
-// Three shared tiers, all invisible to output, and all bounded.Cache
+// Four shared tiers, all invisible to output, and all bounded.Cache
 // instances:
 //
 //   - testbench tier: one parsed AST per distinct testbench text.
-//   - prefix tier: one vlog.Prefix per prompt text, so a candidate's
-//     parse parses only its completion.
-//   - verdict memo: one Outcome per (problem, level, truncated
+//   - prompt tier: one vlog.Prefix and one token class per (problem,
+//     level), so a candidate's parse parses only its completion, and
+//     finding a prompt's class hashes two words, never the prompt text.
+//   - class tier: one token class per distinct prompt token signature.
+//     The paper's three prompt levels differ only in comments, so a
+//     problem's three prompts share one class.
+//   - verdict memo: one Outcome per (problem, prompt class, truncated
 //     completion) that reached simulation. The slot holds the elaborated
 //     Design only until its one simulation has run, so a candidate that
-//     recurs after truncation is answered without simulating again.
+//     recurs after truncation, or at another level of its class, is
+//     answered without simulating again.
 //
 // Only verdicts are shared across candidates: each candidate is
 // elaborated in full and its simulator compiles its own plans, exactly
@@ -57,16 +63,60 @@ const tbCap = 128
 
 var testbenches = bounded.New[string, *testbench](tbCap)
 
-// prefixes is the prefix tier. Each (problem, level) has its own
-// prompt, hence three entries per testbench.
-var prefixes = bounded.New[string, *vlog.Prefix](3 * tbCap)
+// promptKey addresses one prompt: a problem at one level. Problems are
+// immutable once built, so the pointer stands for the prompt text.
+type promptKey struct {
+	p     *problems.Problem
+	level problems.Level
+}
 
-// prefixFor returns the parsed prefix of a prompt, parsing it on a miss.
-func prefixFor(prompt string) *vlog.Prefix {
-	if pre, ok := prefixes.Get(prompt); ok {
-		return pre
+// prompt is the prompt tier's entry: the parsed prefix and its class.
+type prompt struct {
+	pre   *vlog.Prefix
+	class *promptClass
+}
+
+// promptClass is a token class handle; the memo compares it by pointer.
+// Prompts with equal token signatures share one through the class tier,
+// so a completion's verdict is shared by every level of a problem whose
+// prompt differs only in comments. That is sound because a completion
+// parses to the same AST behind every prompt of a class apart from node
+// positions (vlog.Prefix.Signature), and elab and sim read a position
+// only to build error text, which an Outcome does not hold. A prompt
+// that cannot be split has no signature and a class of its own. The
+// field gives the type a size, so each new class is a distinct pointer.
+type promptClass struct{ _ byte }
+
+// prompts is the prompt tier: three entries per testbench.
+var prompts = bounded.New[promptKey, prompt](3 * tbCap)
+
+// classes is the class tier. An evicted class only costs sharing: the
+// next prompt of its signature gets a new class, never another
+// signature's.
+var classes = bounded.New[string, *promptClass](3 * tbCap)
+
+// promptFor returns the prompt tier's entry for p at level, parsing the
+// prompt and finding its class on a miss.
+func promptFor(p *problems.Problem, level problems.Level) prompt {
+	k := promptKey{p, level}
+	if pr, ok := prompts.Get(k); ok {
+		return pr
 	}
-	return prefixes.Add(prompt, vlog.LexPrefix(prompt), 1)
+	return prompts.Add(k, newPrompt(p.Prompt(level)), 1)
+}
+
+// newPrompt parses text as a prompt and interns its token class.
+func newPrompt(text string) prompt {
+	pre := vlog.LexPrefix(text)
+	sig := pre.Signature()
+	if sig == "" {
+		return prompt{pre, new(promptClass)}
+	}
+	c, ok := classes.Get(sig)
+	if !ok {
+		c = classes.Add(sig, new(promptClass), 1)
+	}
+	return prompt{pre, c}
 }
 
 // testbench is the testbench tier's entry: the parsed AST under a once.
@@ -95,13 +145,13 @@ func (tb *testbench) parsed() (*vlog.SourceFile, error) {
 }
 
 // verdictKey addresses one candidate: its problem, which fixes the
-// testbench and each level's prompt, the level, and the truncated
-// completion. Problems are immutable once built, and a copy of one is
-// another pointer, so a copy carrying a modified bench gets its own
-// entries. A lookup hashes the completion alone, never the bench text.
+// testbench, its prompt's token class, and the truncated completion.
+// Problems are immutable once built, and a copy of one is another
+// pointer, so a copy carrying a modified bench gets its own entries. A
+// lookup hashes the completion alone, never the bench or prompt text.
 type verdictKey struct {
 	p          *problems.Problem
-	level      problems.Level
+	class      *promptClass
 	completion string
 }
 
@@ -164,12 +214,13 @@ func (sl *verdictSlot) verdict() (Outcome, *sim.Result) {
 // same candidate, the first Add wins and both wait on its one
 // simulation.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, *sim.Result) {
-	k := verdictKey{p: p, level: level, completion: Truncate(completion)}
+	pr := promptFor(p, level)
+	k := verdictKey{p: p, class: pr.class, completion: Truncate(completion)}
 	m := memo.Load()
 	if sl, ok := m.Get(k); ok {
 		return sl.verdict()
 	}
-	f, ok := vlog.ParsePrefixed(prefixFor(p.Prompt(level)), k.completion)
+	f, ok := vlog.ParsePrefixed(pr.pre, k.completion)
 	if !ok {
 		return Outcome{}, nil
 	}
@@ -186,7 +237,9 @@ func evaluateShared(p *problems.Problem, level problems.Level, completion string
 // SharedCacheStats snapshots the shared tiers. The verdict memo's
 // counters keep their Design names: Designs is its resident entries,
 // DesignHits and DesignMisses count its lookups. Skeletons counts
-// resident testbench-tier entries.
+// resident testbench-tier entries, Prompts resident prompt-tier entries
+// and PromptClasses resident class-tier entries. A prompt that cannot be
+// split holds a class of its own that the class tier does not count.
 type SharedCacheStats struct {
 	Designs       int
 	DesignHits    uint64
@@ -194,6 +247,8 @@ type SharedCacheStats struct {
 	DesignBytes   int64
 	DesignEvicted uint64
 	Skeletons     int
+	Prompts       int
+	PromptClasses int
 	// Plans reads zero: the verdict path shares no plans. It stays for
 	// bench/child.go, which reads it, until the next change to the
 	// benchmark drops it.
@@ -215,6 +270,8 @@ func SharedStats() SharedCacheStats {
 		DesignBytes:   ds.Bytes,
 		DesignEvicted: ds.Evicted,
 		Skeletons:     testbenches.Stats().Entries,
+		Prompts:       prompts.Stats().Entries,
+		PromptClasses: classes.Stats().Entries,
 		Plans:         planStats{}, // no plans are shared
 	}
 }

@@ -5,7 +5,10 @@
 // testbench, simulated, and judged by the bench's self-check output.
 //
 // Evaluate runs that pipeline through process-wide shared tiers (see
-// tiers.go), so each distinct candidate is simulated once.
+// tiers.go), so each distinct candidate is simulated once: a candidate
+// is its problem, its prompt's token class and its truncated
+// completion, and a problem's prompt levels, which differ only in
+// comments, share one class.
 // EvaluateUnshared runs it with nothing shared; it is the differential
 // oracle the tiers are checked against. Every caller that verdicts a
 // candidate — the sweep engine in eval and the variant bank in model —
@@ -104,9 +107,10 @@ type Outcome struct {
 // Evaluate runs the full pipeline on one completion for (problem, level)
 // through the shared tiers (see tiers.go): the prompt and the testbench
 // are parsed once, and a candidate is compiled, elaborated and simulated
-// once per distinct truncated completion; the verdict memo answers every
-// repeat. The verdict is identical to EvaluateUnshared's — the tiers
-// hold only pure functions of their keys.
+// once per distinct truncated completion and prompt token class; the
+// verdict memo answers every repeat, at any level of the class. The
+// verdict is identical to EvaluateUnshared's — the tiers hold only pure
+// functions of their keys.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
 	o, _ := evaluateShared(p, level, completion)
 	return o

@@ -1,6 +1,9 @@
 package vlog
 
-import "strings"
+import (
+	"encoding/binary"
+	"strings"
+)
 
 // Prefix is a prompt parsed once, so that ParsePrefixed can parse
 // prompt+completion while lexing and parsing only the completion.
@@ -16,6 +19,8 @@ type Prefix struct {
 	head *Module
 	last Pos
 	line int
+	// sig is the prompt's token signature, empty when head is nil.
+	sig string
 }
 
 // LexPrefix lexes and parses prompt for ParsePrefixed. The prompt is
@@ -27,7 +32,8 @@ type Prefix struct {
 // header and each declaration end at a ';' the parser never looks past,
 // so a parse of the whole text reaches the completion holding exactly
 // the module the prompt parsed to. Any other prompt makes ParsePrefixed
-// fall back to Parse.
+// fall back to Parse. A usable prompt's token signature is recorded
+// too (see Signature).
 func LexPrefix(prompt string) *Prefix {
 	pre := &Prefix{prompt: prompt}
 	if !strings.HasSuffix(prompt, "\n") {
@@ -37,8 +43,35 @@ func LexPrefix(prompt string) *Prefix {
 	if head, err := p.parsePrompt(); err == nil && p.err == nil {
 		// at the end of the prompt, p.tok is an EOF at its last token
 		pre.head, pre.last, pre.line = head, p.tok.Pos, p.lx.line
+		pre.sig = signature(prompt)
 	}
 	return pre
+}
+
+// Signature returns the prompt's token signature: the kind and text of
+// each of its tokens, without positions, whitespace or comments. It is
+// empty when the prompt cannot be split from a completion, and never
+// empty otherwise. Two prompts with equal non-empty signatures parse any
+// completion to the same AST apart from node positions: the completion
+// lexes to the same tokens behind both, only on other lines, and the
+// parser reads no position except to report an error.
+func (pre *Prefix) Signature() string { return pre.sig }
+
+// signature encodes the tokens of a prompt that lexes without error,
+// each as its kind, its text's length and its text, so that equal
+// encodings mean equal token streams.
+func signature(prompt string) string {
+	lx := Lexer{src: prompt, line: 1, col: 1}
+	var b []byte
+	for {
+		t, err := lx.Next()
+		if err != nil || t.Kind == TokEOF {
+			return string(b)
+		}
+		b = append(b, byte(t.Kind))
+		b = binary.AppendUvarint(b, uint64(len(t.Text)))
+		b = append(b, t.Text...)
+	}
 }
 
 // promptDecls are the keywords that start a declaration parsePrompt

@@ -179,6 +179,61 @@ func TestParsePrefixedFallback(t *testing.T) {
 	}
 }
 
+// TestPrefixSignature: a prompt's signature is its tokens, so comments,
+// whitespace and line breaks leave it unchanged and any token change
+// changes it; a prompt that cannot be split has none. Prompts of equal
+// signature parse a completion to the same AST apart from positions:
+// the three levels of each problem, over byte-prefixes of its
+// reference, succeed or fail together and print alike.
+func TestPrefixSignature(t *testing.T) {
+	sig := func(prompt string) string { return vlog.LexPrefix(prompt).Signature() }
+	base := sig("module m(input a, output b);\n  wire w;\n")
+	if base == "" {
+		t.Fatal("a splittable prompt has no signature")
+	}
+	for _, same := range []string{
+		"// a buffer\nmodule m(input a, output b);\n  wire w;\n",
+		"module m(\n  input a, /* in */\n  output b\n);\n\n  wire w; // spare\n",
+	} {
+		if sig(same) != base {
+			t.Errorf("%q: the signature changed with comments and layout only", same)
+		}
+	}
+	for _, other := range []string{
+		"module m(input a, output c);\n  wire w;\n",
+		"module m(input a, output b);\n  wire w, x;\n",
+		"module m(input a, output b);\n  reg w;\n",
+		"module m(input a, output b);\n",
+	} {
+		if sig(other) == base {
+			t.Errorf("%q: a prompt with other tokens has the same signature", other)
+		}
+	}
+	for _, bad := range []string{"module m(input a, output b);", "", "module m;\n  always @(a)\n"} {
+		if got := sig(bad); got != "" {
+			t.Errorf("%q cannot be split but has a signature", bad)
+		}
+	}
+
+	for _, p := range problems.All() {
+		var pres []*vlog.Prefix
+		for _, l := range problems.Levels {
+			pres = append(pres, vlog.LexPrefix(p.Prompt(l)))
+		}
+		for i := 0; i <= len(p.RefBody); i += 7 {
+			c := p.RefBody[:i]
+			want, wantOK := vlog.ParsePrefixed(pres[0], c)
+			for li, pre := range pres[1:] {
+				got, ok := vlog.ParsePrefixed(pre, c)
+				if ok != wantOK || ok && vlog.Print(got) != vlog.Print(want) {
+					t.Fatalf("problem %d: completion %q parses differently at %s than at %s",
+						p.Number, c, problems.Levels[li+1], problems.LevelLow)
+				}
+			}
+		}
+	}
+}
+
 // TestParsePrefixedConcurrent shares one Prefix across goroutines, as
 // the evaluation workers do, with completions that add items to the
 // prompt's module. Under -race it pins that parsing only reads the
