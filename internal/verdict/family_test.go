@@ -3,6 +3,7 @@ package verdict_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -200,13 +201,29 @@ func TestVerdictMemoAudit(t *testing.T) {
 // in comments, so EvaluateUnshared must agree at L, M and H, and
 // Evaluate, whose memo shares a verdict across the levels of a prompt
 // token class, must give that verdict at every level. The seeds are
-// each problem's reference, draws from its variant bank's pools and
-// mutants of its reference.
+// each problem's reference, draws from its variant bank's pools,
+// mutants of its reference, and texts where truncation must jump past
+// an occurrence of endmodule that is not the keyword, or finds none.
 func FuzzVerdictAcrossLevels(f *testing.F) {
 	bank := model.NewVariantBank(1)
 	for i, p := range problems.All() {
 		rng := rand.New(rand.NewSource(int64(p.Number)))
 		f.Add(uint8(i), p.RefBody)
+		for _, body := range []string{
+			"  // endmodule\n" + p.RefBody,
+			"  /* endmodule */\n" + p.RefBody,
+			"`define E endmodule\n" + p.RefBody,
+			"  initial $display(\"endmodule\");\n" + p.RefBody,
+			"  initial $display(\"\\\" endmodule \\\"\");\n" + p.RefBody,
+			"  wire xendmodule; endmodule\n",
+			"  wire endmoduleendmodule; endmodule\n",
+			"  initial $endmodule;\n" + p.RefBody,
+			"endmodule\n" + p.RefBody,
+			strings.TrimSuffix(p.RefBody, "\n"),
+			"  the module ends when the output reg is assigned\n",
+		} {
+			f.Add(uint8(i), body)
+		}
 		f.Add(uint8(i), bank.Correct(p, rng))
 		f.Add(uint8(i), bank.Broken(p, rng))
 		if body, ok := bank.NearMiss(p, rng); ok {

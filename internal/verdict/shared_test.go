@@ -41,14 +41,16 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 // failure, a candidate whose bench does not elaborate and the reference,
 // only the reference is stored, charged its truncated completion and
 // verdictSlotCost. A repeated parse failure therefore parses again:
-// failures are memoized per Runner, by the outcome cache.
+// failures are memoized per Runner, by the outcome cache. One that
+// cannot close its module is rejected before the parser, every time.
 func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
 	p := problems.ByNumber(6)
 	badBench := *p
 	badBench.Testbench = "module tb;\n  reg clk;\n  counter dut(.clk(clk), .no_such_port(clk));\nendmodule\n"
-	garbage := "  design-tier garbage tokens\n"
+	garbage := "  design-tier garbage tokens\nendmodule\n"
+	unclosable := "  design-tier unclosable tokens\n"
 	cases := []struct {
 		name       string
 		p          *problems.Problem
@@ -57,6 +59,7 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 		stored     int
 	}{
 		{"parse failure", p, garbage, Outcome{}, 0},
+		{"unclosable", p, unclosable, Outcome{}, 0},
 		{"compile failure", p, "  assign design_tier_undeclared = 1;\nendmodule\n", Outcome{}, 0},
 		{"bench does not elaborate", &badBench, p.RefBody, Outcome{Compiles: true}, 0},
 		{"reference", p, p.RefBody, Outcome{Compiles: true, Simulated: true, Passes: true}, 1},
@@ -75,12 +78,18 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 			t.Errorf("%s: verdict memo charged %d bytes, want %d", c.name, n, want)
 		}
 	}
-	before := vlog.ParseCalls()
-	if got := Evaluate(p, problems.LevelLow, garbage); got != (Outcome{}) {
-		t.Errorf("repeated parse failure: outcome %+v", got)
-	}
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("repeated parse failure parsed %d texts, want 1", n)
+	for _, c := range []struct {
+		name       string
+		completion string
+		parses     uint64
+	}{{"repeated parse failure", garbage, 1}, {"repeated unclosable failure", unclosable, 0}} {
+		before := vlog.ParseCalls()
+		if got := Evaluate(p, problems.LevelLow, c.completion); got != (Outcome{}) {
+			t.Errorf("%s: outcome %+v", c.name, got)
+		}
+		if n := vlog.ParseCalls() - before; n != c.parses {
+			t.Errorf("%s parsed %d texts, want %d", c.name, n, c.parses)
+		}
 	}
 }
 
@@ -138,7 +147,8 @@ func TestSharedConcurrentEvaluations(t *testing.T) {
 // TestSingleParsePerEvaluation pins the parse economics of the shared
 // pipeline: a candidate source unseen by the process-wide verdict memo
 // parses exactly one text (the candidate — the testbench AST is cached
-// separately), and a repeat of a cached candidate parses nothing at all.
+// separately), a repeat of a cached candidate parses nothing at all, and
+// neither does a candidate that never closes its module.
 // EvaluateUnshared keeps the legacy one-parse-per-call contract.
 func TestSingleParsePerEvaluation(t *testing.T) {
 	p := problems.ByNumber(6)
@@ -168,12 +178,22 @@ func TestSingleParsePerEvaluation(t *testing.T) {
 
 	// unseen non-compiling candidate: one parse, then reject
 	before = vlog.ParseCalls()
-	o = Evaluate(p, problems.LevelLow, "  single-parse garbage tokens\n")
+	o = Evaluate(p, problems.LevelLow, "  single-parse garbage tokens\nendmodule\n")
 	if n := vlog.ParseCalls() - before; n != 1 {
 		t.Errorf("broken evaluation parsed %d texts, want 1", n)
 	}
 	if o.Compiles {
 		t.Fatalf("broken outcome = %+v", o)
+	}
+
+	// unseen candidate that never closes its module: rejected unparsed
+	before = vlog.ParseCalls()
+	o = Evaluate(p, problems.LevelLow, "  single-parse unclosable tokens\n")
+	if n := vlog.ParseCalls() - before; n != 0 {
+		t.Errorf("unclosable evaluation parsed %d texts, want 0", n)
+	}
+	if o.Compiles {
+		t.Fatalf("unclosable outcome = %+v", o)
 	}
 
 	// the unshared baseline parses the candidate on every call
@@ -203,5 +223,67 @@ func TestCompileVerdictWithoutTestbench(t *testing.T) {
 	}
 	if o.Passes {
 		t.Error("no simulation ran, Passes must be false")
+	}
+}
+
+// unclosable are completions without the text endmodule: nothing, near
+// spellings of the keyword, and a babble line.
+var unclosable = []string{"", "endmodul", "end module", "ENDMODULE", "end/**/module",
+	"  the module ends when the output reg is assigned\n"}
+
+// TestUnclosableCandidateIsNotParsed: behind a split prompt, a
+// completion that cannot close its module is rejected before
+// truncation, the memo and the parser, with EvaluateUnshared's verdict,
+// and allocates nothing once the prompt tier holds its prompt. Behind a
+// prompt that cannot be split the rule does not hold, so there such a
+// completion still parses, once: here the prompt is a whole module, and
+// the empty completion passes.
+func TestUnclosableCandidateIsNotParsed(t *testing.T) {
+	SetPlanCacheBytes(0)
+	t.Cleanup(func() { SetPlanCacheBytes(0) })
+	for _, p := range problems.All() {
+		for _, l := range problems.Levels {
+			if !promptFor(p, l).pre.Split() {
+				t.Fatalf("problem %d/%s: the prompt cannot be split", p.Number, l)
+			}
+			for _, c := range unclosable {
+				want := EvaluateUnshared(p, l, c)
+				parses, st := vlog.ParseCalls(), SharedStats()
+				got, res := evaluateShared(p, l, c)
+				if got != (Outcome{}) || got != want || res != nil {
+					t.Errorf("problem %d/%s %q: %+v (simulated %t), unshared %+v, want no compile",
+						p.Number, l, c, got, res != nil, want)
+				}
+				if n := vlog.ParseCalls() - parses; n != 0 {
+					t.Errorf("problem %d/%s %q: parsed %d texts, want 0", p.Number, l, c, n)
+				}
+				after := SharedStats()
+				if n := after.DesignHits + after.DesignMisses - st.DesignHits - st.DesignMisses; n != 0 {
+					t.Errorf("problem %d/%s %q: %d memo lookups, want 0", p.Number, l, c, n)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { Evaluate(p, l, c) }); allocs != 0 {
+					t.Errorf("problem %d/%s %q: allocated %.0f times, want 0", p.Number, l, c, allocs)
+				}
+			}
+		}
+	}
+
+	base := problems.ByNumber(6)
+	cp := *base
+	p := &cp
+	whole := newPrompt(base.Prompt(problems.LevelLow) + base.RefBody)
+	if whole.pre.Split() {
+		t.Fatal("a prompt holding a whole module was split")
+	}
+	prompts.Add(promptKey{p, problems.LevelLow}, whole, 1)
+	if _, err := testbenchFor(p.Testbench).parsed(); err != nil {
+		t.Fatal(err)
+	}
+	parses := vlog.ParseCalls()
+	if got := Evaluate(p, problems.LevelLow, ""); got != (Outcome{Compiles: true, Simulated: true, Passes: true}) {
+		t.Errorf("the empty completion after a whole module: %+v, want a simulated pass", got)
+	}
+	if n := vlog.ParseCalls() - parses; n != 1 {
+		t.Errorf("the empty completion after an unsplittable prompt parsed %d texts, want 1", n)
 	}
 }

@@ -14,7 +14,8 @@ import (
 
 // This file is the "simulate once" layer behind Evaluate: the
 // per-candidate pipeline (parse, compile-check, elaborate, simulate)
-// runs once per distinct candidate that reaches simulation. The sweep
+// runs once per distinct candidate that reaches simulation, and not at
+// all for a completion that cannot close its module. The sweep
 // engine and the variant bank share it, so a candidate the bank verified
 // at LevelLow is a memo hit when a sweep samples it at any level whose
 // prompt has the same tokens.
@@ -108,10 +109,10 @@ func promptFor(p *problems.Problem, level problems.Level) prompt {
 // newPrompt parses text as a prompt and interns its token class.
 func newPrompt(text string) prompt {
 	pre := vlog.LexPrefix(text)
-	sig := pre.Signature()
-	if sig == "" {
+	if !pre.Split() {
 		return prompt{pre, new(promptClass)}
 	}
+	sig := pre.Signature()
 	c, ok := classes.Get(sig)
 	if !ok {
 		c = classes.Add(sig, new(promptClass), 1)
@@ -207,15 +208,24 @@ func (sl *verdictSlot) verdict() (Outcome, *sim.Result) {
 // evaluateSim with default options, with the compile and simulation work
 // paid once per distinct candidate. The Result is the simulation this
 // call ran, nil when it ran none (a memo hit, or a candidate that never
-// reaches simulation). Only candidates that reach simulation are stored:
-// a failure's verdict is returned directly, so the common LLM failure (a
-// parse error) never evicts a verdict, and a repeated failure parses
-// again. A slot is built outside any lock; when two workers miss on the
-// same candidate, the first Add wins and both wait on its one
-// simulation.
+// reaches simulation).
+//
+// The common LLM failure never closes its module: behind a split prompt
+// a completion without the text endmodule cannot parse
+// (vlog.Prefix.Split), so one substring search rejects it before
+// truncation, the memo and the parser, and truncation reuses that
+// search. Only candidates that reach simulation are stored: any other
+// failure's verdict is returned directly, so a failure never evicts a
+// verdict, and a repeated failure that contains endmodule parses again.
+// A slot is built outside any lock; when two workers miss on the same
+// candidate, the first Add wins and both wait on its one simulation.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, *sim.Result) {
 	pr := promptFor(p, level)
-	k := verdictKey{p: p, class: pr.class, completion: Truncate(completion)}
+	j := strings.Index(completion, "endmodule")
+	if j < 0 && pr.pre.Split() {
+		return Outcome{}, nil
+	}
+	k := verdictKey{p: p, class: pr.class, completion: truncateAt(completion, j)}
 	m := memo.Load()
 	if sl, ok := m.Get(k); ok {
 		return sl.verdict()

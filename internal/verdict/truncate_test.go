@@ -77,6 +77,18 @@ var truncateCases = []struct{ name, in, want string }{
 	{"prefix of the keyword", "endmodul endmodule", "endmodul endmodule\n"},
 	{"no keyword", "assign y = a;", "assign y = a;"},
 	{"empty", "", ""},
+	// an occurrence the scan must jump past to reach the keyword
+	{"in a line comment first", "// endmodule\nendmodule", "// endmodule\nendmodule\n"},
+	{"in a block comment first", "/* endmodule */ endmodule\n", "/* endmodule */ endmodule\n"},
+	{"in a directive line first", "`ifdef endmodule\n`endif endmodule\nendmodule x", "`ifdef endmodule\n`endif endmodule\nendmodule\n"},
+	{"in a string first", `$display("endmodule"); endmodule`, `$display("endmodule"); endmodule` + "\n"},
+	{"escaped quotes span occurrences", `"\" endmodule \" endmodule" endmodule`, `"\" endmodule \" endmodule" endmodule` + "\n"},
+	{"word before", "xendmodule endmodule", "xendmodule endmodule\n"},
+	{"keyword twice in one word", "endmoduleendmodule endmodule", "endmoduleendmodule endmodule\n"},
+	{"overlapping occurrences", "endmodulendmodule endmodule", "endmodulendmodule endmodule\n"},
+	{"dollar only", "$endmodule", "$endmodule"},
+	{"every occurrence hidden", "// endmodule\n/* endmodule */ \"endmodule\" my_endmodule", "// endmodule\n/* endmodule */ \"endmodule\" my_endmodule"},
+	{"babble line", "  the module ends when the output reg is assigned\n", "  the module ends when the output reg is assigned\n"},
 }
 
 func TestTruncateSkipScanCases(t *testing.T) {
@@ -99,13 +111,14 @@ func TestTruncateKeepsNoTail(t *testing.T) {
 	}
 }
 
-// FuzzTruncate checks the skip scan against the byte-at-a-time oracle.
+// FuzzTruncate checks the skip scan, which jumps from one occurrence of
+// the text endmodule to the next, against the byte-at-a-time oracle.
 func FuzzTruncate(f *testing.F) {
 	for _, c := range truncateCases {
 		f.Add(c.in)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		if got, want := endmoduleKeywordIndex(s), byteScanIndex(s); got != want {
+		if got, want := endmoduleKeywordIndex(s, strings.Index(s, "endmodule")), byteScanIndex(s); got != want {
 			t.Fatalf("endmoduleKeywordIndex(%q) = %d, want %d", s, got, want)
 		}
 		if got, want := Truncate(s), byteScanTruncate(s); got != want {

@@ -8,7 +8,9 @@
 // tiers.go), so each distinct candidate is simulated once: a candidate
 // is its problem, its prompt's token class and its truncated
 // completion, and a problem's prompt levels, which differ only in
-// comments, share one class.
+// comments, share one class. A completion without the text endmodule
+// cannot close the prompt's module, so Evaluate judges it with one
+// substring search, before truncation, the tiers and the parser.
 // EvaluateUnshared runs it with nothing shared; it is the differential
 // oracle the tiers are checked against. Every caller that verdicts a
 // candidate — the sweep engine in eval and the variant bank in model —
@@ -31,8 +33,17 @@ import (
 // (my_endmodule, endmodule2) is plain text. A naive substring search
 // here used to chop a passing candidate at a comment that merely
 // mentioned endmodule, silently flipping its verdict to non-compiling.
+// A text without an occurrence of endmodule costs one strings.Index;
+// otherwise the scan reads only as far as the keyword.
 func Truncate(completion string) string {
-	i := endmoduleKeywordIndex(completion)
+	return truncateAt(completion, strings.Index(completion, "endmodule"))
+}
+
+// truncateAt is Truncate given j, the index of the first occurrence of
+// the text endmodule in completion, or -1: evaluateShared has already
+// searched for it.
+func truncateAt(completion string, j int) string {
+	i := endmoduleKeywordIndex(completion, j)
 	switch end := i + len("endmodule"); {
 	case i < 0:
 		return completion
@@ -43,51 +54,71 @@ func Truncate(completion string) string {
 	}
 }
 
-// scanStops marks the bytes at which endmoduleKeywordIndex's state can
-// change: the openers of comments, directives and strings, and the
-// keyword's first letter. Every other byte costs one table lookup.
-var scanStops = [256]bool{'/': true, '`': true, '"': true, 'e': true}
+// scanStops marks the bytes that open a comment, directive or string,
+// the only bytes at which endmoduleKeywordIndex's state can change.
+// Every other byte costs one table lookup.
+var scanStops = [256]bool{'/': true, '`': true, '"': true}
 
-// endmoduleKeywordIndex scans for the first endmodule at a token boundary
-// outside comments, directives and strings, or -1. Like the lexer, it
-// skips from a backtick to the end of its line. Each byte is read at
-// most once: the scan jumps from one scanStops byte to the next, and
-// across a comment or directive to its end.
-func endmoduleKeywordIndex(s string) int {
+// endmoduleKeywordIndex returns the index of the first endmodule at a
+// token boundary outside comments, directives and strings, or -1, given
+// j, the index of the first occurrence of the text endmodule in s, or
+// -1. Like the lexer, it skips from a backtick to the end of its line.
+// It scans only up to the occurrence it is testing, jumping from one
+// scanStops byte to the next and across a comment or directive to its
+// end. An occurrence the scan
+// reaches is the keyword unless a word byte touches it; one inside a
+// comment, directive or string, or inside a longer word, sends the scan
+// on to the next occurrence, found with strings.Index.
+func endmoduleKeywordIndex(s string, j int) int {
 	isWord := func(b byte) bool {
 		return b == '_' || b == '$' ||
 			(b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 	}
-	for i := 0; ; i++ {
-		for i < len(s) && !scanStops[s[i]] {
+	if j < 0 {
+		return -1
+	}
+	for i := 0; ; {
+		for i < j && !scanStops[s[i]] {
 			i++
 		}
-		if i >= len(s) {
-			return -1
-		}
 		switch c := s[i]; {
+		case i == j:
+			end := j + len("endmodule")
+			if (j == 0 || !isWord(s[j-1])) && (end >= len(s) || !isWord(s[end])) {
+				return j
+			}
+			i++ // the occurrence is inside a longer word
 		case c == '`' || c == '/' && i+1 < len(s) && s[i+1] == '/':
 			n := strings.IndexByte(s[i:], '\n')
 			if n < 0 {
 				return -1
 			}
-			i += n
+			i += n + 1
 		case c == '/' && i+1 < len(s) && s[i+1] == '*':
 			n := strings.Index(s[i+2:], "*/")
 			if n < 0 {
 				return -1 // an unterminated comment runs to the end
 			}
-			i += 2 + n + 1
+			i += 2 + n + 2
 		case c == '"':
 			for i++; i < len(s) && s[i] != '"'; i++ {
 				if s[i] == '\\' {
 					i++
 				}
 			}
-		case c == 'e' && strings.HasPrefix(s[i:], "endmodule") &&
-			(i == 0 || !isWord(s[i-1])) &&
-			(i+len("endmodule") >= len(s) || !isWord(s[i+len("endmodule")])):
-			return i
+			if i >= len(s) {
+				return -1 // so does an unterminated string
+			}
+			i++
+		default:
+			i++ // a slash that opens nothing
+		}
+		if j < i {
+			n := strings.Index(s[i:], "endmodule")
+			if n < 0 {
+				return -1
+			}
+			j = i + n
 		}
 	}
 }
@@ -108,9 +139,11 @@ type Outcome struct {
 // through the shared tiers (see tiers.go): the prompt and the testbench
 // are parsed once, and a candidate is compiled, elaborated and simulated
 // once per distinct truncated completion and prompt token class; the
-// verdict memo answers every repeat, at any level of the class. The
-// verdict is identical to EvaluateUnshared's — the tiers hold only pure
-// functions of their keys.
+// verdict memo answers every repeat, at any level of the class. A
+// completion that cannot close its module (vlog.Prefix.Split) is judged
+// without being truncated, looked up or parsed. The verdict is identical
+// to EvaluateUnshared's — the tiers hold only pure functions of their
+// keys.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
 	o, _ := evaluateShared(p, level, completion)
 	return o

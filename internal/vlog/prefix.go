@@ -8,7 +8,9 @@ import (
 // Prefix is a prompt parsed once, so that ParsePrefixed can parse
 // prompt+completion while lexing and parsing only the completion.
 // Evaluation parses many completions of each prompt, and the prompt is
-// most of each source's bytes. A Prefix is immutable, so one can be
+// most of each source's bytes. Behind a prompt it splits, a completion
+// without the text endmodule cannot parse (Split), so a caller may
+// reject one without parsing. A Prefix is immutable, so one can be
 // shared by any number of goroutines.
 type Prefix struct {
 	prompt string
@@ -47,6 +49,16 @@ func LexPrefix(prompt string) *Prefix {
 	}
 	return pre
 }
+
+// Split reports whether LexPrefix split the prompt from what follows
+// it, so that ParsePrefixed parses only the completion. A completion
+// that does not contain the text "endmodule" never parses behind a
+// split prompt. The prompt is one module header and its declarations,
+// ending at a newline, so its module is still open; the completion is
+// lexed on its own from its first byte, and the lexer expands no
+// macros, so the endmodule keyword token that closes the module can
+// only be a slice of the completion's own bytes.
+func (pre *Prefix) Split() bool { return pre.head != nil }
 
 // Signature returns the prompt's token signature: the kind and text of
 // each of its tokens, without positions, whitespace or comments. It is

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,7 +28,9 @@ func errText(err error) string {
 // builds no error, so the error text is compared through
 // ParsePrefixedErr, and ParsePrefixed must fail exactly where Parse does
 // and return the same AST. It reports whether the prompt's parsed head
-// was reused.
+// was reused. Behind a prompt LexPrefix splits, a completion without
+// the text endmodule must fail: the rule that lets the verdict path
+// reject such a completion unparsed (Prefix.Split).
 func checkPrefixed(t testing.TB, prompt, completion string) bool {
 	t.Helper()
 	src := prompt + completion
@@ -47,9 +50,13 @@ func checkPrefixed(t testing.TB, prompt, completion string) bool {
 	if errText(gotErr) != errText(wantErr) {
 		t.Errorf("parse error %q, want %q\nprompt: %q\ncompletion: %q", errText(gotErr), errText(wantErr), prompt, completion)
 	}
-	if shipF, ok := vlog.ParsePrefixed(pre, completion); ok != (wantErr == nil) || !reflect.DeepEqual(shipF, gotF) {
+	shipF, ok := vlog.ParsePrefixed(pre, completion)
+	if ok != (wantErr == nil) || !reflect.DeepEqual(shipF, gotF) {
 		t.Errorf("ParsePrefixed: ok %v and its AST differ from ParsePrefixedErr's (error %q)\nprompt: %q\ncompletion: %q",
 			ok, errText(gotErr), prompt, completion)
+	}
+	if pre.Split() && !strings.Contains(completion, "endmodule") && (gotErr == nil || ok) {
+		t.Errorf("a completion without endmodule parsed behind a split prompt\nprompt: %q\ncompletion: %q", prompt, completion)
 	}
 	if (gotF == nil) != (wantF == nil) {
 		t.Errorf("AST presence differs (got %v, want %v)\nprompt: %q\ncompletion: %q", gotF != nil, wantF != nil, prompt, completion)
@@ -284,13 +291,19 @@ func TestParsePrefixedConcurrent(t *testing.T) {
 	}
 }
 
-// FuzzParsePrefixed asserts the differential for arbitrary splits. The
-// seeds split each problem's source where evaluation does, between the
-// prompt and the reference body.
+// FuzzParsePrefixed asserts the differential for arbitrary splits, and
+// that a split prompt followed by a rest without endmodule never parses.
+// The seeds split each problem's source where evaluation does, between
+// the prompt and the reference body, and put endmodule-free rests behind
+// each prompt.
 func FuzzParsePrefixed(f *testing.F) {
 	for _, p := range problems.All() {
 		for _, l := range problems.Levels {
 			f.Add(p.Prompt(l), p.RefBody)
+			// rests that never close the module
+			for _, rest := range []string{"", "endmodul", "end module", "ENDMODULE", "end/**/module"} {
+				f.Add(p.Prompt(l), rest)
+			}
 		}
 	}
 	f.Add("\n", "module m; endmodule")
