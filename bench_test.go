@@ -547,11 +547,12 @@ func resetSharedState(b *testing.B) {
 	runtime.GC()
 }
 
-// benchTableIIICold regenerates Table III on a fresh Runner per iteration —
-// a cold outcome cache, so every sample pays the real compile+simulate
-// cost — at the given worker-pool width. The family (corpus, tokenizer,
-// variant bank) is shared: that is the engine's steady state, where sweep
-// throughput is the bottleneck.
+// benchTableIIICold regenerates Table III on a fresh Runner per iteration
+// at the given worker-pool width. The verdict memo is emptied once before
+// timing, so the first iteration compiles and simulates every distinct
+// candidate and later ones are answered by the memo. The family (corpus,
+// tokenizer, variant bank) is shared: that is the engine's steady state,
+// where sweep throughput is the bottleneck.
 func benchTableIIICold(b *testing.B, workers int) {
 	h := benchHarness()
 	resetSharedState(b)
@@ -572,7 +573,8 @@ func BenchmarkTableIIISerial(b *testing.B)   { benchTableIIICold(b, 1) }
 func BenchmarkTableIIIParallel(b *testing.B) { benchTableIIICold(b, 8) }
 
 // benchEvaluateBatch times the raw fan-out: every (problem, level) cell of
-// the benchmark at one temperature, cold outcome cache per iteration.
+// the benchmark at one temperature, a fresh Runner per iteration, on a
+// verdict memo emptied once before timing.
 func benchEvaluateBatch(b *testing.B, workers int) {
 	h := benchHarness()
 	var qs []eval.Query
@@ -615,58 +617,41 @@ func sweepQueries() []eval.Query {
 	return qs
 }
 
-// pinSharedBudget shrinks the verdict memo to one resident entry for the
-// bench's duration and restores the default on cleanup.
-// Warm-outcome-cache rows measure backend or transport cost — the memo
-// never serves them past the first iteration, so resident entries would
-// only add GC mark noise to the row.
-func pinSharedBudget(b *testing.B) {
-	b.Helper()
-	verdict.SetPlanCacheBytes(1)
-	b.Cleanup(func() { verdict.SetPlanCacheBytes(0) })
-	runtime.GC()
-	runtime.GC()
+// benchSweep times full sweeps of sweepQueries through r after one
+// untimed warm-up sweep on an emptied verdict memo, so the timed sweeps
+// find the memo warm, like a long-lived server: what remains is
+// per-backend completion cost plus engine overhead, the per-backend rows
+// bench-compare tracks so backend and shard/merge regressions are gated
+// like hot-path ns/op.
+func benchSweep(b *testing.B, r *eval.Runner) {
+	qs := sweepQueries()
+	resetSharedState(b)
+	r.EvaluateBatch(qs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(r.EvaluateBatch(qs)) != len(qs) {
+			b.Fatal("batch result length mismatch")
+		}
+	}
+	b.StopTimer()
 }
 
-// benchSweepBackend times one full sweep of sweepQueries through the
-// shared runner (warm outcome cache after the first iteration, like a
-// long-lived server): what remains is per-backend completion cost plus
-// engine overhead, the per-backend rows bench-compare tracks so backend
-// and shard/merge regressions are gated like hot-path ns/op.
+// benchSweepBackend is benchSweep on an 8-worker Runner over backend.
 func benchSweepBackend(b *testing.B, backend gen.Backend) {
-	pinSharedBudget(b)
 	r := eval.NewRunner(backend, 123)
 	r.Workers = 8
-	qs := sweepQueries()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(r.EvaluateBatch(qs)) != len(qs) {
-			b.Fatal("batch result length mismatch")
-		}
-	}
+	benchSweep(b, r)
 }
 
-// benchSweepPlans is the sharing ablation: the family sweep on a cold
-// outcome cache per iteration, with the process-wide shared tiers either
-// engaged (the default) or bypassed (UnsharedPlans, the differential
-// baseline). A warm-up sweep first fills the verdict memo so
-// plans=shared measures the steady state, not first-touch simulation.
+// benchSweepPlans is the sharing ablation: the family sweep with the
+// process-wide shared tiers either engaged (the default) or bypassed
+// (UnsharedPlans, the differential baseline, which compiles and
+// simulates every sample afresh).
 func benchSweepPlans(b *testing.B, backend gen.Backend, unshared bool) {
-	resetSharedState(b)
-	qs := sweepQueries()
-	warm := eval.NewRunner(backend, 123)
-	warm.Workers = 8
-	warm.UnsharedPlans = unshared
-	warm.EvaluateBatch(qs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := eval.NewRunner(backend, 123)
-		r.Workers = 8
-		r.UnsharedPlans = unshared
-		if len(r.EvaluateBatch(qs)) != len(qs) {
-			b.Fatal("batch result length mismatch")
-		}
-	}
+	r := eval.NewRunner(backend, 123)
+	r.Workers = 8
+	r.UnsharedPlans = unshared
+	benchSweep(b, r)
 }
 
 func BenchmarkSweepThroughput(b *testing.B) {
@@ -765,7 +750,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	for _, batch := range []int{1, 8, 32} {
 		batch := batch
 		b.Run(fmt.Sprintf("backend=remote/batch=%d", batch), func(b *testing.B) {
-			pinSharedBudget(b)
 			srv := remote.NewServer(remote.NewHandler(fam, remote.ServerOptions{}))
 			url, err := srv.Start(context.Background(), "127.0.0.1:0")
 			if err != nil {
@@ -779,14 +763,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			r := eval.NewRunner(rb, 123)
 			r.Workers = 8
 			r.BatchSize = batch
-			qs := sweepQueries()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(r.EvaluateBatch(qs)) != len(qs) {
-					b.Fatal("batch result length mismatch")
-				}
-			}
-			b.StopTimer()
+			benchSweep(b, r)
 			if fails := r.Failures(); len(fails) != 0 {
 				b.Fatalf("loopback sweep degraded %d cells", len(fails))
 			}

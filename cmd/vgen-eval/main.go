@@ -72,9 +72,9 @@
 // and testbenches are parsed once, and each distinct candidate is
 // compiled and simulated once for all prompt levels whose prompts have
 // the same tokens, its verdict kept in a memo — identical output, far
-// less work. The verdict memo holds 4 MiB of accounted bytes;
-// -cache-stats prints its counters and the per-runner outcome cache's
-// to stderr after the run.
+// less work. The verdict memo is the only verdict cache, and it holds
+// 4 MiB of accounted bytes; -cache-stats prints its counters to stderr
+// after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -105,7 +105,6 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/store"
@@ -127,7 +126,7 @@ func usage(format string, args ...any) {
 func main() {
 	shared := core.BindFlags(flag.CommandLine)
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
-	cacheStats := flag.Bool("cache-stats", false, "print verdict memo and outcome cache counters to stderr after the run")
+	cacheStats := flag.Bool("cache-stats", false, "print the verdict memo's counters to stderr after the run")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
 	shards := flag.Int("shards", 1, "total shard count of a distributed sweep")
 	shard := flag.Int("shard", 0, "this worker's shard index (0-based)")
@@ -335,7 +334,7 @@ func main() {
 	stopCPU()
 
 	if *cacheStats {
-		printCacheStats(fw.Runner)
+		printCacheStats()
 	}
 
 	// Store accounting comes before Close (which seals the store). A
@@ -386,16 +385,13 @@ func main() {
 }
 
 // printCacheStats reports the shared verdict memo (DESIGN.md Section 15)
-// next to the per-runner outcome cache, both to stderr: memo hits are
-// candidates that repeat a simulated source after truncation, and a
-// sweep that outgrows a tier's budget shows evictions.
-func printCacheStats(r *eval.Runner) {
+// to stderr: memo hits are candidates that repeat a simulated source
+// after truncation, and a sweep that outgrows the memo's budget shows
+// evictions.
+func printCacheStats() {
 	ss := verdict.SharedStats()
 	fmt.Fprintf(os.Stderr, "verdict memo: %d hits, %d misses, %d evicted, %d entries, %d testbenches, %d prompt classes for %d prompts, %d bytes\n",
 		ss.DesignHits, ss.DesignMisses, ss.DesignEvicted, ss.Designs, ss.Skeletons, ss.PromptClasses, ss.Prompts, ss.DesignBytes)
-	oc := r.CacheStats()
-	fmt.Fprintf(os.Stderr, "outcome cache: %d entries, %d bytes, %d evicted\n",
-		oc.Entries, oc.Bytes, oc.Evicted)
 }
 
 // rejectNonCell exits 2 when -experiment selects an artifact the sharded

@@ -1,7 +1,7 @@
 // Bring-your-own-backend: plug an arbitrary completion source into the
 // evaluation stack as a gen.Backend. This is the downstream-adoption
 // path: implement four methods, hand the value to eval.NewRunner, and the
-// full engine — worker pool, outcome cache, sweeps, pass@k — runs your
+// full engine — worker pool, verdict memo, sweeps, pass@k — runs your
 // model exactly as it runs the paper's line-up. The demo also records one
 // backend's samples to JSONL and replays them, showing the transcript
 // path real LLM evaluations use.

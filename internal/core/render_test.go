@@ -142,19 +142,29 @@ func TestRenderReportsFailedCell(t *testing.T) {
 }
 
 // TestRenderAllGolden pins every artifact of the paper run at default
-// scale and seed 1, live ones included: the bytes `vgen-eval -experiment
-// all -seed 1` prints must hash to this digest.
+// scale, live ones included, at seed 1 and at the holdout seed 2: the
+// bytes `vgen-eval -experiment all -seed S` prints must hash to the
+// seed's digest.
 func TestRenderAllGolden(t *testing.T) {
-	const want = "98628d4f2fdbb57c303379a966b7e5911a586f7a7223faf52aaab31e716c9ac9"
-	fw, err := New(Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := fw.Render(context.Background(), &buf, "all"); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-		t.Errorf("sha256 of the seed-1 \"all\" render = %s, want %s", got, want)
+	for _, tc := range []struct {
+		seed int64
+		want string
+	}{
+		{1, "98628d4f2fdbb57c303379a966b7e5911a586f7a7223faf52aaab31e716c9ac9"},
+		{2, "a9779a4b13a5934a052e4fb05620b257a31b0e3ad94ad686f24b1b253dedade4"},
+	} {
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
+			fw, err := New(Config{Seed: tc.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := fw.Render(context.Background(), &buf, "all"); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+				t.Errorf("sha256 of the seed-%d \"all\" render = %s, want %s", tc.seed, got, tc.want)
+			}
+		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bounded"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
@@ -54,29 +53,6 @@ func SetPlanCacheBytes(n int64) { verdict.SetPlanCacheBytes(n) }
 // SharedStats is verdict.SharedStats, kept for bench/.
 func SharedStats() SharedCacheStats { return verdict.SharedStats() }
 
-// numShards sizes the outcome cache: enough shards that GOMAXPROCS workers
-// rarely collide on one lock, cheap enough to sit in every Runner.
-const (
-	shardBits = 6
-	numShards = 1 << shardBits
-)
-
-// outcomeKey addresses one outcome. It carries no backend tag: the
-// shards live in one Runner, whose backend is fixed.
-type outcomeKey struct {
-	problem    int
-	level      problems.Level
-	completion string
-}
-
-// outcomeSlot dedups in-flight evaluations: concurrent workers missing on
-// the same key run the expensive compile+simulate exactly once, under the
-// slot's once, never under a shard lock.
-type outcomeSlot struct {
-	once sync.Once
-	o    verdict.Outcome
-}
-
 // FNV-1a constants for query-seed hashing.
 const (
 	fnvOffset = 14695981039346656037
@@ -98,35 +74,13 @@ func fnvUint(h, u uint64) uint64 {
 	return h
 }
 
-// golden is 2^64 divided by the golden ratio, the multiplier of Knuth's
-// Fibonacci hashing.
-const golden = 0x9e3779b97f4a7c15
-
-// shard picks the key's shard. The completion is mixed eight bytes per
-// multiply, and the shard is the top bits of a final multiply, which
-// every bit of the state reaches. The hash only spreads keys over locks:
-// any deterministic function would give the same outcomes.
-func (k *outcomeKey) shard() uint64 {
-	h := (uint64(k.problem)<<8 ^ uint64(k.level)) * golden
-	s := k.completion
-	for ; len(s) >= 8; s = s[8:] {
-		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-		h = (h ^ w) * golden
-	}
-	var tail uint64
-	for i := 0; i < len(s); i++ {
-		tail |= uint64(s[i]) << (8 * i)
-	}
-	return ((h ^ tail) * golden) >> (64 - shardBits)
-}
-
-// Runner executes queries against a generation backend with a sharded
-// outcome cache (backends repeat completions heavily across cells, so
-// most evaluations are cache hits; sharding keeps the hit path
-// contention-free under the worker pool). The backend is any gen.Backend
-// — the simulated family, a replayed recording, a mutant generator, or a
-// third-party source — selected by the layer above.
+// Runner executes queries against a generation backend. It caches
+// nothing itself: backends repeat completions heavily across cells, and
+// a repeat of a candidate that reached simulation is answered by the
+// process-wide verdict memo behind verdict.Evaluate. The backend is any gen.Backend — the
+// simulated family, a replayed recording, a mutant generator, or a
+// third-party source — selected by the layer above. The zero value with
+// Backend and Seed set is ready to use; NewRunner builds exactly that.
 type Runner struct {
 	Backend gen.Backend
 	Seed    int64
@@ -153,8 +107,6 @@ type Runner struct {
 	// play in their layers. No command sets it.
 	UnsharedPlans bool //vgencheck:oracle differential baseline the shared tiers are checked against (TestSharedSweepMatchesUnsharedAtAnyWidth)
 
-	shards [numShards]*bounded.Cache[outcomeKey, *outcomeSlot]
-
 	failMu      sync.Mutex
 	allFailures []CellFailure // accumulated across calls, deduped by coord
 	failSeen    map[Coord]bool
@@ -162,26 +114,7 @@ type Runner struct {
 
 // NewRunner wraps a generation backend for evaluation.
 func NewRunner(b gen.Backend, seed int64) *Runner {
-	return newRunner(b, seed, DefaultCacheBytes)
-}
-
-// newRunner is NewRunner with the outcome cache bounded by cacheBytes
-// accounted bytes in total (negative = unbounded): the cache is the same
-// leak class the testbench tier bounds — an unbounded map grows without
-// limit in long-lived processes that churn through many distinct
-// completions. Eviction is FIFO per shard and invisible in results:
-// outcomes are pure functions of their key, so an evicted-and-revisited
-// completion recomputes to identical bytes.
-func newRunner(b gen.Backend, seed, cacheBytes int64) *Runner {
-	r := &Runner{Backend: b, Seed: seed}
-	budget := cacheBytes
-	if budget > 0 {
-		budget = max(budget/numShards, 1)
-	}
-	for i := range r.shards {
-		r.shards[i] = bounded.New[outcomeKey, *outcomeSlot](budget)
-	}
-	return r
+	return &Runner{Backend: b, Seed: seed}
 }
 
 // NewFamilyRunner wraps a simulated model family — the common case — for
@@ -197,52 +130,21 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultCacheBytes is the outcome cache's accounted-size bound —
-// generous enough that a paper-scale sweep never evicts, small enough
-// that a server process has a hard ceiling.
-const DefaultCacheBytes = 64 << 20
-
-// outcomeEntryOverhead approximates one cache entry's fixed cost beyond
-// its completion text: map bucket share, slot, outcome, and the FIFO
-// element. Accounting is a bound, not a profile — close is good enough.
-const outcomeEntryOverhead = 256
-
 func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion string) verdict.Outcome {
-	k := outcomeKey{problem: p.Number, level: level, completion: completion}
-	sh := r.shards[k.shard()]
-	s, ok := sh.Get(k)
-	if !ok {
-		s = sh.Add(k, &outcomeSlot{}, int64(len(completion))+outcomeEntryOverhead)
+	if r.UnsharedPlans {
+		return verdict.EvaluateUnshared(p, level, completion)
 	}
-	s.once.Do(func() {
-		if r.UnsharedPlans {
-			s.o = verdict.EvaluateUnshared(p, level, completion)
-		} else {
-			s.o = verdict.Evaluate(p, level, completion)
-		}
-	})
-	return s.o
+	return verdict.Evaluate(p, level, completion)
 }
 
-// CacheStats summarizes the outcome cache's occupancy and churn.
-type CacheStats struct {
-	Entries int
-	Bytes   int64
-	Evicted int64
-}
+// cacheStats is the type of Runner.CacheStats: the one counter
+// bench/trace.go reads.
+type cacheStats struct{ Entries int }
 
-// CacheStats reports the outcome cache's current accounted size and
-// lifetime eviction count, aggregated across shards.
-func (r *Runner) CacheStats() CacheStats {
-	var cs CacheStats
-	for _, sh := range r.shards {
-		st := sh.Stats()
-		cs.Entries += st.Entries
-		cs.Bytes += st.Bytes
-		cs.Evicted += int64(st.Evicted)
-	}
-	return cs
-}
+// CacheStats reads zero: a Runner caches nothing, and the verdict memo
+// reports through verdict.SharedStats. It stays for bench/trace.go,
+// which reads it, until the next change to the benchmark drops it.
+func (r *Runner) CacheStats() cacheStats { return cacheStats{} }
 
 // Query identifies one evaluation cell sample request.
 type Query struct {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/problems"
+	"repro/internal/verdict"
 )
 
 // TestParallelMatchesSerial is the determinism contract of the parallel
@@ -323,7 +324,8 @@ func TestPrepareTasksRunOncePerBatch(t *testing.T) {
 // TestSharedSweepMatchesUnsharedAtAnyWidth pins the Runner-level contract
 // the check scripts rely on: cell statistics are identical whether plans
 // are shared (default) or compiled fresh per sample (UnsharedPlans), at
-// one worker or eight.
+// one worker or eight, and with the verdict memo starved to one entry so
+// that eight workers evict and recompute verdicts under each other.
 func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
 	f := model.NewFamily(model.Config{Seed: 29, CorpusFiles: 60})
 	mk := func(unshared bool, workers int) *Runner {
@@ -335,6 +337,8 @@ func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
 	runners := []*Runner{mk(true, 1), mk(false, 1), mk(false, 8)}
 	names := []string{"unshared/w1", "shared/w1", "shared/w8"}
 	mv := ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
+	var qs []Query
+	var wants []CellStats
 	for _, pn := range []int{2, 6, 11} {
 		for _, temp := range []float64{0.1, 0.3, 0.5, 0.8} {
 			q := Query{Model: mv.Model, Variant: mv.Variant,
@@ -346,6 +350,41 @@ func TestSharedSweepMatchesUnsharedAtAnyWidth(t *testing.T) {
 						pn, temp, names[i+1], names[0], got, want)
 				}
 			}
+			qs, wants = append(qs, q), append(wants, want)
 		}
+	}
+
+	// The starved runner goes last, so the runners above share a memo
+	// at its default budget.
+	verdict.SetPlanCacheBytes(1)
+	t.Cleanup(func() { verdict.SetPlanCacheBytes(0) })
+	starved := mk(false, 8)
+	for i, q := range qs {
+		if got := starved.EvaluateBatch([]Query{q})[0]; got != wants[i] {
+			t.Errorf("problem %d t=%.1f: starved/w8 diverged from %s: %+v != %+v",
+				q.Problem.Number, q.Temperature, names[0], got, wants[i])
+		}
+	}
+	if st := verdict.SharedStats(); st.DesignEvicted == 0 {
+		t.Fatalf("the starved memo never evicted; the sweep exercised nothing: %+v", st)
+	}
+}
+
+// TestZeroValueRunnerSweeps pins that a Runner needs no constructor: a
+// literal with only Backend and Seed set sweeps to the same cell
+// statistics as NewRunner.
+func TestZeroValueRunnerSweeps(t *testing.T) {
+	b := gen.NewFamilyBackend(model.NewFamily(model.Config{Seed: 29, CorpusFiles: 60}))
+	var qs []Query
+	for _, pn := range []int{1, 6} {
+		for _, l := range problems.Levels {
+			qs = append(qs, Query{Model: model.CodeGen16B, Variant: model.FineTuned,
+				Problem: problems.ByNumber(pn), Level: l, Temperature: 0.3, N: 6})
+		}
+	}
+	want := NewRunner(b, 7).EvaluateBatch(qs)
+	literal := &Runner{Backend: b, Seed: 7}
+	if got := literal.EvaluateBatch(qs); !slices.Equal(got, want) {
+		t.Errorf("Runner literal swept %+v, NewRunner %+v", got, want)
 	}
 }

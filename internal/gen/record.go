@@ -160,6 +160,8 @@ func (r *Recorder) Prepare(keys []Key, ps []*problems.Problem) []func() {
 // Variants delegates to the wrapped backend.
 func (r *Recorder) Variants() []Key { return r.inner.Variants() }
 
-// Describe tags the wrapped description so recorded and unrecorded
-// runners never alias outcome-cache entries.
+// Describe tags the wrapped description, so messages name a recorded
+// backend as one. Sweep identity (core's backendTag) is taken before the
+// recorder wraps the backend: recording is observation-only, so a
+// recorded sweep keeps its unrecorded identity.
 func (r *Recorder) Describe() string { return "record(" + r.inner.Describe() + ")" }

@@ -11,8 +11,8 @@ import (
 // backend proxies gen.Backend (and the BatchBackend fast path) over the
 // wire protocol. Construction dials /v1/info so a bad endpoint fails
 // fast at setup instead of degrading every cell of the sweep; the
-// response's backend description is folded into Describe so outcome-cache
-// entries and sweep identity never alias across different served
+// response's backend description is folded into Describe so sweep
+// identity (core's backendTag) never aliases across different served
 // backends.
 type backend struct {
 	t        *Transport

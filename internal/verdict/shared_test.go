@@ -40,9 +40,9 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 // admission rule and its accepted cost. Of a parse failure, a compile
 // failure, a candidate whose bench does not elaborate and the reference,
 // only the reference is stored, charged its truncated completion and
-// verdictSlotCost. A repeated parse failure therefore parses again:
-// failures are memoized per Runner, by the outcome cache. One that
-// cannot close its module is rejected before the parser, every time.
+// verdictSlotCost. A repeated parse failure therefore parses again: no
+// tier memoizes failures. One that cannot close its module is rejected
+// before the parser, every time.
 func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
