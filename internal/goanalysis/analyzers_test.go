@@ -68,9 +68,12 @@ func TestFloatmergeGolden(t *testing.T) {
 	}
 }
 
+// TestReachGolden also pins the citation check: the waivers at lines 77
+// and 83 both mask a finding, and the stale citations at line 83 are the
+// findings its want comment names.
 func TestReachGolden(t *testing.T) {
 	res := RunGolden(t, Reach(), "reach", "reach/cmd")
-	for _, line := range []int{55, 70} {
+	for _, line := range []int{55, 70, 77, 83} {
 		s := SuppressionAt(t, res, "reach/a.go", line)
 		if !s.Used || s.Directive != "oracle" {
 			t.Errorf("explained waiver at line %d not honored: %+v", line, s)

@@ -93,6 +93,15 @@ type Result struct {
 // the first space.
 var directiveRe = regexp.MustCompile(`^//vgencheck:([a-z]+)(?:[ \t]+(.*))?$`)
 
+// testFuncRe matches a test function name as go test recognizes one.
+// citeRe matches one cited in a waiver's reason, bare or pkg-qualified;
+// it wants a suffix, so the plain words Test, Fuzz and Benchmark cite
+// nothing.
+var (
+	testFuncRe = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)(?:[^a-z]|$)`)
+	citeRe     = regexp.MustCompile(`\b(?:[a-z][a-z0-9_]*\.)?(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+)
+
 type directiveAt struct {
 	pos       token.Position
 	directive string
@@ -115,6 +124,11 @@ func analyze(m *Module, analyzers []*Analyzer, filter bool) *Result {
 
 	// Non-nil slices so the -json report renders [] rather than null.
 	res := &Result{Packages: len(m.Pkgs), Findings: []Finding{}, Suppressions: []Suppression{}}
+	// waiverFinding reports a fault of the directive at pos itself.
+	waiverFinding := func(pos token.Position, format string, args ...any) {
+		res.Findings = append(res.Findings, Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column,
+			Analyzer: "vgencheck", Message: fmt.Sprintf(format, args...)})
+	}
 	// Suppression directives are collected per file; keyed by file:line.
 	sups := map[string]*directiveAt{}
 	var supOrder []*directiveAt
@@ -137,17 +151,17 @@ func analyze(m *Module, analyzers []*Analyzer, filter bool) *Result {
 					sups[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] = d
 					supOrder = append(supOrder, d)
 					if !known[d.directive] {
-						res.Findings = append(res.Findings, Finding{
-							File: pos.Filename, Line: pos.Line, Col: pos.Column,
-							Analyzer: "vgencheck",
-							Message:  fmt.Sprintf("unknown suppression directive %q", d.directive),
-						})
+						waiverFinding(pos, "unknown suppression directive %q", d.directive)
 					} else if d.reason == "" {
-						res.Findings = append(res.Findings, Finding{
-							File: pos.Filename, Line: pos.Line, Col: pos.Column,
-							Analyzer: "vgencheck",
-							Message:  fmt.Sprintf("unexplained suppression: //vgencheck:%s needs a reason", d.directive),
-						})
+						waiverFinding(pos, "unexplained suppression: //vgencheck:%s needs a reason", d.directive)
+					}
+					// An oracle waiver names the test that checks shipped
+					// code against the waived reference; once that test is
+					// gone, the reason no longer holds.
+					for _, name := range citeRe.FindAllString(d.reason, -1) {
+						if d.directive == "oracle" && !m.tests[name] {
+							waiverFinding(pos, "stale citation: //vgencheck:oracle names %s, which no _test.go file declares", name)
+						}
 					}
 				}
 			}
@@ -184,11 +198,7 @@ func analyze(m *Module, analyzers []*Analyzer, filter bool) *Result {
 		// excused was fixed or moved — and stale waivers rot the audit
 		// trail, so they are findings too.
 		if known[d.directive] && d.reason != "" && !d.used {
-			res.Findings = append(res.Findings, Finding{
-				File: d.pos.Filename, Line: d.pos.Line, Col: d.pos.Column,
-				Analyzer: "vgencheck",
-				Message:  fmt.Sprintf("stale suppression: //vgencheck:%s masks no finding; delete it", d.directive),
-			})
+			waiverFinding(d.pos, "stale suppression: //vgencheck:%s masks no finding; delete it", d.directive)
 		}
 		res.Suppressions = append(res.Suppressions, Suppression{
 			File: d.pos.Filename, Line: d.pos.Line,

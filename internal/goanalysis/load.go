@@ -41,6 +41,9 @@ type Module struct {
 	Pkgs []*Package // the packages matched by the load patterns, sorted by path
 
 	loaded []*Package // every package of the tree
+	// tests holds the Test, Fuzz and Benchmark functions the tree's
+	// _test.go files declare, each bare and qualified by package name.
+	tests map[string]bool
 }
 
 // Rel renders pos with the filename relative to the module root (slash
@@ -66,8 +69,9 @@ type loader struct {
 // for analysis those matched by patterns ("./..." for every package;
 // "dir/..." for a subtree; "dir" for one package — all relative to root).
 // Unselected packages are loaded too, so the reference set the reach
-// analyzer reads sees every caller; test files are never loaded (the
-// enforced invariants are about shipped code).
+// analyzer reads sees every caller; test files are never type-checked
+// (the enforced invariants are about shipped code), only scanned for the
+// test functions an oracle waiver may cite.
 func LoadModule(root string, patterns []string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -83,7 +87,7 @@ func LoadModule(root string, patterns []string) (*Module, error) {
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 
-	dirs, err := l.packageDirs()
+	dirs, tests, err := l.packageDirs()
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +107,7 @@ func LoadModule(root string, patterns []string) (*Module, error) {
 		return nil, fmt.Errorf("goanalysis: no packages match %v under %s", patterns, root)
 	}
 	sort.Slice(selected, func(i, j int) bool { return selected[i].Path < selected[j].Path })
-	return &Module{Root: abs, Path: l.modPath, Fset: l.fset, Pkgs: selected, loaded: loaded}, nil
+	return &Module{Root: abs, Path: l.modPath, Fset: l.fset, Pkgs: selected, loaded: loaded, tests: tests}, nil
 }
 
 // readModulePath extracts the module path from a go.mod; "" if absent.
@@ -166,9 +170,11 @@ func (l *loader) local(path string) bool {
 }
 
 // packageDirs walks the tree and returns every directory holding at least
-// one buildable non-test .go file.
-func (l *loader) packageDirs() ([]string, error) {
+// one buildable non-test .go file, and the test functions every
+// directory's _test.go files declare.
+func (l *loader) packageDirs() ([]string, map[string]bool, error) {
 	var dirs []string
+	tests := map[string]bool{}
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -188,10 +194,37 @@ func (l *loader) packageDirs() ([]string, error) {
 		if len(files) > 0 {
 			dirs = append(dirs, path)
 		}
-		return nil
+		return testFuncs(path, tests)
 	})
 	sort.Strings(dirs)
-	return dirs, err
+	return dirs, tests, err
+}
+
+// testFuncs adds to into the Test, Fuzz and Benchmark functions the
+// _test.go files of dir declare, bare and as pkg.Name, where an external
+// test package's name drops its _test suffix.
+func testFuncs(dir string, into map[string]bool) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && testFuncRe.MatchString(fd.Name.Name) {
+				into[fd.Name.Name] = true
+				into[pkg+"."+fd.Name.Name] = true
+			}
+		}
+	}
+	return nil
 }
 
 // sourceFiles lists the buildable non-test .go files of dir, sorted.

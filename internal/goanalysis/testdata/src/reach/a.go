@@ -69,3 +69,16 @@ func read() int {
 //
 //vgencheck:oracle reference implementation the golden test pins
 func oracle() {}
+
+// Suppressed: the waiver cites tests the package's _test.go files
+// declare, bare and qualified (one from the external reach_test
+// package); the plain words Tests and Benchmark cite nothing.
+//
+//vgencheck:oracle reference TestOracleCited and reach.FuzzOracleCited check shipped code against, as Tests and Benchmark rows do
+func citedOracle() {}
+
+// Positive: the waiver cites a test no _test.go file declares, and one
+// qualified by a package that does not declare it.
+//
+//vgencheck:oracle reference TestGone and cmd.TestOracleCited checked // want "stale citation: //vgencheck:oracle names TestGone," "stale citation: //vgencheck:oracle names cmd.TestOracleCited,"
+func staleOracle() {}

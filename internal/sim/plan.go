@@ -23,29 +23,9 @@ import (
 // compiledExpr is an executable expression plan.
 type compiledExpr func() vnum.Value
 
-// Plan lookup modes: a context-width evaluation (the eval entry point) or
-// a fixed-width evaluation with forced signedness (case labels).
-const (
-	planCtx uint8 = iota
-	planFixedU
-	planFixedS
-)
-
-// planKey identifies one compiled plan in the shared PlanCache: AST nodes
-// are unique per syntactic position, so (expr, instance, width, mode) pins
-// the evaluation context.
-type planKey struct {
-	e    vlog.Expr
-	in   *elab.Inst
-	w    int
-	mode uint8
-}
-
 // compile returns the bound plan for evaluating e with assignment context
-// ctx. With a shared PlanCache, the immutable compile step is fetched from
-// (or published to) the cache and only the binding to this simulator's
-// state runs locally. Nothing is memoized here: every caller binds once
-// and keeps the closure.
+// ctx. Nothing is memoized here: every caller binds once and keeps the
+// closure.
 func (s *Simulator) compile(e vlog.Expr, in *elab.Inst, ctx int) compiledExpr {
 	return s.bind(s.planOf(e, in, ctx))
 }
@@ -53,25 +33,15 @@ func (s *Simulator) compile(e vlog.Expr, in *elab.Inst, ctx int) compiledExpr {
 // planOf returns the unbound plan compile binds, for a caller that also
 // needs its static width.
 func (s *Simulator) planOf(e vlog.Expr, in *elab.Inst, ctx int) *elab.Plan {
-	if s.opts.Plans == nil {
-		return elab.CompileExpr(e, in, ctx)
-	}
-	k := planKey{e: e, in: in, w: ctx, mode: planCtx}
-	return s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExpr(e, in, ctx) })
+	s.compiles++
+	return elab.CompileExpr(e, in, ctx)
 }
 
 // compileSized returns the bound plan for evaluating e at a fixed width
 // and signedness (case labels).
 func (s *Simulator) compileSized(e vlog.Expr, in *elab.Inst, w int, sg bool) compiledExpr {
-	if s.opts.Plans == nil {
-		return s.bind(elab.CompileExprSized(e, in, w, sg))
-	}
-	mode := planFixedU
-	if sg {
-		mode = planFixedS
-	}
-	k := planKey{e: e, in: in, w: w, mode: mode}
-	return s.bind(s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExprSized(e, in, w, sg) }))
+	s.compiles++
+	return s.bind(elab.CompileExprSized(e, in, w, sg))
 }
 
 // bind turns one plan node into a closure over runtime state. Every
@@ -483,30 +453,18 @@ func (s *Simulator) bindLValue(lhs vlog.Expr, in *elab.Inst) compiledWrite {
 // ---- @* sensitivity ------------------------------------------------------
 
 // starIdents returns the synthesized @* sensitivity idents for an event
-// control, stable per simulator via starCache and — with a shared
-// PlanCache — stable across simulators, so the per-ident plan keys share.
-// The compiled engine asks once per binding of the control; the
-// interpreter on every block.
+// control, built once per simulator and kept in starCache. The compiled
+// engine asks once per binding of the control; the interpreter on every
+// block.
 func (s *Simulator) starIdents(n *vlog.EventCtrl) []*vlog.Ident {
 	if ids, ok := s.starCache[n]; ok {
 		return ids
 	}
-	var ids []*vlog.Ident
-	if s.opts.Plans != nil {
-		ids = s.opts.Plans.starIdents(n, func() []*vlog.Ident { return synthStarIdents(n) })
-	} else {
-		ids = synthStarIdents(n)
+	names := dedup(collectStmtReads(n.Stmt, nil))
+	ids := make([]*vlog.Ident, len(names))
+	for i, name := range names {
+		ids[i] = &vlog.Ident{Name: name}
 	}
 	s.starCache[n] = ids
 	return ids
-}
-
-// synthStarIdents builds the @* sensitivity list as Ident nodes.
-func synthStarIdents(n *vlog.EventCtrl) []*vlog.Ident {
-	names := dedup(collectStmtReads(n.Stmt, nil))
-	idents := make([]*vlog.Ident, len(names))
-	for i, name := range names {
-		idents[i] = &vlog.Ident{Name: name}
-	}
-	return idents
 }

@@ -10,6 +10,38 @@ import (
 	"repro/internal/vlog/elab"
 )
 
+func elabTop(t *testing.T, src, top string) *elab.Design {
+	t.Helper()
+	f, err := vlog.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	d, err := elab.Elaborate(f, top, elab.Options{})
+	if err != nil {
+		t.Fatalf("elaborate: %v", err)
+	}
+	return d
+}
+
+func mustRun(t *testing.T, s *Simulator) Result {
+	t.Helper()
+	res, err := s.Run()
+	if err != nil {
+		t.Fatalf("run: %v (output so far: %q)", err, res.Output)
+	}
+	return res
+}
+
+func sameResult(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	if got.Output != want.Output {
+		t.Errorf("%s: output diverged:\ngot:  %q\nwant: %q", label, got.Output, want.Output)
+	}
+	if got.Time != want.Time || got.Steps != want.Steps || got.Finished != want.Finished {
+		t.Errorf("%s: metadata diverged: got %+v, want %+v", label, got, want)
+	}
+}
+
 // runBothEngines elaborates src and simulates it twice — compiled plans
 // and the AST interpreter — returning both outputs. The elaborated design
 // is shared: simulators only read it.
@@ -184,12 +216,12 @@ func stmtPositions(st vlog.Stmt) int {
 	return n
 }
 
-// TestPlanCacheBounded runs a long clocked simulation and checks that the
+// TestBoundPlansBounded runs a long clocked simulation and checks that the
 // bound statement trees stay within the design's static statement count
-// and the plans they bind within its static expression count, not growing
-// with the event count — including the @* sensitivity idents, which are
-// synthesized once per site.
-func TestPlanCacheBounded(t *testing.T) {
+// and the plans they compile within its static expression count, not
+// growing with the event count — including the @* sensitivity idents,
+// which are synthesized once per site.
+func TestBoundPlansBounded(t *testing.T) {
 	src := `module tb;
   reg clk, reset;
   reg [15:0] q;
@@ -215,8 +247,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := NewPlanCache(0)
-	s := New(d, Options{Plans: plans})
+	s := New(d, Options{})
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +262,8 @@ endmodule`
 	if s.binds == 0 || s.binds > static {
 		t.Errorf("bound %d statements after %d steps, want 1..%d (the static statement count)", s.binds, res.Steps, static)
 	}
-	st := plans.Stats()
-	if lookups := st.Hits + st.Misses; lookups == 0 || lookups > 64 {
-		t.Errorf("plan lookups grew with events: %d after %d steps", lookups, res.Steps)
+	if s.compiles == 0 || s.compiles > 64 {
+		t.Errorf("plan compiles grew with events: %d after %d steps", s.compiles, res.Steps)
 	}
 }
 
@@ -252,19 +282,18 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := NewPlanCache(0)
-	s := New(d, Options{Interpret: true, Plans: plans})
+	s := New(d, Options{Interpret: true})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st := plans.Stats(); s.binds != 0 || st.Hits+st.Misses != 0 {
-		t.Errorf("interpreter mode bound %d statements and looked up %d plans", s.binds, st.Hits+st.Misses)
+	if s.binds != 0 || s.compiles != 0 {
+		t.Errorf("interpreter mode bound %d statements and compiled %d plans", s.binds, s.compiles)
 	}
 }
 
 // TestUnreachedStatementsNeverBind pins lazy binding: a branch no run
 // takes compiles nothing, so a design with dead if (1'b0) arms (a block
-// and a lone assignment) records exactly the plan misses and statement
+// and a lone assignment) records exactly the plan compiles and statement
 // binds of the same design with empty arms.
 func TestUnreachedStatementsNeverBind(t *testing.T) {
 	const tmpl = `module tb;
@@ -277,23 +306,21 @@ func TestUnreachedStatementsNeverBind(t *testing.T) {
     #1 $display("y=%%d", y);
   end
 endmodule`
-	run := func(block, assign string) (Result, PlanCacheStats, int) {
+	run := func(block, assign string) (Result, int, int) {
 		t.Helper()
-		plans := NewPlanCache(0)
-		s := New(elabTop(t, fmt.Sprintf(tmpl, block, assign), "tb"), Options{Plans: plans})
-		return mustRun(t, s), plans.Stats(), s.binds
+		s := New(elabTop(t, fmt.Sprintf(tmpl, block, assign), "tb"), Options{})
+		return mustRun(t, s), s.compiles, s.binds
 	}
-	dead, deadStats, deadBinds := run(`begin
+	dead, deadCompiles, deadBinds := run(`begin
       y = {4{a[1:0]}} + b * 8'd3;
       m[a[1:0]] <= y ^ b;
       case (y) 8'd1: y = 8'd2; default: $display("%b %h", a, {b, y}); endcase
       @(posedge a) wait (b) y = 8'd9;
     end`, "y = a * b + 8'd7;")
-	empty, emptyStats, emptyBinds := run(";", ";")
+	empty, emptyCompiles, emptyBinds := run(";", ";")
 	sameResult(t, "dead arm", dead, empty)
-	if deadStats.Misses != emptyStats.Misses || deadStats.Hits != emptyStats.Hits {
-		t.Errorf("dead arm compiled plans: %d misses, %d hits; empty arm: %d, %d",
-			deadStats.Misses, deadStats.Hits, emptyStats.Misses, emptyStats.Hits)
+	if deadCompiles != emptyCompiles {
+		t.Errorf("dead arm compiled %d plans, empty arm %d", deadCompiles, emptyCompiles)
 	}
 	if deadBinds != emptyBinds {
 		t.Errorf("dead arm bound %d statements, empty arm %d", deadBinds, emptyBinds)

@@ -77,13 +77,18 @@ type Options struct {
 	// exists as the differential baseline and for debugging.
 	Interpret bool
 
-	// Plans, when non-nil, shares immutable compiled expression plans
-	// across simulators (see PlanCache). Binding to runtime state stays
-	// per-simulator, so output is byte-identical with or without sharing.
-	// The verdict path leaves it nil; only bench/trace.go's stage replay
-	// sets it, until the next change to the benchmark drops it.
+	// Plans is read by nothing: every simulator compiles its own plans.
+	// It stays, with PlanCache and NewPlanCache, only because
+	// bench/trace.go's stage replay sets it, until the next change to the
+	// benchmark deletes all three.
 	Plans *PlanCache
 }
+
+// PlanCache holds nothing; see Options.Plans.
+type PlanCache struct{}
+
+// NewPlanCache returns a PlanCache; the budget is ignored.
+func NewPlanCache(int64) *PlanCache { return &PlanCache{} }
 
 func (o Options) maxTime() uint64 {
 	if o.MaxTime == 0 {
@@ -181,8 +186,10 @@ type Simulator struct {
 	starCache map[*vlog.EventCtrl][]*vlog.Ident
 
 	// binds counts process statements lowered to bound closures (see
-	// stmt.go); it stays 0 under Options.Interpret.
-	binds int
+	// stmt.go), and compiles the expression plans compiled for them;
+	// both stay 0 under Options.Interpret.
+	binds    int
+	compiles int
 }
 
 // activation is one schedulable work item in the active region.
@@ -358,7 +365,7 @@ func (s *Simulator) initInstance(in *elab.Inst) {
 		mems[name] = &memState{decl: decl, words: words}
 	}
 	s.mems[in] = mems
-	for _, c := range s.design.ChildrenOf(in) {
+	for _, c := range in.Children {
 		s.initInstance(c)
 	}
 }
@@ -571,7 +578,7 @@ func (s *Simulator) enableVCD() {
 			s.waveIDs[st] = s.wave.DeclareVar(kind, st.decl.Width, n)
 			s.waveOrder = append(s.waveOrder, st)
 		}
-		for _, c := range s.design.ChildrenOf(in) {
+		for _, c := range in.Children {
 			leaf := c.Path
 			if i := strings.LastIndexByte(leaf, '.'); i >= 0 {
 				leaf = leaf[i+1:]

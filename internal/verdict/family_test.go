@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/verdict"
 	"repro/internal/vlog"
+	"repro/internal/vlog/elab"
 )
 
 // These tests draw their candidates from a model family, and model
@@ -34,13 +35,37 @@ func sharedDiffCompletions(t *testing.T, g *model.Generator, p *problems.Problem
 	return out
 }
 
+// benchReplay judges a completion the way the benchmark's traced stage
+// replay does, through the names it compiles against: a testbench
+// Skeleton over HoleModules, Splice, and a simulator handed a PlanCache.
+func benchReplay(p *problems.Problem, l problems.Level, c string) (verdict.Outcome, sim.Result) {
+	f, err := vlog.Parse(p.CompleteWith(l, verdict.Truncate(c)))
+	if err != nil || elab.CompileCheck(f) != nil {
+		return verdict.Outcome{}, sim.Result{}
+	}
+	tb, err := vlog.Parse(p.Testbench)
+	if err != nil {
+		return verdict.Outcome{Compiles: true}, sim.Result{}
+	}
+	sk, err := elab.NewSkeleton(tb, "tb", elab.HoleModules(tb), elab.Options{})
+	if err != nil {
+		return verdict.Outcome{Compiles: true}, sim.Result{}
+	}
+	d, err := sk.Splice(f)
+	if err != nil {
+		return verdict.Outcome{Compiles: true}, sim.Result{}
+	}
+	res, err := sim.New(d, sim.Options{Plans: sim.NewPlanCache(0)}).Run()
+	return verdict.Outcome{Compiles: true, Simulated: true, Passes: err == nil && problems.PassVerdict(res.Output)}, res
+}
+
 // TestSharedMatchesFreshAndInterpreter is the byte-identity contract at
 // the evaluation layer: for every problem, level, and a mix of sampled
 // completions, the shared pipeline (prefixed parse, verdict memo) must
-// agree with the fresh pipeline and with the AST interpreter.
-// On a memo miss that simulates, the raw simulation output must agree
-// bit for bit; a memo hit, which runs nothing, must give the same
-// verdict.
+// agree with the fresh pipeline, with the AST interpreter and with the
+// benchmark's stage replay. On a memo miss that simulates, the raw
+// simulation output must agree bit for bit; a memo hit, which runs
+// nothing, must give the same verdict.
 func TestSharedMatchesFreshAndInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full problems x levels x temps differential sweep")
@@ -73,6 +98,9 @@ func TestSharedMatchesFreshAndInterpreter(t *testing.T) {
 			oi, ri := verdict.EvaluateSim(p, l, c, sim.Options{Interpret: true})
 			if of != oi || rf.Output != ri.Output {
 				t.Errorf("%s: fresh %+v/%q and interpreted %+v/%q diverged", label, of, rf.Output, oi, ri.Output)
+			}
+			if ob, rb := benchReplay(p, l, c); ob != of || rb.Output != rf.Output {
+				t.Errorf("%s: fresh %+v/%q and bench replay %+v/%q diverged", label, of, rf.Output, ob, rb.Output)
 			}
 			for pass := 0; pass < 2; pass++ {
 				os, rs := verdict.EvaluateShared(p, l, c)

@@ -114,17 +114,15 @@ type RegInit struct {
 	Value vlog.Expr
 }
 
-// Design is a fully elaborated hierarchy rooted at Top. Spliced designs
-// (see skeleton.go) additionally carry the splice sites and a merged
-// child-order map; both are immutable once Splice returns.
+// Design is a fully elaborated hierarchy rooted at Top: each Inst owns
+// its Children, and the Assigns, Procs and RegInits streams are in
+// elaboration order. It is immutable once Elaborate returns, so
+// simulators may share it.
 type Design struct {
 	Top      *Inst
 	Assigns  []*CA
 	Procs    []*Proc
 	RegInits []*RegInit
-
-	Splices  []SpliceSite
-	children map[*Inst][]*Inst
 }
 
 // Elaboration limits: a hierarchy of more than maxInstances instances,
@@ -143,11 +141,6 @@ type elaborator struct {
 	file  *vlog.SourceFile
 	count int
 	d     *Design
-
-	// skeleton mode (see skeleton.go); all nil for normal elaboration
-	holes    map[string]bool // module names whose instantiation is deferred
-	deferred []deferredHole
-	bound    map[string]bool // module names resolved via FindModule
 }
 
 // Elaborate builds the design rooted at module top.
@@ -261,10 +254,6 @@ func (e *elaborator) instantiate(m *vlog.Module, path string, overrides map[stri
 			}
 			e.d.Procs = append(e.d.Procs, &Proc{Kind: ProcInitial, Body: n.Body, Scope: inst})
 		case *vlog.Instance:
-			if e.holes[n.Module] {
-				e.deferHole(n, inst, active)
-				continue
-			}
 			child, err := e.elabChild(n, inst, active)
 			if err != nil {
 				return nil, err
@@ -460,9 +449,6 @@ func (e *elaborator) elabChild(n *vlog.Instance, parent *Inst, active map[string
 	childMod := e.file.FindModule(n.Module)
 	if childMod == nil {
 		return nil, errf(n.Pos, "unknown module %q", n.Module)
-	}
-	if e.bound != nil {
-		e.bound[n.Module] = true
 	}
 	// parameter overrides, evaluated in the parent scope
 	overrides := map[string]vnum.Value{}

@@ -1,5 +1,21 @@
 package vlog
 
+import "strings"
+
+// PrintExpr renders an expression.
+func PrintExpr(e Expr) string {
+	var sb strings.Builder
+	printExpr(&sb, e)
+	return sb.String()
+}
+
+// PrintStmt renders a statement at indent level 0.
+func PrintStmt(s Stmt) string {
+	var sb strings.Builder
+	printStmt(&sb, s, 1)
+	return sb.String()
+}
+
 // PrefixTokens returns the token stream of pre's prompt followed by
 // completion as ParsePrefixed lexes it, and whether ParsePrefixed reuses
 // pre's parsed head rather than falling back to parsing the whole text.

@@ -17,24 +17,6 @@ func Print(f *SourceFile) string {
 	return sb.String()
 }
 
-// PrintExpr renders an expression.
-//
-//vgencheck:oracle canonical rendering TestSpliceMatchesFullElaboration compares spliced and fully elaborated designs by
-func PrintExpr(e Expr) string {
-	var sb strings.Builder
-	printExpr(&sb, e)
-	return sb.String()
-}
-
-// PrintStmt renders a statement at indent level 0.
-//
-//vgencheck:oracle canonical rendering TestSpliceMatchesFullElaboration compares spliced and fully elaborated designs by
-func PrintStmt(s Stmt) string {
-	var sb strings.Builder
-	printStmt(&sb, s, 1)
-	return sb.String()
-}
-
 // PrintItems renders a sequence of module items (used to extract the
 // behavioural tail of a module as a prompt completion).
 func PrintItems(items []Item) string {
