@@ -76,9 +76,9 @@ func fnvUint(h, u uint64) uint64 {
 
 // Runner executes queries against a generation backend. It caches
 // nothing itself: backends repeat completions heavily across cells, and
-// a repeat of a candidate that reached simulation is answered by the
-// process-wide verdict memo behind verdict.Evaluate. The backend is any gen.Backend — the
-// simulated family, a replayed recording, a mutant generator, or a
+// a repeat of a candidate that parses is answered by the process-wide
+// verdict memo behind verdict.Evaluate. The backend is any gen.Backend —
+// the simulated family, a replayed recording, a mutant generator, or a
 // third-party source — selected by the layer above. The zero value with
 // Backend and Seed set is ready to use; NewRunner builds exactly that.
 type Runner struct {

@@ -336,9 +336,17 @@ func SampleSeed(base int64, idx int) int64 {
 }
 
 // CompleteAt produces sample idx of the query identified by baseSeed. The
-// draw depends only on (baseSeed, idx), never on the other samples.
+// draw depends only on (baseSeed, idx), never on the other samples. Its
+// stream is SampleRand(SampleSeed(baseSeed, idx))'s, drawn from a pooled
+// source re-seeded for the sample rather than a new one: Complete keeps
+// no reference to its rng, and a re-seeded source draws exactly what a
+// new one would, so a sample allocates only its completion.
 func (g *Generator) CompleteAt(p *problems.Problem, level problems.Level, temperature float64, idx int, baseSeed int64) Sample {
-	return g.Complete(p, level, temperature, SampleRand(SampleSeed(baseSeed, idx)))
+	s := sampleRands.Get().(*sampleRand)
+	s.Seed(SampleSeed(baseSeed, idx))
+	out := g.Complete(p, level, temperature, &s.Rand)
+	sampleRands.Put(s)
+	return out
 }
 
 // CompleteN produces n completions (the paper's completions-per-prompt).

@@ -1,6 +1,9 @@
 package model
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // math/rand's generator: an additive lagged Fibonacci register of rngLen
 // words with tap rngTap, seeded by rngSource.Seed through the Park–Miller
@@ -39,18 +42,33 @@ var seedPow = func() (p [seedSteps + 1]uint64) {
 // stream rarely needs more than a few hundred draws.
 //
 // The Rand and its source share one allocation. Like rand.NewSource's,
-// the result is not safe for concurrent use.
+// the result is not safe for concurrent use. Generator.CompleteAt draws
+// the same streams from pooled sources instead (sampleRands), so only
+// SampleRand's own callers, such as gen's mutant backend, pay the
+// allocation.
 func SampleRand(seed int64) *rand.Rand {
-	s := &sampleRand{}
+	s := newSampleRand()
 	s.src.Seed(seed)
-	s.Rand = *rand.New(&s.src)
 	return &s.Rand
 }
 
+// sampleRand is a Rand with its source in the same allocation. Its Seed
+// (rand.Rand.Seed) resets the source and the Rand's Read position, so a
+// re-seeded one draws exactly what a new one seeded alike would.
 type sampleRand struct {
 	rand.Rand
 	src jumpSource
 }
+
+func newSampleRand() *sampleRand {
+	s := &sampleRand{}
+	s.Rand = *rand.New(&s.src)
+	return s
+}
+
+// sampleRands pools the per-sample sources of Generator.CompleteAt, so a
+// sweep allocates one per worker rather than one per sample.
+var sampleRands = sync.Pool{New: func() any { return newSampleRand() }}
 
 // jumpSource is a rand.Source64 reproducing math/rand's rngSource
 // stream. Until its register is built it serves draw k (1-based, k ≤ 273)

@@ -3,25 +3,44 @@ package model
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/problems"
 )
 
 // compareStreams draws a mixed sequence through a SampleRand and a
 // math/rand generator seeded alike and fails on the first difference.
 // The mix consumes well over 273 source draws, so it crosses from the
 // lazily computed prefix into the built register, and it reseeds both
-// generators twice mid-stream.
+// generators twice mid-stream. It then reuses the SampleRand the way
+// Generator.CompleteAt reuses its pooled source: past a built register
+// and a partial Read, it is re-seeded with seed and must draw what a
+// new math/rand generator seeded alike draws.
 func compareStreams(t *testing.T, seed int64, draws int) {
 	t.Helper()
-	got, want := SampleRand(seed), rand.New(rand.NewSource(seed))
+	got := SampleRand(seed)
+	drawMixed(t, seed, got, rand.New(rand.NewSource(seed)), draws, true)
+	for i := 0; i <= rngTap; i++ {
+		got.Uint64() // one source draw each: the register is built
+	}
+	got.Read(make([]byte, 3)) // leaves four bytes of a word behind
+	got.Seed(seed)
+	drawMixed(t, seed, got, rand.New(rand.NewSource(seed)), draws, false)
+}
+
+// drawMixed draws a mixed sequence through got and want and fails on
+// the first difference, reseeding both twice mid-stream if reseed is
+// set.
+func drawMixed(t *testing.T, seed int64, got, want *rand.Rand, draws int, reseed bool) {
+	t.Helper()
 	op := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for i := 0; i < draws; i++ {
-		if i == 100 || i == draws/2 {
-			reseed := seed*31 + int64(i)
-			got.Seed(reseed)
-			want.Seed(reseed)
+		if reseed && (i == 100 || i == draws/2) {
+			s := seed*31 + int64(i)
+			got.Seed(s)
+			want.Seed(s)
 		}
 		var g, w int64
-		switch op.Intn(6) {
+		switch op.Intn(7) {
 		case 0:
 			g, w = int64(got.Float64()*(1<<53)), int64(want.Float64()*(1<<53))
 		case 1:
@@ -41,6 +60,15 @@ func compareStreams(t *testing.T, seed int64, draws int) {
 			}
 		case 5:
 			g, w = int64(got.Int31()), int64(want.Int31())
+		case 6:
+			// Read keeps a partial word between calls (readPos)
+			n := op.Intn(12)
+			gb, wb := make([]byte, n), make([]byte, n)
+			got.Read(gb)
+			want.Read(wb)
+			if string(gb) != string(wb) {
+				t.Fatalf("seed %d draw %d: Read(%d) = %x, want %x", seed, i, n, gb, wb)
+			}
 		}
 		if g != w {
 			t.Fatalf("seed %d draw %d: got %d, want %d", seed, i, g, w)
@@ -94,6 +122,24 @@ func TestSampleRandAllocs(t *testing.T) {
 		t.Fatalf("SampleRand allocates %.1f times per seed, want <= 1", allocs)
 	}
 	_ = sink
+}
+
+// TestCompleteAtAllocs pins the per-sample cost of CompleteAt's pooled
+// source: once the family's LM and prompt tokens are built, a babble
+// sample, the longest stream of draws, allocates only its completion.
+func TestCompleteAtAllocs(t *testing.T) {
+	g, _ := testFamily(t).Generator(Megatron355M, Pretrained)
+	p := problems.ByNumber(3)
+	idx := 0
+	for g.CompleteAt(p, problems.LevelMedium, 0.5, idx, 9).Mechanism != "babble" {
+		idx++
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		g.CompleteAt(p, problems.LevelMedium, 0.5, idx, 9)
+	})
+	if allocs > 1 {
+		t.Fatalf("a babble CompleteAt allocates %.1f times, want <= 1", allocs)
+	}
 }
 
 func FuzzSampleRand(f *testing.F) {

@@ -2,6 +2,7 @@ package verdict
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/problems"
@@ -36,33 +37,33 @@ func TestSharedEvictionRecomputesIdentically(t *testing.T) {
 	}
 }
 
-// TestDesignTierAdmitsOnlySimulatedCandidates pins the verdict memo's
-// admission rule and its accepted cost. Of a parse failure, a compile
-// failure, a candidate whose bench does not elaborate and the reference,
-// only the reference is stored, charged its truncated completion and
-// verdictSlotCost. A repeated parse failure therefore parses again: no
-// tier memoizes failures. One that cannot close its module is rejected
-// before the parser, every time.
-func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
+// TestMemoAdmitsEveryParsedCandidate pins the verdict memo's admission
+// rule and its accepted cost. Of a parse failure, a compile failure, a
+// candidate whose bench does not elaborate and the reference, every one
+// but the parse failure is stored, once, charged its truncated
+// completion and verdictSlotCost. A repeat of a stored candidate parses
+// nothing and stores nothing more; a repeated parse failure parses
+// again, since no tier holds parse failures. One that cannot close its
+// module is rejected before the parser, every time.
+func TestMemoAdmitsEveryParsedCandidate(t *testing.T) {
 	SetPlanCacheBytes(0)
 	t.Cleanup(func() { SetPlanCacheBytes(0) })
 	p := problems.ByNumber(6)
 	badBench := *p
 	badBench.Testbench = "module tb;\n  reg clk;\n  counter dut(.clk(clk), .no_such_port(clk));\nendmodule\n"
-	garbage := "  design-tier garbage tokens\nendmodule\n"
-	unclosable := "  design-tier unclosable tokens\n"
 	cases := []struct {
 		name       string
 		p          *problems.Problem
 		completion string
 		want       Outcome
 		stored     int
+		parses     uint64 // on a repeat
 	}{
-		{"parse failure", p, garbage, Outcome{}, 0},
-		{"unclosable", p, unclosable, Outcome{}, 0},
-		{"compile failure", p, "  assign design_tier_undeclared = 1;\nendmodule\n", Outcome{}, 0},
-		{"bench does not elaborate", &badBench, p.RefBody, Outcome{Compiles: true}, 0},
-		{"reference", p, p.RefBody, Outcome{Compiles: true, Simulated: true, Passes: true}, 1},
+		{"parse failure", p, "  design-tier garbage tokens\nendmodule\n", Outcome{}, 0, 1},
+		{"unclosable", p, "  design-tier unclosable tokens\n", Outcome{}, 0, 0},
+		{"compile failure", p, "  assign design_tier_undeclared = 1;\nendmodule\n", Outcome{}, 1, 0},
+		{"bench does not elaborate", &badBench, p.RefBody, Outcome{Compiles: true}, 1, 0},
+		{"reference", p, p.RefBody, Outcome{Compiles: true, Simulated: true, Passes: true}, 1, 0},
 	}
 	for _, c := range cases {
 		before := SharedStats()
@@ -77,18 +78,17 @@ func TestDesignTierAdmitsOnlySimulatedCandidates(t *testing.T) {
 		if n := after.DesignBytes - before.DesignBytes; n != want {
 			t.Errorf("%s: verdict memo charged %d bytes, want %d", c.name, n, want)
 		}
-	}
-	for _, c := range []struct {
-		name       string
-		completion string
-		parses     uint64
-	}{{"repeated parse failure", garbage, 1}, {"repeated unclosable failure", unclosable, 0}} {
-		before := vlog.ParseCalls()
-		if got := Evaluate(p, problems.LevelLow, c.completion); got != (Outcome{}) {
-			t.Errorf("%s: outcome %+v", c.name, got)
+
+		parses, before := vlog.ParseCalls(), after
+		got, res := evaluateShared(c.p, problems.LevelLow, c.completion)
+		if got != c.want || res != nil {
+			t.Errorf("repeated %s: outcome %+v (simulated %t), want %+v unsimulated", c.name, got, res != nil, c.want)
 		}
-		if n := vlog.ParseCalls() - before; n != c.parses {
-			t.Errorf("%s parsed %d texts, want %d", c.name, n, c.parses)
+		if n := vlog.ParseCalls() - parses; n != c.parses {
+			t.Errorf("repeated %s parsed %d texts, want %d", c.name, n, c.parses)
+		}
+		if after := SharedStats(); after.Designs != before.Designs || after.DesignBytes != before.DesignBytes {
+			t.Errorf("repeated %s: verdict memo went from %+v to %+v", c.name, before, after)
 		}
 	}
 }
@@ -113,35 +113,61 @@ func TestSetPlanCacheBytesEmptiesTiers(t *testing.T) {
 
 // TestSharedConcurrentEvaluations hammers one (problem, level) and a
 // rotating set of candidates from many goroutines; under -race this pins
-// the verdict slot's once and the first-Add-wins race together.
+// the verdict slot's once and the first-Add-wins race together. Every
+// goroutine gets one Outcome per candidate, each candidate that parses
+// leaves one memo entry, each one that compiles is simulated once in
+// all, and the compile failure and the unclosable candidate never are.
 func TestSharedConcurrentEvaluations(t *testing.T) {
 	p := problems.ByNumber(6)
 	bodies := []string{
 		p.RefBody,
 		"  always @(posedge clk) q <= q; // shared-concurrent near-miss\nendmodule\n",
 		"  shared-concurrent garbage\n",
+		"  assign shared_concurrent_undeclared = 1;\nendmodule\n",
 	}
+	const parsed = 3 // every body but the unclosable garbage
 	want := make([]Outcome, len(bodies))
 	for i, b := range bodies {
 		want[i] = EvaluateUnshared(p, problems.LevelMedium, b)
 	}
+	if want[3] != (Outcome{}) {
+		t.Fatalf("the compile failure compiles: %+v", want[3])
+	}
 	// empty tiers, so the goroutines race on the misses too
 	SetPlanCacheBytes(0)
+	t.Cleanup(func() { SetPlanCacheBytes(0) })
+	sims := make([]atomic.Int32, len(bodies))
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 4; i++ {
+			for i := 0; i < 2*len(bodies); i++ {
 				bi := (g + i) % len(bodies)
-				if got := Evaluate(p, problems.LevelMedium, bodies[bi]); got != want[bi] {
+				got, res := evaluateShared(p, problems.LevelMedium, bodies[bi])
+				if got != want[bi] {
 					t.Errorf("body %d: concurrent outcome %+v, want %+v", bi, got, want[bi])
 					return
+				}
+				if res != nil {
+					sims[bi].Add(1)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	for bi := range bodies {
+		n, w := sims[bi].Load(), int32(0)
+		if want[bi].Simulated {
+			w = 1
+		}
+		if n != w {
+			t.Errorf("body %d: simulated %d times, want %d", bi, n, w)
+		}
+	}
+	if st := SharedStats(); st.Designs != parsed || st.DesignEvicted != 0 {
+		t.Errorf("verdict memo holds %d entries (%d evicted), want %d", st.Designs, st.DesignEvicted, parsed)
+	}
 }
 
 // TestSingleParsePerEvaluation pins the parse economics of the shared

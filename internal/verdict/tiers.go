@@ -14,11 +14,11 @@ import (
 
 // This file is the "simulate once" layer behind Evaluate: the
 // per-candidate pipeline (parse, compile-check, elaborate, simulate)
-// runs once per distinct candidate that reaches simulation, and not at
-// all for a completion that cannot close its module. The sweep
-// engine and the variant bank share it, so a candidate the bank verified
-// at LevelLow is a memo hit when a sweep samples it at any level whose
-// prompt has the same tokens.
+// runs once per distinct candidate that parses, on every call for one
+// that does not, and not at all for a completion that cannot close its
+// module. The sweep engine and the variant bank share it, so a
+// candidate the bank verified at LevelLow is a memo hit when a sweep
+// samples it at any level whose prompt has the same tokens.
 //
 // Four shared tiers, all invisible to output, and all bounded.Cache
 // instances:
@@ -31,10 +31,12 @@ import (
 //     The paper's three prompt levels differ only in comments, so a
 //     problem's three prompts share one class.
 //   - verdict memo: one Outcome per (problem, prompt class, truncated
-//     completion) that reached simulation. The slot holds the elaborated
-//     Design only until its one simulation has run, so a candidate that
-//     recurs after truncation, or at another level of its class, is
-//     answered without simulating again.
+//     completion) that parsed. A compile failure, or a candidate whose
+//     bench does not elaborate, is stored with its verdict already
+//     decided; otherwise the slot holds the elaborated Design only until
+//     its one simulation has run. A candidate that recurs after
+//     truncation, or at another level of its class, is answered without
+//     parsing or simulating again.
 //
 // Only verdicts are shared across candidates: each candidate is
 // elaborated in full and its simulator compiles its own plans, exactly
@@ -162,9 +164,11 @@ func (k verdictKey) cost() int64 {
 	return int64(len(k.completion)) + verdictSlotCost
 }
 
-// verdictSlot is one memo entry: a candidate that reached simulation.
-// The design is simulated once, under once, and then dropped; only the
-// verdict stays resident.
+// verdictSlot is one memo entry: a candidate that parsed. A slot built
+// with a design simulates it once, under once, and then drops it; a slot
+// built without one holds a verdict decided before simulation (a compile
+// failure, or a bench that does not elaborate) and never simulates.
+// Either way only the verdict stays resident.
 type verdictSlot struct {
 	once sync.Once
 	d    *elab.Design // nil once simulated
@@ -192,12 +196,16 @@ func SetPlanCacheBytes(n int64) {
 }
 
 // verdict returns the slot's Outcome, simulating its design on the first
-// call. The call that simulates also returns the run's Result; every
-// other call returns nil. A run error, an InternalError included, is a
-// simulated candidate that does not pass, memoized like any verdict.
+// call if it has one. The call that simulates also returns the run's
+// Result; every other call returns nil. A run error, an InternalError
+// included, is a simulated candidate that does not pass, memoized like
+// any verdict.
 func (sl *verdictSlot) verdict() (Outcome, *sim.Result) {
 	var res *sim.Result
 	sl.once.Do(func() {
+		if sl.d == nil {
+			return // decided before simulation
+		}
 		o, r := simulate(sl.d, sim.Options{})
 		sl.d, sl.o, res = nil, o, &r
 	})
@@ -214,11 +222,14 @@ func (sl *verdictSlot) verdict() (Outcome, *sim.Result) {
 // a completion without the text endmodule cannot parse
 // (vlog.Prefix.Split), so one substring search rejects it before
 // truncation, the memo and the parser, and truncation reuses that
-// search. Only candidates that reach simulation are stored: any other
-// failure's verdict is returned directly, so a failure never evicts a
-// verdict, and a repeated failure that contains endmodule parses again.
-// A slot is built outside any lock; when two workers miss on the same
-// candidate, the first Add wins and both wait on its one simulation.
+// search. Every candidate that parses is stored, at the same charge:
+// the sweep draws the same few compile failures hundreds of times per
+// problem, and a stored one is answered without parsing again. A parse
+// failure is returned directly and parses again on a repeat: its
+// distinct texts are many and rarely recur, so storing them would cost
+// more memo than they save. A slot is built outside any lock; when two
+// workers miss on the same candidate, the first Add wins and both wait
+// on its one simulation, if it has one.
 func evaluateShared(p *problems.Problem, level problems.Level, completion string) (Outcome, *sim.Result) {
 	pr := promptFor(p, level)
 	j := strings.Index(completion, "endmodule")
@@ -235,13 +246,10 @@ func evaluateShared(p *problems.Problem, level problems.Level, completion string
 		return Outcome{}, nil
 	}
 	o, d := elaborate(p, f)
-	if d == nil {
-		return o, nil
-	}
 	// Truncate may return a slice of the caller's completion; a copy
 	// keeps the memo from pinning the caller's whole text
 	k.completion = strings.Clone(k.completion)
-	return m.Add(k, &verdictSlot{d: d}, k.cost()).verdict()
+	return m.Add(k, &verdictSlot{d: d, o: o}, k.cost()).verdict()
 }
 
 // SharedCacheStats snapshots the shared tiers. The verdict memo's

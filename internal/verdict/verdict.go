@@ -5,12 +5,15 @@
 // testbench, simulated, and judged by the bench's self-check output.
 //
 // Evaluate runs that pipeline through process-wide shared tiers (see
-// tiers.go), so each distinct candidate is simulated once: a candidate
-// is its problem, its prompt's token class and its truncated
-// completion, and a problem's prompt levels, which differ only in
-// comments, share one class. A completion without the text endmodule
-// cannot close the prompt's module, so Evaluate judges it with one
-// substring search, before truncation, the tiers and the parser.
+// tiers.go), so each distinct candidate that parses is parsed, checked
+// and simulated once, and its verdict is remembered whether it passes,
+// fails to compile or fails its bench: a candidate is its problem, its
+// prompt's token class and its truncated completion, and a problem's
+// prompt levels, which differ only in comments, share one class. A
+// candidate that does not parse is parsed again on every call. A
+// completion without the text endmodule cannot close the prompt's
+// module, so Evaluate judges it with one substring search, before
+// truncation, the tiers and the parser.
 // EvaluateUnshared runs it with nothing shared; it is the differential
 // oracle the tiers are checked against. Every caller that verdicts a
 // candidate — the sweep engine in eval and the variant bank in model —
@@ -137,13 +140,13 @@ type Outcome struct {
 
 // Evaluate runs the full pipeline on one completion for (problem, level)
 // through the shared tiers (see tiers.go): the prompt and the testbench
-// are parsed once, and a candidate is compiled, elaborated and simulated
-// once per distinct truncated completion and prompt token class; the
-// verdict memo answers every repeat, at any level of the class. A
-// completion that cannot close its module (vlog.Prefix.Split) is judged
-// without being truncated, looked up or parsed. The verdict is identical
-// to EvaluateUnshared's — the tiers hold only pure functions of their
-// keys.
+// are parsed once, and a candidate that parses is compiled, elaborated
+// and simulated once per distinct truncated completion and prompt token
+// class; the verdict memo answers every repeat, at any level of the
+// class, whatever its verdict. A completion that cannot close its module
+// (vlog.Prefix.Split) is judged without being truncated, looked up or
+// parsed. The verdict is identical to EvaluateUnshared's — the tiers
+// hold only pure functions of their keys.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
 	o, _ := evaluateShared(p, level, completion)
 	return o

@@ -150,7 +150,7 @@ func Elaborate(file *vlog.SourceFile, top string, _ Options) (*Design, error) {
 		return nil, errf(vlog.Pos{Line: 1, Col: 1}, "top module %q not found", top)
 	}
 	e := &elaborator{file: file, d: &Design{}}
-	inst, err := e.instantiate(m, top, nil, nil, map[string]bool{})
+	inst, err := e.instantiate(m, top, nil, map[string]bool{})
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func CompileCheck(file *vlog.SourceFile) error {
 
 // instantiate elaborates module m as an instance named path, with parameter
 // overrides already evaluated by the parent.
-func (e *elaborator) instantiate(m *vlog.Module, path string, overrides map[string]vnum.Value, parent *Inst, active map[string]bool) (*Inst, error) {
+func (e *elaborator) instantiate(m *vlog.Module, path string, overrides map[string]vnum.Value, active map[string]bool) (*Inst, error) {
 	if active[m.Name] {
 		return nil, errf(m.Pos, "recursive instantiation of module %q", m.Name)
 	}
@@ -475,7 +475,7 @@ func (e *elaborator) elabChild(n *vlog.Instance, parent *Inst, active map[string
 		overrides[name] = v
 	}
 
-	child, err := e.instantiate(childMod, parent.Path+"."+n.Name, overrides, parent, active)
+	child, err := e.instantiate(childMod, parent.Path+"."+n.Name, overrides, active)
 	if err != nil {
 		return nil, err
 	}
