@@ -8,7 +8,6 @@ package store
 // coordinate order, never map order.
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/eval"
@@ -55,8 +54,8 @@ func (s *Store) Query(f Filter) []Entry {
 	s.mu.Lock()
 	var out []Entry
 	for k, st := range s.cells {
-		if f.match(k.id, k.c) {
-			out = append(out, Entry{ID: k.id, Coord: k.c, Stats: st})
+		if id, c := s.strs.cell(k); f.match(id, c) {
+			out = append(out, Entry{ID: id, Coord: c, Stats: st})
 		}
 	}
 	s.mu.Unlock()
@@ -74,12 +73,22 @@ func (s *Store) Query(f Filter) []Entry {
 }
 
 // Identities lists the distinct sweep identities with resident cells,
-// sorted by backend tag then seed.
+// sorted by backend tag then seed. Each identity is collected once, as
+// the first cell keyed by its (backend number, seed) pair, so only the
+// few distinct identities are sorted.
 func (s *Store) Identities() []Identity {
+	type pair struct {
+		backend uint32
+		seed    int64
+	}
 	s.mu.Lock()
-	out := make([]Identity, 0, len(s.cells))
+	seen := map[pair]bool{}
+	var out []Identity
 	for k := range s.cells {
-		out = append(out, k.id)
+		if p := (pair{k.backend, k.seed}); !seen[p] {
+			seen[p] = true
+			out = append(out, Identity{Backend: s.strs.names[k.backend].s, Seed: k.seed})
+		}
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -88,7 +97,7 @@ func (s *Store) Identities() []Identity {
 		}
 		return out[i].Seed < out[j].Seed
 	})
-	return slices.Compact(out)
+	return out
 }
 
 // DiffEntry is one coordinate present under both diffed identities with

@@ -86,12 +86,6 @@ func ParseIdentity(s string) (Identity, error) {
 	return Identity{Backend: backend, Seed: seed}, nil
 }
 
-// key is one cell's full address.
-type key struct {
-	id Identity
-	c  eval.Coord
-}
-
 // recordPrefix versions the record framing; bump it if the line format
 // (not the JSON payload — that has its own field names) ever changes.
 const recordPrefix = "s1"
@@ -166,8 +160,9 @@ func encodeRecord(id Identity, c eval.Coord, st eval.CellStats) ([]byte, error) 
 // every other failure mode — checksum, coordinate resolvability, stat
 // consistency; the caller decides whether the position makes it a torn
 // tail or corruption. The backend, model and variant strings come from
-// strs, so one Open holds each distinct string once.
-func decodeRecord(line []byte, strs interner) (Identity, eval.Coord, eval.CellStats, error) {
+// strs, so one Open holds each distinct string once, and a name the
+// previous record also had is read with one compare.
+func decodeRecord(line []byte, strs *interner) (Identity, eval.Coord, eval.CellStats, error) {
 	var zid Identity
 	var zc eval.Coord
 	var zst eval.CellStats
@@ -178,18 +173,18 @@ func decodeRecord(line []byte, strs interner) (Identity, eval.Coord, eval.CellSt
 	if len(rest) < 9 || rest[8] != ' ' {
 		return zid, zc, zst, fmt.Errorf("store: record missing checksum field")
 	}
-	sum, err := strconv.ParseUint(string(rest[:8]), 16, 32)
-	if err != nil {
-		return zid, zc, zst, fmt.Errorf("store: bad checksum field: %w", err)
+	sum, ok := parseHex8(rest[:8])
+	if !ok {
+		return zid, zc, zst, fmt.Errorf("store: bad checksum field %q", rest[:8])
 	}
 	payload := rest[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(sum) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return zid, zc, zst, fmt.Errorf("store: record checksum mismatch")
 	}
 	p := payloadScanner{rest: payload, strs: strs}
-	id := Identity{Backend: p.str(`{"backend":`), Seed: p.num(`,"seed":`, 64)}
+	backend, seed := p.str(`{"backend":`, backendField), p.num(`,"seed":`, 64)
+	model, variant := p.str(`,"model":`, modelField), p.str(`,"variant":`, variantField)
 	c := eval.Coord{
-		Model: p.str(`,"model":`), Variant: p.str(`,"variant":`),
 		Problem: p.int(`,"problem":`), Level: p.int(`,"level":`),
 		TempMilli: p.int(`,"temp_milli":`), N: p.int(`,"n":`),
 	}
@@ -204,6 +199,8 @@ func decodeRecord(line []byte, strs interner) (Identity, eval.Coord, eval.CellSt
 	if p.err != nil {
 		return zid, zc, zst, fmt.Errorf("store: record payload: %w", p.err)
 	}
+	id := Identity{Backend: strs.names[backend].s, Seed: seed}
+	c.Model, c.Variant = strs.names[model].s, strs.names[variant].s
 	if id.Backend == "" {
 		return zid, zc, zst, fmt.Errorf("store: record has empty backend tag")
 	}
@@ -213,19 +210,25 @@ func decodeRecord(line []byte, strs interner) (Identity, eval.Coord, eval.CellSt
 	return id, c, st, nil
 }
 
-// interner shares the few distinct strings a store holds (backend tags,
-// model and variant names) between every record that names them. The
-// lookup m[string(b)] does not allocate, so a replayed record allocates
-// no strings once its values have been seen.
-type interner map[string]string
-
-func (in interner) intern(b []byte) string {
-	if s, ok := in[string(b)]; ok {
-		return s
+// parseHex8 decodes an eight-byte checksum field: hex digits in either
+// case, which is what strconv.ParseUint(s, 16, 32) accepts in eight
+// bytes.
+func parseHex8(b []byte) (uint32, bool) {
+	var v uint32
+	for _, ch := range b {
+		switch {
+		case '0' <= ch && ch <= '9':
+			ch -= '0'
+		case 'a' <= ch && ch <= 'f':
+			ch -= 'a' - 10
+		case 'A' <= ch && ch <= 'F':
+			ch -= 'A' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint32(ch)
 	}
-	s := string(b)
-	in[s] = s
-	return s
+	return v, true
 }
 
 // payloadScanner reads a canonical record payload left to right, one
@@ -233,7 +236,7 @@ func (in interner) intern(b []byte) string {
 // every later step is then a no-op.
 type payloadScanner struct {
 	rest []byte
-	strs interner
+	strs *interner
 	err  error
 }
 
@@ -254,18 +257,29 @@ func (p *payloadScanner) fail(key string, err error) {
 	p.err = fmt.Errorf("%s: %w", strings.Trim(key, `{,":`), err)
 }
 
-// str consumes the literal key, then a JSON string. A string of printable
-// ASCII other than the bytes json.Marshal escapes (" \ < > &) is its own
-// bytes; any other string token is decoded by encoding/json, so escapes
-// and invalid UTF-8 read exactly as they always have.
-func (p *payloadScanner) str(key string) string {
+// str consumes the literal key, then a JSON string, and returns its
+// interned number in field f. When the string is, quotes included, the
+// plain spelling of the name f resolved last, one compare reads it:
+// that name holds no quote or backslash, so its closing quote is the
+// string's end. Otherwise a string of printable ASCII other than the
+// bytes json.Marshal escapes (" \ < > &) is its own bytes, and any other
+// string token is decoded by encoding/json, so escapes and invalid UTF-8
+// read exactly as they always have.
+func (p *payloadScanner) str(key string, f field) uint32 {
 	p.lit(key)
 	if p.err != nil {
-		return ""
+		return 0
 	}
 	if len(p.rest) == 0 || p.rest[0] != '"' {
 		p.fail(key, errors.New("expected a string"))
-		return ""
+		return 0
+	}
+	if l := p.strs.last[f]; int(l) < len(p.strs.names) {
+		if n := p.strs.names[l]; n.plain && len(p.rest) >= len(n.s)+2 &&
+			p.rest[len(n.s)+1] == '"' && string(p.rest[1:len(n.s)+1]) == n.s {
+			p.rest = p.rest[len(n.s)+2:]
+			return l
+		}
 	}
 	plain := true
 	for i := 1; i < len(p.rest); i++ {
@@ -274,14 +288,14 @@ func (p *payloadScanner) str(key string) string {
 			tok := p.rest[:i+1]
 			p.rest = p.rest[i+1:]
 			if plain {
-				return p.strs.intern(tok[1:i])
+				return p.strs.internBytes(f, tok[1:i])
 			}
 			var s string
 			if err := json.Unmarshal(tok, &s); err != nil {
 				p.fail(key, err)
-				return ""
+				return 0
 			}
-			return p.strs.intern([]byte(s))
+			return p.strs.intern(f, s)
 		case ch == '\\':
 			plain = false
 			i++ // the escaped byte cannot end the string
@@ -290,16 +304,38 @@ func (p *payloadScanner) str(key string) string {
 		}
 	}
 	p.fail(key, errors.New("unterminated string"))
-	return ""
+	return 0
 }
 
 // int consumes the literal key, then a JSON integer that fits in an int.
 func (p *payloadScanner) int(key string) int { return int(p.num(key, strconv.IntSize)) }
 
+// maxHandDigits is the most digits num reads by hand: every integer of
+// up to 18 digits fits in an int64.
+const maxHandDigits = 18
+
 // num consumes the literal key, then a JSON integer (a number with no
 // fraction or exponent, which strconv.ParseInt rejects) that fits in
-// bits bits.
+// bits bits. A run of 1 to maxHandDigits digits that does not start
+// with a redundant zero and fits is read by hand; a fraction or an
+// exponent after it is left to fail the next literal. Every other token
+// — a sign, a leading zero, a longer run, an overflow — is read by
+// number and strconv.ParseInt.
 func (p *payloadScanner) num(key string, bits int) int64 {
+	p.lit(key)
+	if p.err != nil {
+		return 0
+	}
+	b, n := p.rest, 0
+	var v int64
+	for n < len(b) && n <= maxHandDigits && '0' <= b[n] && b[n] <= '9' {
+		v = v*10 + int64(b[n]-'0')
+		n++
+	}
+	if n > 0 && n <= maxHandDigits && (b[0] != '0' || n == 1) && (bits == 64 || v < 1<<(bits-1)) {
+		p.rest = b[n:]
+		return v
+	}
 	tok := p.number(key)
 	if p.err != nil {
 		return 0
@@ -314,6 +350,7 @@ func (p *payloadScanner) num(key string, bits int) int64 {
 // float consumes the literal key, then a JSON number that fits in a
 // float64.
 func (p *payloadScanner) float(key string) float64 {
+	p.lit(key)
 	tok := p.number(key)
 	if p.err != nil {
 		return 0
@@ -325,12 +362,11 @@ func (p *payloadScanner) float(key string) float64 {
 	return v
 }
 
-// number consumes the literal key, then a number in the JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
-// A leading zero ends the integer part, so "05" leaves "5" to fail the
-// next literal.
+// number consumes a number in the JSON grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes;
+// key names the field in its error. A leading zero ends the integer
+// part, so "05" leaves "5" to fail the next literal.
 func (p *payloadScanner) number(key string) []byte {
-	p.lit(key)
 	if p.err != nil {
 		return nil
 	}
@@ -381,6 +417,7 @@ type Store struct {
 	mu     sync.Mutex
 	dir    string
 	cells  map[key]eval.CellStats
+	strs   interner // numbers the names in cells' keys
 	seg    *os.File
 	bw     *bufio.Writer
 	segIdx int   // active segment ordinal (1-based)
@@ -392,6 +429,13 @@ type Store struct {
 }
 
 func segName(idx int) string { return fmt.Sprintf("cells-%06d.log", idx) }
+
+// typicalRecordBytes is the record length Open sizes the index by: a
+// little under the 234–247 bytes of a record written by a family-backend
+// sweep (a 54-byte backend tag), so a store of such records is indexed
+// without the map ever growing. A store of shorter records grows the
+// map's tables as they fill; the shortest possible record is 152 bytes.
+const typicalRecordBytes = 224
 
 // Open opens (creating if needed) the store rooted at dir, rebuilding
 // the index from every segment. A torn final record of the final segment
@@ -406,11 +450,23 @@ func Open(dir string) (*Store, error) {
 	}
 	sort.Strings(segs) // zero-padded ordinals: lexicographic == numeric
 
-	s := &Store{dir: dir, cells: map[key]eval.CellStats{}, maxSeg: maxSegmentBytes, segIdx: 1}
-	strs := interner{}
+	var total int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		total += fi.Size()
+	}
+	s := &Store{
+		dir:    dir,
+		cells:  make(map[key]eval.CellStats, total/typicalRecordBytes),
+		maxSeg: maxSegmentBytes,
+		segIdx: 1,
+	}
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		n, err := s.loadSegment(seg, final, strs)
+		n, err := s.loadSegment(seg, final)
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +496,7 @@ func Open(dir string) (*Store, error) {
 // In the final segment a bad last record — torn write, whether or not
 // the newline made it to disk — is truncated away; a bad record with data
 // after it, or any bad record in an earlier segment, is corruption.
-func (s *Store) loadSegment(path string, final bool, strs interner) (int64, error) {
+func (s *Store) loadSegment(path string, final bool) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
@@ -477,7 +533,7 @@ func (s *Store) loadSegment(path string, final bool, strs interner) (int64, erro
 			rec = line[:len(line)-1]
 		}
 		// Decode before any Peek: a Peek may refill the buffer line is in.
-		id, c, st, derr := decodeRecord(rec, strs)
+		id, c, st, derr := decodeRecord(rec, &s.strs)
 		if derr != nil {
 			last := rerr == io.EOF
 			if !last {
@@ -508,7 +564,7 @@ func (s *Store) loadSegment(path string, final bool, strs interner) (int64, erro
 		// A checksummed record can't be a torn write, so a conflicting
 		// duplicate is always corruption (or upstream nondeterminism) —
 		// never recovered from, wherever it sits.
-		k := key{id: id, c: c}
+		k, _ := s.strs.key(id, c) // decodeRecord interned every name
 		if old, dup := s.cells[k]; dup && old != st {
 			return 0, fmt.Errorf("store: %s: offset %d: cell %s %+v recorded twice with conflicting stats (%+v vs %+v)",
 				path, off, id, c, old, st)
@@ -522,7 +578,17 @@ func (s *Store) loadSegment(path string, final bool, strs interner) (int64, erro
 func (s *Store) Get(id Identity, c eval.Coord) (eval.CellStats, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.cells[key{id: id, c: c}]
+	return s.getLocked(id, c)
+}
+
+// getLocked is Get with the lock held. A name the store has never held
+// is a miss, and it is not interned.
+func (s *Store) getLocked(id Identity, c eval.Coord) (eval.CellStats, bool) {
+	k, ok := s.strs.key(id, c)
+	if !ok {
+		return eval.CellStats{}, false
+	}
+	st, ok := s.cells[k]
 	return st, ok
 }
 
@@ -573,7 +639,7 @@ func (s *Store) Split(id Identity, p *eval.Plan) (held *eval.ResultSet, rest *ev
 	defer s.mu.Unlock()
 	for _, q := range p.Queries() {
 		c := q.Coord()
-		if st, ok := s.cells[key{id: id, c: c}]; ok {
+		if st, ok := s.getLocked(id, c); ok {
 			err = held.Put(c, st)
 		} else {
 			err = rest.Add(q)
@@ -620,8 +686,7 @@ func (s *Store) putLocked(id Identity, c eval.Coord, st eval.CellStats) (fresh b
 	if s.err != nil {
 		return false, s.err
 	}
-	k := key{id: id, c: c}
-	if old, ok := s.cells[k]; ok {
+	if old, ok := s.getLocked(id, c); ok {
 		if old != st {
 			return false, fmt.Errorf("store: cell %s %+v already holds %+v; refusing conflicting %+v", id, c, old, st)
 		}
@@ -642,7 +707,7 @@ func (s *Store) putLocked(id Identity, c eval.Coord, st eval.CellStats) (fresh b
 		return false, s.err
 	}
 	s.segLen += int64(len(line))
-	s.cells[k] = st
+	s.cells[s.strs.internKey(id, c)] = st
 	s.dirty = true
 	s.added++
 	return true, nil

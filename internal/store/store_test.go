@@ -385,7 +385,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if !bytes.HasSuffix(line, []byte("\n")) {
 			t.Fatal("encoded record is not newline-terminated")
 		}
-		gid, gc, gst, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), interner{})
+		gid, gc, gst, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), &interner{})
 		if err != nil {
 			t.Fatalf("encoded record does not decode: %v\n%s", err, line)
 		}
@@ -474,48 +474,110 @@ var nonCanonical = []struct{ name, payload string }{
 
 func TestDecodeRejectsNonCanonical(t *testing.T) {
 	want := eval.CellStats{Samples: 4, Compiled: 3, Passed: 1, SumLat: 0.375}
-	if _, _, st, err := decodeRecord([]byte(frame(canonicalPayload)), interner{}); err != nil || st != want {
+	if _, _, st, err := decodeRecord([]byte(frame(canonicalPayload)), &interner{}); err != nil || st != want {
 		t.Fatalf("canonical payload: %+v, %v", st, err)
 	}
 	for _, tc := range nonCanonical {
-		if _, _, _, err := decodeRecord([]byte(frame(tc.payload)), interner{}); err == nil {
+		if _, _, _, err := decodeRecord([]byte(frame(tc.payload)), &interner{}); err == nil {
 			t.Errorf("%s: decoded %s", tc.name, tc.payload)
 		}
 	}
 }
 
+// FuzzDecodeRecord decodes two lines through one interner, as Open
+// decodes consecutive records, so the second line can take the fast path
+// that reads a repeated name with one compare. Each line that decodes
+// must decode identically through encoding/json, and the second must
+// get the same result through a fresh interner.
 func FuzzDecodeRecord(f *testing.F) {
 	good, _ := encodeRecord(testID, mkCoord(2, 1, 300, 4), mkStats(3))
-	f.Add(string(good))
-	f.Add(frame(canonicalPayload))
-	f.Add(frame(strings.Replace(canonicalPayload, `"b"`, `"\u003c\u00e9\ufffd"`, 1)))
-	f.Add(frame(strings.Replace(canonicalPayload, `"b"`, "\"\xff\"", 1)))
-	f.Add(frame(strings.Replace(canonicalPayload, `0.375`, `-0.0e-2`, 1)))
+	prev := frame(canonicalPayload)
+	f.Add(prev, string(good))
+	f.Add(prev, frame(canonicalPayload))
+	f.Add(prev, frame(strings.Replace(canonicalPayload, `"b"`, `"\u003c\u00e9\ufffd"`, 1)))
+	f.Add(prev, frame(strings.Replace(canonicalPayload, `"b"`, "\"\xff\"", 1)))
+	f.Add(prev, frame(strings.Replace(canonicalPayload, `0.375`, `-0.0e-2`, 1)))
 	for _, tc := range nonCanonical {
-		f.Add(frame(tc.payload))
+		f.Add(prev, frame(tc.payload))
 	}
-	f.Add("s1 00000000 {}")
-	f.Add("")
-	f.Add(strings.Repeat("s1 ", 100))
-	f.Fuzz(func(t *testing.T, line string) {
+	f.Add(prev, "s1 00000000 {}")
+	f.Add(prev, "")
+	f.Add(prev, strings.Repeat("s1 ", 100))
+	// A checksum in upper case, which strconv.ParseUint reads too.
+	f.Add(prev, fmt.Sprintf("%s %08X %s", recordPrefix, crc32.ChecksumIEEE([]byte(canonicalPayload)), canonicalPayload))
+	// A name that is a prefix of the previous one, and the reverse: the
+	// fast path must check the closing quote.
+	model16 := frame(strings.Replace(canonicalPayload, `"CodeGen-16B"`, `"CodeGen-16"`, 1))
+	f.Add(prev, model16)
+	f.Add(model16, prev)
+	// The escaped spelling of the previous plain name, and the reverse.
+	escFT := frame(strings.Replace(canonicalPayload, `"FT"`, `"F\u0054"`, 1))
+	f.Add(prev, escFT)
+	f.Add(escFT, prev)
+	// A backend named a\b (not plain: it holds a backslash), then the
+	// token "a\b", whose bytes equal that name but which spells a and a
+	// backspace.
+	slash := frame(strings.Replace(canonicalPayload, `"b"`, `"a\\b"`, 1))
+	f.Add(slash, frame(strings.Replace(canonicalPayload, `"b"`, `"a\b"`, 1)))
+	// Integers of 18 and 19 digits, the int64 bounds, -0 and 3e2 after a
+	// record that primes every fast path.
+	for _, tc := range []struct{ from, to string }{
+		{`"seed":5`, `"seed":123456789012345678`},
+		{`"seed":5`, `"seed":1234567890123456789`},
+		{`"n":4`, `"n":999999999999999999`},
+		{`"n":4`, `"n":1000000000000000000`},
+		{`"n":4`, `"n":9999999999999999999`},
+		{`"seed":5`, `"seed":9223372036854775807`},
+		{`"seed":5`, `"seed":-9223372036854775808`},
+		{`"seed":5`, `"seed":-9223372036854775809`},
+		{`"seed":5`, `"seed":-0`},
+		{`"temp_milli":300`, `"temp_milli":3e2`},
+		{`"temp_milli":300`, `"temp_milli":0300`},
+	} {
+		f.Add(prev, frame(strings.Replace(canonicalPayload, tc.from, tc.to, 1)))
+	}
+	f.Fuzz(func(t *testing.T, first, second string) {
 		// Must never panic; errors are the expected outcome for junk.
-		id, c, st, err := decodeRecord([]byte(line), interner{})
-		if err != nil {
-			return
-		}
-		// Whatever decodes must decode identically through encoding/json...
-		jid, jc, jst, jerr := decodeRecordJSON([]byte(line))
-		if jerr != nil {
-			t.Fatalf("decodeRecord accepts what encoding/json rejects (%v):\n%q", jerr, line)
-		}
-		if jid != id || jc != c || jst != st {
-			t.Fatalf("decoders disagree on %q:\n(%+v %+v %+v)\nvs encoding/json\n(%+v %+v %+v)", line, id, c, st, jid, jc, jst)
-		}
-		// ...and re-encode decodably (idempotent format).
-		if _, rerr := encodeRecord(id, c, st); rerr != nil {
-			t.Fatalf("decoded record fails re-encode: %v", rerr)
+		strs := &interner{}
+		matchJSON(t, first, strs)
+		id, c, st, err := matchJSON(t, second, strs)
+		fid, fc, fst, ferr := decodeRecord([]byte(second), &interner{})
+		if (err == nil) != (ferr == nil) || id != fid || c != fc || st != fst {
+			t.Fatalf("after %q, %q decodes to (%+v %+v %+v, %v); through a fresh interner (%+v %+v %+v, %v)",
+				first, second, id, c, st, err, fid, fc, fst, ferr)
 		}
 	})
+}
+
+// matchJSON decodes line through strs and holds the result to
+// encoding/json's: a record encoding/json reads in the spelling
+// encodeRecord writes must decode, and whatever decodes must decode
+// identically through encoding/json and re-encode.
+func matchJSON(t *testing.T, line string, strs *interner) (Identity, eval.Coord, eval.CellStats, error) {
+	t.Helper()
+	id, c, st, err := decodeRecord([]byte(line), strs)
+	jid, jc, jst, jerr := decodeRecordJSON([]byte(line))
+	if err != nil {
+		if jerr == nil {
+			enc, eerr := encodeRecord(jid, jc, jst)
+			if eerr == nil && string(enc[12:len(enc)-1]) == line[12:] {
+				t.Fatalf("decodeRecord rejects a canonical record (%v):\n%q", err, line)
+			}
+		}
+		return id, c, st, err
+	}
+	// Whatever decodes must decode identically through encoding/json...
+	if jerr != nil {
+		t.Fatalf("decodeRecord accepts what encoding/json rejects (%v):\n%q", jerr, line)
+	}
+	if jid != id || jc != c || jst != st {
+		t.Fatalf("decoders disagree on %q:\n(%+v %+v %+v)\nvs encoding/json\n(%+v %+v %+v)", line, id, c, st, jid, jc, jst)
+	}
+	// ...and re-encode decodably (idempotent format).
+	if _, rerr := encodeRecord(id, c, st); rerr != nil {
+		t.Fatalf("decoded record fails re-encode: %v", rerr)
+	}
+	return id, c, st, nil
 }
 
 // TestInvalidUTF8ModelRejected: encoding/json writes every invalid
