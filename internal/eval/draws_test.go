@@ -108,11 +108,11 @@ func TestSharedSampleErrorDegradesOnlyCellsThatUseIt(t *testing.T) {
 	qs := nSweep()
 	be, _ := newCounting(true, 15)
 	r := NewRunner(be, 3)
-	got, fails, err := r.evaluateBatch(context.Background(), qs)
+	got, err := r.EvaluateBatchCtx(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fails) != 1 || fails[0].Coord != qs[2].Coord() {
+	if fails := r.Failures(); len(fails) != 1 || fails[0].Coord != qs[2].Coord() {
 		t.Fatalf("failures %v, want only the n=25 cell", fails)
 	}
 	if got[2] != (CellStats{}) {

@@ -218,9 +218,9 @@ func (c *CellStats) Add(o CellStats) {
 	c.SumLat += o.SumLat
 }
 
-// sampleResult is one work item's outcome, written into a slot owned by
-// its (query, sample) coordinates so reduction order is fixed. ok mirrors
-// the backend's verdict: a slot the backend declined (no such model line,
+// sampleResult is one sample's outcome, written into the slot its (draw,
+// sample) coordinates own so reduction order is fixed. ok mirrors the
+// backend's verdict: a slot the backend declined (no such model line,
 // sample missing from a recording) stays out of the stats entirely. err
 // is a produced failure (a remote transport that exhausted its retries):
 // unlike a decline, it poisons the whole cell — scoring a cell from fewer
@@ -272,128 +272,232 @@ func (r *Runner) EvaluateBatch(qs []Query) []CellStats {
 // the pool instead of lazily inside one worker's Complete while the
 // others wait on it.
 func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats, error) {
-	out, _, err := r.evaluateBatch(ctx, qs)
-	return out, err
+	out := make([]CellStats, len(qs))
+	if err := r.evaluateEach(ctx, qs, func(i int, st CellStats, _ bool) { out[i] = st }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// evaluateBatch is EvaluateBatchCtx that also returns the cells this call
-// degraded. A caller that must exclude failed cells reads them here, not
-// from the Runner, so another call on the same Runner can never change
-// which of its own cells it drops.
-func (r *Runner) evaluateBatch(ctx context.Context, qs []Query) ([]CellStats, []CellFailure, error) {
-	// Queries that differ only in N draw the same samples (querySeed leaves
-	// N out), so they share one draw: its slots are sized to the largest N
-	// among them, and each query's results are a prefix of its draw's.
-	draws, drawOf := distinctDraws(qs)
-	keys := make([]gen.Key, len(draws))
-	bases := make([]int64, len(draws))
-	slots := make([][]sampleResult, len(draws))
+// evaluateEach evaluates qs on the worker pool and hands each query's
+// stats to each the moment its draw's last sample lands, from the worker
+// that filled it: each(i, st, ok) runs once per query, concurrently and
+// in any order, with ok false and st zero for a degraded cell. Cells of
+// draws not finished when ctx is canceled are never handed out.
+//
+// Reduction is per query, in sample-index order, through the same Add the
+// cross-process shard merge uses. A query with any produced-failure slot
+// in its prefix degrades whole (the lowest failed sample index names the
+// error), and once the pool has drained without cancellation its failure
+// is listed in Failures, in query order, which is what lets a plan run
+// record the cell as explicitly missing.
+func (r *Runner) evaluateEach(ctx context.Context, qs []Query, each func(i int, st CellStats, ok bool)) error {
+	b := r.newBatch(qs, each)
+	for d := range b.draws {
+		if b.draws[d].n == 0 {
+			b.reduce(d) // no sample will ever complete it
+		}
+	}
 	var lines []gen.Key
 	var probs []*problems.Problem
-	total := 0
-	for _, d := range draws {
-		total += d.N
-	}
-	// Pre-sized item list: this path runs once per sweep batch, and its
-	// allocations are the warm-cache sweep's main garbage. The per-draw
-	// result slices stay separate allocations on purpose — workers write
-	// neighbouring draws' slots concurrently, and one flat backing
-	// array would put them on shared cache lines.
-	items := make([]workItem, 0, total)
-	for di, d := range draws {
-		keys[di] = gen.Key{Model: string(d.Model), Variant: d.Variant.String()}
-		if !slices.Contains(lines, keys[di]) {
-			lines = append(lines, keys[di])
+	for _, d := range b.draws {
+		if k := b.key(d); !slices.Contains(lines, k) {
+			lines = append(lines, k)
 		}
-		if !slices.Contains(probs, d.Problem) {
-			probs = append(probs, d.Problem)
-		}
-		bases[di] = r.querySeed(d)
-		slots[di] = make([]sampleResult, d.N)
-		for si := 0; si < d.N; si++ {
-			items = append(items, workItem{qi: di, si: si})
+		if p := b.qs[d.head].Problem; !slices.Contains(probs, p) {
+			probs = append(probs, p)
 		}
 	}
-
 	tasks := r.Backend.Prepare(lines, probs)
 	if bb, ok := r.Backend.(gen.BatchBackend); ok {
-		r.runBatched(ctx, bb, tasks, draws, keys, bases, slots, items)
+		r.runBatched(ctx, bb, tasks, b)
 	} else {
-		r.runSingles(ctx, tasks, draws, keys, bases, slots, items)
+		r.runSingles(ctx, tasks, b)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
-	results := make([][]sampleResult, len(qs))
-	for qi, q := range qs {
-		results[qi] = slots[drawOf[qi]][:q.N]
-	}
-
-	// Deterministic reduction: per-query, in sample-index order, through
-	// the same Add the cross-process shard merge uses. A cell with any
-	// produced-failure slot degrades whole (lowest failed sample index
-	// names the error, so the failure list is deterministic too) — its
-	// stats zero out and the failure is returned with them (and listed in
-	// Failures), which is what lets a plan run record the cell as
-	// explicitly missing.
-	out := make([]CellStats, len(qs))
-	var fails []CellFailure
-	for qi := range qs {
-		var cellErr error
-		for _, sr := range results[qi] {
-			if sr.err != nil {
-				cellErr = sr.err
-				break
-			}
-		}
-		if cellErr != nil {
-			fails = append(fails, CellFailure{Coord: qs[qi].Coord(), Err: cellErr})
-			continue
-		}
-		for _, sr := range results[qi] {
-			if sr.ok {
-				out[qi].Add(sr.stats())
-			}
-		}
-	}
+	slices.SortFunc(b.fails, func(x, y queryFailure) int { return x.qi - y.qi })
 	r.failMu.Lock()
 	if r.failSeen == nil {
 		r.failSeen = map[Coord]bool{}
 	}
-	for _, f := range fails {
-		if !r.failSeen[f.Coord] {
-			r.failSeen[f.Coord] = true
-			r.allFailures = append(r.allFailures, f)
+	for _, f := range b.fails {
+		if c := qs[f.qi].Coord(); !r.failSeen[c] {
+			r.failSeen[c] = true
+			r.allFailures = append(r.allFailures, CellFailure{Coord: c, Err: f.err})
 		}
 	}
 	r.failMu.Unlock()
-	return out, fails, nil
+	return nil
 }
 
-// distinctDraws returns the batch's distinct draws, in first-appearance
-// order, and the index of each query's draw. A draw is a query with its N
-// left out; its N is the largest among the queries that share it.
-func distinctDraws(qs []Query) (draws []Query, drawOf []int) {
-	drawOf = make([]int, len(qs))
-	index := make(map[Query]int, len(qs))
+// batch is one evaluateEach call's work. Queries that differ only in N
+// draw the same samples (querySeed leaves N out), so they share one draw:
+// its samples number the largest N among them, and each query's results
+// are a prefix of its draw's. The samples of all draws, in draw order,
+// are the batch's sample order, which the workers claim front to back.
+type batch struct {
+	qs    []Query
+	each  func(i int, st CellStats, ok bool)
+	draws []draw
+	next  []int32 // next[qi]: the next query of qi's draw, or -1
+	total int     // samples of all draws
+
+	// left counts each draw's samples not yet filled, and slots holds
+	// each draw's results from its first filled sample until it is
+	// reduced; both are indexed like draws.
+	left  []atomic.Int32
+	slots []atomic.Pointer[[]sampleResult]
+
+	failMu sync.Mutex
+	fails  []queryFailure
+}
+
+// draw is one distinct draw of a batch. Each of its queries carries its
+// coordinates but N.
+type draw struct {
+	head int32 // first query of the draw's list, which next links
+	n    int32 // samples: the largest N among its queries
+	base int64 // querySeed of the draw
+}
+
+// queryFailure is a degraded query of a batch, before it is listed in
+// Runner.Failures.
+type queryFailure struct {
+	qi  int
+	err error
+}
+
+// newBatch finds qs's distinct draws, in first-appearance order.
+func (r *Runner) newBatch(qs []Query, each func(int, CellStats, bool)) *batch {
+	b := &batch{qs: qs, each: each, next: make([]int32, len(qs))}
+	index := make(map[Query]int32, len(qs))
 	for qi, q := range qs {
 		id := q
 		id.N = 0
 		di, ok := index[id]
 		if !ok {
-			di = len(draws)
+			di = int32(len(b.draws))
 			index[id] = di
-			draws = append(draws, q)
+			b.draws = append(b.draws, draw{head: -1, base: r.querySeed(q)})
 		}
-		draws[di].N = max(draws[di].N, q.N)
-		drawOf[qi] = di
+		d := &b.draws[di]
+		b.next[qi], d.head = d.head, int32(qi)
+		d.n = max(d.n, int32(q.N))
 	}
-	return draws, drawOf
+	b.left = make([]atomic.Int32, len(b.draws))
+	for d := range b.draws {
+		b.left[d].Store(b.draws[d].n)
+		b.total += int(b.draws[d].n)
+	}
+	b.slots = make([]atomic.Pointer[[]sampleResult], len(b.draws))
+	return b
 }
 
-// workItem addresses one (draw, sample) work unit of a batch: qi indexes
-// the distinct draws the runners are handed.
-type workItem struct{ qi, si int }
+// key is the generation line a draw samples.
+func (b *batch) key(d draw) gen.Key {
+	q := &b.qs[d.head]
+	return gen.Key{Model: string(q.Model), Variant: q.Variant.String()}
+}
+
+// cursor is one worker's place in the batch's sample order: the draw it
+// is on, where that draw's samples start, and how many of them the worker
+// has filled without yet subtracting them from the draw's count. Workers
+// claim neighbouring samples of one draw, so counting down once per draw
+// and worker, not once per sample, keeps them off each other's cache line.
+type cursor struct{ d, start, filled int }
+
+// seek moves c to the draw that holds sample g, which lies at or after
+// c's draw (a worker's claims only ascend), settling the count of every
+// draw it leaves, and returns g's index within its draw.
+func (b *batch) seek(c *cursor, g int) int {
+	for g >= c.start+int(b.draws[c.d].n) {
+		b.settle(c)
+		c.start += int(b.draws[c.d].n)
+		c.d++
+	}
+	return g - c.start
+}
+
+// settle subtracts the samples c filled in its draw from the draw's count;
+// the worker that brings it to zero reduces the draw.
+func (b *batch) settle(c *cursor) {
+	if c.filled == 0 {
+		return
+	}
+	if b.left[c.d].Add(int32(-c.filled)) == 0 {
+		b.reduce(c.d)
+	}
+	c.filled = 0
+}
+
+// fill records sample si of draw d, taking the draw's slots when it is
+// the first to land.
+func (b *batch) fill(d, si int, sr sampleResult) {
+	p := b.slots[d].Load()
+	if p == nil {
+		p = takeSlots(int(b.draws[d].n))
+		if !b.slots[d].CompareAndSwap(nil, p) {
+			slotPool.Put(p)
+			p = b.slots[d].Load()
+		}
+	}
+	(*p)[si] = sr
+}
+
+// slotPool recycles the slots of reduced draws. Only the draws in flight
+// hold slots, so a sweep reuses a handful of them instead of allocating
+// one per draw, which in a cold paper sweep was 1.8 MB of the run's
+// ~25 MB of garbage.
+var slotPool sync.Pool
+
+// takeSlots returns n zeroed slots.
+func takeSlots(n int) *[]sampleResult {
+	if p, _ := slotPool.Get().(*[]sampleResult); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		clear(*p)
+		return p
+	}
+	s := make([]sampleResult, n)
+	return &s
+}
+
+// reduce folds each query of the finished draw d over its prefix of the
+// draw's slots, hands it out, and returns the slots to slotPool. A draw
+// whose every sample was declined never took any: each of its queries is
+// zero.
+func (b *batch) reduce(d int) {
+	var res []sampleResult
+	if p := b.slots[d].Swap(nil); p != nil {
+		res = *p
+		defer slotPool.Put(p)
+	}
+	for qi := b.draws[d].head; qi >= 0; qi = b.next[qi] {
+		prefix := res[:min(len(res), b.qs[qi].N)]
+		var st CellStats
+		var err error
+		for _, sr := range prefix {
+			if sr.err != nil {
+				err = sr.err
+				break
+			}
+		}
+		if err != nil {
+			b.failMu.Lock()
+			b.fails = append(b.fails, queryFailure{qi: int(qi), err: err})
+			b.failMu.Unlock()
+			b.each(int(qi), CellStats{}, false)
+			continue
+		}
+		for _, sr := range prefix {
+			if sr.ok {
+				st.Add(sr.stats())
+			}
+		}
+		b.each(int(qi), st, true)
+	}
+}
 
 // claimLoop runs do(i) for every index in [0, n) it claims from next,
 // until the indices run out or ctx is canceled. ctx is checked before
@@ -408,44 +512,53 @@ func claimLoop(ctx context.Context, next *atomic.Int64, n int, do func(int)) {
 	}
 }
 
-// claim runs do(i) for every index in [0, n) on up to w workers, the
-// caller's goroutine among them, each claiming the next index from one
-// shared counter (claimLoop), and waits for all of them.
-func claim(ctx context.Context, w, n int, do func(int)) {
+// claim runs w workers, the caller's goroutine among them, and waits for
+// all of them. Each worker gets its own do and done from work, runs do(i)
+// for every index in [0, n) it claims from one shared counter
+// (claimLoop), and then calls done.
+func claim(ctx context.Context, w, n int, work func() (do func(int), done func())) {
 	var next atomic.Int64
 	w = max(min(w, n), 1)
+	run := func() {
+		do, done := work()
+		defer done()
+		claimLoop(ctx, &next, n, do)
+	}
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
 	for i := 1; i < w; i++ {
 		go func() {
 			defer wg.Done()
-			claimLoop(ctx, &next, n, do)
+			run()
 		}()
 	}
-	claimLoop(ctx, &next, n, do)
+	run()
 	wg.Wait()
 }
 
 // runSingles is the one-call-per-sample path: the backend's prepare tasks
-// and then every work item are claimed through one shared index by the
-// pool's workers, each item its own Backend.Complete call. One worker is
-// the serial case.
-func (r *Runner) runSingles(ctx context.Context, tasks []func(), qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
-	do := func(i int) {
-		if i < len(tasks) {
-			tasks[i]()
-			return
+// and then every sample are claimed through one shared index by the
+// pool's workers, each sample its own Backend.Complete call. One worker
+// is the serial case.
+func (r *Runner) runSingles(ctx context.Context, tasks []func(), b *batch) {
+	claim(ctx, r.workers(), len(tasks)+b.total, func() (func(int), func()) {
+		var c cursor
+		do := func(i int) {
+			if i < len(tasks) {
+				tasks[i]()
+				return
+			}
+			si := b.seek(&c, i-len(tasks))
+			d := b.draws[c.d]
+			q := &b.qs[d.head]
+			if s, ok := r.Backend.Complete(b.key(d), q.Problem, q.Level, q.Temperature, si, d.base); ok {
+				o := r.evaluate(q.Problem, q.Level, s.Completion)
+				b.fill(c.d, si, sampleResult{outcome: o, latency: s.Latency, ok: true})
+			} // a declined slot stays zero with ok=false -> excluded from stats
+			c.filled++
 		}
-		it := items[i-len(tasks)]
-		q := qs[it.qi]
-		s, ok := r.Backend.Complete(keys[it.qi], q.Problem, q.Level, q.Temperature, it.si, bases[it.qi])
-		if !ok {
-			return // slot stays zero with ok=false -> excluded from stats
-		}
-		o := r.evaluate(q.Problem, q.Level, s.Completion)
-		results[it.qi][it.si] = sampleResult{outcome: o, latency: s.Latency, ok: true}
-	}
-	claim(ctx, r.workers(), len(tasks)+len(items), do)
+		return do, func() { b.settle(&c) }
+	})
 }
 
 // defaultBatchSize is the CompleteBatch width when Runner.BatchSize is
@@ -453,55 +566,59 @@ func (r *Runner) runSingles(ctx context.Context, tasks []func(), qs []Query, key
 // sweep fan-out, small enough that a lost batch degrades few cells.
 const defaultBatchSize = 16
 
-// runBatched is the batch fast path: the work items are cut into fixed
-// batches of BatchSize consecutive items, and the backend's prepare tasks
-// and then those batches are claimed through one shared index by the
-// pool's workers, each batch one CompleteBatch call. Outcome evaluation
-// stays per sample; slot ownership and the fixed-order reduction are
-// untouched, so results are byte-identical to the single-call path at
-// any batch size.
-func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, tasks []func(), qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
+// runBatched is the batch fast path: the sample order is cut into fixed
+// batches of BatchSize consecutive samples, and the backend's prepare
+// tasks and then those batches are claimed through one shared index by
+// the pool's workers, each batch one CompleteBatch call. Outcome
+// evaluation stays per sample, and a sample lands in the same slot and is
+// counted down the same way as on the single-call path, so results are
+// byte-identical to it at any batch size.
+func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, tasks []func(), b *batch) {
 	bs := r.BatchSize
 	if bs <= 0 {
 		bs = defaultBatchSize
 	}
-	run := func(bt []workItem) {
-		reqs := make([]gen.Request, len(bt))
-		for i, it := range bt {
-			q := qs[it.qi]
-			reqs[i] = gen.Request{
-				Key: keys[it.qi], Problem: q.Problem, Level: q.Level,
-				Temperature: q.Temperature, SampleIdx: it.si, BaseSeed: bases[it.qi],
+	claim(ctx, r.workers(), len(tasks)+(b.total+bs-1)/bs, func() (func(int), func()) {
+		var c cursor
+		do := func(i int) {
+			if i < len(tasks) {
+				tasks[i]()
+				return
+			}
+			lo := (i - len(tasks)) * bs
+			hi := min(lo+bs, b.total)
+			reqs := make([]gen.Request, 0, hi-lo)
+			look := cursor{d: c.d, start: c.start} // nothing filled: seeks settle nothing
+			for g := lo; g < hi; g++ {
+				si := b.seek(&look, g)
+				d := b.draws[look.d]
+				q := &b.qs[d.head]
+				reqs = append(reqs, gen.Request{
+					Key: b.key(d), Problem: q.Problem, Level: q.Level,
+					Temperature: q.Temperature, SampleIdx: si, BaseSeed: d.base,
+				})
+			}
+			res := bb.CompleteBatch(ctx, reqs)
+			var lost error
+			if len(res) != len(reqs) {
+				lost = fmt.Errorf("eval: backend %s returned %d results for a %d-request batch", r.Backend.Describe(), len(res), len(reqs))
+			}
+			for j, rq := range reqs {
+				b.seek(&c, lo+j)
+				switch {
+				case lost != nil:
+					b.fill(c.d, rq.SampleIdx, sampleResult{err: lost})
+				case res[j].Err != nil:
+					b.fill(c.d, rq.SampleIdx, sampleResult{err: res[j].Err})
+				case res[j].OK:
+					o := r.evaluate(rq.Problem, rq.Level, res[j].Sample.Completion)
+					b.fill(c.d, rq.SampleIdx, sampleResult{outcome: o, latency: res[j].Sample.Latency, ok: true})
+				}
+				c.filled++
 			}
 		}
-		res := bb.CompleteBatch(ctx, reqs)
-		if len(res) != len(reqs) {
-			err := fmt.Errorf("eval: backend %s returned %d results for a %d-request batch", r.Backend.Describe(), len(res), len(reqs))
-			for _, it := range bt {
-				results[it.qi][it.si] = sampleResult{err: err}
-			}
-			return
-		}
-		for i, it := range bt {
-			q := qs[it.qi]
-			switch {
-			case res[i].Err != nil:
-				results[it.qi][it.si] = sampleResult{err: res[i].Err}
-			case res[i].OK:
-				o := r.evaluate(q.Problem, q.Level, res[i].Sample.Completion)
-				results[it.qi][it.si] = sampleResult{outcome: o, latency: res[i].Sample.Latency, ok: true}
-			}
-		}
-	}
-	do := func(i int) {
-		if i < len(tasks) {
-			tasks[i]()
-			return
-		}
-		b := i - len(tasks)
-		run(items[b*bs : min((b+1)*bs, len(items))])
-	}
-	claim(ctx, r.workers(), len(tasks)+(len(items)+bs-1)/bs, do)
+		return do, func() { b.settle(&c) }
+	})
 }
 
 // CellFailure is one planned cell whose samples could not be produced —

@@ -126,13 +126,17 @@ func (c Coord) Less(o Coord) bool {
 // one off a renderer with PlanSource), partition it with Shard, execute
 // it with Runner.RunPlan.
 type Plan struct {
-	qs   []Query
-	seen map[Coord]bool
+	qs []Query
+	// seen indexes qs by a hash of each cell's coordinates. Its entries
+	// hold no pointers, so it costs a fifth of a map keyed by Coord and
+	// the garbage collector never scans it; a cell whose hash another
+	// cell already holds is found by a scan of qs.
+	seen map[uint64]int32
 	err  error // first Add rejection, sticky (PlanSource has no error path)
 }
 
 // NewPlan returns an empty plan.
-func NewPlan() *Plan { return &Plan{seen: map[Coord]bool{}} }
+func NewPlan() *Plan { return &Plan{seen: map[uint64]int32{}} }
 
 // Add appends a query unless its cell is already planned. It rejects
 // queries whose coordinates do not survive the wire round trip — in
@@ -152,12 +156,43 @@ func (p *Plan) Add(q Query) error {
 		}
 		return err
 	}
-	if p.seen[c] {
+	h := c.hash()
+	if p.has(c, h) {
 		return nil
 	}
-	p.seen[c] = true
+	if _, taken := p.seen[h]; !taken {
+		p.seen[h] = int32(len(p.qs))
+	}
 	p.qs = append(p.qs, q)
 	return nil
+}
+
+// has reports whether the cell c, whose hash is h, is planned.
+func (p *Plan) has(c Coord, h uint64) bool {
+	i, ok := p.seen[h]
+	if !ok {
+		return false
+	}
+	if p.qs[i].Coord() == c {
+		return true
+	}
+	for _, q := range p.qs { // another cell holds the hash
+		if q.Coord() == c {
+			return true
+		}
+	}
+	return false
+}
+
+// hash is an FNV-1a hash of every coordinate of the cell; the model
+// name's length keeps its boundary with the variant's apart.
+func (c Coord) hash() uint64 {
+	h := fnvUint(fnvOffset, uint64(len(c.Model)))
+	h = fnvString(fnvString(h, c.Model), c.Variant)
+	for _, v := range [...]int{c.Problem, c.Level, c.TempMilli, c.N} {
+		h = fnvUint(h, uint64(v))
+	}
+	return h
 }
 
 // Err reports the first query Add rejected, if any. Callers that build
@@ -170,6 +205,9 @@ func (p *Plan) Len() int { return len(p.qs) }
 
 // Queries returns the planned queries in plan order.
 func (p *Plan) Queries() []Query { return append([]Query(nil), p.qs...) }
+
+// Query returns the i-th planned query, without copying the plan's.
+func (p *Plan) Query(i int) Query { return p.qs[i] }
 
 // Coords returns the planned cell addresses in plan order.
 func (p *Plan) Coords() []Coord {
@@ -261,31 +299,41 @@ func (r *Runner) RunPlan(p *Plan) (*ResultSet, error) {
 // an explicit partial result — the sweep never aborts and never renders
 // a silently short cell.
 func (r *Runner) RunPlanCtx(ctx context.Context, p *Plan) (*ResultSet, error) {
-	if err := p.Err(); err != nil {
-		return nil, err
+	type cell struct {
+		st CellStats
+		ok bool
 	}
-	qs := p.Queries()
-	sts, fails, err := r.evaluateBatch(ctx, qs)
-	if err != nil {
+	cells := make([]cell, p.Len())
+	if err := r.RunPlanEach(ctx, p, func(i int, st CellStats, ok bool) { cells[i] = cell{st, ok} }); err != nil {
 		return nil, err
 	}
 	// Only this call's failures matter here: an earlier render's transient
 	// failure on a coordinate this run served fine must not evict the cell,
 	// and another call's failures on this Runner are not this call's.
-	failed := make(map[Coord]bool, len(fails))
-	for _, f := range fails {
-		failed[f.Coord] = true
-	}
 	rs := NewResultSet()
-	for i, q := range qs {
-		if failed[q.Coord()] {
-			continue
-		}
-		if err := rs.Put(q.Coord(), sts[i]); err != nil {
-			return nil, err
+	for i, q := range p.qs {
+		if cells[i].ok {
+			if err := rs.Put(q.Coord(), cells[i].st); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return rs, nil
+}
+
+// RunPlanEach executes every planned cell as one batch and hands each
+// cell to each as soon as its samples are reduced, from the worker that
+// completed it: each(i, st, ok) is called exactly once per planned cell,
+// i indexing Queries, with ok false (and st zero) for a cell the backend
+// failed to produce. Calls may come concurrently and in any order. Under
+// cancellation the pool stops as EvaluateBatchCtx's does, cells not yet
+// complete are never handed out, and ctx's error is returned; the cells
+// it degraded are listed in Failures only when the run completes.
+func (r *Runner) RunPlanEach(ctx context.Context, p *Plan, each func(i int, st CellStats, ok bool)) error {
+	if err := p.Err(); err != nil {
+		return err
+	}
+	return r.evaluateEach(ctx, p.qs, each)
 }
 
 // planSource records every requested query into a Plan instead of

@@ -105,6 +105,30 @@ func TestPlanDedupAndShardPartition(t *testing.T) {
 	}
 }
 
+// TestPlanDedupSurvivesHashCollision: the plan indexes its cells by a
+// hash of their coordinates, so two cells that share a hash must still be
+// told apart, and each still deduplicated. A collision is forced by
+// pointing the second cell's hash at the first.
+func TestPlanDedupSurvivesHashCollision(t *testing.T) {
+	qs := testPlanQueries()
+	a, b, c := qs[0], qs[1], qs[2]
+	p := NewPlan()
+	if err := p.Add(a); err != nil {
+		t.Fatal(err)
+	}
+	p.seen[b.Coord().hash()] = 0 // b's hash now names a's index
+	for i := 0; i < 2; i++ {
+		for _, q := range []Query{a, b, c} {
+			if err := p.Add(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := p.Coords(); len(got) != 3 || got[0] != a.Coord() || got[1] != b.Coord() || got[2] != c.Coord() {
+		t.Fatalf("plan holds %v, want a, b and c once each", got)
+	}
+}
+
 func TestPlanRejectsUnquantizableTemperature(t *testing.T) {
 	p := NewPlan()
 	q := testPlanQueries()[0]

@@ -215,9 +215,10 @@ func refDiff(all []Entry, a, b Identity) DiffResult {
 
 // TestOpenIndexBytesPerRecord pins what Open allocates per record of a
 // store shaped like a family-backend sweep's: the presized index of
-// integer keys, the reader and writer buffers and the interned names,
-// about 180 bytes a record. The bound fails a map that regrows from
-// empty (about 310 bytes a record) or keys on strings (about 400).
+// integer keys, the reader buffer and the interned names, about 160
+// bytes a record (Open allocates no write buffer). The bound fails a
+// map that regrows from empty (about 310 bytes a record) or keys on
+// strings (about 400).
 func TestOpenIndexBytesPerRecord(t *testing.T) {
 	const records = 3000
 	const maxBytesPerRecord = 200

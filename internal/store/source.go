@@ -3,23 +3,27 @@ package store
 // The caching layer: Cached composes the store under any CellSource as
 // an eval.PlanRunner, so the whole render/shard/coordinate stack runs
 // unchanged while warm cells come from disk and only misses reach the
-// backend. New cells persist as their chunk completes — with a Sync at
-// every chunk boundary — so an interrupted sweep resumes from the last
-// durable cell, and a warm re-run of table3/fig6/passk performs zero
-// backend calls.
+// backend. On the plan path all misses run as one inner plan run that
+// hands each finished cell to a writer goroutine, which banks them in
+// plan-order groups of runChunk with a Sync after each, behind the
+// workers — so an interrupted sweep resumes from the last synced group,
+// and a warm re-run of table3/fig6/passk performs zero backend calls.
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/eval"
 )
 
-// runChunk is how many missed cells are computed between Syncs on the
-// plan path. Chunking changes durability granularity only, never bytes:
-// per-sample seed streams are pure functions of their coordinates, so
-// any partition of the miss set produces identical CellStats.
+// runChunk is how many missed cells the plan path banks per Sync: the
+// writer's group size, and the chunk size for an inner source that
+// cannot stream cells. Grouping changes durability granularity only,
+// never stats: per-sample seed streams are pure functions of their
+// coordinates, so any partition of the miss set produces identical
+// CellStats.
 const runChunk = 32
 
 // SourceStats counts one Source's traffic. Misses is exactly the number
@@ -138,49 +142,181 @@ func (s *Source) Cells(qs []eval.Query) []eval.CellStats {
 
 // RunPlanCtx implements eval.PlanRunner: store-resident cells are
 // adopted without execution (Store.Split), and the rest of the plan runs
-// through the inner source's own RunPlanCtx in chunks of runChunk cells,
-// each banked by Store.PutSet with a durable Sync after it — cell-granular
-// crash-safe resume. The inner source must be an eval.PlanRunner: its
-// plan run leaves failed cells out of the returned set, so they stay out
-// of this one (and out of the store), and shard validation and
-// coordinator retries behave identically warm or cold.
+// as one inner plan run whose cells go to a writer goroutine as they
+// complete. The writer banks the misses in plan order, runChunk at a time
+// — each group through Store.PutSet with a durable Sync after it — so
+// the workers never wait on a PutSet, an fsync or a group boundary, and
+// a crash loses at most the cells not yet in a synced group. The inner
+// source must be an eval.PlanRunner: its plan run leaves failed cells
+// out, so they stay out of this one (and out of the store), and shard
+// validation and coordinator retries behave identically warm or cold. An
+// inner that cannot hand cells out one by one (no RunPlanEach) runs the
+// misses as runChunk-cell plans instead, feeding the same writer.
+//
+// A persistence failure (a conflicting cell, a failed Sync) cancels the
+// inner run and is returned. On cancellation the groups already complete
+// are banked and synced before ctx's error is returned.
 func (s *Source) RunPlanCtx(ctx context.Context, p *eval.Plan) (*eval.ResultSet, error) {
 	held, rest, err := s.store.Split(s.id, p)
 	if err != nil {
 		return nil, err
 	}
 	s.count(SourceStats{Hits: held.Len()})
-
+	if rest.Len() == 0 {
+		return held, nil
+	}
 	pr, ok := s.inner.(eval.PlanRunner)
-	if !ok && rest.Len() > 0 {
+	if !ok {
 		return nil, fmt.Errorf("store: %d planned cells missed and the inner source %T cannot run a plan", rest.Len(), s.inner)
 	}
-	miss := rest.Queries()
-	for start := 0; start < len(miss); start += runChunk {
-		chunk := miss[start:min(start+runChunk, len(miss))]
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	w := newWriter(s, rest, held)
+	stop, werr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		err := w.run(stop)
+		if err != nil {
+			cancel() // nothing more can be banked: stop the workers
+		}
+		werr <- err
+	}()
+	var runErr error
+	if e, ok := pr.(eachRunner); ok {
+		runErr = e.RunPlanEach(ctx, rest, w.cell)
+	} else {
+		runErr = runChunks(ctx, pr, rest, w.cell)
+	}
+	close(stop)
+	if err := <-werr; err != nil {
+		return nil, err
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	return held, nil
+}
+
+// eachRunner is the streaming half of eval.Runner's plan API: a plan run
+// that hands each cell out as it completes.
+type eachRunner interface {
+	RunPlanEach(ctx context.Context, p *eval.Plan, each func(i int, st eval.CellStats, ok bool)) error
+}
+
+// runChunks runs the misses through an inner that can only run whole
+// plans, runChunk cells per RunPlanCtx call, and hands each cell to each:
+// a failed cell is one the inner run left out.
+func runChunks(ctx context.Context, pr eval.PlanRunner, rest *eval.Plan, each func(int, eval.CellStats, bool)) error {
+	for lo := 0; lo < rest.Len(); lo += runChunk {
+		hi := min(lo+runChunk, rest.Len())
 		cp := eval.NewPlan()
-		for _, q := range chunk {
-			if err := cp.Add(q); err != nil {
-				return nil, err
+		for i := lo; i < hi; i++ {
+			if err := cp.Add(rest.Query(i)); err != nil {
+				return err
 			}
 		}
 		sub, err := pr.RunPlanCtx(ctx, cp)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		persisted := s.persist(sub)
-		if err := s.store.Sync(); err != nil {
-			// The plan path has an error channel, so durability failures
-			// surface here instead of waiting for the post-render Err check.
-			return nil, err
-		}
-		s.count(SourceStats{Misses: len(chunk), Persisted: persisted})
-		if err := s.Err(); err != nil {
-			return nil, err // rejected cell (conflict): nondeterminism, fail loudly
-		}
-		if err := held.Merge(sub); err != nil {
-			return nil, err
+		for i := lo; i < hi; i++ {
+			st, ok := sub.Get(rest.Query(i).Coord())
+			each(i, st, ok)
 		}
 	}
-	return held, nil
+	return nil
+}
+
+// writer owns every store write of one plan run. The inner run's workers
+// hand it cells through cell; it banks them in plan order, one group of
+// runChunk misses at a time, as soon as a group is whole.
+type writer struct {
+	s    *Source
+	rest *eval.Plan // the misses, in plan order
+	held *eval.ResultSet
+
+	cells []missCell     // each miss's stats, once handed out
+	left  []atomic.Int32 // per group: cells not yet handed out
+	poke  chan struct{}  // 1 slot: a group became whole
+}
+
+// missCell is one computed miss; ok is false for a cell the inner run
+// failed to produce.
+type missCell struct {
+	st eval.CellStats
+	ok bool
+}
+
+func newWriter(s *Source, rest *eval.Plan, held *eval.ResultSet) *writer {
+	n := rest.Len()
+	w := &writer{
+		s: s, rest: rest, held: held,
+		cells: make([]missCell, n),
+		left:  make([]atomic.Int32, (n+runChunk-1)/runChunk),
+		poke:  make(chan struct{}, 1),
+	}
+	for g := range w.left {
+		w.left[g].Store(int32(min(runChunk, n-g*runChunk)))
+	}
+	return w
+}
+
+// cell is the inner run's sink: it records miss i and, if that made its
+// group whole, wakes the writer. It never blocks.
+func (w *writer) cell(i int, st eval.CellStats, ok bool) {
+	w.cells[i] = missCell{st, ok}
+	if w.left[i/runChunk].Add(-1) == 0 {
+		select {
+		case w.poke <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
+}
+
+// run banks each group as soon as it and every group before it are
+// whole, until all are banked or stop is closed (the inner run returned,
+// so no cell will come) and the next group is not whole.
+func (w *writer) run(stop <-chan struct{}) error {
+	for g := 0; g < len(w.left); {
+		if w.left[g].Load() == 0 {
+			if err := w.bank(g); err != nil {
+				return err
+			}
+			g++
+			continue
+		}
+		select {
+		case <-w.poke:
+		case <-stop:
+			if w.left[g].Load() != 0 {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// bank persists group g: its cells the inner run produced go through
+// Store.PutSet, then a Sync makes them durable, and they join held.
+func (w *writer) bank(g int) error {
+	lo, hi := g*runChunk, min((g+1)*runChunk, len(w.cells))
+	sub := eval.NewResultSet()
+	for i := lo; i < hi; i++ {
+		if c := w.cells[i]; c.ok {
+			if err := sub.Put(w.rest.Query(i).Coord(), c.st); err != nil {
+				return err
+			}
+		}
+	}
+	persisted := w.s.persist(sub)
+	if err := w.s.store.Sync(); err != nil {
+		// The plan path has an error channel, so durability failures
+		// surface here instead of waiting for the post-render Err check.
+		return err
+	}
+	w.s.count(SourceStats{Misses: hi - lo, Persisted: persisted})
+	if err := w.s.Err(); err != nil {
+		return err // rejected cell (conflict): nondeterminism, fail loudly
+	}
+	return w.held.Merge(sub)
 }

@@ -21,8 +21,11 @@
 // Crash discipline, in the order it matters:
 //
 //   - Appends are buffered; Sync flushes and fsyncs the active segment.
-//     The caching layer syncs at cell-chunk granularity, so a killed
-//     sweep loses at most the unsynced tail of work.
+//     The caching layer's plan path banks and syncs misses in plan-order
+//     groups of 32 behind the workers, so a killed sweep loses at most
+//     the cells not yet in a synced group. The final segment is opened
+//     for append only by the first append: a store that is only read
+//     writes nothing.
 //   - Open rebuilds the in-memory index by scanning every segment. A
 //     torn final record of the final segment — the unique signature of a
 //     crash mid-append — is truncated away and the store continues from
@@ -410,21 +413,22 @@ func countDigits(b []byte) int {
 }
 
 // Store is the open result store: an in-memory cell index over the
-// segment log, with an append handle on the final segment. All methods
-// are safe for concurrent use — the coordinator's in-process worker
-// slots persist cells from several goroutines.
+// segment log, with an append handle on the final segment from the first
+// append on. All methods are safe for concurrent use — the coordinator's
+// in-process worker slots persist cells from several goroutines.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
 	cells  map[key]eval.CellStats
-	strs   interner // numbers the names in cells' keys
-	seg    *os.File
-	bw     *bufio.Writer
-	segIdx int   // active segment ordinal (1-based)
-	segLen int64 // bytes in the active segment, buffered included
+	strs   interner      // numbers the names in cells' keys
+	seg    *os.File      // append handle on the active segment; nil until the first append
+	bw     *bufio.Writer // buffers seg; nil with it
+	segIdx int           // active segment ordinal (1-based)
+	segLen int64         // bytes in the active segment, buffered included
 	maxSeg int64
-	dirty  bool  // unsynced appends outstanding
-	added  int   // cells appended this session
+	dirty  bool // unsynced appends outstanding
+	added  int  // cells appended this session
+	closed bool
 	err    error // first write/sync failure, sticky
 }
 
@@ -439,7 +443,9 @@ const typicalRecordBytes = 224
 
 // Open opens (creating if needed) the store rooted at dir, rebuilding
 // the index from every segment. A torn final record of the final segment
-// is truncated away (crash recovery); any other damage is an error.
+// is truncated away (crash recovery); any other damage is an error. Open
+// creates the directory but no segment, and opens none for append: the
+// first Put does that.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -479,13 +485,6 @@ func Open(dir string) (*Store, error) {
 			s.segIdx = idx
 		}
 	}
-
-	f, err := os.OpenFile(filepath.Join(dir, segName(s.segIdx)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s.seg = f
-	s.bw = bufio.NewWriterSize(f, 1<<16)
 	return s, nil
 }
 
@@ -702,6 +701,15 @@ func (s *Store) putLocked(id Identity, c eval.Coord, st eval.CellStats) (fresh b
 			return false, err
 		}
 	}
+	if s.seg == nil {
+		f, err := os.OpenFile(filepath.Join(s.dir, segName(s.segIdx)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			s.err = fmt.Errorf("store: append: %w", err)
+			return false, s.err
+		}
+		s.seg = f
+		s.bw = bufio.NewWriterSize(f, 1<<16)
+	}
 	if _, err := s.bw.Write(line); err != nil {
 		s.err = fmt.Errorf("store: append: %w", err)
 		return false, s.err
@@ -713,34 +721,34 @@ func (s *Store) putLocked(id Identity, c eval.Coord, st eval.CellStats) (fresh b
 	return true, nil
 }
 
-// rotate seals the active segment (flush + fsync + close) and opens the
-// next one. Called with the lock held.
+// rotate seals the active segment (flush + fsync + close) if this session
+// appended to it, and makes the next one active; the append that follows
+// creates it. Called with the lock held.
 func (s *Store) rotate() error {
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("store: rotate: %w", err)
-	}
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("store: rotate: %w", err)
-	}
-	if err := s.seg.Close(); err != nil {
-		return fmt.Errorf("store: rotate: %w", err)
+	if s.seg != nil {
+		if err := s.bw.Flush(); err != nil {
+			return fmt.Errorf("store: rotate: %w", err)
+		}
+		if err := s.seg.Sync(); err != nil {
+			return fmt.Errorf("store: rotate: %w", err)
+		}
+		if err := s.seg.Close(); err != nil {
+			return fmt.Errorf("store: rotate: %w", err)
+		}
+		s.seg, s.bw = nil, nil
 	}
 	s.segIdx++
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(s.segIdx)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: rotate: %w", err)
-	}
-	s.seg = f
-	s.bw = bufio.NewWriterSize(f, 1<<16)
 	s.segLen = 0
 	s.dirty = false
 	return nil
 }
 
 // Sync makes every accepted Put durable: buffered appends are flushed
-// and the active segment fsynced. The caching layer calls this at
-// cell-chunk boundaries, which is what "resume from the last durable
-// cell" means concretely.
+// and the active segment fsynced; with nothing appended since the last
+// Sync it does nothing. The caching layer's writer calls it after each
+// plan-order group of 32 misses it banks, and its Cells path after each
+// miss batch, which is what "resume from the last durable cell" means
+// concretely.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -771,15 +779,17 @@ func (s *Store) syncLocked() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seg == nil {
+	if s.closed {
 		return nil
 	}
+	s.closed = true
 	err := s.syncLocked()
-	if cerr := s.seg.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("store: close: %w", cerr)
+	if s.seg != nil {
+		if cerr := s.seg.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("store: close: %w", cerr)
+		}
+		s.seg, s.bw = nil, nil
 	}
-	s.seg = nil
-	s.bw = nil
 	if s.err == nil {
 		s.err = fmt.Errorf("store: closed")
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -714,6 +715,82 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	}
 	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("Err after Close: %v", err)
+	}
+}
+
+// TestReadOnlyOpenWritesNothing: opening and closing a populated store
+// without a Put leaves its directory listing and every segment's bytes
+// as they were, and opening a fresh directory creates no segment. A store
+// opens its final segment for append only on its first append.
+func TestReadOnlyOpenWritesNothing(t *testing.T) {
+	dir := buildStore(t, 40, 2<<10) // several segments
+	snapshot := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := snapshot()
+	if len(before) < 2 {
+		t.Fatalf("built %d segments, want several", len(before))
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() == 0 {
+		t.Fatal("reopened store is empty")
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := snapshot(); !maps.Equal(after, before) {
+		t.Fatalf("a read-only open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	// The first append of a session whose final segment is full starts
+	// the next segment without touching the sealed ones.
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.maxSeg = 1
+	c := mkCoord(17, 2, 900, 5)
+	if err := s.Put(testID, c, mkStats(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshot()
+	added := after[segName(len(before)+1)]
+	delete(after, segName(len(before)+1))
+	if !maps.Equal(after, before) || !strings.Contains(added, `"n":5`) {
+		t.Fatalf("append after reopen: old segments unchanged %v, new segment %q", maps.Equal(after, before), added)
+	}
+
+	fresh := t.TempDir()
+	f, err := Open(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(fresh); err != nil || len(ents) != 0 {
+		t.Fatalf("opening a fresh directory left %d entries (%v)", len(ents), err)
 	}
 }
 
